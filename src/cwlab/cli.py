@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .constructions import (
     random_system,
     random_system_recipe,
 )
-from .counting import count_zeros, count_zeros_ext, default_budget
+from .counting import count_zeros, count_zeros_ext
 from .errors import BudgetExceeded, CwlabError, FormatError
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
@@ -67,17 +66,11 @@ def cmd_count(args) -> int:
     budget = args.budget
     if args.subspace:
         L = read_sub(Path(args.subspace).read_text(encoding="utf-8"), field)
-        rep = count_zeros(
-            system, L, engine=args.engine, workers=args.workers, budget=budget
-        )
+        rep = count_zeros(system, L, engine=args.engine, budget=budget)
     elif args.ext and args.ext != 1:
-        rep = count_zeros_ext(
-            system, args.ext, engine=args.engine, workers=args.workers, budget=budget
-        )
+        rep = count_zeros_ext(system, args.ext, engine=args.engine, budget=budget)
     else:
-        rep = count_zeros(
-            system, engine=args.engine, workers=args.workers, budget=budget
-        )
+        rep = count_zeros(system, engine=args.engine, budget=budget)
     print(f"elapsed {rep.elapsed:.3f}s", file=sys.stderr)
     if args.format == "csv":
         body = (
@@ -94,6 +87,9 @@ def cmd_check(args) -> int:
     _, _, system = _load_system(args.system)
     if args.law not in LAW_ALIASES:
         print(f"unknown law {args.law!r}; choose from {sorted(LAW_ALIASES)}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.all_pairs and args.sampled is not None:
+        print("--all-pairs and --sampled exclude each other", file=sys.stderr)
         return EXIT_INPUT
     scope = CheckScope(
         all_pairs=args.sampled is None,
@@ -268,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, system=True, formats=False):
         if system:
             p.add_argument("--system", required=True, help="path to a .sys file")
-        p.add_argument("--budget", type=int, default=default_budget(),
+        p.add_argument("--budget", type=int,
                        help="point budget (env CWLAB_BUDGET overrides the default)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the report to a file instead of stdout")
         if formats:
@@ -290,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="chevalley | ax | warning-hyperplanes | theorem1 (parallel-subspaces)",
     )
-    p.add_argument("--all-pairs", action="store_true", default=True)
+    p.add_argument("--all-pairs", action="store_true",
+                   help="check every direction space (the default without --sampled)")
     p.add_argument("--sampled", type=int, help="sample this many direction spaces")
     p.add_argument("--class-budget", type=int, default=10_000)
     p.add_argument("--dim", type=int, help="restrict to one qualifying dimension")
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-conjecture", help="survey dimension estimates on a seeded corpus")
     p.add_argument("--preset", default="small")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=default_budget())
+    p.add_argument("--budget", type=int)
     p.add_argument("--per-cell", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan_conjecture)

@@ -358,11 +358,6 @@ def corpus_system(seed: int, index: int) -> PolySystem:
     return random_system(F, n, degrees, derive_seed(seed, index, 1))
 
 
-def iter_corpus(count: int, seed: int = 0):
-    for i in range(count):
-        yield corpus_system(seed, i)
-
-
 def build_from_recipe(recipe: ConstructionRecipe):
     """Replay a recipe; the rebuilt object is bit-identical to the original."""
     params = recipe.parameters

@@ -2,13 +2,12 @@
 
 Two independent engines are provided and must agree exactly:
 
-* the fast engine walks the point odometer by recursive specialization,
-  re-evaluating each polynomial only from the position that changed and
-  pruning subtrees where some polynomial has become a nonzero constant;
+* the fast engine evaluates the system on the point grid, CHUNK points at a
+  time in odometer order, with numpy gathers from the field's table bundle
+  (`FieldSpec.tables`).  The polynomial with the fewest terms goes first and
+  each later one is evaluated only at the points where all earlier ones
+  vanish; the surviving odometer indexes are the zero set;
 * the naive oracle evaluates every polynomial at every point from scratch.
-
-Counting is a pure reduction by addition, so partitioning the outermost
-variable across workers cannot change the result.
 """
 
 from __future__ import annotations
@@ -16,24 +15,30 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded
-from .fields import FieldSpec, build_field, embed_subfield
+import numpy as np
+
+from .errors import BudgetExceeded, CwlabError
+from .fields import FieldSpec, FieldTables, build_field, embed_subfield
 from .polynomials import MultiPoly, PolySystem, restrict_polys
 from .subspaces import AffineSubspace
 
 ORACLE_CAP = 10**6
 FAST_CAP = 10**9
 DEFAULT_BUDGET = 1 << 22
+# points per kernel step: bounds the kernel's working memory at a few MB
+CHUNK = 1 << 16
 
 
 def default_budget() -> int:
     env = os.environ.get("CWLAB_BUDGET")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CwlabError(f"CWLAB_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET
 
 
@@ -47,7 +52,7 @@ class CountReport:
     region: str
     count: int
     scanned: int
-    workers: int
+    workers: int = 1  # kept in the body for its stable shape; counting is serial
     elapsed: float = dc_field(default=0.0, repr=False)
 
     def to_json(self) -> str:
@@ -64,134 +69,82 @@ class CountReport:
         )
 
 
-# -- nested (recursive dense) representation ----------------------------------
-
-# A node for variables [i..n) is an int when i == n, else a list indexed by
-# the exponent of variable i whose entries are nodes for variables [i+1..n).
+# -- the zero-mask kernel ---------------------------------------------------------
 
 
-def _terms_to_nested(terms: dict, i: int, n: int):
-    if i == n:
-        # exponent tuple is exhausted; at most one entry remains
-        for _, c in terms.items():
-            return c
-        return 0
-    if not terms:
-        return []
-    groups: dict[int, dict] = {}
-    for exps, c in terms.items():
-        groups.setdefault(exps[i], {})[exps] = c
-    top = max(groups)
-    # [] stands for the zero node at every level, including above leaves
-    return [
-        _terms_to_nested(groups[e], i + 1, n) if e in groups else []
-        for e in range(top + 1)
-    ]
+def _coordinates(idx: np.ndarray, q: int, n: int) -> list[np.ndarray]:
+    """Coordinate columns of odometer indexes (first coordinate slowest)."""
+    cols: list[np.ndarray] = [idx] * n
+    rem = idx
+    for i in range(n - 1, -1, -1):
+        rem, cols[i] = np.divmod(rem, q)
+    return cols
 
 
-def _n_is_zero(node) -> bool:
-    if isinstance(node, int):
-        return node == 0
-    return all(_n_is_zero(c) for c in node)
+def evaluate_columns(f: MultiPoly, cols: list[np.ndarray], T: FieldTables) -> np.ndarray:
+    """Values of f at the points whose coordinate columns are cols.
+
+    A monomial is spelled as the numbers of its variables in order, with
+    repeats (x1^2*x3 is 0, 0, 2).  In sorted order, each monomial keeps the products of the
+    prefix it shares with the one before, so every prefix is multiplied
+    out once and at most deg f of them are held at a time.
+    """
+    words = sorted(
+        (tuple(i for i, e in enumerate(exps) for _ in range(e)), c) for exps, c in f.terms.items()
+    )
+    one = f.field.one
+    const = 0
+    acc = None
+    word: tuple[int, ...] = ()
+    prefix: list[np.ndarray] = []  # prefix[j]: product of the first j + 1 variables of word
+    for nxt, c in words:
+        if not nxt:
+            const = c
+            continue
+        keep = 0
+        while keep < len(word) and word[keep] == nxt[keep]:
+            keep += 1
+        del prefix[keep:]
+        for i in nxt[keep:]:
+            prefix.append(T.mul(prefix[-1], cols[i]) if prefix else cols[i])
+        word = nxt
+        t = prefix[-1] if c == one else T.mul(c, prefix[-1])
+        acc = t if acc is None else T.add(acc, t)
+    if acc is None:
+        size = len(cols[0]) if cols else 1
+        return np.full(size, const)
+    return T.add(acc, const) if const else acc
 
 
-def _n_const(node):
-    """The constant value of a node, or None when it involves variables."""
-    if isinstance(node, int):
-        return node
-    if not node:
-        return 0
-    for child in node[1:]:
-        if not _n_is_zero(child):
-            return None
-    return _n_const(node[0])
-
-
-def _n_scale(node, a: int, F: FieldSpec):
-    if isinstance(node, int):
-        return F.mul(node, a)
-    return [_n_scale(c, a, F) for c in node]
-
-
-def _n_add(x, y, F: FieldSpec):
-    # nodes of equal level; [] is the zero node at any level
-    if isinstance(x, int):
-        if isinstance(y, int):
-            return F.add(x, y)
-        return x  # y is the empty (zero) list
-    if isinstance(y, int):
-        return y  # x is the empty (zero) list
-    if len(x) < len(y):
-        x, y = y, x
-    out = [_n_add(a, b, F) for a, b in zip(x, y)]
-    out.extend(x[len(y):])
-    return out
-
-
-def _n_specialize(node, a: int, F: FieldSpec):
-    """Evaluate the outermost variable at a (Horner), one level down."""
-    if not node:
-        return []
-    acc = node[-1]
-    for child in reversed(node[:-1]):
-        acc = _n_add(_n_scale(acc, a, F), child, F)
-    return acc
-
-
-def _count_rec(specs: list, F: FieldSpec, levels: int) -> int:
-    """Count common zeros of the active nested specs over q^levels points."""
-    q = F.q
-    live = []
-    for s in specs:
-        c = _n_const(s)
-        if c is None:
-            live.append(s)
-        elif c != 0:
-            return 0
-    if not live:
-        return q**levels
-    if levels == 0:
-        return 1
-    if levels == 1:
-        univs = [[_n_const(c) if not isinstance(c, int) else c for c in s] for s in live]
-        count = 0
-        for a in range(q):
-            ok = True
-            for coeffs in univs:
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = F.add(F.mul(acc, a), c)
-                if acc != 0:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
-    total = 0
-    for a in range(q):
-        total += _count_rec([_n_specialize(s, a, F) for s in live], F, levels - 1)
-    return total
-
-
-def _prepared_specs(polys: Sequence[MultiPoly]) -> list:
-    # cheapest conjunct first: specialize and test small polynomials early
-    ordered = sorted(polys, key=lambda f: len(f.terms))
-    return [_terms_to_nested(f.terms, 0, f.nvars) for f in ordered]
-
-
-def fast_count(system: PolySystem, workers: int = 1) -> int:
+def _zero_chunks(system: PolySystem) -> Iterator[np.ndarray]:
+    """Odometer indexes of the common zeros, ascending, one array per chunk."""
     F = system.field
-    n = system.nvars
-    specs = _prepared_specs(system.polys)
-    if workers <= 1 or n == 0:
-        return _count_rec(specs, F, n)
-    chunks = list(range(F.q))
+    q, n = F.q, system.nvars
+    T = F.tables
+    polys = sorted(system.polys, key=lambda f: len(f.terms))
+    total = q**n
+    for lo in range(0, total, CHUNK):
+        idx = np.arange(lo, min(lo + CHUNK, total))
+        cols = _coordinates(idx, q, n)
+        for f in polys:
+            keep = np.flatnonzero(evaluate_columns(f, cols, T) == 0)
+            if len(keep) < len(idx):
+                idx = idx[keep]
+                cols = [c[keep] for c in cols]
+            if not len(idx):
+                break
+        yield idx
 
-    def run(a: int) -> int:
-        return _count_rec([_n_specialize(s, a, F) for s in specs], F, n - 1)
 
-    with ThreadPoolExecutor(max_workers=min(workers, F.q)) as pool:
-        return sum(pool.map(run, chunks))
+def fast_count(system: PolySystem) -> int:
+    return sum(len(idx) for idx in _zero_chunks(system))
+
+
+def _zero_points(system: PolySystem) -> np.ndarray:
+    """The common zeros as rows of coordinates, in odometer order."""
+    idx = np.concatenate(list(_zero_chunks(system)))
+    cols = _coordinates(idx, system.field.q, system.nvars)
+    return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.intp)
 
 
 def _odometer(q: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -221,45 +174,28 @@ def zero_set(system: PolySystem, budget: int | None = None) -> list[tuple[int, .
     budget = budget if budget is not None else default_budget()
     if F.q**n > budget:
         raise BudgetExceeded(f"q^n = {F.q**n} exceeds budget {budget}")
-    specs = _prepared_specs(system.polys)
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    return list(map(tuple, _zero_points(system).tolist()))
 
-    def rec(specs_now: list, levels: int) -> None:
-        live = []
-        for s in specs_now:
-            c = _n_const(s)
-            if c is None:
-                live.append(s)
-            elif c != 0:
-                return
-        if not live:
-            base = tuple(prefix)
-            for tail in _odometer(F.q, levels):
-                out.append(base + tail)
-            return
-        if levels == 1:
-            univs = [[_n_const(c) if not isinstance(c, int) else c for c in s] for s in live]
-            base = tuple(prefix)
-            for a in range(F.q):
-                ok = True
-                for coeffs in univs:
-                    acc = 0
-                    for c in reversed(coeffs):
-                        acc = F.add(F.mul(acc, a), c)
-                    if acc != 0:
-                        ok = False
-                        break
-                if ok:
-                    out.append(base + (a,))
-            return
-        for a in range(F.q):
-            prefix.append(a)
-            rec([_n_specialize(s, a, F) for s in live], levels - 1)
-            prefix.pop()
 
-    rec(specs, n)
-    return out
+def coset_ids(Z: np.ndarray, rows: Sequence[Sequence[int]], F: FieldSpec) -> np.ndarray:
+    """For each point (row of Z), the number of its coset of the direction
+    space spanned by the RREF rows, in `AffineSubspace.parallel_class` order.
+
+    The coset's offset is the point minus each row times the point's entry
+    at that row's pivot (RREF rows vanish at the other rows' pivots, so the
+    pivot entries never change); its free coordinates, read big-endian,
+    number the coset.
+    """
+    T = F.tables
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
+    free = [j for j in range(Z.shape[1]) if j not in pivots]
+    red = Z[:, free]
+    if rows:
+        minus = np.array([[F.neg(row[j]) for j in free] for row in rows], dtype=np.intp)
+        terms = T.mul(Z[:, pivots, None], minus)
+        for r in range(len(rows)):
+            red = T.add(red, terms[:, r])
+    return red @ F.q ** np.arange(len(free) - 1, -1, -1)
 
 
 # -- public counting API --------------------------------------------------------
@@ -283,7 +219,6 @@ def count_zeros(
     region: AffineSubspace | None = None,
     *,
     engine: str = "fast",
-    workers: int = 1,
     budget: int | None = None,
 ) -> CountReport:
     """Exact N(f; region) with region = full space (None) or a subspace.
@@ -296,10 +231,7 @@ def count_zeros(
     if region is None:
         size = F.q**system.nvars
         _region_size_check(size, budget, engine)
-        if engine == "oracle":
-            cnt = oracle_count(system)
-        else:
-            cnt = fast_count(system, workers=workers)
+        cnt = oracle_count(system) if engine == "oracle" else fast_count(system)
         label = "full"
     else:
         if region.ambient != system.nvars:
@@ -316,11 +248,7 @@ def count_zeros(
             cnt = size
         else:
             sub_system = PolySystem(nonzero)
-            cnt = (
-                oracle_count(sub_system)
-                if engine == "oracle"
-                else fast_count(sub_system, workers=workers)
-            )
+            cnt = oracle_count(sub_system) if engine == "oracle" else fast_count(sub_system)
         label = subspace_region_label(region)
     elapsed = time.perf_counter() - t0
     return CountReport(
@@ -332,7 +260,6 @@ def count_zeros(
         region=label,
         count=cnt,
         scanned=size,
-        workers=max(1, workers),
         elapsed=elapsed,
     )
 
@@ -350,7 +277,6 @@ def count_zeros_ext(
     s: int,
     *,
     engine: str = "fast",
-    workers: int = 1,
     budget: int | None = None,
 ) -> CountReport:
     """Exact count of zeros with coordinates in F_{q^s}; s=1 is count_zeros."""
@@ -358,7 +284,7 @@ def count_zeros_ext(
     size = (F.q**s) ** system.nvars
     _region_size_check(size, budget, engine)
     lifted = lift_system(system, s)
-    rep = count_zeros(lifted, engine=engine, workers=workers, budget=budget)
+    rep = count_zeros(lifted, engine=engine, budget=budget)
     return CountReport(
         q=F.q,
         n=system.nvars,
@@ -368,7 +294,6 @@ def count_zeros_ext(
         region=f"ext s={s}",
         count=rep.count,
         scanned=size,
-        workers=rep.workers,
         elapsed=rep.elapsed,
     )
 
@@ -378,16 +303,18 @@ def counts_over_parallel_class(
     L: AffineSubspace,
     *,
     engine: str = "fast",
-    workers: int = 1,
     budget: int | None = None,
 ) -> list[tuple[AffineSubspace, int]]:
     """One exact count per member of L's parallel class (counts sum to the
-    full-space total)."""
+    full-space total).  The fast engine buckets the zero set by coset; the
+    oracle counts each member on its own."""
     F = system.field
     size = F.q**system.nvars
     _region_size_check(size, budget, engine)
-    out = []
-    for member in L.parallel_class():
-        rep = count_zeros(system, member, engine=engine, workers=workers, budget=budget)
-        out.append((member, rep.count))
-    return out
+    members = L.parallel_class()
+    if engine == "oracle":
+        counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]
+    else:
+        ids = coset_ids(_zero_points(system), L.basis, F)
+        counts = np.bincount(ids, minlength=len(members)).tolist()
+    return list(zip(members, counts))

@@ -9,7 +9,8 @@ tie-break in the package means least index in this encoding.
 Multiplication has two independent realizations: reduced polynomial
 arithmetic (always available, the reference path) and log/antilog tables over
 a multiplicative generator (built when q <= 2^16 and k > 1).  Prime fields
-use direct modular arithmetic.
+use direct modular arithmetic.  Vectorized arithmetic on numpy arrays of
+element indexes goes through the field's one table bundle, `FieldSpec.tables`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DegreeTooLarge,
@@ -28,7 +31,7 @@ from .errors import (
 
 FIELD_SIZE_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16
-_DENSE_ADD_CAP = 1 << 10
+_DENSE_TABLE_CAP = 1 << 10
 _COORD_CACHE_CAP = 1 << 16
 
 
@@ -140,25 +143,15 @@ class FieldSpec:
         if k > 1 and self.q <= _LOG_TABLE_CAP:
             self._build_log_tables()
 
-        self._add_flat: list[int] | None = None
-        self._sub_flat: list[int] | None = None
-        if k > 1 and self.q <= _DENSE_ADD_CAP:
-            q = self.q
-            add_flat = [0] * (q * q)
-            sub_flat = [0] * (q * q)
-            for a in range(q):
-                ca = self.coords(a)
-                base = a * q
-                for b in range(q):
-                    cb = self._coords_cache[b]  # type: ignore[index]
-                    add_flat[base + b] = self._encode(
-                        tuple((x + y) % p for x, y in zip(ca, cb))
-                    )
-                    sub_flat[base + b] = self._encode(
-                        tuple((x - y) % p for x, y in zip(ca, cb))
-                    )
-            self._add_flat = add_flat
-            self._sub_flat = sub_flat
+        # Every attribute is set here: one added later would slow every
+        # attribute read of the instance.  The scalar add, sub and neg of an
+        # extension field read its dense tables, so those come with the field.
+        self._tables: FieldTables | None = None
+        self._add_flat: memoryview | None = None
+        self._neg_flat: memoryview | None = None
+        if k > 1 and self.q <= _DENSE_TABLE_CAP:
+            self._add_flat = memoryview(self.tables.add_table)
+            self._neg_flat = memoryview(self.tables.neg_table)
 
     # -- encoding ---------------------------------------------------------
 
@@ -196,6 +189,13 @@ class FieldSpec:
 
     # -- arithmetic -------------------------------------------------------
 
+    @property
+    def tables(self) -> "FieldTables":
+        """The field's vectorized arithmetic, built on first use."""
+        if self._tables is None:
+            self._tables = FieldTables(self)
+        return self._tables
+
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
@@ -207,14 +207,16 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        if self._sub_flat is not None:
-            return self._sub_flat[a * self.q + b]
+        if self._add_flat is not None:
+            return self._add_flat[a * self.q + self._neg_flat[b]]  # type: ignore[index]
         p = self.p
         return self._encode([(x - y) % p for x, y in zip(self.coords(a), self.coords(b))])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        if self._neg_flat is not None:
+            return self._neg_flat[a]
         p = self.p
         return self._encode([(-x) % p for x in self.coords(a)])
 
@@ -330,6 +332,65 @@ class FieldSpec:
     def __repr__(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
         return f"FieldSpec(q={self.q}, p={self.p}, k={self.k}, modulus=[{mod}])"
+
+
+class FieldTables:
+    """Vectorized arithmetic of one field on numpy arrays of element indexes.
+
+    For q <= 2^10 each operation is a gather from a dense table in the
+    narrowest unsigned dtype that holds q - 1: `add_table` and `mul_table`
+    are flat q*q tables (entry a*q + b), `neg_table` has q entries.  They are
+    computed with whole-array arithmetic: addition and negation digit by
+    digit in base p, multiplication from the log/antilog tables (or as
+    products mod p).  Larger fields keep no tables and apply the scalar
+    arithmetic elementwise.
+    """
+
+    def __init__(self, F: FieldSpec):
+        self.field = F
+        self.q = q = F.q
+        self.add_table = self.mul_table = self.neg_table = None
+        if q > _DENSE_TABLE_CAP:
+            return
+        p = F.p
+        # index a*p + d has the coordinates of a followed by digit d, so
+        # each further coordinate extends the tables of the ones before
+        d = np.arange(p, dtype=np.int32)
+        digit_add, digit_neg = np.add.outer(d, d) % p, -d % p
+        add, neg = digit_add, digit_neg
+        for _ in range(F.k - 1):
+            add = (add[:, None, :, None] * p + digit_add[None, :, None, :]).reshape(p * len(add), -1)
+            neg = (neg[:, None] * p + digit_neg).ravel()
+        if F.k == 1:
+            mul = np.multiply.outer(d, d) % p
+        else:
+            log = np.array(F._log, dtype=np.int32)
+            exp = np.array(F._exp, dtype=np.int32)
+            mul = exp[np.add.outer(log, log) % (q - 1)]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+        dtype = np.uint8 if q <= 1 << 8 else np.uint16
+        self.add_table = add.astype(dtype).ravel()
+        self.mul_table = mul.astype(dtype).ravel()
+        self.neg_table = neg.astype(dtype)
+
+    def _gather(self, table, x, y, scalar_op) -> np.ndarray:
+        if table is None:
+            return np.frompyfunc(scalar_op, 2, 1)(x, y).astype(np.int64)
+        return table[np.multiply(x, self.q, dtype=np.intp) + y]
+
+    def add(self, x, y) -> np.ndarray:
+        """Elementwise x + y for index arrays (or scalars) that broadcast."""
+        return self._gather(self.add_table, x, y, self.field.add)
+
+    def mul(self, x, y) -> np.ndarray:
+        """Elementwise x * y for index arrays (or scalars) that broadcast."""
+        return self._gather(self.mul_table, x, y, self.field.mul)
+
+    def neg(self, x) -> np.ndarray:
+        if self.neg_table is None:
+            return np.frompyfunc(self.field.neg, 1, 1)(x).astype(np.int64)
+        return self.neg_table[x]
 
 
 @lru_cache(maxsize=None)

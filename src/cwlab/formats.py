@@ -81,11 +81,14 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
             if field is None or names is None:
                 raise FormatError("poly before field/vars lines", lineno)
             try:
-                polys.append(parse_poly(rest, field, names))
+                poly = parse_poly(rest, field, names)
             except ExprSyntaxError as exc:
                 raise FormatError(str(exc), lineno, exc.position + 1) from exc
             except CwlabError as exc:
                 raise FormatError(str(exc), lineno) from exc
+            if poly.is_zero:
+                raise FormatError("systems may not contain the zero polynomial", lineno)
+            polys.append(poly)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     if field is None or names is None or not polys:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import count_zeros_ext, default_budget
+from .counting import count_zeros_ext, default_budget, evaluate_columns
 from .errors import BudgetExceeded, InsufficientExtensions, NotHomogeneous
 from .fields import FieldSpec, build_field, embed_subfield
 from .polynomials import MultiPoly, PolySystem
@@ -204,14 +204,6 @@ class LinearFactorVerdict:
         }
 
 
-def _np_tables(K: FieldSpec):
-    Q = K.q
-    mul = np.array([[K.mul(a, b) for b in range(Q)] for a in range(Q)], dtype=np.int32)
-    add = np.array([[K.add(a, b) for b in range(Q)] for a in range(Q)], dtype=np.int32)
-    neg = np.array([K.neg(a) for a in range(Q)], dtype=np.int32)
-    return mul, add, neg
-
-
 def _np_mix(base: int, ranks: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 output mix of (base + gamma*rank)."""
     gamma = np.uint64(0x9E3779B97F4A7C15)
@@ -336,24 +328,7 @@ def _screen_forms_numpy(
     fK: MultiPoly, K: FieldSpec, n: int, d: int, trials: int, seed: int, s: int
 ) -> list[tuple[int, ...]]:
     Q = K.q
-    MUL, ADD, NEG = _np_tables(K)
-    mul_flat, add_flat = MUL.ravel(), ADD.ravel()
-    max_e = max((e for exps in fK.terms for e in exps), default=1)
-    pow_tab = np.zeros((max_e + 1, Q), dtype=np.int32)
-    pow_tab[0, :] = K.one
-    for e in range(1, max_e + 1):
-        pow_tab[e] = np.array([K.pow(a, e) for a in range(Q)], dtype=np.int32)
-    terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in fK.terms.items()]
-
-    def eval_at(X: list[np.ndarray]) -> np.ndarray:
-        acc = np.zeros(len(X[0]), dtype=np.int32)
-        for coeff, factors in terms:
-            t = np.full(len(X[0]), coeff, dtype=np.int32)
-            for var, e in factors:
-                t = mul_flat[t * Q + pow_tab[e][X[var]]]
-            acc = add_flat[acc * Q + t]
-        return acc
-
+    T = K.tables
     survivors: list[tuple[int, ...]] = []
     rank_offset = 0
     for j in range(n):
@@ -383,11 +358,9 @@ def _screen_forms_numpy(
                         X[i] = _point_coord(seed, s, t, i, live_ranks.astype(np.uint64), Q)
                 acc = np.zeros(len(live_ranks), dtype=np.int32)
                 for pos in range(nfree):
-                    ci = live_c[pos]
-                    xi = X[j + 1 + pos]
-                    acc = add_flat[acc * Q + mul_flat[ci * Q + xi]]
-                X[j] = NEG[acc]
-                vals = eval_at(X)  # type: ignore[arg-type]
+                    acc = T.add(acc, T.mul(live_c[pos], X[j + 1 + pos]))
+                X[j] = T.neg(acc)
+                vals = evaluate_columns(fK, X, T)  # type: ignore[arg-type]
                 keep = vals == 0
                 live_ranks = live_ranks[keep]
                 live_c = [c[keep] for c in live_c]

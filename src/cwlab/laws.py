@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import count_zeros, zero_set
+from .counting import coset_ids, count_zeros, zero_set
 from .errors import BudgetExceeded, FullSpace, WrongFieldSize
 from .fields import FieldSpec
 from .polynomials import PolySystem
@@ -91,24 +91,6 @@ def _zero_array(system: PolySystem, budget: int | None = None) -> np.ndarray:
     return np.array(pts, dtype=np.int64)
 
 
-class _FieldTables:
-    """numpy gather tables for vectorized field ops on element indexes."""
-
-    def __init__(self, F: FieldSpec):
-        q = F.q
-        self.sub = np.array([[F.sub(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-        self.mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-
-
-_tables_cache: dict[FieldSpec, _FieldTables] = {}
-
-
-def _tables(F: FieldSpec) -> _FieldTables:
-    if F not in _tables_cache:
-        _tables_cache[F] = _FieldTables(F)
-    return _tables_cache[F]
-
-
 def _coset_residue_check(
     Z: np.ndarray,
     rows: Sequence[Sequence[int]],
@@ -123,21 +105,7 @@ def _coset_residue_check(
     classes = q ** (n - m)
     if Z.shape[0] == 0:
         return True, None
-    T = _tables(F)
-    red = Z
-    pivots = []
-    for row in rows:
-        piv = next(i for i, x in enumerate(row) if x)
-        pivots.append(piv)
-        fac = red[:, piv]
-        row_arr = np.array(row, dtype=np.int64)
-        red = T.sub[red, T.mul[fac[:, None], row_arr[None, :]]]
-    free = [j for j in range(n) if j not in set(pivots)]
-    if free:
-        weights = np.array([q**i for i in range(len(free) - 1, -1, -1)], dtype=np.int64)
-        ids = red[:, free] @ weights
-    else:
-        ids = np.zeros(len(red), dtype=np.int64)
+    ids = coset_ids(Z, rows, F)
     uniq, counts = np.unique(ids, return_counts=True)
     residues = counts % modulus
     base = residues[0] if len(uniq) == classes else 0
@@ -145,6 +113,9 @@ def _coset_residue_check(
     if len(bad) == 0:
         return True, None
     # reconstruct offending offsets for the witness
+    pivots = {next(i for i, x in enumerate(row) if x) for row in rows}
+    free = [j for j in range(n) if j not in pivots]
+
     def offset_of(coset_id: int) -> list[int]:
         off = [0] * n
         for j in reversed(free):
@@ -598,8 +569,6 @@ class SaturationSweeper:
         self.hyperplane_masks = (
             [self._mask(H) for H in _all_subspaces_of_dim(F, t, t - 1)] if t >= 1 else []
         )
-        # masks of proper affine subspaces, for the general position test
-        self.proper_span_masks = self.hyperplane_masks
 
     def _mask(self, L: AffineSubspace) -> int:
         mask = 0

@@ -134,9 +134,6 @@ class AffineSubspace:
                     pt = [F.add(x, F.mul(c, y)) for x, y in zip(pt, row)]
             yield tuple(pt)
 
-    def translate(self, offset: Sequence[int]) -> "AffineSubspace":
-        return AffineSubspace(self.field, offset, self.basis)
-
     def is_parallel_to(self, other: "AffineSubspace") -> bool:
         return self.ambient == other.ambient and self.basis == other.basis
 

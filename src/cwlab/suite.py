@@ -8,7 +8,6 @@ what it actually checked in `details`.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -322,22 +321,20 @@ def criterion_9(seed: int = CORPUS_SEED) -> CriterionResult:
 
 
 def criterion_10(seed: int = CORPUS_SEED) -> CriterionResult:
-    """Fast engine == naive oracle, and worker-count invariance."""
+    """Fast engine == naive oracle."""
     t0 = time.perf_counter()
     failures = []
-    max_workers = os.cpu_count() or 2
     for i in range(SMALL_CORPUS):
         system = corpus_system(seed, i)
         fast = fast_count(system)
         slow = oracle_count(system)
-        wide = fast_count(system, workers=max_workers)
-        if not fast == slow == wide:
-            failures.append({"index": i, "fast": fast, "oracle": slow, "workers": wide})
+        if fast != slow:
+            failures.append({"index": i, "fast": fast, "oracle": slow})
     return CriterionResult(
         "C10",
-        f"oracle equivalence and worker invariance on {SMALL_CORPUS} systems",
+        f"fast engine equals the oracle on {SMALL_CORPUS} systems",
         not failures,
-        {"checked": SMALL_CORPUS, "max_workers": max_workers, "failures": failures},
+        {"checked": SMALL_CORPUS, "failures": failures},
         time.perf_counter() - t0,
     )
 

@@ -22,11 +22,6 @@ from cwlab.suite import (
 SEED = 0
 
 
-def _report(result, capsys=None):
-    print(result.line())
-    assert result.passed, result.details
-
-
 def test_c1_ax_congruence_corpus():
     res = criterion_1(SEED)
     print(res.line())

@@ -1,18 +1,21 @@
 """Counting engines: reference oracle, fast path, regions, extensions."""
 
 import json
+from itertools import product
 
 import pytest
 
+from cwlab import counting
 from cwlab.counting import (
     count_zeros,
     count_zeros_ext,
     counts_over_parallel_class,
     fast_count,
+    lift_system,
     oracle_count,
     zero_set,
 )
-from cwlab.constructions import corpus_system, norm_form
+from cwlab.constructions import corpus_system, norm_form, random_system
 from cwlab.errors import BudgetExceeded
 from cwlab.fields import build_field
 from cwlab.polynomials import PolySystem, parse_poly
@@ -96,12 +99,6 @@ def test_parallel_class_sums_to_total_on_corpus():
             assert sum(counts) == total and len(counts) == F.q ** (n - m)
 
 
-def test_worker_invariance():
-    for i in range(10):
-        system = corpus_system(2, i)
-        assert fast_count(system) == fast_count(system, workers=4)
-
-
 def test_homogeneous_scalar_orbit_divisibility():
     # for homogeneous systems, nonzero zeros come in scalar orbits of size q-1
     for i in range(60):
@@ -128,6 +125,65 @@ def test_budget_errors():
 
 
 def test_report_json_deterministic():
-    a = count_zeros(HYP, workers=1).to_json()
-    b = count_zeros(HYP, workers=1).to_json()
+    a = count_zeros(HYP).to_json()
+    b = count_zeros(HYP).to_json()
     assert a == b
+
+
+def _kernel_systems():
+    """Corpus systems lifted to F_8, F_9, F_16, F_25 and F_27 (at most about
+    20 000 points each), and one system over F_7."""
+    from cwlab.constructions import random_system
+
+    out = []
+    for base_q, s, max_n in ((2, 3, 4), (3, 2, 4), (2, 4, 3), (5, 2, 3), (3, 3, 3)):
+        picked = [
+            sy for sy in (corpus_system(5, i) for i in range(400))
+            if sy.field.q == base_q and sy.nvars <= max_n
+        ]
+        # a one-polynomial and a two-polynomial system of each kind
+        for r in (1, 2):
+            out.append(lift_system(next(sy for sy in picked if sy.r == r), s))
+    out.append(random_system(build_field(7, 1), 4, (2, 1), 11))
+    return out
+
+
+KERNEL_SYSTEMS = _kernel_systems()
+
+
+@pytest.mark.parametrize("chunk", [None, 97])
+def test_kernel_matches_oracle_and_point_filter(chunk, monkeypatch):
+    # a small chunk makes every system span many chunks, and chunk edges
+    # fall inside runs of zeros
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+    assert {sy.field.q for sy in KERNEL_SYSTEMS} == {7, 8, 9, 16, 25, 27}
+    for system in KERNEL_SYSTEMS:
+        q, n = system.field.q, system.nvars
+        filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
+        assert zero_set(system) == filtered
+        assert fast_count(system) == len(filtered) == oracle_count(system)
+
+
+def test_parallel_class_matches_oracle_per_member():
+    from cwlab.subspaces import direction_spaces
+
+    for i in range(40):
+        system = corpus_system(7, i)
+        F, n = system.field, system.nvars
+        spaces = list(direction_spaces(F, n, 1 + i % (n - 1)))
+        L = AffineSubspace(F, (0,) * n, spaces[(7 * i) % len(spaces)])
+        pairs = counts_over_parallel_class(system, L)
+        assert [m for m, _ in pairs] == L.parallel_class()
+        assert [c for _, c in pairs] == [
+            count_zeros(system, m, engine="oracle").count for m in L.parallel_class()
+        ]
+
+
+def test_ax_katz_divisibility_on_corpus():
+    # Katz (1971): q^ceil((n - sum d_i) / max d_i) divides N
+    for i in range(300):
+        system = corpus_system(0, i)
+        q, n, degs = system.field.q, system.nvars, system.degrees
+        e = -(-(n - sum(degs)) // max(degs))
+        assert count_zeros(system).count % q**e == 0, i

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,30 @@ def test_table_path_agrees_with_polynomial_path():
     for F in (F4, F8, F9, F16, F25, build_field(2, 6), build_field(7, 2)):
         for a, b in product(range(F.q), repeat=2):
             assert F.mul(a, b) == F.mul_poly(a, b)
+
+
+def test_table_bundle_matches_scalar_reference():
+    # every field of this module, and one past the dense-table cap
+    fields = (F2, F3, F4, F8, F9, F16, F25, build_field(2, 6), build_field(3, 4), build_field(7, 2))
+    for F in fields + (build_field(2, 12),):
+        T = F.tables
+        q = F.q
+        if q <= 1 << 10:
+            assert T.add_table.dtype == T.mul_table.dtype == T.neg_table.dtype == np.uint8
+            a, b = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+        else:  # no tables: the scalar ops, elementwise, on a sample
+            assert T.add_table is None
+            a = np.arange(0, q, 7)
+            b = (5 * a + 3) % q
+        pairs = zip(a.tolist(), b.tolist(), T.add(a, b).tolist(), T.mul(a, b).tolist())
+        for x, y, s, m in pairs:
+            assert s == F.from_coords([u + v for u, v in zip(F.coords(x), F.coords(y))])
+            assert m == F.mul_poly(x, y)
+            assert (F.add(x, y), F.sub(s, y)) == (s, x)
+        neg = [F.from_coords([-u for u in F.coords(x)]) for x in range(q)]
+        assert T.neg(np.arange(q)).tolist() == neg
+        assert [F.neg(x) for x in range(q)] == neg
+    assert build_field(5, 4).tables.add_table.dtype == np.uint16
 
 
 @settings(max_examples=300, deadline=None)

@@ -64,6 +64,13 @@ def test_sys_errors_carry_line_numbers():
         read_sys("field p=9 k=1\nvars x\npoly x\n")
 
 
+def test_zero_polynomial_reported_on_its_own_line():
+    with pytest.raises(FormatError) as err:
+        read_sys("field p=3 k=1\nvars x\n# comment\npoly x + 1\npoly x - x\n")
+    assert err.value.line == 5
+    assert "zero polynomial" in str(err.value)
+
+
 def test_sub_round_trip():
     L = AffineSubspace(F3, (1, 2, 0), [(1, 0, 2), (0, 1, 1)])
     text = write_sub(L)
@@ -73,13 +80,13 @@ def test_sub_round_trip():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run(*args, cwd):
+def _run(*args, cwd, extra_env=None):
     # The subprocess runs in ``cwd``, where a relative ``PYTHONPATH=src`` no
     # longer resolves; put this checkout's absolute ``src`` first instead, so
     # the CLI under test is always the one in this tree.
     inherited = os.environ.get("PYTHONPATH")
     path = SRC + os.pathsep + inherited if inherited else SRC
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **(extra_env or {})}
     return subprocess.run(
         [sys.executable, "-m", "cwlab", *args],
         capture_output=True,
@@ -107,11 +114,9 @@ def test_cli_count(workdir):
 
 
 def test_cli_count_deterministic_body(workdir):
-    a = _run("count", "--system", "hyp.sys", "--workers", "1", cwd=workdir)
-    b = _run("count", "--system", "hyp.sys", "--workers", "1", cwd=workdir)
+    a = _run("count", "--system", "hyp.sys", cwd=workdir)
+    b = _run("count", "--system", "hyp.sys", cwd=workdir)
     assert a.stdout == b.stdout
-    wide = _run("count", "--system", "hyp.sys", "--workers", "4", cwd=workdir)
-    assert json.loads(wide.stdout)["count"] == json.loads(a.stdout)["count"]
 
 
 def test_cli_check_laws(workdir):
@@ -131,6 +136,15 @@ def test_cli_check_dim_restriction(workdir):
     assert body["pass"] is True and body["evidence"]["per_dim"] == {"2": 35}
 
 
+def test_cli_check_all_pairs_conflicts_with_sampled(workdir):
+    res = _run(
+        "check", "--system", "hyp.sys", "--law", "theorem1", "--all-pairs",
+        "--sampled", "3", cwd=workdir,
+    )
+    assert res.returncode == 1 and res.stdout == ""
+    assert "--sampled" in res.stderr
+
+
 def test_cli_check_violation_exit_code(workdir):
     (workdir / "bad.sys").write_text(
         "field p=2 k=1\nvars x1 x2\npoly x1*x2 + 1\n", encoding="utf-8"
@@ -145,6 +159,13 @@ def test_cli_input_error_exit_code(workdir):
     res = _run("count", "--system", "bad.sys", cwd=workdir)
     assert res.returncode == 1
     assert "line 1" in res.stderr
+
+
+def test_cli_malformed_budget_env_is_an_input_error(workdir):
+    res = _run("count", "--system", "hyp.sys", cwd=workdir, extra_env={"CWLAB_BUDGET": "abc"})
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: CWLAB_BUDGET")
 
 
 def test_cli_budget_exit_code(workdir):
