@@ -177,9 +177,22 @@ def zero_set(system: PolySystem, budget: int | None = None) -> list[tuple[int, .
     return list(map(tuple, _zero_points(system).tolist()))
 
 
-def coset_ids(Z: np.ndarray, rows: Sequence[Sequence[int]], F: FieldSpec) -> np.ndarray:
-    """For each point (row of Z), the number of its coset of the direction
-    space spanned by the RREF rows, in `AffineSubspace.parallel_class` order.
+def basis_entries(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Pivot columns of RREF rows, and the rows' entries at the other
+    (free) columns as an (m, n - m) array."""
+    pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
+    free = [j for j in range(n) if j not in pivots]
+    entries = np.array([[row[j] for j in free] for row in rows], dtype=np.intp)
+    return pivots, entries.reshape(len(rows), len(free))
+
+
+def coset_ids(
+    Z: np.ndarray, pivots: Sequence[int], entries: np.ndarray, F: FieldSpec
+) -> np.ndarray:
+    """Coset numbers of the points (rows of Z) for a batch of B direction
+    spaces that share their RREF pivot columns: a (B, |Z|) array, each row in
+    `AffineSubspace.parallel_class` order.  entries[b] is space b's rows at
+    the free columns, as `basis_entries` gives them.
 
     The coset's offset is the point minus each row times the point's entry
     at that row's pivot (RREF rows vanish at the other rows' pivots, so the
@@ -187,14 +200,11 @@ def coset_ids(Z: np.ndarray, rows: Sequence[Sequence[int]], F: FieldSpec) -> np.
     number the coset.
     """
     T = F.tables
-    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
     free = [j for j in range(Z.shape[1]) if j not in pivots]
-    red = Z[:, free]
-    if rows:
-        minus = np.array([[F.neg(row[j]) for j in free] for row in rows], dtype=np.intp)
-        terms = T.mul(Z[:, pivots, None], minus)
-        for r in range(len(rows)):
-            red = T.add(red, terms[:, r])
+    red = Z[None, :, free]
+    minus = T.neg(entries)
+    for r, piv in enumerate(pivots):
+        red = T.add(red, T.mul(Z[:, piv, None], minus[:, None, r]))
     return red @ F.q ** np.arange(len(free) - 1, -1, -1)
 
 
@@ -315,6 +325,7 @@ def counts_over_parallel_class(
     if engine == "oracle":
         counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]
     else:
-        ids = coset_ids(_zero_points(system), L.basis, F)
+        pivots, entries = basis_entries(L.basis, system.nvars)
+        ids = coset_ids(_zero_points(system), pivots, entries[None], F)[0]
         counts = np.bincount(ids, minlength=len(members)).tolist()
     return list(zip(members, counts))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import CwlabError, ExprSyntaxError, FormatError
+from .errors import BudgetExceeded, CwlabError, ExprSyntaxError, FormatError
 from .fields import FieldSpec, build_field, element_literal, parse_element_literal
 from .polynomials import MultiPoly, PolySystem, parse_poly
 from .subspaces import AffineSubspace
@@ -84,6 +84,8 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
                 poly = parse_poly(rest, field, names)
             except ExprSyntaxError as exc:
                 raise FormatError(str(exc), lineno, exc.position + 1) from exc
+            except BudgetExceeded:
+                raise
             except CwlabError as exc:
                 raise FormatError(str(exc), lineno) from exc
             if poly.is_zero:

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import coset_ids, count_zeros, zero_set
+from .counting import (
+    _zero_points,
+    basis_entries,
+    coset_ids,
+    count_zeros,
+    default_budget,
+    zero_set,
+)
 from .errors import BudgetExceeded, FullSpace, WrongFieldSize
 from .fields import FieldSpec
 from .polynomials import PolySystem
@@ -41,6 +49,10 @@ LAW_ALIASES = {
 }
 
 DEFAULT_CLASS_BUDGET = 10_000
+# a batch of direction spaces holds at most this many point coordinates and
+# this many coset counters (a quarter of the counting kernel's chunk: larger
+# batches raised peak memory and gained no speed)
+BATCH = 1 << 14
 
 
 @dataclass
@@ -85,59 +97,120 @@ class CheckScope:
 
 
 def _zero_array(system: PolySystem, budget: int | None = None) -> np.ndarray:
-    pts = zero_set(system, budget=budget)
-    if not pts:
-        return np.zeros((0, system.nvars), dtype=np.int64)
-    return np.array(pts, dtype=np.int64)
+    """The zero set as rows of coordinates, in odometer order."""
+    F, n = system.field, system.nvars
+    budget = budget if budget is not None else default_budget()
+    if F.q**n > budget:
+        raise BudgetExceeded(f"q^n = {F.q**n} exceeds budget {budget}")
+    return _zero_points(system)
+
+
+def _disagreeing_cosets(ids: np.ndarray, classes: int, modulus: int):
+    """For the coset numbers of one direction space: None when every coset
+    count has the same residue, else two disagreeing cosets as
+    ((coset, count), (coset, count)).  When every coset is met, the first
+    one that disagrees with coset 0 is paired with coset 0; otherwise the
+    first met coset with a nonzero residue is paired with the first empty
+    coset (count 0, residue 0)."""
+    uniq, counts = np.unique(ids, return_counts=True)
+    residues = counts % modulus
+    full = len(uniq) == classes
+    bad = np.flatnonzero(residues != (residues[0] if full else 0))
+    if len(bad) == 0:
+        return None
+    a = (int(uniq[bad[0]]), int(counts[bad[0]]))
+    if full:
+        return a, (int(uniq[0]), int(counts[0]))
+    seen = set(uniq.tolist())
+    return a, (next(i for i in range(classes) if i not in seen), 0)
 
 
 def _coset_residue_check(
     Z: np.ndarray,
-    rows: Sequence[Sequence[int]],
+    pivots: Sequence[int],
+    entries: np.ndarray,
     F: FieldSpec,
-    n: int,
     modulus: int,
 ):
-    """Bucket zero points by coset of the direction space; return
-    (ok, witness) where witness names two cosets with different residues."""
-    q = F.q
-    m = len(rows)
-    classes = q ** (n - m)
-    if Z.shape[0] == 0:
-        return True, None
-    ids = coset_ids(Z, rows, F)
-    uniq, counts = np.unique(ids, return_counts=True)
-    residues = counts % modulus
-    base = residues[0] if len(uniq) == classes else 0
-    bad = np.nonzero(residues != base)[0]
-    if len(bad) == 0:
-        return True, None
-    # reconstruct offending offsets for the witness
-    pivots = {next(i for i, x in enumerate(row) if x) for row in rows}
-    free = [j for j in range(n) if j not in pivots]
+    """Check a batch of direction spaces with the same pivot columns
+    (entries as `basis_entries` gives them, one (m, n - m) block per space)
+    at once.  Returns None when, for every space, the zero points' counts
+    over its cosets agree mod modulus; else (b, pair) for the first space b
+    that fails, with pair as `_disagreeing_cosets` gives it.
 
-    def offset_of(coset_id: int) -> list[int]:
+    Every coset of the batch is counted by one bincount over
+    space * q^(n-m) + coset.  A coset that no point meets counts 0, whose
+    residue is 0, so a space passes exactly when its row of residues is
+    constant.  Past BATCH classes per space (then a batch holds one space)
+    only the met cosets are counted, space by space.
+    """
+    if Z.shape[0] == 0:
+        return None
+    classes = F.q ** (Z.shape[1] - len(pivots))
+    ids = coset_ids(Z, pivots, entries, F)
+    if classes > BATCH:
+        pairs = ((b, _disagreeing_cosets(row, classes, modulus)) for b, row in enumerate(ids))
+        return next(((b, pair) for b, pair in pairs if pair is not None), None)
+    B = len(ids)
+    flat = (ids + classes * np.arange(B)[:, None]).ravel()
+    residues = np.bincount(flat, minlength=B * classes).reshape(B, classes) % modulus
+    bad = np.flatnonzero((residues != residues[:, :1]).any(axis=1))
+    if len(bad) == 0:
+        return None
+    b = int(bad[0])
+    return b, _disagreeing_cosets(ids[b], classes, modulus)
+
+
+def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
+    """The direction spaces of `direction_spaces(F, n, m)`, in its order, as
+    (pivots, entries) batches of at most cap spaces with the same pivots."""
+    q = F.q
+    for pivots in combinations(range(n), m):
+        free = [j for j in range(n) if j not in pivots]
+        cells = [(i, k) for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
+        total = q ** len(cells)
+        for lo in range(0, total, cap):
+            t = np.arange(lo, min(lo + cap, total))
+            entries = np.zeros((len(t), m, n - m), dtype=np.intp)
+            for i, k in reversed(cells):  # odometer: the last cell runs fastest
+                t, entries[:, i, k] = np.divmod(t, q)
+            yield pivots, entries
+
+
+def _sampled_batches(spaces: Iterator, n: int, cap: int):
+    """Group RREF bases into (pivots, entries) batches: runs of at most cap
+    consecutive spaces with the same pivots."""
+    run: list = []
+    run_pivots: tuple[int, ...] = ()
+    for rows in spaces:
+        pivots, entries = basis_entries(rows, n)
+        if run and (pivots != run_pivots or len(run) == cap):
+            yield run_pivots, np.stack(run)
+            run = []
+        run_pivots = pivots
+        run.append(entries)
+    if run:
+        yield run_pivots, np.stack(run)
+
+
+def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, pair) -> dict:
+    """A failing space's RREF rows, rebuilt from its pivots and free
+    entries, with the offsets and counts of its two disagreeing cosets."""
+    free = [j for j in range(n) if j not in pivots]
+    rows = []
+    for piv, vals in zip(pivots, entries.tolist()):
+        row = [0] * n
+        row[piv] = F.one
+        for j, v in zip(free, vals):
+            row[j] = v
+        rows.append(row)
+    offsets = []
+    for coset, _ in pair:
         off = [0] * n
         for j in reversed(free):
-            off[j] = int(coset_id % q)
-            coset_id //= q
-        return off
-
-    if len(uniq) == classes:
-        a, b = int(uniq[bad[0]]), int(uniq[0 if bad[0] != 0 else int(bad[1])])
-        ca, cb = int(counts[bad[0]]), int(counts[0 if bad[0] != 0 else int(bad[1])])
-    else:
-        # an empty coset (count 0) disagrees with a nonzero residue
-        a, ca = int(uniq[bad[0]]), int(counts[bad[0]])
-        seen = set(int(u) for u in uniq)
-        b = next(i for i in range(classes) if i not in seen)
-        cb = 0
-    witness = {
-        "rows": [list(r) for r in rows],
-        "offsets": [offset_of(a), offset_of(b)],
-        "counts": [ca, cb],
-    }
-    return False, witness
+            coset, off[j] = divmod(coset, F.q)
+        offsets.append(off)
+    return {"rows": rows, "offsets": offsets, "counts": [count for _, count in pair]}
 
 
 def _sampled_direction_spaces(
@@ -156,6 +229,42 @@ def _sampled_direction_spaces(
             continue
         seen.add(canon)
         yield canon
+
+
+def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: int, scope: CheckScope):
+    """Check the direction spaces of each dimension in dims, in enumeration
+    order, until scope.budget spaces are checked.  Returns (classes_checked,
+    per_dim, truncated, witness); witness is None unless a space fails, and
+    then the sweep stops at that space."""
+    q, n = F.q, Z.shape[1]
+    checked = 0
+    per_dim: dict[int, int] = {}
+    for m in dims:
+        # batch working set: B*|Z|*(n-m) coordinates and B*q^(n-m) counts
+        room = scope.budget - checked
+        cap = max(1, min(BATCH // max(1, Z.shape[0] * (n - m)), BATCH // q ** (n - m), room))
+        if scope.all_pairs:
+            batches = _pattern_batches(F, n, m, cap)
+        else:
+            want = scope.sample or scope.budget
+            spaces = _sampled_direction_spaces(F, n, m, min(want, gaussian_binomial(q, n, m)), scope.seed)
+            batches = _sampled_batches(spaces, n, cap)
+        for pivots, entries in batches:
+            room = scope.budget - checked
+            if room <= 0:
+                return checked, per_dim, True, None
+            cut = len(entries) > room
+            entries = entries[:room]
+            hit = _coset_residue_check(Z, pivots, entries, F, modulus)
+            done = len(entries) if hit is None else hit[0] + 1
+            checked += done
+            per_dim[m] = per_dim.get(m, 0) + done
+            if hit is not None:
+                b, pair = hit
+                return checked, per_dim, False, {**_witness(F, n, pivots, entries[b], pair), "dim": m}
+            if cut:
+                return checked, per_dim, True, None
+    return checked, per_dim, False, None
 
 
 def check_congruence(
@@ -226,46 +335,17 @@ def check_congruence(
         dims = [scope.dim]
 
     Z = _zero_array(system, budget=budget)
-    checked = 0
-    truncated = False
-    per_dim: dict[int, int] = {}
-    for m in dims:
-        if scope.all_pairs:
-            spaces: Iterator = direction_spaces(F, n, m)
-        else:
-            want = scope.sample or scope.budget
-            spaces = _sampled_direction_spaces(F, n, m, min(want, gaussian_binomial(q, n, m)), scope.seed)
-        for rows in spaces:
-            if checked >= scope.budget:
-                truncated = True
-                break
-            ok, witness = _coset_residue_check(Z, rows, F, n, modulus)
-            checked += 1
-            per_dim[m] = per_dim.get(m, 0) + 1
-            if not ok:
-                witness["dim"] = m
-                return LawReport(
-                    law,
-                    True,
-                    False,
-                    {
-                        "modulus": modulus,
-                        "classes_checked": checked,
-                        "per_dim": per_dim,
-                        "zero_count": int(Z.shape[0]),
-                    },
-                    witness,
-                )
-        if truncated:
-            break
+    checked, per_dim, truncated, witness = _sweep_classes(Z, F, dims, modulus, scope)
     evidence = {
         "modulus": modulus,
         "classes_checked": checked,
         "per_dim": per_dim,
         "zero_count": int(Z.shape[0]),
-        "truncated": truncated,
-        "mode": "all_pairs" if scope.all_pairs else f"sampled(seed={scope.seed})",
     }
+    if witness is not None:
+        return LawReport(law, True, False, evidence, witness)
+    evidence["truncated"] = truncated
+    evidence["mode"] = "all_pairs" if scope.all_pairs else f"sampled(seed={scope.seed})"
     return LawReport(law, True, True, evidence)
 
 

@@ -8,10 +8,12 @@ with integer degrees behave).
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     ExprSyntaxError,
     GeneratorInPrimeField,
     UnknownVariable,
@@ -354,6 +356,13 @@ def restrict_polys(
 # -- expression parser ----------------------------------------------------------
 
 _OPS = set("+-*^()")
+# parentheses and unary minus nest at most this deep (each level takes a
+# few Python frames, so the cap keeps far below the interpreter's limit)
+MAX_NESTING = 100
+# a power is expanded only if the result has at most this degree (the field
+# size cap: x^(q-1) stays writable) and at most this many terms
+MAX_POWER_DEGREE = 1 << 20
+MAX_POWER_TERMS = 500
 
 
 class _Lexer:
@@ -425,6 +434,7 @@ class _Parser:
         self.field = field
         self.names = {name: i for i, name in enumerate(names)}
         self.nvars = len(names)
+        self.depth = 0
 
     def parse(self) -> MultiPoly:
         poly = self._expr()
@@ -454,17 +464,24 @@ class _Parser:
         return acc
 
     def _factor(self) -> MultiPoly:
-        if self.lex.peek()[0] == "-":
-            self.lex.take()
-            return -self._factor()  # unary minus binds looser than ^
-        base = self._atom()
-        while self.lex.peek()[0] == "^":
-            self.lex.take()
-            kind, val, pos = self.lex.take()
-            if kind != "int":
-                raise ExprSyntaxError("exponent must be a plain integer", pos)
-            base = base ** int(val)
-        return base
+        kind, _, pos = self.lex.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", pos)
+        try:
+            if kind == "-":
+                self.lex.take()
+                return -self._factor()  # unary minus binds looser than ^
+            base = self._atom()
+            while self.lex.peek()[0] == "^":
+                self.lex.take()
+                kind, val, pos = self.lex.take()
+                if kind != "int":
+                    raise ExprSyntaxError("exponent must be a plain integer", pos)
+                base = base ** _power_exponent(base, val, pos)
+            return base
+        finally:
+            self.depth -= 1
 
     def _atom(self) -> MultiPoly:
         F = self.field
@@ -499,6 +516,26 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", pos2)
             return inner
         raise ExprSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+
+
+def _power_exponent(base: MultiPoly, digits: str, pos: int) -> int:
+    """The exponent e of base^e, refused before anything is expanded when
+    the power's degree or its number of terms (bounded by the monomials of
+    that degree in the variables, and by the multisets of e of base's
+    terms) would pass the caps."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_POWER_DEGREE)):  # also too long for int()
+        raise BudgetExceeded(f"exponent at position {pos} is past the cap {MAX_POWER_DEGREE}")
+    e = int(digits)
+    t = len(base.terms)
+    degree = e * int(base.total_degree) if t else 0  # the zero polynomial has degree -inf
+    terms = min(comb(t + e - 1, e), comb(degree + base.nvars, base.nvars)) if t > 1 else 1
+    if degree > MAX_POWER_DEGREE or terms > MAX_POWER_TERMS:
+        raise BudgetExceeded(
+            f"power at position {pos} would have degree {degree} and up to {terms} "
+            f"terms (caps {MAX_POWER_DEGREE} and {MAX_POWER_TERMS})"
+        )
+    return e
 
 
 def parse_poly(text: str, field: FieldSpec, names: Sequence[str]) -> MultiPoly:

@@ -34,12 +34,14 @@ def test_c2_parallel_subspace_congruence():
     res = criterion_2(SEED)
     print(res.line())
     assert res.passed, res.details
+    assert res.details["truncated_systems"] == 0
 
 
 def test_c3_hyperplane_congruence():
     res = criterion_3(SEED)
     print(res.line())
     assert res.passed, res.details
+    assert res.details["truncated_systems"] == 0
 
 
 def test_c4_homogenization_identity():

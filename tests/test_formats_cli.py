@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,17 @@ def test_cli_budget_exit_code(workdir):
     )
     res = _run("count", "--system", "wide.sys", "--budget", "1000", cwd=workdir)
     assert res.returncode == 3
+
+
+def test_cli_adversarial_expressions_exit_cleanly(workdir):
+    # deep nesting is an input error (1); a power too big to expand is a budget error (3)
+    for expr, code in (("(" * 5000 + "x" + ")" * 5000, 1), ("(x+y)^100000", 3)):
+        (workdir / "adv.sys").write_text(f"field p=3 k=1\nvars x y\npoly {expr}\n", encoding="utf-8")
+        t0 = time.perf_counter()
+        res = _run("count", "--system", "adv.sys", cwd=workdir)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+        assert time.perf_counter() - t0 < 10  # interpreter start included; the parse itself is milliseconds
 
 
 def test_cli_count_subspace_and_ext(workdir):

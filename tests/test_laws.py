@@ -1,14 +1,19 @@
 """Congruence checkers, bound audits, covering bound, saturation laws."""
 
 import json
+from collections import Counter
+from random import Random
 
+import numpy as np
 import pytest
 
+from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
 from cwlab.counting import zero_set
 from cwlab.errors import FullSpace, WrongFieldSize
 from cwlab.fields import build_field
 from cwlab.laws import (
+    BATCH,
     CheckScope,
     check_congruence,
     cone_count_identity,
@@ -21,7 +26,7 @@ from cwlab.laws import (
 )
 from cwlab.polynomials import PolySystem, parse_poly
 from cwlab.rng import SplitMix64
-from cwlab.subspaces import AffineSubspace, PointSet
+from cwlab.subspaces import AffineSubspace, PointSet, direction_spaces, gaussian_binomial
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -219,3 +224,153 @@ def test_law_report_json_shape():
     rep = check_congruence(HYP, "ax")
     body = json.loads(rep.to_json())
     assert list(body) == ["law", "applicable", "pass", "evidence", "witness"]
+
+
+# -- differential test of the batched class sweep ------------------------------------
+
+
+def _reference_sweep(points, F, n, dims, modulus, scope):
+    """Per-space reference for the class sweep: bucket every point by the
+    offset of its coset, AffineSubspace(F, pt, rows).offset, one direction
+    space at a time.  Returns (classes_checked, per_dim, truncated, witness)."""
+    checked = 0
+    per_dim = {}
+    for m in dims:
+        if scope.all_pairs:
+            spaces = direction_spaces(F, n, m)
+        else:
+            want = min(scope.sample or scope.budget, gaussian_binomial(F.q, n, m))
+            spaces = laws._sampled_direction_spaces(F, n, m, want, scope.seed)
+        for rows in spaces:
+            if checked >= scope.budget:
+                return checked, per_dim, True, None
+            checked += 1
+            per_dim[m] = per_dim.get(m, 0) + 1
+            offsets = [L.offset for L in AffineSubspace(F, (0,) * n, rows).parallel_class()]
+            hits = Counter(AffineSubspace(F, pt, rows).offset for pt in points)
+            counts = [hits[off] for off in offsets]
+            res = [c % modulus for c in counts]
+            if all(counts):  # the first coset that disagrees with coset 0
+                a, b = next((i for i, r in enumerate(res) if r != res[0]), None), 0
+            else:  # the first met coset with a nonzero residue, and the first empty one
+                a, b = next((i for i, r in enumerate(res) if r), None), counts.index(0)
+            if a is not None:
+                witness = {
+                    "rows": [list(r) for r in rows],
+                    "offsets": [list(offsets[a]), list(offsets[b])],
+                    "counts": [counts[a], counts[b]],
+                    "dim": m,
+                }
+                return checked, per_dim, False, witness
+    return checked, per_dim, False, None
+
+
+def _reference_report(system, law, scope):
+    F, n, d = system.field, system.nvars, system.total_degree
+    dims, modulus = ([n - 1], F.p) if law == "warning-hyperplanes" else (list(range(d, n + 1)), F.q)
+    points = zero_set(system)
+    checked, per_dim, truncated, witness = _reference_sweep(points, F, n, dims, modulus, scope)
+    evidence = {"modulus": modulus, "classes_checked": checked, "per_dim": per_dim, "zero_count": len(points)}
+    if witness is None:
+        evidence["truncated"] = truncated
+        evidence["mode"] = "all_pairs" if scope.all_pairs else f"sampled(seed={scope.seed})"
+    return evidence, witness
+
+
+def _differential_systems():
+    """Small corpus systems over F_2 to F_5, corpus systems lifted to F_8
+    and F_9, one system over F_7, and the violating x1*x2 + 1 over F_2."""
+    from cwlab.constructions import random_system
+    from cwlab.counting import lift_system
+
+    corpus = [corpus_system(0, i) for i in range(120)]
+    out = []
+    for q in (2, 3, 4, 5):
+        out += [sy for sy in corpus if sy.field.q == q and sy.nvars <= 3][:3]
+        out.append(next(sy for sy in corpus if sy.field.q == q and sy.nvars == 4 and sy.total_degree >= 2))
+    for base_q, s in ((2, 3), (3, 2)):
+        out += [lift_system(sy, s) for sy in corpus if sy.field.q == base_q and sy.nvars == 2][:2]
+    out.append(random_system(build_field(7, 1), 3, (2,), 5))
+    out.append(PolySystem([parse_poly("x1*x2 + 1", F2, ["x1", "x2"])]))
+    return out
+
+
+DIFFERENTIAL_SYSTEMS = _differential_systems()
+
+
+class _BatchLog:
+    """Records the size of every batch the sweep checks."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        check = laws._coset_residue_check
+
+        def logged(Z, pivots, entries, F, modulus):
+            self.sizes.append(len(entries))
+            return check(Z, pivots, entries, F, modulus)
+
+        monkeypatch.setattr(laws, "_coset_residue_check", logged)
+
+
+@pytest.mark.parametrize("batch", [None, 97, 7])
+def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
+    # a small BATCH splits batches down to one space and sends spaces with
+    # more than BATCH cosets through the sparse count
+    if batch:
+        monkeypatch.setattr(laws, "BATCH", batch)
+    assert {sy.field.q for sy in DIFFERENTIAL_SYSTEMS} == {2, 3, 4, 5, 7, 8, 9}
+    failures = cuts = 0
+    for system in DIFFERENTIAL_SYSTEMS:
+        for law in ("parallel-subspaces", "warning-hyperplanes"):
+            log = _BatchLog(monkeypatch)
+            total = check_congruence(system, law, CheckScope(budget=10**9)).evidence["classes_checked"]
+            sizes = list(log.sizes)
+            scopes = [CheckScope(budget=b) for b in (10**9, 0, total - 1, total)]
+            scopes += [CheckScope(all_pairs=False, sample=40, seed=3), CheckScope(all_pairs=False, sample=40, seed=3, budget=7)]
+            # a budget that ends one space into the first batch of two or more
+            k = next((k for k, size in enumerate(sizes) if size >= 2), None)
+            if k is not None:
+                scopes.append(CheckScope(budget=sum(sizes[:k]) + 1))
+            for scope in scopes:
+                log.sizes.clear()
+                rep = check_congruence(system, law, scope)
+                evidence, witness = _reference_report(system, law, scope)
+                assert (rep.evidence, rep.witness) == (evidence, witness), (system, law, scope)
+                assert rep.passed == (witness is None)
+                failures += witness is not None
+            if k is not None:
+                assert log.sizes == sizes[:k] + [1]  # the last scope cut batch k
+                cuts += 1
+    assert failures > 0  # the violating system fails under warning-hyperplanes
+    assert cuts > 0
+
+
+def test_batched_sweep_on_random_point_sets(monkeypatch):
+    # random point sets break the congruences; the sweep must name the same
+    # first failing space and witness as the reference.  Half of the sets
+    # are unions of lines with direction e_1: every space that contains e_1
+    # passes, and those come first in the enumeration (row 0 = e_1 runs
+    # slowest), so the first failure lies deeper.
+    rng = Random(2024)
+    depths = []
+    for trial in range(80):
+        F = (F2, F3, F4, F5)[trial % 4]
+        n = 2 + trial % 3 if F.q < 5 else 2 + trial % 2
+        monkeypatch.setattr(laws, "BATCH", 5 if trial % 3 == 0 else BATCH)
+        if trial % 2:
+            points = {tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(rng.randrange(1, F.q**n))}
+        else:
+            v = (F.one,) + (0,) * (n - 1)
+            points = set()
+            for _ in range(rng.randrange(1, F.q ** (n - 1))):
+                points.update(AffineSubspace(F, [rng.randrange(F.q) for _ in range(n)], [v]).points())
+        points = sorted(points)
+        Z = np.array(points, dtype=np.int64).reshape(len(points), n)
+        dims = list(range(rng.randrange(1, n + 1), n + 1))
+        modulus = rng.choice([F.p, F.q])
+        scope = CheckScope(budget=rng.choice([10**9, 10**9, rng.randrange(12)]))
+        got = laws._sweep_classes(Z, F, dims, modulus, scope)
+        assert got == _reference_sweep(points, F, n, dims, modulus, scope), (F.q, n, points, dims, modulus)
+        if got[3] is not None:
+            depths.append(got[0])
+    assert len(depths) > 20 and max(depths) > 2  # some first failures lie inside a batch

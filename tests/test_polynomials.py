@@ -1,11 +1,14 @@
 """Parsing, evaluation, homogenization, and restriction."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwlab.errors import (
     ArityMismatch,
+    BudgetExceeded,
     ExprSyntaxError,
     GeneratorInPrimeField,
     UnknownVariable,
@@ -13,6 +16,9 @@ from cwlab.errors import (
 )
 from cwlab.fields import build_field
 from cwlab.polynomials import (
+    MAX_NESTING,
+    MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
     MultiPoly,
     NEG_INF,
     PolySystem,
@@ -48,6 +54,34 @@ def test_parse_errors():
         parse_poly("g*x1", F3, ["x1"])
     with pytest.raises(ExprSyntaxError):
         parse_poly("1:1*x1", F3, ["x1"])  # colon literal in a prime field
+
+
+def test_parse_rejects_deep_nesting():
+    for text in ("(" * 5000 + "x1" + ")" * 5000, "-" * 5000 + "x1"):
+        with pytest.raises(ExprSyntaxError, match="nests deeper"):
+            parse_poly(text, F3, ["x1"])
+    depth = MAX_NESTING - 1  # the outermost factor is one level
+    assert parse_poly("(" * depth + "x1" + ")" * depth, F3, ["x1"]) == parse_poly("x1", F3, ["x1"])
+
+
+def test_parse_refuses_huge_powers_before_expanding():
+    too_long = "9" * 5000  # past the interpreter's digit limit for int()
+    for text in ("(x1+x2)^100000", f"x1^{MAX_POWER_DEGREE + 1}", "((x1+x2)^30)^30", "(x1+1)^10^10^10", "x1^" + too_long):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            parse_poly(text, F3, ["x1", "x2"])
+        assert time.perf_counter() - t0 < 1
+    # at the caps: a one-term power of the cap degree, and a binomial power
+    # with exactly the cap's number of terms in a field too big to cancel any
+    big = build_field(65521, 1)
+    assert parse_poly(f"x1^{MAX_POWER_DEGREE}", F3, ["x1"]).total_degree == MAX_POWER_DEGREE
+    f = parse_poly(f"(x1+x2)^{MAX_POWER_TERMS - 1}", big, ["x1", "x2"])
+    assert len(f.terms) == MAX_POWER_TERMS
+    # powers of the zero polynomial and of constants stay legal
+    assert parse_poly("(x1 - x1)^5", F3, ["x1"]).is_zero
+    assert parse_poly("3^2 + x1", F3, ["x1"]) == parse_poly("x1", F3, ["x1"])
+    assert parse_poly("(x1 - x1)^0 + 2^3", F3, ["x1"]) == parse_poly("0", F3, ["x1"])
+    assert parse_poly("x1^" + "0" * 5000 + "2", F3, ["x1"]) == parse_poly("x1^2", F3, ["x1"])
 
 
 def test_parse_subtraction_parentheses_unary():
