@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, CwlabError
+from .errors import AmbientMismatch, BudgetExceeded, CwlabError, ZeroPolynomial
 from .fields import FieldSpec, FieldTables, build_field, embed_subfield
-from .polynomials import MultiPoly, PolySystem, restrict_polys
+from .polynomials import MultiPoly, PolySystem, restrict_to_subspace
 from .subspaces import AffineSubspace
 
 ORACLE_CAP = 10**6
@@ -245,19 +245,16 @@ def count_zeros(
         label = "full"
     else:
         if region.ambient != system.nvars:
-            from .errors import AmbientMismatch
-
             raise AmbientMismatch(
                 f"subspace ambient {region.ambient} != system arity {system.nvars}"
             )
         size = region.size
         _region_size_check(size, budget, engine)
-        restricted = restrict_polys(system.polys, region.offset, region.basis, F)
-        nonzero = [f for f in restricted if not f.is_zero]
-        if not nonzero:
+        try:
+            sub_system = restrict_to_subspace(system, region)
+        except ZeroPolynomial:  # every polynomial vanishes on the region
             cnt = size
         else:
-            sub_system = PolySystem(nonzero)
             cnt = oracle_count(sub_system) if engine == "oracle" else fast_count(sub_system)
         label = subspace_region_label(region)
     elapsed = time.perf_counter() - t0
@@ -293,19 +290,9 @@ def count_zeros_ext(
     F = system.field
     size = (F.q**s) ** system.nvars
     _region_size_check(size, budget, engine)
-    lifted = lift_system(system, s)
-    rep = count_zeros(lifted, engine=engine, budget=budget)
-    return CountReport(
-        q=F.q,
-        n=system.nvars,
-        r=system.r,
-        degrees=system.degrees,
-        d=system.total_degree,
-        region=f"ext s={s}",
-        count=rep.count,
-        scanned=size,
-        elapsed=rep.elapsed,
-    )
+    rep = count_zeros(lift_system(system, s), engine=engine, budget=budget)
+    # the lift keeps n, r and the degrees, and the count scans the same points
+    return replace(rep, q=F.q, region=f"ext s={s}")
 
 
 def counts_over_parallel_class(

@@ -3,18 +3,18 @@
 The dimension of the zero set (as a variety) is estimated from exact counts
 over extension fields: a D-dimensional set with k top-dimensional pieces has
 about k * q^(sD) points over the degree-s extension.  The estimator is a
-heuristic by design and reports residuals instead of a verdict.
+heuristic by design and reports residuals instead of a verdict; its choice
+of D is made by integer comparisons of the counts.
 
-The linear-factor test enumerates every normalized linear form over the
-requested extension, eliminates non-divisors by evaluating the polynomial at
-seeded random points of the form's hyperplane, and confirms any survivor by
-exact division.  A confirmed verdict is never wrong; the reported error
-bound concerns only the sampling stage.
+The linear-factor test is deterministic and exact: a factor's coefficients
+are roots of the polynomial's restrictions to a few lines on its hyperplane
+(the classical reduction of multivariate factoring to fewer variables), and
+the handful of candidates they leave are confirmed or refuted by exact
+division.  A random-point screen of every form is kept as the reference.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,14 +22,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import count_zeros_ext, default_budget, evaluate_columns
+from .counting import CHUNK, count_zeros_ext, default_budget, evaluate_columns
 from .errors import BudgetExceeded, InsufficientExtensions, NotHomogeneous
 from .fields import FieldSpec, build_field, embed_subfield
 from .polynomials import MultiPoly, PolySystem
 from .rng import MASK64, derive_seed, mix64
 
 FORM_BUDGET = 1 << 28
-_BLOCK = 1 << 18
 
 
 @dataclass
@@ -48,6 +47,21 @@ class DimensionEstimate:
             "residuals": self.residuals,
             "anchor_pair": self.anchor_pair,
         }
+
+
+def _nearest_exponent(num: int, den: int, base: int) -> int:
+    """The integer D nearest to log_base(num / den), halves to the even
+    neighbour as round() does: base^(2D-1) <= (num / den)^2 < base^(2D+1),
+    compared exactly."""
+    r, b = Fraction(num, den) ** 2, Fraction(base)
+    D = 0
+    while r >= b ** (2 * D + 1):
+        D += 1
+    while r < b ** (2 * D - 1):
+        D -= 1
+    if D % 2 and r == b ** (2 * D - 1):
+        D -= 1
+    return D
 
 
 def estimate_dimension(
@@ -78,17 +92,14 @@ def estimate_dimension(
         low = anchor - gap
         if by_s[low] == 0:
             continue
-        ratio = by_s[anchor] / by_s[low]
-        cand = round(math.log(ratio) / (gap * math.log(q)))
+        cand = _nearest_exponent(by_s[anchor], by_s[low], q**gap)
         if 0 <= cand <= n:
             d_hat = cand
             pair = (low, anchor)
             break
     if d_hat is None:
         # single usable count: fit k*q^(s*D) ~ N_s with k ~ 1
-        cand = round(math.log(by_s[anchor]) / (anchor * math.log(q))) if by_s[anchor] > 1 else 0
-        d_hat = min(max(cand, 0), n)
-        pair = None
+        d_hat = min(max(_nearest_exponent(by_s[anchor], 1, q**anchor), 0), n)
     scale = q ** (anchor * d_hat)
     k_hat = max(1, (2 * by_s[anchor] + scale) // (2 * scale))
     residuals = [
@@ -189,9 +200,11 @@ class LinearFactorVerdict:
     witness: tuple[int, ...] | None  # normalized form coefficients over F_{q^s}
     forms_checked: int
     trials: int
-    error_bound: Fraction  # per-form sampling error, (d/Q)^T capped at 1
+    error_bound: Fraction  # upper bound on the per-form error, (d/Q)^T capped at 1
     field_size: int
     elapsed: float
+    method: str  # "algebraic" (the default) or "screen" (the reference)
+    candidates: int  # forms that reached exact division
 
     def to_dict(self) -> dict:
         return {
@@ -201,21 +214,9 @@ class LinearFactorVerdict:
             "trials": self.trials,
             "error_bound": str(self.error_bound),
             "field_size": self.field_size,
+            "method": self.method,
+            "candidates": self.candidates,
         }
-
-
-def _np_mix(base: int, ranks: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 output mix of (base + gamma*rank)."""
-    gamma = np.uint64(0x9E3779B97F4A7C15)
-    z = (np.uint64(base & MASK64) + gamma * ranks.astype(np.uint64)) + gamma
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _point_coord(seed: int, s: int, trial: int, var: int, ranks: np.ndarray, Q: int) -> np.ndarray:
-    u = _np_mix(derive_seed(seed, s, trial, var), ranks)
-    return (u % np.uint64(Q)).astype(np.int32)
 
 
 def _scalar_coord(seed: int, s: int, trial: int, var: int, rank: int, Q: int) -> int:
@@ -236,17 +237,10 @@ def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -
     """Exact test of (x_j + sum_{i>j} c_i x_i) | f via substitution remainder."""
     n = fK.nvars
     j = next(i for i, c in enumerate(coeffs) if c)
-    subs = []
-    for i in range(n):
-        if i != j:
-            subs.append(MultiPoly.variable(K, n, i))
-        else:
-            items = []
-            for i2 in range(n):
-                if i2 != j and coeffs[i2]:
-                    e = tuple(1 if t == i2 else 0 for t in range(n))
-                    items.append((e, K.neg(coeffs[i2])))
-            subs.append(MultiPoly.from_terms(K, n, items))
+    subs = [MultiPoly.variable(K, n, i) for i in range(n)]
+    subs[j] = MultiPoly.from_terms(
+        K, n, [(tuple(int(t == i) for t in range(n)), K.neg(c)) for i, c in enumerate(coeffs) if i != j]
+    )
     return fK.substituted(subs).is_zero
 
 
@@ -260,6 +254,92 @@ def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
             yield (0,) * j + (K.one,) + tail
 
 
+def _root_mask(fK: MultiPoly, j: int, weights: dict[int, int]) -> np.ndarray:
+    """mask[t] tells whether f(-t e_j + sum_i weights[i] e_i) = 0, for every
+    element t.  That point lies on the hyperplane of x_j + sum c_i x_i
+    exactly when t = sum_i c_i weights[i], so a factor's coefficients
+    always land on a root."""
+    K = fK.field
+    cols = [np.zeros(K.q, dtype=np.intp)] * fK.nvars
+    cols[j] = K.tables.neg(np.arange(K.q))
+    for i, w in weights.items():
+        cols[i] = np.full(K.q, w)
+    return evaluate_columns(fK, cols, K.tables) == 0
+
+
+def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
+    """A superset of the linear factors of f, in `normalized_forms` order.
+
+    For the pivot j, the tail (c_{j+1}, ..., c_{n-1}) grows one column a at
+    a time as the rows of an int array, c_a drawn from the roots for the
+    axis weights e_a (at most deg f unless f vanishes on that line).  A row
+    stays if it is on a root for the pair weights e_a + e_b of each earlier
+    column b, which keeps the rows few where f vanishes on coordinate
+    planes, and, once complete, for the weights (w^i)_{i != j}, w the
+    elements 1, 2, ..., one per column: independent tests, which leave at most
+    (deg f)^(n-1-j) tails unless one vanishes identically.  CHUNK rows at
+    a time are extended, depth first, to keep the order and bound memory.
+    """
+    K = fK.field
+    n = fK.nvars
+    T = K.tables
+    for j in range(n):
+        cols = range(j + 1, n)
+        roots = {a: np.flatnonzero(_root_mask(fK, j, {a: K.one})) for a in cols}
+        tests = {a: [{a: K.one, b: K.one} for b in range(j + 1, a)] for a in cols}
+        for w in range(1, min(len(cols), K.q - 1) + 1):
+            tests[n - 1].append({i: K.pow(w, i) for i in range(n) if i != j})
+        masks = {
+            a: [([(i - j - 1, w) for i, w in y.items() if i > j], _root_mask(fK, j, y)) for y in tests[a]]
+            for a in cols
+        }
+
+        def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
+            if a == n:
+                yield rows
+                return
+            S = roots[a]
+            step = max(1, CHUNK // max(len(S), 1))
+            for lo in range(0, len(rows), step):
+                block = rows[lo : lo + step]
+                ext = np.column_stack([np.repeat(block, len(S), axis=0), np.tile(S, len(block))])
+                for weights, mask in masks[a]:
+                    dot = 0
+                    for col, w in weights:
+                        dot = T.add(dot, T.mul(ext[:, col], w))
+                    ext = ext[mask[dot]]
+                yield from grow(ext, a + 1)
+
+        head = (0,) * j + (K.one,)
+        for rows in grow(np.zeros((1, 0), dtype=np.intp), j + 1):
+            for tail in rows.tolist():
+                yield head + tuple(tail)
+
+
+def _screened_forms(fK: MultiPoly, trials: int, seed: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Reference search: the normalized forms that vanish at `trials` seeded
+    random points of their hyperplane, in `normalized_forms` order."""
+    K = fK.field
+    n = fK.nvars
+    Q = K.q
+    for rank, coeffs in enumerate(normalized_forms(K, n)):
+        j = next(i for i, c in enumerate(coeffs) if c)
+        for t in range(trials):
+            pt = [0] * n
+            for i in range(n):
+                if i != j:
+                    pt[i] = _scalar_coord(seed, s, t, i, rank, Q)
+            acc = 0
+            for i in range(n):
+                if i != j and coeffs[i]:
+                    acc = K.add(acc, K.mul(coeffs[i], pt[i]))
+            pt[j] = K.neg(acc)
+            if fK.evaluate(pt) != 0:
+                break
+        else:
+            yield coeffs
+
+
 def linear_factor_test(
     f: MultiPoly,
     s: int,
@@ -271,10 +351,13 @@ def linear_factor_test(
 ) -> LinearFactorVerdict:
     """Search for linear factors of a homogeneous form over F_{q^s}.
 
-    Every normalized form is screened at up to `trials` seeded random points
-    of its hyperplane; survivors are confirmed or refuted by exact division.
-    A has_factor verdict is therefore exact.  none_found carries the
-    per-form sampling bound (deg f / q^s)^trials.
+    Deterministic and exact: every linear factor is among the few forms of
+    `_algebraic_candidates`, each is confirmed or refuted by exact division
+    in `normalized_forms` order, and the first that divides is the witness.
+    `forms_checked` is the size of the form space covered.  `error_bound`
+    is the per-form bound (deg f / q^s)^trials of a screen at `trials`
+    random points of each form's hyperplane, a valid upper bound on this
+    search's error of 0; force_python=True uses that screen (the reference).
     """
     if not f.is_homogeneous or f.is_zero:
         raise NotHomogeneous("the linear factor test needs a nonzero homogeneous form")
@@ -286,90 +369,25 @@ def linear_factor_test(
     total_forms = (Q**n - 1) // (Q - 1)
     if total_forms > form_budget:
         raise BudgetExceeded(f"{total_forms} forms exceed the budget {form_budget}")
-    per_form = min(Fraction(1), Fraction(d, Q) ** trials)
-
-    survivors: list[tuple[int, ...]] = []
-    if force_python or total_forms * trials <= 20_000:
-        rank = 0
-        for coeffs in normalized_forms(K, n):
-            j = next(i for i, c in enumerate(coeffs) if c)
-            alive = True
-            for t in range(trials):
-                pt = [0] * n
-                for i in range(n):
-                    if i != j:
-                        pt[i] = _scalar_coord(seed, s, t, i, rank, Q)
-                acc = 0
-                for i in range(n):
-                    if i != j and coeffs[i]:
-                        acc = K.add(acc, K.mul(coeffs[i], pt[i]))
-                pt[j] = K.neg(acc)
-                if fK.evaluate(pt) != 0:
-                    alive = False
-                    break
-            if alive:
-                survivors.append(coeffs)
-            rank += 1
+    if force_python:
+        method, forms = "screen", _screened_forms(fK, trials, seed, s)
     else:
-        survivors = _screen_forms_numpy(fK, K, n, d, trials, seed, s)
-
-    for coeffs in survivors:
+        method, forms = "algebraic", _algebraic_candidates(fK)
+    witness = None
+    candidates = 0
+    for coeffs in forms:
+        candidates += 1
         if _exact_linear_division(fK, K, coeffs):
-            return LinearFactorVerdict(
-                True, tuple(coeffs), total_forms, trials, per_form, Q,
-                time.perf_counter() - t0,
-            )
+            witness = coeffs
+            break
     return LinearFactorVerdict(
-        False, None, total_forms, trials, per_form, Q, time.perf_counter() - t0
+        found=witness is not None,
+        witness=witness,
+        forms_checked=total_forms,
+        trials=trials,
+        error_bound=min(Fraction(1), Fraction(d, Q) ** trials),
+        field_size=Q,
+        elapsed=time.perf_counter() - t0,
+        method=method,
+        candidates=candidates,
     )
-
-
-def _screen_forms_numpy(
-    fK: MultiPoly, K: FieldSpec, n: int, d: int, trials: int, seed: int, s: int
-) -> list[tuple[int, ...]]:
-    Q = K.q
-    T = K.tables
-    survivors: list[tuple[int, ...]] = []
-    rank_offset = 0
-    for j in range(n):
-        nfree = n - 1 - j
-        count_j = Q**nfree
-        lo = 0
-        while lo < count_j:
-            hi = min(lo + _BLOCK, count_j)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            ranks = idx + rank_offset
-            # form coefficients beyond the pivot: base-Q digits, big-endian
-            cvals = []
-            rem = idx.copy()
-            for pos in range(nfree - 1, -1, -1):
-                cvals.append((rem % Q).astype(np.int32))
-                rem //= Q
-            cvals.reverse()  # cvals[t] = coefficient at variable j+1+t
-            alive = np.ones(len(idx), dtype=bool)
-            live_ranks = ranks
-            live_c = cvals
-            for t in range(trials):
-                if not live_ranks.size:
-                    break
-                X: list[np.ndarray | None] = [None] * n
-                for i in range(n):
-                    if i != j:
-                        X[i] = _point_coord(seed, s, t, i, live_ranks.astype(np.uint64), Q)
-                acc = np.zeros(len(live_ranks), dtype=np.int32)
-                for pos in range(nfree):
-                    acc = T.add(acc, T.mul(live_c[pos], X[j + 1 + pos]))
-                X[j] = T.neg(acc)
-                vals = evaluate_columns(fK, X, T)  # type: ignore[arg-type]
-                keep = vals == 0
-                live_ranks = live_ranks[keep]
-                live_c = [c[keep] for c in live_c]
-            for row in range(len(live_ranks)):
-                coeffs = [0] * n
-                coeffs[j] = K.one
-                for pos in range(nfree):
-                    coeffs[j + 1 + pos] = int(live_c[pos][row])
-                survivors.append(tuple(coeffs))
-            lo = hi
-        rank_offset += count_j
-    return survivors

@@ -503,14 +503,6 @@ def covering_bound_report(Z: PointSet, L0: AffineSubspace) -> LawReport:
 # -- saturated-set laws (the line/plane combinatorics) ------------------------------
 
 
-def _all_lines(F: FieldSpec, t: int) -> list[AffineSubspace]:
-    out = []
-    for rows in direction_spaces(F, t, 1):
-        probe = AffineSubspace(F, (0,) * t, rows)
-        out.extend(probe.parallel_class())
-    return out
-
-
 def _all_subspaces_of_dim(F: FieldSpec, t: int, m: int) -> list[AffineSubspace]:
     out = []
     for rows in direction_spaces(F, t, m):
@@ -576,7 +568,7 @@ def saturated_set_check(
         conclusion = len(S) == q**t
         return LawReport(law, True, conclusion, evidence, None if conclusion else {"size": len(S)})
 
-    lines = _all_lines(F, t)
+    lines = _all_subspaces_of_dim(F, t, 1)
     threshold = {"ii": q, "iii": q - 1, "iv": (m or 0) + 1}[part]
     for ln in lines:
         inter = sum(1 for pt in ln.points() if pt in S)
@@ -619,13 +611,6 @@ def saturated_set_check(
 # -- exhaustive saturation sweeps (bitmask engine) -----------------------------------
 
 
-def _point_rank(pt: Sequence[int], q: int) -> int:
-    r = 0
-    for x in pt:
-        r = r * q + x
-    return r
-
-
 class SaturationSweeper:
     """Bitmask engine for sweeping all (or sampled) subsets of A^t(F_q).
 
@@ -642,7 +627,7 @@ class SaturationSweeper:
         pts = list(AffineSubspace.full_space(F, t).points())
         self.points = pts
         self.rank = {pt: i for i, pt in enumerate(pts)}
-        self.line_masks = [self._mask(L) for L in _all_lines(F, t)]
+        self.line_masks = [self._mask(L) for L in _all_subspaces_of_dim(F, t, 1)]
         self.plane_masks = (
             [self._mask(P) for P in _all_subspaces_of_dim(F, t, 2)] if t >= 2 else []
         )

@@ -314,8 +314,8 @@ def restrict_to_subspace(system: PolySystem, L: "AffineSubspace") -> PolySystem:
     The result lives in dim(L) parameter variables; degrees never increase.
     A polynomial that vanishes identically on L restricts to the vacuous
     equation and is dropped; when every polynomial vanishes on L there is
-    no system left to return and ZeroPolynomial is raised (counting code
-    paths handle that case directly: every point of L is a zero).
+    no system left to return and ZeroPolynomial is raised (`count_zeros`
+    catches it: every point of L is a zero).
     """
     from .subspaces import AffineSubspace  # deferred to avoid a cycle
 
@@ -359,8 +359,9 @@ _OPS = set("+-*^()")
 # parentheses and unary minus nest at most this deep (each level takes a
 # few Python frames, so the cap keeps far below the interpreter's limit)
 MAX_NESTING = 100
-# a power is expanded only if the result has at most this degree (the field
-# size cap: x^(q-1) stays writable) and at most this many terms
+# a power or a product is expanded only if the result has at most this
+# degree (the field size cap: x^(q-1) stays writable) and at most this many
+# terms, both bounded before anything is multiplied
 MAX_POWER_DEGREE = 1 << 20
 MAX_POWER_TERMS = 500
 
@@ -459,8 +460,13 @@ class _Parser:
     def _term(self) -> MultiPoly:
         acc = self._factor()
         while self.lex.peek()[0] == "*":
-            self.lex.take()
-            acc = acc * self._factor()
+            _, _, pos = self.lex.take()
+            rhs = self._factor()
+            if acc.terms and rhs.terms:
+                degree = int(acc.total_degree + rhs.total_degree)
+                bound = min(len(acc.terms) * len(rhs.terms), comb(degree + acc.nvars, acc.nvars))
+                _check_expansion("product", pos, degree, bound)
+            acc = acc * rhs
         return acc
 
     def _factor(self) -> MultiPoly:
@@ -530,12 +536,16 @@ def _power_exponent(base: MultiPoly, digits: str, pos: int) -> int:
     t = len(base.terms)
     degree = e * int(base.total_degree) if t else 0  # the zero polynomial has degree -inf
     terms = min(comb(t + e - 1, e), comb(degree + base.nvars, base.nvars)) if t > 1 else 1
+    _check_expansion("power", pos, degree, terms)
+    return e
+
+
+def _check_expansion(what: str, pos: int, degree: int, terms: int) -> None:
     if degree > MAX_POWER_DEGREE or terms > MAX_POWER_TERMS:
         raise BudgetExceeded(
-            f"power at position {pos} would have degree {degree} and up to {terms} "
+            f"{what} at position {pos} would have degree {degree} and up to {terms} "
             f"terms (caps {MAX_POWER_DEGREE} and {MAX_POWER_TERMS})"
         )
-    return e
 
 
 def parse_poly(text: str, field: FieldSpec, names: Sequence[str]) -> MultiPoly:

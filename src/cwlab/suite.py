@@ -55,10 +55,6 @@ FULL_CORPUS = 1000
 SMALL_CORPUS = 200
 
 
-def _corpus(count: int, seed: int) -> list[PolySystem]:
-    return [corpus_system(seed, i) for i in range(count)]
-
-
 def criterion_1(seed: int = CORPUS_SEED) -> CriterionResult:
     """q | N(full) on every corpus system (they all have n > d)."""
     t0 = time.perf_counter()

@@ -179,11 +179,17 @@ def test_cli_budget_exit_code(workdir):
 
 
 def test_cli_adversarial_expressions_exit_cleanly(workdir):
-    # deep nesting is an input error (1); a power too big to expand is a budget error (3)
-    for expr, code in (("(" * 5000 + "x" + ")" * 5000, 1), ("(x+y)^100000", 3)):
-        (workdir / "adv.sys").write_text(f"field p=3 k=1\nvars x y\npoly {expr}\n", encoding="utf-8")
+    # deep nesting is an input error (1); a power or a product too big to
+    # expand is a budget error (3), even with a small point budget
+    product = "*".join(["(a+b+c+d+e+f)^5"] * 5)
+    for p, names, expr, code in (
+        (3, "x y", "(" * 5000 + "x" + ")" * 5000, 1),
+        (3, "x y", "(x+y)^100000", 3),
+        (65521, "a b c d e f", product, 3),
+    ):
+        (workdir / "adv.sys").write_text(f"field p={p} k=1\nvars {names}\npoly {expr}\n", encoding="utf-8")
         t0 = time.perf_counter()
-        res = _run("count", "--system", "adv.sys", cwd=workdir)
+        res = _run("count", "--system", "adv.sys", "--budget", "10", cwd=workdir)
         assert res.returncode == code, res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
         assert time.perf_counter() - t0 < 10  # interpreter start included; the parse itself is milliseconds

@@ -1,19 +1,22 @@
 """Dimension estimation from extension counts; linear factor search."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from cwlab.constructions import example_two, norm_form
+from cwlab.constructions import example_two, norm_form, random_system
 from cwlab.errors import InsufficientExtensions, NotHomogeneous
 from cwlab.fields import build_field
 from cwlab.geometry import (
+    _nearest_exponent,
     conjecture_scan,
     estimate_dimension,
     linear_factor_test,
     normalized_forms,
 )
-from cwlab.polynomials import PolySystem, parse_poly
+from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -57,6 +60,37 @@ def test_estimator_needs_two_extensions():
         estimate_dimension(PolySystem([parse_poly("x1", F2, ["x1"])]), 1)
 
 
+def test_estimator_integer_rounding_matches_float():
+    # the integer choice of d_hat agrees with the float rule it replaced,
+    # round(log(N_hi / N_lo) / (gap log q)), on the counts of the estimator
+    # tests, for every pair of nonzero counts and for each single count
+    from cwlab.constructions import embed_in_more_variables
+
+    forms = [
+        (F2, parse_poly("x1", F2, ["x1", "x2"]), 4),
+        (F2, parse_poly("x1*x2", F2, ["x1", "x2"]), 4),
+        (F2, norm_form(F2, 2), 4),
+        (F3, parse_poly("x1*(x1 + x2)*(x1 + 2*x2)", F3, ["x1", "x2"]), 3),
+    ] + [(F, embed_in_more_variables(norm_form(F, k), n), smax) for F, k, n, smax in ((F2, 2, 3, 3), (F3, 2, 3, 3), (F2, 3, 4, 4))]
+    compared = 0
+    for F, f, smax in forms:
+        counts = [c for _, c in estimate_dimension(PolySystem([f]), smax).counts]
+        for hi in range(len(counts)):
+            if counts[hi]:
+                assert _nearest_exponent(counts[hi], 1, F.q ** (hi + 1)) == round(
+                    math.log(counts[hi]) / ((hi + 1) * math.log(F.q))
+                )
+            for lo in range(hi):
+                if counts[hi] and counts[lo]:
+                    gap = hi - lo
+                    float_choice = round(math.log(counts[hi] / counts[lo]) / (gap * math.log(F.q)))
+                    assert _nearest_exponent(counts[hi], counts[lo], F.q**gap) == float_choice
+                    compared += 1
+    assert compared == 33
+    # exact halves go to the even neighbour, as round() does
+    assert [_nearest_exponent(n, 1, 4) for n in (2, 8, 32)] == [0, 2, 2]
+
+
 def test_normalized_form_count():
     K = build_field(2, 2)
     forms = list(normalized_forms(K, 3))
@@ -88,15 +122,71 @@ def test_linear_factor_rejects_inhomogeneous():
         linear_factor_test(parse_poly("x1 + 1", F2, ["x1", "x2"]), 1)
 
 
+def _agree(f, s, **kw):
+    """The algebraic search and the reference screen give the same verdict."""
+    a = linear_factor_test(f, s, **kw)
+    b = linear_factor_test(f, s, force_python=True, **kw)
+    assert (a.method, b.method) == ("algebraic", "screen")
+    assert (a.found, a.witness, a.forms_checked) == (b.found, b.witness, b.forms_checked)
+    assert a.error_bound == b.error_bound and a.candidates <= a.forms_checked
+    return a
+
+
 def test_numpy_and_python_paths_agree():
     f = parse_poly("x1^2*x2 + x2^2*x3 + x3^3", F3, ["x1", "x2", "x3"])
-    a = linear_factor_test(f, 2, trials=3, seed=5, force_python=True)
-    b = linear_factor_test(f, 2, trials=3, seed=5)
-    assert a.found == b.found and a.witness == b.witness
+    _agree(f, 2, trials=3, seed=5)
     g = parse_poly("x1*(x1 + x2 + x3)*(x2 + 2*x3)", F3, ["x1", "x2", "x3"])
-    a2 = linear_factor_test(g, 2, trials=3, seed=1, force_python=True)
-    b2 = linear_factor_test(g, 2, trials=3, seed=1)
-    assert a2.found and b2.found and a2.witness == b2.witness
+    assert _agree(g, 2, trials=3, seed=1).found
+    # planted factors over F_3, F_4, F_9 and F_25, most not first in order
+    rng = random.Random(7)
+    for (p, k), n in (((3, 1), 4), ((2, 2), 4), ((3, 2), 3), ((5, 2), 3)):
+        F = build_field(p, k)
+        for trial in range(4):
+            lin = MultiPoly.from_terms(
+                F, n, [(tuple(int(t == i) for t in range(n)), rng.randrange(F.q)) for i in range(n)]
+            )
+            if lin.is_zero:
+                continue
+            quad = random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
+            assert _agree(lin * quad, 1, seed=trial).found
+    # forms that vanish on coordinate lines and planes
+    names = ["x1", "x2", "x3", "x4"]
+    for text in (
+        "x1*x3+x2*x4",
+        "x1*x2*x3*x4",
+        "x3*(x1^2+x2^2+x3^2+x4^2)",
+        "x4^3",
+        "(x2+x3)^2*x1+x4^3",
+        "x1*(x2*x3*(x2-x3)+x2*x4*(x2-x4)+x3*x4*(x3-x4)) + x2*x3*x4*(x2+x3+x4)",
+    ):
+        for F in (F3, build_field(2, 2), build_field(5, 1)):
+            for s in (1, 2):
+                _agree(parse_poly(text, F, names), s)
+
+
+def test_algebraic_search_keeps_few_candidates():
+    # x1*x3 + x2*x4 vanishes on coordinate planes: the axis roots alone let
+    # through about Q^2 forms of F_625; the pair and weighted points leave a
+    # few.  The last form vanishes on every plane through x1 and two other
+    # axes, which only the weighted points see.
+    F5 = build_field(5, 1)
+    names = ["x1", "x2", "x3", "x4"]
+    for text, s in (
+        ("x1*x3+x2*x4", 4),
+        ("x1*(x2*x3*(x2-x3)+x2*x4*(x2-x4)+x3*x4*(x3-x4)) + x2*x3*x4*(x2+x3+x4)", 2),
+    ):
+        verdict = linear_factor_test(parse_poly(text, F5, names), s)
+        Q = 5**s
+        assert not verdict.found and verdict.forms_checked == (Q**4 - 1) // (Q - 1)
+        assert verdict.candidates <= 2 * Q
+
+
+def test_factor_verdict_body_adds_method_and_candidates():
+    body = linear_factor_test(norm_form(F2, 2), 2).to_dict()
+    assert list(body) == [
+        "found", "witness", "forms_checked", "trials", "error_bound", "field_size", "method", "candidates"
+    ]
+    assert body["method"] == "algebraic" and body["candidates"] >= 1
 
 
 def test_example_two_has_no_linear_factor_over_quartic_extension():
