@@ -2,11 +2,13 @@
 
 Two independent engines are provided and must agree exactly:
 
-* the fast engine evaluates the system on the point grid, CHUNK points at a
-  time in odometer order, with numpy gathers from the field's table bundle
-  (`FieldSpec.tables`).  The polynomial with the fewest terms goes first and
-  each later one is evaluated only at the points where all earlier ones
-  vanish; the surviving odometer indexes are the zero set;
+* the fast engine evaluates the system on the point grid in odometer order,
+  a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n,
+  with numpy gathers from the field's table bundle (`FieldSpec.tables`).
+  The polynomial with the fewest terms goes first, by Horner's rule in x_n
+  over its coefficients' values at the prefixes; each later one is
+  evaluated only at the points where all earlier ones vanish.  The
+  surviving odometer indexes are the zero set;
 * the naive oracle evaluates every polynomial at every point from scratch.
 """
 
@@ -116,23 +118,51 @@ def evaluate_columns(f: MultiPoly, cols: list[np.ndarray], T: FieldTables) -> np
     return T.add(acc, const) if const else acc
 
 
+def _last_variable_coefficients(f: MultiPoly) -> list[MultiPoly | None]:
+    """g_0, ..., g_D with f = sum_e g_e * x_n^e and no g_e involving x_n;
+    None where a power of x_n has no terms."""
+    split: dict[int, list] = {}
+    for exps, c in f.terms.items():
+        split.setdefault(exps[-1], []).append((exps[:-1] + (0,), c))
+    return [
+        MultiPoly.from_terms(f.field, f.nvars, split[e]) if e in split else None
+        for e in range(max(split) + 1)
+    ]
+
+
 def _zero_chunks(system: PolySystem) -> Iterator[np.ndarray]:
-    """Odometer indexes of the common zeros, ascending, one array per chunk."""
+    """Odometer indexes of the common zeros, ascending, one array per chunk.
+
+    A chunk is a block of odometer prefixes (x_1 .. x_{n-1}) with every
+    value of x_n.  The polynomial with the fewest terms goes first, by
+    Horner's rule in x_n: its coefficients g_e are evaluated once per
+    prefix, and each step is one mul and one add over the whole block.
+    """
     F = system.field
     q, n = F.q, system.nvars
     T = F.tables
-    polys = sorted(system.polys, key=lambda f: len(f.terms))
-    total = q**n
-    for lo in range(0, total, CHUNK):
-        idx = np.arange(lo, min(lo + CHUNK, total))
-        cols = _coordinates(idx, q, n)
-        for f in polys:
+    first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
+    coeffs = _last_variable_coefficients(first)
+    last = np.arange(q)
+    step = max(1, CHUNK // q)
+    prefixes = q ** (n - 1)
+    for lo in range(0, prefixes, step):
+        pcols = _coordinates(np.arange(lo, min(lo + step, prefixes)), q, n - 1)
+        vals = [None if g is None else evaluate_columns(g, pcols, T)[:, None] for g in coeffs]
+        acc = np.broadcast_to(vals[-1], (len(vals[-1]), q))
+        for g in reversed(vals[:-1]):
+            acc = T.mul(acc, last)
+            if g is not None:
+                acc = T.add(acc, g)
+        idx = np.flatnonzero(acc == 0) + lo * q
+        cols = _coordinates(idx, q, n) if rest else []
+        for f in rest:
+            if not len(idx):
+                break
             keep = np.flatnonzero(evaluate_columns(f, cols, T) == 0)
             if len(keep) < len(idx):
                 idx = idx[keep]
                 cols = [c[keep] for c in cols]
-            if not len(idx):
-                break
         yield idx
 
 

@@ -122,7 +122,8 @@ class FieldSpec:
 
         self._coords_cache: list[tuple[int, ...]] | None = None
         if self.q <= _COORD_CACHE_CAP:
-            self._coords_cache = [self._decode(a) for a in range(self.q)]
+            digits = np.arange(self.q)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+            self._coords_cache = list(map(tuple, digits.tolist()))
 
         # coords of x^(k+j) reduced mod the modulus, j = 0..k-2
         self._xpow: list[tuple[int, ...]] = []
@@ -299,15 +300,21 @@ class FieldSpec:
                 gamma = cand
                 break
         assert gamma is not None, "multiplicative group always has a generator"
-        exp = [0] * (q - 1)
-        log = [0] * q
-        acc = self.one
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self.mul_poly(acc, gamma)
-        self._exp = exp
-        self._log = log
+        # Multiplication by gamma^L is F_p-linear on coordinate rows, so the
+        # rows of gamma^0 .. gamma^(L-1) times its matrix are the next L
+        # powers: each doubling is one matmul, and the matrix is squared.
+        p, k = self.p, self.k
+        place = p ** np.arange(k - 1, -1, -1)  # index of the basis element g^c
+        mat = np.array([self.coords(self.mul_poly(int(b), gamma)) for b in place])
+        rows = np.array([self.coords(self.one)])
+        while len(rows) < q - 1:
+            rows = np.concatenate([rows, rows @ mat % p])[: q - 1]
+            mat = mat @ mat % p
+        exp = rows @ place
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp = exp.tolist()
+        self._log = log.tolist()
 
     def _pow_poly(self, a: int, e: int) -> int:
         acc = self.one
@@ -414,7 +421,9 @@ def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> Field
         if not _is_irreducible_fp(modulus, p):
             raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
         return FieldSpec(p, k, modulus)
-    for tail in product(range(p), repeat=k):
+    # past degree 1 a zero constant term makes x a factor, so the search
+    # starts at constant term 1
+    for tail in product(range(1 if k > 1 else 0, p), *[range(p)] * (k - 1)):
         cand = tuple(tail) + (1,)
         if _is_irreducible_fp(cand, p):
             return FieldSpec(p, k, cand)

@@ -254,17 +254,34 @@ def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
             yield (0,) * j + (K.one,) + tail
 
 
-def _root_mask(fK: MultiPoly, j: int, weights: dict[int, int]) -> np.ndarray:
-    """mask[t] tells whether f(-t e_j + sum_i weights[i] e_i) = 0, for every
-    element t.  That point lies on the hyperplane of x_j + sum c_i x_i
-    exactly when t = sum_i c_i weights[i], so a factor's coefficients
-    always land on a root."""
+def _pivot_lines(K: FieldSpec, n: int, j: int) -> list[dict[int, int]]:
+    """The weights of the lines -t e_j + sum_i w_i e_i searched for pivot j:
+    the axis weights e_a of each free column a first, then, column by
+    column, the pair weights e_a + e_b (b < a) and, with the last column,
+    the weights (w^i)_{i != j} for w the elements 1, 2, ..., one per free
+    column."""
+    cols = range(j + 1, n)
+    lines = [{a: K.one} for a in cols]
+    for a in cols:
+        lines += [{a: K.one, b: K.one} for b in range(j + 1, a)]
+    for w in range(1, min(len(cols), K.q - 1) + 1):
+        lines.append({i: K.pow(w, i) for i in range(n) if i != j})
+    return lines
+
+
+def _line_masks(fK: MultiPoly, j: int, lines: Sequence[dict[int, int]]) -> np.ndarray:
+    """masks[l, t] tells whether f(-t e_j + sum_i lines[l][i] e_i) = 0, for
+    every element t, from one evaluation over all the lines stacked.  That
+    point lies on the hyperplane of x_j + sum c_i x_i exactly when
+    t = sum_i c_i lines[l][i], so a factor's coefficients always land on a
+    root."""
     K = fK.field
-    cols = [np.zeros(K.q, dtype=np.intp)] * fK.nvars
-    cols[j] = K.tables.neg(np.arange(K.q))
-    for i, w in weights.items():
-        cols[i] = np.full(K.q, w)
-    return evaluate_columns(fK, cols, K.tables) == 0
+    Q = K.q
+    cols = [np.zeros(len(lines) * Q, dtype=np.intp)] * fK.nvars
+    cols[j] = np.tile(K.tables.neg(np.arange(Q)), len(lines))
+    for i in {i for y in lines for i in y}:
+        cols[i] = np.repeat(np.array([y.get(i, 0) for y in lines], dtype=np.intp), Q)
+    return (evaluate_columns(fK, cols, K.tables) == 0).reshape(len(lines), Q)
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
@@ -285,14 +302,12 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     T = K.tables
     for j in range(n):
         cols = range(j + 1, n)
-        roots = {a: np.flatnonzero(_root_mask(fK, j, {a: K.one})) for a in cols}
-        tests = {a: [{a: K.one, b: K.one} for b in range(j + 1, a)] for a in cols}
-        for w in range(1, min(len(cols), K.q - 1) + 1):
-            tests[n - 1].append({i: K.pow(w, i) for i in range(n) if i != j})
-        masks = {
-            a: [([(i - j - 1, w) for i, w in y.items() if i > j], _root_mask(fK, j, y)) for y in tests[a]]
-            for a in cols
-        }
+        lines = _pivot_lines(K, n, j)
+        found = _line_masks(fK, j, lines)
+        roots = {a: np.flatnonzero(found[a - j - 1]) for a in cols}
+        masks: dict[int, list] = {a: [] for a in cols}
+        for y, mask in zip(lines[len(cols) :], found[len(cols) :]):
+            masks[max(y)].append(([(i - j - 1, w) for i, w in y.items() if i > j], mask))
 
         def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
             if a == n:

@@ -187,3 +187,55 @@ def test_ax_katz_divisibility_on_corpus():
         q, n, degs = system.field.q, system.nvars, system.degrees
         e = -(-(n - sum(degs)) // max(degs))
         assert count_zeros(system).count % q**e == 0, i
+
+
+def _edge_systems():
+    """Systems over F_7 and lifted to F_8, F_9, F_16, F_25 and F_27 that
+    reach the kernel's corners: n = 1; a fewest-terms polynomial without
+    x_n; a first polynomial of x_n-degree at least q, vanishing everywhere
+    or not; three polynomials."""
+    out = []
+    for p, s, n in ((7, 1, 3), (2, 3, 3), (3, 2, 3), (2, 4, 2), (5, 2, 2), (3, 3, 2)):
+        F, q = build_field(p, 1), p**s
+        names = [f"x{i + 1}" for i in range(n)]
+        xn = names[-1]
+        for texts, arity in (
+            (["x1^2 + x1 + 1"], 1),
+            ([f"x1^{q + 1} - x1^2", "x1^3 - 2*x1 + 1"], 1),
+            (["x1^2 - 1", f"x1*{xn}^2 + x2*{xn} + 1"], n),
+            ([f"{xn}^{q} - {xn}", f"x1*{xn} + x2^2 + 1"], n),
+            ([f"{xn}^{q + 2} - x1*{xn}^3"], n),
+            # three polynomials, each divisible by x1 - x_n
+            ([f"x1*x2 - x2*{xn}", f"x1^2 - {xn}^2 + x1*x2 - x2*{xn}", f"x1^3 - {xn}^3"], n),
+        ):
+            system = PolySystem([parse_poly(t, F, names[:arity]) for t in texts])
+            out.append(lift_system(system, s))
+    return out
+
+
+EDGE_SYSTEMS = _edge_systems()
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 110])
+def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
+    # 5 is below every q here, so a chunk is one prefix; with 110 the
+    # prefixes per chunk never divide the q^(n-1) prefixes of an n > 1 system
+    from cwlab.subspaces import direction_spaces
+
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+    assert {sy.field.q for sy in EDGE_SYSTEMS} == {7, 8, 9, 16, 25, 27}
+    for system in EDGE_SYSTEMS:
+        F, n = system.field, system.nvars
+        q = F.q
+        if chunk == 110 and n > 1:
+            assert q ** (n - 1) % (chunk // q)
+        filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
+        assert zero_set(system) == filtered
+        assert fast_count(system) == len(filtered) == oracle_count(system)
+        spaces = list(direction_spaces(F, n, 1))
+        for rows in (spaces[0], spaces[-1]):
+            L = AffineSubspace(F, (0,) * n, rows)
+            assert counts_over_parallel_class(system, L) == counts_over_parallel_class(
+                system, L, engine="oracle"
+            )

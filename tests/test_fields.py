@@ -84,6 +84,21 @@ def test_table_path_agrees_with_polynomial_path():
             assert F.mul(a, b) == F.mul_poly(a, b)
 
 
+def test_log_tables_match_the_mul_poly_walk():
+    # exp[i] = gamma^i by repeated reference multiplication, and log is its
+    # inverse; F_2^16 is checked on a sample of the walk
+    for F, stride in ((F9, 1), (build_field(5, 4), 1), (build_field(3, 10), 1), (build_field(2, 16), 211)):
+        q, exp, log = F.q, F._exp, F._log
+        gamma = exp[1]
+        assert exp[0] == F.one and sorted(exp) == list(range(1, q))
+        assert [log[a] for a in exp] == list(range(q - 1))
+        for i in range(0, q - 1, stride):
+            nxt = F.mul_poly(exp[i], gamma)
+            assert exp[(i + 1) % (q - 1)] == nxt
+        if stride > 1:
+            assert all(exp[i] == F._pow_poly(gamma, i) for i in range(0, q - 1, 4099))
+
+
 def test_table_bundle_matches_scalar_reference():
     # every field of this module, and one past the dense-table cap
     fields = (F2, F3, F4, F8, F9, F16, F25, build_field(2, 6), build_field(3, 4), build_field(7, 2))

@@ -10,7 +10,10 @@ from cwlab.constructions import example_two, norm_form, random_system
 from cwlab.errors import InsufficientExtensions, NotHomogeneous
 from cwlab.fields import build_field
 from cwlab.geometry import (
+    _lift_poly,
+    _line_masks,
     _nearest_exponent,
+    _pivot_lines,
     conjecture_scan,
     estimate_dimension,
     linear_factor_test,
@@ -132,12 +135,8 @@ def _agree(f, s, **kw):
     return a
 
 
-def test_numpy_and_python_paths_agree():
-    f = parse_poly("x1^2*x2 + x2^2*x3 + x3^3", F3, ["x1", "x2", "x3"])
-    _agree(f, 2, trials=3, seed=5)
-    g = parse_poly("x1*(x1 + x2 + x3)*(x2 + 2*x3)", F3, ["x1", "x2", "x3"])
-    assert _agree(g, 2, trials=3, seed=1).found
-    # planted factors over F_3, F_4, F_9 and F_25, most not first in order
+def _planted_products():
+    """Planted factors over F_3, F_4, F_9 and F_25, most not first in order."""
     rng = random.Random(7)
     for (p, k), n in (((3, 1), 4), ((2, 2), 4), ((3, 2), 3), ((5, 2), 3)):
         F = build_field(p, k)
@@ -148,7 +147,35 @@ def test_numpy_and_python_paths_agree():
             if lin.is_zero:
                 continue
             quad = random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
-            assert _agree(lin * quad, 1, seed=trial).found
+            yield trial, lin * quad
+
+
+# (candidates, witness) of the algebraic search on each input of
+# test_numpy_and_python_paths_agree, in order, as the search gave them when
+# it evaluated f along one line at a time
+SEARCH_RESULTS = [
+    (1, None), (1, (3, 0, 0)), (1, (1, 0, 1, 2)), (1, (0, 1, 0, 2)), (1, (1, 0, 0, 0)),
+    (1, (1, 0, 0, 0)), (1, (0, 0, 2, 0)), (1, (0, 2, 0, 2)), (2, (2, 3, 0, 1)), (1, (0, 2, 3, 0)),
+    (1, (0, 3, 7)), (1, (3, 6, 6)), (1, (3, 7, 4)), (1, (3, 5, 7)), (1, (5, 14, 7)),
+    (1, (5, 7, 23)), (1, (5, 24, 10)), (1, (5, 21, 2)), (2, None), (2, None), (2, None), (2, None),
+    (2, None), (2, None), (1, (1, 0, 0, 0)), (1, (3, 0, 0, 0)), (1, (2, 0, 0, 0)),
+    (1, (8, 0, 0, 0)), (1, (1, 0, 0, 0)), (1, (5, 0, 0, 0)), (1, (0, 0, 1, 0)), (1, (0, 0, 3, 0)),
+    (1, (2, 2, 2, 2)), (1, (8, 8, 8, 8)), (1, (0, 0, 1, 0)), (1, (0, 0, 5, 0)), (1, (0, 0, 0, 1)),
+    (1, (0, 0, 0, 3)), (1, (0, 0, 0, 2)), (1, (0, 0, 0, 8)), (1, (0, 0, 0, 1)), (1, (0, 0, 0, 5)),
+    (1, None), (1, None), (1, None), (1, None), (1, None), (1, None), (3, None), (2, None),
+    (1, None), (2, None), (5, None), (2, None),
+]
+
+
+def test_numpy_and_python_paths_agree():
+    f = parse_poly("x1^2*x2 + x2^2*x3 + x3^3", F3, ["x1", "x2", "x3"])
+    verdicts = [_agree(f, 2, trials=3, seed=5)]
+    g = parse_poly("x1*(x1 + x2 + x3)*(x2 + 2*x3)", F3, ["x1", "x2", "x3"])
+    verdicts.append(_agree(g, 2, trials=3, seed=1))
+    assert verdicts[-1].found
+    for trial, planted in _planted_products():
+        verdicts.append(_agree(planted, 1, seed=trial))
+        assert verdicts[-1].found
     # forms that vanish on coordinate lines and planes
     names = ["x1", "x2", "x3", "x4"]
     for text in (
@@ -161,7 +188,8 @@ def test_numpy_and_python_paths_agree():
     ):
         for F in (F3, build_field(2, 2), build_field(5, 1)):
             for s in (1, 2):
-                _agree(parse_poly(text, F, names), s)
+                verdicts.append(_agree(parse_poly(text, F, names), s))
+    assert [(v.candidates, v.witness) for v in verdicts] == SEARCH_RESULTS
 
 
 def test_algebraic_search_keeps_few_candidates():
@@ -179,6 +207,28 @@ def test_algebraic_search_keeps_few_candidates():
         Q = 5**s
         assert not verdict.found and verdict.forms_checked == (Q**4 - 1) // (Q - 1)
         assert verdict.candidates <= 2 * Q
+        assert verdict.candidates == 2  # the count the per-line search gave
+
+
+def test_line_masks_match_pointwise_evaluation():
+    # each row of a pivot's stacked masks is f, point by point, along its line
+    forms = [f for _, f in _planted_products() if f.field.q in (4, 9, 25)]
+    forms += [example_two(build_field(2, 2)).poly]
+    forms += [_lift_poly(example_two(build_field(p, 1)).poly, 2)[0] for p in (3, 5)]
+    assert {f.field.q for f in forms} == {4, 9, 25}
+    for fK in forms:
+        K, n = fK.field, fK.nvars
+        for j in range(n):
+            lines = _pivot_lines(K, n, j)
+            masks = _line_masks(fK, j, lines)
+            assert masks.shape == (len(lines), K.q) and (j == n - 1 or lines)
+            for y, row in zip(lines, masks.tolist()):
+                for t in range(K.q):
+                    pt = [0] * n
+                    pt[j] = K.neg(t)
+                    for i, w in y.items():
+                        pt[i] = w
+                    assert row[t] == (fK.evaluate(pt) == 0)
 
 
 def test_factor_verdict_body_adds_method_and_candidates():
