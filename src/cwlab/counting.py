@@ -141,6 +141,10 @@ def _zero_chunks(system: PolySystem) -> Iterator[np.ndarray]:
     F = system.field
     q, n = F.q, system.nvars
     T = F.tables
+    if not n:
+        # the one point; a system's polynomials are nonzero constants here
+        yield np.zeros(0, dtype=np.intp)
+        return
     first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
     coeffs = _last_variable_coefficients(first)
     last = np.arange(q)

@@ -239,3 +239,23 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
             assert counts_over_parallel_class(system, L) == counts_over_parallel_class(
                 system, L, engine="oracle"
             )
+
+
+def test_point_subspaces_match_oracle():
+    # a point restricts a system to nonzero constants in no variables, or
+    # to nothing when every polynomial vanishes there
+    with_zeros = 0
+    for system in (HYP, *EDGE_SYSTEMS[:12]):
+        F, n = system.field, system.nvars
+        zeros = zero_set(system)
+        other = next(pt for pt in product(range(F.q), repeat=n) if not system.vanishes_at(pt))
+        cases = [(other, 0)] + [(pt, 1) for pt in zeros[:1]]
+        for pt, expect in cases:
+            L = AffineSubspace(F, pt, [])
+            assert count_zeros(system, L).count == expect
+            assert count_zeros(system, L, engine="oracle").count == expect
+        with_zeros += bool(zeros)
+    assert with_zeros > 10
+    const = PolySystem([parse_poly("1", F3, [])])
+    assert const.nvars == 0
+    assert zero_set(const) == [] and fast_count(const) == 0 == oracle_count(const)
