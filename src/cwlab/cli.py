@@ -21,7 +21,7 @@ from .constructions import (
     random_system_recipe,
 )
 from .counting import count_zeros, count_zeros_ext
-from .errors import BudgetExceeded, CwlabError, FormatError
+from .errors import BudgetExceeded, CwlabError, FormatError, FullSpace
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
 from .geometry import SCAN_CSV_HEADER, conjecture_scan, estimate_dimension, linear_factor_test
@@ -163,6 +163,8 @@ def cmd_construct(args) -> int:
 def cmd_lemma(args) -> int:
     F = build_field(args.p, args.k)
     if args.which == "cover":
+        if args.n < 1:
+            raise FullSpace(f"A^{args.n} has no proper base subspace for the covering bound")
         rng = SplitMix64(derive_seed(args.seed, 90))
         failures = 0
         for _ in range(args.trials):
@@ -187,10 +189,8 @@ def cmd_lemma(args) -> int:
         _emit(json.dumps(payload), args.out)
         return EXIT_OK if failures == 0 else EXIT_VIOLATION
     # saturation laws
-    if args.exhaustive or args.sample:
-        rep = saturated_set_exhaustive(
-            F, args.t, args.part, args.m, sample=args.sample, seed=args.seed
-        )
+    if args.exhaustive:
+        rep = saturated_set_exhaustive(F, args.t, args.part, args.m)
     else:
         pts = list(AffineSubspace.full_space(F, args.t).points())
         rep = saturated_set_check(PointSet(F, args.t, pts), args.part, args.m)
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lemma)

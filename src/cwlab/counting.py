@@ -174,8 +174,10 @@ def fast_count(system: PolySystem) -> int:
     return sum(len(idx) for idx in _zero_chunks(system))
 
 
-def _zero_points(system: PolySystem) -> np.ndarray:
-    """The common zeros as rows of coordinates, in odometer order."""
+def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
+    """The common zeros over the full space as rows of coordinates, in
+    odometer order; BudgetExceeded past budget points (default_budget())."""
+    _region_size_check(system.field.q**system.nvars, budget, "fast")
     idx = np.concatenate(list(_zero_chunks(system)))
     cols = _coordinates(idx, system.field.q, system.nvars)
     return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.intp)
@@ -203,12 +205,7 @@ def oracle_count(system: PolySystem) -> int:
 
 def zero_set(system: PolySystem, budget: int | None = None) -> list[tuple[int, ...]]:
     """All common zeros over the full space, in odometer point order."""
-    F = system.field
-    n = system.nvars
-    budget = budget if budget is not None else default_budget()
-    if F.q**n > budget:
-        raise BudgetExceeded(f"q^n = {F.q**n} exceeds budget {budget}")
-    return list(map(tuple, _zero_points(system).tolist()))
+    return list(map(tuple, zero_points(system, budget).tolist()))
 
 
 def basis_entries(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -347,6 +344,6 @@ def counts_over_parallel_class(
         counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]
     else:
         pivots, entries = basis_entries(L.basis, system.nvars)
-        ids = coset_ids(_zero_points(system), pivots, entries[None], F)[0]
+        ids = coset_ids(zero_points(system, budget), pivots, entries[None], F)[0]
         counts = np.bincount(ids, minlength=len(members)).tolist()
     return list(zip(members, counts))

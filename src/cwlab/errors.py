@@ -5,6 +5,10 @@ class CwlabError(Exception):
     """Base class for all cwlab errors."""
 
 
+class InvalidArgument(CwlabError, ValueError):
+    """A parameter outside the domain of the function it is passed to."""
+
+
 class NotPrime(CwlabError):
     pass
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DegreeTooLarge,
     DivisionByZero,
+    InvalidArgument,
     NotADivisor,
     NotASubfield,
     NotPrime,
@@ -185,9 +186,6 @@ class FieldSpec:
         """The image of the rational integer n (n times the identity)."""
         return (n % self.p) * self.one
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
     # -- arithmetic -------------------------------------------------------
 
     @property
@@ -272,14 +270,7 @@ class FieldSpec:
             return pow(a, e, self.p)
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.q - 1)]  # type: ignore[index]
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul_poly(acc, base)
-            base = self.mul_poly(base, base)
-            e >>= 1
-        return acc
+        return self._pow_poly(a, e)
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """The i-th Frobenius iterate a^(p^i), 0 <= i < k."""
@@ -411,7 +402,7 @@ def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> Field
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if k < 1:
-        raise ValueError(f"extension degree must be >= 1, got {k}")
+        raise InvalidArgument(f"extension degree must be >= 1, got {k}")
     if p**k > FIELD_SIZE_CAP:
         raise DegreeTooLarge(f"p^k = {p}^{k} exceeds the cap {FIELD_SIZE_CAP}")
     if modulus is not None:

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .counting import (
-    _zero_points,
     basis_entries,
     coset_ids,
     count_zeros,
-    default_budget,
+    zero_points,
     zero_set,
 )
-from .errors import BudgetExceeded, FullSpace, WrongFieldSize
+from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
 from .fields import FieldSpec
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
@@ -94,15 +93,6 @@ class CheckScope:
 
 
 # -- congruences ---------------------------------------------------------------
-
-
-def _zero_array(system: PolySystem, budget: int | None = None) -> np.ndarray:
-    """The zero set as rows of coordinates, in odometer order."""
-    F, n = system.field, system.nvars
-    budget = budget if budget is not None else default_budget()
-    if F.q**n > budget:
-        raise BudgetExceeded(f"q^n = {F.q**n} exceeds budget {budget}")
-    return _zero_points(system)
 
 
 def _disagreeing_cosets(ids: np.ndarray, classes: int, modulus: int):
@@ -334,7 +324,7 @@ def check_congruence(
             )
         dims = [scope.dim]
 
-    Z = _zero_array(system, budget=budget)
+    Z = zero_points(system, budget)
     checked, per_dim, truncated, witness = _sweep_classes(Z, F, dims, modulus, scope)
     evidence = {
         "modulus": modulus,
@@ -514,6 +504,23 @@ def _all_subspaces_of_dim(F: FieldSpec, t: int, m: int) -> list[AffineSubspace]:
 SATURATION_PARTS = ("i", "ii", "iii", "iv")
 
 
+def _saturation_gates(q: int, t: int, part: str, m: int | None) -> None:
+    """The domain of each part, shared by both checkers: a typed error
+    before any work for an input outside it."""
+    if part not in SATURATION_PARTS:
+        raise InvalidArgument(f"unknown part {part!r}")
+    if t < 0:
+        raise InvalidArgument(f"dimension must be >= 0, got {t}")
+    if part == "i" and q != 2:
+        raise WrongFieldSize("part i needs q = 2")
+    if part == "ii" and q < 3:
+        raise WrongFieldSize("part ii needs q >= 3")
+    if part == "iii" and q < 4:
+        raise WrongFieldSize("part iii needs q >= 4")
+    if part == "iv" and (m is None or m < 2):
+        raise InvalidArgument("part iv needs an integer m >= 2")
+
+
 def saturated_set_check(
     S: PointSet, part: str, m: int | None = None
 ) -> LawReport:
@@ -528,19 +535,9 @@ def saturated_set_check(
       iv  (m >= 2): every line meeting S twice has >= m+1
                     points of S                            =>  |S| >= (m^(t+1)-1)/(m-1).
     """
-    if part not in SATURATION_PARTS:
-        raise ValueError(f"unknown part {part!r}")
     F = S.field
     q, t = F.q, S.ambient
-    if part == "i" and q != 2:
-        raise WrongFieldSize("part i needs q = 2")
-    if part == "ii" and q < 3:
-        raise WrongFieldSize("part ii needs q >= 3")
-    if part == "iii" and q < 4:
-        raise WrongFieldSize("part iii needs q >= 4")
-    if part == "iv":
-        if m is None or m < 2:
-            raise ValueError("part iv needs an integer m >= 2")
+    _saturation_gates(q, t, part, m)
     law = f"line-saturation-{part}"
     evidence: dict = {"q": q, "t": t, "size": len(S)}
     if m is not None:
@@ -608,132 +605,106 @@ def saturated_set_check(
     return LawReport(law, True, conclusion, evidence, None if conclusion else {"size": len(S)})
 
 
-# -- exhaustive saturation sweeps (bitmask engine) -----------------------------------
+# -- exhaustive saturation sweeps (numpy bitsets) ---------------------------------
+
+# a subset of A^t(F_q) is a uint32 mask over the odometer points, so q^t <= 27
+# keeps all 2^(q^t) masks in range (2^27 of them take a few seconds)
+SWEEP_POINTS = 27
+# subset masks per kernel step: a few MB of working memory
+SWEEP_CHUNK = 1 << 20
 
 
-class SaturationSweeper:
-    """Bitmask engine for sweeping all (or sampled) subsets of A^t(F_q).
-
-    Point masks follow odometer point order.  Agreement with the object
-    level checker is property-tested; this engine exists because 2^(q^t)
-    subset loops need cheap per-subset work.
-    """
-
-    def __init__(self, F: FieldSpec, t: int):
-        self.F = F
-        self.t = t
-        self.q = F.q
-        self.npoints = F.q**t
-        pts = list(AffineSubspace.full_space(F, t).points())
-        self.points = pts
-        self.rank = {pt: i for i, pt in enumerate(pts)}
-        self.line_masks = [self._mask(L) for L in _all_subspaces_of_dim(F, t, 1)]
-        self.plane_masks = (
-            [self._mask(P) for P in _all_subspaces_of_dim(F, t, 2)] if t >= 2 else []
-        )
-        self.hyperplane_masks = (
-            [self._mask(H) for H in _all_subspaces_of_dim(F, t, t - 1)] if t >= 1 else []
-        )
-
-    def _mask(self, L: AffineSubspace) -> int:
-        mask = 0
-        for pt in L.points():
-            mask |= 1 << self.rank[pt]
-        return mask
-
-    def set_of_mask(self, mask: int) -> PointSet:
-        pts = [self.points[i] for i in range(self.npoints) if mask >> i & 1]
-        return PointSet(self.F, self.t, pts)
-
-    def hypothesis_and_conclusion(self, mask: int, part: str, m: int | None) -> tuple[bool, bool]:
-        """Fast verdicts (hypothesis holds?, conclusion holds?) for a subset."""
-        size = mask.bit_count()
-        if size == 0:
-            return False, True
-        # general position: span must be all of A^t, i.e. S inside no hyperplane
-        if size < self.t + 1 or any(
-            mask & ~h == 0 for h in self.hyperplane_masks
-        ):
-            return False, True
-        if part == "i":
-            if any((mask & p).bit_count() == 3 for p in self.plane_masks):
-                return False, True
-            return True, size == self.npoints
-        threshold = {"ii": self.q, "iii": self.q - 1, "iv": (m or 0) + 1}[part]
-        for ln in self.line_masks:
-            c = (mask & ln).bit_count()
-            if 2 <= c < threshold:
-                return False, True
-        if part == "ii":
-            return True, size == self.npoints
-        if part == "iii":
-            comp = ~mask & ((1 << self.npoints) - 1)
-            if comp == 0:
-                return True, True
-            return True, any(comp & ~h == 0 for h in self.hyperplane_masks)
-        need = (m**(self.t + 1) - 1) // (m - 1)  # type: ignore[operator]
-        return True, size >= need
-
-
-def saturated_set_exhaustive(
-    F: FieldSpec,
-    t: int,
-    part: str,
-    m: int | None = None,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
-) -> LawReport:
-    """Sweep subsets of A^t(F_q) for counterexamples to a saturation law.
-
-    Exhaustive mode enumerates all 2^(q^t) subsets (requires q^t <= 16);
-    sampled mode draws `sample` seeded subsets (requires q^t <= 25).
-    """
-    if part not in SATURATION_PARTS:
-        raise ValueError(f"unknown part {part!r}")
+def _subspace_masks(F: FieldSpec, t: int, k: int) -> np.ndarray:
+    """One uint32 point mask per k-flat of A^t, in `_all_subspaces_of_dim`
+    order: the q^t odometer points are bucketed by coset once per batch of
+    direction spaces, and each point's bit is or-ed into its coset's mask."""
+    if not 0 <= k <= t:
+        return np.zeros(0, dtype=np.uint32)
     q = F.q
-    npoints = q**t
-    law = f"line-saturation-{part}-sweep"
-    if sample is None and npoints > 16:
-        raise BudgetExceeded(f"exhaustive sweep needs q^t <= 16, got {npoints}")
-    if sample is not None and npoints > 25:
-        raise BudgetExceeded(f"sampled sweep needs q^t <= 25, got {npoints}")
-    sweeper = SaturationSweeper(F, t)
-    counterexamples = []
-    checked = 0
-    hypothesis_met = 0
-    if sample is None:
-        masks: Iterator[int] = iter(range(1 << npoints))
+    Z = np.arange(q**t)[:, None] // q ** np.arange(t - 1, -1, -1) % q
+    bits = np.left_shift(np.uint32(1), np.arange(q**t, dtype=np.uint32))
+    classes = q ** (t - k)
+    out = []
+    for pivots, entries in _pattern_batches(F, t, k, max(1, BATCH // q**t)):
+        ids = coset_ids(Z, pivots, entries, F) + classes * np.arange(len(entries))[:, None]
+        masks = np.zeros(len(entries) * classes, dtype=np.uint32)
+        np.bitwise_or.at(masks, ids.ravel(), np.broadcast_to(bits, ids.shape).ravel())
+        out.append(masks)
+    return np.concatenate(out)
+
+
+def _sweep_masks(
+    M: np.ndarray, F: FieldSpec, t: int, part: str, m: int | None, flats: dict[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subset masks of M (uint32) that meet the part's hypothesis, and
+    the counterexamples among them, both in the order of M.  flats[k] holds
+    the k-flat masks for k = 1, 2 and t - 1.  Applies no part gate.
+
+    M is pruned line by line (for part i, plane by plane); the survivors
+    with t + 1 points in general position (inside no hyperplane) meet the
+    hypothesis, and those that miss the part's conclusion are the
+    counterexamples."""
+    q = F.q
+    if part == "i":
+        for P in flats[2]:
+            M = M[np.bitwise_count(M & P) != 3]
     else:
-        rng = SplitMix64(derive_seed(seed, q, t, npoints))
-        masks = (rng.next_u64() & ((1 << npoints) - 1) for _ in range(sample))
-    for mask in masks:
-        checked += 1
-        hyp, concl = sweeper.hypothesis_and_conclusion(mask, part, m)
-        if hyp:
-            hypothesis_met += 1
-            if not concl:
-                counterexamples.append(mask)
-                if len(counterexamples) >= 5:
-                    break
+        threshold = q if part == "ii" else q - 1 if part == "iii" else m + 1  # type: ignore[operator]
+        for L in flats[1]:
+            c = np.bitwise_count(M & L)
+            M = M[(c < 2) | (c >= threshold)]
+    M = M[np.bitwise_count(M) > t]
+    for H in flats[t - 1]:
+        M = M[(M & ~H) != 0]
+    size = np.bitwise_count(M)
+    if part in ("i", "ii"):
+        holds = size == q**t
+    elif part == "iii":  # the complement lies in a hyperplane (or is empty)
+        comp = ~M & np.uint32((1 << q**t) - 1)
+        holds = comp == 0
+        for H in flats[t - 1]:
+            holds |= (comp & ~H) == 0
+    else:
+        holds = size >= (m**(t + 1) - 1) // (m - 1)  # type: ignore[operator]
+    return M, M[~holds]
+
+
+def saturated_set_exhaustive(F: FieldSpec, t: int, part: str, m: int | None = None) -> LawReport:
+    """Sweep all 2^(q^t) subsets of A^t(F_q) (q^t <= SWEEP_POINTS) for
+    counterexamples to a saturation law, in mask order; the sweep stops at
+    the fifth counterexample."""
+    q = F.q
+    _saturation_gates(q, t, part, m)
+    if q ** min(t, SWEEP_POINTS) > SWEEP_POINTS:  # q >= 2, so t is capped too
+        raise BudgetExceeded(f"the sweep needs q^t <= {SWEEP_POINTS}, got q={q}, t={t}")
+    total = 1 << q**t
+    flats = {k: _subspace_masks(F, t, k) for k in (1, 2, t - 1)}
+    counterexamples: list[int] = []
+    checked = hypothesis_met = 0
+    for lo in range(0, total, SWEEP_CHUNK):
+        checked = min(lo + SWEEP_CHUNK, total)
+        met, bad = _sweep_masks(np.arange(lo, checked, dtype=np.uint32), F, t, part, m, flats)
+        counterexamples += bad[: 5 - len(counterexamples)].tolist()
+        if len(counterexamples) == 5:  # stop at the fifth
+            checked = counterexamples[-1] + 1
+            hypothesis_met += int(np.count_nonzero(met < checked))
+            break
+        hypothesis_met += len(met)
     evidence = {
         "q": q,
         "t": t,
         "part": part,
         "subsets_checked": checked,
         "hypothesis_met": hypothesis_met,
-        "mode": "exhaustive" if sample is None else f"sampled({sample}, seed={seed})",
+        "mode": "exhaustive",
     }
     if m is not None:
         evidence["m"] = m
-    passed = not counterexamples
     witness = None
     if counterexamples:
-        witness = {
-            "masks": counterexamples,
-            "first_set": sorted(sweeper.set_of_mask(counterexamples[0]).points),
-        }
-    return LawReport(law, True, passed, evidence, witness)
+        first = [pt for i, pt in enumerate(product(range(q), repeat=t)) if counterexamples[0] >> i & 1]
+        witness = {"masks": counterexamples, "first_set": first}
+    return LawReport(f"line-saturation-{part}-sweep", True, not counterexamples, evidence, witness)
 
 
 # -- scalar-orbit facts for homogeneous systems ------------------------------------

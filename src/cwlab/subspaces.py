@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DependentBasis, EmptySet, FullSpace
+from .errors import DependentBasis, EmptySet, FullSpace, InvalidArgument
 from .fields import FieldSpec
 
 
@@ -91,6 +91,8 @@ class AffineSubspace:
 
     @classmethod
     def full_space(cls, field: FieldSpec, n: int) -> "AffineSubspace":
+        if n < 0:
+            raise InvalidArgument(f"dimension must be >= 0, got {n}")
         rows = [[field.one if j == i else 0 for j in range(n)] for i in range(n)]
         return cls(field, [0] * n, rows)
 

@@ -81,6 +81,14 @@ def test_c8_saturation_sweeps():
     print(res.line())
     assert res.passed, res.details
     assert res.elapsed < 600  # stated ceiling: ten minutes
+    runs = {(r["q"], r["t"], r["part"], r["m"]): r for r in res.details["runs"]}
+    assert len(runs) == 16 and {r["mode"] for r in runs.values()} == {"exhaustive"}
+    for key, r in runs.items():
+        assert r["subsets"] == 2 ** (key[0] ** key[1]), key
+    # every subset of A^2(F_5) and of A^3(F_3): how many meet the hypothesis
+    met = {(5, 2, "ii", None): 1, (5, 2, "iii", None): 206, (5, 2, "iv", 2): 46416,
+           (5, 2, "iv", 3): 206, (5, 2, "iv", 4): 1, (3, 3, "ii", None): 1}
+    assert {key: runs[key]["hypothesis_met"] for key in met} == met
 
 
 def test_c9_covering_bound_random_sets():

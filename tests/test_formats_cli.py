@@ -248,6 +248,35 @@ def test_cli_lemma_cover(workdir):
     assert json.loads(res.stdout)["failures"] == 0
 
 
+def test_cli_lemma_adversarial_inputs_exit_cleanly(workdir):
+    # inputs outside a law's domain are input errors (1), for the sweep and
+    # for the object-level check alike; a sweep past q^t = 27 is a budget
+    # error (3), however large t is
+    cases = [
+        ("saturation", "--p", "3", "--t", "2", "--part", "i", "--exhaustive"),
+        ("saturation", "--p", "2", "--part", "iii", "--exhaustive"),
+        ("saturation", "--p", "2", "--part", "ii", "--exhaustive"),
+        ("saturation", "--p", "5", "--part", "iv", "--exhaustive"),
+        ("saturation", "--p", "5", "--part", "iv", "--exhaustive", "--m", "1"),
+        ("saturation", "--p", "5", "--part", "iv"),
+        ("saturation", "--p", "3", "--t", "2", "--part", "i"),
+        ("saturation", "--p", "3", "--t", "-1"),
+        ("saturation", "--p", "3", "--t", "-1", "--exhaustive"),
+        ("saturation", "--p", "3", "--k", "0"),
+        ("cover", "--p", "3", "--n", "0"),
+        ("cover", "--p", "3", "--n", "-1"),
+    ]
+    for args in cases:
+        res = _run("lemma", *args, cwd=workdir)
+        assert res.returncode == 1, (args, res.stderr)
+        assert res.stdout == "" and res.stderr.startswith("error:"), (args, res.stderr)
+        assert "Traceback" not in res.stderr
+    for t in ("5", "1000000000"):
+        res = _run("lemma", "saturation", "--p", "3", "--t", t, "--exhaustive", cwd=workdir)
+        assert res.returncode == 3 and "Traceback" not in res.stderr, res.stderr
+        assert "q^t <= 27" in res.stderr
+
+
 def test_cli_scan_conjecture(workdir):
     res = _run(
         "scan-conjecture", "--preset", "small", "--per-cell", "1",

@@ -10,7 +10,7 @@ import pytest
 from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
 from cwlab.counting import zero_set
-from cwlab.errors import FullSpace, WrongFieldSize
+from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, WrongFieldSize
 from cwlab.fields import build_field
 from cwlab.laws import (
     BATCH,
@@ -22,7 +22,6 @@ from cwlab.laws import (
     lower_bound_audit,
     saturated_set_check,
     saturated_set_exhaustive,
-    SaturationSweeper,
 )
 from cwlab.polynomials import PolySystem, parse_poly
 from cwlab.rng import SplitMix64
@@ -180,6 +179,23 @@ def test_saturation_part_gates():
         saturated_set_check(S, "iii")
     with pytest.raises(ValueError):
         saturated_set_check(S, "iv", m=1)
+    # the sweep applies the same gates, as typed errors
+    for F, t, part, m, error in (
+        (F3, 2, "i", None, WrongFieldSize),
+        (F2, 2, "ii", None, WrongFieldSize),
+        (F2, 2, "iii", None, WrongFieldSize),
+        (F5, 1, "iv", None, ValueError),
+        (F5, 1, "iv", 1, ValueError),
+        (F3, -1, "ii", None, ValueError),
+        (F3, 2, "v", None, ValueError),
+    ):
+        with pytest.raises(error) as err:
+            saturated_set_exhaustive(F, t, part, m)
+        assert isinstance(err.value, CwlabError)
+    with pytest.raises(BudgetExceeded):
+        saturated_set_exhaustive(F2, 5, "i")
+    with pytest.raises(BudgetExceeded):
+        saturated_set_exhaustive(F3, 10**9, "ii")
 
 
 def test_saturation_exhaustive_small():
@@ -188,16 +204,110 @@ def test_saturation_exhaustive_small():
     assert saturated_set_exhaustive(F3, 1, "iv", m=2).passed
 
 
+def _set_of_mask(F, t, mask):
+    points = list(AffineSubspace.full_space(F, t).points())  # odometer order
+    return PointSet(F, t, [pt for i, pt in enumerate(points) if mask >> i & 1])
+
+
+def _flats(F, t):
+    return {k: laws._subspace_masks(F, t, k) for k in (1, 2, t - 1)}
+
+
+def test_subspace_masks_match_flat_walk():
+    for F, t, ks in ((F2, 3, range(-1, 5)), (F3, 3, (1, 2)), (F4, 2, (0, 1, 2)), (F5, 2, (1,)), (F3, 0, (0, 1))):
+        for k in ks:
+            want = []
+            if 0 <= k <= t:
+                for P in laws._all_subspaces_of_dim(F, t, k):
+                    want.append(sum(1 << sum(x * F.q ** (t - 1 - j) for j, x in enumerate(pt)) for pt in P.points()))
+            got = laws._subspace_masks(F, t, k)
+            assert got.dtype == np.uint32 and got.tolist() == want, (F.q, t, k)
+
+
+# parent results (subsets_checked, hypothesis_met) of the exhaustive sweeps
+SWEEP_EVIDENCE = {
+    (2, 2, "i", None): (16, 1),
+    (2, 3, "i", None): (256, 1),
+    (3, 2, "ii", None): (512, 1),
+    (4, 2, "iii", None): (65536, 117),
+    (3, 1, "iv", 2): (8, 1),
+    (4, 1, "iv", 2): (16, 5),
+    (4, 1, "iv", 3): (16, 1),
+    (5, 1, "iv", 2): (32, 16),
+    (5, 1, "iv", 3): (32, 6),
+    (5, 1, "iv", 4): (32, 1),
+    (2, 4, "i", None): (65536, 1),
+    (4, 2, "ii", None): (65536, 1),
+    # edge cases: A^0 is one point, A^1 one line
+    (2, 0, "i", None): (2, 1),
+    (3, 0, "ii", None): (2, 1),
+    (4, 0, "iii", None): (2, 1),
+    (3, 0, "iv", 2): (2, 1),
+    (2, 1, "i", None): (4, 1),
+    (4, 1, "iii", None): (16, 5),
+}
+
+
+def test_sweep_evidence_matches_parent():
+    fields = {F.q: F for F in (F2, F3, F4, F5)}
+    for (q, t, part, m), want in SWEEP_EVIDENCE.items():
+        rep = saturated_set_exhaustive(fields[q], t, part, m)
+        assert rep.passed and rep.evidence["mode"] == "exhaustive"
+        assert (rep.evidence["subsets_checked"], rep.evidence["hypothesis_met"]) == want, (q, t, part, m)
+
+
 def test_sweeper_agrees_with_object_level_checker():
-    for F, t, part, m in ((F3, 2, "ii", None), (F2, 2, "i", None), (F5, 1, "iv", 3)):
-        sweeper = SaturationSweeper(F, t)
+    def agree(F, t, part, m, masks, flats):
+        met, bad = laws._sweep_masks(np.array(masks, dtype=np.uint32), F, t, part, m, flats)
+        met, bad = set(met.tolist()), set(bad.tolist())
+        for mask in masks:
+            rep = saturated_set_check(_set_of_mask(F, t, mask), part, m)
+            assert rep.applicable == (mask in met), (F.q, t, part, m, mask)
+            assert rep.passed == (mask not in bad), (F.q, t, part, m, mask)
+        return len(met)
+
+    for F, t, part, m in (
+        (F2, 2, "i", None), (F2, 3, "i", None), (F3, 2, "ii", None), (F4, 2, "iii", None),
+        (F5, 1, "iv", 3), (F5, 2, "iii", None), (F5, 2, "iv", 2), (F3, 3, "ii", None),
+    ):
         rng = SplitMix64(11)
-        for _ in range(40):
-            mask = rng.next_u64() & ((1 << sweeper.npoints) - 1)
-            hyp, concl = sweeper.hypothesis_and_conclusion(mask, part, m)
-            rep = saturated_set_check(sweeper.set_of_mask(mask), part, m)
-            assert hyp == rep.applicable
-            assert concl == rep.passed or not hyp
+        masks = [rng.next_u64() & ((1 << F.q**t) - 1) for _ in range(100)]
+        agree(F, t, part, m, masks, _flats(F, t))
+    # every subset the sweep finds meeting the hypothesis, and a seeded 200
+    # of the 46 416 for part iv with m = 2
+    flats = _flats(F5, 2)
+    everything = np.arange(1 << 25, dtype=np.uint32)
+    met, _ = laws._sweep_masks(everything, F5, 2, "iii", None, flats)
+    assert agree(F5, 2, "iii", None, met.tolist(), flats) == 206
+    met, _ = laws._sweep_masks(everything, F5, 2, "iv", 2, flats)
+    assert len(met) == 46416
+    rng = SplitMix64(12)
+    picks = sorted({int(met[rng.below(len(met))]) for _ in range(200)})
+    assert agree(F5, 2, "iv", 2, picks, flats) == len(picks) > 150
+
+
+def test_sweep_finds_counterexamples_outside_the_gates(monkeypatch):
+    # with the gates lifted, part i at q = 3 and part ii at q = 2 fail; the
+    # sweep and the object-level check name the same subsets
+    flats = _flats(F3, 2)
+    met, bad = laws._sweep_masks(np.arange(512, dtype=np.uint32), F3, 2, "i", None, flats)
+    assert bad[:5].tolist() == [15, 23, 27, 29, 30]
+    monkeypatch.setattr(laws, "_saturation_gates", lambda *args: None)
+    for F, t, part in ((F3, 2, "i"), (F2, 2, "ii")):
+        masks = list(range(1 << min(F.q**t, 8)))
+        met, bad = laws._sweep_masks(np.array(masks, dtype=np.uint32), F, t, part, None, _flats(F, t))
+        for mask in masks:
+            rep = saturated_set_check(_set_of_mask(F, t, mask), part)
+            assert (rep.applicable, rep.passed) == (mask in met, mask not in bad), (F.q, part, mask)
+    for chunk in (laws.SWEEP_CHUNK, 7, 16):  # the fifth counterexample in a later chunk
+        monkeypatch.setattr(laws, "SWEEP_CHUNK", chunk)
+        rep = saturated_set_exhaustive(F3, 2, "i")
+        assert not rep.passed and rep.exit_code == 2
+        assert (rep.evidence["subsets_checked"], rep.evidence["hypothesis_met"]) == (31, 5)
+        assert rep.witness == {"masks": [15, 23, 27, 29, 30], "first_set": [(0, 0), (0, 1), (0, 2), (1, 0)]}
+    rep = saturated_set_exhaustive(F2, 2, "ii")  # four counterexamples: the sweep runs to the end
+    assert (rep.evidence["subsets_checked"], rep.evidence["hypothesis_met"]) == (16, 5)
+    assert rep.witness["masks"] == [7, 11, 13, 14]
 
 
 def test_cone_identity_for_homogeneous_systems():
