@@ -7,8 +7,12 @@ battery can be driven without installing the console entry point.
 
 import argparse
 import sys
+from pathlib import Path
 
-from cwlab.suite import run_preset
+# cwlab is imported from this checkout's src, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cwlab.suite import run_preset  # noqa: E402
 
 
 def main() -> int:

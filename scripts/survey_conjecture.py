@@ -9,8 +9,12 @@ estimator is a heuristic.
 
 import argparse
 import sys
+from pathlib import Path
 
-from cwlab.geometry import SCAN_CSV_HEADER, conjecture_scan
+# cwlab is imported from this checkout's src, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cwlab.geometry import SCAN_CSV_HEADER, conjecture_scan  # noqa: E402
 
 
 def main() -> int:

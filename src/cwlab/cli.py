@@ -21,7 +21,7 @@ from .constructions import (
     random_system_recipe,
 )
 from .counting import count_zeros, count_zeros_ext
-from .errors import BudgetExceeded, CwlabError, FormatError, FullSpace
+from .errors import BudgetExceeded, CwlabError, FormatError, FullSpace, InvalidArgument
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
 from .geometry import SCAN_CSV_HEADER, conjecture_scan, estimate_dimension, linear_factor_test
@@ -34,6 +34,7 @@ from .laws import (
     lower_bound_audit,
     saturated_set_check,
     saturated_set_exhaustive,
+    saturation_check_budget,
 )
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
@@ -145,7 +146,12 @@ def cmd_construct(args) -> int:
         system, recipe = built.system, built.recipe
         names = [f"x{i+1}" for i in range(system.nvars)]
     elif args.kind == "random":
-        degrees = [int(d) for d in args.degrees.split(",")]
+        try:
+            degrees = [int(d) for d in args.degrees.split(",")]
+        except ValueError:
+            raise InvalidArgument(
+                f"--degrees must be a comma list of integers, got {args.degrees!r}"
+            ) from None
         system = random_system(F, args.n or 3, degrees, args.seed)
         recipe = random_system_recipe(F, args.n or 3, degrees, args.seed)
         names = [f"x{i+1}" for i in range(system.nvars)]
@@ -192,6 +198,7 @@ def cmd_lemma(args) -> int:
     if args.exhaustive:
         rep = saturated_set_exhaustive(F, args.t, args.part, args.m)
     else:
+        saturation_check_budget(F.q, args.t, args.part, args.m)
         pts = list(AffineSubspace.full_space(F, args.t).points())
         rep = saturated_set_check(PointSet(F, args.t, pts), args.part, args.m)
     _emit(rep.to_json(), args.out)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import count_zeros
-from .errors import DegreeTooLarge, FieldTooSmall
+from .errors import DegreeTooLarge, FieldTooSmall, InvalidArgument
 from .fields import (
     FIELD_SIZE_CAP,
     FieldSpec,
@@ -50,7 +50,7 @@ def norm_form(F: FieldSpec, k: int) -> MultiPoly:
     g^(k-1).  Over F_q it vanishes only at the origin.
     """
     if k < 1:
-        raise ValueError("norm form degree must be >= 1")
+        raise InvalidArgument(f"norm form degree must be >= 1, got {k}")
     if F.q**k > FIELD_SIZE_CAP:
         raise DegreeTooLarge(f"q^k = {F.q**k} exceeds the field cap")
     if k == 1:
@@ -92,7 +92,7 @@ def embed_in_more_variables(f: MultiPoly, n: int, at: int = 0) -> MultiPoly:
     """View f as a polynomial in n >= f.nvars variables, occupying the
     variable block starting at position `at`."""
     if f.nvars + at > n:
-        raise ValueError("variable block does not fit")
+        raise InvalidArgument("variable block does not fit")
     pad_l = (0,) * at
     pad_r = (0,) * (n - at - f.nvars)
     return MultiPoly(f.field, n, {pad_l + e + pad_r: c for e, c in f.terms.items()})
@@ -128,7 +128,7 @@ def example_one(F: FieldSpec, n: int = 4) -> QuadricTimesNorm:
     the true count of the product's zero set, and the result flags that.
     """
     if n < 4:
-        raise ValueError("example1 needs at least 4 variables")
+        raise InvalidArgument(f"example1 needs at least 4 variables, got {n}")
     q = F.q
     c = _least_irreducible_quadratic_c(F)
     one = F.one
@@ -304,8 +304,10 @@ def random_system(
 ) -> PolySystem:
     """Seeded random system: uniform coefficients over all monomials of
     degree <= d_i, redrawn until each realized total degree equals d_i."""
-    if any(d < 1 for d in degrees):
-        raise ValueError("all degrees must be >= 1")
+    if n < 1:
+        raise InvalidArgument(f"a random system needs n >= 1 variables, got {n}")
+    if not degrees or any(d < 1 for d in degrees):
+        raise InvalidArgument(f"a random system needs degrees, all >= 1, got {list(degrees)}")
     rng = SplitMix64(derive_seed(seed, F.p, F.k, n, *degrees))
     polys = []
     for d in degrees:
@@ -370,4 +372,4 @@ def build_from_recipe(recipe: ConstructionRecipe):
         return example_two(F)
     if recipe.kind == "random":
         return random_system(F, params["n"], params["degrees"], params["seed"])
-    raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+    raise InvalidArgument(f"unknown recipe kind {recipe.kind!r}")

@@ -8,7 +8,9 @@ Two independent engines are provided and must agree exactly:
   The polynomial with the fewest terms goes first, by Horner's rule in x_n
   over its coefficients' values at the prefixes; each later one is
   evaluated only at the points where all earlier ones vanish.  The
-  surviving odometer indexes are the zero set;
+  surviving odometer indexes are the zero set.  A homogeneous system is
+  counted on its cone instead: prefix 0 and the normalized prefixes only,
+  the zeros off the x_n-axis weighted by q - 1 (see `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
 """
 
@@ -55,6 +57,7 @@ class CountReport:
     count: int
     scanned: int
     workers: int = 1  # kept in the body for its stable shape; counting is serial
+    points_evaluated: int = 0  # where the first polynomial was evaluated
     elapsed: float = dc_field(default=0.0, repr=False)
 
     def to_json(self) -> str:
@@ -67,6 +70,7 @@ class CountReport:
                 "count": self.count,
                 "scanned": self.scanned,
                 "workers": self.workers,
+                "points_evaluated": self.points_evaluated,
             }
         )
 
@@ -130,13 +134,45 @@ def _last_variable_coefficients(f: MultiPoly) -> list[MultiPoly | None]:
     ]
 
 
-def _zero_chunks(system: PolySystem) -> Iterator[np.ndarray]:
-    """Odometer indexes of the common zeros, ascending, one array per chunk.
+def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
+    """The odometer prefixes (x_1 .. x_{n-1}) a pass visits, in order:
+    every prefix, or on the cone (see `fast_count`) prefix 0 and then the
+    normalized prefixes, whose first nonzero coordinate is the element 1:
+    with m coordinates after it, they are the range [q^m, 2*q^m)."""
+    if not n:
+        return []
+    if not cone:
+        return [range(q ** (n - 1))]
+    return [range(1)] + [range(q**m, 2 * q**m) for m in range(n - 1)]
 
-    A chunk is a block of odometer prefixes (x_1 .. x_{n-1}) with every
-    value of x_n.  The polynomial with the fewest terms goes first, by
-    Horner's rule in x_n: its coefficients g_e are evaluated once per
-    prefix, and each step is one mul and one add over the whole block.
+
+def _prefix_blocks(ranges: list[range], step: int) -> Iterator[np.ndarray]:
+    """The prefixes of ranges in order, step at a time: small ranges share
+    a block."""
+    parts: list[np.ndarray] = []
+    size = 0
+    for r in ranges:
+        lo = r.start
+        while lo < r.stop:
+            hi = min(r.stop, lo + step - size)
+            parts.append(np.arange(lo, hi))
+            size += hi - lo
+            lo = hi
+            if size == step:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _zero_chunks(system: PolySystem, ranges: list[range]) -> Iterator[np.ndarray]:
+    """Odometer indexes of the common zeros whose prefixes lie in ranges,
+    ascending, one array per chunk.
+
+    A chunk is a block of prefixes (x_1 .. x_{n-1}) with every value of
+    x_n.  The polynomial with the fewest terms goes first, by Horner's rule
+    in x_n: its coefficients g_e are evaluated once per prefix, and each
+    step is one mul and one add over the whole block.
     """
     F = system.field
     q, n = F.q, system.nvars
@@ -148,17 +184,16 @@ def _zero_chunks(system: PolySystem) -> Iterator[np.ndarray]:
     first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
     coeffs = _last_variable_coefficients(first)
     last = np.arange(q)
-    step = max(1, CHUNK // q)
-    prefixes = q ** (n - 1)
-    for lo in range(0, prefixes, step):
-        pcols = _coordinates(np.arange(lo, min(lo + step, prefixes)), q, n - 1)
+    for pre in _prefix_blocks(ranges, max(1, CHUNK // q)):
+        pcols = _coordinates(pre, q, n - 1)
         vals = [None if g is None else evaluate_columns(g, pcols, T)[:, None] for g in coeffs]
         acc = np.broadcast_to(vals[-1], (len(vals[-1]), q))
         for g in reversed(vals[:-1]):
             acc = T.mul(acc, last)
             if g is not None:
                 acc = T.add(acc, g)
-        idx = np.flatnonzero(acc == 0) + lo * q
+        row, col = np.divmod(np.flatnonzero(acc == 0), q)
+        idx = pre[row] * q + col
         cols = _coordinates(idx, q, n) if rest else []
         for f in rest:
             if not len(idx):
@@ -171,15 +206,42 @@ def _zero_chunks(system: PolySystem) -> Iterator[np.ndarray]:
 
 
 def fast_count(system: PolySystem) -> int:
-    return sum(len(idx) for idx in _zero_chunks(system))
+    """N(system) from one kernel pass.
+
+    A homogeneous system is counted on the cone: prefix 0 and the
+    normalized prefixes only, about 1/(q-1) of the grid.  Each f_i is a
+    form, so f_i(c*x) = c^(d_i) * f_i(x) and the zero set is invariant
+    under the scaling action of F^* on points.  The points with a nonzero
+    prefix fall into orbits of exactly q - 1 points, and each orbit meets
+    the normalized prefixes once: the one c that sends the first nonzero
+    prefix coordinate a to 1 is 1/a.  So N = (zeros with prefix 0, the
+    x_n-axis) + (q - 1) * (zeros at normalized prefixes).  For q = 2 and
+    for n = 1 the cone is the whole grid.
+    """
+    q, n = system.field.q, system.nvars
+    cone = system.is_homogeneous
+    count = 0
+    for idx in _zero_chunks(system, _prefix_ranges(q, n, cone)):
+        axis = int(np.count_nonzero(idx < q))  # prefix 0
+        count += axis + (q - 1 if cone else 1) * (len(idx) - axis)
+    return count
+
+
+def kernel_points(system: PolySystem) -> int:
+    """The points at which `fast_count` evaluates the system's first
+    polynomial: every visited prefix with every value of x_n."""
+    q = system.field.q
+    ranges = _prefix_ranges(q, system.nvars, system.is_homogeneous)
+    return q * sum(map(len, ranges))
 
 
 def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
     """The common zeros over the full space as rows of coordinates, in
     odometer order; BudgetExceeded past budget points (default_budget())."""
     _region_size_check(system.field.q**system.nvars, budget, "fast")
-    idx = np.concatenate(list(_zero_chunks(system)))
-    cols = _coordinates(idx, system.field.q, system.nvars)
+    q, n = system.field.q, system.nvars
+    idx = np.concatenate(list(_zero_chunks(system, _prefix_ranges(q, n, cone=False))))
+    cols = _coordinates(idx, q, n)
     return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.intp)
 
 
@@ -272,7 +334,7 @@ def count_zeros(
     if region is None:
         size = F.q**system.nvars
         _region_size_check(size, budget, engine)
-        cnt = oracle_count(system) if engine == "oracle" else fast_count(system)
+        counted: PolySystem | None = system
         label = "full"
     else:
         if region.ambient != system.nvars:
@@ -282,12 +344,16 @@ def count_zeros(
         size = region.size
         _region_size_check(size, budget, engine)
         try:
-            sub_system = restrict_to_subspace(system, region)
+            counted = restrict_to_subspace(system, region)
         except ZeroPolynomial:  # every polynomial vanishes on the region
-            cnt = size
-        else:
-            cnt = oracle_count(sub_system) if engine == "oracle" else fast_count(sub_system)
+            counted = None
         label = subspace_region_label(region)
+    if counted is None:
+        cnt, evaluated = size, 0
+    elif engine == "oracle":
+        cnt, evaluated = oracle_count(counted), F.q**counted.nvars
+    else:
+        cnt, evaluated = fast_count(counted), kernel_points(counted)
     elapsed = time.perf_counter() - t0
     return CountReport(
         q=F.q,
@@ -298,6 +364,7 @@ def count_zeros(
         region=label,
         count=cnt,
         scanned=size,
+        points_evaluated=evaluated,
         elapsed=elapsed,
     )
 

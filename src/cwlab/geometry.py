@@ -234,14 +234,30 @@ def _lift_poly(f: MultiPoly, s: int) -> tuple[MultiPoly, FieldSpec]:
 
 
 def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -> bool:
-    """Exact test of (x_j + sum_{i>j} c_i x_i) | f via substitution remainder."""
+    """Exact test of (x_j + sum_{i>j} c_i x_i) | f via substitution remainder.
+
+    Only x_j is substituted: with L = -sum_{i != j} c_i x_i, each term
+    c * x^a goes to c * (x^a / x_j^(a_j)) * L^(a_j), and the powers of L
+    are built once."""
     n = fK.nvars
     j = next(i for i, c in enumerate(coeffs) if c)
-    subs = [MultiPoly.variable(K, n, i) for i in range(n)]
-    subs[j] = MultiPoly.from_terms(
+    L = MultiPoly.from_terms(
         K, n, [(tuple(int(t == i) for t in range(n)), K.neg(c)) for i, c in enumerate(coeffs) if i != j]
     )
-    return fK.substituted(subs).is_zero
+    powers = [MultiPoly.constant(K, n, K.one)]
+    for _ in range(max(exps[j] for exps in fK.terms)):
+        powers.append(powers[-1] * L)
+    rem: dict[tuple[int, ...], int] = {}
+    for exps, c in fK.terms.items():
+        rest = exps[:j] + (0,) + exps[j + 1 :]
+        for pe, pc in powers[exps[j]].terms.items():
+            e = tuple(x + y for x, y in zip(rest, pe))
+            acc = K.add(rem.get(e, 0), K.mul(c, pc))
+            if acc:
+                rem[e] = acc
+            else:
+                rem.pop(e, None)
+    return not rem
 
 
 def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:

@@ -521,6 +521,25 @@ def _saturation_gates(q: int, t: int, part: str, m: int | None) -> None:
         raise InvalidArgument("part iv needs an integer m >= 2")
 
 
+# lines (planes for part i) the object-level check may walk: at the largest
+# accepted spaces, A^6(F_3) and part i on A^7(F_2), it takes a few seconds
+SATURATION_FLATS = 100_000
+
+
+def saturation_check_budget(q: int, t: int, part: str, m: int | None = None) -> None:
+    """The part's domain gates, then the object-level check's budget: it
+    walks every line of A^t (every plane for part i), and past
+    SATURATION_FLATS of them it raises BudgetExceeded before any work."""
+    _saturation_gates(q, t, part, m)
+    k = 2 if part == "i" else 1
+    # q >= 2, so past t = 40 there are more than 2^38 flats
+    if t > 40 or q ** max(t - k, 0) * gaussian_binomial(q, t, k) > SATURATION_FLATS:
+        what = "planes" if k == 2 else "lines"
+        raise BudgetExceeded(
+            f"the check would walk more than {SATURATION_FLATS} {what} of A^{t}(F_{q})"
+        )
+
+
 def saturated_set_check(
     S: PointSet, part: str, m: int | None = None
 ) -> LawReport:
@@ -537,7 +556,7 @@ def saturated_set_check(
     """
     F = S.field
     q, t = F.q, S.ambient
-    _saturation_gates(q, t, part, m)
+    saturation_check_budget(q, t, part, m)
     law = f"line-saturation-{part}"
     evidence: dict = {"q": q, "t": t, "size": len(S)}
     if m is not None:

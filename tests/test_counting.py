@@ -37,7 +37,7 @@ def test_report_fields_and_json_shape():
     rep = count_zeros(HYP)
     assert rep.scanned == 16 and rep.q == 2 and rep.n == 4 and rep.d == 2
     body = json.loads(rep.to_json())
-    assert list(body) == ["q", "n", "region", "count", "scanned", "workers"]
+    assert list(body) == ["q", "n", "region", "count", "scanned", "workers", "points_evaluated"]
 
 
 def test_subspace_region_equals_direct_filter():
@@ -259,3 +259,84 @@ def test_point_subspaces_match_oracle():
     const = PolySystem([parse_poly("1", F3, [])])
     assert const.nvars == 0
     assert zero_set(const) == [] and fast_count(const) == 0 == oracle_count(const)
+
+
+def _cone_systems():
+    """Homogeneous systems over F_2, F_3, F_4, F_5, F_8 and F_9 in n = 1..4
+    variables: the leading and homogenized systems of seeded random systems
+    (one and two polynomials, mixed degrees), x1*x2 (the x_n-axis lies in
+    its zero set) and x1^2 + x_n^2 (only the origin of the axis does), and
+    each system's restriction to a linear plane through the origin."""
+    from cwlab.subspaces import direction_spaces
+
+    out = []
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)):
+        F = build_field(p, k)
+        for n in range(1, 5):
+            names = [f"x{i + 1}" for i in range(n)]
+            sparse = "x1^2" if n == 1 else f"x1^2 + {names[-1]}^2"
+            forms = [PolySystem([parse_poly(sparse, F, names)])]
+            if n > 1:
+                forms.append(PolySystem([parse_poly("x1*x2", F, names)]))
+            for degrees in ((2,), (3,), (2, 1), (3, 2)):
+                forms.append(random_system(F, n, degrees, 7 * n + len(degrees)).leading_system())
+                if n > 1:
+                    forms.append(random_system(F, n - 1, degrees, n).homogenized_system())
+            for system in forms:
+                out.append((system, None))
+                if n > 2:
+                    spaces = list(direction_spaces(F, n, 2))
+                    plane = AffineSubspace(F, (0,) * n, spaces[len(out) % len(spaces)])
+                    out.append((system, plane))
+    return out
+
+
+CONE_SYSTEMS = _cone_systems()
+
+
+@pytest.mark.parametrize("chunk", [None, 20])
+def test_cone_count_matches_oracle(chunk, monkeypatch):
+    # with CHUNK = 20 a block holds 2 to 10 prefixes, so blocks straddle the
+    # normalized prefix ranges [q^m, 2 q^m) and the gaps between them
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+    assert {sy.field.q for sy, _ in CONE_SYSTEMS} == {2, 3, 4, 5, 8, 9}
+    assert {sy.nvars for sy, _ in CONE_SYSTEMS} == {1, 2, 3, 4}
+    for system, plane in CONE_SYSTEMS:
+        assert system.is_homogeneous
+        fast = count_zeros(system, plane)
+        assert fast.count == count_zeros(system, plane, engine="oracle").count
+        if plane is None:
+            assert fast.count == fast_count(system) == oracle_count(system) == len(zero_set(system))
+
+
+def test_cone_count_closed_forms():
+    # x1*x2 = 0 is two planes of A^3 meeting in the x_3-axis, which lies in
+    # the zero set; x1^2 - x3^2 = 0 meets the axis only at the origin
+    for F in (F3, F4, build_field(5, 1)):
+        q = F.q
+        names = ["x1", "x2", "x3"]
+        planes = PolySystem([parse_poly("x1*x2", F, names)])
+        assert fast_count(planes) == 2 * q**2 - q == oracle_count(planes)
+        cross = PolySystem([parse_poly("x1^2 - x3^2", F, names)])
+        assert fast_count(cross) == (2 * q - 1 if q % 2 else q) * q == oracle_count(cross)
+
+
+def test_points_evaluated_counter():
+    q = F3.q
+    for n in (1, 2, 3, 4):
+        names = [f"x{i + 1}" for i in range(n)]
+        text = "x1^2" if n == 1 else f"x1^2 + 2*{names[-1]}^2"
+        form = PolySystem([parse_poly(text, F3, names)])
+        shifted = PolySystem([parse_poly(text + " + 1", F3, names)])
+        cone = q * (1 + (q ** (n - 1) - 1) // (q - 1))
+        assert counting.kernel_points(form) == count_zeros(form).points_evaluated == cone
+        assert count_zeros(shifted).points_evaluated == q**n
+        assert count_zeros(form, engine="oracle").points_evaluated == q**n
+    # q = 2: the cone is the whole grid
+    assert count_zeros(HYP).points_evaluated == 16
+    # a restriction that vanishes identically evaluates nothing
+    f = PolySystem([parse_poly("x1", F3, ["x1", "x2"])])
+    L = AffineSubspace(F3, (0, 0), [(0, 1)])
+    assert count_zeros(f, L).points_evaluated == 0 == count_zeros(f, L, engine="oracle").points_evaluated
+    assert count_zeros_ext(f, 2).points_evaluated == 9 * (1 + 1)

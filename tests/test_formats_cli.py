@@ -81,7 +81,7 @@ def test_sub_round_trip():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run(*args, cwd, extra_env=None):
+def _run(*args, cwd, extra_env=None, timeout=300):
     # The subprocess runs in ``cwd``, where a relative ``PYTHONPATH=src`` no
     # longer resolves; put this checkout's absolute ``src`` first instead, so
     # the CLI under test is always the one in this tree.
@@ -94,7 +94,7 @@ def _run(*args, cwd, extra_env=None):
         text=True,
         cwd=cwd,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -111,7 +111,7 @@ def test_cli_count(workdir):
     assert res.returncode == 0
     body = json.loads(res.stdout)
     assert body["count"] == 10
-    assert list(body) == ["q", "n", "region", "count", "scanned", "workers"]
+    assert list(body) == ["q", "n", "region", "count", "scanned", "workers", "points_evaluated"]
 
 
 def test_cli_count_deterministic_body(workdir):
@@ -275,6 +275,29 @@ def test_cli_lemma_adversarial_inputs_exit_cleanly(workdir):
         res = _run("lemma", "saturation", "--p", "3", "--t", t, "--exhaustive", cwd=workdir)
         assert res.returncode == 3 and "Traceback" not in res.stderr, res.stderr
         assert "q^t <= 27" in res.stderr
+    # the object-level check counts the lines (planes for part i) it would
+    # walk before building anything: past the cap it is a budget error
+    for args in (("--p", "3", "--t", "7"), ("--p", "2", "--t", "9", "--part", "i"),
+                 ("--p", "3", "--t", "1000000000")):
+        res = _run("lemma", "saturation", *args, cwd=workdir, timeout=20)
+        assert res.returncode == 3 and "Traceback" not in res.stderr, (args, res.stderr)
+        assert res.stderr.startswith("budget exceeded:"), (args, res.stderr)
+
+
+def test_cli_construct_adversarial_inputs_exit_cleanly(workdir):
+    cases = [
+        ("norm-form", "--p", "3", "--degree", "0"),
+        ("example1", "--p", "3", "--n", "3"),
+        ("random", "--p", "3", "--degrees", "0"),
+        ("random", "--p", "3", "--degrees", "a"),
+        ("random", "--p", "3", "--degrees", ""),
+        ("random", "--p", "3", "--n", "-1"),
+    ]
+    for args in cases:
+        res = _run("construct", *args, "--out", "bad.sys", cwd=workdir)
+        assert res.returncode == 1, (args, res.stderr)
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, (args, res.stderr)
+        assert not (workdir / "bad.sys").exists()
 
 
 def test_cli_scan_conjecture(workdir):
@@ -302,3 +325,17 @@ def test_cli_suite_lemma2_preset_csv(workdir):
     assert res.returncode == 0, res.stdout + res.stderr
     lines = res.stdout.splitlines()
     assert any(line.startswith("C8,1,") for line in lines)
+
+
+@pytest.mark.parametrize("script", ["run_acceptance.py", "survey_conjecture.py"])
+def test_scripts_run_from_a_checkout(script, tmp_path):
+    # no PYTHONPATH and another working directory: the script finds the
+    # checkout's src by itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    path = Path(SRC).parent / "scripts" / script
+    res = subprocess.run(
+        [sys.executable, str(path), "--help"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith(f"usage: {script}")

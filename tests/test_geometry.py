@@ -10,6 +10,7 @@ from cwlab.constructions import example_two, norm_form, random_system
 from cwlab.errors import InsufficientExtensions, NotHomogeneous
 from cwlab.fields import build_field
 from cwlab.geometry import (
+    _exact_linear_division,
     _lift_poly,
     _line_masks,
     _nearest_exponent,
@@ -148,6 +149,46 @@ def _planted_products():
                 continue
             quad = random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
             yield trial, lin * quad
+
+
+def _division_by_substitution(f, K, coeffs):
+    """Reference: substitute x_j := -sum_{i != j} c_i x_i into every
+    variable slot of f and test the result for zero."""
+    n = f.nvars
+    j = next(i for i, c in enumerate(coeffs) if c)
+    subs = [MultiPoly.variable(K, n, i) for i in range(n)]
+    subs[j] = MultiPoly.from_terms(
+        K, n, [(tuple(int(t == i) for t in range(n)), K.neg(c)) for i, c in enumerate(coeffs) if i != j]
+    )
+    return f.substituted(subs).is_zero
+
+
+def test_exact_linear_division_matches_substitution():
+    # a planted normalized factor divides its product with a form and the
+    # product's square (x_j to higher powers); other normalized forms are
+    # tested against the same products
+    rng = random.Random(11)
+    refuted = 0
+    for (p, k), n in (((3, 1), 4), ((2, 2), 4), ((3, 2), 3), ((5, 2), 3)):
+        K = build_field(p, k)
+        for trial in range(4):
+            j = rng.randrange(n)
+            planted = (0,) * j + (K.one,) + tuple(rng.randrange(K.q) for _ in range(n - 1 - j))
+            lin = MultiPoly.from_terms(
+                K, n, [(tuple(int(t == i) for t in range(n)), c) for i, c in enumerate(planted)]
+            )
+            form = random_system(K, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
+            others = [
+                (0,) * i + (K.one,) + tuple(rng.randrange(K.q) for _ in range(n - 1 - i))
+                for i in (rng.randrange(n) for _ in range(4))
+            ]
+            for f in (lin * form, lin * lin * form):
+                for coeffs in [planted] + others:
+                    verdict = _exact_linear_division(f, K, coeffs)
+                    assert verdict == _division_by_substitution(f, K, coeffs)
+                    refuted += not verdict
+                assert _exact_linear_division(f, K, planted)
+    assert refuted > 64
 
 
 # (candidates, witness) of the algebraic search on each input of
