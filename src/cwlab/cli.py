@@ -21,15 +21,17 @@ from .constructions import (
     random_system_recipe,
 )
 from .counting import count_zeros, count_zeros_ext
-from .errors import BudgetExceeded, CwlabError, FormatError, FullSpace, InvalidArgument
+from .errors import BudgetExceeded, CwlabError, FormatError, InvalidArgument
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
 from .geometry import SCAN_CSV_HEADER, conjecture_scan, estimate_dimension, linear_factor_test
 from .laws import (
+    DEFAULT_CLASS_BUDGET,
     LAW_ALIASES,
     CheckScope,
     check_congruence,
-    covering_bound_report,
+    covering_trial,
+    covering_trial_budget,
     homogenization_identity,
     lower_bound_audit,
     saturated_set_check,
@@ -38,7 +40,7 @@ from .laws import (
 )
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
-from .subspaces import AffineSubspace, PointSet, rref
+from .subspaces import AffineSubspace, PointSet
 from .suite import run_preset
 
 EXIT_OK = 0
@@ -66,9 +68,11 @@ def cmd_count(args) -> int:
     field, _, system = _load_system(args.system)
     budget = args.budget
     if args.subspace:
+        if args.ext != 1:
+            raise InvalidArgument(f"--subspace counts over F_q and takes no --ext, got --ext {args.ext}")
         L = read_sub(Path(args.subspace).read_text(encoding="utf-8"), field)
         rep = count_zeros(system, L, engine=args.engine, budget=budget)
-    elif args.ext and args.ext != 1:
+    elif args.ext != 1:
         rep = count_zeros_ext(system, args.ext, engine=args.engine, budget=budget)
     else:
         rep = count_zeros(system, engine=args.engine, budget=budget)
@@ -169,28 +173,9 @@ def cmd_construct(args) -> int:
 def cmd_lemma(args) -> int:
     F = build_field(args.p, args.k)
     if args.which == "cover":
-        if args.n < 1:
-            raise FullSpace(f"A^{args.n} has no proper base subspace for the covering bound")
+        covering_trial_budget(F.q, args.n)
         rng = SplitMix64(derive_seed(args.seed, 90))
-        failures = 0
-        for _ in range(args.trials):
-            n = args.n
-            pts = [
-                pt
-                for pt in AffineSubspace.full_space(F, n).points()
-                if rng.coin()
-            ]
-            Z = PointSet(F, n, pts)
-            while True:
-                dim = rng.below(n)
-                rows = [[rng.below(F.q) for _ in range(n)] for _ in range(dim)]
-                canon, _ = rref(F, rows)
-                if len(canon) == dim:
-                    break
-            L0 = AffineSubspace(F, [rng.below(F.q) for _ in range(n)], canon)
-            rep = covering_bound_report(Z, L0)
-            if not rep.passed:
-                failures += 1
+        failures = sum(not covering_trial(F, args.n, rng).passed for _ in range(args.trials))
         payload = {"law": "covering-bound", "trials": args.trials, "failures": failures}
         _emit(json.dumps(payload), args.out)
         return EXIT_OK if failures == 0 else EXIT_VIOLATION
@@ -295,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-pairs", action="store_true",
                    help="check every direction space (the default without --sampled)")
     p.add_argument("--sampled", type=int, help="sample this many direction spaces")
-    p.add_argument("--class-budget", type=int, default=10_000)
+    p.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p.add_argument("--dim", type=int, help="restrict to one qualifying dimension")
     p.set_defaults(func=cmd_check)
 

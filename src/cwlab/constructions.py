@@ -9,21 +9,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .counting import count_zeros
-from .errors import DegreeTooLarge, FieldTooSmall, InvalidArgument
-from .fields import (
-    FIELD_SIZE_CAP,
-    FieldSpec,
-    build_field,
-    embed_subfield,
-    fixed_by_subfield_frobenius,
-)
+from .errors import BudgetExceeded, DegreeTooLarge, FieldTooSmall, InvalidArgument
+from .fields import FIELD_SIZE_CAP, Embedding, FieldSpec, build_field, embed_subfield
 from .polynomials import MultiPoly, PolySystem
 from .rng import SplitMix64, derive_seed
 
 _NORM_VERIFY_CAP = 1 << 12
+# monomials a random system draws coefficients for, summed over its
+# polynomials: at the cap `cwlab construct random` takes about two seconds
+RANDOM_MONOMIALS = 250_000
 
 
 @dataclass
@@ -44,6 +42,31 @@ class ConstructionRecipe:
         return cls(data["kind"], data["parameters"], data.get("provenance", {}))
 
 
+def _pull_back(emb: Embedding, f: MultiPoly) -> MultiPoly:
+    """f with its coefficients pulled back along emb to emb.small."""
+    if not all(map(emb.in_image, f.terms.values())):
+        raise AssertionError(f"a coefficient escaped F_{emb.small.q}")
+    return MultiPoly(emb.small, f.nvars, {e: emb.pull(c) for e, c in f.terms.items()})
+
+
+def _generic_norm(emb: Embedding, nvars: int) -> MultiPoly:
+    """The norm from emb.big down to emb.small of the generic element
+    x_1 + x_2 g + ... + x_nvars g^(nvars-1), g the big field's generator:
+    the product of its conjugates under c -> c^|emb.small|.  The norm is
+    fixed by that map, so its coefficients are pulled back to emb.small."""
+    K, q = emb.big, emb.small.q
+    conj = MultiPoly.from_terms(
+        K,
+        nvars,
+        [(tuple(int(j == i) for j in range(nvars)), K.pow(K.generator, i)) for i in range(nvars)],
+    )
+    prod = MultiPoly.constant(K, nvars, K.one)
+    for _ in range(K.k // emb.small.k):
+        prod = prod * conj
+        conj = conj.map_coefficients(lambda c: K.pow(c, q), K)
+    return _pull_back(emb, prod)
+
+
 def norm_form(F: FieldSpec, k: int) -> MultiPoly:
     """The degree-k form in k variables given by the field norm of a general
     element of the degree-k extension, written in the power basis 1, g, ...,
@@ -53,35 +76,7 @@ def norm_form(F: FieldSpec, k: int) -> MultiPoly:
         raise InvalidArgument(f"norm form degree must be >= 1, got {k}")
     if F.q**k > FIELD_SIZE_CAP:
         raise DegreeTooLarge(f"q^k = {F.q**k} exceeds the field cap")
-    if k == 1:
-        return MultiPoly.variable(F, 1, 0)
-    K = build_field(F.p, F.k * k)
-    emb = embed_subfield(F, K)
-    # basis of K over F: powers of K's generator
-    omega = [K.one]
-    for _ in range(k - 1):
-        omega.append(K.mul(omega[-1], K.generator))
-    generic = MultiPoly.from_terms(
-        K,
-        k,
-        [
-            (tuple(1 if j == i else 0 for j in range(k)), omega[i])
-            for i in range(k)
-        ],
-    )
-    prod = MultiPoly.constant(K, k, K.one)
-    qbase = F.q
-    conj = generic
-    for _ in range(k):
-        prod = prod * conj
-        conj = conj.map_coefficients(lambda c: K.pow(c, qbase), K)
-    # coefficients land in the embedded base field; pull them back
-    out_terms = []
-    for exps, c in prod.terms.items():
-        if not emb.in_image(c):
-            raise AssertionError("norm form coefficient escaped the base field")
-        out_terms.append((exps, emb.pull(c)))
-    form = MultiPoly.from_terms(F, k, out_terms)
+    form = _generic_norm(embed_subfield(F, build_field(F.p, F.k * k)), k)
     if F.q**k <= _NORM_VERIFY_CAP:
         cnt = count_zeros(PolySystem([form])).count
         assert cnt == 1, f"norm form must vanish only at 0, counted {cnt}"
@@ -206,25 +201,8 @@ def example_two(F: FieldSpec) -> NonSplitQuartic:
     B2 = build_field(p, 2 * k0)
     B4 = build_field(p, 4 * k0)
     e02 = embed_subfield(F, B2)
-    e24 = embed_subfield(B2, B4)
-
-    # norm of a generic element of B4 down to B2, in the power basis of B4
-    omega = [B4.one]
-    for _ in range(3):
-        omega.append(B4.mul(omega[-1], B4.generator))
-    generic = MultiPoly.from_terms(
-        B4, 4, [(tuple(1 if j == i else 0 for j in range(4)), omega[i]) for i in range(4)]
-    )
-    q2 = F.q**2
-    conj = generic.map_coefficients(lambda c: B4.pow(c, q2), B4)
-    N_big = generic * conj
-    # coefficients are fixed by x -> x^(q^2), i.e. lie in the embedded B2
-    N_terms = []
-    for exps, c in N_big.terms.items():
-        if not e24.in_image(c):
-            raise AssertionError("norm coefficient escaped the quadratic subfield")
-        N_terms.append((exps, e24.pull(c)))
-    N = MultiPoly.from_terms(B2, 4, N_terms)
+    # the norm of a generic element of B4 down to B2, in the power basis of B4
+    N = _generic_norm(embed_subfield(B2, B4), 4)
 
     # split N = Q1 + alpha*Q2 with Q1, Q2 over the embedded F_q, alpha = B2.g
     alpha = B2.generator
@@ -249,14 +227,7 @@ def example_two(F: FieldSpec) -> NonSplitQuartic:
         b for b in range(B2.q) if not e02.in_image(b) and b not in excluded
     )
     beta_sigma = B2.pow(beta, F.q)
-    f_big = (Q1 + Q2.scale(beta)) * (Q1 + Q2.scale(beta_sigma))
-
-    out_terms = []
-    for exps, cfc in f_big.terms.items():
-        if not fixed_by_subfield_frobenius(B2, k0, cfc) or not e02.in_image(cfc):
-            raise AssertionError("product coefficient escaped the base field")
-        out_terms.append((exps, e02.pull(cfc)))
-    f = MultiPoly.from_terms(F, 4, out_terms)
+    f = _pull_back(e02, (Q1 + Q2.scale(beta)) * (Q1 + Q2.scale(beta_sigma)))
     assert f.is_homogeneous and f.total_degree == 4
 
     recipe = ConstructionRecipe(
@@ -303,11 +274,18 @@ def random_system(
     F: FieldSpec, n: int, degrees: Sequence[int], seed: int
 ) -> PolySystem:
     """Seeded random system: uniform coefficients over all monomials of
-    degree <= d_i, redrawn until each realized total degree equals d_i."""
+    degree <= d_i, redrawn until each realized total degree equals d_i.
+    BudgetExceeded, before any draw, past RANDOM_MONOMIALS monomials in all."""
     if n < 1:
         raise InvalidArgument(f"a random system needs n >= 1 variables, got {n}")
     if not degrees or any(d < 1 for d in degrees):
         raise InvalidArgument(f"a random system needs degrees, all >= 1, got {list(degrees)}")
+    # comb(n + d, d) >= comb(82, 41) > 10^23 once n and d both pass 40
+    if any(min(n, d) > 40 for d in degrees) or sum(comb(n + d, d) for d in degrees) > RANDOM_MONOMIALS:
+        raise BudgetExceeded(
+            f"a random system in {n} variables of degrees {list(degrees)} draws more than "
+            f"{RANDOM_MONOMIALS} coefficients"
+        )
     rng = SplitMix64(derive_seed(seed, F.p, F.k, n, *degrees))
     polys = []
     for d in degrees:

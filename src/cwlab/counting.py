@@ -20,11 +20,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmbientMismatch, BudgetExceeded, CwlabError, ZeroPolynomial
+from .errors import AmbientMismatch, BudgetExceeded, CwlabError, InvalidArgument, ZeroPolynomial
 from .fields import FieldSpec, FieldTables, build_field, embed_subfield
 from .polynomials import MultiPoly, PolySystem, restrict_to_subspace
 from .subspaces import AffineSubspace
@@ -245,12 +246,6 @@ def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.intp)
 
 
-def _odometer(q: int, n: int) -> Iterator[tuple[int, ...]]:
-    from itertools import product
-
-    return product(range(q), repeat=n)
-
-
 def oracle_count(system: PolySystem) -> int:
     """Reference engine: evaluate every polynomial at every point."""
     F = system.field
@@ -259,7 +254,7 @@ def oracle_count(system: PolySystem) -> int:
         raise BudgetExceeded(f"oracle path is capped at {ORACLE_CAP} points")
     polys = sorted(system.polys, key=lambda f: len(f.terms))
     count = 0
-    for pt in _odometer(F.q, n):
+    for pt in product(range(F.q), repeat=n):
         if all(f.evaluate(pt) == 0 for f in polys):
             count += 1
     return count
@@ -385,6 +380,8 @@ def count_zeros_ext(
     budget: int | None = None,
 ) -> CountReport:
     """Exact count of zeros with coordinates in F_{q^s}; s=1 is count_zeros."""
+    if s < 1:
+        raise InvalidArgument(f"extension degree must be >= 1, got {s}")
     F = system.field
     size = (F.q**s) ** system.nvars
     _region_size_check(size, budget, engine)

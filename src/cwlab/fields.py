@@ -438,11 +438,6 @@ def relative_norm(K: FieldSpec, base_degree: int, a: int) -> int:
     return acc
 
 
-def fixed_by_subfield_frobenius(K: FieldSpec, base_degree: int, a: int) -> bool:
-    """True iff a lies in the subfield of size p^base_degree inside K."""
-    return K.pow(a, K.p**base_degree) == a
-
-
 class Embedding:
     """An injective ring homomorphism table F_small -> F_big."""
 

@@ -33,7 +33,7 @@ from .subspaces import (
     direction_spaces,
     gaussian_binomial,
     is_linear_subspace,
-    max_general_position,
+    rref,
 )
 
 LAW_ALIASES = {
@@ -206,8 +206,6 @@ def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, p
 def _sampled_direction_spaces(
     F: FieldSpec, n: int, m: int, count: int, seed: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    from .subspaces import rref
-
     rng = SplitMix64(derive_seed(seed, n, m))
     seen = set()
     attempts = 0
@@ -490,6 +488,46 @@ def covering_bound_report(Z: PointSet, L0: AffineSubspace) -> LawReport:
     return LawReport("covering-bound", True, passed, evidence, witness)
 
 
+# membership tests (a point of Z against a flat) one covering trial may run:
+# at the largest accepted spaces, A^9(F_2), A^6(F_3), A^5(F_4) and A^4(F_5),
+# a trial takes about a second at most
+COVER_TESTS = 1_000_000
+
+
+def covering_trial_budget(q: int, n: int) -> None:
+    """A covering trial's domain gate and budget: FullSpace for n < 1, and
+    BudgetExceeded when the trial could run more than COVER_TESTS membership
+    tests.  A trial tests at most q^n points against L0, against every
+    superspace of each dimension on the way up, and against the last
+    superspaces once more."""
+    if n < 1:
+        raise FullSpace(f"A^{n} has no proper base subspace for the covering bound")
+    # q >= 2, so past n = 40 there are more than 2^40 points
+    supers = [(q**j - 1) // (q - 1) for j in range(1, min(n, 40) + 1)]
+    if n > 40 or q**n * (1 + sum(supers) + supers[-1]) > COVER_TESTS:
+        raise BudgetExceeded(
+            f"a covering trial in A^{n}(F_{q}) could run more than {COVER_TESTS} membership tests"
+        )
+
+
+def covering_trial(F: FieldSpec, n: int, rng: SplitMix64) -> LawReport:
+    """One seeded trial of the covering bound in A^n(F_q), after
+    `covering_trial_budget`.  Draws, in this order: Z (each point of A^n, in
+    odometer order, kept on a coin flip), the dimension of L0 (below n),
+    L0's rows (redrawn until independent) and its offset; then reports
+    `covering_bound_report(Z, L0)`."""
+    q = F.q
+    covering_trial_budget(q, n)
+    pts = [pt for pt in AffineSubspace.full_space(F, n).points() if rng.coin()]
+    dim = rng.below(n)
+    while True:
+        rows, _ = rref(F, [[rng.below(q) for _ in range(n)] for _ in range(dim)])
+        if len(rows) == dim:
+            break
+    L0 = AffineSubspace(F, [rng.below(q) for _ in range(n)], rows)
+    return covering_bound_report(PointSet(F, n, pts), L0)
+
+
 # -- saturated-set laws (the line/plane combinatorics) ------------------------------
 
 
@@ -569,7 +607,7 @@ def saturated_set_check(
     if span_dim < t:
         evidence["reason"] = f"general position fails: span has dim {span_dim} < {t}"
         return LawReport(law, False, True, evidence)
-    evidence["general_position_points"] = len(max_general_position(S))
+    evidence["general_position_points"] = span_dim + 1
 
     if part == "i":
         for P in _all_subspaces_of_dim(F, t, 2):
@@ -724,27 +762,3 @@ def saturated_set_exhaustive(F: FieldSpec, t: int, part: str, m: int | None = No
         first = [pt for i, pt in enumerate(product(range(q), repeat=t)) if counterexamples[0] >> i & 1]
         witness = {"masks": counterexamples, "first_set": first}
     return LawReport(f"line-saturation-{part}-sweep", True, not counterexamples, evidence, witness)
-
-
-# -- scalar-orbit facts for homogeneous systems ------------------------------------
-
-
-def cone_count_identity(
-    system: PolySystem, L: AffineSubspace, *, budget: int | None = None
-) -> tuple[int, int, bool]:
-    """For homogeneous systems and a subspace L avoiding 0: the union of the
-    scalar multiples of L meets the zero set in exactly 1 + (q-1)|Z cap L|
-    points.  Returns (cone_count, predicted, ok)."""
-    F = system.field
-    q = F.q
-    pts = zero_set(system, budget=budget)
-    Z = set(pts)
-    on_L = sum(1 for pt in Z if L.contains(pt))
-    cone_pts = set()
-    for lam in range(1, q):
-        for pt in L.points():
-            cone_pts.add(tuple(F.mul(lam, x) for x in pt))
-    cone_pts.add((0,) * system.nvars)
-    cone_hits = sum(1 for pt in cone_pts if pt in Z)
-    predicted = 1 + (q - 1) * on_L
-    return cone_hits, predicted, cone_hits == predicted

@@ -3,8 +3,8 @@
 Canonical form: the basis is the reduced row echelon form of the direction
 space (leading ones, pivot columns cleared, rows ordered by pivot), and the
 offset is the coset representative with zero entries in all pivot
-coordinates.  Two descriptions of the same point set always canonicalize
-identically, and parallelism is equality of canonical bases.
+coordinates.  Two descriptions of the same point set always have the same
+canonical form, and parallelism is equality of canonical bases.
 """
 
 from __future__ import annotations
@@ -117,17 +117,10 @@ class AffineSubspace:
         diff = [F.sub(x, o) for x, o in zip(point, self.offset)]
         return not any(self.reduce_vector(diff))
 
-    def points(self, budget: int | None = None) -> Iterator[tuple[int, ...]]:
-        """All q^dim points, odometer order over basis coefficients
-        (last coefficient fastest, coefficients in canonical element order).
-
-        Streaming; an optional budget guards against accidental walks over
-        huge subspaces.
-        """
-        if budget is not None and self.size > budget:
-            from .errors import BudgetExceeded
-
-            raise BudgetExceeded(f"subspace has {self.size} points, budget {budget}")
+    def points(self) -> Iterator[tuple[int, ...]]:
+        """All q^dim points, streamed in odometer order over basis
+        coefficients (last coefficient fastest, coefficients in canonical
+        element order)."""
         F = self.field
         for coeffs in product(range(F.q), repeat=self.dim):
             pt = list(self.offset)
@@ -135,9 +128,6 @@ class AffineSubspace:
                 if c:
                     pt = [F.add(x, F.mul(c, y)) for x, y in zip(pt, row)]
             yield tuple(pt)
-
-    def is_parallel_to(self, other: "AffineSubspace") -> bool:
-        return self.ambient == other.ambient and self.basis == other.basis
 
     def _free_columns(self) -> list[int]:
         piv = set(self.pivots)
@@ -200,11 +190,6 @@ class AffineSubspace:
         )
 
 
-def canonicalize(L: AffineSubspace) -> AffineSubspace:
-    """Idempotent by construction: subspaces are stored canonically."""
-    return AffineSubspace(L.field, L.offset, L.basis)
-
-
 class PointSet:
     """An explicit subset of A^t(F_q)."""
 
@@ -232,38 +217,37 @@ class PointSet:
         return f"PointSet(|S|={len(self.points)}, ambient={self.ambient}, q={self.field.q})"
 
 
-def affine_span(ps: PointSet) -> AffineSubspace:
-    """Least affine subspace containing the points."""
+def _greedy_span(ps: PointSet) -> tuple[AffineSubspace, list[tuple[int, ...]]]:
+    """The affine span of the points, and the points that build it: in
+    canonical point order, each point outside the span of the points chosen
+    so far is chosen and widens the span by one dimension, so the span.dim + 1
+    chosen points are in general position.  The pass ends once the span is
+    the whole space."""
     if not ps.points:
         raise EmptySet("the empty set has no affine span")
     F = ps.field
-    pts = ps.sorted_points()
-    base = pts[0]
-    diffs = [[F.sub(x, b) for x, b in zip(p, base)] for p in pts[1:]]
-    rows, _ = rref(F, diffs)
-    return AffineSubspace(F, base, rows)
+    base, *rest = ps.sorted_points()
+    chosen = [base]
+    span = AffineSubspace.single_point(F, base)
+    for p in rest:
+        if span.dim == ps.ambient:
+            break
+        if not span.contains(p):
+            chosen.append(p)
+            diff = tuple(F.sub(x, o) for x, o in zip(p, base))
+            span = AffineSubspace(F, base, list(span.basis) + [diff])
+    return span, chosen
+
+
+def affine_span(ps: PointSet) -> AffineSubspace:
+    """Least affine subspace containing the points."""
+    return _greedy_span(ps)[0]
 
 
 def max_general_position(ps: PointSet) -> list[tuple[int, ...]]:
-    """Greedy maximal general-position subset, in canonical point order.
-
-    Each chosen point lies outside the affine span of the previous ones;
-    the result has affine_span(ps).dim + 1 points.
-    """
-    if not ps.points:
-        raise EmptySet("no points")
-    F = ps.field
-    chosen: list[tuple[int, ...]] = []
-    span: AffineSubspace | None = None
-    for p in ps.sorted_points():
-        if span is None:
-            chosen.append(p)
-            span = AffineSubspace.single_point(F, p)
-        elif not span.contains(p):
-            chosen.append(p)
-            diff = tuple(F.sub(x, o) for x, o in zip(p, chosen[0]))
-            span = AffineSubspace(F, chosen[0], list(span.basis) + [diff])
-    return chosen
+    """Greedy maximal general-position subset, in canonical point order;
+    it has affine_span(ps).dim + 1 points."""
+    return _greedy_span(ps)[1]
 
 
 def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:

@@ -27,14 +27,13 @@ from .geometry import conjecture_scan, estimate_dimension, linear_factor_test
 from .laws import (
     CheckScope,
     check_congruence,
-    covering_bound_report,
+    covering_trial,
     homogenization_identity,
     lower_bound_audit,
     saturated_set_exhaustive,
 )
 from .polynomials import MultiPoly, PolySystem
 from .rng import SplitMix64, derive_seed
-from .subspaces import AffineSubspace, PointSet, rref
 
 
 @dataclass
@@ -270,15 +269,6 @@ def criterion_8(seed: int = CORPUS_SEED) -> CriterionResult:
     )
 
 
-def _random_subspace(F, n: int, dim: int, rng: SplitMix64) -> AffineSubspace:
-    while True:
-        rows = [[rng.below(F.q) for _ in range(n)] for _ in range(dim)]
-        canon, _ = rref(F, rows)
-        if len(canon) == dim:
-            offset = [rng.below(F.q) for _ in range(n)]
-            return AffineSubspace(F, offset, canon)
-
-
 def criterion_9(seed: int = CORPUS_SEED) -> CriterionResult:
     """The covering growth bound holds for arbitrary seeded point sets."""
     t0 = time.perf_counter()
@@ -288,15 +278,7 @@ def criterion_9(seed: int = CORPUS_SEED) -> CriterionResult:
         q = (2, 3, 4)[rng.below(3)]
         n = 1 + rng.below(3)
         p, k0 = (q, 1) if q != 4 else (2, 2)
-        F = build_field(p, k0)
-        pts = [
-            pt
-            for pt in AffineSubspace.full_space(F, n).points()
-            if rng.coin()
-        ]
-        Z = PointSet(F, n, pts)
-        L0 = _random_subspace(F, n, rng.below(n), rng)
-        rep = covering_bound_report(Z, L0)
+        rep = covering_trial(build_field(p, k0), n, rng)
         if not rep.passed:
             failures.append({"trial": trial, "evidence": rep.evidence})
     return CriterionResult(

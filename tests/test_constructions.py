@@ -1,5 +1,8 @@
 """Norm forms, the two bundled example systems, seeded random corpora."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from cwlab.constructions import (
@@ -21,6 +24,32 @@ F2 = build_field(2, 1)
 F3 = build_field(3, 1)
 F4 = build_field(2, 2)
 F5 = build_field(5, 1)
+
+# the constructions' term dicts, recorded before their norm-form code was
+# folded into one helper: {"q,degree": terms} and {"q": {...}}
+RECORDED = json.loads((Path(__file__).parent / "construction_terms.json").read_text())
+FIELDS = {F.q: F for F in (build_field(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)))}
+
+
+def _terms(f):
+    return [[list(e), c] for e, c in sorted(f.terms.items())]
+
+
+def test_norm_forms_match_recorded_terms():
+    for key, terms in RECORDED["norm_form"].items():
+        q, degree = map(int, key.split(","))
+        assert _terms(norm_form(FIELDS[q], degree)) == terms, key
+    assert {tuple(map(int, key.split(","))) for key in RECORDED["norm_form"]} == {
+        (q, d) for q in FIELDS for d in (2, 3, 4)
+    }
+
+
+def test_example_two_matches_recorded_terms():
+    for q, rec in RECORDED["example_two"].items():
+        ex = example_two(FIELDS[int(q)])
+        assert (_terms(ex.poly), _terms(ex.q1), _terms(ex.q2)) == (rec["poly"], rec["q1"], rec["q2"]), q
+        assert (ex.alpha, ex.beta) == (rec["alpha"], rec["beta"])
+    assert sorted(map(int, RECORDED["example_two"])) == [3, 4, 5, 7, 9]
 
 
 def test_norm_form_examples():

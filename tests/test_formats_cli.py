@@ -114,6 +114,28 @@ def test_cli_count(workdir):
     assert list(body) == ["q", "n", "region", "count", "scanned", "workers", "points_evaluated"]
 
 
+def test_cli_count_rejects_an_ext_it_cannot_use(workdir):
+    # a subspace count is over F_q, and an extension degree is at least 1:
+    # neither is silently replaced by the plain F_q count
+    L = AffineSubspace(build_field(2, 1), (0, 0, 0, 0), [(1, 0, 0, 0)])
+    (workdir / "L.sub").write_text(write_sub(L), encoding="utf-8")
+    for args in (("--subspace", "L.sub", "--ext", "2"), ("--ext", "0"), ("--ext", "-1")):
+        res = _run("count", "--system", "hyp.sys", *args, cwd=workdir)
+        assert res.returncode == 1 and res.stdout == "", (args, res.stderr)
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, (args, res.stderr)
+    res = _run("count", "--system", "hyp.sys", "--subspace", "L.sub", "--ext", "1", cwd=workdir)
+    assert res.returncode == 0 and json.loads(res.stdout)["count"] == 2
+
+
+def test_cli_class_budget_default_is_the_laws_default(monkeypatch):
+    from cwlab import cli
+
+    args = ["check", "--system", "f.sys", "--law", "theorem1"]
+    assert cli.build_parser().parse_args(args).class_budget == cli.DEFAULT_CLASS_BUDGET == 10_000
+    monkeypatch.setattr(cli, "DEFAULT_CLASS_BUDGET", 7)
+    assert cli.build_parser().parse_args(args).class_budget == 7
+
+
 def test_cli_count_deterministic_body(workdir):
     a = _run("count", "--system", "hyp.sys", cwd=workdir)
     b = _run("count", "--system", "hyp.sys", cwd=workdir)
@@ -282,6 +304,11 @@ def test_cli_lemma_adversarial_inputs_exit_cleanly(workdir):
         res = _run("lemma", "saturation", *args, cwd=workdir, timeout=20)
         assert res.returncode == 3 and "Traceback" not in res.stderr, (args, res.stderr)
         assert res.stderr.startswith("budget exceeded:"), (args, res.stderr)
+    # a covering trial bounds its membership tests before it lists any point
+    for args in (("--n", "14", "--trials", "1"), ("--n", "1000000000")):
+        res = _run("lemma", "cover", "--p", "3", *args, cwd=workdir, timeout=20)
+        assert res.returncode == 3 and res.stdout == "", (args, res.stderr)
+        assert res.stderr.startswith("budget exceeded:") and "Traceback" not in res.stderr, (args, res.stderr)
 
 
 def test_cli_construct_adversarial_inputs_exit_cleanly(workdir):
@@ -297,6 +324,13 @@ def test_cli_construct_adversarial_inputs_exit_cleanly(workdir):
         res = _run("construct", *args, "--out", "bad.sys", cwd=workdir)
         assert res.returncode == 1, (args, res.stderr)
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, (args, res.stderr)
+        assert not (workdir / "bad.sys").exists()
+    # a random system's size is checked before any monomial is listed
+    for args in (("--n", "30", "--degrees", "6"), ("--n", "2", "--degrees", "2,1000000000"),
+                 ("--n", "1000000000", "--degrees", "1000000000")):
+        res = _run("construct", "random", "--p", "3", *args, "--out", "bad.sys", cwd=workdir, timeout=20)
+        assert res.returncode == 3, (args, res.stderr)
+        assert res.stderr.startswith("budget exceeded:") and "Traceback" not in res.stderr, (args, res.stderr)
         assert not (workdir / "bad.sys").exists()
 
 
@@ -327,7 +361,7 @@ def test_cli_suite_lemma2_preset_csv(workdir):
     assert any(line.startswith("C8,1,") for line in lines)
 
 
-@pytest.mark.parametrize("script", ["run_acceptance.py", "survey_conjecture.py"])
+@pytest.mark.parametrize("script", ["survey_conjecture.py"])
 def test_scripts_run_from_a_checkout(script, tmp_path):
     # no PYTHONPATH and another working directory: the script finds the
     # checkout's src by itself

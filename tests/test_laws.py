@@ -16,7 +16,6 @@ from cwlab.laws import (
     BATCH,
     CheckScope,
     check_congruence,
-    cone_count_identity,
     covering_bound_report,
     homogenization_identity,
     lower_bound_audit,
@@ -308,13 +307,6 @@ def test_sweep_finds_counterexamples_outside_the_gates(monkeypatch):
     rep = saturated_set_exhaustive(F2, 2, "ii")  # four counterexamples: the sweep runs to the end
     assert (rep.evidence["subsets_checked"], rep.evidence["hypothesis_met"]) == (16, 5)
     assert rep.witness["masks"] == [7, 11, 13, 14]
-
-
-def test_cone_identity_for_homogeneous_systems():
-    hom = PolySystem([parse_poly("x1^2 + 2*x2^2", F3, ["x1", "x2", "x3"])])
-    L = AffineSubspace(F3, (1, 0, 0), [(0, 1, 0)])  # avoids the origin
-    cone, predicted, ok = cone_count_identity(hom, L)
-    assert ok and cone == predicted
 
 
 def test_origin_subspace_orbit_divisibility():

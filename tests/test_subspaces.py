@@ -1,6 +1,7 @@
 """Canonical forms, enumeration, superspaces, parallel classes, spans."""
 
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from cwlab.subspaces import (
     AffineSubspace,
     PointSet,
     affine_span,
-    canonicalize,
     direction_spaces,
     gaussian_binomial,
     is_linear_subspace,
@@ -35,7 +35,7 @@ def test_canonicalize_examples():
 
 def test_canonicalize_idempotent_and_membership():
     L = AffineSubspace(F3, (2, 1, 0), [(1, 2, 0), (0, 2, 1)])
-    assert canonicalize(L) == L
+    assert L == AffineSubspace(L.field, L.offset, L.basis)
     pts = set(L.points())
     for pt in product(range(3), repeat=3):
         assert (pt in pts) == L.contains(pt)
@@ -108,6 +108,32 @@ def test_affine_span_examples():
     assert sp.dim == 1 and sp.basis == ((1, 1, 0),)
     with pytest.raises(EmptySet):
         affine_span(PointSet(F3, 2, []))
+
+
+def _span_by_rref_of_all_differences(ps):
+    pts = ps.sorted_points()
+    F = ps.field
+    rows, _ = rref(F, [[F.sub(x, b) for x, b in zip(p, pts[0])] for p in pts[1:]])
+    return AffineSubspace(F, pts[0], rows)
+
+
+def test_greedy_span_matches_rref_of_all_differences():
+    # the greedy pass stops once the span is the whole space; the span of
+    # every difference from the least point is the reference
+    rng = Random(20)
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        F = build_field(p, k)
+        for t in (1, 2, 3, 4):
+            space = list(product(range(F.q), repeat=t))
+            for _ in range(12):
+                ps = PointSet(F, t, rng.sample(space, rng.randint(1, min(len(space), 12))))
+                span = affine_span(ps)
+                assert span == _span_by_rref_of_all_differences(ps), (F.q, t, ps.sorted_points())
+                chosen = max_general_position(ps)
+                assert len(chosen) == span.dim + 1 and chosen[0] == ps.sorted_points()[0]
+                assert affine_span(PointSet(F, t, chosen)) == span
+            line = AffineSubspace(F, [rng.randrange(F.q) for _ in range(t)], [[rng.randrange(1, F.q)] * t])
+            assert affine_span(PointSet(F, t, line.points())) == line
 
 
 def test_max_general_position():
@@ -198,4 +224,4 @@ def test_two_descriptions_same_points_same_canonical_form(data):
         shift = [F.add(x, F.mul(c, y)) for x, y in zip(shift, row)]
     L2 = AffineSubspace(F, shift, rows2, strict=False)
     assert L1 == L2
-    assert L1.is_parallel_to(L2)
+    assert L1.basis == L2.basis
