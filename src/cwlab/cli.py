@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes are stable for scripting: 0 pass (or vacuous), 1 input error,
-2 law violation, 3 budget exceeded.  Report bodies are deterministic for a
-given configuration; timing goes to stderr.
+2 law violation, 3 budget exceeded (a field past the size cap included).
+Report bodies are deterministic for a given configuration; timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .constructions import (
     random_system_recipe,
 )
 from .counting import count_zeros, count_zeros_ext
-from .errors import BudgetExceeded, CwlabError, FormatError, InvalidArgument
+from .errors import BudgetExceeded, CwlabError, DegreeTooLarge, FormatError, InvalidArgument
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
 from .geometry import SCAN_CSV_HEADER, conjecture_scan, estimate_dimension, linear_factor_test
@@ -173,7 +174,7 @@ def cmd_construct(args) -> int:
 def cmd_lemma(args) -> int:
     F = build_field(args.p, args.k)
     if args.which == "cover":
-        covering_trial_budget(F.q, args.n)
+        covering_trial_budget(F.q, args.n, args.trials)
         rng = SplitMix64(derive_seed(args.seed, 90))
         failures = sum(not covering_trial(F, args.n, rng).passed for _ in range(args.trials))
         payload = {"law": "covering-bound", "trials": args.trials, "failures": failures}
@@ -198,9 +199,13 @@ def cmd_estimate_dim(args) -> int:
 
 
 def cmd_scan_conjecture(args) -> int:
+    try:
+        qs = tuple(int(q) for q in args.qs.split(","))
+    except ValueError:
+        raise InvalidArgument(f"--qs must be a comma list of integers, got {args.qs!r}") from None
     if args.preset == "small":
         rows, flagged = conjecture_scan(
-            seed=args.seed, budget=args.budget, per_cell=args.per_cell
+            qs=qs, seed=args.seed, budget=args.budget, per_cell=args.per_cell
         )
     else:
         print(f"unknown preset {args.preset!r}", file=sys.stderr)
@@ -325,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.add_argument("--per-cell", type=int, default=2)
+    p.add_argument("--qs", default="2,3", help="comma list of field sizes (prime powers)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan_conjecture)
 
@@ -352,7 +358,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, DegreeTooLarge) as exc:  # both are size limits
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CwlabError as exc:

@@ -282,18 +282,36 @@ def coset_ids(
     `AffineSubspace.parallel_class` order.  entries[b] is space b's rows at
     the free columns, as `basis_entries` gives them.
 
-    The coset's offset is the point minus each row times the point's entry
-    at that row's pivot (RREF rows vanish at the other rows' pivots, so the
-    pivot entries never change); its free coordinates, read big-endian,
-    number the coset.
+    The coset's offset is the point x minus each row r times x's entry at
+    r's pivot (RREF rows vanish at the other rows' pivots, so the pivot
+    entries never change); its free coordinates, read big-endian, number the
+    coset.  F_q is a k-dimensional F_p-space and the offset's free
+    coordinates, x_j - sum_r x_{piv_r} * e_{b,r,j}, are F_p-linear in x's
+    coordinates.  So the whole batch is one integer matrix product of x's
+    base-p digits, an (|Z|, n*k) array, with an (n*k, B*(n-m)*k) matrix
+    whose block (i, (b, j)) is the k x k identity where i is free column j,
+    the matrix of multiplication by -e_{b,r,j} where i is pivot r
+    (`FieldTables.mul_matrices`), and zero elsewhere.  Reduced mod p, the
+    product holds each offset's free coordinates as base-p digits, and the
+    coset number reads them big-endian.  A prime field (k = 1) needs no
+    digit split.
     """
     T = F.tables
-    free = [j for j in range(Z.shape[1]) if j not in pivots]
-    red = Z[None, :, free]
-    minus = T.neg(entries)
-    for r, piv in enumerate(pivots):
-        red = T.add(red, T.mul(Z[:, piv, None], minus[:, None, r]))
-    return red @ F.q ** np.arange(len(free) - 1, -1, -1)
+    p, k, n = F.p, F.k, Z.shape[1]
+    free = [j for j in range(n) if j not in pivots]
+    B, f = len(entries), len(free)
+    M = np.zeros((n, k, B, f, k), dtype=np.int64)  # [i, a, b, j, c]
+    M[free, :, :, range(f), :] = np.eye(k, dtype=np.int64)[:, None, :]
+    if entries.size:
+        M[list(pivots)] = T.mul_matrices[T.neg(entries)].transpose(1, 3, 0, 2, 4)
+    X = Z if k == 1 else T.digits(Z)
+    # transposed, so the digits come out as (B, (n-m)*k, |Z|)
+    R = M.reshape(n * k, B * f * k).T @ X.reshape(len(Z), n * k).T
+    # R %= p, by a scalar division, which numpy does faster than a remainder
+    t = R // p
+    t *= p
+    R -= t
+    return p ** np.arange(f * k - 1, -1, -1) @ R.reshape(B, f * k, len(Z))
 
 
 # -- public counting API --------------------------------------------------------

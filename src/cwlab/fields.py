@@ -341,12 +341,15 @@ class FieldTables:
     computed with whole-array arithmetic: addition and negation digit by
     digit in base p, multiplication from the log/antilog tables (or as
     products mod p).  Larger fields keep no tables and apply the scalar
-    arithmetic elementwise.
+    arithmetic elementwise.  `mul_matrices`, the F_p-matrices of
+    multiplication, is built on first use for every field.
     """
 
     def __init__(self, F: FieldSpec):
         self.field = F
         self.q = q = F.q
+        self._place = F.p ** np.arange(F.k - 1, -1, -1)  # index of the basis element g^a
+        self._mul_matrices: np.ndarray | None = None
         self.add_table = self.mul_table = self.neg_table = None
         if q > _DENSE_TABLE_CAP:
             return
@@ -390,6 +393,26 @@ class FieldTables:
             return np.frompyfunc(self.field.neg, 1, 1)(x).astype(np.int64)
         return self.neg_table[x]
 
+    def digits(self, x) -> np.ndarray:
+        """The F_p-coordinates of an index array x as a trailing axis of k
+        base-p digits, big-endian (the index's own digit order)."""
+        return np.asarray(x)[..., None] // self._place % self.field.p
+
+    @property
+    def mul_matrices(self) -> np.ndarray:
+        """A (q, k, k) array: entry c is the F_p-matrix of x -> c*x on
+        coordinate rows, so digits(x) @ mul_matrices[c] % p == digits(c*x).
+        Row a holds the digits of c*g^a.
+
+        c*g^a is F_p-linear in c as well, so the whole table is the digits
+        of every c times the k matrices of the basis elements, mod p."""
+        if self._mul_matrices is None:
+            F, place = self.field, self._place
+            basis = self.digits(self.mul(place[:, None], place[None, :]))  # [j, a]: g^j * g^a
+            table = self.digits(np.arange(self.q)) @ basis.reshape(F.k, -1) % F.p
+            self._mul_matrices = table.reshape(self.q, F.k, F.k).astype(np.min_scalar_type(F.p - 1))
+        return self._mul_matrices
+
 
 @lru_cache(maxsize=None)
 def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
@@ -419,6 +442,20 @@ def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> Field
         if _is_irreducible_fp(cand, p):
             return FieldSpec(p, k, cand)
     raise AssertionError("unreachable: irreducible polynomials of every degree exist")
+
+
+def field_of_order(q: int) -> FieldSpec:
+    """The canonical field with q elements: InvalidArgument unless q is a
+    prime power, DegreeTooLarge past the field size cap."""
+    if q > FIELD_SIZE_CAP:
+        raise DegreeTooLarge(f"q = {q} exceeds the cap {FIELD_SIZE_CAP}")
+    primes = _factor_int(q) if q > 1 else []
+    if len(primes) != 1:
+        raise InvalidArgument(f"q = {q} is not a prime power")
+    p, k = primes[0], 1
+    while p**k < q:
+        k += 1
+    return build_field(p, k)
 
 
 def relative_norm(K: FieldSpec, base_degree: int, a: int) -> int:

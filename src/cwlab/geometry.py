@@ -24,7 +24,7 @@ import numpy as np
 
 from .counting import CHUNK, count_zeros_ext, default_budget, evaluate_columns
 from .errors import BudgetExceeded, InsufficientExtensions, NotHomogeneous
-from .fields import FieldSpec, build_field, embed_subfield
+from .fields import FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
 from .rng import MASK64, derive_seed, mix64
 
@@ -157,8 +157,7 @@ def conjecture_scan(
     flagged: list[ScanRow] = []
     index = 0
     for q in qs:
-        p, k = (q, 1) if q in (2, 3, 5, 7) else (2, 2)
-        F = build_field(p, k)
+        F = field_of_order(q)
         for n in ns:
             for prof in profiles:
                 if sum(prof) > 3:

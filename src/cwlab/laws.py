@@ -492,21 +492,29 @@ def covering_bound_report(Z: PointSet, L0: AffineSubspace) -> LawReport:
 # at the largest accepted spaces, A^9(F_2), A^6(F_3), A^5(F_4) and A^4(F_5),
 # a trial takes about a second at most
 COVER_TESTS = 1_000_000
+# a run of trials: a few seconds at most
+COVER_RUN_TESTS = 10 * COVER_TESTS
 
 
-def covering_trial_budget(q: int, n: int) -> None:
-    """A covering trial's domain gate and budget: FullSpace for n < 1, and
-    BudgetExceeded when the trial could run more than COVER_TESTS membership
-    tests.  A trial tests at most q^n points against L0, against every
-    superspace of each dimension on the way up, and against the last
-    superspaces once more."""
+def covering_trial_budget(q: int, n: int, trials: int = 1) -> None:
+    """The covering trials' domain gate and budget: FullSpace for n < 1, and
+    BudgetExceeded when one trial could run more than COVER_TESTS membership
+    tests, or the trials together more than COVER_RUN_TESTS.  A trial tests
+    at most q^n points against L0, against every superspace of each
+    dimension on the way up, and against the last superspaces once more."""
     if n < 1:
         raise FullSpace(f"A^{n} has no proper base subspace for the covering bound")
     # q >= 2, so past n = 40 there are more than 2^40 points
     supers = [(q**j - 1) // (q - 1) for j in range(1, min(n, 40) + 1)]
-    if n > 40 or q**n * (1 + sum(supers) + supers[-1]) > COVER_TESTS:
+    tests = q ** min(n, 40) * (1 + sum(supers) + supers[-1])
+    if n > 40 or tests > COVER_TESTS:
         raise BudgetExceeded(
             f"a covering trial in A^{n}(F_{q}) could run more than {COVER_TESTS} membership tests"
+        )
+    if trials * tests > COVER_RUN_TESTS:
+        raise BudgetExceeded(
+            f"{trials} covering trials in A^{n}(F_{q}) could run more than "
+            f"{COVER_RUN_TESTS} membership tests"
         )
 
 

@@ -1,8 +1,9 @@
 """Counting engines: reference oracle, fast path, regions, extensions."""
 
 import json
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from cwlab import counting
@@ -178,6 +179,43 @@ def test_parallel_class_matches_oracle_per_member():
         assert [c for _, c in pairs] == [
             count_zeros(system, m, engine="oracle").count for m in L.parallel_class()
         ]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_coset_ids_match_per_point_offsets(p, k):
+    # each point's coset number is the place, in parallel_class order, of
+    # the offset of the subspace through it; for every dimension m from 0
+    # (every point its own coset) to n (one coset, number 0), batches of
+    # one space and of three
+    from cwlab.counting import basis_entries, coset_ids
+    from cwlab.rng import SplitMix64
+
+    F = build_field(p, k)
+    q = F.q
+    n = 3 if q <= 9 else 2
+    rng = SplitMix64(q)
+    Z = np.array([[rng.below(q) for _ in range(n)] for _ in range(30)])
+    for m in range(n + 1):
+        for pivots in combinations(range(n), m):
+            for B in (1, 3):
+                spaces = []
+                for _ in range(B):
+                    rows = [[0] * n for _ in pivots]
+                    for row, piv in zip(rows, pivots):
+                        row[piv] = F.one
+                        for j in range(piv + 1, n):
+                            if j not in pivots:
+                                row[j] = rng.below(q)
+                    spaces.append(rows)
+                entries = np.stack([basis_entries(rows, n)[1] for rows in spaces])
+                ids = coset_ids(Z, pivots, entries, F)
+                assert ids.shape == (B, len(Z))
+                for rows, got in zip(spaces, ids.tolist()):
+                    members = AffineSubspace(F, (0,) * n, rows).parallel_class()
+                    place = {L.offset: i for i, L in enumerate(members)}
+                    assert got == [place[AffineSubspace(F, pt, rows).offset] for pt in Z.tolist()]
+                if m == n:
+                    assert not ids.any()
 
 
 def test_ax_katz_divisibility_on_corpus():

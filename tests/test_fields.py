@@ -116,6 +116,10 @@ def test_table_bundle_matches_scalar_reference():
             assert s == F.from_coords([u + v for u, v in zip(F.coords(x), F.coords(y))])
             assert m == F.mul_poly(x, y)
             assert (F.add(x, y), F.sub(s, y)) == (s, x)
+        # the multiply-by-b matrix sends a's F_p-coordinates to a*b's
+        assert T.digits(a).tolist() == [list(F.coords(x)) for x in a.tolist()]
+        prods = (T.digits(a)[:, None, :] @ T.mul_matrices[b])[:, 0] % F.p
+        assert prods.tolist() == [list(F.coords(F.mul_poly(x, y))) for x, y in zip(a.tolist(), b.tolist())]
         neg = [F.from_coords([-u for u in F.coords(x)]) for x in range(q)]
         assert T.neg(np.arange(q)).tolist() == neg
         assert [F.neg(x) for x in range(q)] == neg

@@ -304,8 +304,9 @@ def test_cli_lemma_adversarial_inputs_exit_cleanly(workdir):
         res = _run("lemma", "saturation", *args, cwd=workdir, timeout=20)
         assert res.returncode == 3 and "Traceback" not in res.stderr, (args, res.stderr)
         assert res.stderr.startswith("budget exceeded:"), (args, res.stderr)
-    # a covering trial bounds its membership tests before it lists any point
-    for args in (("--n", "14", "--trials", "1"), ("--n", "1000000000")):
+    # a covering trial bounds its membership tests before it lists any
+    # point, and a run bounds those of all its trials (100 by default)
+    for args in (("--n", "14", "--trials", "1"), ("--n", "1000000000"), ("--n", "6")):
         res = _run("lemma", "cover", "--p", "3", *args, cwd=workdir, timeout=20)
         assert res.returncode == 3 and res.stdout == "", (args, res.stderr)
         assert res.stderr.startswith("budget exceeded:") and "Traceback" not in res.stderr, (args, res.stderr)
@@ -332,6 +333,10 @@ def test_cli_construct_adversarial_inputs_exit_cleanly(workdir):
         assert res.returncode == 3, (args, res.stderr)
         assert res.stderr.startswith("budget exceeded:") and "Traceback" not in res.stderr, (args, res.stderr)
         assert not (workdir / "bad.sys").exists()
+    # so is a norm form whose extension field is past the field size cap
+    res = _run("construct", "norm-form", "--p", "7", "--k", "2", "--degree", "4", "--out", "bad.sys", cwd=workdir)
+    assert res.returncode == 3 and res.stderr.startswith("budget exceeded:"), res.stderr
+    assert not (workdir / "bad.sys").exists()
 
 
 def test_cli_scan_conjecture(workdir):
@@ -343,6 +348,15 @@ def test_cli_scan_conjecture(workdir):
     lines = (workdir / "scan.csv").read_text().splitlines()
     assert lines[0].startswith("q,n,degrees")
     assert len(lines) > 1
+    res = _run("scan-conjecture", "--qs", "4,5", "--per-cell", "1", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    assert {line.split(",")[0] for line in res.stdout.splitlines()[1:]} == {"4", "5"}
+    for qs in ("6", "2,a", "", "1", "0"):
+        res = _run("scan-conjecture", "--qs", qs, cwd=workdir)
+        assert res.returncode == 1 and res.stderr.startswith("error:"), (qs, res.stderr)
+        assert res.stdout == ""
+    res = _run("scan-conjecture", "--qs", str(1 << 21), cwd=workdir)
+    assert res.returncode == 3 and res.stderr.startswith("budget exceeded:"), res.stderr
 
 
 def test_cli_suite_examples_preset(workdir):
@@ -359,17 +373,3 @@ def test_cli_suite_lemma2_preset_csv(workdir):
     assert res.returncode == 0, res.stdout + res.stderr
     lines = res.stdout.splitlines()
     assert any(line.startswith("C8,1,") for line in lines)
-
-
-@pytest.mark.parametrize("script", ["survey_conjecture.py"])
-def test_scripts_run_from_a_checkout(script, tmp_path):
-    # no PYTHONPATH and another working directory: the script finds the
-    # checkout's src by itself
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    path = Path(SRC).parent / "scripts" / script
-    res = subprocess.run(
-        [sys.executable, str(path), "--help"],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith(f"usage: {script}")

@@ -314,3 +314,7 @@ def test_conjecture_scan_smoke():
     assert rows and not flagged
     for row in rows:
         assert row.d_hat >= row.floor
+    # each q is scanned over the field of that order: a linear polynomial
+    # in two variables over F_9 has 9 zeros
+    rows, _ = conjecture_scan(qs=(9,), ns=(2,), profiles=((1,),), per_cell=1)
+    assert rows[0].q == 9 and rows[0].counts[0] == 9
