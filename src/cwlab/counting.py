@@ -12,6 +12,13 @@ Two independent engines are provided and must agree exactly:
   counted on its cone instead: prefix 0 and the normalized prefixes only,
   the zeros off the x_n-axis weighted by q - 1 (see `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
+
+The laws on one system (Chevalley, Ax, the homogenization identity, the
+lower bounds, the parallel class) all read one zero set.  So the fast
+engine remembers the full-space walks of the last WALK_MEMO systems (see
+`_walk`): a count, and the zeros' odometer indexes (up to MEMO_ZEROS of
+them) once a walk has listed them.  Budgets are checked before the memo is read, and no report depends
+on whether a walk was remembered.
 """
 
 from __future__ import annotations
@@ -206,8 +213,73 @@ def _zero_chunks(system: PolySystem, ranges: list[range]) -> Iterator[np.ndarray
         yield idx
 
 
+# full-space walks the memo keeps (see `_walk`)
+WALK_MEMO = 4
+# zero indexes one entry keeps (8 MB of them): a larger zero set is
+# remembered by its count only, so a count keeps the kernel's bounded memory
+MEMO_ZEROS = 1 << 20
+
+
+@dataclass
+class _Walk:
+    system: PolySystem  # held, so that no other object takes its id while the entry lives
+    count: int
+    idx: np.ndarray | None  # the zeros' odometer indexes, ascending, once a walk listed them
+
+
+# id(system) -> its walk, least recently used first
+_walks: dict[int, _Walk] = {}
+
+
+def _walk(system: PolySystem, listed: bool) -> _Walk:
+    """The system's full-space walk, from the memo when it holds one (with
+    the zeros listed, if listed); otherwise one kernel pass, remembered.
+
+    The memo keeps the last WALK_MEMO systems' walks, keyed by id(system).
+    Each entry holds the system itself, so an id cannot be reused while its
+    entry lives, and the key always names the same object.  An entry keeps
+    the zeros' indexes when a pass over the whole grid listed at most
+    MEMO_ZEROS of them; otherwise (a cone pass, see `fast_count`, or a
+    larger zero set) only the count, until a listing walk is asked for.
+    """
+    w = _walks.pop(id(system), None)
+    if w is None or (listed and w.idx is None):
+        w = _kernel_walk(system, listed)
+    _walks[id(system)] = w if w.idx is None or len(w.idx) <= MEMO_ZEROS else replace(w, idx=None)
+    while len(_walks) > WALK_MEMO:
+        del _walks[next(iter(_walks))]
+    return w
+
+
+def _kernel_walk(system: PolySystem, listed: bool) -> _Walk:
+    """One kernel pass: over the cone when the system is `_on_cone` and the
+    zeros need not be listed, with the count only; else over the grid, with
+    the zeros' indexes, which an unlisted walk drops past MEMO_ZEROS."""
+    q, n = system.field.q, system.nvars
+    cone = _on_cone(system) and not listed
+    count = 0
+    chunks: list[np.ndarray] | None = None if cone else []
+    for idx in _zero_chunks(system, _prefix_ranges(q, n, cone)):
+        if cone:
+            axis = int(np.count_nonzero(idx < q))  # prefix 0
+            count += axis + (q - 1) * (len(idx) - axis)
+            continue
+        count += len(idx)
+        if chunks is not None:
+            chunks.append(idx)
+            if count > MEMO_ZEROS and not listed:
+                chunks = None
+    return _Walk(system, count, None if chunks is None else np.concatenate(chunks))
+
+
+def _on_cone(system: PolySystem) -> bool:
+    """Whether `fast_count` walks the cone: a homogeneous system whose cone
+    is smaller than the grid (q > 2 and n > 1)."""
+    return system.field.q > 2 and system.nvars > 1 and system.is_homogeneous
+
+
 def fast_count(system: PolySystem) -> int:
-    """N(system) from one kernel pass.
+    """N(system) from one kernel pass, or from the memo (see `_walk`).
 
     A homogeneous system is counted on the cone: prefix 0 and the
     normalized prefixes only, about 1/(q-1) of the grid.  Each f_i is a
@@ -217,31 +289,27 @@ def fast_count(system: PolySystem) -> int:
     the normalized prefixes once: the one c that sends the first nonzero
     prefix coordinate a to 1 is 1/a.  So N = (zeros with prefix 0, the
     x_n-axis) + (q - 1) * (zeros at normalized prefixes).  For q = 2 and
-    for n = 1 the cone is the whole grid.
+    for n = 1 the cone is the whole grid, which is walked as such.
     """
-    q, n = system.field.q, system.nvars
-    cone = system.is_homogeneous
-    count = 0
-    for idx in _zero_chunks(system, _prefix_ranges(q, n, cone)):
-        axis = int(np.count_nonzero(idx < q))  # prefix 0
-        count += axis + (q - 1 if cone else 1) * (len(idx) - axis)
-    return count
+    return _walk(system, listed=False).count
 
 
 def kernel_points(system: PolySystem) -> int:
-    """The points at which `fast_count` evaluates the system's first
-    polynomial: every visited prefix with every value of x_n."""
+    """The points at which `fast_count`'s pass evaluates the system's first
+    polynomial: every visited prefix with every value of x_n.  It does not
+    depend on the memo."""
     q = system.field.q
-    ranges = _prefix_ranges(q, system.nvars, system.is_homogeneous)
+    ranges = _prefix_ranges(q, system.nvars, _on_cone(system))
     return q * sum(map(len, ranges))
 
 
 def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
     """The common zeros over the full space as rows of coordinates, in
-    odometer order; BudgetExceeded past budget points (default_budget())."""
+    odometer order (which is sorted order); BudgetExceeded past budget
+    points (default_budget()), whether or not the memo holds the walk."""
     _region_size_check(system.field.q**system.nvars, budget, "fast")
     q, n = system.field.q, system.nvars
-    idx = np.concatenate(list(_zero_chunks(system, _prefix_ranges(q, n, cone=False))))
+    idx = _walk(system, listed=True).idx
     cols = _coordinates(idx, q, n)
     return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.intp)
 
@@ -274,13 +342,21 @@ def basis_entries(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...
     return pivots, entries.reshape(len(rows), len(free))
 
 
+def point_digits(Z: np.ndarray, F: FieldSpec) -> np.ndarray:
+    """The F_p-coordinates of the points (rows of Z) that `coset_ids` reads:
+    Z itself over a prime field, else its (|Z|, n, k) base-p digits.  A sweep
+    splits its points once and passes the digits to every batch."""
+    return Z if F.k == 1 else F.tables.digits(Z)
+
+
 def coset_ids(
-    Z: np.ndarray, pivots: Sequence[int], entries: np.ndarray, F: FieldSpec
+    X: np.ndarray, pivots: Sequence[int], entries: np.ndarray, F: FieldSpec
 ) -> np.ndarray:
-    """Coset numbers of the points (rows of Z) for a batch of B direction
-    spaces that share their RREF pivot columns: a (B, |Z|) array, each row in
-    `AffineSubspace.parallel_class` order.  entries[b] is space b's rows at
-    the free columns, as `basis_entries` gives them.
+    """Coset numbers of the points Z, given as X = point_digits(Z, F), for a
+    batch of B direction spaces that share their RREF pivot columns: a
+    (B, |Z|) array, each row in `AffineSubspace.parallel_class` order.
+    entries[b] is space b's rows at the free columns, as `basis_entries`
+    gives them.
 
     The coset's offset is the point x minus each row r times x's entry at
     r's pivot (RREF rows vanish at the other rows' pivots, so the pivot
@@ -297,21 +373,20 @@ def coset_ids(
     digit split.
     """
     T = F.tables
-    p, k, n = F.p, F.k, Z.shape[1]
+    p, k, n = F.p, F.k, X.shape[1]
     free = [j for j in range(n) if j not in pivots]
     B, f = len(entries), len(free)
     M = np.zeros((n, k, B, f, k), dtype=np.int64)  # [i, a, b, j, c]
     M[free, :, :, range(f), :] = np.eye(k, dtype=np.int64)[:, None, :]
     if entries.size:
         M[list(pivots)] = T.mul_matrices[T.neg(entries)].transpose(1, 3, 0, 2, 4)
-    X = Z if k == 1 else T.digits(Z)
     # transposed, so the digits come out as (B, (n-m)*k, |Z|)
-    R = M.reshape(n * k, B * f * k).T @ X.reshape(len(Z), n * k).T
+    R = M.reshape(n * k, B * f * k).T @ X.reshape(len(X), n * k).T
     # R %= p, by a scalar division, which numpy does faster than a remainder
     t = R // p
     t *= p
     R -= t
-    return p ** np.arange(f * k - 1, -1, -1) @ R.reshape(B, f * k, len(Z))
+    return p ** np.arange(f * k - 1, -1, -1) @ R.reshape(B, f * k, len(X))
 
 
 # -- public counting API --------------------------------------------------------
@@ -426,6 +501,7 @@ def counts_over_parallel_class(
         counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]
     else:
         pivots, entries = basis_entries(L.basis, system.nvars)
-        ids = coset_ids(zero_points(system, budget), pivots, entries[None], F)[0]
+        X = point_digits(zero_points(system, budget), F)
+        ids = coset_ids(X, pivots, entries[None], F)[0]
         counts = np.bincount(ids, minlength=len(members)).tolist()
     return list(zip(members, counts))

@@ -19,8 +19,8 @@ from .counting import (
     basis_entries,
     coset_ids,
     count_zeros,
+    point_digits,
     zero_points,
-    zero_set,
 )
 from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
 from .fields import FieldSpec
@@ -32,8 +32,8 @@ from .subspaces import (
     affine_span,
     direction_spaces,
     gaussian_binomial,
-    is_linear_subspace,
     rref,
+    subspace_dim,
 )
 
 LAW_ALIASES = {
@@ -116,7 +116,7 @@ def _disagreeing_cosets(ids: np.ndarray, classes: int, modulus: int):
 
 
 def _coset_residue_check(
-    Z: np.ndarray,
+    X: np.ndarray,
     pivots: Sequence[int],
     entries: np.ndarray,
     F: FieldSpec,
@@ -124,9 +124,10 @@ def _coset_residue_check(
 ):
     """Check a batch of direction spaces with the same pivot columns
     (entries as `basis_entries` gives them, one (m, n - m) block per space)
-    at once.  Returns None when, for every space, the zero points' counts
-    over its cosets agree mod modulus; else (b, pair) for the first space b
-    that fails, with pair as `_disagreeing_cosets` gives it.
+    at once, on the zero points as `point_digits` gives them.  Returns None
+    when, for every space, the zero points' counts over its cosets agree mod
+    modulus; else (b, pair) for the first space b that fails, with pair as
+    `_disagreeing_cosets` gives it.
 
     Every coset of the batch is counted by one bincount over
     space * q^(n-m) + coset.  A coset that no point meets counts 0, whose
@@ -134,10 +135,10 @@ def _coset_residue_check(
     constant.  Past BATCH classes per space (then a batch holds one space)
     only the met cosets are counted, space by space.
     """
-    if Z.shape[0] == 0:
+    if X.shape[0] == 0:
         return None
-    classes = F.q ** (Z.shape[1] - len(pivots))
-    ids = coset_ids(Z, pivots, entries, F)
+    classes = F.q ** (X.shape[1] - len(pivots))
+    ids = coset_ids(X, pivots, entries, F)
     if classes > BATCH:
         pairs = ((b, _disagreeing_cosets(row, classes, modulus)) for b, row in enumerate(ids))
         return next(((b, pair) for b, pair in pairs if pair is not None), None)
@@ -225,6 +226,7 @@ def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
     per_dim, truncated, witness); witness is None unless a space fails, and
     then the sweep stops at that space."""
     q, n = F.q, Z.shape[1]
+    X = point_digits(Z, F)
     checked = 0
     per_dim: dict[int, int] = {}
     for m in dims:
@@ -243,7 +245,7 @@ def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
                 return checked, per_dim, True, None
             cut = len(entries) > room
             entries = entries[:room]
-            hit = _coset_residue_check(Z, pivots, entries, F, modulus)
+            hit = _coset_residue_check(X, pivots, entries, F, modulus)
             done = len(entries) if hit is None else hit[0] + 1
             checked += done
             per_dim[m] = per_dim.get(m, 0) + done
@@ -376,15 +378,15 @@ def lower_bound_audit(system: PolySystem, *, budget: int | None = None) -> LawRe
         return LawReport(
             "lower-bounds", False, True, {"reason": "requires n > d", "n": n, "d": d}
         )
-    pts = zero_set(system, budget=budget)
-    N = len(pts)
+    Z = zero_points(system, budget)
+    N = len(Z)
     floor = q ** (n - d)
     evidence: dict = {"count": N, "floor": floor, "n": n, "d": d, "q": q}
     if N == 0:
         evidence["reason"] = "zero set is empty"
         return LawReport("lower-bounds", False, True, evidence)
-    ps = PointSet(F, n, pts)
-    linear, lin_dim = is_linear_subspace(ps)
+    lin_dim = subspace_dim(F, Z)  # odometer order is canonical point order
+    linear = lin_dim is not None
     evidence["linear_subspace"] = {"verdict": linear, "dim": lin_dim}
     parts["floor"] = {"applicable": True, "pass": N >= floor, "lhs": N, "rhs": floor}
     if linear:
@@ -688,10 +690,11 @@ def _subspace_masks(F: FieldSpec, t: int, k: int) -> np.ndarray:
     q = F.q
     Z = np.arange(q**t)[:, None] // q ** np.arange(t - 1, -1, -1) % q
     bits = np.left_shift(np.uint32(1), np.arange(q**t, dtype=np.uint32))
+    X = point_digits(Z, F)
     classes = q ** (t - k)
     out = []
     for pivots, entries in _pattern_batches(F, t, k, max(1, BATCH // q**t)):
-        ids = coset_ids(Z, pivots, entries, F) + classes * np.arange(len(entries))[:, None]
+        ids = coset_ids(X, pivots, entries, F) + classes * np.arange(len(entries))[:, None]
         masks = np.zeros(len(entries) * classes, dtype=np.uint32)
         np.bitwise_or.at(masks, ids.ravel(), np.broadcast_to(bits, ids.shape).ravel())
         out.append(masks)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DependentBasis, EmptySet, FullSpace, InvalidArgument
 from .fields import FieldSpec
 
@@ -137,6 +139,9 @@ class AffineSubspace:
         """All q^(n-dim) translates of the direction space, canonical order.
 
         Pairwise disjoint, they cover the ambient space, and include self.
+        Each member is built in canonical form: self's basis and pivots,
+        and an offset that is zero at the pivots, its free coordinates
+        running odometer style.
         """
         free = self._free_columns()
         out = []
@@ -144,7 +149,10 @@ class AffineSubspace:
             off = [0] * self.ambient
             for j, v in zip(free, vals):
                 off[j] = v
-            out.append(AffineSubspace(self.field, off, self.basis))
+            member = object.__new__(AffineSubspace)
+            member.field, member.ambient, member.offset = self.field, self.ambient, tuple(off)
+            member.basis, member.pivots = self.basis, self.pivots
+            out.append(member)
         return out
 
     def superspaces(self) -> list["AffineSubspace"]:
@@ -217,50 +225,77 @@ class PointSet:
         return f"PointSet(|S|={len(self.points)}, ambient={self.ambient}, q={self.field.q})"
 
 
-def _greedy_span(ps: PointSet) -> tuple[AffineSubspace, list[tuple[int, ...]]]:
-    """The affine span of the points, and the points that build it: in
-    canonical point order, each point outside the span of the points chosen
-    so far is chosen and widens the span by one dimension, so the span.dim + 1
-    chosen points are in general position.  The pass ends once the span is
-    the whole space."""
-    if not ps.points:
+def _greedy_span(F: FieldSpec, pts: np.ndarray) -> tuple[AffineSubspace, list[tuple[int, ...]]]:
+    """The affine span of the points, and the points that build it.
+
+    pts is an (N, n) array of element indexes, its rows in canonical point
+    order (the odometer order of `zero_points` is that order).  Each point
+    outside the span of the points chosen so far is chosen and widens the
+    span by one dimension, so the span.dim + 1 chosen points are in general
+    position; the pass ends once the span is the whole space.
+
+    Whole arrays, not points, are reduced.  D holds the differences from
+    the first point, reduced by the rows found so far; the first nonzero
+    row of D is the next chosen point, since the points before it lie in
+    the span.  It is scaled to a leading one at its pivot and cleared from
+    the later rows of D.  Each row found is zero at the earlier pivots, so
+    the earlier reductions stay in place: n + 1 array steps at most.
+    """
+    if not len(pts):
         raise EmptySet("the empty set has no affine span")
-    F = ps.field
-    base, *rest = ps.sorted_points()
-    chosen = [base]
-    span = AffineSubspace.single_point(F, base)
-    for p in rest:
-        if span.dim == ps.ambient:
+    T = F.tables
+    D = T.add(pts[1:], T.neg(pts[0]))
+    chosen = [0]
+    rows: list[list[int]] = []
+    while len(rows) < pts.shape[1]:
+        hit = np.flatnonzero(D.any(axis=1))
+        if not len(hit):
             break
-        if not span.contains(p):
-            chosen.append(p)
-            diff = tuple(F.sub(x, o) for x, o in zip(p, base))
-            span = AffineSubspace(F, base, list(span.basis) + [diff])
-    return span, chosen
+        i = int(hit[0])
+        row = D[i]
+        piv = int(np.flatnonzero(row)[0])
+        row = T.mul(F.inv(int(row[piv])), row)
+        rows.append(row.tolist())
+        chosen.append(chosen[-1] + i + 1)
+        D = D[i + 1 :]
+        D = T.add(D, T.mul(T.neg(D[:, piv])[:, None], row))
+    span = AffineSubspace(F, pts[0].tolist(), rows)
+    return span, [tuple(pts[j].tolist()) for j in chosen]
+
+
+def _sorted_array(ps: PointSet) -> np.ndarray:
+    return np.array(ps.sorted_points(), dtype=np.intp).reshape(len(ps), ps.ambient)
 
 
 def affine_span(ps: PointSet) -> AffineSubspace:
     """Least affine subspace containing the points."""
-    return _greedy_span(ps)[0]
+    return _greedy_span(ps.field, _sorted_array(ps))[0]
 
 
 def max_general_position(ps: PointSet) -> list[tuple[int, ...]]:
     """Greedy maximal general-position subset, in canonical point order;
     it has affine_span(ps).dim + 1 points."""
-    return _greedy_span(ps)[1]
+    return _greedy_span(ps.field, _sorted_array(ps))[1]
+
+
+def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
+    """The dimension of the affine subspace whose point set is pts, or None
+    when pts is empty or is not such a set.
+
+    pts is as for `_greedy_span`, without repeated rows.  The points fill an
+    affine subspace exactly when they fill their span: N == q^dim(span).
+    """
+    if not len(pts):
+        return None
+    dim = _greedy_span(F, pts)[0].dim
+    return dim if len(pts) == F.q**dim else None
 
 
 def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:
-    """Whether the set equals the point set of some affine subspace.
-
-    Decided by |S| == q^dim(span S); returns (verdict, dim or None).
-    """
-    if not ps.points:
-        return (False, None)
-    span = affine_span(ps)
-    if len(ps.points) == ps.field.q**span.dim:
-        return (True, span.dim)
-    return (False, None)
+    """Whether the set equals the point set of some affine subspace;
+    returns (verdict, dim or None), as decided by `subspace_dim`."""
+    dim = subspace_dim(ps.field, _sorted_array(ps))
+    return (dim is not None, dim)
 
 
 def direction_spaces(field: FieldSpec, n: int, m: int) -> Iterator[tuple[tuple[int, ...], ...]]:

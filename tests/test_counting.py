@@ -14,6 +14,7 @@ from cwlab.counting import (
     fast_count,
     lift_system,
     oracle_count,
+    zero_points,
     zero_set,
 )
 from cwlab.constructions import corpus_system, norm_form, random_system
@@ -27,6 +28,13 @@ F3 = build_field(3, 1)
 F4 = build_field(2, 2)
 
 HYP = PolySystem([parse_poly("x1*x2 + x3*x4", F2, ["x1", "x2", "x3", "x4"])])
+
+
+def walked(call, *args, **kwargs):
+    """call(*args, **kwargs) from an empty walk memo, so that it makes its
+    own kernel pass instead of reading an earlier call's walk."""
+    counting._walks.clear()
+    return call(*args, **kwargs)
 
 
 def test_count_examples():
@@ -162,8 +170,8 @@ def test_kernel_matches_oracle_and_point_filter(chunk, monkeypatch):
     for system in KERNEL_SYSTEMS:
         q, n = system.field.q, system.nvars
         filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
-        assert zero_set(system) == filtered
-        assert fast_count(system) == len(filtered) == oracle_count(system)
+        assert walked(zero_set, system) == filtered
+        assert walked(fast_count, system) == len(filtered) == oracle_count(system)
 
 
 def test_parallel_class_matches_oracle_per_member():
@@ -187,7 +195,7 @@ def test_coset_ids_match_per_point_offsets(p, k):
     # the offset of the subspace through it; for every dimension m from 0
     # (every point its own coset) to n (one coset, number 0), batches of
     # one space and of three
-    from cwlab.counting import basis_entries, coset_ids
+    from cwlab.counting import basis_entries, coset_ids, point_digits
     from cwlab.rng import SplitMix64
 
     F = build_field(p, k)
@@ -208,7 +216,7 @@ def test_coset_ids_match_per_point_offsets(p, k):
                                 row[j] = rng.below(q)
                     spaces.append(rows)
                 entries = np.stack([basis_entries(rows, n)[1] for rows in spaces])
-                ids = coset_ids(Z, pivots, entries, F)
+                ids = coset_ids(point_digits(Z, F), pivots, entries, F)
                 assert ids.shape == (B, len(Z))
                 for rows, got in zip(spaces, ids.tolist()):
                     members = AffineSubspace(F, (0,) * n, rows).parallel_class()
@@ -269,12 +277,12 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
         if chunk == 110 and n > 1:
             assert q ** (n - 1) % (chunk // q)
         filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
-        assert zero_set(system) == filtered
-        assert fast_count(system) == len(filtered) == oracle_count(system)
+        assert walked(zero_set, system) == filtered
+        assert walked(fast_count, system) == len(filtered) == oracle_count(system)
         spaces = list(direction_spaces(F, n, 1))
         for rows in (spaces[0], spaces[-1]):
             L = AffineSubspace(F, (0,) * n, rows)
-            assert counts_over_parallel_class(system, L) == counts_over_parallel_class(
+            assert walked(counts_over_parallel_class, system, L) == counts_over_parallel_class(
                 system, L, engine="oracle"
             )
 
@@ -342,10 +350,11 @@ def test_cone_count_matches_oracle(chunk, monkeypatch):
     assert {sy.nvars for sy, _ in CONE_SYSTEMS} == {1, 2, 3, 4}
     for system, plane in CONE_SYSTEMS:
         assert system.is_homogeneous
-        fast = count_zeros(system, plane)
+        fast = walked(count_zeros, system, plane)
         assert fast.count == count_zeros(system, plane, engine="oracle").count
         if plane is None:
-            assert fast.count == fast_count(system) == oracle_count(system) == len(zero_set(system))
+            assert fast.count == walked(fast_count, system) == oracle_count(system)
+            assert fast.count == len(walked(zero_set, system))
 
 
 def test_cone_count_closed_forms():
@@ -378,3 +387,123 @@ def test_points_evaluated_counter():
     L = AffineSubspace(F3, (0, 0), [(0, 1)])
     assert count_zeros(f, L).points_evaluated == 0 == count_zeros(f, L, engine="oracle").points_evaluated
     assert count_zeros_ext(f, 2).points_evaluated == 9 * (1 + 1)
+
+
+# -- the walk memo ------------------------------------------------------------------
+
+
+def _sweep_verdicts(system, L, order):
+    """The five corpus-sweep calls, in the given order, as comparable values:
+    each report's body, evidence and witness, and the parallel-class pairs."""
+    from cwlab.laws import check_congruence, homogenization_identity, lower_bound_audit
+
+    calls = {
+        "chevalley": lambda: check_congruence(system, "chevalley"),
+        "ax": lambda: check_congruence(system, "ax"),
+        "identity": lambda: homogenization_identity(system),
+        "audit": lambda: lower_bound_audit(system),
+        "class": lambda: counts_over_parallel_class(system, L),
+        "count": lambda: count_zeros(system),
+    }
+    out = {}
+    for name in order:
+        rep = calls[name]()
+        if name == "class":
+            out[name] = [(m.key(), c) for m, c in rep]
+        elif name == "count":
+            out[name] = rep.to_json()
+        else:
+            out[name] = (rep.to_json(), rep.evidence, rep.witness)
+        assert len(counting._walks) <= counting.WALK_MEMO
+    return out
+
+
+def _memo_systems():
+    """Seeded corpus systems over F_2 .. F_5, and some lifted to F_8 and F_9."""
+    systems = [corpus_system(12, i) for i in range(24)]
+    small = [s for s in systems if s.nvars <= 3]
+    systems += [lift_system(s, 3) for s in small if s.field.q == 2][:3]
+    systems += [lift_system(s, 2) for s in small if s.field.q == 3][:3]
+    assert {s.field.q for s in systems} == {2, 3, 4, 5, 8, 9}
+    return systems
+
+
+@pytest.mark.parametrize("cap,zeros", [(1, counting.MEMO_ZEROS), (2, 5), (4, counting.MEMO_ZEROS), (4, 5)])
+def test_walk_memo_keeps_every_report(monkeypatch, cap, zeros):
+    # every report is the same whether the memo is empty before each call,
+    # warmed by the same object in either order, or holding an equal copy;
+    # with zeros = 5 most entries keep their count only
+    from cwlab.rng import SplitMix64
+    from cwlab.subspaces import rref
+
+    monkeypatch.setattr(counting, "WALK_MEMO", cap)
+    monkeypatch.setattr(counting, "MEMO_ZEROS", zeros)
+    names = ["chevalley", "ax", "identity", "audit", "class", "count"]
+    rng = SplitMix64(cap)
+    for system in _memo_systems():
+        F, n = system.field, system.nvars
+        rows, _ = rref(F, [[rng.below(F.q) for _ in range(n)] for _ in range(min(n, system.total_degree))])
+        L = AffineSubspace(F, (0,) * n, rows)
+        fresh = {}
+        for name in names:
+            counting._walks.clear()
+            fresh.update(_sweep_verdicts(system, L, [name]))
+        counting._walks.clear()
+        assert _sweep_verdicts(system, L, names) == fresh
+        assert _sweep_verdicts(system, L, names[::-1]) == fresh
+        copy = PolySystem(list(system.polys))
+        assert _sweep_verdicts(copy, L, names[::-1]) == fresh
+        assert _sweep_verdicts(copy, L, names) == fresh
+        assert len(counting._walks) <= cap
+        assert all(w.idx is None or len(w.idx) <= zeros for w in counting._walks.values())
+
+
+def test_walk_memo_budget_and_cone_count():
+    from cwlab.laws import check_congruence, lower_bound_audit
+
+    for system in _memo_systems():
+        q, n = system.field.q, system.nvars
+        L = AffineSubspace.full_space(system.field, n)
+        N = fast_count(system)
+        assert len(zero_points(system)) == N == fast_count(system)
+        assert id(system) in counting._walks
+        # a budget below q^n is refused on a memo hit as on a miss
+        for call in (
+            lambda b: count_zeros(system, budget=b),
+            lambda b: zero_points(system, budget=b),
+            lambda b: check_congruence(system, "ax", budget=b),
+            lambda b: lower_bound_audit(system, budget=b),
+            lambda b: counts_over_parallel_class(system, L, budget=b),
+        ):
+            with pytest.raises(BudgetExceeded):
+                call(q**n - 1)
+            call(q**n)
+        assert len(counting._walks) <= counting.WALK_MEMO
+    # a homogeneous system's cone count, remembered, equals the listed zeros
+    homogeneous = [PolySystem([norm_form(F, 2)]) for F in (F3, F4, build_field(5, 1))]
+    homogeneous += [s.leading_system() for s in _memo_systems()]
+    for system in homogeneous:
+        counting._walks.clear()
+        N = fast_count(system)
+        assert (counting._walks[id(system)].idx is None) == counting._on_cone(system)
+        assert len(zero_points(system)) == N == fast_count(system) == oracle_count(system)
+        assert counting._walks[id(system)].count == N
+        counting._walks.clear()
+        assert len(zero_points(system)) == fast_count(system) == N
+
+
+def test_walk_memo_never_reads_a_dropped_systems_walk():
+    # systems made and dropped one after another often reuse an address, so
+    # an id alone could name a new system; each entry holds its system, so
+    # the id stays taken while the entry lives
+    def fresh(i):
+        counting._walks.clear()
+        system = corpus_system(13, i)
+        return fast_count(system), zero_points(system).tolist()
+
+    want = [fresh(i) for i in range(80)]
+    counting._walks.clear()
+    got = [fast_count(corpus_system(13, i)) for i in range(80)]
+    assert got == [N for N, _ in want]
+    got = [zero_points(corpus_system(13, i)).tolist() for i in range(80)]
+    assert got == [Z for _, Z in want]

@@ -99,6 +99,23 @@ def test_parallel_class_partitions():
     for member in cls:
         all_pts.extend(member.points())
     assert len(all_pts) == len(set(all_pts)) == 9
+    # every member is already canonical: the constructor, which reduces its
+    # rows and offset, gives the same subspace, pivots included
+    rng = Random(7)
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)):
+        F = build_field(p, k)
+        for n in (1, 2, 3):
+            for m in range(n + 1):
+                rows = [[rng.randrange(F.q) for _ in range(n)] for _ in range(m)]
+                L = AffineSubspace(F, [rng.randrange(F.q) for _ in range(n)], rows, strict=False)
+                members = L.parallel_class()
+                assert len(members) == F.q ** (n - L.dim) and L in members
+                pts = [pt for member in members for pt in member.points()]
+                assert len(pts) == len(set(pts)) == F.q**n
+                for member in members:
+                    ref = AffineSubspace(F, member.offset, member.basis)
+                    assert member == ref and member.pivots == ref.pivots, (F.q, n, m)
+                    assert (member.ambient, member.field) == (ref.ambient, ref.field)
 
 
 def test_affine_span_examples():
@@ -117,23 +134,61 @@ def _span_by_rref_of_all_differences(ps):
     return AffineSubspace(F, pts[0], rows)
 
 
+def _greedy_span_by_membership(ps):
+    """Reference greedy pass, one point at a time: in sorted order, a point
+    outside the span so far is chosen and widens it; stops at the full space."""
+    F = ps.field
+    base, *rest = ps.sorted_points()
+    chosen = [base]
+    span = AffineSubspace.single_point(F, base)
+    for p in rest:
+        if span.dim == ps.ambient:
+            break
+        if not span.contains(p):
+            chosen.append(p)
+            diff = tuple(F.sub(x, o) for x, o in zip(p, base))
+            span = AffineSubspace(F, base, list(span.basis) + [diff])
+    return span, chosen
+
+
 def test_greedy_span_matches_rref_of_all_differences():
     # the greedy pass stops once the span is the whole space; the span of
-    # every difference from the least point is the reference
+    # every difference from the least point is the reference, and the
+    # point-by-point greedy pass picks the same points in the same order
     rng = Random(20)
-    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1)):
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)):
         F = build_field(p, k)
         for t in (1, 2, 3, 4):
-            space = list(product(range(F.q), repeat=t))
+            space = list(product(range(F.q), repeat=t)) if F.q**t <= 4096 else None
+            sets = []
             for _ in range(12):
-                ps = PointSet(F, t, rng.sample(space, rng.randint(1, min(len(space), 12))))
+                size = rng.randint(1, min(F.q**t, 12))
+                if space is not None:
+                    sets.append(rng.sample(space, size))
+                else:
+                    sets.append([tuple(rng.randrange(F.q) for _ in range(t)) for _ in range(size)])
+            sets.append([tuple(rng.randrange(F.q) for _ in range(t))])  # one point
+            for _ in range(2):  # collinear points, and all of a line
+                line = AffineSubspace(F, [rng.randrange(F.q) for _ in range(t)], [[rng.randrange(F.q) for _ in range(t)]], strict=False)
+                pts = list(line.points())
+                sets.append(rng.sample(pts, rng.randint(1, len(pts))))
+                sets.append(pts)
+            if F.q**t <= 4096:
+                sets.append(space)  # the full space
+            for pts in sets:
+                ps = PointSet(F, t, pts)
                 span = affine_span(ps)
                 assert span == _span_by_rref_of_all_differences(ps), (F.q, t, ps.sorted_points())
+                ref_span, ref_chosen = _greedy_span_by_membership(ps)
                 chosen = max_general_position(ps)
+                assert span == ref_span and chosen == ref_chosen, (F.q, t, ps.sorted_points())
                 assert len(chosen) == span.dim + 1 and chosen[0] == ps.sorted_points()[0]
                 assert affine_span(PointSet(F, t, chosen)) == span
             line = AffineSubspace(F, [rng.randrange(F.q) for _ in range(t)], [[rng.randrange(1, F.q)] * t])
             assert affine_span(PointSet(F, t, line.points())) == line
+    full = PointSet(F4, 3, product(range(4), repeat=3))
+    assert affine_span(full) == AffineSubspace.full_space(F4, 3)
+    assert max_general_position(full) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_max_general_position():
