@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -252,8 +253,10 @@ def example_two(F: FieldSpec) -> NonSplitQuartic:
     )
 
 
-def _monomials_up_to(n: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= d, lexicographic order."""
+@lru_cache(maxsize=32)  # the corpus draws from 15 shapes (n, d)
+def _monomials_up_to(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples with total degree <= d, lexicographic order;
+    each (n, d) is spelled out once."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, pos: int) -> None:
@@ -267,7 +270,7 @@ def _monomials_up_to(n: int, d: int) -> list[tuple[int, ...]]:
 
     rec([], d, 0)
     out.sort()
-    return out
+    return tuple(out)
 
 
 def random_system(

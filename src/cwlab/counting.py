@@ -4,13 +4,18 @@ Two independent engines are provided and must agree exactly:
 
 * the fast engine evaluates the system on the point grid in odometer order,
   a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n,
-  with numpy gathers from the field's table bundle (`FieldSpec.tables`).
-  The polynomial with the fewest terms goes first, by Horner's rule in x_n
-  over its coefficients' values at the prefixes; each later one is
-  evaluated only at the points where all earlier ones vanish.  The
-  surviving odometer indexes are the zero set.  A homogeneous system is
-  counted on its cone instead: prefix 0 and the normalized prefixes only,
-  the zeros off the x_n-axis weighted by q - 1 (see `fast_count`);
+  in the log domain of the field's log/exp bundle (`FieldSpec.tables`):
+  a product is an integer sum of logs, a term one gather, and the terms
+  are summed by XOR (p = 2), as int64 reduced mod p once (prime fields),
+  or through the add table or the Zech table (`evaluate_columns`,
+  `FieldTables.total`).
+  The polynomial with the fewest terms goes first, as the sum over the
+  powers of x_n of its coefficients' values at the prefixes times x_n^e;
+  each later one is evaluated only at the points where all earlier ones
+  vanish.  The surviving odometer indexes are the zero set.  A homogeneous
+  system is counted on its cone instead: prefix 0 and the normalized
+  prefixes only, the zeros off the x_n-axis weighted by q - 1 (see
+  `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
 
 The laws on one system (Chevalley, Ax, the homogenization identity, the
@@ -98,36 +103,61 @@ def _coordinates(idx: np.ndarray, q: int, n: int) -> list[np.ndarray]:
 def evaluate_columns(f: MultiPoly, cols: list[np.ndarray], T: FieldTables) -> np.ndarray:
     """Values of f at the points whose coordinate columns are cols.
 
-    A monomial is spelled as the numbers of its variables in order, with
-    repeats (x1^2*x3 is 0, 0, 2).  In sorted order, each monomial keeps the products of the
-    prefix it shares with the one before, so every prefix is multiplied
-    out once and at most deg f of them are held at a time.
+    Products are taken in the log domain of T's log/exp bundle (see
+    `FieldTables`).  A monomial is spelled as the numbers of its variables
+    in order, with repeats (x1^2*x3 is 0, 0, 2; see `_spelled`).  In sorted
+    order, each monomial keeps the log sums of the prefix it shares with the
+    one before, so every further prefix is one integer add of a column's
+    logs to the prefix before it, and at most deg f of them are held at a
+    time.  A prefix that already holds `T.depth` logs is folded back to a
+    log by one lookup before the next add.  A term is its prefix's log sum
+    with its coefficient's log as the shift, and `T.total` reads each term
+    with one gather and sums them.
     """
+    return _evaluate(_spelled(f), cols, T)
+
+
+def _spelled(f: MultiPoly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """f's constant term, and its other terms as (word, coefficient) pairs
+    in sorted word order; a word lists each variable's number once per unit
+    of its exponent."""
     words = sorted(
         (tuple(i for i, e in enumerate(exps) for _ in range(e)), c) for exps, c in f.terms.items()
     )
-    one = f.field.one
-    const = 0
-    acc = None
-    word: tuple[int, ...] = ()
-    prefix: list[np.ndarray] = []  # prefix[j]: product of the first j + 1 variables of word
-    for nxt, c in words:
-        if not nxt:
-            const = c
-            continue
-        keep = 0
-        while keep < len(word) and word[keep] == nxt[keep]:
-            keep += 1
-        del prefix[keep:]
-        for i in nxt[keep:]:
-            prefix.append(T.mul(prefix[-1], cols[i]) if prefix else cols[i])
-        word = nxt
-        t = prefix[-1] if c == one else T.mul(c, prefix[-1])
-        acc = t if acc is None else T.add(acc, t)
-    if acc is None:
-        size = len(cols[0]) if cols else 1
-        return np.full(size, const)
-    return T.add(acc, const) if const else acc
+    const = words.pop(0)[1] if words and not words[0][0] else 0  # the empty word sorts first
+    return const, words
+
+
+def _evaluate(spelled: tuple[int, list], cols: list[np.ndarray], T: FieldTables) -> np.ndarray:
+    """`evaluate_columns` on a polynomial given by `_spelled`."""
+    const, words = spelled
+    if not words:
+        return np.full(len(cols[0]) if cols else 1, const)
+    log, fold, depth = T.log, T.fold, T.depth
+    logs: dict[int, np.ndarray] = {}  # variable -> the logs of its column
+
+    def terms() -> Iterator[tuple[np.ndarray, int]]:
+        word: tuple[int, ...] = ()
+        prefix: list[tuple[np.ndarray, int]] = []  # [j]: log sum of word[:j + 1], logs it holds
+        for nxt, c in words:
+            keep = 0
+            while keep < len(word) and word[keep] == nxt[keep]:
+                keep += 1
+            del prefix[keep:]
+            for i in nxt[keep:]:
+                if i not in logs:
+                    logs[i] = log.take(cols[i])
+                if not prefix:
+                    prefix.append((logs[i], 1))
+                    continue
+                s, held = prefix[-1]
+                if held == depth:
+                    s, held = fold.take(s, mode="clip"), 1
+                prefix.append((s + logs[i], held + 1))
+            word = nxt
+            yield prefix[-1][0], log[c]
+
+    return T.total(terms(), const)
 
 
 def _last_variable_coefficients(f: MultiPoly) -> list[MultiPoly | None]:
@@ -178,9 +208,10 @@ def _zero_chunks(system: PolySystem, ranges: list[range]) -> Iterator[np.ndarray
     ascending, one array per chunk.
 
     A chunk is a block of prefixes (x_1 .. x_{n-1}) with every value of
-    x_n.  The polynomial with the fewest terms goes first, by Horner's rule
-    in x_n: its coefficients g_e are evaluated once per prefix, and each
-    step is one mul and one add over the whole block.
+    x_n.  The polynomial with the fewest terms goes first, as the sum of
+    g_e * x_n^e over the powers e of x_n: each coefficient g_e is evaluated
+    once per prefix, and each power is one add of its logs to the logs of
+    x_n^e at every value of x_n and one gather over the whole block.
     """
     F = system.field
     q, n = F.q, system.nvars
@@ -190,23 +221,24 @@ def _zero_chunks(system: PolySystem, ranges: list[range]) -> Iterator[np.ndarray
         yield np.zeros(0, dtype=np.intp)
         return
     first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
-    coeffs = _last_variable_coefficients(first)
-    last = np.arange(q)
+    log, fold = T.log, T.fold
+    coeffs = []  # (g_e, the logs of x_n^e at every value of x_n) for each g_e with terms
+    power = np.zeros_like(log)  # x_n^0 = 1, at x_n = 0 too
+    for g in _last_variable_coefficients(first):
+        if g is not None:
+            coeffs.append((_spelled(g), power))
+        power = fold.take(power + log, mode="clip")
+    rest = [_spelled(f) for f in rest]
     for pre in _prefix_blocks(ranges, max(1, CHUNK // q)):
         pcols = _coordinates(pre, q, n - 1)
-        vals = [None if g is None else evaluate_columns(g, pcols, T)[:, None] for g in coeffs]
-        acc = np.broadcast_to(vals[-1], (len(vals[-1]), q))
-        for g in reversed(vals[:-1]):
-            acc = T.mul(acc, last)
-            if g is not None:
-                acc = T.add(acc, g)
+        acc = T.total((log.take(_evaluate(g, pcols, T))[:, None] + power, 0) for g, power in coeffs)
         row, col = np.divmod(np.flatnonzero(acc == 0), q)
         idx = pre[row] * q + col
         cols = _coordinates(idx, q, n) if rest else []
         for f in rest:
             if not len(idx):
                 break
-            keep = np.flatnonzero(evaluate_columns(f, cols, T) == 0)
+            keep = np.flatnonzero(_evaluate(f, cols, T) == 0)
             if len(keep) < len(idx):
                 idx = idx[keep]
                 cols = [c[keep] for c in cols]

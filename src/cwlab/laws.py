@@ -152,20 +152,30 @@ def _coset_residue_check(
     return b, _disagreeing_cosets(ids[b], classes, modulus)
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
     """The direction spaces of `direction_spaces(F, n, m)`, in its order, as
-    (pivots, entries) batches of at most cap spaces with the same pivots."""
-    q = F.q
+    (pivots, entries) batches of at most cap spaces with the same pivots.
+
+    The spaces of one pivot pattern are numbered in odometer order over its
+    free cells, the last cell fastest, so entry (i, k) of space t is one
+    base-q digit of t: t // q^e % q at the cell e places from the end, and
+    t // _INTP_MAX % q = 0 off the cells (a place past every number gives
+    digit 0, which also keeps the places in intp)."""
+    q, size = F.q, m * (n - m)
     for pivots in combinations(range(n), m):
         free = [j for j in range(n) if j not in pivots]
-        cells = [(i, k) for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
+        cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
+        place = [_INTP_MAX] * size
+        for e, cell in enumerate(reversed(cells)):
+            place[cell] = min(q**e, _INTP_MAX)
+        place = np.array(place, dtype=np.intp)
         total = q ** len(cells)
         for lo in range(0, total, cap):
-            t = np.arange(lo, min(lo + cap, total))
-            entries = np.zeros((len(t), m, n - m), dtype=np.intp)
-            for i, k in reversed(cells):  # odometer: the last cell runs fastest
-                t, entries[:, i, k] = np.divmod(t, q)
-            yield pivots, entries
+            hi = min(lo + cap, total)
+            yield pivots, (np.arange(lo, hi)[:, None] // place % q).reshape(hi - lo, m, n - m)
 
 
 def _sampled_batches(spaces: Iterator, n: int, cap: int):

@@ -20,7 +20,7 @@ from cwlab.counting import (
 from cwlab.constructions import corpus_system, norm_form, random_system
 from cwlab.errors import BudgetExceeded
 from cwlab.fields import build_field
-from cwlab.polynomials import PolySystem, parse_poly
+from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
 from cwlab.subspaces import AffineSubspace
 
 F2 = build_field(2, 1)
@@ -507,3 +507,86 @@ def test_walk_memo_never_reads_a_dropped_systems_walk():
     assert got == [N for N, _ in want]
     got = [zero_points(corpus_system(13, i)).tolist() for i in range(80)]
     assert got == [Z for _, Z in want]
+
+
+def _dense(F, n, degree, rng):
+    """Every monomial of degree <= degree in n variables, with random
+    coefficients that are often zero or one."""
+    terms = []
+    for exps in product(range(degree + 1), repeat=n):
+        if sum(exps) <= degree:
+            c = rng.choice([0, F.one, int(rng.integers(F.q))])
+            terms.append((exps, int(c)))
+    return MultiPoly.from_terms(F, n, terms)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 11), (3, 7), (7, 4)])
+def test_evaluate_columns_matches_pointwise_evaluate(p, k):
+    # every point of F^n (n = 3 for the small fields, 1 past the dense
+    # cap), then a sample of F^4 with many zero coordinates; constant-only
+    # polynomials, coefficient one, and words past the fold depth and past
+    # q (x^(q+3)) exercise the sentinel and the fold
+    F = build_field(p, k)
+    q, T = F.q, F.tables
+    rng = np.random.default_rng(q)
+    c = F.generator or F.from_int(p - 1) or F.one
+    n = 3 if q < 10 else 1
+    deep = (q + 3,) + (0,) * (n - 1)
+    everywhere = counting._coordinates(np.arange(q**n), q, n)
+    sample = [np.where(rng.random(400) < 0.3, 0, rng.integers(0, q, 400)) for _ in range(4)]
+    cases = [
+        (everywhere, MultiPoly.zero(F, n)),
+        (everywhere, MultiPoly.constant(F, n, c)),
+        (everywhere, MultiPoly.variable(F, n, n - 1)),
+        (everywhere, MultiPoly.from_terms(F, n, [(deep, F.one)])),
+        (everywhere, MultiPoly.from_terms(F, n, [(deep, c), ((1,) * n, F.one), ((0,) * n, c)])),
+        (everywhere, _dense(F, n, 7, rng)),
+        (sample, MultiPoly.constant(F, 4, F.one)),
+        (sample, MultiPoly.from_terms(F, 4, [((2, 0, 1, 3), F.one), ((q + 3, 1, 0, 0), c)])),
+        (sample, _dense(F, 4, 6, rng)),
+    ]
+    for cols, f in cases:
+        points = list(zip(*(col.tolist() for col in cols)))
+        assert counting.evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
+
+
+@pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
+def test_kernel_counts_past_the_dense_cap(p, k):
+    # x1 = h(x2) and x2 = h(x1) have exactly q zeros whatever h is; h has a
+    # word past q and every power of x_n up to 7 in the kernel's sum
+    F = build_field(p, k)
+    q = F.q
+    rng = np.random.default_rng(q)
+    h = _dense(F, 1, 7, rng) + MultiPoly.from_terms(F, 1, [((q + 3,), F.generator)])
+    for i, j in ((0, 1), (1, 0)):
+        hj = MultiPoly.from_terms(F, 2, [(tuple(e if v == j else 0 for v in range(2)), c)
+                                          for (e,), c in h.terms.items()])
+        f = MultiPoly.variable(F, 2, i) - hj
+        assert walked(fast_count, PolySystem([f])) == q
+    # one variable: the kernel against the scalar evaluation at every element
+    g = h * h + MultiPoly.constant(F, 1, F.one)
+    assert walked(fast_count, PolySystem([g])) == sum(g.evaluate((x,)) == 0 for x in range(q))
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_kernel_counts_over_a_prime_past_2_16(p):
+    # k = 1 with k(p - 1)^2 >= 2^32, so the generator powers are read out of
+    # uint64 digit rows: distinct linear factors times 3x^7 + 1, counted by
+    # the kernel against numpy's own arithmetic mod p, and evaluated against
+    # the scalar evaluation at a sample of points
+    F = build_field(p, 1)
+    x = MultiPoly.variable(F, 1, 0)
+    roots = (0, 1, 5, p - 1, 12345)
+    g = MultiPoly.from_terms(F, 1, [((7,), 3), ((0,), 1)])
+    for r in roots:
+        g = g * (x - MultiPoly.constant(F, 1, r))
+    r = np.arange(p, dtype=np.int64)
+    r7 = np.ones_like(r)
+    for _ in range(7):
+        r7 = r7 * r % p
+    extra = np.count_nonzero((3 * r7 + 1) % p == 0)
+    assert walked(fast_count, PolySystem([g])) == len(roots) + extra
+    cols = [np.arange(0, p, 97, dtype=np.int64)]
+    assert counting.evaluate_columns(g, cols, F.tables).tolist() == [g.evaluate((int(v),)) for v in cols[0]]
+    if p < 1 << 17:
+        assert walked(fast_count, PolySystem([g])) == sum(g.evaluate((v,)) == 0 for v in range(p))

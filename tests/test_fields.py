@@ -107,7 +107,7 @@ def test_table_bundle_matches_scalar_reference():
         if q <= 1 << 10:
             assert T.add_table.dtype == T.mul_table.dtype == T.neg_table.dtype == np.uint8
             a, b = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
-        else:  # no tables: the scalar ops, elementwise, on a sample
+        else:  # no dense tables: the log/exp bundle and XOR, on a sample
             assert T.add_table is None
             a = np.arange(0, q, 7)
             b = (5 * a + 3) % q
@@ -124,6 +124,59 @@ def test_table_bundle_matches_scalar_reference():
         assert T.neg(np.arange(q)).tolist() == neg
         assert [F.neg(x) for x in range(q)] == neg
     assert build_field(5, 4).tables.add_table.dtype == np.uint16
+
+
+@pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
+def test_large_field_ops_match_scalar_reference(p, k):
+    # past the dense cap: XOR (p = 2) or the Zech table (odd p) for add,
+    # the log/exp bundle for mul, and -1 = gamma^((q-1)/2) for neg
+    F = build_field(p, k)
+    T, q = F.tables, F.q
+    assert q > 1 << 10 and T.add_table is None
+    x = np.arange(q)
+    for y in (0, F.one, F.neg(F.one), F.generator, q - 1, 1234 % q):
+        y_ = np.full(q, y)
+        add, mul = T.add(x, y_).tolist(), T.mul(x, y_).tolist()
+        assert add == [F.from_coords([u + v for u, v in zip(F.coords(a), F.coords(y))]) for a in range(q)]
+        assert mul == [F.mul_poly(a, y) for a in range(q)]
+        assert T.add(y_, x).tolist() == add and T.mul(y, x).tolist() == mul
+    a, b = np.random.default_rng(p).integers(0, q, (2, 4000))
+    assert T.add(a, b).tolist() == [F.add(u, v) for u, v in zip(a.tolist(), b.tolist())]
+    assert T.mul(a, b).tolist() == [F.mul_poly(u, v) for u, v in zip(a.tolist(), b.tolist())]
+    neg = T.neg(x)
+    assert neg.tolist() == [F.from_coords([-u for u in F.coords(a)]) for a in range(q)]
+    assert not T.add(x, neg).any()
+    assert T.add(x, x).tolist() == [F.add(a, a) for a in range(q)]
+    # a sum of products (log sums, shifted by a coefficient's log), with a
+    # constant, against the scalar sum
+    terms = np.random.default_rng(q).integers(0, q, (9, 2, 300))
+    c = F.generator
+    ref = [0] * 300
+    for row, col in terms.tolist():
+        ref = [F.add(r, F.mul(c, F.mul(u, v))) for r, u, v in zip(ref, row, col)]
+    got = T.total([(T.log[u] + T.log[v], T.log[c]) for u, v in terms], F.one)
+    assert got.tolist() == [F.add(r, F.one) for r in ref]
+
+
+def test_log_bundle_tables():
+    # exp reads gamma^(s mod (q-1)) below the sentinel Z = log[0] and 0 from Z
+    # on; fold = log[exp]; the log sums fit the dtype (D*Z + q - 2)
+    for F in (F2, F3, F4, F9, build_field(5, 1), build_field(3, 7), build_field(2, 12), build_field(1031, 1),
+              build_field(65537, 1)):
+        T, q = F.tables, F.q
+        log, exp, fold, D = T.log, T.exp, T.fold, T.depth
+        Z = int(log[0])
+        assert Z == (D + 1) * (q - 2) + 1 and len(exp) == len(fold) == Z + 1
+        assert D * Z + q - 2 <= np.iinfo(log.dtype).max
+        assert sorted(log[1:].tolist()) == list(range(q - 1))
+        assert exp[Z] == 0 and fold[Z] == Z
+        s = np.arange(Z)
+        assert (exp[s] == exp[s % (q - 1)]).all() and (fold[s] == s % (q - 1)).all()
+        assert (exp[log[1:]] == np.arange(1, q)).all()
+        gamma = int(exp[1]) if q > 2 else 1
+        assert all(int(exp[i]) == F.pow(gamma, i) for i in range(0, q - 1, max(1, q // 50)))
+        # clip reads every sum past Z as Z
+        assert exp.take([Z, Z + 1, 10 * Z], mode="clip").tolist() == [0, 0, 0]
 
 
 @settings(max_examples=300, deadline=None)

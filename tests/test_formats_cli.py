@@ -366,6 +366,16 @@ def test_cli_suite_examples_preset(workdir):
     assert body["failed"] == 0
 
 
+def test_cli_suite_body_is_deterministic(workdir):
+    # each criterion's wall time goes to stderr, so two runs print the same body
+    first, second = (_run("suite", "--preset", "examples", "--seed", "0", cwd=workdir) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    body = json.loads(first.stdout)
+    assert [sorted(c) for c in body["criteria"]] == [["id", "pass", "title"]] * 2
+    assert "C6" in first.stderr and "C7" in first.stderr
+
+
 def test_cli_suite_lemma2_preset_csv(workdir):
     res = _run(
         "suite", "--preset", "lemma2-exhaustive", "--format", "csv", cwd=workdir
