@@ -9,6 +9,8 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -240,10 +242,12 @@ def cmd_suite(args) -> int:
         "criteria": [{"id": r.cid, "title": r.title, "pass": r.passed} for r in results],
     }
     if args.format == "csv":
-        lines = ["id,pass,title"]
-        for r in results:
-            lines.append(f"{r.cid},{int(r.passed)},{r.title}")
-        _emit("\n".join(lines), args.out)
+        # titles hold commas, so the csv module quotes them
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "pass", "title"])
+        writer.writerows([r.cid, int(r.passed), r.title] for r in results)
+        _emit(buf.getvalue().rstrip("\n"), args.out)
     else:
         _emit(json.dumps(summary), args.out)
     return EXIT_OK if summary["failed"] == 0 else EXIT_VIOLATION

@@ -7,8 +7,8 @@ Two independent engines are provided and must agree exactly:
   in the log domain of the field's log/exp bundle (`FieldSpec.tables`):
   a product is an integer sum of logs, a term one gather, and the terms
   are summed by XOR (p = 2), as int64 reduced mod p once (prime fields),
-  or through the add table or the Zech table (`evaluate_columns`,
-  `FieldTables.total`).
+  or in the log domain through the Zech table (odd-p extension fields;
+  `evaluate_columns`, `FieldTables.total`).
   The polynomial with the fewest terms goes first, as the sum over the
   powers of x_n of its coefficients' values at the prefixes times x_n^e;
   each later one is evaluated only at the points where all earlier ones

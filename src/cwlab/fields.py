@@ -10,7 +10,9 @@ Multiplication has two independent realizations: reduced polynomial
 arithmetic (always available, the reference path) and log/antilog tables over
 a multiplicative generator (built when q <= 2^16 and k > 1).  Prime fields
 use direct modular arithmetic.  Vectorized arithmetic on numpy arrays of
-element indexes goes through the field's one table bundle, `FieldSpec.tables`.
+element indexes goes through the field's one table bundle, `FieldSpec.tables`,
+whatever q.  Scalar addition in an extension field is XOR for p = 2 and, for
+odd p, reads that bundle's Zech table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
 
 FIELD_SIZE_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16
-_DENSE_TABLE_CAP = 1 << 10
 _COORD_CACHE_CAP = 1 << 16
 
 
@@ -150,14 +151,9 @@ class FieldSpec:
             self._log = log.tolist()
 
         # Every attribute is set here: one added later would slow every
-        # attribute read of the instance.  The scalar add, sub and neg of an
-        # extension field read its dense tables, so those come with the field.
+        # attribute read of the instance.
         self._tables: FieldTables | None = None
-        self._add_flat: memoryview | None = None
-        self._neg_flat: memoryview | None = None
-        if k > 1 and self.q <= _DENSE_TABLE_CAP:
-            self._add_flat = memoryview(self.tables.add_table)
-            self._neg_flat = memoryview(self.tables.neg_table)
+        self._zech_views: tuple[memoryview, memoryview, memoryview, int] | None = None
 
     # -- encoding ---------------------------------------------------------
 
@@ -202,26 +198,29 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_flat is not None:
-            return self._add_flat[a * self.q + b]
-        p = self.p
-        return self._encode([(x + y) % p for x, y in zip(self.coords(a), self.coords(b))])
+        if self.p == 2:
+            return a ^ b
+        # FieldTables.add on scalars: log, the Zech table and exp, where a
+        # log sum from Z on reads 0
+        log, exp, zech, Z = self._zech_views or self._views()
+        s = log[a] + zech[log[b] - log[a] + Z]
+        return exp[s] if s < Z else 0
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        if self._add_flat is not None:
-            return self._add_flat[a * self.q + self._neg_flat[b]]  # type: ignore[index]
-        p = self.p
-        return self._encode([(x - y) % p for x, y in zip(self.coords(a), self.coords(b))])
+        if self.p == 2:
+            return a ^ b
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        if self._neg_flat is not None:
-            return self._neg_flat[a]
-        p = self.p
-        return self._encode([(-x) % p for x in self.coords(a)])
+        if self.p == 2:
+            return a
+        log, exp, _, Z = self._zech_views or self._views()
+        s = log[a] + (self.q - 1) // 2  # -1 = gamma^((q-1)/2)
+        return exp[s] if s < Z else 0
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -285,6 +284,13 @@ class FieldSpec:
         return self.pow(a, self.p**i)
 
     # -- internals --------------------------------------------------------
+
+    def _views(self) -> tuple[memoryview, memoryview, memoryview, int]:
+        """Views of the table bundle's log, exp and Zech table, and the
+        sentinel Z, for the scalar add and neg of odd-p extension fields."""
+        T = self.tables
+        self._zech_views = memoryview(T.log), memoryview(T.exp), memoryview(T._zech()), int(T.log[0])
+        return self._zech_views
 
     def _generator_powers(self) -> np.ndarray:
         """exp[i] = gamma^i for 0 <= i < q - 1, gamma the least primitive
@@ -372,52 +378,24 @@ class FieldTables:
     `corpus-sweep` (170 for D = 3, 165 to 174 for the others).  D = 3 is
     the smallest depth at full speed, so it keeps the bundle smallest.
 
-    For q <= 2^10 the field also keeps dense tables, in the narrowest
-    unsigned dtype that holds q - 1: `add_table` and `mul_table` are flat
-    q*q tables (entry a*q + b), `neg_table` has q entries.  They are
-    computed with whole-array arithmetic: addition and negation digit by
-    digit in base p, multiplication from the log/antilog tables (or as
-    products mod p), and `add`, `mul` and `neg` gather from them.  Larger
-    fields multiply through the bundle; they add by XOR (p = 2) or through
-    a Zech table (see `_zech`), and negate as the identity (p = 2) or by
-    multiplying by -1 = gamma^((q - 1)/2).  `total` sums many terms at once.
-    `mul_matrices`, the F_p-matrices of multiplication, is built on first
-    use for every field.
+    Every field, whatever q, multiplies through the bundle, adds by XOR
+    (p = 2) or through the Zech table of 2Z + 1 entries (see `_zech`), and
+    negates as the identity (p = 2) or by multiplying by
+    -1 = gamma^((q - 1)/2).  So the arithmetic holds at most
+    2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total` sums
+    many terms at once.  `mul_matrices`, the F_p-matrices of multiplication,
+    is built on first use for every field.
     """
 
     depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
 
     def __init__(self, F: FieldSpec):
         self.field = F
-        self.q = q = F.q
+        self.q = F.q
         self._place = F.p ** np.arange(F.k - 1, -1, -1)  # index of the basis element g^a
         self._mul_matrices: np.ndarray | None = None
         self._bundle: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._zech_table: np.ndarray | None = None
-        self.add_table = self.mul_table = self.neg_table = None
-        if q > _DENSE_TABLE_CAP:
-            return
-        p = F.p
-        # index a*p + d has the coordinates of a followed by digit d, so
-        # each further coordinate extends the tables of the ones before
-        d = np.arange(p, dtype=np.int32)
-        digit_add, digit_neg = np.add.outer(d, d) % p, -d % p
-        add, neg = digit_add, digit_neg
-        for _ in range(F.k - 1):
-            add = (add[:, None, :, None] * p + digit_add[None, :, None, :]).reshape(p * len(add), -1)
-            neg = (neg[:, None] * p + digit_neg).ravel()
-        if F.k == 1:
-            mul = np.multiply.outer(d, d) % p
-        else:
-            log = np.array(F._log, dtype=np.int32)
-            exp = np.array(F._exp, dtype=np.int32)
-            mul = exp[np.add.outer(log, log) % (q - 1)]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-        dtype = np.uint8 if q <= 1 << 8 else np.uint16
-        self.add_table = add.astype(dtype).ravel()
-        self.mul_table = mul.astype(dtype).ravel()
-        self.neg_table = neg.astype(dtype)
 
     def _log_bundle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._bundle is None:
@@ -445,8 +423,6 @@ class FieldTables:
 
     def add(self, x, y) -> np.ndarray:
         """Elementwise x + y for index arrays (or scalars) that broadcast."""
-        if self.add_table is not None:
-            return self.add_table.take(np.multiply(x, self.q, dtype=np.intp) + y)
         if self.field.p == 2:
             return np.bitwise_xor(x, y)
         log, exp, _ = self._log_bundle()
@@ -454,14 +430,10 @@ class FieldTables:
 
     def mul(self, x, y) -> np.ndarray:
         """Elementwise x * y for index arrays (or scalars) that broadcast."""
-        if self.mul_table is not None:
-            return self.mul_table.take(np.multiply(x, self.q, dtype=np.intp) + y)
         log, exp, _ = self._log_bundle()
         return exp.take(log.take(x) + log.take(y), mode="clip")
 
     def neg(self, x) -> np.ndarray:
-        if self.neg_table is not None:
-            return self.neg_table[x]
         if self.field.p == 2:
             return np.array(x)
         log, exp, _ = self._log_bundle()
@@ -472,13 +444,13 @@ class FieldTables:
         one or more pairs of a log sum s, all of one shape, and the log shift
         of one more nonzero factor, bounded as in the class docstring.  Each
         product is one gather from exp shifted by shift, summed by XOR for
-        p = 2, as int64 reduced mod p once over a prime field, and by `add`
-        otherwise.  Past the dense cap an odd-p sum stays in the log domain:
-        each term is one gather from fold shifted by shift, it is added by
-        the Zech table (see `_zech`), and exp reads the sum once."""
+        p = 2 and as int64 reduced mod p once over a prime field.  Over an
+        odd-p extension field the sum stays in the log domain: each term is
+        one gather from fold shifted by shift, it is added by the Zech table
+        (see `_zech`), and exp reads the sum once."""
         log, exp, fold = self._log_bundle()
         p, k = self.field.p, self.field.k
-        if p > 2 and k > 1 and self.add_table is None:
+        if p > 2 and k > 1:
             logs = (fold[shift:].take(s, mode="clip") for s, shift in terms)
             a = next(logs)
             for b in logs:
@@ -493,15 +465,11 @@ class FieldTables:
             if const:
                 acc ^= const
             return acc
-        if k == 1:
-            acc = np.add(acc, const, dtype=np.int64)
-            for t in products:
-                acc += t
-            acc -= acc // p * p  # acc %= p, by the scalar division numpy does faster
-            return acc
+        acc = np.add(acc, const, dtype=np.int64)
         for t in products:
-            acc = self.add(acc, t)
-        return self.add(acc, const) if const else acc
+            acc += t
+        acc -= acc // p * p  # acc %= p, by the scalar division numpy does faster
+        return acc
 
     def digits(self, x) -> np.ndarray:
         """The F_p-coordinates of an index array x as a trailing axis of k
@@ -513,7 +481,7 @@ class FieldTables:
         return a + self._zech().take(b - a + self._log_bundle()[0][0])
 
     def _zech(self) -> np.ndarray:
-        """The Zech table for `add` past the dense cap, 2Z + 1 entries: with
+        """The field's one Zech table, for `add`, 2Z + 1 entries: with
         a = log x and b = log y, log(x + y) = a + zech[b - a + Z], read by
         exp.  For x, y nonzero, x + y = x * (1 + y/x), so the entry at
         d = b - a is log(1 + gamma^d) (Z where y = -x); for x = 0 (a = Z)

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import CHUNK, count_zeros_ext, default_budget, evaluate_columns
+from .counting import CHUNK, _evaluate, _spelled, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, NotHomogeneous
 from .fields import FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
@@ -284,19 +284,21 @@ def _pivot_lines(K: FieldSpec, n: int, j: int) -> list[dict[int, int]]:
     return lines
 
 
-def _line_masks(fK: MultiPoly, j: int, lines: Sequence[dict[int, int]]) -> np.ndarray:
+def _line_masks(
+    spelled: tuple[int, list], K: FieldSpec, n: int, j: int, lines: Sequence[dict[int, int]]
+) -> np.ndarray:
     """masks[l, t] tells whether f(-t e_j + sum_i lines[l][i] e_i) = 0, for
-    every element t, from one evaluation over all the lines stacked.  That
-    point lies on the hyperplane of x_j + sum c_i x_i exactly when
+    every element t, from one evaluation over all the lines stacked; f is
+    an n-variable form over K given by its `_spelled` terms.  That point
+    lies on the hyperplane of x_j + sum c_i x_i exactly when
     t = sum_i c_i lines[l][i], so a factor's coefficients always land on a
     root."""
-    K = fK.field
     Q = K.q
-    cols = [np.zeros(len(lines) * Q, dtype=np.intp)] * fK.nvars
+    cols = [np.zeros(len(lines) * Q, dtype=np.intp)] * n
     cols[j] = np.tile(K.tables.neg(np.arange(Q)), len(lines))
     for i in {i for y in lines for i in y}:
         cols[i] = np.repeat(np.array([y.get(i, 0) for y in lines], dtype=np.intp), Q)
-    return (evaluate_columns(fK, cols, K.tables) == 0).reshape(len(lines), Q)
+    return (_evaluate(spelled, cols, K.tables) == 0).reshape(len(lines), Q)
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
@@ -311,18 +313,22 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     elements 1, 2, ..., one per column: independent tests, which leave at most
     (deg f)^(n-1-j) tails unless one vanishes identically.  CHUNK rows at
     a time are extended, depth first, to keep the order and bound memory.
+    A weighted test's dot product sum_i c_i w_i is one `FieldTables.total`
+    over the logs of the columns, each shifted by log w_i.
     """
     K = fK.field
     n = fK.nvars
     T = K.tables
+    log = T.log
+    spelled = _spelled(fK)
     for j in range(n):
         cols = range(j + 1, n)
         lines = _pivot_lines(K, n, j)
-        found = _line_masks(fK, j, lines)
+        found = _line_masks(spelled, K, n, j, lines)
         roots = {a: np.flatnonzero(found[a - j - 1]) for a in cols}
         masks: dict[int, list] = {a: [] for a in cols}
         for y, mask in zip(lines[len(cols) :], found[len(cols) :]):
-            masks[max(y)].append(([(i - j - 1, w) for i, w in y.items() if i > j], mask))
+            masks[max(y)].append(([(i - j - 1, log[w]) for i, w in y.items() if i > j], mask))
 
         def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
             if a == n:
@@ -334,10 +340,7 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
                 block = rows[lo : lo + step]
                 ext = np.column_stack([np.repeat(block, len(S), axis=0), np.tile(S, len(block))])
                 for weights, mask in masks[a]:
-                    dot = 0
-                    for col, w in weights:
-                        dot = T.add(dot, T.mul(ext[:, col], w))
-                    ext = ext[mask[dot]]
+                    ext = ext[mask[T.total((log.take(ext[:, col]), shift) for col, shift in weights)]]
                 yield from grow(ext, a + 1)
 
         head = (0,) * j + (K.one,)

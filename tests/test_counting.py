@@ -522,8 +522,8 @@ def _dense(F, n, degree, rng):
 
 @pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 11), (3, 7), (7, 4)])
 def test_evaluate_columns_matches_pointwise_evaluate(p, k):
-    # every point of F^n (n = 3 for the small fields, 1 past the dense
-    # cap), then a sample of F^4 with many zero coordinates; constant-only
+    # every point of F^n (n = 3 for the small fields, 1 for those past
+    # 2^10), then a sample of F^4 with many zero coordinates; constant-only
     # polynomials, coefficient one, and words past the fold depth and past
     # q (x^(q+3)) exercise the sentinel and the fold
     F = build_field(p, k)
@@ -552,6 +552,8 @@ def test_evaluate_columns_matches_pointwise_evaluate(p, k):
 
 @pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
 def test_kernel_counts_past_the_dense_cap(p, k):
+    # (named for the 2^10 cap of the deleted dense tables; these fields are
+    # past it)
     # x1 = h(x2) and x2 = h(x1) have exactly q zeros whatever h is; h has a
     # word past q and every power of x_n up to 7 in the kernel's sum
     F = build_field(p, k)

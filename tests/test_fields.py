@@ -99,16 +99,14 @@ def test_log_tables_match_the_mul_poly_walk():
 
 
 def test_table_bundle_matches_scalar_reference():
-    # every field of this module, and one past the dense-table cap
+    # every field of this module, and F_4096
     fields = (F2, F3, F4, F8, F9, F16, F25, build_field(2, 6), build_field(3, 4), build_field(7, 2))
     for F in fields + (build_field(2, 12),):
         T = F.tables
         q = F.q
-        if q <= 1 << 10:
-            assert T.add_table.dtype == T.mul_table.dtype == T.neg_table.dtype == np.uint8
+        if q <= 1 << 10:  # every pair
             a, b = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
-        else:  # no dense tables: the log/exp bundle and XOR, on a sample
-            assert T.add_table is None
+        else:  # a sample of pairs
             a = np.arange(0, q, 7)
             b = (5 * a + 3) % q
         pairs = zip(a.tolist(), b.tolist(), T.add(a, b).tolist(), T.mul(a, b).tolist())
@@ -123,16 +121,46 @@ def test_table_bundle_matches_scalar_reference():
         neg = [F.from_coords([-u for u in F.coords(x)]) for x in range(q)]
         assert T.neg(np.arange(q)).tolist() == neg
         assert [F.neg(x) for x in range(q)] == neg
-    assert build_field(5, 4).tables.add_table.dtype == np.uint16
+
+
+def _entries(obj, skip=()):
+    """The entry count of every numpy array or memoryview that obj holds,
+    outside the attributes named in skip."""
+    out = []
+    for name, v in vars(obj).items():
+        if name in skip:
+            continue
+        for a in v if isinstance(v, tuple) else (v,):
+            if isinstance(a, (np.ndarray, memoryview)):
+                out.append(a.nbytes // a.itemsize)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 10), (5, 4), (3, 7), (2, 11), (1031, 1)]
+)
+def test_tables_are_linear_in_q(p, k):
+    # after add, sub, neg, mul and total, scalar and vectorized, and with
+    # the Zech table built for p = 2 too: the arrays of the arithmetic (the
+    # log/exp bundle, the Zech table) hold at most 2(D + 2)q + 2Z + 1
+    # entries in all, and nothing holds q^2 of them.  mul_matrices, q k x k
+    # matrices for the coset map, is not part of the arithmetic.
+    F = build_field(p, k)
+    T, q = F.tables, F.q
+    x = np.arange(q)
+    T.add(x, x[::-1]), T.mul(x, x), T.neg(x), T.total([(T.log[x], 0), (T.log[x], 1)], F.one)
+    F.add(1, q - 1), F.sub(1, q - 1), F.neg(q - 1), F.mul(q - 1, q - 1), T._zech()
+    bound = 2 * (T.depth + 2) * q + 2 * int(T.log[0]) + 1
+    assert sum(_entries(T, skip=("_mul_matrices",))) <= bound
+    assert max(_entries(F), default=0) <= bound
 
 
 @pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
 def test_large_field_ops_match_scalar_reference(p, k):
-    # past the dense cap: XOR (p = 2) or the Zech table (odd p) for add,
-    # the log/exp bundle for mul, and -1 = gamma^((q-1)/2) for neg
+    # XOR (p = 2) or the Zech table (odd p) for add, the log/exp bundle for
+    # mul, and -1 = gamma^((q-1)/2) for neg
     F = build_field(p, k)
     T, q = F.tables, F.q
-    assert q > 1 << 10 and T.add_table is None
     x = np.arange(q)
     for y in (0, F.one, F.neg(F.one), F.generator, q - 1, 1234 % q):
         y_ = np.full(q, y)
@@ -147,6 +175,13 @@ def test_large_field_ops_match_scalar_reference(p, k):
     assert neg.tolist() == [F.from_coords([-u for u in F.coords(a)]) for a in range(q)]
     assert not T.add(x, neg).any()
     assert T.add(x, x).tolist() == [F.add(a, a) for a in range(q)]
+    # the scalar add, sub and neg against coordinate-wise arithmetic
+    for u, v in zip(a.tolist(), b.tolist()):
+        cu, cv = F.coords(u), F.coords(v)
+        assert F.add(u, v) == F.from_coords([s + t for s, t in zip(cu, cv)])
+        assert F.sub(u, v) == F.from_coords([s - t for s, t in zip(cu, cv)])
+        assert F.neg(u) == F.from_coords([-s for s in cu])
+    assert F.add(0, 0) == F.sub(0, 0) == F.neg(0) == 0
     # a sum of products (log sums, shifted by a coefficient's log), with a
     # constant, against the scalar sum
     terms = np.random.default_rng(q).integers(0, q, (9, 2, 300))

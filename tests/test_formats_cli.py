@@ -1,5 +1,7 @@
 """File formats round-trip and the command-line surface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -374,6 +376,21 @@ def test_cli_suite_body_is_deterministic(workdir):
     body = json.loads(first.stdout)
     assert [sorted(c) for c in body["criteria"]] == [["id", "pass", "title"]] * 2
     assert "C6" in first.stderr and "C7" in first.stderr
+
+
+def test_cli_suite_csv_reads_back(workdir):
+    # C6's and C7's titles hold commas; a CSV reader gets 3 fields per row
+    # and the titles of the JSON body
+    csv_out, json_out = (
+        _run("suite", "--preset", "examples", "--seed", "0", "--format", fmt, cwd=workdir) for fmt in ("csv", "json")
+    )
+    assert csv_out.returncode == json_out.returncode == 0, csv_out.stderr
+    rows = list(csv.reader(io.StringIO(csv_out.stdout)))
+    assert [len(row) for row in rows] == [3] * 3
+    assert rows[0] == ["id", "pass", "title"]
+    criteria = json.loads(json_out.stdout)["criteria"]
+    assert rows[1:] == [[c["id"], str(int(c["pass"])), c["title"]] for c in criteria]
+    assert any("," in c["title"] for c in criteria)
 
 
 def test_cli_suite_lemma2_preset_csv(workdir):

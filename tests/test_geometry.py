@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cwlab.constructions import example_two, norm_form, random_system
+from cwlab.counting import _spelled
 from cwlab.errors import InsufficientExtensions, NotHomogeneous
 from cwlab.fields import build_field
 from cwlab.geometry import (
@@ -261,7 +262,7 @@ def test_line_masks_match_pointwise_evaluation():
         K, n = fK.field, fK.nvars
         for j in range(n):
             lines = _pivot_lines(K, n, j)
-            masks = _line_masks(fK, j, lines)
+            masks = _line_masks(_spelled(fK), K, n, j, lines)
             assert masks.shape == (len(lines), K.q) and (j == n - 1 or lines)
             for y, row in zip(lines, masks.tolist()):
                 for t in range(K.q):
