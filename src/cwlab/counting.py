@@ -382,43 +382,62 @@ def point_digits(Z: np.ndarray, F: FieldSpec) -> np.ndarray:
 
 
 def coset_ids(
-    X: np.ndarray, pivots: Sequence[int], entries: np.ndarray, F: FieldSpec
+    X: np.ndarray, pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: FieldSpec
 ) -> np.ndarray:
     """Coset numbers of the points Z, given as X = point_digits(Z, F), for a
-    batch of B direction spaces that share their RREF pivot columns: a
-    (B, |Z|) array, each row in `AffineSubspace.parallel_class` order.
-    entries[b] is space b's rows at the free columns, as `basis_entries`
-    gives them.
+    batch of B direction spaces of dimension m: a (B, |Z|) integer array,
+    each row in `AffineSubspace.parallel_class` order.  pivots holds each
+    space's RREF pivot columns, as a (B, m) array, or as one tuple that
+    every space shares; entries[b] is space b's rows at the free columns, as
+    `basis_entries` gives them.
 
     The coset's offset is the point x minus each row r times x's entry at
     r's pivot (RREF rows vanish at the other rows' pivots, so the pivot
     entries never change); its free coordinates, read big-endian, number the
-    coset.  F_q is a k-dimensional F_p-space and the offset's free
-    coordinates, x_j - sum_r x_{piv_r} * e_{b,r,j}, are F_p-linear in x's
-    coordinates.  So the whole batch is one integer matrix product of x's
-    base-p digits, an (|Z|, n*k) array, with an (n*k, B*(n-m)*k) matrix
-    whose block (i, (b, j)) is the k x k identity where i is free column j,
-    the matrix of multiplication by -e_{b,r,j} where i is pivot r
-    (`FieldTables.mul_matrices`), and zero elsewhere.  Reduced mod p, the
-    product holds each offset's free coordinates as base-p digits, and the
-    coset number reads them big-endian.  A prime field (k = 1) needs no
-    digit split.
+    coset.  F_q is a k-dimensional F_p-space, and the offset's (n - m)k free
+    F_p-coordinates, x_j - sum_r x_{piv_r} * e_{b,r,j}, are F_p-linear in
+    x's nk coordinates: by the k x k identity where x's column i is free
+    column j, by the matrix of multiplication by -e_{b,r,j} where i is pivot
+    r (`FieldTables.mul_matrices`), and by zero elsewhere.  Before the
+    reduction mod p each of these digits is an integer below the radix
+    b = (p - 1)(1 + mk(p - 1)) + 1, so g consecutive digits pack into one
+    integer without carries, b^g <= `FieldTables.readout_cap`, and a
+    space's digits pack into G = ceil((n - m)k / g) integers by the matrix W
+    of `FieldTables.readout`.  So the whole batch is one integer matrix
+    product of the digits, |Z| x nk, with an nk x B*G matrix: the free
+    columns' identity blocks and the pivots' multiplication matrices, each
+    times W.  One `take` from the read-out table reduces every packed
+    integer's digits mod p and reads them big-endian, and the groups read as
+    base-p^g digits.  Where b itself is past the cap, each group is one
+    digit, reduced mod p instead.  The product holds B*G*|Z| integers.  A
+    prime field (k = 1) needs no digit split.
     """
     T = F.tables
     p, k, n = F.p, F.k, X.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    B, f = len(entries), len(free)
-    M = np.zeros((n, k, B, f, k), dtype=np.int64)  # [i, a, b, j, c]
-    M[free, :, :, range(f), :] = np.eye(k, dtype=np.int64)[:, None, :]
-    if entries.size:
-        M[list(pivots)] = T.mul_matrices[T.neg(entries)].transpose(1, 3, 0, 2, 4)
-    # transposed, so the digits come out as (B, (n-m)*k, |Z|)
-    R = M.reshape(n * k, B * f * k).T @ X.reshape(len(X), n * k).T
-    # R %= p, by a scalar division, which numpy does faster than a remainder
-    t = R // p
-    t *= p
-    R -= t
-    return p ** np.arange(f * k - 1, -1, -1) @ R.reshape(B, f * k, len(X))
+    B, m, f = entries.shape
+    if f == 0:
+        return np.zeros((B, len(X)), dtype=np.intp)
+    g, W, table = T.readout((p - 1) * (1 + m * k * (p - 1)) + 1, f * k)
+    G = W.shape[1]
+    rows = np.arange(B)[:, None]
+    pivots = np.asarray(pivots, dtype=np.intp)
+    is_pivot = np.zeros((B, n), dtype=bool)
+    is_pivot[rows, pivots] = True
+    M = np.empty((B, n, k, G), dtype=np.int64)  # [b, i, a, group]
+    M[rows, np.nonzero(~is_pivot)[1].reshape(B, f)] = W.reshape(f, k, G)
+    if m:
+        # [b, r, j, a, c] -> [b, r, a, (j, c)]
+        mm = T.mul_matrices[T.neg(entries)].transpose(0, 1, 3, 2, 4)
+        M[rows, pivots] = mm.reshape(B, m, k, f * k) @ W
+    R = (M.transpose(0, 3, 1, 2).reshape(B * G, n * k) @ X.reshape(len(X), n * k).T).reshape(B, G, len(X))
+    R = R.transpose(1, 0, 2)  # [group, b, point]
+    if table is None:
+        R -= R // p * p  # R %= p, by a scalar division, which numpy does faster
+    digits = R if table is None else table.take(R)
+    ids = digits[0]
+    for d in digits[1:]:
+        ids = ids * np.int64(p**g) + d
+    return ids
 
 
 # -- public counting API --------------------------------------------------------

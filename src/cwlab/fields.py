@@ -384,7 +384,7 @@ class FieldTables:
     -1 = gamma^((q - 1)/2).  So the arithmetic holds at most
     2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total` sums
     many terms at once.  `mul_matrices`, the F_p-matrices of multiplication,
-    is built on first use for every field.
+    and the `readout` tables of the coset numbers are built on first use.
     """
 
     depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
@@ -394,6 +394,8 @@ class FieldTables:
         self.q = F.q
         self._place = F.p ** np.arange(F.k - 1, -1, -1)  # index of the basis element g^a
         self._mul_matrices: np.ndarray | None = None
+        self._readouts: dict[int, np.ndarray] = {}
+        self._packings: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray | None]] = {}
         self._bundle: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._zech_table: np.ndarray | None = None
 
@@ -516,6 +518,40 @@ class FieldTables:
             table = self.digits(np.arange(self.q)) @ basis.reshape(F.k, -1) % F.p
             self._mul_matrices = table.reshape(self.q, F.k, F.k).astype(np.min_scalar_type(F.p - 1))
         return self._mul_matrices
+
+    readout_cap = 1 << 12  # entries of one read-out table
+
+    def readout(self, radix: int, digits: int) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """(g, W, table): how `counting.coset_ids` packs a row of `digits`
+        integers below radix b, each standing for a base-p digit, and reads
+        the row back as one base-p number.  g digits pack into one integer,
+        as many as the row has up to b^g <= readout_cap.  W, digits x G with
+        G = ceil(digits / g), sends digit s to group (s + pad) // g with
+        weight b^(g - 1 - (s + pad) % g), pad = G*g - digits: the first
+        group is the short one.  table[v], for v < b^g, reduces v's base-b
+        digits mod p and reads them as a big-endian base-p number, in the
+        narrowest dtype.  Past the cap (b > readout_cap), g = 1 and table is
+        None.  One table serves each radix, as the table of fewer digits is
+        a prefix of it; W is kept per radix and row length."""
+        if (radix, digits) not in self._packings:
+            p, g = self.field.p, 0
+            while g < digits and radix ** (g + 1) <= self.readout_cap:
+                g += 1
+            table = self._readouts.get(radix)
+            if g and (table is None or len(table) < radix**g):
+                dtype = np.min_scalar_type(p**g - 1)
+                digit = (np.arange(radix) % p).astype(dtype)
+                table = np.zeros(1, dtype=dtype)
+                for _ in range(g):
+                    table = (table[:, None] * dtype.type(p) + digit).ravel()
+                self._readouts[radix] = table
+            g = max(g, 1)
+            G = -(-digits // g)
+            s = np.arange(digits) + G * g - digits
+            W = np.zeros((digits, G), dtype=np.int64)
+            W[np.arange(digits), s // g] = radix ** (g - 1 - s % g)
+            self._packings[radix, digits] = (g, W, table)
+        return self._packings[radix, digits]
 
 
 @lru_cache(maxsize=None)

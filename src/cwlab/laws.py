@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,9 +48,13 @@ LAW_ALIASES = {
 }
 
 DEFAULT_CLASS_BUDGET = 10_000
-# a batch of direction spaces holds at most this many point coordinates and
-# this many coset counters (a quarter of the counting kernel's chunk: larger
-# batches raised peak memory and gained no speed)
+# a batch of B direction spaces of dimension m, over the |Z| zero points,
+# holds at most this many point coordinates, B*|Z|*(n - m), and this many
+# coset counters, B*q^(n - m) (a quarter of the counting kernel's chunk:
+# larger batches raised peak memory and gained no speed).  `coset_ids` packs
+# a space's (n - m)k base-p digits into G = ceil((n - m)k / g) integers, so
+# its product holds B*G*|Z| of them: at most BATCH when g >= k, which holds
+# wherever the read-out table fits k digits, and at most k*BATCH otherwise.
 BATCH = 1 << 14
 
 
@@ -117,17 +121,17 @@ def _disagreeing_cosets(ids: np.ndarray, classes: int, modulus: int):
 
 def _coset_residue_check(
     X: np.ndarray,
-    pivots: Sequence[int],
+    pivots: np.ndarray,
     entries: np.ndarray,
     F: FieldSpec,
     modulus: int,
 ):
-    """Check a batch of direction spaces with the same pivot columns
-    (entries as `basis_entries` gives them, one (m, n - m) block per space)
-    at once, on the zero points as `point_digits` gives them.  Returns None
-    when, for every space, the zero points' counts over its cosets agree mod
-    modulus; else (b, pair) for the first space b that fails, with pair as
-    `_disagreeing_cosets` gives it.
+    """Check a batch of direction spaces of one dimension m at once (pivots
+    as a (B, m) array, entries as `basis_entries` gives them, one (m, n - m)
+    block per space) on the zero points as `point_digits` gives them.
+    Returns None when, for every space, the zero points' counts over its
+    cosets agree mod modulus; else (b, pair) for the first space b that
+    fails, with pair as `_disagreeing_cosets` gives it.
 
     Every coset of the batch is counted by one bincount over
     space * q^(n-m) + coset.  A coset that no point meets counts 0, whose
@@ -137,7 +141,7 @@ def _coset_residue_check(
     """
     if X.shape[0] == 0:
         return None
-    classes = F.q ** (X.shape[1] - len(pivots))
+    classes = F.q ** entries.shape[2]
     ids = coset_ids(X, pivots, entries, F)
     if classes > BATCH:
         pairs = ((b, _disagreeing_cosets(row, classes, modulus)) for b, row in enumerate(ids))
@@ -157,7 +161,8 @@ _INTP_MAX = int(np.iinfo(np.intp).max)
 
 def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
     """The direction spaces of `direction_spaces(F, n, m)`, in its order, as
-    (pivots, entries) batches of at most cap spaces with the same pivots.
+    (pivots, entries) batches of cap spaces (the last may hold fewer), with
+    pivots a (B, m) array: a batch runs on across pivot patterns.
 
     The spaces of one pivot pattern are numbered in odometer order over its
     free cells, the last cell fastest, so entry (i, k) of space t is one
@@ -165,6 +170,8 @@ def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
     t // _INTP_MAX % q = 0 off the cells (a place past every number gives
     digit 0, which also keeps the places in intp)."""
     q, size = F.q, m * (n - m)
+    parts: list[tuple[tuple[int, ...], np.ndarray]] = []
+    room = cap
     for pivots in combinations(range(n), m):
         free = [j for j in range(n) if j not in pivots]
         cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
@@ -173,25 +180,32 @@ def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
             place[cell] = min(q**e, _INTP_MAX)
         place = np.array(place, dtype=np.intp)
         total = q ** len(cells)
-        for lo in range(0, total, cap):
-            hi = min(lo + cap, total)
-            yield pivots, (np.arange(lo, hi)[:, None] // place % q).reshape(hi - lo, m, n - m)
+        lo = 0
+        while lo < total:
+            hi = min(lo + room, total)
+            parts.append((pivots, (np.arange(lo, hi)[:, None] // place % q).reshape(hi - lo, m, n - m)))
+            room -= hi - lo
+            lo = hi
+            if room == 0:
+                yield _joined(parts)
+                parts, room = [], cap
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """One (pivots, entries) batch from runs of (pivot tuple, entries)."""
+    pivots = np.array([piv for piv, _ in parts], dtype=np.intp)
+    return pivots.repeat([len(e) for _, e in parts], axis=0), np.concatenate([e for _, e in parts])
 
 
 def _sampled_batches(spaces: Iterator, n: int, cap: int):
-    """Group RREF bases into (pivots, entries) batches: runs of at most cap
-    consecutive spaces with the same pivots."""
-    run: list = []
-    run_pivots: tuple[int, ...] = ()
-    for rows in spaces:
-        pivots, entries = basis_entries(rows, n)
-        if run and (pivots != run_pivots or len(run) == cap):
-            yield run_pivots, np.stack(run)
-            run = []
-        run_pivots = pivots
-        run.append(entries)
-    if run:
-        yield run_pivots, np.stack(run)
+    """Group RREF bases into (pivots, entries) batches of cap consecutive
+    spaces (the last may hold fewer)."""
+    spaces = iter(spaces)
+    while chunk := [basis_entries(rows, n) for rows in islice(spaces, cap)]:
+        pivots, entries = zip(*chunk)
+        yield np.array(pivots, dtype=np.intp), np.stack(entries)
 
 
 def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, pair) -> dict:
@@ -254,14 +268,15 @@ def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
             if room <= 0:
                 return checked, per_dim, True, None
             cut = len(entries) > room
-            entries = entries[:room]
+            pivots, entries = pivots[:room], entries[:room]
             hit = _coset_residue_check(X, pivots, entries, F, modulus)
             done = len(entries) if hit is None else hit[0] + 1
             checked += done
             per_dim[m] = per_dim.get(m, 0) + done
             if hit is not None:
                 b, pair = hit
-                return checked, per_dim, False, {**_witness(F, n, pivots, entries[b], pair), "dim": m}
+                witness = _witness(F, n, pivots[b].tolist(), entries[b], pair)
+                return checked, per_dim, False, {**witness, "dim": m}
             if cut:
                 return checked, per_dim, True, None
     return checked, per_dim, False, None
@@ -281,9 +296,9 @@ def check_congruence(
     (n >= d).  parallel-subspaces (alias theorem1): counts over any two
     parallel subspaces of dimension >= d agree mod q.
     """
-    law = LAW_ALIASES.get(law)
-    if law is None:
-        raise ValueError(f"unknown law")
+    if law not in LAW_ALIASES:
+        raise InvalidArgument(f"unknown law {law!r}; choose from {sorted(LAW_ALIASES)}")
+    law = LAW_ALIASES[law]
     scope = scope or CheckScope()
     F = system.field
     n, d, q, p = system.nvars, system.total_degree, F.q, F.p

@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations, product
+from random import Random
 
 import numpy as np
 import pytest
@@ -189,41 +190,61 @@ def test_parallel_class_matches_oracle_per_member():
         ]
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
-def test_coset_ids_match_per_point_offsets(p, k):
+_COSET_ID_CASES = [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3), (2, 4, 2), (5, 2, 2),
+                   (3, 3, 2), (2, 2, 5), (127, 1, 3), (65537, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "p,k,n", _COSET_ID_CASES, ids=[f"{p}-{k}" + (f"-n{n}" if n == 5 else "") for p, k, n in _COSET_ID_CASES]
+)
+def test_coset_ids_match_per_point_offsets(p, k, n):
     # each point's coset number is the place, in parallel_class order, of
     # the offset of the subspace through it; for every dimension m from 0
     # (every point its own coset) to n (one coset, number 0), batches of
-    # one space and of three
+    # one space and of three with the same pivots, and one batch that mixes
+    # every pivot pattern of dimension m; a batch of one space passes its
+    # pivots as a tuple.  Over F_4 at n = 5, m = 1 packs its 8 digits in two
+    # groups; F_127 and F_65537 are past the read-out table's cap for
+    # m >= 1 (the reference lists every coset, so m stops short of 10^5).
     from cwlab.counting import basis_entries, coset_ids, point_digits
     from cwlab.rng import SplitMix64
 
     F = build_field(p, k)
     q = F.q
-    n = 3 if q <= 9 else 2
     rng = SplitMix64(q)
     Z = np.array([[rng.below(q) for _ in range(n)] for _ in range(30)])
+
+    def space(pivots):
+        rows = [[0] * n for _ in pivots]
+        for row, piv in zip(rows, pivots):
+            row[piv] = F.one
+            for j in range(piv + 1, n):
+                if j not in pivots:
+                    row[j] = rng.below(q)
+        return rows
+
     for m in range(n + 1):
-        for pivots in combinations(range(n), m):
-            for B in (1, 3):
-                spaces = []
-                for _ in range(B):
-                    rows = [[0] * n for _ in pivots]
-                    for row, piv in zip(rows, pivots):
-                        row[piv] = F.one
-                        for j in range(piv + 1, n):
-                            if j not in pivots:
-                                row[j] = rng.below(q)
-                    spaces.append(rows)
-                entries = np.stack([basis_entries(rows, n)[1] for rows in spaces])
-                ids = coset_ids(point_digits(Z, F), pivots, entries, F)
-                assert ids.shape == (B, len(Z))
-                for rows, got in zip(spaces, ids.tolist()):
-                    members = AffineSubspace(F, (0,) * n, rows).parallel_class()
-                    place = {L.offset: i for i, L in enumerate(members)}
-                    assert got == [place[AffineSubspace(F, pt, rows).offset] for pt in Z.tolist()]
-                if m == n:
-                    assert not ids.any()
+        if q ** (n - m) > 10**5:
+            continue
+        patterns = list(combinations(range(n), m))
+        mixed = [space(pivots) for pivots in patterns for _ in range(2)]
+        batches = [[space(pivots) for _ in range(B)] for pivots in patterns for B in (1, 3)]
+        batches.append([mixed[i] for i in Random(m).sample(range(len(mixed)), len(mixed))])
+        for spaces in batches:
+            pivots, entries = zip(*(basis_entries(rows, n) for rows in spaces))
+            pivots = pivots[0] if len(spaces) == 1 else np.array(pivots, dtype=np.intp)
+            ids = coset_ids(point_digits(Z, F), pivots, np.stack(entries), F)
+            assert ids.shape == (len(spaces), len(Z))
+            for rows, got in zip(spaces, ids.tolist()):
+                members = AffineSubspace(F, (0,) * n, rows).parallel_class()
+                place = {L.offset: i for i, L in enumerate(members)}
+                assert got == [place[AffineSubspace(F, pt, rows).offset] for pt in Z.tolist()]
+            if m == n:
+                assert not ids.any()
+    if (q, n) == (4, 5):
+        assert F.tables.readout(4, 8)[1].shape[1] == 2
+    if q > 100:
+        assert F.tables.readout((p - 1) * (1 + (p - 1)) + 1, (n - 1) * k)[2] is None
 
 
 def test_ax_katz_divisibility_on_corpus():

@@ -151,6 +151,13 @@ def test_cli_check_laws(workdir):
         assert json.loads(res.stdout)["pass"] is True
 
 
+def test_cli_check_unknown_law_is_an_input_error(workdir):
+    res = _run("check", "--system", "hyp.sys", "--law", "theorem2", cwd=workdir)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: unknown law 'theorem2'") and "Traceback" not in res.stderr
+    assert "theorem1" in res.stderr and "warning-hyperplanes" in res.stderr
+
+
 def test_cli_check_dim_restriction(workdir):
     res = _run(
         "check", "--system", "hyp.sys", "--law", "theorem1", "--all-pairs",

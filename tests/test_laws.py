@@ -9,8 +9,8 @@ import pytest
 
 from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
-from cwlab.counting import zero_set
-from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, WrongFieldSize
+from cwlab.counting import basis_entries, zero_set
+from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, InvalidArgument, WrongFieldSize
 from cwlab.fields import build_field
 from cwlab.laws import (
     BATCH,
@@ -52,6 +52,13 @@ def test_parallel_subspace_law_and_alias():
     assert rep.law == "parallel-subspaces"
     assert rep.applicable and rep.passed
     assert rep.evidence["per_dim"] == {2: 35, 3: 15, 4: 1}
+
+
+def test_unknown_law_is_an_input_error():
+    with pytest.raises(InvalidArgument) as err:
+        check_congruence(HYP, "theorem2")
+    assert "'theorem2'" in str(err.value)
+    assert all(name in str(err.value) for name in laws.LAW_ALIASES)
 
 
 def test_warning_hyperplanes():
@@ -381,7 +388,9 @@ def _reference_report(system, law, scope):
 
 def _differential_systems():
     """Small corpus systems over F_2 to F_5, corpus systems lifted to F_8
-    and F_9, one system over F_7, and the violating x1*x2 + 1 over F_2."""
+    and F_9, one system over F_7, the violating x1*x2 + 1 over F_2, and a
+    violating cubic over F_3 whose first failing plane in the sampled order
+    (seed 4) is the third one drawn, with other pivots than the first."""
     from cwlab.constructions import random_system
     from cwlab.counting import lift_system
 
@@ -394,21 +403,28 @@ def _differential_systems():
         out += [lift_system(sy, s) for sy in corpus if sy.field.q == base_q and sy.nvars == 2][:2]
     out.append(random_system(build_field(7, 1), 3, (2,), 5))
     out.append(PolySystem([parse_poly("x1*x2 + 1", F2, ["x1", "x2"])]))
+    out.append(random_system(F3, 3, (3,), 13))
     return out
 
 
 DIFFERENTIAL_SYSTEMS = _differential_systems()
 
 
+def _pivots(rows) -> tuple[int, ...]:
+    return tuple(next(i for i, x in enumerate(row) if x) for row in rows)
+
+
 class _BatchLog:
-    """Records the size of every batch the sweep checks."""
+    """Records the size and the first space's pivots of every batch the
+    sweep checks."""
 
     def __init__(self, monkeypatch):
-        self.sizes = []
+        self.sizes, self.first_pivots = [], []
         check = laws._coset_residue_check
 
         def logged(Z, pivots, entries, F, modulus):
             self.sizes.append(len(entries))
+            self.first_pivots.append(tuple(pivots[0].tolist()))
             return check(Z, pivots, entries, F, modulus)
 
         monkeypatch.setattr(laws, "_coset_residue_check", logged)
@@ -421,14 +437,15 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
     if batch:
         monkeypatch.setattr(laws, "BATCH", batch)
     assert {sy.field.q for sy in DIFFERENTIAL_SYSTEMS} == {2, 3, 4, 5, 7, 8, 9}
-    failures = cuts = 0
+    failures = cuts = crossed = 0
     for system in DIFFERENTIAL_SYSTEMS:
         for law in ("parallel-subspaces", "warning-hyperplanes"):
             log = _BatchLog(monkeypatch)
             total = check_congruence(system, law, CheckScope(budget=10**9)).evidence["classes_checked"]
             sizes = list(log.sizes)
             scopes = [CheckScope(budget=b) for b in (10**9, 0, total - 1, total)]
-            scopes += [CheckScope(all_pairs=False, sample=40, seed=3), CheckScope(all_pairs=False, sample=40, seed=3, budget=7)]
+            scopes += [CheckScope(all_pairs=False, sample=40, seed=s) for s in (3, 4)]
+            scopes.append(CheckScope(all_pairs=False, sample=40, seed=3, budget=7))
             # a budget that ends one space into the first batch of two or more
             k = next((k for k, size in enumerate(sizes) if size >= 2), None)
             if k is not None:
@@ -440,11 +457,28 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
                 assert (rep.evidence, rep.witness) == (evidence, witness), (system, law, scope)
                 assert rep.passed == (witness is None)
                 failures += witness is not None
+                # the failing space lies in a batch that begins with another pivot pattern
+                crossed += witness is not None and _pivots(witness["rows"]) != log.first_pivots[-1]
             if k is not None:
                 assert log.sizes == sizes[:k] + [1]  # the last scope cut batch k
                 cuts += 1
-    assert failures > 0  # the violating system fails under warning-hyperplanes
+    assert failures > 0  # the violating systems fail under warning-hyperplanes
     assert cuts > 0
+    assert crossed > 0 or batch == 7  # BATCH = 7 leaves one space per batch
+
+
+@pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3)])
+def test_pattern_batches_follow_direction_spaces(F, n):
+    # batches of cap spaces run on across pivot patterns, in the order of
+    # direction_spaces, for caps that divide no pattern's size (the sizes
+    # are powers of q: 7 and 11 are prime to q, and 10^9 exceeds them all)
+    for m in range(n + 1):
+        want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
+        for cap in (7, 11, 10**9):
+            batches = list(laws._pattern_batches(F, n, m, cap))
+            assert [len(e) for _, e in batches] == [min(cap, len(want) - i) for i in range(0, len(want), cap)]
+            got = [(tuple(piv), ent) for pivots, entries in batches for piv, ent in zip(pivots.tolist(), entries.tolist())]
+            assert got == want, (F.q, n, m, cap)
 
 
 def test_batched_sweep_on_random_point_sets(monkeypatch):
