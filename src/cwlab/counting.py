@@ -381,43 +381,36 @@ def point_digits(Z: np.ndarray, F: FieldSpec) -> np.ndarray:
     return Z if F.k == 1 else F.tables.digits(Z)
 
 
-def coset_ids(
-    X: np.ndarray, pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: FieldSpec
-) -> np.ndarray:
-    """Coset numbers of the points Z, given as X = point_digits(Z, F), for a
-    batch of B direction spaces of dimension m: a (B, |Z|) integer array,
-    each row in `AffineSubspace.parallel_class` order.  pivots holds each
-    space's RREF pivot columns, as a (B, m) array, or as one tuple that
-    every space shares; entries[b] is space b's rows at the free columns, as
-    `basis_entries` gives them.
+def _packing(F: FieldSpec, m: int, f: int) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """`FieldTables.readout` for the (n - m)k = fk offset digits of a space
+    of dimension m: each is an integer below the radix
+    b = (p - 1)(1 + mk(p - 1)) + 1 before the reduction mod p."""
+    p, k = F.p, F.k
+    return F.tables.readout((p - 1) * (1 + m * k * (p - 1)) + 1, f * k)
 
-    The coset's offset is the point x minus each row r times x's entry at
-    r's pivot (RREF rows vanish at the other rows' pivots, so the pivot
-    entries never change); its free coordinates, read big-endian, number the
-    coset.  F_q is a k-dimensional F_p-space, and the offset's (n - m)k free
-    F_p-coordinates, x_j - sum_r x_{piv_r} * e_{b,r,j}, are F_p-linear in
-    x's nk coordinates: by the k x k identity where x's column i is free
+
+def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: FieldSpec) -> np.ndarray:
+    """The stacked matrix M' of `coset_ids` for a batch of B direction
+    spaces of dimension m in A^n: a (B*G, nk) int64 array, G rows per
+    space, with G = ceil((n - m)k / g) the packed groups of its offset
+    digits (no rows when m = n).  pivots and entries are as in `coset_ids`.
+
+    Row (b, group) holds, for each of x's nk F_p-coordinates, the weight it
+    adds to that group: by the k x k identity where x's column i is free
     column j, by the matrix of multiplication by -e_{b,r,j} where i is pivot
-    r (`FieldTables.mul_matrices`), and by zero elsewhere.  Before the
-    reduction mod p each of these digits is an integer below the radix
-    b = (p - 1)(1 + mk(p - 1)) + 1, so g consecutive digits pack into one
-    integer without carries, b^g <= `FieldTables.readout_cap`, and a
-    space's digits pack into G = ceil((n - m)k / g) integers by the matrix W
-    of `FieldTables.readout`.  So the whole batch is one integer matrix
-    product of the digits, |Z| x nk, with an nk x B*G matrix: the free
-    columns' identity blocks and the pivots' multiplication matrices, each
-    times W.  One `take` from the read-out table reduces every packed
-    integer's digits mod p and reads them big-endian, and the groups read as
-    base-p^g digits.  Where b itself is past the cap, each group is one
-    digit, reduced mod p instead.  The product holds B*G*|Z| integers.  A
-    prime field (k = 1) needs no digit split.
+    r (`FieldTables.mul_matrices`), and by zero elsewhere, each times the
+    packing matrix W of `FieldTables.readout`.  It depends on the spaces
+    alone, so the congruence sweeps build it once per space and shape, in
+    `laws.DirectionTable`, whose memo keeps at most
+    `FieldTables.direction_bytes` (4 MiB) of tables over every field.
     """
     T = F.tables
-    p, k, n = F.p, F.k, X.shape[1]
+    k = F.k
     B, m, f = entries.shape
+    n = m + f
     if f == 0:
-        return np.zeros((B, len(X)), dtype=np.intp)
-    g, W, table = T.readout((p - 1) * (1 + m * k * (p - 1)) + 1, f * k)
+        return np.zeros((0, n * k), dtype=np.int64)
+    _, W, _ = _packing(F, m, f)
     G = W.shape[1]
     rows = np.arange(B)[:, None]
     pivots = np.asarray(pivots, dtype=np.intp)
@@ -429,7 +422,51 @@ def coset_ids(
         # [b, r, j, a, c] -> [b, r, a, (j, c)]
         mm = T.mul_matrices[T.neg(entries)].transpose(0, 1, 3, 2, 4)
         M[rows, pivots] = mm.reshape(B, m, k, f * k) @ W
-    R = (M.transpose(0, 3, 1, 2).reshape(B * G, n * k) @ X.reshape(len(X), n * k).T).reshape(B, G, len(X))
+    return M.transpose(0, 3, 1, 2).reshape(B * G, n * k)
+
+
+def coset_ids(
+    X: np.ndarray,
+    pivots: Sequence[int] | np.ndarray,
+    entries: np.ndarray,
+    F: FieldSpec,
+    matrix: np.ndarray | None = None,
+) -> np.ndarray:
+    """Coset numbers of the points Z, given as X = point_digits(Z, F), for a
+    batch of B direction spaces of dimension m: a (B, |Z|) integer array,
+    each row in `AffineSubspace.parallel_class` order.  pivots holds each
+    space's RREF pivot columns, as a (B, m) array, or as one tuple that
+    every space shares; entries[b] is space b's rows at the free columns, as
+    `basis_entries` gives them.  matrix is their `coset_matrix`, built here
+    when the caller has none (an all-pairs sweep slices it from its
+    direction table, which the memo keeps within 4 MiB over every table).
+
+    The coset's offset is the point x minus each row r times x's entry at
+    r's pivot (RREF rows vanish at the other rows' pivots, so the pivot
+    entries never change); its free coordinates, read big-endian, number the
+    coset.  F_q is a k-dimensional F_p-space, and the offset's (n - m)k free
+    F_p-coordinates, x_j - sum_r x_{piv_r} * e_{b,r,j}, are F_p-linear in
+    x's nk coordinates.  Before the reduction mod p each of these digits is
+    an integer below the radix b = (p - 1)(1 + mk(p - 1)) + 1, so g
+    consecutive digits pack into one integer without carries,
+    b^g <= `FieldTables.readout_cap`, and a space's digits pack into
+    G = ceil((n - m)k / g) integers.  So the whole batch is one integer
+    matrix product of M' (see `coset_matrix`), B*G x nk, with the digits,
+    nk x |Z|.  One `take` from the read-out table reduces every packed
+    integer's digits mod p and reads them big-endian, and the groups read as
+    base-p^g digits.  Where b itself is past the cap, each group is one
+    digit, reduced mod p instead.  The product holds B*G*|Z| integers, and
+    M' holds B*G*nk.  A prime field (k = 1) needs no digit split.
+    """
+    p = F.p
+    B, m, f = entries.shape
+    if f == 0:
+        return np.zeros((B, len(X)), dtype=np.intp)
+    if matrix is None:
+        matrix = coset_matrix(pivots, entries, F)
+    g, W, table = _packing(F, m, f)
+    G = W.shape[1]
+    R = (matrix @ X.reshape(len(X), matrix.shape[1]).T).reshape(B, G, len(X))
     R = R.transpose(1, 0, 2)  # [group, b, point]
     if table is None:
         R -= R // p * p  # R %= p, by a scalar division, which numpy does faster

@@ -384,10 +384,20 @@ class FieldTables:
     -1 = gamma^((q - 1)/2).  So the arithmetic holds at most
     2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total` sums
     many terms at once.  `mul_matrices`, the F_p-matrices of multiplication,
-    and the `readout` tables of the coset numbers are built on first use.
+    and the `readout` tables of the coset numbers are built on first use,
+    and `direction_memo` keeps the direction spaces that the congruence
+    sweeps slice, within `direction_bytes`.
     """
 
     depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
+    # bytes that the memoized direction tables of every field hold together
+    # (4 MiB; see `laws.DirectionTable`): the largest shapes the suite sweeps,
+    # q = 5 and q = 4 at n = 5, take 2.9 MB and 1.6 MB over every dimension
+    direction_bytes = 1 << 22
+    # (tables, n, m) -> the `laws.DirectionTable` of the m-dimensional spaces
+    # of A^n, least recently used first.  One memo serves every field, so
+    # that the bound holds over all of them.
+    direction_memo: dict = {}
 
     def __init__(self, F: FieldSpec):
         self.field = F

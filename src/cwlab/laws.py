@@ -18,12 +18,13 @@ import numpy as np
 from .counting import (
     basis_entries,
     coset_ids,
+    coset_matrix,
     count_zeros,
     point_digits,
     zero_points,
 )
 from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
-from .fields import FieldSpec
+from .fields import FieldSpec, FieldTables
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
 from .subspaces import (
@@ -55,6 +56,9 @@ DEFAULT_CLASS_BUDGET = 10_000
 # a space's (n - m)k base-p digits into G = ceil((n - m)k / g) integers, so
 # its product holds B*G*|Z| of them: at most BATCH when g >= k, which holds
 # wherever the read-out table fits k digits, and at most k*BATCH otherwise.
+# A batch of an all-pairs sweep is a slice of its shape's `DirectionTable`,
+# so its B*G*nk rows of M' are read, not built; the memo keeps at most
+# `FieldTables.direction_bytes` (4 MiB) of tables over every field.
 BATCH = 1 << 14
 
 
@@ -87,7 +91,8 @@ class LawReport:
 class CheckScope:
     """all_pairs iterates every canonical direction space (budgeted);
     sampled draws seeded random direction spaces instead.  dim restricts
-    attention to a single qualifying dimension."""
+    attention to a single qualifying dimension.  `check_congruence` rejects
+    a budget below 0 and a sample below 1 with InvalidArgument."""
 
     all_pairs: bool = True
     budget: int = DEFAULT_CLASS_BUDGET
@@ -125,10 +130,12 @@ def _coset_residue_check(
     entries: np.ndarray,
     F: FieldSpec,
     modulus: int,
+    matrix: np.ndarray | None = None,
 ):
     """Check a batch of direction spaces of one dimension m at once (pivots
     as a (B, m) array, entries as `basis_entries` gives them, one (m, n - m)
-    block per space) on the zero points as `point_digits` gives them.
+    block per space, and matrix their `coset_matrix` if the caller has it)
+    on the zero points as `point_digits` gives them.
     Returns None when, for every space, the zero points' counts over its
     cosets agree mod modulus; else (b, pair) for the first space b that
     fails, with pair as `_disagreeing_cosets` gives it.
@@ -142,7 +149,7 @@ def _coset_residue_check(
     if X.shape[0] == 0:
         return None
     classes = F.q ** entries.shape[2]
-    ids = coset_ids(X, pivots, entries, F)
+    ids = coset_ids(X, pivots, entries, F, matrix)
     if classes > BATCH:
         pairs = ((b, _disagreeing_cosets(row, classes, modulus)) for b, row in enumerate(ids))
         return next(((b, pair) for b, pair in pairs if pair is not None), None)
@@ -159,10 +166,11 @@ def _coset_residue_check(
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
-    """The direction spaces of `direction_spaces(F, n, m)`, in its order, as
-    (pivots, entries) batches of cap spaces (the last may hold fewer), with
-    pivots a (B, m) array: a batch runs on across pivot patterns.
+def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int, lo: int = 0):
+    """The direction spaces of `direction_spaces(F, n, m)` from number lo
+    on, in its order, as (pivots, entries) batches of cap spaces (the last
+    may hold fewer), with pivots a (B, m) array: a batch runs on across
+    pivot patterns.
 
     The spaces of one pivot pattern are numbered in odometer order over its
     free cells, the last cell fastest, so entry (i, k) of space t is one
@@ -175,12 +183,14 @@ def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
     for pivots in combinations(range(n), m):
         free = [j for j in range(n) if j not in pivots]
         cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
+        total = q ** len(cells)
+        if lo >= total:
+            lo -= total
+            continue
         place = [_INTP_MAX] * size
         for e, cell in enumerate(reversed(cells)):
             place[cell] = min(q**e, _INTP_MAX)
         place = np.array(place, dtype=np.intp)
-        total = q ** len(cells)
-        lo = 0
         while lo < total:
             hi = min(lo + room, total)
             parts.append((pivots, (np.arange(lo, hi)[:, None] // place % q).reshape(hi - lo, m, n - m)))
@@ -189,6 +199,7 @@ def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int):
             if room == 0:
                 yield _joined(parts)
                 parts, room = [], cap
+        lo = 0
     if parts:
         yield _joined(parts)
 
@@ -197,6 +208,93 @@ def _joined(parts: list) -> tuple[np.ndarray, np.ndarray]:
     """One (pivots, entries) batch from runs of (pivot tuple, entries)."""
     pivots = np.array([piv for piv, _ in parts], dtype=np.intp)
     return pivots.repeat([len(e) for _, e in parts], axis=0), np.concatenate([e for _, e in parts])
+
+
+class DirectionTable:
+    """The direction spaces of dimension m in A^n(F), in `direction_spaces`
+    order: each space's pivots and free entries, as `_pattern_batches` gives
+    them, and its rows of `coset_matrix`.  They depend on (F, n, m) alone,
+    so every sweep of that shape slices one table, whatever its batch size.
+
+    The table holds a prefix of the enumeration and grows it on demand.  A
+    slice past the prefix grows it to the larger of the slice's end and
+    twice the prefix, so a sweep that stops early, at a witness or at its
+    budget, has built at most about twice the spaces it checked.  The memo
+    (`FieldTables.direction_memo`, see `direction_table`) keeps the tables of
+    every field within `FieldTables.direction_bytes` together: a growth
+    first drops the least recently used other tables, and a slice that would
+    take this table past the bound on its own, or that extends a table the
+    memo has dropped, is built by the same builder and not kept."""
+
+    def __init__(self, F: FieldSpec, n: int, m: int):
+        self.key = (F.tables, n, m)
+        self.field, self.n, self.m = F, n, m
+        self.size = gaussian_binomial(F.q, n, m)
+        self.pivots, self.entries, self.matrix = self.build(0, 1)
+        self.space_bytes = max(1, self.nbytes)  # of the one space built so far
+
+    def build(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Spaces lo .. hi - 1, afresh: (pivots, entries, coset_matrix rows)."""
+        pivots, entries = next(_pattern_batches(self.field, self.n, self.m, hi - lo, lo))
+        pivots = pivots.astype(np.min_scalar_type(self.n))
+        entries = entries.astype(np.min_scalar_type(self.field.q - 1))
+        return pivots, entries, coset_matrix(pivots, entries, self.field)
+
+    @property
+    def nbytes(self) -> int:
+        return self.pivots.nbytes + self.entries.nbytes + self.matrix.nbytes
+
+    def batches(self, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every space, as slices of cap spaces (the last may hold fewer)."""
+        for lo in range(0, self.size, cap):
+            yield self.slice(lo, min(lo + cap, self.size))
+
+    def slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Spaces lo .. hi - 1 (hi <= size): their pivots, entries and
+        coset_matrix rows, from the prefix when the memo lets it grow."""
+        built = len(self.pivots)
+        if hi > built:
+            grow = min(self.size, max(hi, 2 * built), FieldTables.direction_bytes // self.space_bytes)
+            kept = FieldTables.direction_memo.get(self.key) is self
+            if grow < hi or not kept or not _fit(self, grow):
+                return self.build(lo, hi)
+            more = self.build(built, grow)
+            self.pivots, self.entries, self.matrix = (
+                np.concatenate([old, new]) for old, new in zip((self.pivots, self.entries, self.matrix), more)
+            )
+        G = len(self.matrix) // len(self.pivots)
+        return self.pivots[lo:hi], self.entries[lo:hi], self.matrix[lo * G : hi * G]
+
+
+def _fit(table: DirectionTable, spaces: int) -> bool:
+    """Whether the memo can keep table grown to `spaces` spaces within
+    `FieldTables.direction_bytes`: if so, the least recently used other
+    tables are dropped until it fits."""
+    memo, bound = FieldTables.direction_memo, FieldTables.direction_bytes
+    need = spaces * table.space_bytes
+    if need > bound:
+        return False
+    total = need + sum(t.nbytes for t in memo.values() if t is not table)
+    for key, t in list(memo.items()):
+        if total <= bound:
+            break
+        if t is not table:
+            total -= memo.pop(key).nbytes
+    return True
+
+
+def direction_table(F: FieldSpec, n: int, m: int) -> DirectionTable:
+    """The memo's table of (F, n, m), now the most recently used; else a new
+    one (one space built), kept if it fits."""
+    memo = FieldTables.direction_memo
+    key = (F.tables, n, m)
+    table = memo.pop(key, None)
+    if table is None:
+        table = DirectionTable(F, n, m)
+        if not _fit(table, 1):
+            return table
+    memo[key] = table
+    return table
 
 
 def _sampled_batches(spaces: Iterator, n: int, cap: int):
@@ -258,18 +356,19 @@ def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
         room = scope.budget - checked
         cap = max(1, min(BATCH // max(1, Z.shape[0] * (n - m)), BATCH // q ** (n - m), room))
         if scope.all_pairs:
-            batches = _pattern_batches(F, n, m, cap)
+            batches = direction_table(F, n, m).batches(cap)
         else:
-            want = scope.sample or scope.budget
+            want = scope.budget if scope.sample is None else scope.sample
             spaces = _sampled_direction_spaces(F, n, m, min(want, gaussian_binomial(q, n, m)), scope.seed)
-            batches = _sampled_batches(spaces, n, cap)
-        for pivots, entries in batches:
+            batches = ((pivots, entries, None) for pivots, entries in _sampled_batches(spaces, n, cap))
+        for pivots, entries, matrix in batches:
             room = scope.budget - checked
             if room <= 0:
                 return checked, per_dim, True, None
             cut = len(entries) > room
-            pivots, entries = pivots[:room], entries[:room]
-            hit = _coset_residue_check(X, pivots, entries, F, modulus)
+            if cut:  # coset_ids builds the matrix of the spaces kept
+                pivots, entries, matrix = pivots[:room], entries[:room], None
+            hit = _coset_residue_check(X, pivots, entries, F, modulus, matrix)
             done = len(entries) if hit is None else hit[0] + 1
             checked += done
             per_dim[m] = per_dim.get(m, 0) + done
@@ -300,6 +399,10 @@ def check_congruence(
         raise InvalidArgument(f"unknown law {law!r}; choose from {sorted(LAW_ALIASES)}")
     law = LAW_ALIASES[law]
     scope = scope or CheckScope()
+    if scope.budget < 0:
+        raise InvalidArgument(f"the class budget must be >= 0, got {scope.budget}")
+    if scope.sample is not None and scope.sample < 1:
+        raise InvalidArgument(f"a sampled check draws at least 1 direction space, got {scope.sample}")
     F = system.field
     n, d, q, p = system.nvars, system.total_degree, F.q, F.p
 
@@ -718,8 +821,8 @@ def _subspace_masks(F: FieldSpec, t: int, k: int) -> np.ndarray:
     X = point_digits(Z, F)
     classes = q ** (t - k)
     out = []
-    for pivots, entries in _pattern_batches(F, t, k, max(1, BATCH // q**t)):
-        ids = coset_ids(X, pivots, entries, F) + classes * np.arange(len(entries))[:, None]
+    for pivots, entries, matrix in direction_table(F, t, k).batches(max(1, BATCH // q**t)):
+        ids = coset_ids(X, pivots, entries, F, matrix) + classes * np.arange(len(entries))[:, None]
         masks = np.zeros(len(entries) * classes, dtype=np.uint32)
         np.bitwise_or.at(masks, ids.ravel(), np.broadcast_to(bits, ids.shape).ravel())
         out.append(masks)

@@ -3,12 +3,16 @@
 import pytest
 
 from cwlab import counting
+from cwlab.fields import FieldTables
 
 
 @pytest.fixture(autouse=True)
-def empty_walk_memo():
-    """Start and end every test with an empty walk memo, so no test reads a
-    walk that an earlier test left behind."""
+def empty_memos():
+    """Start and end every test with an empty walk memo and an empty
+    direction-table memo, so no test reads a walk or a table that an
+    earlier test left behind."""
     counting._walks.clear()
+    FieldTables.direction_memo.clear()
     yield
     counting._walks.clear()
+    FieldTables.direction_memo.clear()

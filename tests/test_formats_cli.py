@@ -158,6 +158,16 @@ def test_cli_check_unknown_law_is_an_input_error(workdir):
     assert "theorem1" in res.stderr and "warning-hyperplanes" in res.stderr
 
 
+@pytest.mark.parametrize("args", [["--class-budget", "-5"], ["--sampled", "-3"], ["--sampled", "0"]])
+def test_cli_check_malformed_scope_is_an_input_error(workdir, args):
+    (workdir / "f5.sys").write_text(
+        "field p=5 k=1\nvars x1 x2 x3 x4\npoly x1*x2 + x3^2 + x4 + 1\n", encoding="utf-8"
+    )
+    res = _run("check", "--system", "f5.sys", "--law", "theorem1", *args, cwd=workdir)
+    assert res.returncode == 1 and res.stdout == "", (args, res.stdout)
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, (args, res.stderr)
+
+
 def test_cli_check_dim_restriction(workdir):
     res = _run(
         "check", "--system", "hyp.sys", "--law", "theorem1", "--all-pairs",

@@ -9,9 +9,9 @@ import pytest
 
 from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
-from cwlab.counting import basis_entries, zero_set
+from cwlab.counting import basis_entries, coset_matrix, zero_set
 from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, InvalidArgument, WrongFieldSize
-from cwlab.fields import build_field
+from cwlab.fields import FieldTables, build_field
 from cwlab.laws import (
     BATCH,
     CheckScope,
@@ -59,6 +59,28 @@ def test_unknown_law_is_an_input_error():
         check_congruence(HYP, "theorem2")
     assert "'theorem2'" in str(err.value)
     assert all(name in str(err.value) for name in laws.LAW_ALIASES)
+
+
+@pytest.mark.parametrize(
+    "scope, words",
+    [
+        (CheckScope(budget=-5), "class budget"),
+        (CheckScope(all_pairs=False, sample=-3), "at least 1"),
+        (CheckScope(all_pairs=False, sample=0), "at least 1"),
+    ],
+)
+def test_malformed_scope_is_an_input_error_before_the_walk(scope, words):
+    # a negative budget once passed with 0 classes checked, a negative sample
+    # checked none and reported no truncation, and a sample of 0 fell back to
+    # the class budget
+    from cwlab import counting
+
+    system = PolySystem([parse_poly("x1*x2 + x3^2 + x4 + 1", F5, ["x1", "x2", "x3", "x4"])])
+    for law in laws.LAW_ALIASES:
+        with pytest.raises(InvalidArgument, match=words):
+            check_congruence(system, law, scope)
+    assert not counting._walks  # rejected before the zero walk
+    assert check_congruence(system, "theorem1", CheckScope(budget=0)).evidence["truncated"] is True
 
 
 def test_warning_hyperplanes():
@@ -422,10 +444,10 @@ class _BatchLog:
         self.sizes, self.first_pivots = [], []
         check = laws._coset_residue_check
 
-        def logged(Z, pivots, entries, F, modulus):
+        def logged(Z, pivots, entries, F, modulus, matrix=None):
             self.sizes.append(len(entries))
             self.first_pivots.append(tuple(pivots[0].tolist()))
-            return check(Z, pivots, entries, F, modulus)
+            return check(Z, pivots, entries, F, modulus, matrix)
 
         monkeypatch.setattr(laws, "_coset_residue_check", logged)
 
@@ -479,6 +501,69 @@ def test_pattern_batches_follow_direction_spaces(F, n):
             assert [len(e) for _, e in batches] == [min(cap, len(want) - i) for i in range(0, len(want), cap)]
             got = [(tuple(piv), ent) for pivots, entries in batches for piv, ent in zip(pivots.tolist(), entries.tolist())]
             assert got == want, (F.q, n, m, cap)
+
+
+@pytest.mark.parametrize("bound", [None, 600])
+@pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3)])
+def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
+    # the memoized table, sliced by any cap, gives _pattern_batches' batches
+    # and direction_spaces' order, with the rows of a fresh coset_matrix.  A
+    # bound of 600 bytes holds no shape's largest table whole, so slices past
+    # the kept prefix are built and not kept, and growing a table drops the
+    # tables of the dimensions before it
+    if bound:
+        monkeypatch.setattr(FieldTables, "direction_bytes", bound)
+    memo = FieldTables.direction_memo
+    unkept = evicted = 0
+    for m in range(n + 1):
+        want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
+        for cap in (7, 11, 10**9):  # the first cap builds the table, the others slice it
+            table = laws.direction_table(F, n, m)
+            slices = list(table.batches(cap))
+            batches = list(laws._pattern_batches(F, n, m, cap))
+            assert len(slices) == len(batches)
+            for (pivots, entries, matrix), (piv, ent) in zip(slices, batches):
+                assert (pivots.tolist(), entries.tolist()) == (piv.tolist(), ent.tolist())
+                assert np.array_equal(matrix, coset_matrix(piv, ent, F)), (F.q, n, m, cap)
+            got = [(tuple(piv), ent) for pivots, entries, _ in slices for piv, ent in zip(pivots.tolist(), entries.tolist())]
+            assert got == want, (F.q, n, m, cap)
+            assert sum(t.nbytes for t in memo.values()) <= FieldTables.direction_bytes
+        unkept += len(table.pivots) < table.size
+        evicted += any(key not in memo for key in ((F.tables, n, j) for j in range(m)))
+    if bound:
+        assert unkept > 0 and evicted > 0
+    else:
+        assert unkept == evicted == 0 and len(memo) == n + 1
+
+
+def test_direction_memo_keeps_its_byte_bound():
+    # every dimension of A^5 over F_5 and over F_4, swept in full: more than
+    # the bound together, so the least recently used tables are dropped
+    for F in (F5, F4):
+        Z = np.zeros((0, 5), dtype=np.intp)
+        checked, _, truncated, _ = laws._sweep_classes(Z, F, range(6), F.q, CheckScope(budget=10**9))
+        assert checked == sum(gaussian_binomial(F.q, 5, m) for m in range(6)) and not truncated
+        memo = FieldTables.direction_memo
+        assert 0 < sum(t.nbytes for t in memo.values()) <= FieldTables.direction_bytes
+
+
+def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch):
+    # a cold table grows by doubling, so a sweep cut by its budget has built
+    # at most twice the spaces it checked, and one stopped at a witness at
+    # most twice the spaces of the batches it checked
+    Z = np.zeros((0, 5), dtype=np.intp)
+    for budget in (1, 37, 500, 5000):
+        FieldTables.direction_memo.clear()
+        checked, _, truncated, _ = laws._sweep_classes(Z, F5, [2], 5, CheckScope(budget=budget))
+        assert checked == budget and truncated
+        assert budget <= len(laws.direction_table(F5, 5, 2).pivots) <= 2 * budget
+    rng = Random(7)
+    Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
+    FieldTables.direction_memo.clear()
+    log = _BatchLog(monkeypatch)
+    witness = laws._sweep_classes(Z, F5, [2], 5, CheckScope(budget=10**9))[3]
+    assert witness is not None and len(log.sizes) == 1  # it stops in its first batch
+    assert len(laws.direction_table(F5, 5, 2).pivots) <= 2 * log.sizes[0]
 
 
 def test_batched_sweep_on_random_point_sets(monkeypatch):
