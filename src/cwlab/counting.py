@@ -416,13 +416,13 @@ def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: Fie
     pivots = np.asarray(pivots, dtype=np.intp)
     is_pivot = np.zeros((B, n), dtype=bool)
     is_pivot[rows, pivots] = True
-    M = np.empty((B, n, k, G), dtype=np.int64)  # [b, i, a, group]
-    M[rows, np.nonzero(~is_pivot)[1].reshape(B, f)] = W.reshape(f, k, G)
+    M = np.empty((B, G, n, k), dtype=np.int64)  # [b, group, i, a]: rows in their final order
+    M[rows, :, np.nonzero(~is_pivot)[1].reshape(B, f)] = W.reshape(f, k, G).transpose(0, 2, 1)
     if m:
         # [b, r, j, a, c] -> [b, r, a, (j, c)]
         mm = T.mul_matrices[T.neg(entries)].transpose(0, 1, 3, 2, 4)
-        M[rows, pivots] = mm.reshape(B, m, k, f * k) @ W
-    return M.transpose(0, 3, 1, 2).reshape(B * G, n * k)
+        M[rows, :, pivots] = (mm.reshape(B, m, k, f * k) @ W).transpose(0, 1, 3, 2)
+    return M.reshape(B * G, n * k)
 
 
 def coset_ids(

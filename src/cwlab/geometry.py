@@ -8,9 +8,10 @@ of D is made by integer comparisons of the counts.
 
 The linear-factor test is deterministic and exact: a factor's coefficients
 are roots of the polynomial's restrictions to a few lines on its hyperplane
-(the classical reduction of multivariate factoring to fewer variables), and
-the handful of candidates they leave are confirmed or refuted by exact
-division.  A random-point screen of every form is kept as the reference.
+(the classical reduction of multivariate factoring to fewer variables), one
+evaluation over the lines of every pivot, and the few candidates they leave
+are confirmed or refuted by exact division on integer-keyed monomials.  A
+random-point screen of every form is kept as the reference.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .counting import CHUNK, _evaluate, _spelled, count_zeros_ext, default_budget
-from .errors import BudgetExceeded, InsufficientExtensions, NotHomogeneous
+from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
 from .rng import MASK64, derive_seed, mix64
@@ -235,37 +237,38 @@ def _lift_poly(f: MultiPoly, s: int) -> tuple[MultiPoly, FieldSpec]:
 def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -> bool:
     """Exact test of (x_j + sum_{i>j} c_i x_i) | f via substitution remainder.
 
-    Only x_j is substituted: with L = -sum_{i != j} c_i x_i, each term
-    c * x^a goes to c * (x^a / x_j^(a_j)) * L^(a_j), and the powers of L
-    are built once."""
-    n = fK.nvars
+    With L = -sum_{i != j} c_i x_i and f = sum_e g_e x_j^e (no g_e involving
+    x_j), the remainder is r = sum_e g_e L^e, by Horner's rule r := r*L + g_e
+    from the top e down.  A monomial of degree at most d = deg f is keyed by
+    its exponents as the digits of a base-(d+1) integer, so a product of
+    monomials is a sum of keys and r is one key -> coefficient dict."""
+    base = int(fK.total_degree) + 1
     j = next(i for i, c in enumerate(coeffs) if c)
-    L = MultiPoly.from_terms(
-        K, n, [(tuple(int(t == i) for t in range(n)), K.neg(c)) for i, c in enumerate(coeffs) if i != j]
-    )
-    powers = [MultiPoly.constant(K, n, K.one)]
-    for _ in range(max(exps[j] for exps in fK.terms)):
-        powers.append(powers[-1] * L)
-    rem: dict[tuple[int, ...], int] = {}
+    add, mul = K.add, K.mul
+    L = [(base**i, K.neg(c)) for i, c in enumerate(coeffs) if c and i != j]
+    g: dict[int, list] = {}
     for exps, c in fK.terms.items():
-        rest = exps[:j] + (0,) + exps[j + 1 :]
-        for pe, pc in powers[exps[j]].terms.items():
-            e = tuple(x + y for x, y in zip(rest, pe))
-            acc = K.add(rem.get(e, 0), K.mul(c, pc))
-            if acc:
-                rem[e] = acc
-            else:
-                rem.pop(e, None)
-    return not rem
+        key = 0
+        for e in reversed(exps):
+            key = key * base + e
+        g.setdefault(exps[j], []).append((key - exps[j] * base**j, c))
+    rem: dict[int, int] = {}
+    for e in range(max(g), -1, -1):
+        times_L: dict[int, int] = {}
+        for key, c in rem.items():
+            for step, w in L:
+                times_L[key + step] = add(times_L.get(key + step, 0), mul(c, w))
+        rem = times_L
+        for key, c in g.get(e, ()):
+            rem[key] = add(rem.get(key, 0), c)
+    return not any(rem.values())
 
 
 def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
     """All nonzero linear forms up to scalar: leading coefficient one at the
     first nonzero position.  Python-level reference enumeration."""
-    from itertools import product as iproduct
-
     for j in range(n):
-        for tail in iproduct(range(K.q), repeat=n - 1 - j):
+        for tail in product(range(K.q), repeat=n - 1 - j):
             yield (0,) * j + (K.one,) + tail
 
 
@@ -284,26 +287,25 @@ def _pivot_lines(K: FieldSpec, n: int, j: int) -> list[dict[int, int]]:
     return lines
 
 
-def _line_masks(
-    spelled: tuple[int, list], K: FieldSpec, n: int, j: int, lines: Sequence[dict[int, int]]
-) -> np.ndarray:
-    """masks[l, t] tells whether f(-t e_j + sum_i lines[l][i] e_i) = 0, for
-    every element t, from one evaluation over all the lines stacked; f is
-    an n-variable form over K given by its `_spelled` terms.  That point
-    lies on the hyperplane of x_j + sum c_i x_i exactly when
-    t = sum_i c_i lines[l][i], so a factor's coefficients always land on a
-    root."""
-    Q = K.q
-    cols = [np.zeros(len(lines) * Q, dtype=np.intp)] * n
-    cols[j] = np.tile(K.tables.neg(np.arange(Q)), len(lines))
-    for i in {i for y in lines for i in y}:
-        cols[i] = np.repeat(np.array([y.get(i, 0) for y in lines], dtype=np.intp), Q)
-    return (_evaluate(spelled, cols, K.tables) == 0).reshape(len(lines), Q)
+def _line_masks(spelled: tuple[int, list], K: FieldSpec, n: int, lines: list[tuple[int, dict]]) -> np.ndarray:
+    """masks[l, t] tells whether f(-t e_j + sum_i y[i] e_i) = 0 for
+    lines[l] = (j, y) and every element t, from one evaluation of f (an
+    n-variable form over K, as `_spelled` terms) on all len(lines) * q
+    points.  That point lies on the hyperplane of x_j + sum c_i x_i exactly
+    when t = sum_i c_i y[i], so a factor's coefficients land on a root."""
+    Q, L = K.q, len(lines)
+    points = np.empty((L, Q, n), dtype=np.intp)
+    points[:] = np.array([[y.get(i, 0) for i in range(n)] for _, y in lines], dtype=np.intp)[:, None]
+    points[np.arange(L), :, [j for j, _ in lines]] = K.tables.neg(np.arange(Q))
+    return (_evaluate(spelled, list(points.reshape(L * Q, n).T), K.tables) == 0).reshape(L, Q)
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     """A superset of the linear factors of f, in `normalized_forms` order.
 
+    The lines of every pivot j < n - 1 (`_pivot_lines`, at most K(K+3)/2 for
+    K = n-1-j free columns) go through one `_line_masks` call of at most
+    (n-1)n(n+4)/6 * Q points; the last pivot yields its one form unevaluated.
     For the pivot j, the tail (c_{j+1}, ..., c_{n-1}) grows one column a at
     a time as the rows of an int array, c_a drawn from the roots for the
     axis weights e_a (at most deg f unless f vanishes on that line).  A row
@@ -316,18 +318,17 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     A weighted test's dot product sum_i c_i w_i is one `FieldTables.total`
     over the logs of the columns, each shifted by log w_i.
     """
-    K = fK.field
-    n = fK.nvars
-    T = K.tables
+    K, n, T = fK.field, fK.nvars, fK.field.tables
     log = T.log
-    spelled = _spelled(fK)
-    for j in range(n):
+    per_pivot = [_pivot_lines(K, n, j) for j in range(n - 1)]
+    stacked = [(j, y) for j, lines in enumerate(per_pivot) for y in lines]
+    found = _line_masks(_spelled(fK), K, n, stacked) if stacked else None
+    for j, lines in enumerate(per_pivot):
         cols = range(j + 1, n)
-        lines = _pivot_lines(K, n, j)
-        found = _line_masks(spelled, K, n, j, lines)
-        roots = {a: np.flatnonzero(found[a - j - 1]) for a in cols}
+        mine, found = found[: len(lines)], found[len(lines) :]
+        roots = {a: np.flatnonzero(mine[a - j - 1]) for a in cols}
         masks: dict[int, list] = {a: [] for a in cols}
-        for y, mask in zip(lines[len(cols) :], found[len(cols) :]):
+        for y, mask in zip(lines[len(cols) :], mine[len(cols) :]):
             masks[max(y)].append(([(i - j - 1, log[w]) for i, w in y.items() if i > j], mask))
 
         def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
@@ -338,7 +339,9 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
             step = max(1, CHUNK // max(len(S), 1))
             for lo in range(0, len(rows), step):
                 block = rows[lo : lo + step]
-                ext = np.column_stack([np.repeat(block, len(S), axis=0), np.tile(S, len(block))])
+                ext = np.empty((len(block), len(S), a - j), dtype=np.intp)  # each row of block, then each root
+                ext[:, :, :-1], ext[:, :, -1] = block[:, None], S
+                ext = ext.reshape(-1, a - j)
                 for weights, mask in masks[a]:
                     ext = ext[mask[T.total((log.take(ext[:, col]), shift) for col, shift in weights)]]
                 yield from grow(ext, a + 1)
@@ -347,24 +350,20 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
         for rows in grow(np.zeros((1, 0), dtype=np.intp), j + 1):
             for tail in rows.tolist():
                 yield head + tuple(tail)
+    yield (0,) * (n - 1) + (K.one,)
 
 
 def _screened_forms(fK: MultiPoly, trials: int, seed: int, s: int) -> Iterator[tuple[int, ...]]:
     """Reference search: the normalized forms that vanish at `trials` seeded
     random points of their hyperplane, in `normalized_forms` order."""
-    K = fK.field
-    n = fK.nvars
-    Q = K.q
+    K, n = fK.field, fK.nvars
     for rank, coeffs in enumerate(normalized_forms(K, n)):
         j = next(i for i, c in enumerate(coeffs) if c)
         for t in range(trials):
-            pt = [0] * n
+            pt, acc = [0] * n, 0
             for i in range(n):
                 if i != j:
-                    pt[i] = _scalar_coord(seed, s, t, i, rank, Q)
-            acc = 0
-            for i in range(n):
-                if i != j and coeffs[i]:
+                    pt[i] = _scalar_coord(seed, s, t, i, rank, K.q)
                     acc = K.add(acc, K.mul(coeffs[i], pt[i]))
             pt[j] = K.neg(acc)
             if fK.evaluate(pt) != 0:
@@ -385,8 +384,10 @@ def linear_factor_test(
     """Search for linear factors of a homogeneous form over F_{q^s}.
 
     Deterministic and exact: every linear factor is among the few forms of
-    `_algebraic_candidates`, each is confirmed or refuted by exact division
-    in `normalized_forms` order, and the first that divides is the witness.
+    `_algebraic_candidates`, whose lines over every pivot are one stacked
+    evaluation, and each is confirmed or refuted by exact division on
+    integer-keyed monomials (`_exact_linear_division`) in
+    `normalized_forms` order; the first that divides is the witness.
     `forms_checked` is the size of the form space covered.  `error_bound`
     is the per-form bound (deg f / q^s)^trials of a screen at `trials`
     random points of each form's hyperplane, a valid upper bound on this
@@ -394,11 +395,11 @@ def linear_factor_test(
     """
     if not f.is_homogeneous or f.is_zero:
         raise NotHomogeneous("the linear factor test needs a nonzero homogeneous form")
+    if trials < 0:
+        raise InvalidArgument(f"trials must be at least 0, not {trials}")
     t0 = time.perf_counter()
     fK, K = _lift_poly(f, s)
-    n = f.nvars
-    Q = K.q
-    d = int(f.total_degree)
+    n, Q, d = f.nvars, K.q, int(f.total_degree)
     total_forms = (Q**n - 1) // (Q - 1)
     if total_forms > form_budget:
         raise BudgetExceeded(f"{total_forms} forms exceed the budget {form_budget}")
@@ -406,8 +407,7 @@ def linear_factor_test(
         method, forms = "screen", _screened_forms(fK, trials, seed, s)
     else:
         method, forms = "algebraic", _algebraic_candidates(fK)
-    witness = None
-    candidates = 0
+    witness, candidates = None, 0
     for coeffs in forms:
         candidates += 1
         if _exact_linear_division(fK, K, coeffs):

@@ -224,14 +224,27 @@ class DirectionTable:
     every field within `FieldTables.direction_bytes` together: a growth
     first drops the least recently used other tables, and a slice that would
     take this table past the bound on its own, or that extends a table the
-    memo has dropped, is built by the same builder and not kept."""
+    memo has dropped, is built by the same builder and not kept.
+
+    The arrays are allocated once, with room for as many spaces as the
+    bound lets the table keep, and never touched past the prefix, so only
+    the prefix's pages are resident.  A growth writes the new spaces into
+    that room, built `grow_bytes` at a time: it copies nothing and holds one
+    such part besides the table."""
+
+    grow_bytes = 1 << 16
 
     def __init__(self, F: FieldSpec, n: int, m: int):
         self.key = (F.tables, n, m)
         self.field, self.n, self.m = F, n, m
         self.size = gaussian_binomial(F.q, n, m)
-        self.pivots, self.entries, self.matrix = self.build(0, 1)
-        self.space_bytes = max(1, self.nbytes)  # of the one space built so far
+        first = self.build(0, 1)
+        self.space_bytes = max(1, sum(a.nbytes for a in first))
+        capacity = max(1, min(self.size, FieldTables.direction_bytes // self.space_bytes))
+        self.rows = [len(a) for a in first]  # per space: 1, 1 and G
+        self.arrays = [np.empty((r * capacity,) + a.shape[1:], a.dtype) for r, a in zip(self.rows, first)]
+        self.built = 0
+        self.write(first, 1)
 
     def build(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spaces lo .. hi - 1, afresh: (pivots, entries, coset_matrix rows)."""
@@ -240,9 +253,15 @@ class DirectionTable:
         entries = entries.astype(np.min_scalar_type(self.field.q - 1))
         return pivots, entries, coset_matrix(pivots, entries, self.field)
 
+    def write(self, parts: tuple, end: int) -> None:
+        """Extend the prefix to end spaces with parts, spaces built .. end - 1."""
+        for r, array, part in zip(self.rows, self.arrays, parts):
+            array[r * self.built : r * end] = part
+        self.built = end
+
     @property
     def nbytes(self) -> int:
-        return self.pivots.nbytes + self.entries.nbytes + self.matrix.nbytes
+        return self.built * self.space_bytes
 
     def batches(self, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every space, as slices of cap spaces (the last may hold fewer)."""
@@ -252,18 +271,17 @@ class DirectionTable:
     def slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spaces lo .. hi - 1 (hi <= size): their pivots, entries and
         coset_matrix rows, from the prefix when the memo lets it grow."""
-        built = len(self.pivots)
-        if hi > built:
-            grow = min(self.size, max(hi, 2 * built), FieldTables.direction_bytes // self.space_bytes)
+        if hi > self.built:
+            grow = min(self.size, max(hi, 2 * self.built), len(self.arrays[0]))
             kept = FieldTables.direction_memo.get(self.key) is self
             if grow < hi or not kept or not _fit(self, grow):
                 return self.build(lo, hi)
-            more = self.build(built, grow)
-            self.pivots, self.entries, self.matrix = (
-                np.concatenate([old, new]) for old, new in zip((self.pivots, self.entries, self.matrix), more)
-            )
-        G = len(self.matrix) // len(self.pivots)
-        return self.pivots[lo:hi], self.entries[lo:hi], self.matrix[lo * G : hi * G]
+            step = max(1, self.grow_bytes // self.space_bytes)
+            for start in range(self.built, grow, step):
+                end = min(start + step, grow)
+                self.write(self.build(start, end), end)
+        G = self.rows[2]
+        return self.arrays[0][lo:hi], self.arrays[1][lo:hi], self.arrays[2][lo * G : hi * G]
 
 
 def _fit(table: DirectionTable, spaces: int) -> bool:

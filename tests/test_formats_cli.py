@@ -274,6 +274,18 @@ def test_cli_estimate_dim(workdir):
     assert body["d_hat"] == 1 and body["k_hat"] == 1
 
 
+def test_cli_factor_test_rejects_negative_trials(workdir):
+    # a negative trial count is an input error (1), not an error bound
+    # computed from it; zero trials is allowed and bounds nothing
+    res = _run("construct", "example2", "--p", "3", "--out", "ex2.sys", cwd=workdir)
+    assert res.returncode == 0
+    res = _run("factor-test", "--system", "ex2.sys", "--trials", "-3", cwd=workdir)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    res = _run("factor-test", "--system", "ex2.sys", "--trials", "0", cwd=workdir)
+    assert res.returncode == 0 and json.loads(res.stdout)["error_bound"] == "1"
+
+
 def test_cli_lemma_saturation(workdir):
     res = _run(
         "lemma", "saturation", "--p", "3", "--t", "2", "--part", "ii", "--exhaustive",

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from cwlab import geometry
 from cwlab.constructions import example_two, norm_form, random_system
 from cwlab.counting import _spelled
-from cwlab.errors import InsufficientExtensions, NotHomogeneous
+from cwlab.errors import InsufficientExtensions, InvalidArgument, NotHomogeneous
 from cwlab.fields import build_field
 from cwlab.geometry import (
+    _algebraic_candidates,
     _exact_linear_division,
     _lift_poly,
     _line_masks,
@@ -127,6 +129,15 @@ def test_linear_factor_rejects_inhomogeneous():
         linear_factor_test(parse_poly("x1 + 1", F2, ["x1", "x2"]), 1)
 
 
+def test_linear_factor_rejects_negative_trials():
+    # an error bound (d/Q)^T from T < 0 trials is no bound; T = 0 gives 1
+    f = example_two(F3).poly
+    for trials in (-1, -3):
+        with pytest.raises(InvalidArgument):
+            linear_factor_test(f, 1, trials=trials)
+    assert linear_factor_test(f, 1, trials=0).error_bound == 1
+
+
 def _agree(f, s, **kw):
     """The algebraic search and the reference screen give the same verdict."""
     a = linear_factor_test(f, s, **kw)
@@ -165,12 +176,12 @@ def _division_by_substitution(f, K, coeffs):
 
 
 def test_exact_linear_division_matches_substitution():
-    # a planted normalized factor divides its product with a form and the
-    # product's square (x_j to higher powers); other normalized forms are
-    # tested against the same products
+    # a planted normalized factor l divides l*form, l^2*form and l^3*form
+    # (x_j to higher powers); other normalized forms are tested against the
+    # same products
     rng = random.Random(11)
     refuted = 0
-    for (p, k), n in (((3, 1), 4), ((2, 2), 4), ((3, 2), 3), ((5, 2), 3)):
+    for (p, k), n in (((3, 1), 4), ((2, 2), 4), ((3, 2), 3), ((5, 2), 3), ((2, 3), 3), ((3, 3), 3)):
         K = build_field(p, k)
         for trial in range(4):
             j = rng.randrange(n)
@@ -183,7 +194,7 @@ def test_exact_linear_division_matches_substitution():
                 (0,) * i + (K.one,) + tuple(rng.randrange(K.q) for _ in range(n - 1 - i))
                 for i in (rng.randrange(n) for _ in range(4))
             ]
-            for f in (lin * form, lin * lin * form):
+            for f in (lin * form, lin * lin * form, lin * lin * lin * form):
                 for coeffs in [planted] + others:
                     verdict = _exact_linear_division(f, K, coeffs)
                     assert verdict == _division_by_substitution(f, K, coeffs)
@@ -252,25 +263,58 @@ def test_algebraic_search_keeps_few_candidates():
         assert verdict.candidates == 2  # the count the per-line search gave
 
 
-def test_line_masks_match_pointwise_evaluation():
-    # each row of a pivot's stacked masks is f, point by point, along its line
+def _line_forms():
     forms = [f for _, f in _planted_products() if f.field.q in (4, 9, 25)]
     forms += [example_two(build_field(2, 2)).poly]
     forms += [_lift_poly(example_two(build_field(p, 1)).poly, 2)[0] for p in (3, 5)]
     assert {f.field.q for f in forms} == {4, 9, 25}
-    for fK in forms:
+    return forms
+
+
+def test_line_masks_match_pointwise_evaluation():
+    # each row of the stacked masks is f, point by point, along its line,
+    # for the lines of every pivot; the last pivot has no free column and
+    # gets no rows
+    for fK in _line_forms():
         K, n = fK.field, fK.nvars
-        for j in range(n):
-            lines = _pivot_lines(K, n, j)
-            masks = _line_masks(_spelled(fK), K, n, j, lines)
-            assert masks.shape == (len(lines), K.q) and (j == n - 1 or lines)
-            for y, row in zip(lines, masks.tolist()):
-                for t in range(K.q):
-                    pt = [0] * n
-                    pt[j] = K.neg(t)
-                    for i, w in y.items():
-                        pt[i] = w
-                    assert row[t] == (fK.evaluate(pt) == 0)
+        assert _pivot_lines(K, n, n - 1) == []
+        lines = [(j, y) for j in range(n) for y in _pivot_lines(K, n, j)]
+        assert {j for j, _ in lines} == set(range(n - 1))
+        masks = _line_masks(_spelled(fK), K, n, lines)
+        assert masks.shape == (len(lines), K.q)
+        for (j, y), row in zip(lines, masks.tolist()):
+            for t in range(K.q):
+                pt = [0] * n
+                pt[j] = K.neg(t)
+                for i, w in y.items():
+                    pt[i] = w
+                assert row[t] == (fK.evaluate(pt) == 0)
+
+
+def test_candidates_take_one_evaluation(monkeypatch):
+    # one run evaluates the lines of every pivot in a single kernel call;
+    # the last pivot's form comes with no evaluation
+    calls, pivots = [], []
+    evaluate, line_masks = geometry._evaluate, geometry._line_masks
+
+    def counted(spelled, cols, T):
+        calls.append(len(cols[0]))
+        return evaluate(spelled, cols, T)
+
+    def recorded(spelled, K, n, lines):
+        pivots.append({j for j, _ in lines})
+        return line_masks(spelled, K, n, lines)
+
+    monkeypatch.setattr(geometry, "_evaluate", counted)
+    monkeypatch.setattr(geometry, "_line_masks", recorded)
+    for fK in _line_forms():
+        K, n = fK.field, fK.nvars
+        calls.clear()
+        pivots.clear()
+        forms = list(_algebraic_candidates(fK))
+        assert pivots == [set(range(n - 1))]
+        assert calls == [K.q * sum(len(_pivot_lines(K, n, j)) for j in range(n - 1))]
+        assert forms[-1] == (0,) * (n - 1) + (K.one,)
 
 
 def test_factor_verdict_body_adds_method_and_candidates():

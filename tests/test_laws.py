@@ -510,7 +510,9 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
     # and direction_spaces' order, with the rows of a fresh coset_matrix.  A
     # bound of 600 bytes holds no shape's largest table whole, so slices past
     # the kept prefix are built and not kept, and growing a table drops the
-    # tables of the dimensions before it
+    # tables of the dimensions before it.  A growth writes at most 40 bytes
+    # of spaces at a time here, so every growth fills its room in parts
+    monkeypatch.setattr(laws.DirectionTable, "grow_bytes", 40)
     if bound:
         monkeypatch.setattr(FieldTables, "direction_bytes", bound)
     memo = FieldTables.direction_memo
@@ -528,7 +530,7 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
             got = [(tuple(piv), ent) for pivots, entries, _ in slices for piv, ent in zip(pivots.tolist(), entries.tolist())]
             assert got == want, (F.q, n, m, cap)
             assert sum(t.nbytes for t in memo.values()) <= FieldTables.direction_bytes
-        unkept += len(table.pivots) < table.size
+        unkept += table.built < table.size
         evicted += any(key not in memo for key in ((F.tables, n, j) for j in range(m)))
     if bound:
         assert unkept > 0 and evicted > 0
@@ -556,14 +558,14 @@ def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch
         FieldTables.direction_memo.clear()
         checked, _, truncated, _ = laws._sweep_classes(Z, F5, [2], 5, CheckScope(budget=budget))
         assert checked == budget and truncated
-        assert budget <= len(laws.direction_table(F5, 5, 2).pivots) <= 2 * budget
+        assert budget <= laws.direction_table(F5, 5, 2).built <= 2 * budget
     rng = Random(7)
     Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
     FieldTables.direction_memo.clear()
     log = _BatchLog(monkeypatch)
     witness = laws._sweep_classes(Z, F5, [2], 5, CheckScope(budget=10**9))[3]
     assert witness is not None and len(log.sizes) == 1  # it stops in its first batch
-    assert len(laws.direction_table(F5, 5, 2).pivots) <= 2 * log.sizes[0]
+    assert laws.direction_table(F5, 5, 2).built <= 2 * log.sizes[0]
 
 
 def test_batched_sweep_on_random_point_sets(monkeypatch):
