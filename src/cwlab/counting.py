@@ -5,24 +5,31 @@ Two independent engines are provided and must agree exactly:
 * the fast engine evaluates the system on the point grid in odometer order,
   a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n,
   in the log domain of the field's log/exp bundle (`FieldSpec.tables`):
-  a product is an integer sum of logs, a term one gather, and the terms
-  are summed by XOR (p = 2), as int64 reduced mod p once (prime fields),
-  or in the log domain through the Zech table (odd-p extension fields;
-  `evaluate_columns`, `FieldTables.total`).
+  `_evaluate` reads the logs of the coordinates, a product is an integer
+  sum of logs, a term one gather, and the terms are summed by XOR (p = 2),
+  as int64 reduced mod p once (prime fields), or in the log domain through
+  the Zech table (odd-p extension fields; `evaluate_columns`,
+  `FieldTables.total`).  A monomial is evaluated as its word, the numbers
+  of its variables with repeats, which `_word` spells once per exponent
+  vector and remembers.
   The polynomial with the fewest terms goes first, as the sum over the
-  powers of x_n of its coefficients' values at the prefixes times x_n^e;
-  each later one is evaluated only at the points where all earlier ones
-  vanish.  The surviving odometer indexes are the zero set.  A homogeneous
-  system is counted on its cone instead: prefix 0 and the normalized
-  prefixes only, the zeros off the x_n-axis weighted by q - 1 (see
-  `fast_count`);
+  powers of x_n of its coefficients' values at the prefixes times x_n^e,
+  split on its words (`_split_words`); each later one is evaluated only at
+  the points where all earlier ones vanish, on their logs gathered from
+  the block's.  The surviving odometer indexes are the zero set.  A pass
+  whose prefixes fit in one block (q times their number at most CHUNK)
+  reads them and their logs from a memo of one table per (field, n, cone),
+  bounded in bytes (`_grid`).  A homogeneous system is counted on its cone
+  instead: prefix 0 and the normalized prefixes only, the zeros off the
+  x_n-axis weighted by q - 1 (see `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
 
 The laws on one system (Chevalley, Ax, the homogenization identity, the
 lower bounds, the parallel class) all read one zero set.  So the fast
 engine remembers the full-space walks of the last WALK_MEMO systems (see
-`_walk`): a count, and the zeros' odometer indexes (up to MEMO_ZEROS of
-them) once a walk has listed them.  Budgets are checked before the memo is read, and no report depends
+`_walk`): a count, and once a walk has listed them the zeros' odometer
+indexes and their rows of coordinates, within MEMO_ZEROS integers an
+entry.  Budgets are checked before the memo is read, and no report depends
 on whether a walk was remembered.
 """
 
@@ -32,6 +39,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -91,50 +99,80 @@ class CountReport:
 # -- the zero-mask kernel ---------------------------------------------------------
 
 
-def _coordinates(idx: np.ndarray, q: int, n: int) -> list[np.ndarray]:
-    """Coordinate columns of odometer indexes (first coordinate slowest)."""
-    cols: list[np.ndarray] = [idx] * n
+def _coordinates(idx: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Coordinate columns of odometer indexes (first coordinate slowest), as
+    the rows of an (n, len(idx)) array."""
+    cols = np.empty((n, len(idx)), dtype=idx.dtype)
     rem = idx
     for i in range(n - 1, -1, -1):
         rem, cols[i] = np.divmod(rem, q)
     return cols
 
 
-def evaluate_columns(f: MultiPoly, cols: list[np.ndarray], T: FieldTables) -> np.ndarray:
+def evaluate_columns(f: MultiPoly, cols: Sequence[np.ndarray], T: FieldTables) -> np.ndarray:
     """Values of f at the points whose coordinate columns are cols.
 
     Products are taken in the log domain of T's log/exp bundle (see
-    `FieldTables`).  A monomial is spelled as the numbers of its variables
-    in order, with repeats (x1^2*x3 is 0, 0, 2; see `_spelled`).  In sorted
-    order, each monomial keeps the log sums of the prefix it shares with the
-    one before, so every further prefix is one integer add of a column's
-    logs to the prefix before it, and at most deg f of them are held at a
-    time.  A prefix that already holds `T.depth` logs is folded back to a
-    log by one lookup before the next add.  A term is its prefix's log sum
-    with its coefficient's log as the shift, and `T.total` reads each term
-    with one gather and sums them.
+    `FieldTables`): `_evaluate` reads the columns' logs.  A monomial is
+    spelled as the numbers of its variables in order, with repeats (x1^2*x3
+    is 0, 0, 2; see `_word`).  In sorted order, each monomial keeps the log
+    sums of the prefix it shares with the one before, so every further
+    prefix is one integer add of a column's logs to the prefix before it,
+    and at most deg f of them are held at a time.  A prefix that already
+    holds `T.depth` logs is folded back to a log by one lookup before the
+    next add.  A term is its prefix's log sum with its coefficient's log as
+    the shift, and `T.total` reads each term with one gather and sums them.
     """
-    return _evaluate(_spelled(f), cols, T)
+    return _evaluate(_spelled(f), [T.log.take(c) for c in cols], T)
 
 
-def _spelled(f: MultiPoly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+@lru_cache(maxsize=1 << 12)
+def _word(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of a monomial with exponent vector exps: each variable's
+    number once per unit of its exponent (x1^2*x3 is 0, 0, 2).  Words are
+    remembered, so each exponent vector is spelled once."""
+    return tuple(i for i, e in enumerate(exps) for _ in range(e))
+
+
+Spelled = tuple[int, list[tuple[tuple[int, ...], int]]]
+
+
+def _spelled(f: MultiPoly) -> Spelled:
     """f's constant term, and its other terms as (word, coefficient) pairs
-    in sorted word order; a word lists each variable's number once per unit
-    of its exponent."""
-    words = sorted(
-        (tuple(i for i, e in enumerate(exps) for _ in range(e)), c) for exps, c in f.terms.items()
-    )
-    const = words.pop(0)[1] if words and not words[0][0] else 0  # the empty word sorts first
+    in sorted word order (see `_word`)."""
+    return _constant_first(sorted((_word(exps), c) for exps, c in f.terms.items()))
+
+
+def _constant_first(words: list) -> Spelled:
+    """(constant, the other terms) of sorted (word, coefficient) pairs: the
+    empty word sorts first."""
+    const = words.pop(0)[1] if words and not words[0][0] else 0
     return const, words
 
 
-def _evaluate(spelled: tuple[int, list], cols: list[np.ndarray], T: FieldTables) -> np.ndarray:
-    """`evaluate_columns` on a polynomial given by `_spelled`."""
+def _split_words(spelled: Spelled, last: int) -> list[Spelled | None]:
+    """g_0, ..., g_D of f = sum_e g_e * x^e, x the variable numbered last and
+    no g_e involving it, spelled, from f spelled: a word's trailing run of
+    last is its e, and the rest of the word is the word of its term in g_e
+    (last is the largest number, so the run is all of x's factors).  None
+    where a power of x has no terms."""
+    const, words = spelled
+    split: dict[int, list] = {0: [((), const)]} if const else {}
+    for w, c in words:
+        cut = len(w)
+        while cut and w[cut - 1] == last:
+            cut -= 1
+        split.setdefault(len(w) - cut, []).append((w[:cut], c))
+    return [_constant_first(sorted(split[e])) if e in split else None for e in range(max(split) + 1)]
+
+
+def _evaluate(spelled: Spelled, logs: Sequence[np.ndarray], T: FieldTables) -> np.ndarray:
+    """`evaluate_columns` on a polynomial given by `_spelled`, at the points
+    whose coordinates' logs are the columns logs[i]."""
     const, words = spelled
     if not words:
-        return np.full(len(cols[0]) if cols else 1, const)
+        return np.full(len(logs[0]) if len(logs) else 1, const)
     log, fold, depth = T.log, T.fold, T.depth
-    logs: dict[int, np.ndarray] = {}  # variable -> the logs of its column
 
     def terms() -> Iterator[tuple[np.ndarray, int]]:
         word: tuple[int, ...] = ()
@@ -145,8 +183,6 @@ def _evaluate(spelled: tuple[int, list], cols: list[np.ndarray], T: FieldTables)
                 keep += 1
             del prefix[keep:]
             for i in nxt[keep:]:
-                if i not in logs:
-                    logs[i] = log.take(cols[i])
                 if not prefix:
                     prefix.append((logs[i], 1))
                     continue
@@ -158,18 +194,6 @@ def _evaluate(spelled: tuple[int, list], cols: list[np.ndarray], T: FieldTables)
             yield prefix[-1][0], log[c]
 
     return T.total(terms(), const)
-
-
-def _last_variable_coefficients(f: MultiPoly) -> list[MultiPoly | None]:
-    """g_0, ..., g_D with f = sum_e g_e * x_n^e and no g_e involving x_n;
-    None where a power of x_n has no terms."""
-    split: dict[int, list] = {}
-    for exps, c in f.terms.items():
-        split.setdefault(exps[-1], []).append((exps[:-1] + (0,), c))
-    return [
-        MultiPoly.from_terms(f.field, f.nvars, split[e]) if e in split else None
-        for e in range(max(split) + 1)
-    ]
 
 
 def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
@@ -203,15 +227,63 @@ def _prefix_blocks(ranges: list[range], step: int) -> Iterator[np.ndarray]:
         yield np.concatenate(parts)
 
 
-def _zero_chunks(system: PolySystem, ranges: list[range]) -> Iterator[np.ndarray]:
-    """Odometer indexes of the common zeros whose prefixes lie in ranges,
-    ascending, one array per chunk.
+def _blocks(T: FieldTables, n: int, cone: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A pass's blocks of prefixes (see `_prefix_ranges`), CHUNK // q at a
+    time, each with the logs of its prefixes' n - 1 coordinates as the rows
+    of an (n - 1, len) array.  A pass whose prefixes all fit in one block
+    reads that block from the grid memo (see `_grid`)."""
+    q = T.q
+    ranges = _prefix_ranges(q, n, cone)
+    step = max(1, CHUNK // q)
+    if sum(map(len, ranges)) <= step:
+        yield _grid(T, n, cone, ranges)
+        return
+    for pre in _prefix_blocks(ranges, step):
+        yield pre, T.log.take(_coordinates(pre, q, n - 1))
 
-    A chunk is a block of prefixes (x_1 .. x_{n-1}) with every value of
-    x_n.  The polynomial with the fewest terms goes first, as the sum of
-    g_e * x_n^e over the powers e of x_n: each coefficient g_e is evaluated
-    once per prefix, and each power is one add of its logs to the logs of
-    x_n^e at every value of x_n and one gather over the whole block.
+
+def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
+    """The one block of the pass of shape (T's field, n, cone): its prefixes
+    and their coordinates' logs, read-only.
+
+    `FieldTables.grid_memo` keeps the blocks of every field within
+    `FieldTables.grid_bytes` together, least recently used first: a new
+    block drops the least recently used ones until it fits, and a block
+    larger than the bound on its own is not kept.
+    """
+    memo, bound, key = FieldTables.grid_memo, FieldTables.grid_bytes, (T, n, cone)
+    grid = memo.pop(key, None)
+    if grid is None:
+        pre = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
+        grid = pre, T.log.take(_coordinates(pre, T.q, n - 1))
+        for a in grid:
+            a.flags.writeable = False
+        size = _nbytes(grid)
+        if size > bound:
+            return grid
+        total = size + sum(map(_nbytes, memo.values()))
+        while total > bound:
+            total -= _nbytes(memo.pop(next(iter(memo))))
+    memo[key] = grid
+    return grid
+
+
+def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
+    return sum(a.nbytes for a in arrays)
+
+
+def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
+    """Odometer indexes of the common zeros at the prefixes a pass visits
+    (see `_prefix_ranges`), ascending, one array per block (see `_blocks`).
+
+    A block is a set of prefixes (x_1 .. x_{n-1}) with every value of x_n.
+    The polynomial with the fewest terms goes first, as the sum of
+    g_e * x_n^e over the powers e of x_n, split on its words (see
+    `_split_words`): each coefficient g_e is evaluated once per prefix, on
+    the block's logs, and each power is one add of its logs to the logs of
+    x_n^e at every value of x_n and one gather over the whole block.  Each
+    later polynomial is evaluated at the (prefix, x_n) pairs where all
+    earlier ones vanish, on their logs gathered from the block's.
     """
     F = system.field
     q, n = F.q, system.nvars
@@ -224,31 +296,30 @@ def _zero_chunks(system: PolySystem, ranges: list[range]) -> Iterator[np.ndarray
     log, fold = T.log, T.fold
     coeffs = []  # (g_e, the logs of x_n^e at every value of x_n) for each g_e with terms
     power = np.zeros_like(log)  # x_n^0 = 1, at x_n = 0 too
-    for g in _last_variable_coefficients(first):
+    for g in _split_words(_spelled(first), n - 1):
         if g is not None:
-            coeffs.append((_spelled(g), power))
+            coeffs.append((g, power))
         power = fold.take(power + log, mode="clip")
     rest = [_spelled(f) for f in rest]
-    for pre in _prefix_blocks(ranges, max(1, CHUNK // q)):
-        pcols = _coordinates(pre, q, n - 1)
-        acc = T.total((log.take(_evaluate(g, pcols, T))[:, None] + power, 0) for g, power in coeffs)
+    for pre, plogs in _blocks(T, n, cone):
+        prefix_logs = list(plogs)
+        acc = T.total((log.take(_evaluate(g, prefix_logs, T))[:, None] + power, 0) for g, power in coeffs)
         row, col = np.divmod(np.flatnonzero(acc == 0), q)
-        idx = pre[row] * q + col
-        cols = _coordinates(idx, q, n) if rest else []
         for f in rest:
-            if not len(idx):
+            if not len(row):
                 break
-            keep = np.flatnonzero(_evaluate(f, cols, T) == 0)
-            if len(keep) < len(idx):
-                idx = idx[keep]
-                cols = [c[keep] for c in cols]
-        yield idx
+            keep = np.flatnonzero(_evaluate(f, [*plogs[:, row], log.take(col)], T) == 0)
+            if len(keep) < len(row):
+                row, col = row[keep], col[keep]
+        yield pre[row] * q + col
 
 
 # full-space walks the memo keeps (see `_walk`)
 WALK_MEMO = 4
-# zero indexes one entry keeps (8 MB of them): a larger zero set is
-# remembered by its count only, so a count keeps the kernel's bounded memory
+# integers one entry's zeros take (8 MB of them): the indexes, and the rows
+# once a listing walk asked for them.  Past the bound an entry drops the rows,
+# and then the indexes, keeping the count only, so a count keeps the
+# kernel's bounded memory
 MEMO_ZEROS = 1 << 20
 
 
@@ -257,6 +328,7 @@ class _Walk:
     system: PolySystem  # held, so that no other object takes its id while the entry lives
     count: int
     idx: np.ndarray | None  # the zeros' odometer indexes, ascending, once a walk listed them
+    rows: np.ndarray | None = None  # the zeros as read-only (N, n) rows, once listed (`zero_points`)
 
 
 # id(system) -> its walk, least recently used first
@@ -265,21 +337,38 @@ _walks: dict[int, _Walk] = {}
 
 def _walk(system: PolySystem, listed: bool) -> _Walk:
     """The system's full-space walk, from the memo when it holds one (with
-    the zeros listed, if listed); otherwise one kernel pass, remembered.
+    the zeros listed as rows, if listed); otherwise one kernel pass,
+    remembered.
 
     The memo keeps the last WALK_MEMO systems' walks, keyed by id(system).
     Each entry holds the system itself, so an id cannot be reused while its
     entry lives, and the key always names the same object.  An entry keeps
-    the zeros' indexes when a pass over the whole grid listed at most
-    MEMO_ZEROS of them; otherwise (a cone pass, see `fast_count`, or a
-    larger zero set) only the count, until a listing walk is asked for.
+    the zeros' indexes when a pass over the whole grid listed them, and
+    their rows once a listing asked for them, while they take at most
+    MEMO_ZEROS integers (see `_bounded`); otherwise (a cone pass, see
+    `fast_count`, or a larger zero set) only the count, until a listing
+    walk is asked for.
     """
     w = _walks.pop(id(system), None)
     if w is None or (listed and w.idx is None):
         w = _kernel_walk(system, listed)
-    _walks[id(system)] = w if w.idx is None or len(w.idx) <= MEMO_ZEROS else replace(w, idx=None)
+    if listed and w.rows is None:
+        w.rows = _coordinates(w.idx, system.field.q, system.nvars).T.copy()
+        w.rows.flags.writeable = False
+    _walks[id(system)] = _bounded(w)
     while len(_walks) > WALK_MEMO:
         del _walks[next(iter(_walks))]
+    return w
+
+
+def _bounded(w: _Walk) -> _Walk:
+    """w as the memo keeps it: without the rows when they and the indexes
+    take more than MEMO_ZEROS integers, and without the indexes too when
+    they alone do."""
+    if w.rows is not None and w.idx.size + w.rows.size > MEMO_ZEROS:
+        w = replace(w, rows=None)
+    if w.idx is not None and w.idx.size > MEMO_ZEROS:
+        w = replace(w, idx=None)
     return w
 
 
@@ -287,11 +376,11 @@ def _kernel_walk(system: PolySystem, listed: bool) -> _Walk:
     """One kernel pass: over the cone when the system is `_on_cone` and the
     zeros need not be listed, with the count only; else over the grid, with
     the zeros' indexes, which an unlisted walk drops past MEMO_ZEROS."""
-    q, n = system.field.q, system.nvars
+    q = system.field.q
     cone = _on_cone(system) and not listed
     count = 0
     chunks: list[np.ndarray] | None = None if cone else []
-    for idx in _zero_chunks(system, _prefix_ranges(q, n, cone)):
+    for idx in _zero_chunks(system, cone):
         if cone:
             axis = int(np.count_nonzero(idx < q))  # prefix 0
             count += axis + (q - 1) * (len(idx) - axis)
@@ -338,12 +427,10 @@ def kernel_points(system: PolySystem) -> int:
 def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
     """The common zeros over the full space as rows of coordinates, in
     odometer order (which is sorted order); BudgetExceeded past budget
-    points (default_budget()), whether or not the memo holds the walk."""
+    points (default_budget()), whether or not the memo holds the walk.  The
+    array is read-only: the walk memo may hand it to later callers."""
     _region_size_check(system.field.q**system.nvars, budget, "fast")
-    q, n = system.field.q, system.nvars
-    idx = _walk(system, listed=True).idx
-    cols = _coordinates(idx, q, n)
-    return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.intp)
+    return _walk(system, listed=True).rows
 
 
 def oracle_count(system: PolySystem) -> int:

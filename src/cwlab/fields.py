@@ -385,8 +385,9 @@ class FieldTables:
     2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total` sums
     many terms at once.  `mul_matrices`, the F_p-matrices of multiplication,
     and the `readout` tables of the coset numbers are built on first use,
-    and `direction_memo` keeps the direction spaces that the congruence
-    sweeps slice, within `direction_bytes`.
+    `direction_memo` keeps the direction spaces that the congruence
+    sweeps slice, within `direction_bytes`, and `grid_memo` the prefix
+    blocks of the kernel's small passes, within `grid_bytes`.
     """
 
     depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
@@ -398,6 +399,13 @@ class FieldTables:
     # of A^n, least recently used first.  One memo serves every field, so
     # that the bound holds over all of them.
     direction_memo: dict = {}
+    # bytes that the memoized grid blocks of every field hold together
+    # (1 MiB; see `counting._grid`): the corpus shapes, q <= 5 and n <= 6,
+    # take about 48 KB
+    grid_bytes = 1 << 20
+    # (tables, n, cone) -> a pass's one block of prefixes and their
+    # coordinates' logs, least recently used first
+    grid_memo: dict = {}
 
     def __init__(self, F: FieldSpec):
         self.field = F

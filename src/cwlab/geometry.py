@@ -291,13 +291,15 @@ def _line_masks(spelled: tuple[int, list], K: FieldSpec, n: int, lines: list[tup
     """masks[l, t] tells whether f(-t e_j + sum_i y[i] e_i) = 0 for
     lines[l] = (j, y) and every element t, from one evaluation of f (an
     n-variable form over K, as `_spelled` terms) on all len(lines) * q
-    points.  That point lies on the hyperplane of x_j + sum c_i x_i exactly
-    when t = sum_i c_i y[i], so a factor's coefficients land on a root."""
+    points, given to `_evaluate` as their coordinates' logs.  That point
+    lies on the hyperplane of x_j + sum c_i x_i exactly when
+    t = sum_i c_i y[i], so a factor's coefficients land on a root."""
     Q, L = K.q, len(lines)
     points = np.empty((L, Q, n), dtype=np.intp)
     points[:] = np.array([[y.get(i, 0) for i in range(n)] for _, y in lines], dtype=np.intp)[:, None]
     points[np.arange(L), :, [j for j, _ in lines]] = K.tables.neg(np.arange(Q))
-    return (_evaluate(spelled, list(points.reshape(L * Q, n).T), K.tables) == 0).reshape(L, Q)
+    logs = K.tables.log.take(points.reshape(L * Q, n).T)
+    return (_evaluate(spelled, list(logs), K.tables) == 0).reshape(L, Q)
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:

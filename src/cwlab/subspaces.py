@@ -284,11 +284,15 @@ def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
 
     pts is as for `_greedy_span`, without repeated rows.  The points fill an
     affine subspace exactly when they fill their span: N == q^dim(span).
+    So an N that is no power of q is no subspace, and the span is taken
+    only for N = q^m, where the verdict is dim(span) == m.
     """
-    if not len(pts):
+    N, m = len(pts), 0
+    while F.q**m < N:
+        m += 1
+    if F.q**m != N:
         return None
-    dim = _greedy_span(F, pts)[0].dim
-    return dim if len(pts) == F.q**dim else None
+    return m if _greedy_span(F, pts)[0].dim == m else None
 
 
 def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:

@@ -20,7 +20,7 @@ from cwlab.counting import (
 )
 from cwlab.constructions import corpus_system, norm_form, random_system
 from cwlab.errors import BudgetExceeded
-from cwlab.fields import build_field
+from cwlab.fields import FieldTables, build_field
 from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
 from cwlab.subspaces import AffineSubspace
 
@@ -291,6 +291,14 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
 
     if chunk:
         monkeypatch.setattr(counting, "CHUNK", chunk)
+    blocks, real_blocks = [], counting._blocks
+
+    def recorded(*args):
+        for block in real_blocks(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(counting, "_blocks", recorded)
     assert {sy.field.q for sy in EDGE_SYSTEMS} == {7, 8, 9, 16, 25, 27}
     for system in EDGE_SYSTEMS:
         F, n = system.field, system.nvars
@@ -298,7 +306,12 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
         if chunk == 110 and n > 1:
             assert q ** (n - 1) % (chunk // q)
         filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
+        blocks.clear()
         assert walked(zero_set, system) == filtered
+        # a small chunk is not bypassed by the grid memo: the pass takes
+        # CHUNK // q prefixes at a time, so several blocks when n > 1
+        assert len(blocks) == -(-(q ** (n - 1)) // max(1, counting.CHUNK // q))
+        assert len(blocks) > 1 or n == 1 or not chunk
         assert walked(fast_count, system) == len(filtered) == oracle_count(system)
         spaces = list(direction_spaces(F, n, 1))
         for rows in (spaces[0], spaces[-1]):
@@ -477,6 +490,7 @@ def test_walk_memo_keeps_every_report(monkeypatch, cap, zeros):
         assert _sweep_verdicts(copy, L, names) == fresh
         assert len(counting._walks) <= cap
         assert all(w.idx is None or len(w.idx) <= zeros for w in counting._walks.values())
+        assert all(w.rows is None or w.idx.size + w.rows.size <= zeros for w in counting._walks.values())
 
 
 def test_walk_memo_budget_and_cone_count():
@@ -528,6 +542,18 @@ def test_walk_memo_never_reads_a_dropped_systems_walk():
     assert got == [N for N, _ in want]
     got = [zero_points(corpus_system(13, i)).tolist() for i in range(80)]
     assert got == [Z for _, Z in want]
+
+
+def test_zero_rows_are_kept_on_the_walk():
+    # a listing walk stores its rows once, read-only, and later listings of
+    # the same system hand out that array without recomputing it
+    system = corpus_system(13, 2)
+    Z = zero_points(system)
+    assert not Z.flags.writeable
+    assert zero_points(system) is Z is counting._walks[id(system)].rows
+    with pytest.raises(ValueError):
+        Z[:1] = 0
+    assert Z.tolist() == [list(pt) for pt in zero_set(system)]
 
 
 def _dense(F, n, degree, rng):
@@ -613,3 +639,109 @@ def test_kernel_counts_over_a_prime_past_2_16(p):
     assert counting.evaluate_columns(g, cols, F.tables).tolist() == [g.evaluate((int(v),)) for v in cols[0]]
     if p < 1 << 17:
         assert walked(fast_count, PolySystem([g])) == sum(g.evaluate((v,)) == 0 for v in range(p))
+
+
+# -- the split on words and the grid memo ------------------------------------------------
+
+
+def _last_variable_coefficients(f):
+    """g_0, ..., g_D with f = sum_e g_e * x_n^e and no g_e involving x_n;
+    None where a power of x_n has no terms: the reference for the kernel's
+    split on words."""
+    split = {}
+    for exps, c in f.terms.items():
+        split.setdefault(exps[-1], []).append((exps[:-1] + (0,), c))
+    return [
+        MultiPoly.from_terms(f.field, f.nvars, split[e]) if e in split else None
+        for e in range(max(split) + 1)
+    ]
+
+
+def test_split_on_words_matches_split_on_exponents():
+    # the trailing run of x_n in a word is its power of x_n: dense
+    # polynomials, powers of x_n past the fold depth and past q, constants,
+    # and corpus systems with their homogenizations
+    rng = np.random.default_rng(5)
+    polys = []
+    for F in (F2, F3, F4, build_field(5, 1)):
+        for n in (1, 2, 3, 4):
+            polys.append(_dense(F, n, 6, rng))
+            polys.append(MultiPoly.constant(F, n, F.one))
+            polys.append(MultiPoly.from_terms(F, n, [((0,) * (n - 1) + (F.q + 3,), F.one), ((1,) * n, F.one)]))
+    for i in range(30):
+        system = corpus_system(9, i)
+        polys += [*system.polys, *system.homogenized_system().polys]
+    for f in polys:
+        assert not f.is_zero
+        want = [None if g is None else counting._spelled(g) for g in _last_variable_coefficients(f)]
+        assert counting._split_words(counting._spelled(f), f.nvars - 1) == want, f
+
+
+def _grid_systems():
+    """For every q <= 5 and n <= 6: a system that is walked over the grid,
+    its leading system, and for n <= 5 its homogenization in n + 1
+    variables (both homogeneous, so counted on the cone, except over F_2)."""
+    out = []
+    for F in (F2, F3, F4, build_field(5, 1)):
+        for n in range(1, 7):
+            system = random_system(F, n, (2, 1) if n > 1 else (2,), 3 * n + F.q)
+            out += [system, system.leading_system()]
+            if n < 6:
+                out.append(system.homogenized_system())
+    return out
+
+
+def test_grid_memo_counts_match_oracle_cold_and_warm():
+    # every pass here fits one block, so it reads its prefixes and their
+    # logs from the grid memo: built by the first (cold) pass, read by the
+    # second (warm) one, and the same either way
+    memo = FieldTables.grid_memo
+    systems = _grid_systems()
+    assert {(sy.field.q, sy.nvars) for sy in systems} == {(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)}
+    assert any(counting._on_cone(sy) for sy in systems)
+    for system in systems:
+        key = (system.field.tables, system.nvars, counting._on_cone(system))
+        want = oracle_count(system)
+        memo.clear()
+        assert walked(fast_count, system) == want
+        table = memo[key]
+        assert not any(a.flags.writeable for a in table)
+        assert walked(fast_count, system) == want
+        assert memo[key] is table
+        assert len(walked(zero_points, system)) == want
+
+
+def test_grid_memo_keeps_its_byte_bound(monkeypatch):
+    # a new table drops the least recently used ones until the memo fits in
+    # FieldTables.grid_bytes, a table read from the memo becomes the most
+    # recently used, and a table past the bound on its own is not kept
+    memo = FieldTables.grid_memo
+    shapes = [(F, n) for F in (F3, F4, F2) for n in (2, 3, 4, 5)]
+
+    def count(F, n):
+        names = [f"x{i + 1}" for i in range(n)]
+        system = PolySystem([parse_poly(f"x1^2 + x{n} + 1", F, names)])
+        assert walked(fast_count, system) == F.q ** (n - 1)
+        return (F.tables, n, False)
+
+    sizes = {}
+    for F, n in shapes:
+        key = count(F, n)
+        sizes[key] = counting._nbytes(memo[key])
+    keys = list(sizes)
+    bound = sum(sizes[k] for k in keys[-3:])
+    monkeypatch.setattr(FieldTables, "grid_bytes", bound)
+    memo.clear()
+    for F, n in shapes:
+        count(F, n)
+        assert sum(map(counting._nbytes, memo.values())) <= bound
+    kept = list(memo)
+    assert kept == keys[-len(kept):] and len(kept) >= 3
+    count(*shapes[-len(kept)])  # the oldest kept table, now the newest
+    count(*shapes[0])  # a cold one, which drops the least recently used
+    assert kept[0] in memo and kept[1] not in memo and keys[0] in memo
+    assert list(memo)[-2:] == [kept[0], keys[0]]
+    monkeypatch.setattr(FieldTables, "grid_bytes", min(sizes.values()) - 1)
+    memo.clear()
+    count(*shapes[0])
+    assert not memo

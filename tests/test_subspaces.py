@@ -3,6 +3,7 @@
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from cwlab.errors import DependentBasis, EmptySet, FullSpace
 from cwlab.fields import build_field
 from cwlab.subspaces import (
     AffineSubspace,
+    _greedy_span,
     PointSet,
     affine_span,
     direction_spaces,
@@ -18,6 +20,7 @@ from cwlab.subspaces import (
     is_linear_subspace,
     max_general_position,
     rref,
+    subspace_dim,
 )
 
 F2 = build_field(2, 1)
@@ -214,6 +217,36 @@ def test_is_linear_subspace():
     )
     assert is_linear_subspace(two_lines) == (False, None)
     assert is_linear_subspace(PointSet(F3, 2, [])) == (False, None)
+
+
+SMALL_FIELDS = [build_field(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subspace_dim_matches_span_only_rule(data):
+    # the size screen (N must be a power of q) never changes the verdict of
+    # the span-only rule N == q^dim(span): on random point sets, on the
+    # points of a random affine subspace, and on such a set with one point
+    # moved, which keeps N = q^m
+    F = data.draw(st.sampled_from(SMALL_FIELDS))
+    q = F.q
+    n = data.draw(st.integers(1, 3 if q < 5 else 2))
+    space = list(product(range(q), repeat=n))
+    kind = data.draw(st.sampled_from(["random", "subspace", "moved"]))
+    if kind == "random":
+        pts = set(data.draw(st.lists(st.sampled_from(space), min_size=1, max_size=3 * q)))
+    else:
+        m = data.draw(st.integers(0, n))
+        rows = [[data.draw(st.integers(0, q - 1)) for _ in range(n)] for _ in range(m)]
+        offset = [data.draw(st.integers(0, q - 1)) for _ in range(n)]
+        pts = set(AffineSubspace(F, offset, rows, strict=False).points())
+        if kind == "moved" and len(pts) < len(space):
+            pts.remove(data.draw(st.sampled_from(sorted(pts))))
+            pts.add(data.draw(st.sampled_from(sorted(set(space) - pts))))
+    Z = np.array(sorted(pts), dtype=np.intp).reshape(len(pts), n)
+    dim = _greedy_span(F, Z)[0].dim
+    assert subspace_dim(F, Z) == (dim if len(Z) == q**dim else None)
 
 
 def test_linear_subspace_roundtrip_sweep():
