@@ -6,13 +6,14 @@ big-endian (c0 is the most significant digit), so index order coincides with
 lexicographic order on coordinate sequences.  Every "canonically least"
 tie-break in the package means least index in this encoding.
 
-Multiplication has two independent realizations: reduced polynomial
-arithmetic (always available, the reference path) and log/antilog tables over
-a multiplicative generator (built when q <= 2^16 and k > 1).  Prime fields
-use direct modular arithmetic.  Vectorized arithmetic on numpy arrays of
-element indexes goes through the field's one table bundle, `FieldSpec.tables`,
-whatever q.  Scalar addition in an extension field is XOR for p = 2 and, for
-odd p, reads that bundle's Zech table.
+Prime fields use direct modular arithmetic.  An extension field keeps one
+representation of its log/exp tables, the bundle of `FieldSpec.tables`, built
+on first use from the powers of a primitive element.  Vectorized arithmetic
+on numpy arrays of element indexes reads it, and so does scalar arithmetic:
+multiplication, inversion and powers through log and exp, addition by XOR
+for p = 2 and through the Zech table for odd p.  Reduced polynomial
+arithmetic (`mul_poly`) is the independent reference, and it builds the
+tables.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .errors import (
 )
 
 FIELD_SIZE_CAP = 1 << 20
-_LOG_TABLE_CAP = 1 << 16
-_COORD_CACHE_CAP = 1 << 16
+_LOG_TABLE_CAP = 1 << 16  # largest q whose scalar tables are Python lists
 
 
 def is_prime(n: int) -> bool:
@@ -122,11 +122,6 @@ class FieldSpec:
         # Residue class of the indeterminate: coords (0, 1, 0, ...).
         self.generator = p ** (k - 2) if k > 1 else 0
 
-        self._coords_cache: list[tuple[int, ...]] | None = None
-        if self.q <= _COORD_CACHE_CAP:
-            digits = np.arange(self.q)[:, None] // p ** np.arange(k - 1, -1, -1) % p
-            self._coords_cache = list(map(tuple, digits.tolist()))
-
         # coords of x^(k+j) reduced mod the modulus, j = 0..k-2
         self._xpow: list[tuple[int, ...]] = []
         if k > 1:
@@ -141,29 +136,12 @@ class FieldSpec:
                 cur = nxt
                 self._xpow.append(tuple(cur))
 
-        self._log: list[int] | None = None
-        self._exp: list[int] | None = None
-        if k > 1 and self.q <= _LOG_TABLE_CAP:
-            exp = self._generator_powers()
-            log = np.zeros(self.q, dtype=np.int64)
-            log[exp] = np.arange(self.q - 1)
-            self._exp = exp.tolist()
-            self._log = log.tolist()
-
         # Every attribute is set here: one added later would slow every
-        # attribute read of the instance.
+        # attribute read of the instance.  Tables are built on first use.
         self._tables: FieldTables | None = None
-        self._zech_views: tuple[memoryview, memoryview, memoryview, int] | None = None
+        self._scalar: tuple | None = None
 
     # -- encoding ---------------------------------------------------------
-
-    def _decode(self, a: int) -> tuple[int, ...]:
-        p = self.p
-        out = [0] * self.k
-        for i in range(self.k - 1, -1, -1):
-            out[i] = a % p
-            a //= p
-        return tuple(out)
 
     def _encode(self, coords: Sequence[int]) -> int:
         a = 0
@@ -173,9 +151,12 @@ class FieldSpec:
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Coordinates (c0..c_{k-1}) of element a in the power basis."""
-        if self._coords_cache is not None:
-            return self._coords_cache[a]
-        return self._decode(a)
+        p = self.p
+        out = [0] * self.k
+        for i in range(self.k - 1, -1, -1):
+            out[i] = a % p
+            a //= p
+        return tuple(out)
 
     def from_coords(self, coords: Sequence[int]) -> int:
         if len(coords) != self.k:
@@ -200,10 +181,13 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        # FieldTables.add on scalars: log, the Zech table and exp, where a
-        # log sum from Z on reads 0
-        log, exp, zech, Z = self._zech_views or self._views()
-        s = log[a] + zech[log[b] - log[a] + Z]
+        if not a:
+            return b
+        if not b:
+            return a
+        log, exp, zech, Z = self._scalar or self._scalars()
+        s = log[a]
+        s += zech[log[b] - s]
         return exp[s] if s < Z else 0
 
     def sub(self, a: int, b: int) -> int:
@@ -218,18 +202,17 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
-        log, exp, _, Z = self._zech_views or self._views()
+        log, exp, _, Z = self._scalar or self._scalars()
         s = log[a] + (self.q - 1) // 2  # -1 = gamma^((q-1)/2)
         return exp[s] if s < Z else 0
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]  # type: ignore[index]
-        return self.mul_poly(a, b)
+        if not a or not b:
+            return 0
+        log, exp, _, _ = self._scalar or self._scalars()
+        return exp[log[a] + log[b]]
 
     def mul_poly(self, a: int, b: int) -> int:
         """Reference multiplication: convolve coordinates, reduce by modulus."""
@@ -257,9 +240,8 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]  # type: ignore[index]
-        return self.pow(a, self.q - 2)
+        log, exp, _, _ = self._scalar or self._scalars()
+        return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -268,12 +250,10 @@ class FieldSpec:
             if e == 0:
                 return self.one
             raise DivisionByZero("negative power of zero")
-        e %= self.q - 1
         if self.k == 1:
-            return pow(a, e, self.p)
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]  # type: ignore[index]
-        return self._pow_poly(a, e)
+            return pow(a, e % (self.q - 1), self.p)
+        log, exp, _, _ = self._scalar or self._scalars()
+        return exp[log[a] * e % (self.q - 1)]
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """The i-th Frobenius iterate a^(p^i), 0 <= i < k."""
@@ -285,12 +265,21 @@ class FieldSpec:
 
     # -- internals --------------------------------------------------------
 
-    def _views(self) -> tuple[memoryview, memoryview, memoryview, int]:
-        """Views of the table bundle's log, exp and Zech table, and the
-        sentinel Z, for the scalar add and neg of odd-p extension fields."""
+    def _scalars(self) -> tuple:
+        """(log, exp, zech, Z) for an extension field's scalar arithmetic,
+        in the bundle's encoding (log[0] = Z).  exp holds its first 2q - 3
+        entries, every sum of two nonzero logs.  zech[d] = log(1 + gamma^d)
+        (Z where gamma^d = -1) is the Zech table's band from Z on, d < q - 1;
+        gamma^d has period q - 1, so d in [2 - q, -1] reads it from its end.
+        zech is empty for p = 2, which adds by XOR.  Lists up to q = 2^16,
+        whose reads are faster; memoryviews past it, which copy nothing."""
         T = self.tables
-        self._zech_views = memoryview(T.log), memoryview(T.exp), memoryview(T._zech()), int(T.log[0])
-        return self._zech_views
+        log, exp, _ = T._log_bundle()
+        q, Z = self.q, int(log[0])
+        zech = T._zech()[Z : Z + q - 1] if self.p > 2 else exp[:0]
+        read = np.ndarray.tolist if q <= _LOG_TABLE_CAP else memoryview
+        self._scalar = read(log), read(exp[: 2 * q - 3]), read(zech), Z
+        return self._scalar
 
     def _generator_powers(self) -> np.ndarray:
         """exp[i] = gamma^i for 0 <= i < q - 1, gamma the least primitive
@@ -348,9 +337,10 @@ class FieldSpec:
 class FieldTables:
     """Vectorized arithmetic of one field on numpy arrays of element indexes.
 
-    Every field has one log/exp bundle, built on first use from the powers
-    of the least primitive element gamma (`FieldSpec._generator_powers`).
-    With D = `depth` and the sentinel Z = (D + 1)(q - 2) + 1:
+    Every field has one log/exp bundle, built once, on first use, from the
+    powers of the least primitive element gamma (`FieldSpec._generator_powers`),
+    and its scalar arithmetic reads it too (`FieldSpec._scalars`).  With
+    D = `depth` and the sentinel Z = (D + 1)(q - 2) + 1:
 
     * `log`, q entries: log[a] is the i in [0, q - 2] with a = gamma^i, and
       log[0] = Z;
@@ -421,7 +411,7 @@ class FieldTables:
         if self._bundle is None:
             F, q, D = self.field, self.q, self.depth
             Z = (D + 1) * (q - 2) + 1
-            powers = np.array(F._exp) if F._exp is not None else F._generator_powers()
+            powers = F._generator_powers()
             log = np.full(q, Z, dtype=np.int16 if D * Z + q < 1 << 15 else np.int32)
             log[powers] = np.arange(q - 1)
             exp = np.zeros(Z + 1, dtype=np.min_scalar_type(q - 1))

@@ -260,7 +260,7 @@ class PolySystem:
     degree bookkeeping meaningless.
     """
 
-    __slots__ = ("polys", "degrees", "total_degree", "field", "nvars")
+    __slots__ = ("polys", "degrees", "total_degree", "field", "nvars", "_homogeneous")
 
     def __init__(self, polys: Sequence[MultiPoly]):
         if not polys:
@@ -277,6 +277,7 @@ class PolySystem:
         self.nvars = nvars
         self.degrees = tuple(int(f.total_degree) for f in self.polys)
         self.total_degree = sum(self.degrees)
+        self._homogeneous: bool | None = None
 
     @property
     def r(self) -> int:
@@ -284,7 +285,10 @@ class PolySystem:
 
     @property
     def is_homogeneous(self) -> bool:
-        return all(f.is_homogeneous for f in self.polys)
+        """Whether every polynomial is homogeneous, computed on first read."""
+        if self._homogeneous is None:
+            self._homogeneous = all(f.is_homogeneous for f in self.polys)
+        return self._homogeneous
 
     def vanishes_at(self, point: Sequence[int]) -> bool:
         """All-zero test, short-circuiting on the first nonzero value."""

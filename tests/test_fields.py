@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cwlab.errors import DegreeTooLarge, DivisionByZero, NotADivisor, NotASubfield, NotPrime
 from cwlab.fields import (
+    FieldSpec,
     build_field,
     element_literal,
     embed_subfield,
@@ -84,13 +85,16 @@ def test_table_path_agrees_with_polynomial_path():
 
 
 def test_log_tables_match_the_mul_poly_walk():
-    # exp[i] = gamma^i by repeated reference multiplication, and log is its
-    # inverse; F_2^16 is checked on a sample of the walk
+    # the bundle's exp[i] = gamma^i by repeated reference multiplication, and
+    # log is its inverse with log[0] = Z; F_2^16 is checked on a sample of
+    # the walk
     for F, stride in ((F9, 1), (build_field(5, 4), 1), (build_field(3, 10), 1), (build_field(2, 16), 211)):
-        q, exp, log = F.q, F._exp, F._log
+        T, q = F.tables, F.q
+        exp, log = T.exp[: q - 1].tolist(), T.log.tolist()
         gamma = exp[1]
         assert exp[0] == F.one and sorted(exp) == list(range(1, q))
         assert [log[a] for a in exp] == list(range(q - 1))
+        assert log[0] == (T.depth + 1) * (q - 2) + 1
         for i in range(0, q - 1, stride):
             nxt = F.mul_poly(exp[i], gamma)
             assert exp[(i + 1) % (q - 1)] == nxt
@@ -124,8 +128,8 @@ def test_table_bundle_matches_scalar_reference():
 
 
 def _entries(obj, skip=()):
-    """The entry count of every numpy array or memoryview that obj holds,
-    outside the attributes named in skip."""
+    """The entry count of every numpy array, memoryview or list that obj
+    holds, outside the attributes named in skip."""
     out = []
     for name, v in vars(obj).items():
         if name in skip:
@@ -133,6 +137,8 @@ def _entries(obj, skip=()):
         for a in v if isinstance(v, tuple) else (v,):
             if isinstance(a, (np.ndarray, memoryview)):
                 out.append(a.nbytes // a.itemsize)
+            elif isinstance(a, list):
+                out.append(len(a))
     return out
 
 
@@ -140,19 +146,22 @@ def _entries(obj, skip=()):
     "p, k", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 10), (5, 4), (3, 7), (2, 11), (1031, 1)]
 )
 def test_tables_are_linear_in_q(p, k):
-    # after add, sub, neg, mul and total, scalar and vectorized, and with
-    # the Zech table built for p = 2 too: the arrays of the arithmetic (the
-    # log/exp bundle, the Zech table) hold at most 2(D + 2)q + 2Z + 1
-    # entries in all, and nothing holds q^2 of them.  mul_matrices, q k x k
-    # matrices for the coset map, is not part of the arithmetic.
+    # after add, sub, neg, mul, inv, pow and total, scalar and vectorized,
+    # and with the Zech table built for p = 2 too: the arrays of the
+    # arithmetic (the log/exp bundle, the Zech table) hold at most
+    # 2(D + 2)q + 2Z + 1 entries in all, the field's scalar lists (log, the
+    # first 2q - 3 entries of exp, the Zech band of q - 1) at most 4q, and
+    # nothing holds q^2 of them.  mul_matrices, q k x k matrices for the
+    # coset map, is not part of the arithmetic.
     F = build_field(p, k)
     T, q = F.tables, F.q
     x = np.arange(q)
     T.add(x, x[::-1]), T.mul(x, x), T.neg(x), T.total([(T.log[x], 0), (T.log[x], 1)], F.one)
-    F.add(1, q - 1), F.sub(1, q - 1), F.neg(q - 1), F.mul(q - 1, q - 1), T._zech()
+    F.add(1, q - 1), F.sub(1, q - 1), F.neg(q - 1), F.mul(q - 1, q - 1), F.inv(q - 1), F.pow(q - 1, 5)
+    T._zech()
     bound = 2 * (T.depth + 2) * q + 2 * int(T.log[0]) + 1
     assert sum(_entries(T, skip=("_mul_matrices",))) <= bound
-    assert max(_entries(F), default=0) <= bound
+    assert sum(_entries(F)) <= 4 * q + k
 
 
 @pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
@@ -191,6 +200,53 @@ def test_large_field_ops_match_scalar_reference(p, k):
         ref = [F.add(r, F.mul(c, F.mul(u, v))) for r, u, v in zip(ref, row, col)]
     got = T.total([(T.log[u] + T.log[v], T.log[c]) for u, v in terms], F.one)
     assert got.tolist() == [F.add(r, F.one) for r in ref]
+
+
+@pytest.mark.parametrize("p, k", [(2, 17), (3, 11)])
+def test_scalar_ops_past_the_list_cap_match_references(p, k):
+    # past q = 2^16 the scalar arithmetic reads memoryviews of the bundle:
+    # a sample of add, sub, neg, mul, inv and pow against coordinate
+    # arithmetic, mul_poly and _pow_poly, zero operands and y = -x included
+    F = build_field(p, k)
+    q = F.q
+    a, b = np.random.default_rng(q).integers(0, q, (2, 600)).tolist()
+    minus_one = F.from_int(-1)
+    pairs = list(zip(a, b)) + [(0, 0), (0, b[0]), (a[0], 0), (a[1], F.mul_poly(a[1], minus_one)), (1, q - 1)]
+    for u, v in pairs:
+        cu, cv = F.coords(u), F.coords(v)
+        assert F.add(u, v) == F.from_coords([s + t for s, t in zip(cu, cv)])
+        assert F.sub(u, v) == F.from_coords([s - t for s, t in zip(cu, cv)])
+        assert F.neg(u) == F.from_coords([-s for s in cu])
+        assert F.mul(u, v) == F.mul_poly(u, v)
+        if u:
+            assert F.inv(u) == F._pow_poly(u, q - 2)
+            assert F.pow(u, v + q) == F._pow_poly(u, (v + q) % (q - 1))
+            assert F.mul(F.pow(u, -v), F._pow_poly(u, v)) == F.one
+    assert isinstance(F._scalar[0], memoryview)
+
+
+def test_generator_powers_run_once_per_field(monkeypatch):
+    # a field built afresh builds its log/exp tables on its first product
+    # and never again: not for the other scalar ops, the array ops, the
+    # Zech table or a second call of any of them
+    calls = []
+    powers = FieldSpec._generator_powers
+
+    def counted(F):
+        calls.append(F.q)
+        return powers(F)
+
+    monkeypatch.setattr(FieldSpec, "_generator_powers", counted)
+    for p, k in ((2, 7), (3, 5), (2, 17)):
+        F = build_field.__wrapped__(p, k)
+        assert calls == [] and F._tables is None
+        g = F.generator
+        for _ in range(2):
+            F.mul(g, g), F.add(g, F.one), F.sub(g, F.one), F.neg(g), F.inv(g), F.pow(g, 5), F.frobenius(g)
+            T, x = F.tables, np.arange(F.q)
+            T.add(x, x), T.mul(x, x), T.neg(x), T.total([(T.log[x], 0)], F.one), T._zech()
+        assert calls == [F.q]
+        calls.clear()
 
 
 def test_log_bundle_tables():
