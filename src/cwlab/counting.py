@@ -4,17 +4,19 @@ Two independent engines are provided and must agree exactly:
 
 * the fast engine evaluates the system on the point grid in odometer order,
   a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n,
-  in the log domain of the field's log/exp bundle (`FieldSpec.tables`):
-  `_evaluate` reads the logs of the coordinates, a product is an integer
-  sum of logs, a term one gather, and the terms are summed by XOR (p = 2),
-  as int64 reduced mod p once (prime fields), or in the log domain through
-  the Zech table (odd-p extension fields; `evaluate_columns`,
-  `FieldTables.total`).  A monomial is evaluated as its word, the numbers
-  of its variables with repeats, which `_word` spells once per exponent
-  vector and remembers.
+  in the log domain of the field's log/exp bundle (`FieldSpec.tables`),
+  on the logs of the coordinates.  A monomial is its word, the numbers of
+  its variables with repeats, which `_word` spells once per exponent
+  vector and remembers, and a polynomial's words are compiled once into a
+  trie (`_plan`, whose memo keeps the last PLAN_MEMO): each level of the
+  trie, the distinct prefixes of one length, is one gather-add over the
+  (variables x points) array of logs, and every term's log sum plus its
+  coefficient's log is one (terms x points) stack, which
+  `FieldTables.total` reduces once (`_evaluate`, `evaluate_columns`).  A
+  polynomial so costs O(deg f) array operations, not O(terms).
   The polynomial with the fewest terms goes first, as the sum over the
   powers of x_n of its coefficients' values at the prefixes times x_n^e,
-  split on its words (`_split_words`); each later one is evaluated only at
+  split on its words in its plan; each later one is evaluated only at
   the points where all earlier ones vanish, on their logs gathered from
   the block's.  The surviving odometer indexes are the zero set.  A pass
   whose prefixes fit in one block (q times their number at most CHUNK)
@@ -40,8 +42,9 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import combinations_with_replacement, product
+from math import comb
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,21 +112,23 @@ def _coordinates(idx: np.ndarray, q: int, n: int) -> np.ndarray:
     return cols
 
 
-def evaluate_columns(f: MultiPoly, cols: Sequence[np.ndarray], T: FieldTables) -> np.ndarray:
-    """Values of f at the points whose coordinate columns are cols.
+def evaluate_columns(f: MultiPoly, cols: Sequence[np.ndarray] | np.ndarray, T: FieldTables) -> np.ndarray:
+    """Values of f at the points whose coordinate columns are the rows of
+    cols, an (n, N) array or n arrays of N entries, n >= 1.
 
     Products are taken in the log domain of T's log/exp bundle (see
-    `FieldTables`): `_evaluate` reads the columns' logs.  A monomial is
-    spelled as the numbers of its variables in order, with repeats (x1^2*x3
-    is 0, 0, 2; see `_word`).  In sorted order, each monomial keeps the log
-    sums of the prefix it shares with the one before, so every further
-    prefix is one integer add of a column's logs to the prefix before it,
-    and at most deg f of them are held at a time.  A prefix that already
-    holds `T.depth` logs is folded back to a log by one lookup before the
-    next add.  A term is its prefix's log sum with its coefficient's log as
-    the shift, and `T.total` reads each term with one gather and sums them.
+    `FieldTables`), on the columns' logs.  A monomial is spelled as the
+    numbers of its variables in order, with repeats (x1^2*x3 is 0, 0, 2;
+    see `_word`), and f's words are compiled once into a trie (`_plan`):
+    a node of word length l is its parent's log sum plus one variable's
+    logs, and every node of one length is one gather-add over the 2-D
+    (variables x points) array of logs, so f costs O(deg f) array steps
+    whatever its number of terms.  A length that holds `T.depth` logs is
+    folded back to logs by one lookup before the next length is added.
+    Every term's log sum plus its coefficient's log is gathered into one
+    (terms x points) stack, which `T.total` reduces once (`_evaluate`).
     """
-    return _evaluate(_spelled(f), [T.log.take(c) for c in cols], T)
+    return _evaluate(*_compiled(_spelled(f), T), T.log.take(np.asarray(cols)), T)[0]
 
 
 @lru_cache(maxsize=1 << 12)
@@ -134,66 +139,194 @@ def _word(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(exps) for _ in range(e))
 
 
-Spelled = tuple[int, list[tuple[tuple[int, ...], int]]]
+Spelled = list[tuple[tuple[int, ...], int]]
 
 
 def _spelled(f: MultiPoly) -> Spelled:
-    """f's constant term, and its other terms as (word, coefficient) pairs
-    in sorted word order (see `_word`)."""
-    return _constant_first(sorted((_word(exps), c) for exps, c in f.terms.items()))
+    """f's terms as (word, coefficient) pairs in sorted word order (see
+    `_word`), the constant's empty word first; the zero polynomial as the
+    constant 0."""
+    return sorted((_word(exps), c) for exps, c in f.terms.items()) or [((), 0)]
 
 
-def _constant_first(words: list) -> Spelled:
-    """(constant, the other terms) of sorted (word, coefficient) pairs: the
-    empty word sorts first."""
-    const = words.pop(0)[1] if words and not words[0][0] else 0
-    return const, words
+class Plan(NamedTuple):
+    """The words of a polynomial's terms compiled into a trie (see `_plan`).
+
+    The node buffer's row 0 is the empty word, whose log sum is 0 (the log
+    of 1), and the nodes of word length l follow in rows [start, stop).
+    levels[l - 1] = (start, stop, parents, variables, fold): node r is the
+    log sum of its parent, row parents[r - start] (none at length 1), plus
+    the logs of the variable numbered variables[r - start], and fold is the
+    rows of length l - 1 that are folded first, when they hold
+    `FieldTables.depth` logs (else None).  rows holds each term's node, the
+    terms grouped by the power of the split variable in powers (one group,
+    power 0, when no variable is split off), sizes[g] terms in group g
+    (None for one group), order[i] is the position in the spelled terms of
+    the plan's term i (None when the two orders agree), and empty tells
+    whether a term's node is row 0, which is then filled.
+    """
+
+    levels: tuple[tuple[int, int, np.ndarray | None, np.ndarray, slice | None], ...]
+    nodes: int
+    rows: np.ndarray
+    sizes: tuple[int, ...] | None
+    powers: tuple[int, ...]
+    order: list[int] | None
+    empty: bool
 
 
-def _split_words(spelled: Spelled, last: int) -> list[Spelled | None]:
-    """g_0, ..., g_D of f = sum_e g_e * x^e, x the variable numbered last and
-    no g_e involving it, spelled, from f spelled: a word's trailing run of
-    last is its e, and the rest of the word is the word of its term in g_e
-    (last is the largest number, so the run is all of x's factors).  None
-    where a power of x has no terms."""
-    const, words = spelled
-    split: dict[int, list] = {0: [((), const)]} if const else {}
-    for w, c in words:
-        cut = len(w)
-        while cut and w[cut - 1] == last:
-            cut -= 1
-        split.setdefault(len(w) - cut, []).append((w[:cut], c))
-    return [_constant_first(sorted(split[e])) if e in split else None for e in range(max(split) + 1)]
+# plans the memo keeps (see `_plan`), each a few index arrays
+PLAN_MEMO = 1 << 8
 
 
-def _evaluate(spelled: Spelled, logs: Sequence[np.ndarray], T: FieldTables) -> np.ndarray:
-    """`evaluate_columns` on a polynomial given by `_spelled`, at the points
-    whose coordinates' logs are the columns logs[i]."""
-    const, words = spelled
-    if not words:
-        return np.full(len(logs[0]) if len(logs) else 1, const)
-    log, fold, depth = T.log, T.fold, T.depth
+@lru_cache(maxsize=PLAN_MEMO)
+def _plan(words: tuple[tuple[int, ...], ...], last: int | None) -> Plan:
+    """The trie plan of a polynomial with these sorted words (see `Plan`).
 
-    def terms() -> Iterator[tuple[np.ndarray, int]]:
-        word: tuple[int, ...] = ()
-        prefix: list[tuple[np.ndarray, int]] = []  # [j]: log sum of word[:j + 1], logs it holds
-        for nxt, c in words:
-            keep = 0
-            while keep < len(word) and word[keep] == nxt[keep]:
-                keep += 1
-            del prefix[keep:]
-            for i in nxt[keep:]:
-                if not prefix:
-                    prefix.append((logs[i], 1))
-                    continue
-                s, held = prefix[-1]
-                if held == depth:
-                    s, held = fold.take(s, mode="clip"), 1
-                prefix.append((s + logs[i], held + 1))
-            word = nxt
-            yield prefix[-1][0], log[c]
+    With last given, the variable numbered last is split off: a word's
+    trailing run of last (last is the largest number, so the run is all of
+    its factors) is its power e, the rest of the word is its node, and the
+    groups are the coefficients g_e of f = sum_e g_e * x^e, x the split
+    variable.  The nodes are the distinct prefixes of the words, found by
+    one walk over them in sorted order: a word keeps the nodes of the
+    prefix it shares with the one before.  Plans depend on the words only,
+    not on the field or the coefficients, so the memo keeps the last
+    PLAN_MEMO of them, keyed by (words, last).
+    """
+    rests, powers = words, [0] * len(words)
+    if last is not None:
+        rests = []
+        for i, w in enumerate(words):
+            cut = len(w)
+            while cut and w[cut - 1] == last:
+                cut -= 1
+            rests.append(w[:cut])
+            powers[i] = len(w) - cut
+    parents: list[list[int]] = []  # [l - 1]: each node of length l's parent, numbered within length l - 1
+    variables: list[list[int]] = []
+    node = [0] * len(words)  # each term's node, numbered within its length
+    path: list[int] = []  # the nodes of the current word's prefixes
+    prev: tuple[int, ...] = ()
+    for i in range(len(words)) if last is None else sorted(range(len(words)), key=rests.__getitem__):
+        w = rests[i]
+        keep = 0
+        for a, b in zip(w, prev):
+            if a != b:
+                break
+            keep += 1
+        del path[keep:]
+        for l in range(keep, len(w)):
+            if l == len(variables):
+                parents.append([])
+                variables.append([])
+            parents[l].append(path[-1] if l else 0)
+            path.append(len(variables[l]))
+            variables[l].append(w[l])
+        node[i] = path[-1] if w else 0
+        prev = w
+    starts = [1]
+    for v in variables:
+        starts.append(starts[-1] + len(v))
+    levels, held = [], 0
+    for l, v in enumerate(variables):
+        fold = None
+        if held == FieldTables.depth:
+            fold, held = slice(starts[l - 1], starts[l]), 1
+        up = np.array(parents[l]) + starts[l - 1] if l else None
+        levels.append((starts[l], starts[l + 1], up, np.array(v), fold))
+        held += 1
+    rows = [starts[len(w) - 1] + k if w else 0 for w, k in zip(rests, node)]
+    if last is None or len(set(powers)) == 1:
+        return Plan(tuple(levels), starts[-1], np.array(rows), None, (powers[0],), None, 0 in rows)
+    order = sorted(range(len(words)), key=powers.__getitem__)
+    split = sorted(set(powers))
+    return Plan(
+        levels=tuple(levels),
+        nodes=starts[-1],
+        rows=np.array([rows[i] for i in order]),
+        sizes=tuple(map(powers.count, split)),
+        powers=tuple(split),
+        order=order,
+        empty=0 in rows,
+    )
 
-    return T.total(terms(), const)
+
+@lru_cache(maxsize=1 << 6)
+def _dense(m: int, lengths: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """Every word of one of these lengths in the variables numbered below
+    m, sorted, and each one's position."""
+    words = sorted(w for l in lengths for w in combinations_with_replacement(range(m), l))
+    return tuple(words), {w: i for i, w in enumerate(words)}
+
+
+def _compiled(spelled: Spelled, T: FieldTables, last: int | None = None) -> tuple[Plan, np.ndarray]:
+    """The plan of a spelled polynomial (see `_plan`), and its terms'
+    coefficients' logs in the plan's order: the shifts of `_evaluate`.
+
+    A polynomial whose terms are at least half of the words of their
+    lengths in m variables (the variables up to its last) is compiled as
+    all of them, the others with coefficient 0, whose log Z makes exp read
+    their products as 0: the many small, dense polynomials of one shape
+    (and their leading forms and homogenizations) then share one plan,
+    which the memo compiles once.
+    """
+    words, coeffs = zip(*spelled)
+    m = max(map(max, filter(None, words)), default=-1) + 1
+    lengths = tuple(sorted(set(map(len, words))))
+    if sum(comb(m + l - 1, l) if l else 1 for l in lengths) <= 2 * len(words):
+        words, pos = _dense(m, lengths)
+        coeffs = [0] * len(words)
+        for w, c in spelled:
+            coeffs[pos[w]] = c
+    plan = _plan(words, last)
+    if plan.order is not None:
+        coeffs = [coeffs[i] for i in plan.order]
+    return plan, T.log.take(coeffs)
+
+
+# bytes that one slice of `_evaluate` takes for its node and stack rows,
+# counted at 8 bytes an entry, as numpy's gathers hold their indexes (256 KiB)
+EVAL_BYTES = 1 << 18
+
+
+def _evaluate(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
+    """The values of each group of a compiled polynomial (see `_compiled`)
+    at the points whose coordinates' logs are the columns of logs, an
+    (n, points) array in `T.log`'s dtype: a (groups, points) array.
+
+    The nodes of each word length are one gather-add, and the terms' log
+    sums plus their shifts one (terms x points) stack, which `T.total`
+    reduces once.  The points are taken in slices of at most EVAL_BYTES
+    // (8 * (nodes + terms)), so the node buffer and the stack of a slice,
+    and numpy's intp copies of them, stay within EVAL_BYTES each.
+    """
+    step = max(1, EVAL_BYTES // (8 * (plan.nodes + len(plan.rows))))
+    return _sliced(lambda s: _evaluate_slice(plan, shifts, logs[:, s], T), logs.shape[1], step)
+
+
+def _sliced(part, width: int, step: int) -> np.ndarray:
+    """part(s) for the slices s of [0, width), step wide, joined along the
+    last axis: part(slice(None)) when one slice holds them all."""
+    if width <= step:
+        return part(slice(None))
+    return np.concatenate([part(slice(lo, lo + step)) for lo in range(0, width, step)], axis=-1)
+
+
+def _evaluate_slice(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
+    """`_evaluate` on one slice of points."""
+    buf = np.empty((plan.nodes, logs.shape[1]), dtype=logs.dtype)
+    if plan.empty:
+        buf[0] = 0
+    for start, stop, parents, variables, fold in plan.levels:
+        if fold is not None:
+            buf[fold] = T.fold.take(buf[fold], mode="clip")
+        if parents is None:
+            logs.take(variables, axis=0, out=buf[start:stop])
+        else:
+            np.add(buf.take(parents, axis=0), logs.take(variables, axis=0), out=buf[start:stop])
+    stack = buf.take(plan.rows, axis=0)
+    stack += shifts[:, None]
+    return T.total(stack, plan.sizes)
 
 
 def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
@@ -278,12 +411,13 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
 
     A block is a set of prefixes (x_1 .. x_{n-1}) with every value of x_n.
     The polynomial with the fewest terms goes first, as the sum of
-    g_e * x_n^e over the powers e of x_n, split on its words (see
-    `_split_words`): each coefficient g_e is evaluated once per prefix, on
-    the block's logs, and each power is one add of its logs to the logs of
-    x_n^e at every value of x_n and one gather over the whole block.  Each
-    later polynomial is evaluated at the (prefix, x_n) pairs where all
-    earlier ones vanish, on their logs gathered from the block's.
+    g_e * x_n^e over the powers e of x_n, split off in its plan (see
+    `_plan`): one `_evaluate` gives every g_e at every prefix, on the
+    block's logs, and the sum is one stack of the logs of g_e plus the logs
+    of x_n^e at every value of x_n, reduced once, in slices of at most
+    EVAL_BYTES // (8 * groups * q) prefixes.  Each later polynomial is
+    evaluated at the (prefix, x_n) pairs where all earlier ones vanish, on
+    their logs gathered from the block's.
     """
     F = system.field
     q, n = F.q, system.nvars
@@ -293,22 +427,21 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
         yield np.zeros(0, dtype=np.intp)
         return
     first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
-    log, fold = T.log, T.fold
-    coeffs = []  # (g_e, the logs of x_n^e at every value of x_n) for each g_e with terms
-    power = np.zeros_like(log)  # x_n^0 = 1, at x_n = 0 too
-    for g in _split_words(_spelled(first), n - 1):
-        if g is not None:
-            coeffs.append((g, power))
-        power = fold.take(power + log, mode="clip")
-    rest = [_spelled(f) for f in rest]
+    log = T.log
+    plan, shifts = _compiled(_spelled(first), T, n - 1)
+    powers = T.power_logs(plan.powers)[:, None]
+    G = len(powers)
+    step = max(1, EVAL_BYTES // (8 * G * q))
+    rest = [_compiled(_spelled(f), T) for f in rest]
     for pre, plogs in _blocks(T, n, cone):
-        prefix_logs = list(plogs)
-        acc = T.total((log.take(_evaluate(g, prefix_logs, T))[:, None] + power, 0) for g, power in coeffs)
+        coeffs = log.take(_evaluate(plan, shifts, plogs, T))[:, :, None]
+        acc = _sliced(lambda s: T.total((coeffs[:, s] + powers).reshape(G, -1))[0], len(pre), step)
         row, col = np.divmod(np.flatnonzero(acc == 0), q)
-        for f in rest:
+        for compiled in rest:
             if not len(row):
                 break
-            keep = np.flatnonzero(_evaluate(f, [*plogs[:, row], log.take(col)], T) == 0)
+            logs = np.concatenate((plogs[:, row], log.take(col)[None]))
+            keep = np.flatnonzero(_evaluate(*compiled, logs, T)[0] == 0)
             if len(keep) < len(row):
                 row, col = row[keep], col[keep]
         yield pre[row] * q + col

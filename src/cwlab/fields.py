@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,6 +107,31 @@ def _factor_int(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+@lru_cache(maxsize=1 << 8)
+def _group_starts(sizes: tuple[int, ...]) -> np.ndarray:
+    """The first row of each group of consecutive rows of the given sizes."""
+    return np.cumsum((0,) + sizes[:-1])
+
+
+@lru_cache(maxsize=1 << 8)
+def _zech_rounds(sizes: tuple[int, ...]) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The rounds of `FieldTables._zech_tree` over groups of consecutive
+    rows of the given sizes: in each, the rows (left, right) whose sums go
+    to the left rows, and the first row of each group, which ends with its
+    group's sum."""
+    starts = _group_starts(sizes)
+    m, rounds = list(sizes), []
+    while max(m) > 1:
+        left, right = [], []
+        for i, s in enumerate(starts.tolist()):
+            h = m[i] // 2
+            left += range(s, s + h)
+            right += range(s + m[i] - h, s + m[i])
+            m[i] -= h
+        rounds.append((np.array(left), np.array(right)))
+    return rounds, starts
 
 
 class FieldSpec:
@@ -351,33 +376,37 @@ class FieldTables:
 
     `exp` and `fold` are read with `take(..., mode="clip")`, which reads
     every s > Z as Z.  A log sum here adds the logs of at most D factors and
-    of at most one further nonzero factor.  If every factor is nonzero, the
-    sum is at most (D + 1)(q - 2) < Z and exp reads the product; if one is
-    zero, the sum is at least Z and exp reads 0.  So a product of at most D
-    factors, times a nonzero coefficient, is one add per factor and one
-    gather, and `fold` turns a sum of at most D logs back into a log, so a
-    longer product folds its prefix once per D - 1 further factors.  The
-    largest sum is D*Z + q - 2 < (D + 1)^2 * q, in `log`'s dtype: int16 up
-    to q = 2522, int32 past it.  The bundle holds q + 2(Z + 1) < 2(D + 2)q
-    entries whatever the degree.
+    of at most one further factor, a term's coefficient.  If every factor is
+    nonzero, the sum is at most (D + 1)(q - 2) < Z and exp reads the
+    product; if one is zero, the sum is at least Z and exp reads 0.  So a
+    product of at most D factors, times a coefficient, is one add per factor
+    and one gather, and `fold` turns a sum of at most D logs back into a
+    log, so a longer product folds its prefix once per D - 1 further
+    factors.  The largest sum is (D + 1)Z < (D + 1)^2 * q, every factor and
+    the coefficient zero, in `log`'s dtype: int16 up to q = 2049, int32
+    past it.  The bundle holds q + 2(Z + 1) < 2(D + 2)q entries whatever
+    the degree.
 
     D = 3 is measured, not derived.  D = 1 cannot hold a folded prefix and
-    the next factor's log.  On a 2-core machine (median of six runs each),
-    D = 2 ran the `extension-fields` benchmark at 255 operations/s against
-    297 for D = 3, and D = 4 and 5 were no faster there (299, 302) or on
-    `corpus-sweep` (170 for D = 3, 165 to 174 for the others).  D = 3 is
-    the smallest depth at full speed, so it keeps the bundle smallest.
+    the next factor's log.  With the trie evaluator of `counting._plan`,
+    on a 2-core machine (medians of five alternating runs of each depth,
+    seeds 1 to 5), D = 2, 3 and 4 ran the `extension-fields` benchmark at
+    521, 488 and 509 operations/s, whose quartiles spread by 48 to 95, and
+    `corpus-sweep` at 217, 236 and 230, spread by 22 to 36.  No depth wins
+    by more than the spread, and D = 2 is the slower one on `corpus-sweep`,
+    so D stays 3.
 
     Every field, whatever q, multiplies through the bundle, adds by XOR
     (p = 2) or through the Zech table of 2Z + 1 entries (see `_zech`), and
     negates as the identity (p = 2) or by multiplying by
     -1 = gamma^((q - 1)/2).  So the arithmetic holds at most
-    2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total` sums
-    many terms at once.  `mul_matrices`, the F_p-matrices of multiplication,
-    and the `readout` tables of the coset numbers are built on first use,
-    `direction_memo` keeps the direction spaces that the congruence
-    sweeps slice, within `direction_bytes`, and `grid_memo` the prefix
-    blocks of the kernel's small passes, within `grid_bytes`.
+    2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total`
+    reduces a whole stack of products at once.  `mul_matrices`, the
+    F_p-matrices of multiplication, and the `readout` tables of the coset
+    numbers are built on first use, `direction_memo` keeps the direction
+    spaces that the congruence sweeps slice, within `direction_bytes`, and
+    `grid_memo` the prefix blocks of the kernel's small passes, within
+    `grid_bytes`.
     """
 
     depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
@@ -406,13 +435,14 @@ class FieldTables:
         self._packings: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray | None]] = {}
         self._bundle: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._zech_table: np.ndarray | None = None
+        self._power_logs: dict[tuple[int, ...], np.ndarray] = {}
 
     def _log_bundle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._bundle is None:
             F, q, D = self.field, self.q, self.depth
             Z = (D + 1) * (q - 2) + 1
             powers = F._generator_powers()
-            log = np.full(q, Z, dtype=np.int16 if D * Z + q < 1 << 15 else np.int32)
+            log = np.full(q, Z, dtype=np.int16 if (D + 1) * Z < 1 << 15 else np.int32)
             log[powers] = np.arange(q - 1)
             exp = np.zeros(Z + 1, dtype=np.min_scalar_type(q - 1))
             exp[:Z] = np.resize(powers, Z)
@@ -449,37 +479,67 @@ class FieldTables:
         log, exp, _ = self._log_bundle()
         return exp.take(log.take(x) + (self.q - 1) // 2, mode="clip")  # -1 = gamma^((q-1)/2)
 
-    def total(self, terms: Iterable[tuple[np.ndarray, int]], const: int = 0) -> np.ndarray:
-        """const plus the sum over terms of the products gamma^(shift + s):
-        one or more pairs of a log sum s, all of one shape, and the log shift
-        of one more nonzero factor, bounded as in the class docstring.  Each
-        product is one gather from exp shifted by shift, summed by XOR for
-        p = 2 and as int64 reduced mod p once over a prime field.  Over an
-        odd-p extension field the sum stays in the log domain: each term is
-        one gather from fold shifted by shift, it is added by the Zech table
-        (see `_zech`), and exp reads the sum once."""
+    def total(self, stack: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
+        """The sums of the products gamma^s over groups of rows of stack, as
+        a (groups, points) array.  stack holds one row of log sums s per
+        product, each bounded as in the class docstring; its rows fall into
+        consecutive groups of sizes[0], sizes[1], ... rows (one group of
+        every row by default).
+
+        The stack is reduced once.  For p = 2 exp reads every product and
+        the rows of a group are XORed together; over a prime field they are
+        summed as int64 and reduced mod p once.  Over an odd-p extension
+        field the sum stays in the log domain: fold reads every product's
+        log, each group is summed as a pairwise tree of Zech additions (see
+        `_zech_tree`), and exp reads the sums once."""
         log, exp, fold = self._log_bundle()
         p, k = self.field.p, self.field.k
         if p > 2 and k > 1:
-            logs = (fold[shift:].take(s, mode="clip") for s, shift in terms)
-            a = next(logs)
-            for b in logs:
-                a = fold.take(self._zech_add(a, b), mode="clip")
-            acc = exp.take(a)
-            return self.add(acc, const) if const else acc
-        products = (exp[shift:].take(s, mode="clip") for s, shift in terms)
-        acc = next(products)
+            return exp.take(self._zech_tree(fold.take(stack, mode="clip"), sizes))
+        products = exp.take(stack, mode="clip")
+        add = np.bitwise_xor if p == 2 else np.add
+        dtype = None if p == 2 else np.int64
+        if sizes is None or len(sizes) == 1:
+            acc = add.reduce(products, axis=0, dtype=dtype, keepdims=True)
+        else:
+            acc = add.reduceat(products, _group_starts(tuple(sizes)), axis=0, dtype=dtype)
         if p == 2:
-            for t in products:
-                acc ^= t
-            if const:
-                acc ^= const
             return acc
-        acc = np.add(acc, const, dtype=np.int64)
-        for t in products:
-            acc += t
         acc -= acc // p * p  # acc %= p, by the scalar division numpy does faster
         return acc
+
+    def _zech_tree(self, a: np.ndarray, sizes: Sequence[int] | None) -> np.ndarray:
+        """The sums of the groups of rows of a (logs, each at most Z, in
+        groups as in `total`), as the logs of one row per group.  Each round
+        adds the first half of every group's rows to its last half by the
+        Zech table, in place, and the middle row of an odd group waits for
+        the next round, so a group of m rows takes ceil(log2 m) rounds."""
+        fold = self.fold
+        if sizes is None or len(sizes) == 1:
+            m = len(a)
+            while m > 1:
+                h = m // 2
+                a[:h] = fold.take(self._zech_add(a[:h], a[m - h : m]), mode="clip")
+                m -= h
+            return a[:1]
+        rounds, starts = _zech_rounds(tuple(sizes))
+        for left, right in rounds:
+            a[left] = fold.take(self._zech_add(a[left], a[right]), mode="clip")
+        return a[starts]
+
+    def power_logs(self, powers: tuple[int, ...]) -> np.ndarray:
+        """The logs of x^e at every element x, for each e in powers, as a
+        read-only (len(powers), q) array: e * log x mod q - 1, Z at x = 0
+        for e > 0, and 0 for e = 0 (x^0 = 1, at x = 0 too).  Kept per
+        tuple of powers."""
+        if powers not in self._power_logs:
+            log = self.log
+            e = np.array(powers)[:, None]
+            table = (e * log % (self.q - 1)).astype(log.dtype)
+            table[:, 0] = np.where(e[:, 0] > 0, log[0], 0)
+            table.flags.writeable = False
+            self._power_logs[powers] = table
+        return self._power_logs[powers]
 
     def digits(self, x) -> np.ndarray:
         """The F_p-coordinates of an index array x as a trailing axis of k

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import CHUNK, _evaluate, _spelled, count_zeros_ext, default_budget
+from .counting import CHUNK, _compiled, _evaluate, _spelled, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
@@ -287,19 +287,20 @@ def _pivot_lines(K: FieldSpec, n: int, j: int) -> list[dict[int, int]]:
     return lines
 
 
-def _line_masks(spelled: tuple[int, list], K: FieldSpec, n: int, lines: list[tuple[int, dict]]) -> np.ndarray:
-    """masks[l, t] tells whether f(-t e_j + sum_i y[i] e_i) = 0 for
-    lines[l] = (j, y) and every element t, from one evaluation of f (an
-    n-variable form over K, as `_spelled` terms) on all len(lines) * q
-    points, given to `_evaluate` as their coordinates' logs.  That point
-    lies on the hyperplane of x_j + sum c_i x_i exactly when
-    t = sum_i c_i y[i], so a factor's coefficients land on a root."""
-    Q, L = K.q, len(lines)
+def _line_masks(fK: MultiPoly, lines: list[tuple[int, dict]]) -> np.ndarray:
+    """masks[l, t] tells whether fK(-t e_j + sum_i y[i] e_i) = 0 for
+    lines[l] = (j, y) and every element t, from one evaluation of fK (an
+    n-variable form over K) on all len(lines) * q points, given to
+    `_evaluate` as their coordinates' logs.  That point lies on the
+    hyperplane of x_j + sum c_i x_i exactly when t = sum_i c_i y[i], so a
+    factor's coefficients land on a root."""
+    K, n = fK.field, fK.nvars
+    T, Q, L = K.tables, K.q, len(lines)
     points = np.empty((L, Q, n), dtype=np.intp)
     points[:] = np.array([[y.get(i, 0) for i in range(n)] for _, y in lines], dtype=np.intp)[:, None]
-    points[np.arange(L), :, [j for j, _ in lines]] = K.tables.neg(np.arange(Q))
-    logs = K.tables.log.take(points.reshape(L * Q, n).T)
-    return (_evaluate(spelled, list(logs), K.tables) == 0).reshape(L, Q)
+    points[np.arange(L), :, [j for j, _ in lines]] = T.neg(np.arange(Q))
+    logs = T.log.take(points.reshape(L * Q, n).T)
+    return (_evaluate(*_compiled(_spelled(fK), T), logs, T)[0] == 0).reshape(L, Q)
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
@@ -317,21 +318,23 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     elements 1, 2, ..., one per column: independent tests, which leave at most
     (deg f)^(n-1-j) tails unless one vanishes identically.  CHUNK rows at
     a time are extended, depth first, to keep the order and bound memory.
-    A weighted test's dot product sum_i c_i w_i is one `FieldTables.total`
-    over the logs of the columns, each shifted by log w_i.
+    A weighted test's dot product sum_i c_i w_i is one `_evaluate` of the
+    linear form sum_i w_i x_i, compiled once per test, on the logs of the
+    columns.
     """
     K, n, T = fK.field, fK.nvars, fK.field.tables
     log = T.log
     per_pivot = [_pivot_lines(K, n, j) for j in range(n - 1)]
     stacked = [(j, y) for j, lines in enumerate(per_pivot) for y in lines]
-    found = _line_masks(_spelled(fK), K, n, stacked) if stacked else None
+    found = _line_masks(fK, stacked) if stacked else None
     for j, lines in enumerate(per_pivot):
         cols = range(j + 1, n)
         mine, found = found[: len(lines)], found[len(lines) :]
         roots = {a: np.flatnonzero(mine[a - j - 1]) for a in cols}
         masks: dict[int, list] = {a: [] for a in cols}
         for y, mask in zip(lines[len(cols) :], mine[len(cols) :]):
-            masks[max(y)].append(([(i - j - 1, log[w]) for i, w in y.items() if i > j], mask))
+            form = sorted(((i - j - 1,), w) for i, w in y.items() if i > j)
+            masks[max(y)].append((_compiled(form, T), mask))
 
         def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
             if a == n:
@@ -344,8 +347,8 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
                 ext = np.empty((len(block), len(S), a - j), dtype=np.intp)  # each row of block, then each root
                 ext[:, :, :-1], ext[:, :, -1] = block[:, None], S
                 ext = ext.reshape(-1, a - j)
-                for weights, mask in masks[a]:
-                    ext = ext[mask[T.total((log.take(ext[:, col]), shift) for col, shift in weights)]]
+                for form, mask in masks[a]:
+                    ext = ext[mask[_evaluate(*form, log.take(ext.T), T)[0]]]
                 yield from grow(ext, a + 1)
 
         head = (0,) * j + (K.one,)

@@ -410,7 +410,8 @@ def check_congruence(
 
     chevalley: p | N(full) when n > d.     ax: q | N(full) when n > d.
     warning-hyperplanes: counts over parallel hyperplanes agree mod p
-    (n >= d).  parallel-subspaces (alias theorem1): counts over any two
+    (n > d: a hyperplane has dimension n - 1, which must reach d).
+    parallel-subspaces (alias theorem1): counts over any two
     parallel subspaces of dimension >= d agree mod q.
     """
     if law not in LAW_ALIASES:
@@ -441,11 +442,11 @@ def check_congruence(
         )
 
     if law == "warning-hyperplanes":
-        if not n >= d:
+        if not n > d:
             return LawReport(
-                law, False, True, {"reason": "requires n >= d", "n": n, "d": d}
+                law, False, True, {"reason": "requires n > d", "n": n, "d": d}
             )
-        dims = [n - 1] if n >= 1 else []
+        dims = [n - 1]
         modulus = p
     else:  # parallel-subspaces
         if d > n:

@@ -1,6 +1,8 @@
 """Counting engines: reference oracle, fast path, regions, extensions."""
 
 import json
+import math
+import tracemalloc
 from itertools import combinations, product
 from random import Random
 
@@ -658,9 +660,12 @@ def _last_variable_coefficients(f):
 
 
 def test_split_on_words_matches_split_on_exponents():
-    # the trailing run of x_n in a word is its power of x_n: dense
-    # polynomials, powers of x_n past the fold depth and past q, constants,
-    # and corpus systems with their homogenizations
+    # the trailing run of x_n in a word is its power of x_n: the split plan
+    # has a group for each power of x_n with terms (and, compiled dense, for
+    # the others too, whose g_e is 0), and each group evaluates to its g_e
+    # at every prefix, for dense polynomials, powers of x_n past the fold
+    # depth and past q, constants, and corpus systems with their
+    # homogenizations
     rng = np.random.default_rng(5)
     polys = []
     for F in (F2, F3, F4, build_field(5, 1)):
@@ -673,8 +678,16 @@ def test_split_on_words_matches_split_on_exponents():
         polys += [*system.polys, *system.homogenized_system().polys]
     for f in polys:
         assert not f.is_zero
-        want = [None if g is None else counting._spelled(g) for g in _last_variable_coefficients(f)]
-        assert counting._split_words(counting._spelled(f), f.nvars - 1) == want, f
+        F, n = f.field, f.nvars
+        T = F.tables
+        ref = _last_variable_coefficients(f)
+        plan, shifts = counting._compiled(counting._spelled(f), T, n - 1)
+        assert {e for e, g in enumerate(ref) if g is not None} <= set(plan.powers), f
+        prefixes = counting._coordinates(np.arange(F.q ** (n - 1)), F.q, n - 1)
+        got = counting._evaluate(plan, shifts, T.log.take(prefixes), T).tolist()
+        points = [(*pt, 0) for pt in zip(*prefixes.tolist())] if n > 1 else [(0,)]
+        g = [ref[e] if e < len(ref) and ref[e] is not None else MultiPoly.zero(F, n) for e in plan.powers]
+        assert got == [[g_e.evaluate(pt) for pt in points] for g_e in g], f
 
 
 def _grid_systems():
@@ -745,3 +758,127 @@ def test_grid_memo_keeps_its_byte_bound(monkeypatch):
     memo.clear()
     count(*shapes[0])
     assert not memo
+
+
+# -- the trie evaluator -------------------------------------------------------------------
+
+
+def _trie_cases(F):
+    """Polynomials that reach every part of a plan: words of 2D + 1 = 7 and
+    more factors (two folds), terms at interior trie nodes (x1, x1*x2 and
+    x1*x2*x3 with their extensions), 1, 2, 3 and 5 terms (the Zech tree's
+    shapes), a constant alone, one variable, and half of the words of
+    length 1 and 2 in x1, x2 (compiled as all five, two with coefficient
+    0)."""
+    c, one = F.generator or F.from_int(F.p - 1) or F.one, F.one
+    deep = [((4, 3, 0), c), ((9, 0, 0), one), ((2, 2, 3), one), ((0, 0, 7), c)]
+    interior = [((1, 0, 0), c), ((1, 1, 0), one), ((1, 1, 1), c), ((2, 1, 1), one), ((1, 1, 2), one)]
+    polys = [MultiPoly.from_terms(F, 3, terms) for terms in (deep, interior)]
+    for count in (1, 2, 3, 5):
+        polys.append(MultiPoly.from_terms(F, 3, (deep + interior)[:count]))
+    polys.append(MultiPoly.from_terms(F, 3, deep + interior + [((0, 0, 0), c)]))
+    polys.append(MultiPoly.constant(F, 3, c))
+    polys.append(MultiPoly.from_terms(F, 1, [((9,), c), ((3,), one), ((0,), one)]))
+    polys.append(MultiPoly.from_terms(F, 1, [((1,), one)]))
+    polys.append(MultiPoly.from_terms(F, 3, [((1, 0, 0), c), ((0, 1, 0), one), ((1, 1, 0), c)]))
+    return polys
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 3), (3, 2), (3, 3), (2, 17), (3, 11)])
+def test_trie_evaluator_matches_pointwise_evaluate(p, k):
+    # every kind of field: p = 2 (XOR), an odd prime (a sum mod p), odd-p
+    # extensions (the Zech tree), and q past 2^16; at points with many zero
+    # coordinates, unsplit and split on the last variable (groups of terms)
+    F = build_field(p, k)
+    T, q = F.tables, F.q
+    rng = np.random.default_rng(q)
+    D = T.depth
+    for f in _trie_cases(F):
+        n = f.nvars
+        cols = np.where(rng.random((n, 300)) < 0.3, 0, rng.integers(0, q, (n, 300)))
+        points = list(zip(*cols.tolist()))
+        plan, shifts = counting._compiled(counting._spelled(f), T)
+        got = counting._evaluate(plan, shifts, T.log.take(cols), T)
+        assert got.tolist() == [[f.evaluate(pt) for pt in points]], f
+        # at least half of the words of their lengths in the first m
+        # variables: compiled as all of them
+        depth = max(map(sum, f.terms))
+        m = max((i + 1 for x in f.terms for i, e in enumerate(x) if e), default=0)
+        dense = sum(math.comb(m + l - 1, l) if l else 1 for l in set(map(sum, f.terms)))
+        assert len(plan.rows) == (dense if dense <= 2 * len(f.terms) else len(f.terms))
+        assert len(plan.levels) == depth
+        assert sum(fold is not None for *_, fold in plan.levels) == max(0, (depth - 2) // (D - 1))
+        # split on the last variable: each group is its coefficient g_e
+        plan, shifts = counting._compiled(counting._spelled(f), T, n - 1)
+        got = counting._evaluate(plan, shifts, T.log.take(cols[:-1]), T).tolist()
+        for e, row in zip(plan.powers, got):
+            g = MultiPoly.from_terms(F, n, [(x[:-1] + (0,), c) for x, c in f.terms.items() if x[-1] == e])
+            assert row == [g.evaluate(pt) for pt in points], (f, e)
+
+
+def test_trie_shares_prefixes():
+    # x1, x1*x2 and x1*x2*x3 are interior nodes of the trie of the
+    # polynomial that extends them: one node per distinct prefix, level by
+    # level, each the log sum of its parent's row and one variable, and
+    # each term's row is its word's node
+    F = build_field(3, 2)
+    f = _trie_cases(F)[1]  # the words 0; 0,1; 0,1,2; 0,0,1,2; 0,1,2,2
+    plan, _ = counting._compiled(counting._spelled(f), F.tables)
+    levels = [(start, stop, None if up is None else up.tolist(), var.tolist()) for start, stop, up, var, _ in plan.levels]
+    assert levels == [
+        (1, 2, None, [0]),  # x1
+        (2, 4, [1, 1], [0, 1]),  # x1^2, x1*x2
+        (4, 6, [2, 3], [1, 2]),  # x1^2*x2, x1*x2*x3
+        (6, 8, [4, 5], [2, 2]),  # x1^2*x2*x3, x1*x2*x3^2
+    ]
+    assert plan.nodes == 8 and plan.rows.tolist() == [1, 6, 3, 5, 7]  # in sorted word order
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (3, 2), (5, 2), (3, 11)])
+def test_total_reduces_groups_of_rows(p, k):
+    # one reduction of a stack of log sums in groups of 1, 2, 3 and 5 rows
+    # (the Zech tree's shapes, odd groups included), with zero factors
+    # among them, against the scalar sums
+    F = build_field(p, k)
+    T, q = F.tables, F.q
+    rng = np.random.default_rng(q)
+    sizes = (1, 2, 3, 5)
+    a, b, c = np.where(rng.random((3, 11, 200)) < 0.2, 0, rng.integers(0, q, (3, 11, 200)))
+    stack = T.log[a] + T.log[b] + T.log[c]  # the log sums of 11 products a*b*c
+    want, row = [], 0
+    for size in sizes:
+        acc = [0] * 200
+        for r in range(row, row + size):
+            acc = [F.add(x, F.mul(F.mul(u, v), w)) for x, u, v, w in zip(acc, a[r].tolist(), b[r].tolist(), c[r].tolist())]
+        want.append(acc)
+        row += size
+    assert T.total(stack.copy(), sizes).tolist() == want
+    for size, start in zip(sizes, (0, 1, 3, 6)):
+        assert T.total(stack[start : start + size].copy()).tolist() == [want[sizes.index(size)]]
+
+
+def test_kernel_memory_is_bounded():
+    # one fast_count of two random quintics over F_9 in 5 variables (227
+    # and 233 terms), with an empty walk memo: the evaluator's slices keep
+    # the kernel's working memory within 4 MB
+    system = random_system(build_field(3, 2), 5, (5, 5), 7)
+    assert sorted(len(f.terms) for f in system.polys) == [227, 233]
+    want = fast_count(system)  # the field's tables, the grid and the plans, built once
+    counting._walks.clear()
+    tracemalloc.start()
+    try:
+        assert fast_count(system) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 10**6
+
+
+def test_plan_memo_is_bounded():
+    # the memo keeps the last PLAN_MEMO plans, and the autouse fixture
+    # empties it around every test
+    assert counting._plan.cache_info().currsize == 0
+    assert counting._plan.cache_info().maxsize == counting.PLAN_MEMO
+    for i in range(counting.PLAN_MEMO + 10):
+        counting._plan(((), (i,)), None)
+    assert counting._plan.cache_info().currsize == counting.PLAN_MEMO

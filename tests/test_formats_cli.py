@@ -187,13 +187,30 @@ def test_cli_check_all_pairs_conflicts_with_sampled(workdir):
     assert "--sampled" in res.stderr
 
 
-def test_cli_check_violation_exit_code(workdir):
-    (workdir / "bad.sys").write_text(
-        "field p=2 k=1\nvars x1 x2\npoly x1*x2 + 1\n", encoding="utf-8"
-    )
-    res = _run("check", "--system", "bad.sys", "--law", "warning-hyperplanes", cwd=workdir)
-    assert res.returncode == 2
-    assert json.loads(res.stdout)["witness"] is not None
+def test_cli_check_violation_exit_code(workdir, monkeypatch, capsys):
+    # no system violates a law where the law applies, so a sweep that
+    # reports a witness stands in for a violation: the body carries the
+    # witness, and the exit code is 2
+    from cwlab import cli, laws
+
+    witness = {"rows": [[0, 0, 1]], "offsets": [[0, 0, 0], [0, 0, 1]], "counts": [0, 1], "dim": 2}
+    monkeypatch.setattr(laws, "_sweep_classes", lambda Z, F, dims, modulus, scope: (2, {"2": 2}, False, witness))
+    code = cli.main(["check", "--system", str(workdir / "hyp.sys"), "--law", "warning-hyperplanes"])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 2 and body["applicable"] is True and body["pass"] is False
+    assert body["witness"] == witness
+
+
+def test_cli_check_hyperplanes_need_n_above_d(workdir):
+    # a hyperplane has dimension n - 1, so at n = d the hyperplane
+    # congruence does not apply: x1*x2*x3 + 1 over F_2 (one zero, counts 1
+    # and 0 on the hyperplanes x3 = 1 and x3 = 0) is not a violation
+    (workdir / "cube.sys").write_text("field p=2 k=1\nvars x1 x2 x3\npoly x1*x2*x3 + 1\n", encoding="utf-8")
+    res = _run("check", "--system", "cube.sys", "--law", "warning-hyperplanes", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    body = json.loads(res.stdout)
+    assert body["applicable"] is False and body["pass"] is True
+    assert body["evidence"] == {"reason": "requires n > d", "n": 3, "d": 3}
 
 
 def test_cli_input_error_exit_code(workdir):

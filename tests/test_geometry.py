@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from cwlab import geometry
+from cwlab import counting, geometry
 from cwlab.constructions import example_two, norm_form, random_system
-from cwlab.counting import _spelled
 from cwlab.errors import InsufficientExtensions, InvalidArgument, NotHomogeneous
-from cwlab.fields import build_field
+from cwlab.fields import FieldTables, build_field
 from cwlab.geometry import (
     _algebraic_candidates,
     _exact_linear_division,
@@ -280,7 +279,7 @@ def test_line_masks_match_pointwise_evaluation():
         assert _pivot_lines(K, n, n - 1) == []
         lines = [(j, y) for j in range(n) for y in _pivot_lines(K, n, j)]
         assert {j for j, _ in lines} == set(range(n - 1))
-        masks = _line_masks(_spelled(fK), K, n, lines)
+        masks = _line_masks(fK, lines)
         assert masks.shape == (len(lines), K.q)
         for (j, y), row in zip(lines, masks.tolist()):
             for t in range(K.q):
@@ -292,28 +291,32 @@ def test_line_masks_match_pointwise_evaluation():
 
 
 def test_candidates_take_one_evaluation(monkeypatch):
-    # one run evaluates the lines of every pivot in a single kernel call;
+    # one run evaluates the lines of every pivot in a single kernel call
+    # (the weighted tests of the search evaluate their linear forms apart);
     # the last pivot's form comes with no evaluation
-    calls, pivots = [], []
+    calls, pivots, lined = [], [], []
     evaluate, line_masks = geometry._evaluate, geometry._line_masks
 
-    def counted(spelled, cols, T):
-        calls.append(len(cols[0]))
-        return evaluate(spelled, cols, T)
+    def counted(plan, shifts, logs, T):
+        calls.append(logs.shape[1])
+        return evaluate(plan, shifts, logs, T)
 
-    def recorded(spelled, K, n, lines):
+    def recorded(fK, lines):
         pivots.append({j for j, _ in lines})
-        return line_masks(spelled, K, n, lines)
+        calls.clear()
+        masks = line_masks(fK, lines)
+        lined.append(list(calls))
+        return masks
 
     monkeypatch.setattr(geometry, "_evaluate", counted)
     monkeypatch.setattr(geometry, "_line_masks", recorded)
     for fK in _line_forms():
         K, n = fK.field, fK.nvars
-        calls.clear()
         pivots.clear()
+        lined.clear()
         forms = list(_algebraic_candidates(fK))
         assert pivots == [set(range(n - 1))]
-        assert calls == [K.q * sum(len(_pivot_lines(K, n, j)) for j in range(n - 1))]
+        assert lined == [[K.q * sum(len(_pivot_lines(K, n, j)) for j in range(n - 1))]]
         assert forms[-1] == (0,) * (n - 1) + (K.one,)
 
 
@@ -363,3 +366,40 @@ def test_conjecture_scan_smoke():
     # in two variables over F_9 has 9 zeros
     rows, _ = conjecture_scan(qs=(9,), ns=(2,), profiles=((1,),), per_cell=1)
     assert rows[0].q == 9 and rows[0].counts[0] == 9
+
+
+def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
+    # a planted product of the benchmark over F_3, Example 2's quartic times
+    # a linear form with every coefficient nonzero: 42 of the 56 words of
+    # degree 5 in 4 variables, so compiled as all 56, in a trie of 5
+    # levels; every evaluation, of the lines, of the weighted tests and of
+    # the count, is one reduction of one stack
+    F = F3
+    x = [MultiPoly.variable(F, 4, i) for i in range(4)]
+    f = example_two(F).poly * (x[0] + x[1].scale(2) + x[2] + x[3].scale(2))
+    assert len(f.terms) == 42 and f.total_degree == 5
+    plan, _ = counting._compiled(counting._spelled(f), F.tables)
+    assert [stop - start for start, stop, *_ in plan.levels] == [4, 10, 20, 35, 56]
+    assert len(plan.rows) == 56 and plan.sizes is None
+    totals, per_call = [], []
+    total = FieldTables.total
+
+    def counted_total(T, stack, sizes=None):
+        totals.append(len(stack))
+        return total(T, stack, sizes)
+
+    def counted(evaluate):
+        def wrapper(*args):
+            before = len(totals)
+            out = evaluate(*args)
+            per_call.append(len(totals) - before)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(FieldTables, "total", counted_total)
+    monkeypatch.setattr(geometry, "_evaluate", counted(geometry._evaluate))
+    monkeypatch.setattr(counting, "_evaluate", counted(counting._evaluate))
+    assert linear_factor_test(f, 1).found
+    assert counting.fast_count(PolySystem([f])) == counting.oracle_count(PolySystem([f]))
+    assert per_call and set(per_call) == {1}

@@ -9,12 +9,13 @@ import pytest
 
 from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
-from cwlab.counting import basis_entries, coset_matrix, zero_set
+from cwlab.counting import basis_entries, coset_matrix, zero_points, zero_set
 from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, InvalidArgument, WrongFieldSize
 from cwlab.fields import FieldTables, build_field
 from cwlab.laws import (
     BATCH,
     CheckScope,
+    LawReport,
     check_congruence,
     covering_bound_report,
     homogenization_identity,
@@ -91,15 +92,19 @@ def test_warning_hyperplanes():
 
 def test_congruence_detects_violations():
     # At exactly n = d the hyperplane congruence can genuinely fail
-    # (x1*x2 + 1 over F_2 has line counts 0 and 1), which exercises the
-    # violation path: applicable, failed, witness, exit code 2.
-    f = parse_poly("x1*x2 + 1", F2, ["x1", "x2"])  # n = d = 2, N = 1
-    rep = check_congruence(PolySystem([f]), "parallel-subspaces")
+    # (x1*x2 + 1 over F_2 has line counts 0 and 1): a hyperplane has
+    # dimension n - 1 < d there, so the law does not apply, and the sweep of
+    # its classes, run past the gate, finds the violation.  A failed report
+    # exits 2.
+    system = PolySystem([parse_poly("x1*x2 + 1", F2, ["x1", "x2"])])  # n = d = 2, N = 1
+    rep = check_congruence(system, "parallel-subspaces")
     assert rep.passed  # dims [d, n] = {2}: the single full-space class
-    rep2 = check_congruence(PolySystem([f]), "warning-hyperplanes")
-    assert rep2.applicable and not rep2.passed
-    assert rep2.witness is not None and rep2.exit_code == 2
-    assert sorted(rep2.witness["counts"]) == [0, 1]
+    rep2 = check_congruence(system, "warning-hyperplanes")
+    assert not rep2.applicable and rep2.passed and rep2.exit_code == 0
+    assert rep2.evidence == {"reason": "requires n > d", "n": 2, "d": 2}
+    witness = laws._sweep_classes(zero_points(system), F2, [1], 2, CheckScope())[3]
+    assert witness is not None and sorted(witness["counts"]) == [0, 1]
+    assert LawReport("warning-hyperplanes", True, False, {}, witness).exit_code == 2
 
 
 def test_sampled_scope_runs():
@@ -452,18 +457,40 @@ class _BatchLog:
         monkeypatch.setattr(laws, "_coset_residue_check", logged)
 
 
+def _swept(system, law, scope, past_gate):
+    """(evidence, witness) of check_congruence, or, past the law's gate, of
+    the sweep of the hyperplane classes mod p run directly, with the
+    evidence that check_congruence builds around it."""
+    if not past_gate:
+        rep = check_congruence(system, law, scope)
+        assert rep.applicable and rep.passed == (rep.witness is None)
+        return rep.evidence, rep.witness
+    assert not check_congruence(system, law, scope).applicable
+    F, n = system.field, system.nvars
+    Z = zero_points(system)
+    checked, per_dim, truncated, witness = laws._sweep_classes(Z, F, [n - 1], F.p, scope)
+    evidence = {"modulus": F.p, "classes_checked": checked, "per_dim": per_dim, "zero_count": len(Z)}
+    if witness is None:
+        evidence["truncated"] = truncated
+        evidence["mode"] = "all_pairs" if scope.all_pairs else f"sampled(seed={scope.seed})"
+    return evidence, witness
+
+
 @pytest.mark.parametrize("batch", [None, 97, 7])
 def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
     # a small BATCH splits batches down to one space and sends spaces with
     # more than BATCH cosets through the sparse count
     if batch:
         monkeypatch.setattr(laws, "BATCH", batch)
+    # the hyperplane classes of the systems with n = d, where the law does
+    # not apply, are swept directly, as that is where the congruence fails
     assert {sy.field.q for sy in DIFFERENTIAL_SYSTEMS} == {2, 3, 4, 5, 7, 8, 9}
     failures = cuts = crossed = 0
     for system in DIFFERENTIAL_SYSTEMS:
         for law in ("parallel-subspaces", "warning-hyperplanes"):
+            past_gate = law == "warning-hyperplanes" and not system.nvars > system.total_degree
             log = _BatchLog(monkeypatch)
-            total = check_congruence(system, law, CheckScope(budget=10**9)).evidence["classes_checked"]
+            total = _swept(system, law, CheckScope(budget=10**9), past_gate)[0]["classes_checked"]
             sizes = list(log.sizes)
             scopes = [CheckScope(budget=b) for b in (10**9, 0, total - 1, total)]
             scopes += [CheckScope(all_pairs=False, sample=40, seed=s) for s in (3, 4)]
@@ -474,17 +501,16 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
                 scopes.append(CheckScope(budget=sum(sizes[:k]) + 1))
             for scope in scopes:
                 log.sizes.clear()
-                rep = check_congruence(system, law, scope)
+                got = _swept(system, law, scope, past_gate)
                 evidence, witness = _reference_report(system, law, scope)
-                assert (rep.evidence, rep.witness) == (evidence, witness), (system, law, scope)
-                assert rep.passed == (witness is None)
+                assert got == (evidence, witness), (system, law, scope)
                 failures += witness is not None
                 # the failing space lies in a batch that begins with another pivot pattern
                 crossed += witness is not None and _pivots(witness["rows"]) != log.first_pivots[-1]
             if k is not None:
                 assert log.sizes == sizes[:k] + [1]  # the last scope cut batch k
                 cuts += 1
-    assert failures > 0  # the violating systems fail under warning-hyperplanes
+    assert failures > 0  # the violating systems fail on their hyperplanes
     assert cuts > 0
     assert crossed > 0 or batch == 7  # BATCH = 7 leaves one space per batch
 
