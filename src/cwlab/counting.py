@@ -64,9 +64,12 @@ def default_budget() -> int:
     env = os.environ.get("CWLAB_BUDGET")
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise CwlabError(f"CWLAB_BUDGET must be an integer, got {env!r}") from None
+        if budget < 0:
+            raise InvalidArgument(f"CWLAB_BUDGET must be >= 0, got {budget}")
+        return budget
     return DEFAULT_BUDGET
 
 
@@ -595,10 +598,12 @@ def basis_entries(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...
 
 
 def point_digits(Z: np.ndarray, F: FieldSpec) -> np.ndarray:
-    """The F_p-coordinates of the points (rows of Z) that `coset_ids` reads:
-    Z itself over a prime field, else its (|Z|, n, k) base-p digits.  A sweep
-    splits its points once and passes the digits to every batch."""
-    return Z if F.k == 1 else F.tables.digits(Z)
+    """The F_p-coordinates of the points (rows of Z) that `coset_ids` reads,
+    as a C-contiguous (nk, |Z|) float64 array: column z holds point z's n
+    coordinates over a prime field, else their k base-p digits each.  A
+    sweep splits its points once and passes the digits to every batch."""
+    X = Z if F.k == 1 else F.tables.digits(Z)
+    return np.ascontiguousarray(X.reshape(len(Z), Z.shape[1] * F.k).T, dtype=np.float64)
 
 
 def _packing(F: FieldSpec, m: int, f: int) -> tuple[int, np.ndarray, np.ndarray | None]:
@@ -611,9 +616,10 @@ def _packing(F: FieldSpec, m: int, f: int) -> tuple[int, np.ndarray, np.ndarray 
 
 def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: FieldSpec) -> np.ndarray:
     """The stacked matrix M' of `coset_ids` for a batch of B direction
-    spaces of dimension m in A^n: a (B*G, nk) int64 array, G rows per
-    space, with G = ceil((n - m)k / g) the packed groups of its offset
-    digits (no rows when m = n).  pivots and entries are as in `coset_ids`.
+    spaces of dimension m in A^n: a (B*G, nk) float64 array of
+    non-negative integers, G rows per space, with G = ceil((n - m)k / g)
+    the packed groups of its offset digits (no rows when m = n).  pivots
+    and entries are as in `coset_ids`.
 
     Row (b, group) holds, for each of x's nk F_p-coordinates, the weight it
     adds to that group: by the k x k identity where x's column i is free
@@ -629,14 +635,14 @@ def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: Fie
     B, m, f = entries.shape
     n = m + f
     if f == 0:
-        return np.zeros((0, n * k), dtype=np.int64)
+        return np.zeros((0, n * k))
     _, W, _ = _packing(F, m, f)
     G = W.shape[1]
     rows = np.arange(B)[:, None]
     pivots = np.asarray(pivots, dtype=np.intp)
     is_pivot = np.zeros((B, n), dtype=bool)
     is_pivot[rows, pivots] = True
-    M = np.empty((B, G, n, k), dtype=np.int64)  # [b, group, i, a]: rows in their final order
+    M = np.empty((B, G, n, k))  # [b, group, i, a]: rows in their final order
     M[rows, :, np.nonzero(~is_pivot)[1].reshape(B, f)] = W.reshape(f, k, G).transpose(0, 2, 1)
     if m:
         # [b, r, j, a, c] -> [b, r, a, (j, c)]
@@ -670,9 +676,14 @@ def coset_ids(
     an integer below the radix b = (p - 1)(1 + mk(p - 1)) + 1, so g
     consecutive digits pack into one integer without carries,
     b^g <= `FieldTables.readout_cap`, and a space's digits pack into
-    G = ceil((n - m)k / g) integers.  So the whole batch is one integer
-    matrix product of M' (see `coset_matrix`), B*G x nk, with the digits,
-    nk x |Z|.  One `take` from the read-out table reduces every packed
+    G = ceil((n - m)k / g) integers.  So the whole batch is one matrix
+    product of M' (see `coset_matrix`), B*G x nk, with the digits, nk x |Z|.
+    It runs as a float64 BLAS product and is exact: every entry of both
+    factors is a non-negative integer, so every product and partial sum, in
+    any blocking, thread split or FMA order, is an integer no larger than
+    the packed value, which is below b^g (below b past the cap), and so
+    below `FieldTables.exact_cap` = 2^53.  The product is cast back to intp
+    at once.  One `take` from the read-out table reduces every packed
     integer's digits mod p and reads them big-endian, and the groups read as
     base-p^g digits.  Where b itself is past the cap, each group is one
     digit, reduced mod p instead.  The product holds B*G*|Z| integers, and
@@ -681,12 +692,12 @@ def coset_ids(
     p = F.p
     B, m, f = entries.shape
     if f == 0:
-        return np.zeros((B, len(X)), dtype=np.intp)
+        return np.zeros((B, X.shape[1]), dtype=np.intp)
     if matrix is None:
         matrix = coset_matrix(pivots, entries, F)
     g, W, table = _packing(F, m, f)
     G = W.shape[1]
-    R = (matrix @ X.reshape(len(X), matrix.shape[1]).T).reshape(B, G, len(X))
+    R = (matrix @ X).astype(np.intp).reshape(B, G, X.shape[1])
     R = R.transpose(1, 0, 2)  # [group, b, point]
     if table is None:
         R -= R // p * p  # R %= p, by a scalar division, which numpy does faster
@@ -701,10 +712,23 @@ def coset_ids(
 
 
 def _region_size_check(size: int, budget: int | None, engine: str) -> None:
+    """BudgetExceeded past the engine's cap or the point budget (a budget of
+    0 admits no region); a negative budget is an input error."""
+    if budget is not None and budget < 0:
+        raise InvalidArgument(f"the point budget must be >= 0, got {budget}")
     cap = ORACLE_CAP if engine == "oracle" else FAST_CAP
     limit = min(cap, budget if budget is not None else default_budget())
     if size > limit:
         raise BudgetExceeded(f"region size {size} exceeds budget {limit}")
+
+
+def _region_check(system: PolySystem, L: AffineSubspace) -> None:
+    """AmbientMismatch unless L lies in the system's space: the same
+    ambient dimension and the same field."""
+    if L.ambient != system.nvars:
+        raise AmbientMismatch(f"subspace ambient {L.ambient} != system arity {system.nvars}")
+    if L.field != system.field:
+        raise AmbientMismatch(f"subspace field {L.field!r} != system field {system.field!r}")
 
 
 def subspace_region_label(L: AffineSubspace) -> str:
@@ -733,10 +757,7 @@ def count_zeros(
         counted: PolySystem | None = system
         label = "full"
     else:
-        if region.ambient != system.nvars:
-            raise AmbientMismatch(
-                f"subspace ambient {region.ambient} != system arity {system.nvars}"
-            )
+        _region_check(system, region)
         size = region.size
         _region_size_check(size, budget, engine)
         try:
@@ -802,6 +823,7 @@ def counts_over_parallel_class(
     full-space total).  The fast engine buckets the zero set by coset; the
     oracle counts each member on its own."""
     F = system.field
+    _region_check(system, L)
     size = F.q**system.nvars
     _region_size_check(size, budget, engine)
     members = L.parallel_class()

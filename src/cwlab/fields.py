@@ -588,20 +588,29 @@ class FieldTables:
         return self._mul_matrices
 
     readout_cap = 1 << 12  # entries of one read-out table
+    # a packed group is an integer below b^g <= readout_cap, or below b
+    # itself past the cap, and `coset_ids` computes it as a float64 product
+    # of non-negative integers, whose partial sums never pass it: exact
+    # while b <= 2^53.  The caps keep b below 2^46, as p < 2^20
+    # (FIELD_SIZE_CAP) and mk < nk <= 29 (p^(nk) <= counting.FAST_CAP); the
+    # largest b they admit is 998 970 843 < 2^30 (p = 31607, n = 2, m = 1).
+    exact_cap = 1 << 53
 
     def readout(self, radix: int, digits: int) -> tuple[int, np.ndarray, np.ndarray | None]:
         """(g, W, table): how `counting.coset_ids` packs a row of `digits`
         integers below radix b, each standing for a base-p digit, and reads
         the row back as one base-p number.  g digits pack into one integer,
-        as many as the row has up to b^g <= readout_cap.  W, digits x G with
-        G = ceil(digits / g), sends digit s to group (s + pad) // g with
-        weight b^(g - 1 - (s + pad) % g), pad = G*g - digits: the first
-        group is the short one.  table[v], for v < b^g, reduces v's base-b
-        digits mod p and reads them as a big-endian base-p number, in the
-        narrowest dtype.  Past the cap (b > readout_cap), g = 1 and table is
-        None.  One table serves each radix, as the table of fewer digits is
-        a prefix of it; W is kept per radix and row length."""
+        as many as the row has up to b^g <= readout_cap.  W, a float64
+        digits x G array with G = ceil(digits / g), sends digit s to group
+        (s + pad) // g with weight b^(g - 1 - (s + pad) % g),
+        pad = G*g - digits: the first group is the short one.  table[v], for
+        v < b^g, reduces v's base-b digits mod p and reads them as a
+        big-endian base-p number, in the narrowest dtype.  Past the cap
+        (b > readout_cap), g = 1 and table is None.  One table serves each
+        radix, as the table of fewer digits is a prefix of it; W is kept per
+        radix and row length.  b <= exact_cap is asserted as W is built."""
         if (radix, digits) not in self._packings:
+            assert radix <= self.exact_cap, f"radix {radix} is past the exact float64 range"
             p, g = self.field.p, 0
             while g < digits and radix ** (g + 1) <= self.readout_cap:
                 g += 1
@@ -616,7 +625,7 @@ class FieldTables:
             g = max(g, 1)
             G = -(-digits // g)
             s = np.arange(digits) + G * g - digits
-            W = np.zeros((digits, G), dtype=np.int64)
+            W = np.zeros((digits, G))
             W[np.arange(digits), s // g] = radix ** (g - 1 - s % g)
             self._packings[radix, digits] = (g, W, table)
         return self._packings[radix, digits]

@@ -3,7 +3,9 @@
 Every checker returns a LawReport.  A report is "vacuous" when the law's
 hypotheses do not apply to the input; vacuous reports pass but carry a
 reason string so callers can distinguish "held" from "did not apply".
-All comparisons are exact integer or rational arithmetic; no floats.
+All comparisons are exact integer or rational arithmetic; no floats (the
+coset numbers' float64 product is an exact integer product, see
+`counting.coset_ids`).
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ LAW_ALIASES = {
 DEFAULT_CLASS_BUDGET = 10_000
 # a batch of B direction spaces of dimension m, over the |Z| zero points,
 # holds at most this many point coordinates, B*|Z|*(n - m), and this many
-# coset counters, B*q^(n - m) (a quarter of the counting kernel's chunk:
-# larger batches raised peak memory and gained no speed).  `coset_ids` packs
-# a space's (n - m)k base-p digits into G = ceil((n - m)k / g) integers, so
-# its product holds B*G*|Z| of them: at most BATCH when g >= k, which holds
-# wherever the read-out table fits k digits, and at most k*BATCH otherwise.
+# coset counters, B*q^(n - m) (a quarter of the counting kernel's chunk).
+# Larger batches gain no speed: with the float64 product, BATCH = 2^16 ran
+# the `coset-classes` benchmark at the same ops/s (-1.5%, five alternating
+# pairs on 2 cores), with a tail 18% longer and 0.7 MB more peak memory.
+# `coset_ids` packs a space's (n - m)k base-p digits into
+# G = ceil((n - m)k / g) integers, so its product holds B*G*|Z| of them: at
+# most BATCH when g >= k, which holds wherever the read-out table fits k
+# digits, and at most k*BATCH otherwise.
 # A batch of an all-pairs sweep is a slice of its shape's `DirectionTable`,
 # so its B*G*nk rows of M' are read, not built; the memo keeps at most
 # `FieldTables.direction_bytes` (4 MiB) of tables over every field.
@@ -135,7 +140,7 @@ def _coset_residue_check(
     """Check a batch of direction spaces of one dimension m at once (pivots
     as a (B, m) array, entries as `basis_entries` gives them, one (m, n - m)
     block per space, and matrix their `coset_matrix` if the caller has it)
-    on the zero points as `point_digits` gives them.
+    on the zero points as `point_digits` gives them, one column a point.
     Returns None when, for every space, the zero points' counts over its
     cosets agree mod modulus; else (b, pair) for the first space b that
     fails, with pair as `_disagreeing_cosets` gives it.
@@ -146,7 +151,7 @@ def _coset_residue_check(
     constant.  Past BATCH classes per space (then a batch holds one space)
     only the met cosets are counted, space by space.
     """
-    if X.shape[0] == 0:
+    if X.shape[1] == 0:
         return None
     classes = F.q ** entries.shape[2]
     ids = coset_ids(X, pivots, entries, F, matrix)

@@ -21,7 +21,7 @@ from cwlab.counting import (
     zero_set,
 )
 from cwlab.constructions import corpus_system, norm_form, random_system
-from cwlab.errors import BudgetExceeded
+from cwlab.errors import AmbientMismatch, BudgetExceeded, InvalidArgument
 from cwlab.fields import FieldTables, build_field
 from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
 from cwlab.subspaces import AffineSubspace
@@ -247,6 +247,159 @@ def test_coset_ids_match_per_point_offsets(p, k, n):
         assert F.tables.readout(4, 8)[1].shape[1] == 2
     if q > 100:
         assert F.tables.readout((p - 1) * (1 + (p - 1)) + 1, (n - 1) * k)[2] is None
+
+
+def _int64_coset_ids(Z, pivots, entries, F):
+    """Reference for `coset_matrix` and `coset_ids`: M' built in int64 and
+    the int64 product of M' with the points' (|Z|, nk) digits, read out as
+    `coset_ids` reads its float64 product.  Returns (M', ids)."""
+    from cwlab.counting import _packing
+
+    T, p, k = F.tables, F.p, F.k
+    B, m, f = entries.shape
+    n = m + f
+    if f == 0:
+        return np.zeros((0, n * k), dtype=np.int64), np.zeros((B, len(Z)), dtype=np.int64)
+    g, W, table = _packing(F, m, f)
+    W = W.astype(np.int64)
+    G = W.shape[1]
+    rows = np.arange(B)[:, None]
+    pivots = np.broadcast_to(np.asarray(pivots, dtype=np.intp), (B, m))
+    is_pivot = np.zeros((B, n), dtype=bool)
+    is_pivot[rows, pivots] = True
+    M = np.empty((B, G, n, k), dtype=np.int64)
+    M[rows, :, np.nonzero(~is_pivot)[1].reshape(B, f)] = W.reshape(f, k, G).transpose(0, 2, 1)
+    if m:
+        mm = T.mul_matrices[T.neg(entries)].astype(np.int64).transpose(0, 1, 3, 2, 4)
+        M[rows, :, pivots] = (mm.reshape(B, m, k, f * k) @ W).transpose(0, 1, 3, 2)
+    M = M.reshape(B * G, n * k)
+    X = (Z if k == 1 else T.digits(Z)).reshape(len(Z), n * k).astype(np.int64)
+    R = (M @ X.T).reshape(B, G, len(Z)).transpose(1, 0, 2)
+    digits = R % p if table is None else table.take(R)
+    ids = np.zeros((B, len(Z)), dtype=np.int64)
+    for d in digits:
+        ids = ids * p**g + d
+    return M, ids
+
+
+_GEMM_CASES = [(2, 1, 5), (3, 1, 4), (2, 2, 4), (2, 3, 3), (3, 2, 3), (5, 2, 3), (2, 10, 3), (127, 1, 3), (65537, 1, 2)]
+
+
+@pytest.mark.parametrize("p,k,n", _GEMM_CASES, ids=[f"{p}-{k}" for p, k, _ in _GEMM_CASES])
+def test_float64_product_matches_int64_reference(p, k, n):
+    # coset_matrix and coset_ids against the int64 product, array-equal,
+    # for every m from 0 to n: two spaces per pivot pattern (every entry 1,
+    # and random entries), each alone and all in one batch, on random
+    # points, the zero point and the point whose digits are all p - 1.  Spaces with every entry 1 multiply by -1, whose
+    # digits are the largest over a prime field, so the product reaches its
+    # bound (b - 1 per group past the read-out cap, as over F_127 at m >= 1
+    # and F_65537).
+    from cwlab.counting import basis_entries, coset_ids, coset_matrix, point_digits
+    from cwlab.rng import SplitMix64
+
+    F = build_field(p, k)
+    q = F.q
+    rng = SplitMix64(q + n)
+    Z = np.array([[0] * n, [q - 1] * n] + [[rng.below(q) for _ in range(n)] for _ in range(40)])
+    X = point_digits(Z, F)
+    assert X.dtype == np.float64 and X.flags.c_contiguous and X.shape == (n * k, len(Z))
+    for m in range(n + 1):
+        spaces = []
+        for pivots in combinations(range(n), m):
+            for value in (lambda: F.one, lambda: rng.below(q)):
+                rows = [[0] * n for _ in pivots]
+                for row, piv in zip(rows, pivots):
+                    row[piv] = F.one
+                    for j in range(piv + 1, n):
+                        if j not in pivots:
+                            row[j] = value()
+                spaces.append(rows)
+        batches = [[rows] for rows in spaces] + [spaces]
+        for batch in batches:
+            pivots, entries = zip(*(basis_entries(rows, n) for rows in batch))
+            pivots, entries = np.array(pivots, dtype=np.intp).reshape(len(batch), m), np.stack(entries)
+            M, ids = _int64_coset_ids(Z, pivots, entries, F)
+            matrix = coset_matrix(pivots, entries, F)
+            assert matrix.dtype == np.float64 and np.array_equal(matrix, M), (m, batch)
+            assert np.array_equal(coset_ids(X, pivots, entries, F), ids), (m, batch)
+            assert np.array_equal(coset_ids(X, pivots, entries, F, matrix), ids), (m, batch)
+        if p == 127 and m >= 1:
+            assert counting._packing(F, m, n - m)[2] is None  # b past the read-out cap
+
+
+def test_float64_product_bound_holds_at_the_caps():
+    # the largest radix b = (p - 1)(1 + mk(p - 1)) + 1 that the caps admit:
+    # p^k <= FIELD_SIZE_CAP, q^n <= FAST_CAP and m = n - 1 (a space with no
+    # free digit reads no product).  It is below 2^46, and readout accepts
+    # it; there coset_ids still equals the int64 product at its extreme.
+    from cwlab.counting import FAST_CAP, basis_entries, coset_ids, point_digits
+    from cwlab.fields import FIELD_SIZE_CAP
+
+    sieve = np.ones(FIELD_SIZE_CAP + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(FIELD_SIZE_CAP) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    best = (0,)
+    for p in np.flatnonzero(sieve).tolist():
+        k = 1
+        while p**k <= FIELD_SIZE_CAP:
+            n = 0
+            while p ** (k * (n + 1)) <= FAST_CAP:
+                n += 1
+            if n >= 1:
+                b = (p - 1) * (1 + (n - 1) * k * (p - 1)) + 1
+                best = max(best, (b, p, k, n))
+            k += 1
+    b, p, k, n = best
+    assert (b, p, k, n) == (998_970_843, 31607, 1, 2)
+    assert b < 1 << 46 and b <= FieldTables.exact_cap == 1 << 53
+    F = build_field(p, k)
+    g, W, table = counting._packing(F, n - 1, 1)
+    assert (g, W.shape, table) == (1, (k, k), None)
+    Z = np.array([[v, v] for v in (0, p - 1, 1, p - 2)])
+    for rows in ([[1, 1]], [[1, p - 1]], [[0, 1]], [[1, 0]]):
+        pivots, entries = basis_entries(rows, n)
+        ids = coset_ids(point_digits(Z, F), pivots, entries[None], F)
+        assert np.array_equal(ids, _int64_coset_ids(Z, pivots, entries[None], F)[1]), rows
+    with pytest.raises(AssertionError):
+        F.tables.readout(FieldTables.exact_cap + 1, 1)
+
+
+def test_subspace_from_another_space_is_rejected():
+    # a region must lie in the system's space: the same ambient dimension
+    # and the same field, for the parallel class as for a single count
+    system = corpus_system(0, 5)
+    F, n = system.field, system.nvars
+    assert (F.q, n) == (4, 5)
+    wide = AffineSubspace(F, (0,) * 6, [(1, 0, 0, 0, 0, 0)])
+    F5 = build_field(5, 1)
+    other = AffineSubspace(F5, (0,) * n, [(1, 0, 0, 0, 0)])
+    for L in (wide, other):
+        with pytest.raises(AmbientMismatch):
+            counts_over_parallel_class(system, L)
+        with pytest.raises(AmbientMismatch):
+            counts_over_parallel_class(system, L, engine="oracle")
+        with pytest.raises(AmbientMismatch):
+            count_zeros(system, L)
+    # the same field built from its modulus is the same field
+    same = AffineSubspace(build_field(2, 2, F.modulus), (0,) * n, [(1, 0, 0, 0, 0)])
+    assert count_zeros(system, same).count == count_zeros(system, AffineSubspace(F, (0,) * n, [(1, 0, 0, 0, 0)])).count
+
+
+def test_negative_point_budget_is_an_input_error(monkeypatch):
+    with pytest.raises(InvalidArgument):
+        count_zeros(HYP, budget=-1)
+    with pytest.raises(InvalidArgument):
+        zero_points(HYP, budget=-1)
+    with pytest.raises(BudgetExceeded):
+        count_zeros(HYP, budget=0)
+    monkeypatch.setenv("CWLAB_BUDGET", "-3")
+    with pytest.raises(InvalidArgument):
+        count_zeros(HYP)
+    monkeypatch.setenv("CWLAB_BUDGET", "0")
+    with pytest.raises(BudgetExceeded):
+        count_zeros(HYP)
 
 
 def test_ax_katz_divisibility_on_corpus():

@@ -227,6 +227,28 @@ def test_cli_malformed_budget_env_is_an_input_error(workdir):
     assert res.stderr.startswith("error: CWLAB_BUDGET")
 
 
+@pytest.mark.parametrize(
+    "args,env",
+    [
+        (("count", "--budget", "-1"), None),
+        (("audit", "--budget", "-2"), None),
+        (("check", "--law", "theorem1", "--budget", "-1"), None),
+        (("count",), {"CWLAB_BUDGET": "-3"}),
+        (("audit",), {"CWLAB_BUDGET": "-3"}),
+    ],
+)
+def test_cli_negative_point_budget_is_an_input_error(workdir, args, env):
+    # a negative point budget is malformed input (exit 1); a budget of 0
+    # is well formed and admits no point (exit 3)
+    res = _run(args[0], "--system", "hyp.sys", *args[1:], cwd=workdir, extra_env=env)
+    assert res.returncode == 1 and res.stdout == "", (args, env, res.stderr)
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, (args, env, res.stderr)
+    zero_args = ["0" if a.startswith("-") and a[1:].isdigit() else a for a in args[1:]]
+    zero_env = {"CWLAB_BUDGET": "0"} if env else None
+    res = _run(args[0], "--system", "hyp.sys", *zero_args, cwd=workdir, extra_env=zero_env)
+    assert res.returncode == 3 and res.stderr.startswith("budget exceeded:"), (args, env, res.stderr)
+
+
 def test_cli_budget_exit_code(workdir):
     (workdir / "wide.sys").write_text(
         "field p=5 k=1\nvars " + " ".join(f"x{i}" for i in range(9)) + "\npoly x0\n",
