@@ -6,14 +6,15 @@ Two independent engines are provided and must agree exactly:
   a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n,
   in the log domain of the field's log/exp bundle (`FieldSpec.tables`),
   on the logs of the coordinates.  A monomial is its word, the numbers of
-  its variables with repeats, which `_word` spells once per exponent
-  vector and remembers, and a polynomial's words are compiled once into a
-  trie (`_plan`, whose memo keeps the last PLAN_MEMO): each level of the
-  trie, the distinct prefixes of one length, is one gather-add over the
-  (variables x points) array of logs, and every term's log sum plus its
-  coefficient's log is one (terms x points) stack, which
-  `FieldTables.total` reduces once (`_evaluate`, `evaluate_columns`).  A
-  polynomial so costs O(deg f) array operations, not O(terms).
+  its variables with repeats, and a polynomial's words are compiled into a
+  trie (`_plan`): a dense polynomial's plan is its shape's, of every word
+  of its lengths, where its exponent vectors name their rows (`_compiled`);
+  a sparse one's words are spelled by `_word`, its plan kept by a memo of
+  the last PLAN_MEMO.  Each level of the trie, the distinct prefixes of one
+  length, is one gather-add over the (variables x points) array of logs,
+  and every term's log sum plus its coefficient's log is one (terms x
+  points) stack, which `FieldTables.total` reduces once (`_evaluate`,
+  `evaluate_columns`).  A polynomial so costs O(deg f) array operations.
   The polynomial with the fewest terms goes first, as the sum over the
   powers of x_n of its coefficients' values at the prefixes times x_n^e,
   split on its words in its plan; each later one is evaluated only at
@@ -30,9 +31,10 @@ The laws on one system (Chevalley, Ax, the homogenization identity, the
 lower bounds, the parallel class) all read one zero set.  So the fast
 engine remembers the full-space walks of the last WALK_MEMO systems (see
 `_walk`): a count, and once a walk has listed them the zeros' odometer
-indexes and their rows of coordinates, within MEMO_ZEROS integers an
-entry.  Budgets are checked before the memo is read, and no report depends
-on whether a walk was remembered.
+indexes, their rows of coordinates and, once asked for, their
+`point_digits`, within MEMO_ZEROS integers an entry.  Budgets are checked
+before the memo is read, and no report depends on whether a walk was
+remembered.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def evaluate_columns(f: MultiPoly, cols: Sequence[np.ndarray] | np.ndarray, T: F
     Every term's log sum plus its coefficient's log is gathered into one
     (terms x points) stack, which `T.total` reduces once (`_evaluate`).
     """
-    return _evaluate(*_compiled(_spelled(f), T), T.log.take(np.asarray(cols)), T)[0]
+    return _evaluate(*_compiled(f, T), T.log.take(np.asarray(cols)), T)[0]
 
 
 @lru_cache(maxsize=1 << 12)
@@ -153,7 +155,7 @@ def _spelled(f: MultiPoly) -> Spelled:
 
 
 class Plan(NamedTuple):
-    """The words of a polynomial's terms compiled into a trie (see `_plan`).
+    """The words of a polynomial's terms, or all of a shape's (`_shape`), compiled into a trie (see `_plan`).
 
     The node buffer's row 0 is the empty word, whose log sum is 0 (the log
     of 1), and the nodes of word length l follow in rows [start, stop).
@@ -165,7 +167,8 @@ class Plan(NamedTuple):
     terms grouped by the power of the split variable in powers (one group,
     power 0, when no variable is split off), sizes[g] terms in group g
     (None for one group), order[i] is the position in the spelled terms of
-    the plan's term i (None when the two orders agree), and empty tells
+    the plan's term i (None when the two orders agree, and in a shape's
+    plan, whose rows the exponent vectors name directly), and empty tells
     whether a term's node is row 0, which is then filled.
     """
 
@@ -255,32 +258,37 @@ def _plan(words: tuple[tuple[int, ...], ...], last: int | None) -> Plan:
 
 
 @lru_cache(maxsize=1 << 6)
-def _dense(m: int, lengths: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """Every word of one of these lengths in the variables numbered below
-    m, sorted, and each one's position."""
-    words = sorted(w for l in lengths for w in combinations_with_replacement(range(m), l))
-    return tuple(words), {w: i for i, w in enumerate(words)}
+def _shape(n: int, lengths: tuple[int, ...], last: int | None) -> tuple[Plan, dict[tuple[int, ...], int]]:
+    """The plan of every word of these lengths in n variables (built past
+    `_plan`'s memo), and each exponent vector's row in its term order."""
+    words = sorted(w for l in lengths for w in combinations_with_replacement(range(n), l))
+    plan = _plan.__wrapped__(tuple(words), last)
+    order = plan.order or range(len(words))
+    return plan._replace(order=None), {tuple(map(words[j].count, range(n))): i for i, j in enumerate(order)}
 
 
-def _compiled(spelled: Spelled, T: FieldTables, last: int | None = None) -> tuple[Plan, np.ndarray]:
-    """The plan of a spelled polynomial (see `_plan`), and its terms'
-    coefficients' logs in the plan's order: the shifts of `_evaluate`.
+def _compiled(f: MultiPoly, T: FieldTables, last: int | None = None) -> tuple[Plan, np.ndarray]:
+    """The plan of f (see `_plan`), and its terms' coefficients' logs in the
+    plan's order: the shifts of `_evaluate`.
 
     A polynomial whose terms are at least half of the words of their
-    lengths in m variables (the variables up to its last) is compiled as
-    all of them, the others with coefficient 0, whose log Z makes exp read
-    their products as 0: the many small, dense polynomials of one shape
-    (and their leading forms and homogenizations) then share one plan,
-    which the memo compiles once.
+    lengths in its n variables is compiled from its exponents: its shape
+    (n, lengths, last) names the plan of all of those words (`_shape`), the
+    others with coefficient 0, whose log Z makes exp read their products as
+    0, and each exponent vector its row there, so no word is spelled.  The
+    many small, dense polynomials of one shape (and their leading forms and
+    homogenizations) so share one plan.  A sparse one is spelled
+    (`_spelled`), its plan read from the plan memo.
     """
-    words, coeffs = zip(*spelled)
-    m = max(map(max, filter(None, words)), default=-1) + 1
-    lengths = tuple(sorted(set(map(len, words))))
-    if sum(comb(m + l - 1, l) if l else 1 for l in lengths) <= 2 * len(words):
-        words, pos = _dense(m, lengths)
-        coeffs = [0] * len(words)
-        for w, c in spelled:
-            coeffs[pos[w]] = c
+    terms = f.terms
+    lengths = tuple(sorted(set(map(sum, terms))))
+    if terms and sum(comb(f.nvars + l - 1, l) for l in lengths) <= 2 * len(terms):
+        plan, rows = _shape(f.nvars, lengths, last)
+        coeffs = [0] * len(plan.rows)
+        for exps, c in terms.items():
+            coeffs[rows[exps]] = c
+        return plan, T.log.take(coeffs)
+    words, coeffs = zip(*_spelled(f))
     plan = _plan(words, last)
     if plan.order is not None:
         coeffs = [coeffs[i] for i in plan.order]
@@ -431,11 +439,11 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
         return
     first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
     log = T.log
-    plan, shifts = _compiled(_spelled(first), T, n - 1)
+    plan, shifts = _compiled(first, T, n - 1)
     powers = T.power_logs(plan.powers)[:, None]
     G = len(powers)
     step = max(1, EVAL_BYTES // (8 * G * q))
-    rest = [_compiled(_spelled(f), T) for f in rest]
+    rest = [_compiled(f, T) for f in rest]
     for pre, plogs in _blocks(T, n, cone):
         coeffs = log.take(_evaluate(plan, shifts, plogs, T))[:, :, None]
         acc = _sliced(lambda s: T.total((coeffs[:, s] + powers).reshape(G, -1))[0], len(pre), step)
@@ -465,23 +473,24 @@ class _Walk:
     count: int
     idx: np.ndarray | None  # the zeros' odometer indexes, ascending, once a walk listed them
     rows: np.ndarray | None = None  # the zeros as read-only (N, n) rows, once listed (`zero_points`)
+    digits: np.ndarray | None = None  # `point_digits` of the rows, read-only, once asked for (`zero_digits`)
 
 
 # id(system) -> its walk, least recently used first
 _walks: dict[int, _Walk] = {}
 
 
-def _walk(system: PolySystem, listed: bool) -> _Walk:
+def _walk(system: PolySystem, listed: bool, digits: bool = False) -> _Walk:
     """The system's full-space walk, from the memo when it holds one (with
-    the zeros listed as rows, if listed); otherwise one kernel pass,
-    remembered.
+    the zeros listed as rows, if listed, and their digits, if digits);
+    otherwise one kernel pass, remembered.
 
     The memo keeps the last WALK_MEMO systems' walks, keyed by id(system).
     Each entry holds the system itself, so an id cannot be reused while its
     entry lives, and the key always names the same object.  An entry keeps
     the zeros' indexes when a pass over the whole grid listed them, and
-    their rows once a listing asked for them, while they take at most
-    MEMO_ZEROS integers (see `_bounded`); otherwise (a cone pass, see
+    their rows and digits once a listing asked for them, while they take at
+    most MEMO_ZEROS integers (see `_bounded`); otherwise (a cone pass, see
     `fast_count`, or a larger zero set) only the count, until a listing
     walk is asked for.
     """
@@ -491,6 +500,9 @@ def _walk(system: PolySystem, listed: bool) -> _Walk:
     if listed and w.rows is None:
         w.rows = _coordinates(w.idx, system.field.q, system.nvars).T.copy()
         w.rows.flags.writeable = False
+    if digits and w.digits is None:
+        w.digits = point_digits(w.rows, system.field)
+        w.digits.flags.writeable = False
     _walks[id(system)] = _bounded(w)
     while len(_walks) > WALK_MEMO:
         del _walks[next(iter(_walks))]
@@ -498,11 +510,11 @@ def _walk(system: PolySystem, listed: bool) -> _Walk:
 
 
 def _bounded(w: _Walk) -> _Walk:
-    """w as the memo keeps it: without the rows when they and the indexes
-    take more than MEMO_ZEROS integers, and without the indexes too when
-    they alone do."""
-    if w.rows is not None and w.idx.size + w.rows.size > MEMO_ZEROS:
-        w = replace(w, rows=None)
+    """w as the memo keeps it: without the rows and digits when they and the
+    indexes take more than MEMO_ZEROS integers, and without the indexes too
+    when they alone do."""
+    if w.rows is not None and w.idx.size + w.rows.size + (0 if w.digits is None else w.digits.size) > MEMO_ZEROS:
+        w = replace(w, rows=None, digits=None)
     if w.idx is not None and w.idx.size > MEMO_ZEROS:
         w = replace(w, idx=None)
     return w
@@ -567,6 +579,13 @@ def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
     array is read-only: the walk memo may hand it to later callers."""
     _region_size_check(system.field.q**system.nvars, budget, "fast")
     return _walk(system, listed=True).rows
+
+
+def zero_digits(system: PolySystem, budget: int | None = None) -> np.ndarray:
+    """`point_digits` of `zero_points`, under the same budget, read-only: the
+    walk memo keeps them beside the rows, for the coset sweeps."""
+    _region_size_check(system.field.q**system.nvars, budget, "fast")
+    return _walk(system, listed=True, digits=True).digits
 
 
 def oracle_count(system: PolySystem) -> int:
@@ -820,18 +839,19 @@ def counts_over_parallel_class(
     budget: int | None = None,
 ) -> list[tuple[AffineSubspace, int]]:
     """One exact count per member of L's parallel class (counts sum to the
-    full-space total).  The fast engine buckets the zero set by coset; the
-    oracle counts each member on its own."""
-    F = system.field
+    full-space total).  The fast engine buckets the zero set by coset, on
+    the digits the walk memo keeps (`zero_digits`); the oracle counts each
+    member on its own."""
+    F, n = system.field, system.nvars
     _region_check(system, L)
-    size = F.q**system.nvars
-    _region_size_check(size, budget, engine)
+    budget = default_budget() if budget is None else budget
+    _region_size_check(F.q**n, budget, engine)
     members = L.parallel_class()
     if engine == "oracle":
         counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]
     else:
-        pivots, entries = basis_entries(L.basis, system.nvars)
-        X = point_digits(zero_points(system, budget), F)
-        ids = coset_ids(X, pivots, entries[None], F)[0]
+        free = [j for j in range(n) if j not in L.pivots]
+        entries = np.array(L.basis, dtype=np.intp).reshape(1, L.dim, n)[:, :, free]
+        ids = coset_ids(zero_digits(system, budget), L.pivots, entries, F)[0]
         counts = np.bincount(ids, minlength=len(members)).tolist()
     return list(zip(members, counts))

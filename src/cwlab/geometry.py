@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import CHUNK, _compiled, _evaluate, _spelled, count_zeros_ext, default_budget
+from .counting import CHUNK, _compiled, _evaluate, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
@@ -300,7 +300,7 @@ def _line_masks(fK: MultiPoly, lines: list[tuple[int, dict]]) -> np.ndarray:
     points[:] = np.array([[y.get(i, 0) for i in range(n)] for _, y in lines], dtype=np.intp)[:, None]
     points[np.arange(L), :, [j for j, _ in lines]] = T.neg(np.arange(Q))
     logs = T.log.take(points.reshape(L * Q, n).T)
-    return (_evaluate(*_compiled(_spelled(fK), T), logs, T)[0] == 0).reshape(L, Q)
+    return (_evaluate(*_compiled(fK, T), logs, T)[0] == 0).reshape(L, Q)
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
@@ -333,8 +333,9 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
         roots = {a: np.flatnonzero(mine[a - j - 1]) for a in cols}
         masks: dict[int, list] = {a: [] for a in cols}
         for y, mask in zip(lines[len(cols) :], mine[len(cols) :]):
-            form = sorted(((i - j - 1,), w) for i, w in y.items() if i > j)
-            masks[max(y)].append((_compiled(form, T), mask))
+            top = max(y)  # the form in the columns j + 1 .. top
+            form = {tuple(int(i == b) for b in range(j + 1, top + 1)): w for i, w in y.items() if i > j}
+            masks[top].append((_compiled(MultiPoly(K, top - j, form), T), mask))
 
         def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
             if a == n:

@@ -22,7 +22,9 @@ from .counting import (
     coset_ids,
     coset_matrix,
     count_zeros,
+    default_budget,
     point_digits,
+    zero_digits,
     zero_points,
 )
 from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
@@ -365,19 +367,20 @@ def _sampled_direction_spaces(
         yield canon
 
 
-def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: int, scope: CheckScope):
-    """Check the direction spaces of each dimension in dims, in enumeration
-    order, until scope.budget spaces are checked.  Returns (classes_checked,
-    per_dim, truncated, witness); witness is None unless a space fails, and
-    then the sweep stops at that space."""
-    q, n = F.q, Z.shape[1]
-    X = point_digits(Z, F)
+def _sweep_classes(X: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: int, scope: CheckScope):
+    """Check the direction spaces of each dimension in dims on the zero
+    points' `point_digits` X, in enumeration order, until scope.budget
+    spaces are checked (the one space of dimension n has one coset, so it
+    holds with no coset product).  Returns (classes_checked, per_dim,
+    truncated, witness); witness is None unless a space fails, and then the
+    sweep stops at that space."""
+    q, n, N = F.q, X.shape[0] // F.k, X.shape[1]
     checked = 0
     per_dim: dict[int, int] = {}
     for m in dims:
         # batch working set: B*|Z|*(n-m) coordinates and B*q^(n-m) counts
         room = scope.budget - checked
-        cap = max(1, min(BATCH // max(1, Z.shape[0] * (n - m)), BATCH // q ** (n - m), room))
+        cap = max(1, min(BATCH // max(1, N * (n - m)), BATCH // q ** (n - m), room))
         if scope.all_pairs:
             batches = direction_table(F, n, m).batches(cap)
         else:
@@ -391,7 +394,7 @@ def _sweep_classes(Z: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
             cut = len(entries) > room
             if cut:  # coset_ids builds the matrix of the spaces kept
                 pivots, entries, matrix = pivots[:room], entries[:room], None
-            hit = _coset_residue_check(X, pivots, entries, F, modulus, matrix)
+            hit = None if m == n else _coset_residue_check(X, pivots, entries, F, modulus, matrix)
             done = len(entries) if hit is None else hit[0] + 1
             checked += done
             per_dim[m] = per_dim.get(m, 0) + done
@@ -476,13 +479,13 @@ def check_congruence(
             )
         dims = [scope.dim]
 
-    Z = zero_points(system, budget)
-    checked, per_dim, truncated, witness = _sweep_classes(Z, F, dims, modulus, scope)
+    X = zero_digits(system, budget)
+    checked, per_dim, truncated, witness = _sweep_classes(X, F, dims, modulus, scope)
     evidence = {
         "modulus": modulus,
         "classes_checked": checked,
         "per_dim": per_dim,
-        "zero_count": int(Z.shape[0]),
+        "zero_count": int(X.shape[1]),
     }
     if witness is not None:
         return LawReport(law, True, False, evidence, witness)
@@ -496,6 +499,7 @@ def homogenization_identity(system: PolySystem, *, budget: int | None = None) ->
     whenever n >= d."""
     F = system.field
     q, n, d = F.q, system.nvars, system.total_degree
+    budget = default_budget() if budget is None else budget
     N = count_zeros(system, budget=budget).count
     N_minus = count_zeros(system.leading_system(), budget=budget).count
     N_plus = count_zeros(system.homogenized_system(), budget=budget).count

@@ -295,10 +295,21 @@ class PolySystem:
         return all(f.evaluate(point) == 0 for f in self.polys)
 
     def leading_system(self) -> "PolySystem":
-        return PolySystem([f.leading_form() for f in self.polys])
+        """The leading forms, each one pass over its polynomial's terms."""
+        return self._forms([f.homogeneous_component(d) for f, d in zip(self.polys, self.degrees)])
 
     def homogenized_system(self) -> "PolySystem":
-        return PolySystem([f.homogenize() for f in self.polys])
+        """The homogenizations, each one pass over its polynomial's terms."""
+        homogenized = [{(d - sum(e),) + e: c for e, c in f.terms.items()} for f, d in zip(self.polys, self.degrees)]
+        return self._forms([MultiPoly(self.field, self.nvars + 1, terms) for terms in homogenized])
+
+    def _forms(self, polys: list[MultiPoly]) -> "PolySystem":
+        """A system of forms derived term by term from self's polynomials:
+        nonzero, of self's degrees, homogeneous, so nothing is rescanned."""
+        out = object.__new__(PolySystem)
+        out.polys, out.field, out.nvars = tuple(polys), self.field, polys[0].nvars
+        out.degrees, out.total_degree, out._homogeneous = self.degrees, self.total_degree, True
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySystem):

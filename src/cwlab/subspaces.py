@@ -141,16 +141,14 @@ class AffineSubspace:
         Pairwise disjoint, they cover the ambient space, and include self.
         Each member is built in canonical form: self's basis and pivots,
         and an offset that is zero at the pivots, its free coordinates
-        running odometer style.
+        running odometer style: the offsets are one product over the
+        columns, of 0 at a pivot and of every element at a free column.
         """
-        free = self._free_columns()
+        pivots, elements = set(self.pivots), range(self.field.q)
         out = []
-        for vals in product(range(self.field.q), repeat=len(free)):
-            off = [0] * self.ambient
-            for j, v in zip(free, vals):
-                off[j] = v
+        for off in product(*[(0,) if j in pivots else elements for j in range(self.ambient)]):
             member = object.__new__(AffineSubspace)
-            member.field, member.ambient, member.offset = self.field, self.ambient, tuple(off)
+            member.field, member.ambient, member.offset = self.field, self.ambient, off
             member.basis, member.pivots = self.basis, self.pivots
             out.append(member)
         return out
@@ -225,14 +223,17 @@ class PointSet:
         return f"PointSet(|S|={len(self.points)}, ambient={self.ambient}, q={self.field.q})"
 
 
-def _greedy_span(F: FieldSpec, pts: np.ndarray) -> tuple[AffineSubspace, list[tuple[int, ...]]]:
-    """The affine span of the points, and the points that build it.
+def _greedy_span(F: FieldSpec, pts: np.ndarray, cap: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Independent rows of the direction space of the points' affine span,
+    at most cap of them (n by default), and the indexes of the points that
+    give them, the first point's included: so the rows' number is the
+    span's dimension, and the chosen points are in general position.
 
     pts is an (N, n) array of element indexes, its rows in canonical point
     order (the odometer order of `zero_points` is that order).  Each point
     outside the span of the points chosen so far is chosen and widens the
-    span by one dimension, so the span.dim + 1 chosen points are in general
-    position; the pass ends once the span is the whole space.
+    span by one dimension; the pass ends once cap rows are found or no
+    point is left outside.
 
     Whole arrays, not points, are reduced.  D holds the differences from
     the first point, reduced by the rows found so far; the first nonzero
@@ -247,7 +248,7 @@ def _greedy_span(F: FieldSpec, pts: np.ndarray) -> tuple[AffineSubspace, list[tu
     D = T.add(pts[1:], T.neg(pts[0]))
     chosen = [0]
     rows: list[list[int]] = []
-    while len(rows) < pts.shape[1]:
+    while len(rows) < (pts.shape[1] if cap is None else cap):
         hit = np.flatnonzero(D.any(axis=1))
         if not len(hit):
             break
@@ -259,8 +260,7 @@ def _greedy_span(F: FieldSpec, pts: np.ndarray) -> tuple[AffineSubspace, list[tu
         chosen.append(chosen[-1] + i + 1)
         D = D[i + 1 :]
         D = T.add(D, T.mul(T.neg(D[:, piv])[:, None], row))
-    span = AffineSubspace(F, pts[0].tolist(), rows)
-    return span, [tuple(pts[j].tolist()) for j in chosen]
+    return rows, chosen
 
 
 def _sorted_array(ps: PointSet) -> np.ndarray:
@@ -269,13 +269,16 @@ def _sorted_array(ps: PointSet) -> np.ndarray:
 
 def affine_span(ps: PointSet) -> AffineSubspace:
     """Least affine subspace containing the points."""
-    return _greedy_span(ps.field, _sorted_array(ps))[0]
+    pts = _sorted_array(ps)
+    rows = _greedy_span(ps.field, pts)[0]
+    return AffineSubspace(ps.field, pts[0].tolist(), rows)
 
 
 def max_general_position(ps: PointSet) -> list[tuple[int, ...]]:
     """Greedy maximal general-position subset, in canonical point order;
     it has affine_span(ps).dim + 1 points."""
-    return _greedy_span(ps.field, _sorted_array(ps))[1]
+    pts = _sorted_array(ps)
+    return [tuple(pts[j].tolist()) for j in _greedy_span(ps.field, pts)[1]]
 
 
 def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
@@ -285,14 +288,15 @@ def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
     pts is as for `_greedy_span`, without repeated rows.  The points fill an
     affine subspace exactly when they fill their span: N == q^dim(span).
     So an N that is no power of q is no subspace, and the span is taken
-    only for N = q^m, where the verdict is dim(span) == m.
+    only for N = q^m, where the verdict is dim(span) == m: the number of
+    rows `_greedy_span` finds, read up to m + 1.
     """
     N, m = len(pts), 0
     while F.q**m < N:
         m += 1
     if F.q**m != N:
         return None
-    return m if _greedy_span(F, pts)[0].dim == m else None
+    return m if len(_greedy_span(F, pts, m + 1)[0]) == m else None
 
 
 def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:

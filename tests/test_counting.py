@@ -644,8 +644,16 @@ def test_walk_memo_keeps_every_report(monkeypatch, cap, zeros):
         assert _sweep_verdicts(copy, L, names[::-1]) == fresh
         assert _sweep_verdicts(copy, L, names) == fresh
         assert len(counting._walks) <= cap
-        assert all(w.idx is None or len(w.idx) <= zeros for w in counting._walks.values())
-        assert all(w.rows is None or w.idx.size + w.rows.size <= zeros for w in counting._walks.values())
+        walks = counting._walks.values()
+        assert all(w.idx is None or len(w.idx) <= zeros for w in walks)
+        assert all(w.rows is None or w.idx.size + w.rows.size <= zeros for w in walks)
+        # the digits are kept with the rows, within the same bound
+        assert zeros == 5 or counting._walks[id(copy)].digits is not None
+        for w in walks:
+            if w.digits is not None:
+                assert w.idx.size + w.rows.size + w.digits.size <= zeros
+                assert not w.digits.flags.writeable
+                assert np.array_equal(w.digits, counting.point_digits(w.rows, w.system.field))
 
 
 def test_walk_memo_budget_and_cone_count():
@@ -834,13 +842,63 @@ def test_split_on_words_matches_split_on_exponents():
         F, n = f.field, f.nvars
         T = F.tables
         ref = _last_variable_coefficients(f)
-        plan, shifts = counting._compiled(counting._spelled(f), T, n - 1)
+        plan, shifts = counting._compiled(f, T, n - 1)
         assert {e for e, g in enumerate(ref) if g is not None} <= set(plan.powers), f
         prefixes = counting._coordinates(np.arange(F.q ** (n - 1)), F.q, n - 1)
         got = counting._evaluate(plan, shifts, T.log.take(prefixes), T).tolist()
         points = [(*pt, 0) for pt in zip(*prefixes.tolist())] if n > 1 else [(0,)]
         g = [ref[e] if e < len(ref) and ref[e] is not None else MultiPoly.zero(F, n) for e in plan.powers]
         assert got == [[g_e.evaluate(pt) for pt in points] for g_e in g], f
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 11)])
+def test_compile_from_exponents_matches_pointwise_evaluate(p, k):
+    # a polynomial with at least half of the words of its lengths in its n
+    # variables is compiled from its exponents, on its shape's plan; the
+    # others are spelled.  Both read f at every point of F^n (evaluate_columns,
+    # unsplit) and each g_e of f = sum_e g_e * x_n^e at every prefix (split):
+    # dense and sparse polynomials, constants alone, polynomials in fewer
+    # than n variables (dense and sparse), leading forms and homogenizations
+    F = build_field(p, k)
+    T, q = F.tables, F.q
+    rng = np.random.default_rng(q + k)
+    c = F.generator or F.from_int(p - 1) or F.one
+    n = 3 if q <= 5 else 2 if q < 10 else 1
+    full = _dense(F, n, 3, rng) + MultiPoly.from_terms(F, n, [((3,) + (0,) * (n - 1), F.one)])
+    polys = [
+        full,
+        full.leading_form(),
+        MultiPoly.constant(F, n, c),
+        MultiPoly.from_terms(F, n, [((2,) + (0,) * (n - 1), c), ((1,) * n, F.one)]),
+        MultiPoly.from_terms(F, n, [((q + 3,) + (0,) * (n - 1), F.one), ((0,) * n, c)]),
+    ]
+    if n > 1:  # the homogenization; every word of degree <= 2 in x_1 .. x_{n-1}, and one of them
+        polys.append(full.homogenize())
+        polys.append(
+            MultiPoly.from_terms(
+                F, n, [(e + (0,), F.one) for e in product(range(3), repeat=n - 1) if sum(e) <= 2]
+            )
+        )
+        polys.append(MultiPoly.from_terms(F, n, [((1,) + (0,) * (n - 1), c)]))
+    paths = set()
+    for f in polys:
+        m = f.nvars
+        lengths = tuple(sorted(set(map(sum, f.terms))))
+        plan, _ = counting._compiled(f, T)
+        dense = sum(math.comb(m + l - 1, l) for l in lengths) <= 2 * len(f.terms)
+        assert (plan is counting._shape(m, lengths, None)[0]) == dense, f
+        paths.add(dense)
+        cols = counting._coordinates(np.arange(q**m), q, m)
+        points = list(zip(*cols.tolist()))
+        assert counting.evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
+        ref = _last_variable_coefficients(f)
+        plan, shifts = counting._compiled(f, T, m - 1)
+        prefixes = counting._coordinates(np.arange(q ** (m - 1)), q, m - 1)
+        got = counting._evaluate(plan, shifts, T.log.take(prefixes), T).tolist()
+        at = [(*pt, 0) for pt in zip(*prefixes.tolist())] if m > 1 else [(0,)]
+        g = [ref[e] if e < len(ref) and ref[e] is not None else MultiPoly.zero(F, m) for e in plan.powers]
+        assert got == [[g_e.evaluate(pt) for pt in at] for g_e in g], f
+    assert paths == ({True, False} if n > 1 else {True})  # in one variable, every length has one word
 
 
 def _grid_systems():
@@ -950,19 +1008,18 @@ def test_trie_evaluator_matches_pointwise_evaluate(p, k):
         n = f.nvars
         cols = np.where(rng.random((n, 300)) < 0.3, 0, rng.integers(0, q, (n, 300)))
         points = list(zip(*cols.tolist()))
-        plan, shifts = counting._compiled(counting._spelled(f), T)
+        plan, shifts = counting._compiled(f, T)
         got = counting._evaluate(plan, shifts, T.log.take(cols), T)
         assert got.tolist() == [[f.evaluate(pt) for pt in points]], f
-        # at least half of the words of their lengths in the first m
-        # variables: compiled as all of them
+        # at least half of the words of their lengths in its n variables:
+        # compiled from its exponents, as all of them
         depth = max(map(sum, f.terms))
-        m = max((i + 1 for x in f.terms for i, e in enumerate(x) if e), default=0)
-        dense = sum(math.comb(m + l - 1, l) if l else 1 for l in set(map(sum, f.terms)))
+        dense = sum(math.comb(n + l - 1, l) for l in set(map(sum, f.terms)))
         assert len(plan.rows) == (dense if dense <= 2 * len(f.terms) else len(f.terms))
         assert len(plan.levels) == depth
         assert sum(fold is not None for *_, fold in plan.levels) == max(0, (depth - 2) // (D - 1))
         # split on the last variable: each group is its coefficient g_e
-        plan, shifts = counting._compiled(counting._spelled(f), T, n - 1)
+        plan, shifts = counting._compiled(f, T, n - 1)
         got = counting._evaluate(plan, shifts, T.log.take(cols[:-1]), T).tolist()
         for e, row in zip(plan.powers, got):
             g = MultiPoly.from_terms(F, n, [(x[:-1] + (0,), c) for x, c in f.terms.items() if x[-1] == e])
@@ -976,7 +1033,7 @@ def test_trie_shares_prefixes():
     # each term's row is its word's node
     F = build_field(3, 2)
     f = _trie_cases(F)[1]  # the words 0; 0,1; 0,1,2; 0,0,1,2; 0,1,2,2
-    plan, _ = counting._compiled(counting._spelled(f), F.tables)
+    plan, _ = counting._compiled(f, F.tables)
     levels = [(start, stop, None if up is None else up.tolist(), var.tolist()) for start, stop, up, var, _ in plan.levels]
     assert levels == [
         (1, 2, None, [0]),  # x1

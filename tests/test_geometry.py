@@ -378,7 +378,7 @@ def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
     x = [MultiPoly.variable(F, 4, i) for i in range(4)]
     f = example_two(F).poly * (x[0] + x[1].scale(2) + x[2] + x[3].scale(2))
     assert len(f.terms) == 42 and f.total_degree == 5
-    plan, _ = counting._compiled(counting._spelled(f), F.tables)
+    plan, _ = counting._compiled(f, F.tables)
     assert [stop - start for start, stop, *_ in plan.levels] == [4, 10, 20, 35, 56]
     assert len(plan.rows) == 56 and plan.sizes is None
     totals, per_call = [], []

@@ -9,7 +9,7 @@ import pytest
 
 from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
-from cwlab.counting import basis_entries, coset_matrix, zero_points, zero_set
+from cwlab.counting import basis_entries, coset_matrix, point_digits, zero_digits, zero_points, zero_set
 from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, InvalidArgument, WrongFieldSize
 from cwlab.fields import FieldTables, build_field
 from cwlab.laws import (
@@ -102,7 +102,7 @@ def test_congruence_detects_violations():
     rep2 = check_congruence(system, "warning-hyperplanes")
     assert not rep2.applicable and rep2.passed and rep2.exit_code == 0
     assert rep2.evidence == {"reason": "requires n > d", "n": 2, "d": 2}
-    witness = laws._sweep_classes(zero_points(system), F2, [1], 2, CheckScope())[3]
+    witness = laws._sweep_classes(zero_digits(system), F2, [1], 2, CheckScope())[3]
     assert witness is not None and sorted(witness["counts"]) == [0, 1]
     assert LawReport("warning-hyperplanes", True, False, {}, witness).exit_code == 2
 
@@ -468,7 +468,7 @@ def _swept(system, law, scope, past_gate):
     assert not check_congruence(system, law, scope).applicable
     F, n = system.field, system.nvars
     Z = zero_points(system)
-    checked, per_dim, truncated, witness = laws._sweep_classes(Z, F, [n - 1], F.p, scope)
+    checked, per_dim, truncated, witness = laws._sweep_classes(point_digits(Z, F), F, [n - 1], F.p, scope)
     evidence = {"modulus": F.p, "classes_checked": checked, "per_dim": per_dim, "zero_count": len(Z)}
     if witness is None:
         evidence["truncated"] = truncated
@@ -569,7 +569,7 @@ def test_direction_memo_keeps_its_byte_bound():
     # the bound together, so the least recently used tables are dropped
     for F in (F5, F4):
         Z = np.zeros((0, 5), dtype=np.intp)
-        checked, _, truncated, _ = laws._sweep_classes(Z, F, range(6), F.q, CheckScope(budget=10**9))
+        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F), F, range(6), F.q, CheckScope(budget=10**9))
         assert checked == sum(gaussian_binomial(F.q, 5, m) for m in range(6)) and not truncated
         memo = FieldTables.direction_memo
         assert 0 < sum(t.nbytes for t in memo.values()) <= FieldTables.direction_bytes
@@ -582,14 +582,14 @@ def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch
     Z = np.zeros((0, 5), dtype=np.intp)
     for budget in (1, 37, 500, 5000):
         FieldTables.direction_memo.clear()
-        checked, _, truncated, _ = laws._sweep_classes(Z, F5, [2], 5, CheckScope(budget=budget))
+        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=budget))
         assert checked == budget and truncated
         assert budget <= laws.direction_table(F5, 5, 2).built <= 2 * budget
     rng = Random(7)
     Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
     FieldTables.direction_memo.clear()
     log = _BatchLog(monkeypatch)
-    witness = laws._sweep_classes(Z, F5, [2], 5, CheckScope(budget=10**9))[3]
+    witness = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=10**9))[3]
     assert witness is not None and len(log.sizes) == 1  # it stops in its first batch
     assert laws.direction_table(F5, 5, 2).built <= 2 * log.sizes[0]
 
@@ -618,8 +618,26 @@ def test_batched_sweep_on_random_point_sets(monkeypatch):
         dims = list(range(rng.randrange(1, n + 1), n + 1))
         modulus = rng.choice([F.p, F.q])
         scope = CheckScope(budget=rng.choice([10**9, 10**9, rng.randrange(12)]))
-        got = laws._sweep_classes(Z, F, dims, modulus, scope)
+        got = laws._sweep_classes(point_digits(Z, F), F, dims, modulus, scope)
         assert got == _reference_sweep(points, F, n, dims, modulus, scope), (F.q, n, points, dims, modulus)
         if got[3] is not None:
             depths.append(got[0])
     assert len(depths) > 20 and max(depths) > 2  # some first failures lie inside a batch
+
+
+def test_top_dimension_is_counted_without_a_coset_product(monkeypatch):
+    # the one space of dimension n, the whole space, has one coset: every
+    # scope counts it as checked, as before, and no batch of it reaches
+    # the coset check
+    log = _BatchLog(monkeypatch)
+    n, total = HYP.nvars, sum(gaussian_binomial(2, 4, m) for m in (2, 3))
+    cases = [
+        (CheckScope(), {2: gaussian_binomial(2, 4, 2), 3: gaussian_binomial(2, 4, 3), 4: 1}, total + 1, False),
+        (CheckScope(dim=n), {4: 1}, 1, False),
+        (CheckScope(all_pairs=False, sample=3, seed=5), {2: 3, 3: 3, 4: 1}, 7, False),
+        (CheckScope(budget=total), {2: gaussian_binomial(2, 4, 2), 3: gaussian_binomial(2, 4, 3)}, total, True),
+    ]
+    for scope, per_dim, checked, truncated in cases:
+        ev = check_congruence(HYP, "parallel-subspaces", scope).evidence
+        assert (ev["per_dim"], ev["classes_checked"], ev["truncated"]) == (per_dim, checked, truncated)
+    assert log.sizes and all(len(pivots) < n for pivots in log.first_pivots)

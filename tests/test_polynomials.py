@@ -260,3 +260,26 @@ def test_system_invariants():
     assert sys.degrees == (2, 1) and sys.total_degree == 3 and sys.r == 2
     with pytest.raises(ZeroPolynomial):
         PolySystem([MultiPoly.zero(F3, 2)])
+
+
+def test_derived_systems_equal_the_rebuilt_ones():
+    # leading_system and homogenized_system build each form in one pass and
+    # take the parent's degrees: term for term, in term order, they equal
+    # the systems rebuilt from leading_form and homogenize, with the same
+    # degrees, and every derived system is homogeneous
+    from cwlab.constructions import corpus_system
+
+    systems = [corpus_system(4, i) for i in range(60)]
+    systems.append(PolySystem([parse_poly("x1*x2 + x1 + 2", F3, ["x1", "x2"]), parse_poly("x2^2 + x2", F3, ["x1", "x2"])]))
+    systems.append(PolySystem([MultiPoly.constant(F4, 2, F4.one)]))
+    for system in systems:
+        for got, want in (
+            (system.leading_system(), PolySystem([f.leading_form() for f in system.polys])),
+            (system.homogenized_system(), PolySystem([f.homogenize() for f in system.polys])),
+        ):
+            assert got == want
+            assert [list(f.terms.items()) for f in got.polys] == [list(f.terms.items()) for f in want.polys]
+            assert (got.field, got.nvars, got.r) == (want.field, want.nvars, want.r)
+            assert got.degrees == want.degrees == system.degrees
+            assert got.total_degree == want.total_degree
+            assert got.is_homogeneous and want.is_homogeneous

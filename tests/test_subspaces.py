@@ -245,7 +245,7 @@ def test_subspace_dim_matches_span_only_rule(data):
             pts.remove(data.draw(st.sampled_from(sorted(pts))))
             pts.add(data.draw(st.sampled_from(sorted(set(space) - pts))))
     Z = np.array(sorted(pts), dtype=np.intp).reshape(len(pts), n)
-    dim = _greedy_span(F, Z)[0].dim
+    dim = len(_greedy_span(F, Z)[0])
     assert subspace_dim(F, Z) == (dim if len(Z) == q**dim else None)
 
 
