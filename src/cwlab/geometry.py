@@ -6,11 +6,10 @@ about k * q^(sD) points over the degree-s extension.  The estimator is a
 heuristic by design and reports residuals instead of a verdict; its choice
 of D is made by integer comparisons of the counts.
 
-The linear-factor test is deterministic and exact: a factor's coefficients
-are roots of the polynomial's restrictions to a few lines on its hyperplane
-(the classical reduction of multivariate factoring to fewer variables), one
-evaluation over the lines of every pivot, and the few candidates they leave
-are confirmed or refuted by exact division on integer-keyed monomials.  A
+The linear-factor test is deterministic and exact: a factor's tail, read as a
+polynomial, takes a root of f at each probe line through its pivot, so one
+evaluation on the probe lines and an interpolation leave a few candidates,
+which exact division on integer-keyed monomials confirms or refutes.  A
 random-point screen of every form is kept as the reference.
 """
 
@@ -19,18 +18,23 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import product
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .counting import CHUNK, _compiled, _evaluate, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
-from .fields import FieldSpec, build_field, embed_subfield, field_of_order
+from .fields import FIELD_SIZE_CAP, FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
 from .rng import MASK64, derive_seed, mix64
+from .subspaces import rref
 
 FORM_BUDGET = 1 << 28
+PROBE_SLACK = 4  # probes past the P a pivot's interpolation needs (4 measured fastest)
+TAIL_MEMO = 1 << 6  # entries of the probe and tail-map memos; a map < 64 KiB at FORM_BUDGET
 
 
 @dataclass
@@ -208,16 +212,8 @@ class LinearFactorVerdict:
     candidates: int  # forms that reached exact division
 
     def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "witness": list(self.witness) if self.witness else None,
-            "forms_checked": self.forms_checked,
-            "trials": self.trials,
-            "error_bound": str(self.error_bound),
-            "field_size": self.field_size,
-            "method": self.method,
-            "candidates": self.candidates,
-        }
+        body = {key: value for key, value in vars(self).items() if key != "elapsed"}
+        return body | {"witness": list(self.witness) if self.witness else None, "error_bound": str(self.error_bound)}
 
 
 def _scalar_coord(seed: int, s: int, trial: int, var: int, rank: int, Q: int) -> int:
@@ -228,10 +224,8 @@ def _scalar_coord(seed: int, s: int, trial: int, var: int, rank: int, Q: int) ->
 
 
 def _lift_poly(f: MultiPoly, s: int) -> tuple[MultiPoly, FieldSpec]:
-    F = f.field
-    K = build_field(F.p, F.k * s)
-    emb = embed_subfield(F, K)
-    return f.map_coefficients(emb, K), K
+    K = build_field(f.field.p, f.field.k * s)
+    return f.map_coefficients(embed_subfield(f.field, K), K), K
 
 
 def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -> bool:
@@ -272,90 +266,95 @@ def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
             yield (0,) * j + (K.one,) + tail
 
 
-def _pivot_lines(K: FieldSpec, n: int, j: int) -> list[dict[int, int]]:
-    """The weights of the lines -t e_j + sum_i w_i e_i searched for pivot j:
-    the axis weights e_a of each free column a first, then, column by
-    column, the pair weights e_a + e_b (b < a) and, with the last column,
-    the weights (w^i)_{i != j} for w the elements 1, 2, ..., one per free
-    column."""
-    cols = range(j + 1, n)
-    lines = [{a: K.one} for a in cols]
-    for a in cols:
-        lines += [{a: K.one, b: K.one} for b in range(j + 1, a)]
-    for w in range(1, min(len(cols), K.q - 1) + 1):
-        lines.append({i: K.pow(w, i) for i in range(n) if i != j})
-    return lines
+@lru_cache(maxsize=TAIL_MEMO)
+def _probe_lines(K: FieldSpec, n: int, j: int, s: int = 0, scaled: bool = False) -> np.ndarray:
+    """Family (s, scaled) of pivot j's probe lines -t e_j + u(w), as read-only rows
+    u(w), P = n - 1 - j: at place e of the columns j + 1 .. n - 1, 0 .. j - 1, u is 0
+    below s and a_(e-s) w^(e-s) from s on, a = 1 or a_e = gamma^(e(e-1)/2) if scaled,
+    for w the first min(Q, P - s + PROBE_SLACK) elements (w = 0 alone at one place)."""
+    T, e = K.tables, np.arange(n - 1 - s)
+    logs = T.power_logs(tuple(e.tolist()))[:, : min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + PROBE_SLACK)]
+    logs = logs + scaled * (e * (e - 1) // 2 % (K.q - 1))[:, None]  # the logs of a_e
+    U = np.zeros((logs.shape[1], n), dtype=np.intp)
+    U[:, [*range(j + 1 + s, n), *range(j)]] = T.exp.take(logs, mode="clip").T
+    U.flags.writeable = False
+    return U
 
 
-def _line_masks(fK: MultiPoly, lines: list[tuple[int, dict]]) -> np.ndarray:
-    """masks[l, t] tells whether fK(-t e_j + sum_i y[i] e_i) = 0 for
-    lines[l] = (j, y) and every element t, from one evaluation of fK (an
-    n-variable form over K) on all len(lines) * q points, given to
-    `_evaluate` as their coordinates' logs.  That point lies on the
-    hyperplane of x_j + sum c_i x_i exactly when t = sum_i c_i y[i], so a
-    factor's coefficients land on a root."""
-    K, n = fK.field, fK.nvars
-    T, Q, L = K.tables, K.q, len(lines)
-    points = np.empty((L, Q, n), dtype=np.intp)
-    points[:] = np.array([[y.get(i, 0) for i in range(n)] for _, y in lines], dtype=np.intp)[:, None]
-    points[np.arange(L), :, [j for j, _ in lines]] = T.neg(np.arange(Q))
-    logs = T.log.take(points.reshape(L * Q, n).T)
-    return (_evaluate(*_compiled(fK, T), logs, T)[0] == 0).reshape(L, Q)
+def _line_masks(fK: MultiPoly, lines: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+    """For each (j, U) of lines, masks[l, t] tells whether fK(-t e_j + U[l]) = 0, from one
+    evaluation; that point is on x_j + sum c_i x_i = 0 where t = sum_i c_i U[l, i]."""
+    T, Q, n = fK.field.tables, fK.field.q, fK.nvars
+    sizes = [len(U) for _, U in lines]
+    logs = np.repeat(T.log.take(np.concatenate([U for _, U in lines]).T), Q, axis=1).reshape(n, -1, Q)
+    logs[np.repeat([j for j, _ in lines], sizes), np.arange(sum(sizes))] = T.log.take(T.neg(np.arange(Q)))
+    masks = _evaluate(*_compiled(fK, T), logs.reshape(n, -1), T)[0] == 0
+    return np.split(masks.reshape(-1, Q), np.cumsum(sizes)[:-1])
+
+
+@lru_cache(maxsize=TAIL_MEMO)
+def _tail_map(K: FieldSpec, P: int, rows: tuple, interpolate: bool) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(basis, tests, M), read-only, for probe weights rows on P free columns: B is
+    the first independent rows (the RREF pivots of the transpose) completed by axis
+    rows, or I without interpolate, and S the other rows.  M maps the base-p digits
+    of r to those of [B^-1; S B^-1] r, block (b, a) the matrix of x -> A[a, b] x for
+    these entries alone (`FieldTables.mul_matrices` holds q of them); a float64
+    product is exact as in `counting.coset_ids`, each partial sum <= Pk(p - 1)^2."""
+    eye = [[K.one if a == b else 0 for b in range(P)] for a in range(P)]
+    basis = rref(K, zip(*rows))[1] if interpolate else ()
+    B = [rows[i] for i in basis]
+    B += [eye[c] for c in range(P) if c not in rref(K, B)[1]]
+    inv = [row[P:] for row in rref(K, [list(u) + eye[a] for a, u in enumerate(B)])[0]]
+    tests = np.array([i for i in range(len(rows)) if i not in basis], dtype=np.intp)
+    A = inv + [[reduce(K.add, (K.mul(s, row[b]) for s, row in zip(rows[i], inv)), 0) for b in range(P)] for i in tests]
+    blocks = K.tables.digits(K.tables.mul(np.array(A)[:, :, None], K.p ** np.arange(K.k - 1, -1, -1)))
+    M = blocks.transpose(1, 2, 0, 3).reshape(P * K.k, len(A) * K.k).astype(np.float64)
+    M.flags.writeable = tests.flags.writeable = False
+    return basis, tests, M
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
-    """A superset of the linear factors of f, in `normalized_forms` order.
+    """A superset of the linear factors of f, in `normalized_forms` order, once each.
 
-    The lines of every pivot j < n - 1 (`_pivot_lines`, at most K(K+3)/2 for
-    K = n-1-j free columns) go through one `_line_masks` call of at most
-    (n-1)n(n+4)/6 * Q points; the last pivot yields its one form unevaluated.
-    For the pivot j, the tail (c_{j+1}, ..., c_{n-1}) grows one column a at
-    a time as the rows of an int array, c_a drawn from the roots for the
-    axis weights e_a (at most deg f unless f vanishes on that line).  A row
-    stays if it is on a root for the pair weights e_a + e_b of each earlier
-    column b, which keeps the rows few where f vanishes on coordinate
-    planes, and, once complete, for the weights (w^i)_{i != j}, w the
-    elements 1, 2, ..., one per column: independent tests, which leave at most
-    (deg f)^(n-1-j) tails unless one vanishes identically.  CHUNK rows at
-    a time are extended, depth first, to keep the order and bound memory.
-    A weighted test's dot product sum_i c_i w_i is one `_evaluate` of the
-    linear form sum_i w_i x_i, compiled once per test, on the logs of the
-    columns.
+    x_j + sum_{i>j} c_i x_i meets pivot j's probe line -t e_j + u(w) at
+    t = sum_k c_{j+1+k} w^k, so that polynomial takes a root of f on each probe
+    line: Reed-Solomon list recovery (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 5; Guruswami and Sudan 1999).  One `_line_masks` call takes at
+    most sum_j min(Q, n - 1 - j + PROBE_SLACK) * Q points (none for j = n - 1).  A
+    proper probe (f not 0 on its line) has at most d = deg f roots; P = n - 1 - j
+    of them make B, Vandermonde, and the tails B^-1 (R_1 x .. x R_P), at most
+    d^P, which the others test.  With fewer (x2*x4 - x3^2 vanishes on the moment
+    curve; Q < P has too few), a second call adds the scaled family and the
+    families s = 1 .. P - 1, free of c_{j+1} .. c_{j+s}: their first independent
+    proper probes make B, the columns left run over K, at most d^r Q^(P - r)
+    tails at rank r, or past CHUNK all of K^P in order, CHUNK at a time, which
+    the form budget bounds.
     """
-    K, n, T = fK.field, fK.nvars, fK.field.tables
-    log = T.log
-    per_pivot = [_pivot_lines(K, n, j) for j in range(n - 1)]
-    stacked = [(j, y) for j, lines in enumerate(per_pivot) for y in lines]
-    found = _line_masks(fK, stacked) if stacked else None
-    for j, lines in enumerate(per_pivot):
-        cols = range(j + 1, n)
-        mine, found = found[: len(lines)], found[len(lines) :]
-        roots = {a: np.flatnonzero(mine[a - j - 1]) for a in cols}
-        masks: dict[int, list] = {a: [] for a in cols}
-        for y, mask in zip(lines[len(cols) :], mine[len(cols) :]):
-            top = max(y)  # the form in the columns j + 1 .. top
-            form = {tuple(int(i == b) for b in range(j + 1, top + 1)): w for i, w in y.items() if i > j}
-            masks[top].append((_compiled(MultiPoly(K, top - j, form), T), mask))
-
-        def grow(rows: np.ndarray, a: int) -> Iterator[np.ndarray]:
-            if a == n:
-                yield rows
-                return
-            S = roots[a]
-            step = max(1, CHUNK // max(len(S), 1))
-            for lo in range(0, len(rows), step):
-                block = rows[lo : lo + step]
-                ext = np.empty((len(block), len(S), a - j), dtype=np.intp)  # each row of block, then each root
-                ext[:, :, :-1], ext[:, :, -1] = block[:, None], S
-                ext = ext.reshape(-1, a - j)
-                for form, mask in masks[a]:
-                    ext = ext[mask[_evaluate(*form, log.take(ext.T), T)[0]]]
-                yield from grow(ext, a + 1)
-
-        head = (0,) * j + (K.one,)
-        for rows in grow(np.zeros((1, 0), dtype=np.intp), j + 1):
-            for tail in rows.tolist():
-                yield head + tuple(tail)
+    K, n, Q, p = fK.field, fK.nvars, fK.field.q, fK.field.p
+    lines = [(j, _probe_lines(K, n, j)) for j in range(n - 1)]
+    found = [[(U, M)] for (_, U), M in zip(lines, _line_masks(fK, lines) if lines else [])]
+    short = [j for j, [(_, M)] in enumerate(found) if (~M.all(axis=1)).sum() < n - 1 - j]
+    again = [(j, _probe_lines(K, n, j, s, not s)) for j in short for s in range(n - 1 - j)]
+    for (j, U), M in zip(again, _line_masks(fK, again) if again else []):
+        found[j].append((U, M))
+    for j, families in enumerate(found):
+        U, M = (np.concatenate(parts) for parts in zip(*families))
+        P, counts = n - 1 - j, M.sum(axis=1)
+        if counts.all():  # a proper probe with no root rules the pivot out
+            key, M = tuple(map(tuple, U[counts < Q, j + 1 :].tolist())), M[counts < Q]
+            basis, tests, A = _tail_map(K, P, key, True)
+            roots = [np.flatnonzero(M[i]) for i in basis] + [np.arange(Q)] * (P - len(basis))
+            if prod(map(len, roots)) > CHUNK:
+                (basis, tests, A), roots = _tail_map(K, P, key, False), [np.arange(Q)] * P
+            M, total = M[tests], prod(map(len, roots))
+            for lo in range(0, total, CHUNK):
+                at = np.unravel_index(np.arange(lo, min(total, lo + CHUNK)), [len(r) for r in roots])
+                R = np.stack([r[i] for r, i in zip(roots, at)], axis=1)
+                V = (K.tables.digits(R).reshape(len(R), -1) @ A).astype(np.intp)
+                V = (V - V // p * p).reshape(len(R), -1, K.k) @ p ** np.arange(K.k - 1, -1, -1)
+                tails = V[M[np.arange(len(M)), V[:, P:]].all(axis=1), :P]
+                for tail in (tails[np.lexsort(tails.T[::-1])] if basis else tails).tolist():
+                    yield (0,) * j + (K.one,) + tuple(tail)
     yield (0,) * (n - 1) + (K.one,)
 
 
@@ -390,10 +389,11 @@ def linear_factor_test(
     """Search for linear factors of a homogeneous form over F_{q^s}.
 
     Deterministic and exact: every linear factor is among the few forms of
-    `_algebraic_candidates`, whose lines over every pivot are one stacked
-    evaluation, and each is confirmed or refuted by exact division on
-    integer-keyed monomials (`_exact_linear_division`) in
-    `normalized_forms` order; the first that divides is the witness.
+    `_algebraic_candidates`, interpolated from one evaluation on the probe
+    lines of every pivot, and each is confirmed or refuted by exact division
+    (`_exact_linear_division`) in `normalized_forms` order; the first that
+    divides is the witness.  The form budget is checked before the lift builds
+    F_{q^s}, where the lift would not refuse s < 1 or q^s past the field cap.
     `forms_checked` is the size of the form space covered.  `error_bound`
     is the per-form bound (deg f / q^s)^trials of a screen at `trials`
     random points of each form's hyperplane, a valid upper bound on this
@@ -404,11 +404,11 @@ def linear_factor_test(
     if trials < 0:
         raise InvalidArgument(f"trials must be at least 0, not {trials}")
     t0 = time.perf_counter()
-    fK, K = _lift_poly(f, s)
-    n, Q, d = f.nvars, K.q, int(f.total_degree)
-    total_forms = (Q**n - 1) // (Q - 1)
-    if total_forms > form_budget:
+    n, d, Q = f.nvars, int(f.total_degree), f.field.q**s if s >= 1 else 0
+    total_forms = (Q**n - 1) // (Q - 1) if 0 < Q <= FIELD_SIZE_CAP else None
+    if total_forms is not None and total_forms > form_budget:
         raise BudgetExceeded(f"{total_forms} forms exceed the budget {form_budget}")
+    fK, K = _lift_poly(f, s)
     if force_python:
         method, forms = "screen", _screened_forms(fK, trials, seed, s)
     else:

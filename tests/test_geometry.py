@@ -1,5 +1,6 @@
 """Dimension estimation from extension counts; linear factor search."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from cwlab import counting, geometry
 from cwlab.constructions import example_two, norm_form, random_system
-from cwlab.errors import InsufficientExtensions, InvalidArgument, NotHomogeneous
+from cwlab.errors import BudgetExceeded, DegreeTooLarge, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from cwlab.fields import FieldTables, build_field
 from cwlab.geometry import (
     _algebraic_candidates,
@@ -16,7 +17,7 @@ from cwlab.geometry import (
     _lift_poly,
     _line_masks,
     _nearest_exponent,
-    _pivot_lines,
+    _probe_lines,
     conjecture_scan,
     estimate_dimension,
     linear_factor_test,
@@ -203,19 +204,22 @@ def test_exact_linear_division_matches_substitution():
 
 
 # (candidates, witness) of the algebraic search on each input of
-# test_numpy_and_python_paths_agree, in order, as the search gave them when
-# it evaluated f along one line at a time
+# test_numpy_and_python_paths_agree, in order, from the interpolation on the
+# probe lines.  Every witness is the one the earlier search along axis, pair
+# and weighted lines gave.  The candidates moved on twelve inputs, 73 in all
+# against its 70: up by one or two where a tail that its pair lines refuted
+# lands on a root of every probe, down to one on the last form.
 SEARCH_RESULTS = [
     (1, None), (1, (3, 0, 0)), (1, (1, 0, 1, 2)), (1, (0, 1, 0, 2)), (1, (1, 0, 0, 0)),
-    (1, (1, 0, 0, 0)), (1, (0, 0, 2, 0)), (1, (0, 2, 0, 2)), (2, (2, 3, 0, 1)), (1, (0, 2, 3, 0)),
+    (1, (1, 0, 0, 0)), (1, (0, 0, 2, 0)), (1, (0, 2, 0, 2)), (3, (2, 3, 0, 1)), (3, (0, 2, 3, 0)),
     (1, (0, 3, 7)), (1, (3, 6, 6)), (1, (3, 7, 4)), (1, (3, 5, 7)), (1, (5, 14, 7)),
-    (1, (5, 7, 23)), (1, (5, 24, 10)), (1, (5, 21, 2)), (2, None), (2, None), (2, None), (2, None),
-    (2, None), (2, None), (1, (1, 0, 0, 0)), (1, (3, 0, 0, 0)), (1, (2, 0, 0, 0)),
-    (1, (8, 0, 0, 0)), (1, (1, 0, 0, 0)), (1, (5, 0, 0, 0)), (1, (0, 0, 1, 0)), (1, (0, 0, 3, 0)),
+    (1, (5, 7, 23)), (1, (5, 24, 10)), (1, (5, 21, 2)), (2, None), (3, None), (3, None), (3, None),
+    (3, None), (3, None), (1, (1, 0, 0, 0)), (1, (3, 0, 0, 0)), (1, (2, 0, 0, 0)),
+    (1, (8, 0, 0, 0)), (1, (1, 0, 0, 0)), (1, (5, 0, 0, 0)), (1, (0, 0, 1, 0)), (3, (0, 0, 3, 0)),
     (1, (2, 2, 2, 2)), (1, (8, 8, 8, 8)), (1, (0, 0, 1, 0)), (1, (0, 0, 5, 0)), (1, (0, 0, 0, 1)),
     (1, (0, 0, 0, 3)), (1, (0, 0, 0, 2)), (1, (0, 0, 0, 8)), (1, (0, 0, 0, 1)), (1, (0, 0, 0, 5)),
-    (1, None), (1, None), (1, None), (1, None), (1, None), (1, None), (3, None), (2, None),
-    (1, None), (2, None), (5, None), (2, None),
+    (1, None), (1, None), (1, None), (1, None), (1, None), (1, None), (3, None), (1, None),
+    (1, None), (1, None), (1, None), (1, None),
 ]
 
 
@@ -244,22 +248,42 @@ def test_numpy_and_python_paths_agree():
     assert [(v.candidates, v.witness) for v in verdicts] == SEARCH_RESULTS
 
 
+FOUND_FORM = "x1*(x2*x3*(x2-x3)+x2*x4*(x2-x4)+x3*x4*(x3-x4)) + x2*x3*x4*(x2+x3+x4)"
+
+
+def _full_rank_bound(d, n):
+    """The candidates `_algebraic_candidates` yields at most when every pivot
+    j has n - 1 - j independent proper probes: d^(n-1-j) tails for each,
+    and the last pivot's one form."""
+    return sum(d ** (n - 1 - j) for j in range(n))
+
+
 def test_algebraic_search_keeps_few_candidates():
-    # x1*x3 + x2*x4 vanishes on coordinate planes: the axis roots alone let
-    # through about Q^2 forms of F_625; the pair and weighted points leave a
-    # few.  The last form vanishes on every plane through x1 and two other
-    # axes, which only the weighted points see.
-    F5 = build_field(5, 1)
+    # over F_625, as F_5 with s = 4 and as F_25 with s = 2.  x1*x3 + x2*x4
+    # vanishes on coordinate planes, and FOUND_FORM on every plane through x1
+    # and two other axes (the earlier search along axis lines enumerated
+    # 244 M tails on it).  x2*x4 - x3^2 vanishes on the whole moment curve of
+    # pivot x1, its first probe family, so a second evaluation takes over,
+    # alone and times a planted form.
     names = ["x1", "x2", "x3", "x4"]
-    for text, s in (
-        ("x1*x3+x2*x4", 4),
-        ("x1*(x2*x3*(x2-x3)+x2*x4*(x2-x4)+x3*x4*(x3-x4)) + x2*x3*x4*(x2+x3+x4)", 2),
-    ):
-        verdict = linear_factor_test(parse_poly(text, F5, names), s)
-        Q = 5**s
-        assert not verdict.found and verdict.forms_checked == (Q**4 - 1) // (Q - 1)
-        assert verdict.candidates <= 2 * Q
-        assert verdict.candidates == 2  # the count the per-line search gave
+    quadric = "(x2*x4 - x3^2)"
+    K, Q = build_field(5, 4), 5**4
+    for F, s in ((build_field(5, 1), 4), (build_field(5, 2), 2)):
+        for text, planted in (
+            ("x1*x3+x2*x4", None),
+            (FOUND_FORM, None),
+            (quadric, None),
+            (quadric + "*(x1 + 2*x2 + 3*x3 + x4)", (1, 2, 3, 1)),
+            (quadric + "*(x2 + 4*x4)", (0, 1, 0, 4)),
+        ):
+            f = parse_poly(text, F, names)
+            verdict = linear_factor_test(f, s)
+            witness = planted and tuple(K.from_int(c) for c in planted)
+            assert (verdict.found, verdict.witness) == (planted is not None, witness), text
+            assert verdict.forms_checked == (Q**4 - 1) // (Q - 1) and verdict.field_size == Q
+            assert 1 <= verdict.candidates <= _full_rank_bound(int(f.total_degree), 4), text
+            if planted:
+                assert _division_by_substitution(_lift_poly(f, s)[0], K, witness)
 
 
 def _line_forms():
@@ -270,30 +294,48 @@ def _line_forms():
     return forms
 
 
+def _probe_reference(K, n, j, s, scaled):
+    """The rows u(w) of `_probe_lines`, one scalar at a time: the columns
+    j + 1 .. n - 1, 0 .. j - 1 are places e, and u is a_(e-s) * w^(e-s) from
+    place s on, a_e = gamma^(e(e-1)/2) when scaled (else 1); a family with
+    one place from s on is one line, so w = 0 alone."""
+    gamma = int(K.tables.exp[1])
+    places = list(range(j + 1, n)) + list(range(j))
+    rows = []
+    for w in range(min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + geometry.PROBE_SLACK)):
+        u = [0] * n
+        for e in range(s, n - 1):
+            a = K.pow(gamma, (e - s) * (e - s - 1) // 2) if scaled else K.one
+            u[places[e]] = K.mul(a, K.pow(w, e - s))
+        rows.append(u)
+    return rows
+
+
 def test_line_masks_match_pointwise_evaluation():
-    # each row of the stacked masks is f, point by point, along its line,
-    # for the lines of every pivot; the last pivot has no free column and
-    # gets no rows
+    # each row of the stacked masks is f, point by point, along its probe
+    # line, for every family of every pivot with a free column; w = 0 is the
+    # axis line of column j + 1 + s
     for fK in _line_forms():
         K, n = fK.field, fK.nvars
-        assert _pivot_lines(K, n, n - 1) == []
-        lines = [(j, y) for j in range(n) for y in _pivot_lines(K, n, j)]
-        assert {j for j, _ in lines} == set(range(n - 1))
+        families = [(j, s, scaled) for j in range(n - 1) for s in range(n - 1 - j) for scaled in (False, True)]
+        lines = [(j, _probe_lines(K, n, j, s, scaled)) for j, s, scaled in families]
+        assert not any(U.flags.writeable for _, U in lines)
+        assert [U.tolist() for _, U in lines] == [_probe_reference(K, n, *family) for family in families]
+        assert [U[0].tolist() for _, U in lines] == [[K.one * (i == j + 1 + s) for i in range(n)] for j, s, _ in families]
         masks = _line_masks(fK, lines)
-        assert masks.shape == (len(lines), K.q)
-        for (j, y), row in zip(lines, masks.tolist()):
-            for t in range(K.q):
-                pt = [0] * n
-                pt[j] = K.neg(t)
-                for i, w in y.items():
-                    pt[i] = w
-                assert row[t] == (fK.evaluate(pt) == 0)
+        assert [M.shape for M in masks] == [(len(U), K.q) for _, U in lines]
+        for (j, U), M in zip(lines, masks):
+            for u, row in zip(U.tolist(), M.tolist()):
+                for t in range(K.q):
+                    pt = list(u)
+                    pt[j] = K.neg(t)
+                    assert row[t] == (fK.evaluate(pt) == 0)
 
 
 def test_candidates_take_one_evaluation(monkeypatch):
-    # one run evaluates the lines of every pivot in a single kernel call
-    # (the weighted tests of the search evaluate their linear forms apart);
-    # the last pivot's form comes with no evaluation
+    # one run evaluates the first probe family of every pivot in a single
+    # kernel call, and these forms need no second one; the last pivot's form
+    # comes with no evaluation
     calls, pivots, lined = [], [], []
     evaluate, line_masks = geometry._evaluate, geometry._line_masks
 
@@ -316,8 +358,88 @@ def test_candidates_take_one_evaluation(monkeypatch):
         lined.clear()
         forms = list(_algebraic_candidates(fK))
         assert pivots == [set(range(n - 1))]
-        assert lined == [[K.q * sum(len(_pivot_lines(K, n, j)) for j in range(n - 1))]]
+        assert lined == [[K.q * sum(len(_probe_lines(K, n, j)) for j in range(n - 1))]]
         assert forms[-1] == (0,) * (n - 1) + (K.one,)
+
+
+def test_candidates_cover_every_dividing_form():
+    # seeded forms over F_2, F_3, F_4, F_5, F_8 and F_9 in 2 to 4 variables:
+    # products with a repeated factor, with factors free of the pivot x1,
+    # x_n times a form (f then vanishes on the axis lines of the columns
+    # before n), x1^q*x_n - x1*x_n^q (0 at every point, so on every probe
+    # line) times a factor, and the moment-curve quadric x2*x4 - x3^2 alone
+    # and times a factor.  The candidates are a superset of the normalized
+    # forms that divide, found by exact division of every form, in
+    # normalized_forms order with none twice.
+    rng = random.Random(23)
+    checked = 0
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)):
+        F = build_field(p, k)
+        for n in (2, 3, 4):
+            x = [MultiPoly.variable(F, n, i) for i in range(n)]
+            order = {c: i for i, c in enumerate(normalized_forms(F, n))}
+
+            def linear(free_of):
+                return MultiPoly.from_terms(
+                    F, n, [(tuple(int(t == i) for t in range(n)), rng.randrange(F.q)) for i in range(free_of, n)]
+                )
+
+            for trial in range(6):
+                a, b = linear(0), linear(trial % n)
+                if a.is_zero or b.is_zero:
+                    continue
+                g = random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
+                forms = [a * g, a * a * b, a * b * b * b, x[-1] * g, (x[0] ** F.q * x[-1] - x[0] * x[-1] ** F.q) * b]
+                if n == 4:
+                    forms += [x[1] * x[3] - x[2] * x[2], (x[1] * x[3] - x[2] * x[2]) * b]
+                for f in forms:
+                    if f.is_zero:
+                        continue
+                    got = list(_algebraic_candidates(f))
+                    dividing = [c for c in order if _exact_linear_division(f, F, c)]
+                    assert set(dividing) <= set(got), (F.q, n, f)
+                    assert [order[c] for c in got] == sorted(set(order[c] for c in got)), (F.q, n, f)
+                    checked += 1
+    assert checked > 250
+
+
+def test_candidates_past_chunk_run_in_order():
+    # x1*x2*(x1 + x2) is 0 at every point of F_2^18, so no probe line is
+    # proper and pivot x1's 2^17 tails, past CHUNK, run over K^17 in order,
+    # CHUNK at a time: the first candidates are the first forms, and the
+    # first of them divides
+    n = 18
+    x = [MultiPoly.variable(F2, n, i) for i in range(n)]
+    f = x[0] * x[1] * (x[0] + x[1])
+    assert 2 ** (n - 1) > counting.CHUNK
+    assert list(itertools.islice(_algebraic_candidates(f), 6)) == list(itertools.islice(normalized_forms(F2, n), 6))
+    verdict = linear_factor_test(f, 1)
+    assert verdict.witness == (1,) + (0,) * (n - 1) and verdict.candidates == 1
+
+
+def test_factor_budget_is_checked_before_the_lift(monkeypatch):
+    # a quartic over F_2 at s = 19 has (2^76 - 1)/(2^19 - 1) forms: the
+    # budget error comes before F_2^19 is built, as it does for a small
+    # budget; past the field cap (s = 21) and at s = 0 the lift's own errors
+    # still come first
+    built = []
+
+    def recording(p, k, modulus=None):
+        built.append((p, k))
+        return build_field(p, k, modulus)
+
+    monkeypatch.setattr(geometry, "build_field", recording)
+    f = parse_poly("x1^4 + x1*x2*x3*x4", F2, ["x1", "x2", "x3", "x4"])
+    for s, budget in ((19, geometry.FORM_BUDGET), (10, geometry.FORM_BUDGET), (2, 84)):
+        with pytest.raises(BudgetExceeded, match="forms exceed the budget"):
+            linear_factor_test(f, s, form_budget=budget)
+    assert built == []
+    with pytest.raises(DegreeTooLarge):
+        linear_factor_test(f, 21)
+    with pytest.raises(InvalidArgument):
+        linear_factor_test(f, 0)
+    assert built == [(2, 21), (2, 0)]
+    assert linear_factor_test(f, 2, form_budget=85).forms_checked == 85 and built[-1] == (2, 2)
 
 
 def test_factor_verdict_body_adds_method_and_candidates():
@@ -372,8 +494,8 @@ def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
     # a planted product of the benchmark over F_3, Example 2's quartic times
     # a linear form with every coefficient nonzero: 42 of the 56 words of
     # degree 5 in 4 variables, so compiled as all 56, in a trie of 5
-    # levels; every evaluation, of the lines, of the weighted tests and of
-    # the count, is one reduction of one stack
+    # levels; every evaluation, of the probe lines and of the count, is one
+    # reduction of one stack
     F = F3
     x = [MultiPoly.variable(F, 4, i) for i in range(4)]
     f = example_two(F).poly * (x[0] + x[1].scale(2) + x[2] + x[3].scale(2))
