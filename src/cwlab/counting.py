@@ -21,17 +21,17 @@ Two independent engines are provided and must agree exactly:
   the points where all earlier ones vanish, on their logs gathered from
   the block's.  The surviving odometer indexes are the zero set.  A pass
   whose prefixes fit in one block (q times their number at most CHUNK)
-  reads them and their logs from a memo of one table per (field, n, cone),
-  bounded in bytes (`_grid`).  A homogeneous system is counted on its cone
-  instead: prefix 0 and the normalized prefixes only, the zeros off the
-  x_n-axis weighted by q - 1 (see `fast_count`);
+  reads them and their logs from GRIDS, one table per (field, n, cone).  A
+  homogeneous system is counted on its cone instead: prefix 0 and the
+  normalized prefixes only, the zeros off the x_n-axis weighted by q - 1
+  (see `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
 
 The laws on one system (Chevalley, Ax, the homogenization identity, the
 lower bounds, the parallel class) all read one zero set.  So the fast
-engine remembers the full-space walks of the last WALK_MEMO systems (see
-`_walk`): a count, and once a walk has listed them the zeros' odometer
-indexes, their rows of coordinates and, once asked for, their
+engine remembers the full-space walks of the last WALK_MEMO systems in
+WALKS (see `_walk`): a count, and once a walk has listed them the zeros'
+odometer indexes, their rows of coordinates and, once asked for, their
 `point_digits`, within MEMO_ZEROS integers an entry.  Budgets are checked
 before the memo is read, and no report depends on whether a walk was
 remembered.
@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import AmbientMismatch, BudgetExceeded, CwlabError, InvalidArgument, ZeroPolynomial
 from .fields import FieldSpec, FieldTables, build_field, embed_subfield
+from .memo import Memo
 from .polynomials import MultiPoly, PolySystem, restrict_to_subspace
 from .subspaces import AffineSubspace
 
@@ -386,34 +387,20 @@ def _blocks(T: FieldTables, n: int, cone: bool) -> Iterator[tuple[np.ndarray, np
         yield pre, T.log.take(_coordinates(pre, q, n - 1))
 
 
+GRIDS = Memo(1 << 20)  # bytes of every field's grid blocks; the corpus shapes (q <= 5, n <= 6) take 48 KB
+
+
 def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
     """The one block of the pass of shape (T's field, n, cone): its prefixes
-    and their coordinates' logs, read-only.
-
-    `FieldTables.grid_memo` keeps the blocks of every field within
-    `FieldTables.grid_bytes` together, least recently used first: a new
-    block drops the least recently used ones until it fits, and a block
-    larger than the bound on its own is not kept.
-    """
-    memo, bound, key = FieldTables.grid_memo, FieldTables.grid_bytes, (T, n, cone)
-    grid = memo.pop(key, None)
+    and their coordinates' logs, read-only, kept in GRIDS."""
+    grid = GRIDS.get((T, n, cone))
     if grid is None:
         pre = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
         grid = pre, T.log.take(_coordinates(pre, T.q, n - 1))
         for a in grid:
             a.flags.writeable = False
-        size = _nbytes(grid)
-        if size > bound:
-            return grid
-        total = size + sum(map(_nbytes, memo.values()))
-        while total > bound:
-            total -= _nbytes(memo.pop(next(iter(memo))))
-    memo[key] = grid
+        GRIDS.put((T, n, cone), grid, pre.nbytes + grid[1].nbytes)
     return grid
-
-
-def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
-    return sum(a.nbytes for a in arrays)
 
 
 def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
@@ -458,7 +445,7 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
         yield pre[row] * q + col
 
 
-# full-space walks the memo keeps (see `_walk`)
+# full-space walks WALKS keeps (see `_walk`), which bind before its bytes
 WALK_MEMO = 4
 # integers one entry's zeros take (8 MB of them): the indexes, and the rows
 # once a listing walk asked for them.  Past the bound an entry drops the rows,
@@ -476,25 +463,24 @@ class _Walk:
     digits: np.ndarray | None = None  # `point_digits` of the rows, read-only, once asked for (`zero_digits`)
 
 
-# id(system) -> its walk, least recently used first
-_walks: dict[int, _Walk] = {}
+WALKS = Memo(8 * MEMO_ZEROS * WALK_MEMO, WALK_MEMO)  # id(system) -> its walk
 
 
 def _walk(system: PolySystem, listed: bool, digits: bool = False) -> _Walk:
-    """The system's full-space walk, from the memo when it holds one (with
+    """The system's full-space walk, from WALKS when it holds one (with
     the zeros listed as rows, if listed, and their digits, if digits);
-    otherwise one kernel pass, remembered.
+    otherwise one kernel pass, remembered.  WALKS puts it only on a miss or
+    when it grows.
 
-    The memo keeps the last WALK_MEMO systems' walks, keyed by id(system).
-    Each entry holds the system itself, so an id cannot be reused while its
-    entry lives, and the key always names the same object.  An entry keeps
-    the zeros' indexes when a pass over the whole grid listed them, and
-    their rows and digits once a listing asked for them, while they take at
-    most MEMO_ZEROS integers (see `_bounded`); otherwise (a cone pass, see
-    `fast_count`, or a larger zero set) only the count, until a listing
-    walk is asked for.
-    """
-    w = _walks.pop(id(system), None)
+    Each entry holds the system itself, so its key id(system) cannot be
+    reused while the entry lives.  An entry keeps the zeros' indexes when a
+    pass over the whole grid listed them, and their rows and digits once a
+    listing asked for them, while they take at most MEMO_ZEROS integers
+    (see `_bounded`); otherwise (a cone pass or a larger zero set) only the
+    count, until a listing walk is asked for."""
+    w = WALKS.get(id(system))
+    if w is not None and (not listed or w.rows is not None) and (not digits or w.digits is not None):
+        return w
     if w is None or (listed and w.idx is None):
         w = _kernel_walk(system, listed)
     if listed and w.rows is None:
@@ -503,14 +489,13 @@ def _walk(system: PolySystem, listed: bool, digits: bool = False) -> _Walk:
     if digits and w.digits is None:
         w.digits = point_digits(w.rows, system.field)
         w.digits.flags.writeable = False
-    _walks[id(system)] = _bounded(w)
-    while len(_walks) > WALK_MEMO:
-        del _walks[next(iter(_walks))]
+    kept = _bounded(w)
+    WALKS.put(id(system), kept, sum(a.nbytes for a in (kept.idx, kept.rows, kept.digits) if a is not None))
     return w
 
 
 def _bounded(w: _Walk) -> _Walk:
-    """w as the memo keeps it: without the rows and digits when they and the
+    """w as WALKS keeps it: without the rows and digits when they and the
     indexes take more than MEMO_ZEROS integers, and without the indexes too
     when they alone do."""
     if w.rows is not None and w.idx.size + w.rows.size + (0 if w.digits is None else w.digits.size) > MEMO_ZEROS:
@@ -646,8 +631,7 @@ def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: Fie
     r (`FieldTables.mul_matrices`), and by zero elsewhere, each times the
     packing matrix W of `FieldTables.readout`.  It depends on the spaces
     alone, so the congruence sweeps build it once per space and shape, in
-    `laws.DirectionTable`, whose memo keeps at most
-    `FieldTables.direction_bytes` (4 MiB) of tables over every field.
+    `laws.DirectionTable`, kept in `laws.DIRECTIONS`.
     """
     T = F.tables
     k = F.k
@@ -684,7 +668,7 @@ def coset_ids(
     every space shares; entries[b] is space b's rows at the free columns, as
     `basis_entries` gives them.  matrix is their `coset_matrix`, built here
     when the caller has none (an all-pairs sweep slices it from its
-    direction table, which the memo keeps within 4 MiB over every table).
+    direction table, kept in `laws.DIRECTIONS`).
 
     The coset's offset is the point x minus each row r times x's entry at
     r's pivot (RREF rows vanish at the other rows' pivots, so the pivot

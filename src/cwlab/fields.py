@@ -32,6 +32,7 @@ from .errors import (
     NotASubfield,
     NotPrime,
 )
+from .memo import Memo
 
 FIELD_SIZE_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16  # largest q whose scalar tables are Python lists
@@ -359,6 +360,12 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, k={self.k}, modulus=[{mod}])"
 
 
+# bytes of (tables, powers) -> `FieldTables.power_logs`, as build_field keeps
+# every field: a table is a few KB over the suite's and benchmark's fields, 4 MiB
+# a power at q = 2^20, where a rebuild costs about what a 1-variable count does
+POWER_LOGS = Memo(1 << 24)
+
+
 class FieldTables:
     """Vectorized arithmetic of one field on numpy arrays of element indexes.
 
@@ -387,14 +394,9 @@ class FieldTables:
     past it.  The bundle holds q + 2(Z + 1) < 2(D + 2)q entries whatever
     the degree.
 
-    D = 3 is measured, not derived.  D = 1 cannot hold a folded prefix and
-    the next factor's log.  With the trie evaluator of `counting._plan`,
-    on a 2-core machine (medians of five alternating runs of each depth,
-    seeds 1 to 5), D = 2, 3 and 4 ran the `extension-fields` benchmark at
-    521, 488 and 509 operations/s, whose quartiles spread by 48 to 95, and
-    `corpus-sweep` at 217, 236 and 230, spread by 22 to 36.  No depth wins
-    by more than the spread, and D = 2 is the slower one on `corpus-sweep`,
-    so D stays 3.
+    D = 3 is measured, not derived: D = 1 cannot hold a folded prefix and
+    the next factor's log, and neither D = 2 nor D = 4 runs the benchmarks
+    faster by more than the spread of their runs.
 
     Every field, whatever q, multiplies through the bundle, adds by XOR
     (p = 2) or through the Zech table of 2Z + 1 entries (see `_zech`), and
@@ -403,28 +405,10 @@ class FieldTables:
     2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total`
     reduces a whole stack of products at once.  `mul_matrices`, the
     F_p-matrices of multiplication, and the `readout` tables of the coset
-    numbers are built on first use, `direction_memo` keeps the direction
-    spaces that the congruence sweeps slice, within `direction_bytes`, and
-    `grid_memo` the prefix blocks of the kernel's small passes, within
-    `grid_bytes`.
+    numbers are built on first use.
     """
 
     depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
-    # bytes that the memoized direction tables of every field hold together
-    # (4 MiB; see `laws.DirectionTable`): the largest shapes the suite sweeps,
-    # q = 5 and q = 4 at n = 5, take 2.9 MB and 1.6 MB over every dimension
-    direction_bytes = 1 << 22
-    # (tables, n, m) -> the `laws.DirectionTable` of the m-dimensional spaces
-    # of A^n, least recently used first.  One memo serves every field, so
-    # that the bound holds over all of them.
-    direction_memo: dict = {}
-    # bytes that the memoized grid blocks of every field hold together
-    # (1 MiB; see `counting._grid`): the corpus shapes, q <= 5 and n <= 6,
-    # take about 48 KB
-    grid_bytes = 1 << 20
-    # (tables, n, cone) -> a pass's one block of prefixes and their
-    # coordinates' logs, least recently used first
-    grid_memo: dict = {}
 
     def __init__(self, F: FieldSpec):
         self.field = F
@@ -435,7 +419,6 @@ class FieldTables:
         self._packings: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray | None]] = {}
         self._bundle: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._zech_table: np.ndarray | None = None
-        self._power_logs: dict[tuple[int, ...], np.ndarray] = {}
 
     def _log_bundle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._bundle is None:
@@ -530,16 +513,16 @@ class FieldTables:
     def power_logs(self, powers: tuple[int, ...]) -> np.ndarray:
         """The logs of x^e at every element x, for each e in powers, as a
         read-only (len(powers), q) array: e * log x mod q - 1, Z at x = 0
-        for e > 0, and 0 for e = 0 (x^0 = 1, at x = 0 too).  Kept per
-        tuple of powers."""
-        if powers not in self._power_logs:
+        for e > 0, and 0 for e = 0 (x^0 = 1, at x = 0 too); in POWER_LOGS."""
+        table = POWER_LOGS.get((self, powers))
+        if table is None:
             log = self.log
             e = np.array(powers)[:, None]
             table = (e * log % (self.q - 1)).astype(log.dtype)
             table[:, 0] = np.where(e[:, 0] > 0, log[0], 0)
             table.flags.writeable = False
-            self._power_logs[powers] = table
-        return self._power_logs[powers]
+            POWER_LOGS.put((self, powers), table, table.nbytes)
+        return table
 
     def digits(self, x) -> np.ndarray:
         """The F_p-coordinates of an index array x as a trailing axis of k
@@ -608,7 +591,9 @@ class FieldTables:
         big-endian base-p number, in the narrowest dtype.  Past the cap
         (b > readout_cap), g = 1 and table is None.  One table serves each
         radix, as the table of fewer digits is a prefix of it; W is kept per
-        radix and row length.  b <= exact_cap is asserted as W is built."""
+        radix and row length.  b <= exact_cap is asserted as W is built.
+        Both stay small: they are keyed by (radix, row length), so there are
+        a few dozen (m, f) shapes, each with at most readout_cap entries."""
         if (radix, digits) not in self._packings:
             assert radix <= self.exact_cap, f"radix {radix} is past the exact float64 range"
             p, g = self.field.p, 0

@@ -28,7 +28,8 @@ from .counting import (
     zero_points,
 )
 from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
-from .fields import FieldSpec, FieldTables
+from .fields import FieldSpec
+from .memo import Memo
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
 from .subspaces import (
@@ -56,16 +57,14 @@ DEFAULT_CLASS_BUDGET = 10_000
 # a batch of B direction spaces of dimension m, over the |Z| zero points,
 # holds at most this many point coordinates, B*|Z|*(n - m), and this many
 # coset counters, B*q^(n - m) (a quarter of the counting kernel's chunk).
-# Larger batches gain no speed: with the float64 product, BATCH = 2^16 ran
-# the `coset-classes` benchmark at the same ops/s (-1.5%, five alternating
-# pairs on 2 cores), with a tail 18% longer and 0.7 MB more peak memory.
+# Larger batches gain no speed: BATCH = 2^16 ran `coset-classes` no faster,
+# with a longer tail and more peak memory.
 # `coset_ids` packs a space's (n - m)k base-p digits into
 # G = ceil((n - m)k / g) integers, so its product holds B*G*|Z| of them: at
 # most BATCH when g >= k, which holds wherever the read-out table fits k
 # digits, and at most k*BATCH otherwise.
 # A batch of an all-pairs sweep is a slice of its shape's `DirectionTable`,
-# so its B*G*nk rows of M' are read, not built; the memo keeps at most
-# `FieldTables.direction_bytes` (4 MiB) of tables over every field.
+# so its B*G*nk rows of M' are read, not built (see DIRECTIONS).
 BATCH = 1 << 14
 
 
@@ -226,12 +225,10 @@ class DirectionTable:
     The table holds a prefix of the enumeration and grows it on demand.  A
     slice past the prefix grows it to the larger of the slice's end and
     twice the prefix, so a sweep that stops early, at a witness or at its
-    budget, has built at most about twice the spaces it checked.  The memo
-    (`FieldTables.direction_memo`, see `direction_table`) keeps the tables of
-    every field within `FieldTables.direction_bytes` together: a growth
-    first drops the least recently used other tables, and a slice that would
-    take this table past the bound on its own, or that extends a table the
-    memo has dropped, is built by the same builder and not kept.
+    budget, has built at most about twice the spaces it checked.  A growth
+    puts the table in DIRECTIONS again at its grown size; a slice past the
+    room the bound gives it, or of a table DIRECTIONS has dropped, is built
+    by the same builder and not kept.
 
     The arrays are allocated once, with room for as many spaces as the
     bound lets the table keep, and never touched past the prefix, so only
@@ -247,7 +244,7 @@ class DirectionTable:
         self.size = gaussian_binomial(F.q, n, m)
         first = self.build(0, 1)
         self.space_bytes = max(1, sum(a.nbytes for a in first))
-        capacity = max(1, min(self.size, FieldTables.direction_bytes // self.space_bytes))
+        capacity = max(1, min(self.size, DIRECTIONS.bound // self.space_bytes))
         self.rows = [len(a) for a in first]  # per space: 1, 1 and G
         self.arrays = [np.empty((r * capacity,) + a.shape[1:], a.dtype) for r, a in zip(self.rows, first)]
         self.built = 0
@@ -280,8 +277,8 @@ class DirectionTable:
         coset_matrix rows, from the prefix when the memo lets it grow."""
         if hi > self.built:
             grow = min(self.size, max(hi, 2 * self.built), len(self.arrays[0]))
-            kept = FieldTables.direction_memo.get(self.key) is self
-            if grow < hi or not kept or not _fit(self, grow):
+            kept = DIRECTIONS.get(self.key) is self
+            if grow < hi or not kept or not DIRECTIONS.put(self.key, self, grow * self.space_bytes):
                 return self.build(lo, hi)
             step = max(1, self.grow_bytes // self.space_bytes)
             for start in range(self.built, grow, step):
@@ -291,34 +288,19 @@ class DirectionTable:
         return self.arrays[0][lo:hi], self.arrays[1][lo:hi], self.arrays[2][lo * G : hi * G]
 
 
-def _fit(table: DirectionTable, spaces: int) -> bool:
-    """Whether the memo can keep table grown to `spaces` spaces within
-    `FieldTables.direction_bytes`: if so, the least recently used other
-    tables are dropped until it fits."""
-    memo, bound = FieldTables.direction_memo, FieldTables.direction_bytes
-    need = spaces * table.space_bytes
-    if need > bound:
-        return False
-    total = need + sum(t.nbytes for t in memo.values() if t is not table)
-    for key, t in list(memo.items()):
-        if total <= bound:
-            break
-        if t is not table:
-            total -= memo.pop(key).nbytes
-    return True
+# bytes that the direction tables of every field hold together: the largest
+# shapes the suite sweeps, A^5 over F_5 and F_4, take 2.9 MB and 1.6 MB
+DIRECTIONS = Memo(1 << 22)
 
 
 def direction_table(F: FieldSpec, n: int, m: int) -> DirectionTable:
-    """The memo's table of (F, n, m), now the most recently used; else a new
-    one (one space built), kept if it fits."""
-    memo = FieldTables.direction_memo
+    """The table of (F, n, m) in DIRECTIONS, now the most recently used;
+    else a new one (one space built), kept if it fits."""
     key = (F.tables, n, m)
-    table = memo.pop(key, None)
+    table = DIRECTIONS.get(key)
     if table is None:
         table = DirectionTable(F, n, m)
-        if not _fit(table, 1):
-            return table
-    memo[key] = table
+        DIRECTIONS.put(key, table, table.nbytes)
     return table
 
 

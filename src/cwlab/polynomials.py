@@ -290,10 +290,6 @@ class PolySystem:
             self._homogeneous = all(f.is_homogeneous for f in self.polys)
         return self._homogeneous
 
-    def vanishes_at(self, point: Sequence[int]) -> bool:
-        """All-zero test, short-circuiting on the first nonzero value."""
-        return all(f.evaluate(point) == 0 for f in self.polys)
-
     def leading_system(self) -> "PolySystem":
         """The leading forms, each one pass over its polynomial's terms."""
         return self._forms([f.homogeneous_component(d) for f, d in zip(self.polys, self.degrees)])

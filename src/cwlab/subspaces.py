@@ -98,10 +98,6 @@ class AffineSubspace:
         rows = [[field.one if j == i else 0 for j in range(n)] for i in range(n)]
         return cls(field, [0] * n, rows)
 
-    @classmethod
-    def single_point(cls, field: FieldSpec, point: Sequence[int]) -> "AffineSubspace":
-        return cls(field, point, ())
-
     # -- geometry -----------------------------------------------------------
 
     def reduce_vector(self, v: Sequence[int]) -> tuple[int, ...]:

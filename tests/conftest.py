@@ -3,27 +3,24 @@
 import pytest
 
 from cwlab import counting, geometry
-from cwlab.fields import FieldTables
+from cwlab.memo import MEMOS
+
+CACHES = (counting._plan, counting._shape, geometry._probe_lines, geometry._tail_map)
+
+
+def _empty():
+    for memo in MEMOS:
+        memo.clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start and end every test with an empty walk memo, an empty
-    direction-table memo, an empty grid memo, an empty plan memo, an empty
-    shape table and empty probe-line and tail-map memos, so no test reads a
-    walk, a table, a plan or a map that an earlier test left behind."""
-    counting._walks.clear()
-    FieldTables.direction_memo.clear()
-    FieldTables.grid_memo.clear()
-    counting._plan.cache_clear()
-    counting._shape.cache_clear()
-    geometry._probe_lines.cache_clear()
-    geometry._tail_map.cache_clear()
+    """Start and end every test with every `Memo` (walks, direction tables,
+    grid blocks, power logs) and the plan, shape, probe-line and tail-map
+    caches empty, so no test reads a walk, a table, a plan or a map that an
+    earlier test left behind."""
+    _empty()
     yield
-    counting._walks.clear()
-    FieldTables.direction_memo.clear()
-    FieldTables.grid_memo.clear()
-    counting._plan.cache_clear()
-    counting._shape.cache_clear()
-    geometry._probe_lines.cache_clear()
-    geometry._tail_map.cache_clear()
+    _empty()

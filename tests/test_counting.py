@@ -33,10 +33,15 @@ F4 = build_field(2, 2)
 HYP = PolySystem([parse_poly("x1*x2 + x3*x4", F2, ["x1", "x2", "x3", "x4"])])
 
 
+def vanishes(system, pt):
+    """Whether every polynomial of system is zero at pt, by scalar evaluation."""
+    return all(f.evaluate(pt) == 0 for f in system.polys)
+
+
 def walked(call, *args, **kwargs):
     """call(*args, **kwargs) from an empty walk memo, so that it makes its
     own kernel pass instead of reading an earlier call's walk."""
-    counting._walks.clear()
+    counting.WALKS.clear()
     return call(*args, **kwargs)
 
 
@@ -59,7 +64,7 @@ def test_subspace_region_equals_direct_filter():
         n = system.nvars
         L = AffineSubspace(F, (0,) * n, [tuple(F.one if j == t else 0 for j in range(n)) for t in (0, 1)])
         via_restriction = count_zeros(system, L).count
-        direct = sum(1 for pt in L.points() if system.vanishes_at(pt))
+        direct = sum(1 for pt in L.points() if vanishes(system, pt))
         assert via_restriction == direct
 
 
@@ -125,7 +130,7 @@ def test_zero_set_matches_count_and_order():
     pts = zero_set(HYP)
     assert len(pts) == 10
     assert pts == sorted(pts)  # odometer order is lexicographic on tuples
-    assert all(HYP.vanishes_at(pt) for pt in pts)
+    assert all(vanishes(HYP, pt) for pt in pts)
 
 
 def test_budget_errors():
@@ -172,7 +177,7 @@ def test_kernel_matches_oracle_and_point_filter(chunk, monkeypatch):
     assert {sy.field.q for sy in KERNEL_SYSTEMS} == {7, 8, 9, 16, 25, 27}
     for system in KERNEL_SYSTEMS:
         q, n = system.field.q, system.nvars
-        filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
+        filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
         assert walked(zero_set, system) == filtered
         assert walked(fast_count, system) == len(filtered) == oracle_count(system)
 
@@ -460,7 +465,7 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
         q = F.q
         if chunk == 110 and n > 1:
             assert q ** (n - 1) % (chunk // q)
-        filtered = [pt for pt in product(range(q), repeat=n) if system.vanishes_at(pt)]
+        filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
         blocks.clear()
         assert walked(zero_set, system) == filtered
         # a small chunk is not bypassed by the grid memo: the pass takes
@@ -483,7 +488,7 @@ def test_point_subspaces_match_oracle():
     for system in (HYP, *EDGE_SYSTEMS[:12]):
         F, n = system.field, system.nvars
         zeros = zero_set(system)
-        other = next(pt for pt in product(range(F.q), repeat=n) if not system.vanishes_at(pt))
+        other = next(pt for pt in product(range(F.q), repeat=n) if not vanishes(system, pt))
         cases = [(other, 0)] + [(pt, 1) for pt in zeros[:1]]
         for pt, expect in cases:
             L = AffineSubspace(F, pt, [])
@@ -603,7 +608,7 @@ def _sweep_verdicts(system, L, order):
             out[name] = rep.to_json()
         else:
             out[name] = (rep.to_json(), rep.evidence, rep.witness)
-        assert len(counting._walks) <= counting.WALK_MEMO
+        assert len(counting.WALKS.kept) <= counting.WALKS.entries
     return out
 
 
@@ -625,7 +630,7 @@ def test_walk_memo_keeps_every_report(monkeypatch, cap, zeros):
     from cwlab.rng import SplitMix64
     from cwlab.subspaces import rref
 
-    monkeypatch.setattr(counting, "WALK_MEMO", cap)
+    monkeypatch.setattr(counting.WALKS, "entries", cap)
     monkeypatch.setattr(counting, "MEMO_ZEROS", zeros)
     names = ["chevalley", "ax", "identity", "audit", "class", "count"]
     rng = SplitMix64(cap)
@@ -635,20 +640,20 @@ def test_walk_memo_keeps_every_report(monkeypatch, cap, zeros):
         L = AffineSubspace(F, (0,) * n, rows)
         fresh = {}
         for name in names:
-            counting._walks.clear()
+            counting.WALKS.clear()
             fresh.update(_sweep_verdicts(system, L, [name]))
-        counting._walks.clear()
+        counting.WALKS.clear()
         assert _sweep_verdicts(system, L, names) == fresh
         assert _sweep_verdicts(system, L, names[::-1]) == fresh
         copy = PolySystem(list(system.polys))
         assert _sweep_verdicts(copy, L, names[::-1]) == fresh
         assert _sweep_verdicts(copy, L, names) == fresh
-        assert len(counting._walks) <= cap
-        walks = counting._walks.values()
+        assert len(counting.WALKS.kept) <= cap
+        walks = counting.WALKS.kept.values()
         assert all(w.idx is None or len(w.idx) <= zeros for w in walks)
         assert all(w.rows is None or w.idx.size + w.rows.size <= zeros for w in walks)
         # the digits are kept with the rows, within the same bound
-        assert zeros == 5 or counting._walks[id(copy)].digits is not None
+        assert zeros == 5 or counting.WALKS.kept[id(copy)].digits is not None
         for w in walks:
             if w.digits is not None:
                 assert w.idx.size + w.rows.size + w.digits.size <= zeros
@@ -664,7 +669,7 @@ def test_walk_memo_budget_and_cone_count():
         L = AffineSubspace.full_space(system.field, n)
         N = fast_count(system)
         assert len(zero_points(system)) == N == fast_count(system)
-        assert id(system) in counting._walks
+        assert id(system) in counting.WALKS.kept
         # a budget below q^n is refused on a memo hit as on a miss
         for call in (
             lambda b: count_zeros(system, budget=b),
@@ -676,17 +681,17 @@ def test_walk_memo_budget_and_cone_count():
             with pytest.raises(BudgetExceeded):
                 call(q**n - 1)
             call(q**n)
-        assert len(counting._walks) <= counting.WALK_MEMO
+        assert len(counting.WALKS.kept) <= counting.WALK_MEMO
     # a homogeneous system's cone count, remembered, equals the listed zeros
     homogeneous = [PolySystem([norm_form(F, 2)]) for F in (F3, F4, build_field(5, 1))]
     homogeneous += [s.leading_system() for s in _memo_systems()]
     for system in homogeneous:
-        counting._walks.clear()
+        counting.WALKS.clear()
         N = fast_count(system)
-        assert (counting._walks[id(system)].idx is None) == counting._on_cone(system)
+        assert (counting.WALKS.kept[id(system)].idx is None) == counting._on_cone(system)
         assert len(zero_points(system)) == N == fast_count(system) == oracle_count(system)
-        assert counting._walks[id(system)].count == N
-        counting._walks.clear()
+        assert counting.WALKS.kept[id(system)].count == N
+        counting.WALKS.clear()
         assert len(zero_points(system)) == fast_count(system) == N
 
 
@@ -695,12 +700,12 @@ def test_walk_memo_never_reads_a_dropped_systems_walk():
     # an id alone could name a new system; each entry holds its system, so
     # the id stays taken while the entry lives
     def fresh(i):
-        counting._walks.clear()
+        counting.WALKS.clear()
         system = corpus_system(13, i)
         return fast_count(system), zero_points(system).tolist()
 
     want = [fresh(i) for i in range(80)]
-    counting._walks.clear()
+    counting.WALKS.clear()
     got = [fast_count(corpus_system(13, i)) for i in range(80)]
     assert got == [N for N, _ in want]
     got = [zero_points(corpus_system(13, i)).tolist() for i in range(80)]
@@ -713,7 +718,7 @@ def test_zero_rows_are_kept_on_the_walk():
     system = corpus_system(13, 2)
     Z = zero_points(system)
     assert not Z.flags.writeable
-    assert zero_points(system) is Z is counting._walks[id(system)].rows
+    assert zero_points(system) is Z is counting.WALKS.kept[id(system)].rows
     with pytest.raises(ValueError):
         Z[:1] = 0
     assert Z.tolist() == [list(pt) for pt in zero_set(system)]
@@ -919,7 +924,7 @@ def test_grid_memo_counts_match_oracle_cold_and_warm():
     # every pass here fits one block, so it reads its prefixes and their
     # logs from the grid memo: built by the first (cold) pass, read by the
     # second (warm) one, and the same either way
-    memo = FieldTables.grid_memo
+    memo = counting.GRIDS
     systems = _grid_systems()
     assert {(sy.field.q, sy.nvars) for sy in systems} == {(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)}
     assert any(counting._on_cone(sy) for sy in systems)
@@ -928,18 +933,18 @@ def test_grid_memo_counts_match_oracle_cold_and_warm():
         want = oracle_count(system)
         memo.clear()
         assert walked(fast_count, system) == want
-        table = memo[key]
+        table = memo.kept[key]
         assert not any(a.flags.writeable for a in table)
         assert walked(fast_count, system) == want
-        assert memo[key] is table
+        assert memo.kept[key] is table
         assert len(walked(zero_points, system)) == want
 
 
 def test_grid_memo_keeps_its_byte_bound(monkeypatch):
     # a new table drops the least recently used ones until the memo fits in
-    # FieldTables.grid_bytes, a table read from the memo becomes the most
+    # counting.GRIDS.bound, a table read from the memo becomes the most
     # recently used, and a table past the bound on its own is not kept
-    memo = FieldTables.grid_memo
+    memo = counting.GRIDS
     shapes = [(F, n) for F in (F3, F4, F2) for n in (2, 3, 4, 5)]
 
     def count(F, n):
@@ -951,24 +956,24 @@ def test_grid_memo_keeps_its_byte_bound(monkeypatch):
     sizes = {}
     for F, n in shapes:
         key = count(F, n)
-        sizes[key] = counting._nbytes(memo[key])
+        sizes[key] = memo.sizes[key]
     keys = list(sizes)
     bound = sum(sizes[k] for k in keys[-3:])
-    monkeypatch.setattr(FieldTables, "grid_bytes", bound)
+    monkeypatch.setattr(memo, "bound", bound)
     memo.clear()
     for F, n in shapes:
         count(F, n)
-        assert sum(map(counting._nbytes, memo.values())) <= bound
-    kept = list(memo)
+        assert sum(memo.sizes.values()) <= bound
+    kept = list(memo.kept)
     assert kept == keys[-len(kept):] and len(kept) >= 3
     count(*shapes[-len(kept)])  # the oldest kept table, now the newest
     count(*shapes[0])  # a cold one, which drops the least recently used
-    assert kept[0] in memo and kept[1] not in memo and keys[0] in memo
-    assert list(memo)[-2:] == [kept[0], keys[0]]
-    monkeypatch.setattr(FieldTables, "grid_bytes", min(sizes.values()) - 1)
+    assert kept[0] in memo.kept and kept[1] not in memo.kept and keys[0] in memo.kept
+    assert list(memo.kept)[-2:] == [kept[0], keys[0]]
+    monkeypatch.setattr(memo, "bound", min(sizes.values()) - 1)
     memo.clear()
     count(*shapes[0])
-    assert not memo
+    assert not memo.kept
 
 
 # -- the trie evaluator -------------------------------------------------------------------
@@ -1074,7 +1079,7 @@ def test_kernel_memory_is_bounded():
     system = random_system(build_field(3, 2), 5, (5, 5), 7)
     assert sorted(len(f.terms) for f in system.polys) == [227, 233]
     want = fast_count(system)  # the field's tables, the grid and the plans, built once
-    counting._walks.clear()
+    counting.WALKS.clear()
     tracemalloc.start()
     try:
         assert fast_count(system) == want

@@ -11,7 +11,7 @@ from cwlab import laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
 from cwlab.counting import basis_entries, coset_matrix, point_digits, zero_digits, zero_points, zero_set
 from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, InvalidArgument, WrongFieldSize
-from cwlab.fields import FieldTables, build_field
+from cwlab.fields import build_field
 from cwlab.laws import (
     BATCH,
     CheckScope,
@@ -80,7 +80,7 @@ def test_malformed_scope_is_an_input_error_before_the_walk(scope, words):
     for law in laws.LAW_ALIASES:
         with pytest.raises(InvalidArgument, match=words):
             check_congruence(system, law, scope)
-    assert not counting._walks  # rejected before the zero walk
+    assert not counting.WALKS.kept  # rejected before the zero walk
     assert check_congruence(system, "theorem1", CheckScope(budget=0)).evidence["truncated"] is True
 
 
@@ -160,14 +160,14 @@ def test_lower_bound_audit_gates():
 
 def test_covering_bound_examples():
     Z = PointSet(F3, 2, AffineSubspace(F3, (0, 0), [(0, 1)]).points())
-    rep = covering_bound_report(Z, AffineSubspace.single_point(F3, (0, 0)))
+    rep = covering_bound_report(Z, AffineSubspace(F3, (0, 0)))
     assert rep.passed and rep.evidence["bound"] == 3 and rep.evidence["total"] == 3
 
-    rep2 = covering_bound_report(PointSet(F3, 2, []), AffineSubspace.single_point(F3, (1, 1)))
+    rep2 = covering_bound_report(PointSet(F3, 2, []), AffineSubspace(F3, (1, 1)))
     assert rep2.passed  # all counts zero
 
     Zfull = PointSet(F2, 2, AffineSubspace.full_space(F2, 2).points())
-    rep3 = covering_bound_report(Zfull, AffineSubspace.single_point(F2, (0, 0)))
+    rep3 = covering_bound_report(Zfull, AffineSubspace(F2, (0, 0)))
     assert rep3.passed
     assert rep3.evidence["k"] == 0 and rep3.evidence["bound"] == 4
 
@@ -183,7 +183,7 @@ def test_covering_bound_random_point_sets():
         n = 1 + rng.below(3)
         pts = [pt for pt in AffineSubspace.full_space(F3, n).points() if rng.coin()]
         Z = PointSet(F3, n, pts)
-        L0 = AffineSubspace.single_point(F3, tuple(rng.below(3) for _ in range(n)))
+        L0 = AffineSubspace(F3, tuple(rng.below(3) for _ in range(n)))
         assert covering_bound_report(Z, L0).passed
 
 
@@ -540,8 +540,8 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
     # of spaces at a time here, so every growth fills its room in parts
     monkeypatch.setattr(laws.DirectionTable, "grow_bytes", 40)
     if bound:
-        monkeypatch.setattr(FieldTables, "direction_bytes", bound)
-    memo = FieldTables.direction_memo
+        monkeypatch.setattr(laws.DIRECTIONS, "bound", bound)
+    memo = laws.DIRECTIONS
     unkept = evicted = 0
     for m in range(n + 1):
         want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
@@ -555,13 +555,13 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
                 assert np.array_equal(matrix, coset_matrix(piv, ent, F)), (F.q, n, m, cap)
             got = [(tuple(piv), ent) for pivots, entries, _ in slices for piv, ent in zip(pivots.tolist(), entries.tolist())]
             assert got == want, (F.q, n, m, cap)
-            assert sum(t.nbytes for t in memo.values()) <= FieldTables.direction_bytes
+            assert sum(t.nbytes for t in memo.kept.values()) <= memo.bound
         unkept += table.built < table.size
-        evicted += any(key not in memo for key in ((F.tables, n, j) for j in range(m)))
+        evicted += any(key not in memo.kept for key in ((F.tables, n, j) for j in range(m)))
     if bound:
         assert unkept > 0 and evicted > 0
     else:
-        assert unkept == evicted == 0 and len(memo) == n + 1
+        assert unkept == evicted == 0 and len(memo.kept) == n + 1
 
 
 def test_direction_memo_keeps_its_byte_bound():
@@ -571,8 +571,8 @@ def test_direction_memo_keeps_its_byte_bound():
         Z = np.zeros((0, 5), dtype=np.intp)
         checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F), F, range(6), F.q, CheckScope(budget=10**9))
         assert checked == sum(gaussian_binomial(F.q, 5, m) for m in range(6)) and not truncated
-        memo = FieldTables.direction_memo
-        assert 0 < sum(t.nbytes for t in memo.values()) <= FieldTables.direction_bytes
+        memo = laws.DIRECTIONS
+        assert 0 < sum(t.nbytes for t in memo.kept.values()) <= memo.bound
 
 
 def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch):
@@ -581,13 +581,13 @@ def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch
     # most twice the spaces of the batches it checked
     Z = np.zeros((0, 5), dtype=np.intp)
     for budget in (1, 37, 500, 5000):
-        FieldTables.direction_memo.clear()
+        laws.DIRECTIONS.clear()
         checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=budget))
         assert checked == budget and truncated
         assert budget <= laws.direction_table(F5, 5, 2).built <= 2 * budget
     rng = Random(7)
     Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
-    FieldTables.direction_memo.clear()
+    laws.DIRECTIONS.clear()
     log = _BatchLog(monkeypatch)
     witness = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=10**9))[3]
     assert witness is not None and len(log.sizes) == 1  # it stops in its first batch

@@ -50,7 +50,7 @@ def test_dependent_basis_rejected():
 
 
 def test_point_enumeration():
-    assert list(AffineSubspace.single_point(F3, (1, 2)).points()) == [(1, 2)]
+    assert list(AffineSubspace(F3, (1, 2)).points()) == [(1, 2)]
     line = AffineSubspace(F3, (0, 0), [(1, 1)])
     assert len(list(line.points())) == 3
     assert len(set(AffineSubspace.full_space(F2, 3).points())) == 8
@@ -58,8 +58,8 @@ def test_point_enumeration():
 
 def test_superspace_counts_match_formula():
     # count = (q^(n-k) - 1)/(q - 1)
-    assert len(AffineSubspace.single_point(F2, (0, 0)).superspaces()) == 3
-    assert len(AffineSubspace.single_point(F3, (1, 1)).superspaces()) == 4
+    assert len(AffineSubspace(F2, (0, 0)).superspaces()) == 3
+    assert len(AffineSubspace(F3, (1, 1)).superspaces()) == 4
     line = AffineSubspace(F2, (0, 0, 0), [(1, 0, 0)])
     assert len(line.superspaces()) == 3
 
@@ -143,7 +143,7 @@ def _greedy_span_by_membership(ps):
     F = ps.field
     base, *rest = ps.sorted_points()
     chosen = [base]
-    span = AffineSubspace.single_point(F, base)
+    span = AffineSubspace(F, base)
     for p in rest:
         if span.dim == ps.ambient:
             break
