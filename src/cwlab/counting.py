@@ -32,9 +32,13 @@ lower bounds, the parallel class) all read one zero set.  So the fast
 engine remembers the full-space walks of the last WALK_MEMO systems in
 WALKS (see `_walk`): a count, and once a walk has listed them the zeros'
 odometer indexes, their rows of coordinates and, once asked for, their
-`point_digits`, within MEMO_ZEROS integers an entry.  Budgets are checked
-before the memo is read, and no report depends on whether a walk was
-remembered.
+`point_digits`, within MEMO_ZEROS integers an entry.  An entry also holds
+its congruence notes: how far the coset sweeps found the counts over each
+dimension's direction spaces to agree, under each modulus, so that a later
+sweep under a divisor of that modulus (Warning's hyperplanes mod p after
+the parallel subspaces mod q) does not check those spaces again.  Budgets
+are checked before the memo is read, and no report depends on whether a
+walk was remembered.
 """
 
 from __future__ import annotations
@@ -461,6 +465,10 @@ class _Walk:
     idx: np.ndarray | None  # the zeros' odometer indexes, ascending, once a walk listed them
     rows: np.ndarray | None = None  # the zeros as read-only (N, n) rows, once listed (`zero_points`)
     digits: np.ndarray | None = None  # `point_digits` of the rows, read-only, once asked for (`zero_digits`)
+    # congruence notes: (m, M) -> how many leading direction spaces of
+    # dimension m, in `laws.DirectionTable` order, were found to have coset
+    # counts that agree mod M (see `laws._sweep_classes`)
+    agreed: dict[tuple[int, int], int] = dc_field(default_factory=dict)
 
 
 WALKS = Memo(8 * MEMO_ZEROS * WALK_MEMO, WALK_MEMO)  # id(system) -> its walk
@@ -497,7 +505,7 @@ def _walk(system: PolySystem, listed: bool, digits: bool = False) -> _Walk:
 def _bounded(w: _Walk) -> _Walk:
     """w as WALKS keeps it: without the rows and digits when they and the
     indexes take more than MEMO_ZEROS integers, and without the indexes too
-    when they alone do."""
+    when they alone do.  A trimmed copy shares w's congruence notes."""
     if w.rows is not None and w.idx.size + w.rows.size + (0 if w.digits is None else w.digits.size) > MEMO_ZEROS:
         w = replace(w, rows=None, digits=None)
     if w.idx is not None and w.idx.size > MEMO_ZEROS:
@@ -569,8 +577,15 @@ def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
 def zero_digits(system: PolySystem, budget: int | None = None) -> np.ndarray:
     """`point_digits` of `zero_points`, under the same budget, read-only: the
     walk memo keeps them beside the rows, for the coset sweeps."""
+    return zero_digits_with_notes(system, budget)[0]
+
+
+def zero_digits_with_notes(system: PolySystem, budget: int | None = None) -> tuple[np.ndarray, dict]:
+    """`zero_digits` and the congruence notes of the same walk (`_Walk.agreed`),
+    which the coset sweeps read and extend: they go when WALKS drops the walk."""
     _region_size_check(system.field.q**system.nvars, budget, "fast")
-    return _walk(system, listed=True, digits=True).digits
+    w = _walk(system, listed=True, digits=True)
+    return w.digits, w.agreed
 
 
 def oracle_count(system: PolySystem) -> int:

@@ -272,9 +272,11 @@ def _probe_lines(K: FieldSpec, n: int, j: int, s: int = 0, scaled: bool = False)
     u(w), P = n - 1 - j: at place e of the columns j + 1 .. n - 1, 0 .. j - 1, u is 0
     below s and a_(e-s) w^(e-s) from s on, a = 1 or a_e = gamma^(e(e-1)/2) if scaled,
     for w the first min(Q, P - s + PROBE_SLACK) elements (w = 0 alone at one place)."""
-    T, e = K.tables, np.arange(n - 1 - s)
-    logs = T.power_logs(tuple(e.tolist()))[:, : min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + PROBE_SLACK)]
-    logs = logs + scaled * (e * (e - 1) // 2 % (K.q - 1))[:, None]  # the logs of a_e
+    T, e = K.tables, np.arange(n - 1 - s)[:, None]
+    log = T.log[: min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + PROBE_SLACK)].astype(np.intp)
+    logs = e * log % (K.q - 1)  # the logs of w^e, for those w alone
+    logs[:, :1] = np.where(e > 0, log[0], 0)  # at w = 0: Z, and w^0 = 1
+    logs += scaled * (e * (e - 1) // 2 % (K.q - 1))  # the logs of a_e
     U = np.zeros((logs.shape[1], n), dtype=np.intp)
     U[:, [*range(j + 1 + s, n), *range(j)]] = T.exp.take(logs, mode="clip").T
     U.flags.writeable = False

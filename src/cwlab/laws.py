@@ -24,7 +24,7 @@ from .counting import (
     count_zeros,
     default_budget,
     point_digits,
-    zero_digits,
+    zero_digits_with_notes,
     zero_points,
 )
 from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
@@ -349,13 +349,27 @@ def _sampled_direction_spaces(
         yield canon
 
 
-def _sweep_classes(X: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: int, scope: CheckScope):
+def _sweep_classes(
+    X: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: int, scope: CheckScope, agreed: dict
+):
     """Check the direction spaces of each dimension in dims on the zero
     points' `point_digits` X, in enumeration order, until scope.budget
     spaces are checked (the one space of dimension n has one coset, so it
     holds with no coset product).  Returns (classes_checked, per_dim,
     truncated, witness); witness is None unless a space fails, and then the
-    sweep stops at that space."""
+    sweep stops at that space.
+
+    agreed holds the zero set's congruence notes (`counting._Walk.agreed`):
+    under (m, M), how many leading spaces of dimension m, in `DirectionTable`
+    order, have coset counts that agree mod M.  Agreement mod p^j implies
+    agreement mod p^i for i <= j, so an all-pairs sweep mod M' takes as
+    known the longest prefix noted under any M that M' divides, and passes
+    a batch that lies wholly inside it unchecked.  After each batch that it
+    checks, it notes its passed prefix under (m, M'): up to the failing
+    space, or through the batch.  A batch with a failing space is never passed
+    unchecked, so the counts, the cut and the witness are those of a fresh
+    sweep.  A sampled sweep draws its spaces in another order and neither
+    reads nor writes notes."""
     q, n, N = F.q, X.shape[0] // F.k, X.shape[1]
     checked = 0
     per_dim: dict[int, int] = {}
@@ -363,8 +377,10 @@ def _sweep_classes(X: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
         # batch working set: B*|Z|*(n-m) coordinates and B*q^(n-m) counts
         room = scope.budget - checked
         cap = max(1, min(BATCH // max(1, N * (n - m)), BATCH // q ** (n - m), room))
+        known = 0
         if scope.all_pairs:
             batches = direction_table(F, n, m).batches(cap)
+            known = max((k for (dim, M), k in agreed.items() if dim == m and M % modulus == 0), default=0)
         else:
             want = scope.budget if scope.sample is None else scope.sample
             spaces = _sampled_direction_spaces(F, n, m, min(want, gaussian_binomial(q, n, m)), scope.seed)
@@ -376,10 +392,15 @@ def _sweep_classes(X: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: in
             cut = len(entries) > room
             if cut:  # coset_ids builds the matrix of the spaces kept
                 pivots, entries, matrix = pivots[:room], entries[:room], None
-            hit = None if m == n else _coset_residue_check(X, pivots, entries, F, modulus, matrix)
+            lo = per_dim.get(m, 0)
+            hit = None
+            if m < n and lo + len(entries) > known:
+                hit = _coset_residue_check(X, pivots, entries, F, modulus, matrix)
+                if scope.all_pairs:  # never below the old note: known covers it, and no space there fails
+                    agreed[m, modulus] = lo + (len(entries) if hit is None else hit[0])
             done = len(entries) if hit is None else hit[0] + 1
             checked += done
-            per_dim[m] = per_dim.get(m, 0) + done
+            per_dim[m] = lo + done
             if hit is not None:
                 b, pair = hit
                 witness = _witness(F, n, pivots[b].tolist(), entries[b], pair)
@@ -461,8 +482,8 @@ def check_congruence(
             )
         dims = [scope.dim]
 
-    X = zero_digits(system, budget)
-    checked, per_dim, truncated, witness = _sweep_classes(X, F, dims, modulus, scope)
+    X, agreed = zero_digits_with_notes(system, budget)
+    checked, per_dim, truncated, witness = _sweep_classes(X, F, dims, modulus, scope, agreed)
     evidence = {
         "modulus": modulus,
         "classes_checked": checked,

@@ -28,12 +28,13 @@ NEG_INF = float("-inf")
 
 
 class MultiPoly:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_degrees")
 
     def __init__(self, field: FieldSpec, nvars: int, terms: dict[tuple[int, ...], int]):
         self.field = field
         self.nvars = nvars
         self.terms = terms
+        self._degrees: int | None = None  # see `_degree_scan`
 
     # -- constructors -------------------------------------------------------
 
@@ -75,16 +76,24 @@ class MultiPoly:
 
     @property
     def total_degree(self) -> int | float:
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
+        code = self._degree_scan()
+        return code >> 1 if code >= 0 else NEG_INF
 
     @property
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
+        code = self._degree_scan()
+        return code < 0 or bool(code & 1)
+
+    def _degree_scan(self) -> int:
+        """The total degree d and whether the polynomial is homogeneous, from
+        one scan of the terms on first read (they never change), kept as one
+        int, 2d + 1 if homogeneous else 2d, and -1 for the zero polynomial:
+        below degree 128 a cached small int, so the kept value takes no
+        memory of its own."""
+        if self._degrees is None:
+            degs = {sum(e) for e in self.terms}
+            self._degrees = 2 * max(degs) + (len(degs) == 1) if degs else -1
+        return self._degrees
 
     def homogeneous_component(self, e: int) -> "MultiPoly":
         """The sum of terms of total degree exactly e."""

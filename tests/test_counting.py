@@ -587,9 +587,10 @@ def test_points_evaluated_counter():
 
 
 def _sweep_verdicts(system, L, order):
-    """The five corpus-sweep calls, in the given order, as comparable values:
-    each report's body, evidence and witness, and the parallel-class pairs."""
-    from cwlab.laws import check_congruence, homogenization_identity, lower_bound_audit
+    """The corpus-sweep calls and the two coset sweeps, the subspace one cut
+    by its budget, in the given order, as comparable values: each report's
+    body, evidence and witness, and the parallel-class pairs."""
+    from cwlab.laws import CheckScope, check_congruence, homogenization_identity, lower_bound_audit
 
     calls = {
         "chevalley": lambda: check_congruence(system, "chevalley"),
@@ -598,6 +599,8 @@ def _sweep_verdicts(system, L, order):
         "audit": lambda: lower_bound_audit(system),
         "class": lambda: counts_over_parallel_class(system, L),
         "count": lambda: count_zeros(system),
+        "subspaces": lambda: check_congruence(system, "parallel-subspaces", CheckScope(budget=600)),
+        "hyperplanes": lambda: check_congruence(system, "warning-hyperplanes"),
     }
     out = {}
     for name in order:
@@ -632,7 +635,7 @@ def test_walk_memo_keeps_every_report(monkeypatch, cap, zeros):
 
     monkeypatch.setattr(counting.WALKS, "entries", cap)
     monkeypatch.setattr(counting, "MEMO_ZEROS", zeros)
-    names = ["chevalley", "ax", "identity", "audit", "class", "count"]
+    names = ["chevalley", "ax", "identity", "audit", "class", "count", "subspaces", "hyperplanes"]
     rng = SplitMix64(cap)
     for system in _memo_systems():
         F, n = system.field, system.nvars
@@ -710,6 +713,32 @@ def test_walk_memo_never_reads_a_dropped_systems_walk():
     assert got == [N for N, _ in want]
     got = [zero_points(corpus_system(13, i)).tolist() for i in range(80)]
     assert got == [Z for _, Z in want]
+
+
+def test_congruence_notes_live_and_go_with_their_walk(monkeypatch):
+    # the notes a sweep leaves are the walk entry's: a later read of the
+    # entry hands out the same dict, a trimmed copy of the entry shares it,
+    # and a new kernel walk, after WALKS dropped the entry, starts with none
+    from cwlab.laws import check_congruence
+
+    system = corpus_system(13, 2)
+    digits, notes = counting.zero_digits_with_notes(system)
+    assert notes == {} and digits is counting.zero_digits(system)
+    check_congruence(system, "parallel-subspaces")
+    n = system.nvars
+    assert notes and (n - 1, system.field.q) in notes
+    assert counting.zero_digits_with_notes(system)[1] is notes is counting.WALKS.kept[id(system)].agreed
+    counting.WALKS.clear()
+    assert counting.zero_digits_with_notes(system)[1] == {}
+    # past MEMO_ZEROS with its rows and digits, the entry keeps the indexes
+    # only, in a copy that holds the notes of the walk it was trimmed from
+    monkeypatch.setattr(counting, "MEMO_ZEROS", len(zero_points(system)) + 1)
+    counting.WALKS.clear()
+    _, notes = counting.zero_digits_with_notes(system)
+    kept = counting.WALKS.kept[id(system)]
+    assert kept.rows is None and kept.idx is not None and kept.agreed is notes
+    notes[0, 2] = 1
+    assert counting.zero_digits_with_notes(system)[1] is notes  # digits again, from the kept indexes
 
 
 def test_zero_rows_are_kept_on_the_walk():

@@ -194,7 +194,7 @@ def test_cli_check_violation_exit_code(workdir, monkeypatch, capsys):
     from cwlab import cli, laws
 
     witness = {"rows": [[0, 0, 1]], "offsets": [[0, 0, 0], [0, 0, 1]], "counts": [0, 1], "dim": 2}
-    monkeypatch.setattr(laws, "_sweep_classes", lambda Z, F, dims, modulus, scope: (2, {"2": 2}, False, witness))
+    monkeypatch.setattr(laws, "_sweep_classes", lambda Z, F, dims, modulus, scope, agreed: (2, {"2": 2}, False, witness))
     code = cli.main(["check", "--system", str(workdir / "hyp.sys"), "--law", "warning-hyperplanes"])
     body = json.loads(capsys.readouterr().out)
     assert code == 2 and body["applicable"] is True and body["pass"] is False

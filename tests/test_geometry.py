@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cwlab import counting, geometry
@@ -309,6 +310,34 @@ def _probe_reference(K, n, j, s, scaled):
             u[places[e]] = K.mul(a, K.pow(w, e - s))
         rows.append(u)
     return rows
+
+
+def _probe_lines_from_power_logs(K, n, j, s, scaled):
+    """`_probe_lines`' rows as read from the whole power-log table of the
+    field, (n - 1 - s) x q, cut to the probes' columns."""
+    T, e = K.tables, np.arange(n - 1 - s)
+    logs = T.power_logs(tuple(e.tolist()))[:, : min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + geometry.PROBE_SLACK)]
+    logs = logs + scaled * (e * (e - 1) // 2 % (K.q - 1))[:, None]
+    U = np.zeros((logs.shape[1], n), dtype=np.intp)
+    U[:, [*range(j + 1 + s, n), *range(j)]] = T.exp.take(logs, mode="clip").T
+    return U.tolist()
+
+
+def test_probe_lines_read_only_their_columns_of_powers():
+    # the rows, from the logs of the first elements w alone, are those of the
+    # whole power-log table; over F_2^16 they put no table in POWER_LOGS
+    from cwlab import fields
+
+    for K in (build_field(2, 2), build_field(3, 2), build_field(5, 2), build_field(2, 8)):
+        for n in range(1, 8):
+            for j, s, scaled in itertools.product(range(n - 1), range(n - 1), (False, True)):
+                if j + s < n - 1:
+                    got = _probe_lines.__wrapped__(K, n, j, s, scaled).tolist()
+                    assert got == _probe_lines_from_power_logs(K, n, j, s, scaled), (K.q, n, j, s, scaled)
+    K = build_field(2, 16)
+    held = fields.POWER_LOGS.held
+    assert _probe_lines.__wrapped__(K, 6, 0).shape == (5 + geometry.PROBE_SLACK, 6)
+    assert fields.POWER_LOGS.held == held
 
 
 def test_line_masks_match_pointwise_evaluation():

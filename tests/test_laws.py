@@ -2,12 +2,13 @@
 
 import json
 from collections import Counter
+from itertools import permutations
 from random import Random
 
 import numpy as np
 import pytest
 
-from cwlab import laws
+from cwlab import counting, laws
 from cwlab.constructions import corpus_system, embed_in_more_variables, norm_form
 from cwlab.counting import basis_entries, coset_matrix, point_digits, zero_digits, zero_points, zero_set
 from cwlab.errors import BudgetExceeded, CwlabError, FullSpace, InvalidArgument, WrongFieldSize
@@ -74,8 +75,6 @@ def test_malformed_scope_is_an_input_error_before_the_walk(scope, words):
     # a negative budget once passed with 0 classes checked, a negative sample
     # checked none and reported no truncation, and a sample of 0 fell back to
     # the class budget
-    from cwlab import counting
-
     system = PolySystem([parse_poly("x1*x2 + x3^2 + x4 + 1", F5, ["x1", "x2", "x3", "x4"])])
     for law in laws.LAW_ALIASES:
         with pytest.raises(InvalidArgument, match=words):
@@ -102,7 +101,7 @@ def test_congruence_detects_violations():
     rep2 = check_congruence(system, "warning-hyperplanes")
     assert not rep2.applicable and rep2.passed and rep2.exit_code == 0
     assert rep2.evidence == {"reason": "requires n > d", "n": 2, "d": 2}
-    witness = laws._sweep_classes(zero_digits(system), F2, [1], 2, CheckScope())[3]
+    witness = laws._sweep_classes(zero_digits(system), F2, [1], 2, CheckScope(), {})[3]
     assert witness is not None and sorted(witness["counts"]) == [0, 1]
     assert LawReport("warning-hyperplanes", True, False, {}, witness).exit_code == 2
 
@@ -468,7 +467,7 @@ def _swept(system, law, scope, past_gate):
     assert not check_congruence(system, law, scope).applicable
     F, n = system.field, system.nvars
     Z = zero_points(system)
-    checked, per_dim, truncated, witness = laws._sweep_classes(point_digits(Z, F), F, [n - 1], F.p, scope)
+    checked, per_dim, truncated, witness = laws._sweep_classes(point_digits(Z, F), F, [n - 1], F.p, scope, {})
     evidence = {"modulus": F.p, "classes_checked": checked, "per_dim": per_dim, "zero_count": len(Z)}
     if witness is None:
         evidence["truncated"] = truncated
@@ -485,11 +484,14 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
     # the hyperplane classes of the systems with n = d, where the law does
     # not apply, are swept directly, as that is where the congruence fails
     assert {sy.field.q for sy in DIFFERENTIAL_SYSTEMS} == {2, 3, 4, 5, 7, 8, 9}
+    # the walk memo is emptied before each sweep, so that no congruence note
+    # left by an earlier sweep of the system spares a batch its check
     failures = cuts = crossed = 0
     for system in DIFFERENTIAL_SYSTEMS:
         for law in ("parallel-subspaces", "warning-hyperplanes"):
             past_gate = law == "warning-hyperplanes" and not system.nvars > system.total_degree
             log = _BatchLog(monkeypatch)
+            counting.WALKS.clear()
             total = _swept(system, law, CheckScope(budget=10**9), past_gate)[0]["classes_checked"]
             sizes = list(log.sizes)
             scopes = [CheckScope(budget=b) for b in (10**9, 0, total - 1, total)]
@@ -501,6 +503,7 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
                 scopes.append(CheckScope(budget=sum(sizes[:k]) + 1))
             for scope in scopes:
                 log.sizes.clear()
+                counting.WALKS.clear()
                 got = _swept(system, law, scope, past_gate)
                 evidence, witness = _reference_report(system, law, scope)
                 assert got == (evidence, witness), (system, law, scope)
@@ -513,6 +516,87 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
     assert failures > 0  # the violating systems fail on their hyperplanes
     assert cuts > 0
     assert crossed > 0 or batch == 7  # BATCH = 7 leaves one space per batch
+
+
+def _noted_body(system, law, scope):
+    """check_congruence's body, or, past the hyperplane law's gate, the result
+    of its sweep mod p on the walk's own digits and congruence notes."""
+    F, n = system.field, system.nvars
+    if law == "warning-hyperplanes" and not n > system.total_degree:
+        X, agreed = counting.zero_digits_with_notes(system)
+        return laws._sweep_classes(X, F, [n - 1], F.p, scope, agreed)
+    return check_congruence(system, law, scope).to_json()
+
+
+def _note_scopes(system, law):
+    """Whole sweeps, dim = n - 1, seeded samples, and budgets that cut each
+    swept dimension halfway."""
+    F, n, d = system.field, system.nvars, system.total_degree
+    dims = [n - 1] if law == "warning-hyperplanes" else list(range(d, n + 1))
+    sizes = [gaussian_binomial(F.q, n, m) for m in dims]
+    scopes = [CheckScope(budget=10**9), CheckScope(dim=n - 1)]
+    scopes += [CheckScope(all_pairs=False, sample=6, seed=s) for s in (3, 4)]
+    scopes += [CheckScope(budget=sum(sizes[:i]) + size // 2) for i, size in enumerate(sizes) if size > 1]
+    return scopes
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+def test_congruence_notes_leave_every_body_as_a_fresh_walk_gives(batch, monkeypatch):
+    # every (law, scope) pair, run in both orders on one system object, where
+    # the second run reads the notes the first left on the walk: its body is
+    # the one it gives on a fresh walk.  The systems over F_4, F_8 and F_9
+    # note their hyperplanes mod q before the law mod p reads them, and the
+    # violating systems note the spaces before their first failure
+    if batch:
+        monkeypatch.setattr(laws, "BATCH", batch)
+    log = _BatchLog(monkeypatch)
+    fresh_checks = noted_checks = 0
+    for system in DIFFERENTIAL_SYSTEMS:
+        runs = [(law, scope) for law in ("parallel-subspaces", "warning-hyperplanes") for scope in _note_scopes(system, law)]
+        fresh, checks = [], []
+        for run in runs:
+            counting.WALKS.clear()
+            log.sizes.clear()
+            fresh.append(_noted_body(system, *run))
+            checks.append(len(log.sizes))
+        for (_, first), (j, second) in permutations(enumerate(runs), 2):
+            counting.WALKS.clear()
+            _noted_body(system, *first)
+            log.sizes.clear()
+            assert _noted_body(system, *second) == fresh[j], (system, first, second)
+            fresh_checks += checks[j]
+            noted_checks += len(log.sizes)
+    assert noted_checks < fresh_checks  # the notes spared some batches their check
+
+
+def test_mod_2_sweep_checks_from_the_space_where_mod_4_failed(monkeypatch):
+    # the planes of this cubic over F_4 all agree mod 2, but the fifth
+    # (b = 4) does not agree mod 4.  The mod-4 sweep notes the 4 before it;
+    # the mod-2 sweep on those notes passes them unchecked and checks the
+    # planes from b on, one a batch; the mod-4 sweep again checks from b on
+    # and fails there as before, since a mod-2 note says nothing mod 4
+    from cwlab.constructions import random_system
+
+    monkeypatch.setattr(laws, "BATCH", 7)  # 4 cosets a plane: one plane a batch
+    system = random_system(F4, 3, (3,), 72)
+    X, agreed = counting.zero_digits_with_notes(system)
+    assert agreed == {}
+    whole = CheckScope(budget=10**9)
+    fresh4, fresh2 = (laws._sweep_classes(X, F4, [2], M, whole, {}) for M in (4, 2))
+    log = _BatchLog(monkeypatch)
+    assert laws._sweep_classes(X, F4, [2], 4, whole, agreed) == fresh4
+    b, planes = fresh4[0] - 1, gaussian_binomial(4, 3, 2)
+    assert fresh4[3] is not None and b == 4 and agreed == {(2, 4): b}
+    log.sizes.clear()
+    assert laws._sweep_classes(X, F4, [2], 2, whole, agreed) == fresh2
+    assert fresh2 == (planes, {2: planes}, False, None)
+    assert log.sizes == [1] * (planes - b) and agreed == {(2, 4): b, (2, 2): planes}
+    log.sizes.clear()
+    assert laws._sweep_classes(X, F4, [2], 4, whole, agreed) == fresh4
+    assert log.sizes == [1]
+    # a sampled sweep neither reads nor writes notes
+    assert laws._sweep_classes(X, F4, [2], 2, CheckScope(all_pairs=False, sample=5), agreed)[1] == {2: 5}
+    assert log.sizes == [1] * 6 and agreed == {(2, 4): b, (2, 2): planes}
 
 
 @pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3)])
@@ -569,7 +653,7 @@ def test_direction_memo_keeps_its_byte_bound():
     # the bound together, so the least recently used tables are dropped
     for F in (F5, F4):
         Z = np.zeros((0, 5), dtype=np.intp)
-        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F), F, range(6), F.q, CheckScope(budget=10**9))
+        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F), F, range(6), F.q, CheckScope(budget=10**9), {})
         assert checked == sum(gaussian_binomial(F.q, 5, m) for m in range(6)) and not truncated
         memo = laws.DIRECTIONS
         assert 0 < sum(t.nbytes for t in memo.kept.values()) <= memo.bound
@@ -582,14 +666,14 @@ def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch
     Z = np.zeros((0, 5), dtype=np.intp)
     for budget in (1, 37, 500, 5000):
         laws.DIRECTIONS.clear()
-        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=budget))
+        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=budget), {})
         assert checked == budget and truncated
         assert budget <= laws.direction_table(F5, 5, 2).built <= 2 * budget
     rng = Random(7)
     Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
     laws.DIRECTIONS.clear()
     log = _BatchLog(monkeypatch)
-    witness = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=10**9))[3]
+    witness = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=10**9), {})[3]
     assert witness is not None and len(log.sizes) == 1  # it stops in its first batch
     assert laws.direction_table(F5, 5, 2).built <= 2 * log.sizes[0]
 
@@ -618,7 +702,7 @@ def test_batched_sweep_on_random_point_sets(monkeypatch):
         dims = list(range(rng.randrange(1, n + 1), n + 1))
         modulus = rng.choice([F.p, F.q])
         scope = CheckScope(budget=rng.choice([10**9, 10**9, rng.randrange(12)]))
-        got = laws._sweep_classes(point_digits(Z, F), F, dims, modulus, scope)
+        got = laws._sweep_classes(point_digits(Z, F), F, dims, modulus, scope, {})
         assert got == _reference_sweep(points, F, n, dims, modulus, scope), (F.q, n, points, dims, modulus)
         if got[3] is not None:
             depths.append(got[0])

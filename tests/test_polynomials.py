@@ -283,3 +283,32 @@ def test_derived_systems_equal_the_rebuilt_ones():
             assert got.degrees == want.degrees == system.degrees
             assert got.total_degree == want.total_degree
             assert got.is_homogeneous and want.is_homogeneous
+
+
+def _rescanned(f):
+    """(total degree, homogeneous) of f from a scan of its terms."""
+    degs = {sum(e) for e in f.terms}
+    return (max(degs) if degs else NEG_INF), len(degs) <= 1
+
+
+def test_degree_and_homogeneity_are_kept_from_one_scan():
+    # the pair is filled on first read and read again after, for seeded
+    # polynomials, the zero polynomial, and what +, *, homogenize and
+    # map_coefficients return
+    from cwlab.constructions import random_system
+
+    polys = [MultiPoly.zero(F3, 2), MultiPoly.constant(F4, 3, F4.one), parse_poly("x1^2 + x2*x3", F3, X123)]
+    polys += [f for seed in range(12) for f in random_system(F4, 3, (1 + seed % 3, 2), seed).polys]
+    derived = []
+    for f, g in zip(polys, polys[1:]):
+        if f.field == g.field and f.nvars == g.nvars:
+            derived += [f + g, f * g, f + (-f)]
+        if not f.is_zero:
+            derived.append(f.homogenize())
+        derived.append(f.map_coefficients(lambda c: f.field.mul(c, c), f.field))
+    assert all(h._degrees is None for h in derived)  # none read yet
+    for f in polys + derived:
+        want = _rescanned(f)
+        assert (f.total_degree, f.is_homogeneous) == want
+        assert f._degrees is not None and (f.total_degree, f.is_homogeneous) == want
+    assert any(h.is_zero for h in derived) and any(not h.is_homogeneous for h in derived)
