@@ -3,28 +3,35 @@
 Two independent engines are provided and must agree exactly:
 
 * the fast engine evaluates the system on the point grid in odometer order,
-  a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n,
-  in the log domain of the field's log/exp bundle (`FieldSpec.tables`),
-  on the logs of the coordinates.  A monomial is its word, the numbers of
-  its variables with repeats, and a polynomial's words are compiled into a
-  trie (`_plan`): a dense polynomial's plan is its shape's, of every word
-  of its lengths, where its exponent vectors name their rows (`_compiled`);
-  a sparse one's words are spelled by `_word`, its plan kept by a memo of
-  the last PLAN_MEMO.  Each level of the trie, the distinct prefixes of one
-  length, is one gather-add over the (variables x points) array of logs,
-  and every term's log sum plus its coefficient's log is one (terms x
-  points) stack, which `FieldTables.total` reduces once (`_evaluate`,
-  `evaluate_columns`).  A polynomial so costs O(deg f) array operations.
-  The polynomial with the fewest terms goes first, as the sum over the
-  powers of x_n of its coefficients' values at the prefixes times x_n^e,
-  split on its words in its plan; each later one is evaluated only at
-  the points where all earlier ones vanish, on their logs gathered from
-  the block's.  The surviving odometer indexes are the zero set.  A pass
-  whose prefixes fit in one block (q times their number at most CHUNK)
-  reads them and their logs from GRIDS, one table per (field, n, cone).  A
-  homogeneous system is counted on its cone instead: prefix 0 and the
-  normalized prefixes only, the zeros off the x_n-axis weighted by q - 1
-  (see `fast_count`);
+  a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n, by
+  one of two steps, which a rule picks per pass from its points, k and the
+  number |W| of the words of its system's term lengths (`_gemm_rule`).  A
+  pass of at most GEMM_POINTS points whose product does at most GEMM_ENTRIES
+  multiply-adds a polynomial takes the GEMM step (`_gemm_chunks`): every
+  polynomial at every point is one exact float32 product of the
+  coefficients' F_p-matrices of multiplication and a memo-kept matrix of the
+  digits of the monomials' values (`_monomials`), read mod p.  Every other
+  pass takes the trie step (`_trie_chunks`), in the log domain of the
+  field's log/exp bundle (`FieldSpec.tables`), on the logs of the
+  coordinates.  A monomial is its word, the numbers of its variables with
+  repeats, and a polynomial's words are compiled into a trie (`_plan`): a
+  dense polynomial's plan is its shape's, of every word of its lengths,
+  where its exponent vectors name their rows (`_compiled`); a sparse one's
+  words are spelled by `_word`, its plan kept by a memo of the last
+  PLAN_MEMO.  Each level of the trie, the distinct prefixes of one length,
+  is one gather-add over the (variables x points) array of logs, and every
+  term's log sum plus its coefficient's log is one (terms x points) stack,
+  which `FieldTables.total` reduces once (`_evaluate`, `evaluate_columns`).
+  A polynomial so costs O(deg f) array operations.  The polynomial with the
+  fewest terms goes first, as the sum over the powers of x_n of its
+  coefficients' values at the prefixes times x_n^e, split on its words in
+  its plan; each later one is evaluated only at the points where all earlier
+  ones vanish, on their logs gathered from the block's.  Both steps give the
+  surviving odometer indexes, the zero set.  A pass whose prefixes fit in
+  one block (q times their number at most CHUNK) reads them and their logs
+  from GRIDS, one table per (field, n, cone).  A homogeneous system is
+  counted on its cone instead: prefix 0 and the normalized prefixes only,
+  the zeros off the x_n-axis weighted by q - 1 (see `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
 
 The laws on one system (Chevalley, Ax, the homogenization identity, the
@@ -330,6 +337,13 @@ def _sliced(part, width: int, step: int) -> np.ndarray:
 
 def _evaluate_slice(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
     """`_evaluate` on one slice of points."""
+    return T.total(_log_sums(plan, shifts, logs, T), plan.sizes)
+
+
+def _log_sums(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
+    """Each term's log sum plus its shift at the points whose coordinates'
+    logs are the columns of logs: the (terms x points) stack of `_evaluate`,
+    which exp reads as the terms' values."""
     buf = np.empty((plan.nodes, logs.shape[1]), dtype=logs.dtype)
     if plan.empty:
         buf[0] = 0
@@ -342,7 +356,7 @@ def _evaluate_slice(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTa
             np.add(buf.take(parents, axis=0), logs.take(variables, axis=0), out=buf[start:stop])
     stack = buf.take(plan.rows, axis=0)
     stack += shifts[:, None]
-    return T.total(stack, plan.sizes)
+    return stack
 
 
 def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
@@ -407,11 +421,139 @@ def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.n
     return grid
 
 
+# the step rule (`_gemm_rule`): a pass of at most GEMM_POINTS points whose
+# product does at most GEMM_ENTRIES multiply-adds a polynomial, k^2 |W| points,
+# takes the GEMM step; its M' then holds k|W| points entries, at most 256 KiB
+# in float32.  The rule admits every corpus pass (q <= 5, n <= 6, degree <= 3,
+# so |W| <= 84) of at most GEMM_POINTS points
+GEMM_POINTS = 1 << 8
+GEMM_ENTRIES = 1 << 16
+# an entry of the GEMM step's product sums k|W| products of F_p-digits, each
+# at most (p - 1)^2, non-negative integers, so every partial sum, in any
+# blocking or thread split, is below k|W| p^2 <= k^2 |W| points * p, which
+# the rule keeps within GEMM_ENTRIES * GEMM_POINTS = 2^24 (p <= q <= points):
+# float32 holds each one exactly.  `_monomials` asserts the bound
+GEMM_EXACT = 1 << 24
+
+# bytes of the GEMM step's M' matrices and their points (see `_monomials`),
+# at most 258 KiB an entry
+MONOMIALS = Memo(1 << 20)
+
+
+def _gemm_rule(points: int, words: int, k: int) -> bool:
+    """Whether a pass of this many points over F_{p^k}, of a system whose
+    term lengths have this many words in its variables, takes the GEMM
+    step (see GEMM_POINTS)."""
+    return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES
+
+
+def _lengths(system: PolySystem) -> tuple[int, ...]:
+    """The lengths of the words of the system's terms (their total
+    degrees), ascending, once each."""
+    return tuple(sorted({sum(exps) for f in system.polys for exps in f.terms}))
+
+
 def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
     """Odometer indexes of the common zeros at the prefixes a pass visits
     (see `_prefix_ranges`), ascending, one array per block (see `_blocks`).
 
     A block is a set of prefixes (x_1 .. x_{n-1}) with every value of x_n.
+    A pass takes one of two steps, by the rule of `_gemm_rule`, which reads
+    only its points (q times its prefixes), the number |W| of the words of
+    its system's term lengths (`_lengths`) and k: the GEMM step
+    (`_gemm_chunks`) for a pass of at most GEMM_POINTS points whose product
+    does at most GEMM_ENTRIES multiply-adds a polynomial, k^2 |W| points,
+    and the trie step (`_trie_chunks`) for every other.  Both visit the
+    same points in the same order and give the same zeros.
+    """
+    F = system.field
+    q, n = F.q, system.nvars
+    if not n:
+        # the one point; a system's polynomials are nonzero constants here
+        yield np.zeros(0, dtype=np.intp)
+        return
+    points = q * sum(map(len, _prefix_ranges(q, n, cone)))
+    if points <= GEMM_POINTS:  # the rule's first bound, before |W| is counted
+        lengths = _lengths(system)
+        if _gemm_rule(points, sum(comb(n + l - 1, l) for l in lengths), F.k):
+            yield from _gemm_chunks(system, cone, lengths)
+            return
+    yield from _trie_chunks(system, cone)
+
+
+def _monomials(T: FieldTables, n: int, cone: bool, lengths: tuple[int, ...]) -> tuple[np.ndarray, dict, np.ndarray]:
+    """(M', rows, points) for the GEMM step on the passes of shape (T's
+    field, n, cone) of the systems whose term lengths are lengths, kept in
+    MONOMIALS.
+
+    W is every word of those lengths in n variables, in the order of their
+    shape's plan (`_shape`), rows names each exponent vector's word, and
+    points holds the pass's points as odometer indexes, in order.  M' is a
+    read-only float32 (k|W|, points) array: entry ((w, a), x) is the
+    F_p-digit a of w(x), w's value at the pass's point x.  The values of
+    every word at every point are one trie evaluation of the shape's plan,
+    with every coefficient 1, on the logs of the pass's points.  GEMM_EXACT
+    is asserted here.
+    """
+    key = (T, n, cone, lengths)
+    hit = MONOMIALS.get(key)
+    if hit is None:
+        F = T.field
+        q, k = F.q, F.k
+        plan, rows = _shape(n, lengths, None)
+        W = len(rows)
+        assert k * W * (F.p - 1) ** 2 < GEMM_EXACT, f"{k} * {W} * ({F.p} - 1)^2 is past the exact float32 range"
+        pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, cone)])
+        points = (pre[:, None] * q + np.arange(q)).ravel()
+        logs = T.log.take(_coordinates(points, q, n))
+        values = T.exp.take(_log_sums(plan, np.zeros(W, logs.dtype), logs, T), mode="clip")
+        M = T.digits(values).transpose(0, 2, 1).reshape(W * k, -1).astype(np.float32)
+        M.flags.writeable = points.flags.writeable = False
+        hit = M, rows, points
+        MONOMIALS.put(key, hit, M.nbytes + points.nbytes)  # rows is `_shape`'s own dict
+    return hit
+
+
+def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """`_zero_chunks` by the GEMM step, lengths being `_lengths(system)`.
+
+    Every polynomial is evaluated at every point of the pass by one product
+    C M' read mod p, M' the digits of the words' values (see `_monomials`).
+    C is an (rk, k|W|) float32 array, zero for each word a polynomial
+    lacks: c * w(x) is the sum over a of digit a of w(x) times c * g^a, so
+    entry ((i, b), (w, a)) is digit b of c * g^a, c the coefficient of w in
+    f_i, read from `FieldTables.mul_matrices` as in `geometry._tail_map`
+    (over a prime field, c itself).  Row (i, b) of the product is then
+    digit b of f_i at every point, and a point is a zero when all rk of
+    them are 0 mod p.  The product is exact (see GEMM_EXACT).  At the
+    default CHUNK such a pass is one block; a smaller one splits it, and
+    each block takes its own columns of M' and its own points.
+    """
+    F = system.field
+    T, q, p, k = F.tables, F.q, F.p, F.k
+    M, rows, points = _monomials(T, system.nvars, cone, lengths)
+    r, W = system.r, len(rows)
+    coeffs = [0] * (r * W)
+    for i, f in enumerate(system.polys):
+        for exps, c in f.terms.items():
+            coeffs[i * W + rows[exps]] = c
+    if k == 1:
+        C = np.array(coeffs, dtype=np.float32).reshape(r, W)
+    else:  # [i, w, a, b] -> [(i, b), (w, a)]
+        C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2)
+        C = C.reshape(r * k, W * k).astype(np.float32)
+    lo = 0
+    for pre, _ in _blocks(T, system.nvars, cone):
+        hi = lo + len(pre) * q
+        R = (C @ M[:, lo:hi]).astype(np.int32)
+        R %= p
+        yield points[lo:hi][R.sum(axis=0) == 0]
+        lo = hi
+
+
+def _trie_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
+    """`_zero_chunks` by the trie step, for a system in n >= 1 variables.
+
     The polynomial with the fewest terms goes first, as the sum of
     g_e * x_n^e over the powers e of x_n, split off in its plan (see
     `_plan`): one `_evaluate` gives every g_e at every prefix, on the
@@ -424,10 +566,6 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
     F = system.field
     q, n = F.q, system.nvars
     T = F.tables
-    if not n:
-        # the one point; a system's polynomials are nonzero constants here
-        yield np.zeros(0, dtype=np.intp)
-        return
     first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
     log = T.log
     plan, shifts = _compiled(first, T, n - 1)
@@ -558,7 +696,10 @@ def fast_count(system: PolySystem) -> int:
 
 def kernel_points(system: PolySystem) -> int:
     """The points at which `fast_count`'s pass evaluates the system's first
-    polynomial: every visited prefix with every value of x_n.  It does not
+    polynomial: every visited prefix with every value of x_n.  The GEMM
+    step evaluates every polynomial at all of them and the trie step the
+    later polynomials at the survivors only, but both visit these points,
+    so the number is the same whichever step the rule picks.  It does not
     depend on the memo."""
     q = system.field.q
     ranges = _prefix_ranges(q, system.nvars, _on_cone(system))

@@ -361,8 +361,9 @@ class FieldSpec:
 
 
 # bytes of (tables, powers) -> `FieldTables.power_logs`, as build_field keeps
-# every field: a table is a few KB over the suite's and benchmark's fields, 4 MiB
-# a power at q = 2^20, where a rebuild costs about what a 1-variable count does
+# up to FIELD_MEMO fields: a table is a few KB over the suite's and benchmark's
+# fields, 4 MiB a power at q = 2^20, where a rebuild costs about what a
+# 1-variable count does
 POWER_LOGS = Memo(1 << 24)
 
 
@@ -616,13 +617,22 @@ class FieldTables:
         return self._packings[radix, digits]
 
 
-@lru_cache(maxsize=None)
+# keys build_field keeps, each spelling of a modulus its own key; past the
+# bound the least recently used key goes, and a later call with it builds a
+# new object, equal to the old one
+FIELD_MEMO = 1 << 7
+
+
+@lru_cache(maxsize=FIELD_MEMO)
 def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
     """Construct F_{p^k} on the canonically least monic irreducible modulus.
 
     Moduli are compared as coefficient tuples (c0, ..., ck) ascending by
     degree, lexicographically.  An explicit modulus (ascending coefficients,
-    monic, irreducible) may be supplied instead.
+    monic, irreducible) may be supplied instead.  It is normalized before a
+    field is built: its coefficients are reduced mod p, and the canonical
+    modulus gives the field of the None key, so two spellings of one field
+    give one object, with one `FieldTables` and one set of memo entries.
     """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
@@ -631,9 +641,13 @@ def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> Field
     if p**k > FIELD_SIZE_CAP:
         raise DegreeTooLarge(f"p^k = {p}^{k} exceeds the cap {FIELD_SIZE_CAP}")
     if modulus is not None:
-        modulus = tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
+        given, modulus = modulus, tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k (ascending coefficients)")
+        if modulus == build_field(p, k).modulus:
+            return build_field(p, k)
+        if modulus != given:
+            return build_field(p, k, modulus)
         if not _is_irreducible_fp(modulus, p):
             raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
         return FieldSpec(p, k, modulus)

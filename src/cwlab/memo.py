@@ -1,6 +1,7 @@
-"""One bounded memo for the caches of arrays (`counting.GRIDS` and `WALKS`,
-`laws.DIRECTIONS`, `fields.POWER_LOGS`), each bound stated at its instance.
-`MEMOS` holds them all, to empty them at once.  No report depends on a hit."""
+"""One bounded memo for the caches of arrays (`counting.GRIDS`, `MONOMIALS`
+and `WALKS`, `laws.DIRECTIONS`, `fields.POWER_LOGS`), each bound stated at
+its instance.  `MEMOS` holds them all, to empty them at once.  No report
+depends on a hit, and no report body reads the counters."""
 
 from __future__ import annotations
 
@@ -14,19 +15,25 @@ class Memo:
     """Values by key, least recently used first, within `bound` bytes and,
     if `entries` is given, at most that many values.  A hit is one pop and
     reinsert (`get`); `put` runs on a miss or when a kept value grows, and
-    `held` keeps the running total of the sizes it was told."""
+    `held` keeps the running total of the sizes it was told.  Since the
+    last `clear`, `hits` and `misses` count the reads that found a value
+    and those that did not, and `evictions` the values that `put` dropped
+    to make room for another."""
 
     def __init__(self, nbytes: int, entries: int | None = None):
         self.bound, self.entries = nbytes, entries
         self.kept: dict = {}  # key -> value, least recently used first
         self.sizes: dict = {}  # key -> the bytes its value holds
-        self.held = 0
+        self.held = self.hits = self.misses = self.evictions = 0
         MEMOS.add(self)
 
     def get(self, key: Hashable):
         """The value under key, now the most recently used; None if none."""
         value = self.kept.pop(key, None)
-        if value is not None:
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
             self.kept[key] = value
         return value
 
@@ -46,6 +53,7 @@ class Memo:
             old = next(iter(kept))
             del kept[old]
             held -= sizes.pop(old)
+            self.evictions += 1
         kept[key], sizes[key] = value, nbytes
         self.held = held
         return True
@@ -53,4 +61,4 @@ class Memo:
     def clear(self) -> None:
         self.kept.clear()
         self.sizes.clear()
-        self.held = 0
+        self.held = self.hits = self.misses = self.evictions = 0

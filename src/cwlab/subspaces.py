@@ -270,13 +270,6 @@ def affine_span(ps: PointSet) -> AffineSubspace:
     return AffineSubspace(ps.field, pts[0].tolist(), rows)
 
 
-def max_general_position(ps: PointSet) -> list[tuple[int, ...]]:
-    """Greedy maximal general-position subset, in canonical point order;
-    it has affine_span(ps).dim + 1 points."""
-    pts = _sorted_array(ps)
-    return [tuple(pts[j].tolist()) for j in _greedy_span(ps.field, pts)[1]]
-
-
 def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
     """The dimension of the affine subspace whose point set is pts, or None
     when pts is empty or is not such a set.

@@ -1126,3 +1126,161 @@ def test_plan_memo_is_bounded():
     for i in range(counting.PLAN_MEMO + 10):
         counting._plan(((), (i,)), None)
     assert counting._plan.cache_info().currsize == counting.PLAN_MEMO
+
+
+# -- the two steps of a pass: the GEMM step against the trie step ----------------
+
+# q -> (n of a grid pass, n of a cone pass), each pass within GEMM_POINTS
+STEP_SHAPES = {2: (5, 5), 3: (4, 5), 4: (3, 3), 5: (3, 4), 7: (2, 3), 8: (2, 3), 9: (2, 3)}
+
+
+def _sparse(F, n, seed):
+    """A polynomial of three to five terms with nonzero seeded coefficients,
+    each term x_i^e with e in {1, 2, q, q + 1} or x_i * x_j."""
+    rng = Random(seed)
+    terms = {}
+    size = rng.randrange(3, 6)
+    while len(terms) < size:
+        exps = [0] * n
+        if rng.random() < 0.5 and n > 1:
+            for i in rng.sample(range(n), 2):
+                exps[i] = 1
+        else:
+            exps[rng.randrange(n)] = rng.choice((1, 2, F.q, F.q + 1))
+        terms[tuple(exps)] = rng.randrange(1, F.q)
+    return MultiPoly(F, n, terms)
+
+
+def _step_systems(q: int, cone: bool) -> list:
+    """For each r in 1..3: a dense seeded system, a sparse one with exponents
+    at least q, and one with a nonzero constant polynomial; homogeneous ones
+    (forms) for a cone pass."""
+    F = {8: build_field(2, 3), 9: build_field(3, 2), 4: F4}.get(q) or build_field(q, 1)
+    n = STEP_SHAPES[q][cone]
+    out = []
+    for r in (1, 2, 3):
+        degrees = (2, 3, 1)[:r] if q ** n <= 64 else (2, 1, 1)[:r]
+        dense = random_system(F, n, degrees, 7 * q + r)
+        sparse = [_sparse(F, n, 100 * q + 10 * r + i) for i in range(r)]
+        if cone:
+            dense = dense.leading_system()
+            sparse = [_form(f) for f in sparse]
+        const = MultiPoly.constant(F, n, F.one)
+        out += [dense, PolySystem(sparse), PolySystem(sparse[: r - 1] + [const])]
+    return out
+
+
+def _form(f):
+    """f's terms of its largest total degree: a form."""
+    d = max(map(sum, f.terms))
+    return MultiPoly(f.field, f.nvars, {e: c for e, c in f.terms.items() if sum(e) == d})
+
+
+def _steps(system, cone):
+    """One pass by each step, called directly past the rule: the zero
+    indexes of the GEMM step and of the trie step."""
+    gemm = list(counting._gemm_chunks(system, cone, counting._lengths(system)))
+    trie = list(counting._trie_chunks(system, cone))
+    return np.concatenate(gemm), np.concatenate(trie)
+
+
+def _pass_shape(system, cone):
+    """(points, |W|, k) of a pass, as the step rule reads them."""
+    F, n = system.field, system.nvars
+    points = F.q * sum(map(len, counting._prefix_ranges(F.q, n, cone)))
+    words = sum(math.comb(n + l - 1, l) for l in counting._lengths(system))
+    return points, words, F.k
+
+
+@pytest.mark.parametrize("q", sorted(STEP_SHAPES))
+@pytest.mark.parametrize("cone", [False, True])
+def test_gemm_step_matches_trie_step_and_oracle(q, cone):
+    for system in _step_systems(q, cone):
+        assert counting._gemm_rule(*_pass_shape(system, cone)), system
+        gemm, trie = _steps(system, cone)
+        assert gemm.tolist() == trie.tolist()
+        assert (np.diff(gemm) > 0).all()
+        want = oracle_count(system)
+        if cone:
+            axis = int(np.count_nonzero(gemm < q))
+            assert axis + (q - 1) * (len(gemm) - axis) == want
+        else:
+            # a listed walk: the same ascending indexes as the points that vanish
+            filtered = [pt for pt in product(range(q), repeat=system.nvars) if vanishes(system, pt)]
+            listed = counting._coordinates(gemm, q, system.nvars).T.tolist()
+            assert walked(zero_set, system) == filtered == list(map(tuple, listed))
+        assert walked(fast_count, system) == want
+
+
+@pytest.mark.parametrize("chunk", [None, 20])
+def test_gemm_step_takes_each_blocks_columns(chunk, monkeypatch):
+    # with a small CHUNK a pass the rule admits spans several blocks, and each
+    # block takes its own columns of M' and its own points
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+    for q in (3, 5, 9):
+        for cone in (False, True):
+            for system in _step_systems(q, cone):
+                blocks = list(counting._gemm_chunks(system, cone, counting._lengths(system)))
+                assert len(blocks) == len(list(counting._blocks(system.field.tables, system.nvars, cone)))
+                gemm, trie = np.concatenate(blocks), np.concatenate(list(counting._trie_chunks(system, cone)))
+                assert gemm.tolist() == trie.tolist()
+
+
+def test_step_rule_at_its_bounds(monkeypatch):
+    # F_256 in one variable is a pass of GEMM_POINTS points, and with four
+    # words (k^2 |W| points = GEMM_ENTRIES) it takes the GEMM step; F_257 in
+    # one variable is one point past the bound, and takes the trie step, as
+    # does a pass of GEMM_POINTS points with one word past GEMM_ENTRIES
+    calls = []
+    real = counting._gemm_chunks
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_gemm_chunks", spy)
+    assert counting._gemm_rule(counting.GEMM_POINTS, 1, 1) and not counting._gemm_rule(counting.GEMM_POINTS + 1, 1, 1)
+    F256, F257 = build_field(2, 8), build_field(257, 1)
+    at = PolySystem([MultiPoly(F256, 1, {(0,): F256.one, (1,): 3, (2,): 5, (257,): 7})])
+    past = PolySystem([MultiPoly(F257, 1, {(0,): 1, (1,): 3, (2,): 5, (257,): 7})])
+    assert _pass_shape(at, False) == (256, 4, 8) and 8 * 8 * 4 * 256 == counting.GEMM_ENTRIES
+    assert _pass_shape(past, False)[0] == counting.GEMM_POINTS + 1
+    F2_8 = PolySystem([MultiPoly(F2, 8, {(1,) * 4 + (0,) * 4: 1, (0,) * 8: 1})])  # words of lengths 0 and 4: 1 + 330
+    assert _pass_shape(F2_8, False) == (256, 331, 1) and 331 * 256 > counting.GEMM_ENTRIES
+    for system, gemm in ((at, True), (past, False), (F2_8, False)):
+        calls.clear()
+        assert walked(fast_count, system) == oracle_count(system)
+        assert calls == ([system] if gemm else [])
+
+
+def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
+    # the rule bounds k|W|(p - 1)^2, the largest partial sum of the product,
+    # below GEMM_EXACT = 2^24 for every field it can meet (q <= points <=
+    # GEMM_POINTS); the largest it admits is F_251 in one variable with 261
+    # words, every length from 0 to 260, which the GEMM step counts exactly
+    from cwlab.fields import is_prime
+
+    worst = (0, None)
+    for q in range(2, counting.GEMM_POINTS + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = round(math.log(q, p))
+        if not is_prime(p) or p**k != q:
+            continue
+        for points in range(q, counting.GEMM_POINTS + 1, q):
+            words = counting.GEMM_ENTRIES // (k * k * points)
+            assert counting._gemm_rule(points, words, k) and not counting._gemm_rule(points, words + 1, k)
+            assert k * words * (p - 1) ** 2 < counting.GEMM_EXACT
+            worst = max(worst, (k * words * (p - 1) ** 2, (p, k, words)))
+    assert worst == (261 * 250**2, (251, 1, 261))
+    F = build_field(251, 1)
+    f = MultiPoly(F, 1, {(e,): 250 - e % 7 for e in range(261)})
+    system = PolySystem([f])
+    assert counting._gemm_rule(*_pass_shape(system, False))
+    gemm, trie = _steps(system, False)
+    assert gemm.tolist() == trie.tolist() == [x for x in range(251) if f.evaluate((x,)) == 0]
+    # the matrix's builder asserts the bound itself: at p = 251, 268 words
+    # keep k|W|(p - 1)^2 below 2^24 and 269 do not
+    assert counting._monomials(F.tables, 1, False, tuple(range(268)))[0].shape == (268, 251)
+    with pytest.raises(AssertionError):
+        counting._monomials(F.tables, 1, False, tuple(range(269)))

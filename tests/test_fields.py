@@ -41,6 +41,33 @@ def test_build_field_rejections():
         build_field(2, 0)
 
 
+def test_one_field_object_per_field():
+    # a modulus spelled out, its coefficients reduced mod p or not, gives the
+    # canonical field's own object, so a system read back from its file
+    # shares the field's tables (and so its grid, power-log and monomial
+    # memo entries); another irreducible modulus is another field
+    from cwlab import fields
+    from cwlab.formats import read_sys, write_sys
+    from cwlab.polynomials import PolySystem, parse_poly
+
+    assert build_field.cache_info().maxsize == fields.FIELD_MEMO
+    for p, k in ((2, 1), (3, 1), (5, 1), (2, 2), (5, 2), (2, 4), (3, 3)):
+        F = build_field(p, k)
+        shifted = tuple(c + p for c in F.modulus[:-1]) + (1,)
+        assert build_field(p, k, F.modulus) is F and build_field(p, k, shifted) is F
+        names = ["x1", "x2"]
+        system = PolySystem([parse_poly("x1*x2 + x1 + 1", F, names)])
+        field, _, read = read_sys(write_sys(F, names, system))
+        assert field is build_field(p, k) and read.field is F and field.tables is F.tables
+    other = build_field(5, 2, (2, 0, 1))  # x^2 + 2, irreducible over F_5
+    assert other.modulus == (2, 0, 1) != F25.modulus and other != F25
+    assert build_field(5, 2, (7, 5, 1)) is other
+    # an invalid modulus is rejected as before, reduced or not
+    for bad in ((1, 0, 1), (6, 0, 1), (1, 1), (1, 1, 2)):
+        with pytest.raises(ValueError):
+            build_field(5, 2, bad)
+
+
 def test_arith_examples():
     assert F2.add(1, 1) == 0
     g = F9.generator

@@ -13,12 +13,12 @@ from cwlab.fields import build_field
 from cwlab.subspaces import (
     AffineSubspace,
     _greedy_span,
+    _sorted_array,
     PointSet,
     affine_span,
     direction_spaces,
     gaussian_binomial,
     is_linear_subspace,
-    max_general_position,
     rref,
     subspace_dim,
 )
@@ -26,6 +26,14 @@ from cwlab.subspaces import (
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
 F4 = build_field(2, 2)
+
+
+def max_general_position(ps: PointSet) -> list[tuple[int, ...]]:
+    """Reference: a greedy maximal general-position subset, in canonical
+    point order, read from the span's pass (`_greedy_span`); it has
+    affine_span(ps).dim + 1 points."""
+    pts = _sorted_array(ps)
+    return [tuple(pts[j].tolist()) for j in _greedy_span(ps.field, pts)[1]]
 
 
 def test_canonicalize_examples():
