@@ -617,9 +617,10 @@ class FieldTables:
         return self._packings[radix, digits]
 
 
-# keys build_field keeps, each spelling of a modulus its own key; past the
-# bound the least recently used key goes, and a later call with it builds a
-# new object, equal to the old one
+# keys build_field keeps, each spelling of a modulus its own key, and
+# (small, big) pairs embed_subfield keeps; past the bound the least recently
+# used key goes, and a later call with it builds a new object, equal to the
+# old one
 FIELD_MEMO = 1 << 7
 
 
@@ -730,7 +731,7 @@ def _embedding_for_root(small: FieldSpec, big: FieldSpec, img: int) -> tuple[int
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_MEMO)
 def embed_subfield(small: FieldSpec, big: FieldSpec) -> Embedding:
     """Canonical embedding of the small field into the big one.
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .counting import (
+    _coordinates,
     basis_entries,
     coset_ids,
     coset_matrix,
@@ -36,7 +37,6 @@ from .subspaces import (
     AffineSubspace,
     PointSet,
     affine_span,
-    direction_spaces,
     gaussian_binomial,
     rref,
     subspace_dim,
@@ -172,53 +172,38 @@ def _coset_residue_check(
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def _pattern_batches(F: FieldSpec, n: int, m: int, cap: int, lo: int = 0):
-    """The direction spaces of `direction_spaces(F, n, m)` from number lo
-    on, in its order, as (pivots, entries) batches of cap spaces (the last
-    may hold fewer), with pivots a (B, m) array: a batch runs on across
-    pivot patterns.
+def _pattern_slice(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The direction spaces lo .. hi - 1 (lo < hi <= the Gaussian binomial)
+    of `direction_spaces(F, n, m)`, in its order, as (pivots, entries), with
+    pivots a (hi - lo, m) array: the slice runs on across pivot patterns.
 
     The spaces of one pivot pattern are numbered in odometer order over its
-    free cells, the last cell fastest, so entry (i, k) of space t is one
-    base-q digit of t: t // q^e % q at the cell e places from the end, and
-    t // _INTP_MAX % q = 0 off the cells (a place past every number gives
+    free cells, the last cell fastest, so entry (i, k) of space s is one
+    base-q digit of s: s // q^e % q at the cell e places from the end, and
+    s // _INTP_MAX % q = 0 off the cells (a place past every number gives
     digit 0, which also keeps the places in intp)."""
-    q, size = F.q, m * (n - m)
-    parts: list[tuple[tuple[int, ...], np.ndarray]] = []
-    room = cap
+    q = F.q
+    runs: list[tuple[tuple[int, ...], np.ndarray]] = []
     for pivots in combinations(range(n), m):
         free = [j for j in range(n) if j not in pivots]
         cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
         total = q ** len(cells)
-        if lo >= total:
-            lo -= total
-            continue
-        place = [_INTP_MAX] * size
-        for e, cell in enumerate(reversed(cells)):
-            place[cell] = min(q**e, _INTP_MAX)
-        place = np.array(place, dtype=np.intp)
-        while lo < total:
-            hi = min(lo + room, total)
-            parts.append((pivots, (np.arange(lo, hi)[:, None] // place % q).reshape(hi - lo, m, n - m)))
-            room -= hi - lo
-            lo = hi
-            if room == 0:
-                yield _joined(parts)
-                parts, room = [], cap
-        lo = 0
-    if parts:
-        yield _joined(parts)
-
-
-def _joined(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """One (pivots, entries) batch from runs of (pivot tuple, entries)."""
-    pivots = np.array([piv for piv, _ in parts], dtype=np.intp)
-    return pivots.repeat([len(e) for _, e in parts], axis=0), np.concatenate([e for _, e in parts])
+        if lo < total:
+            place = [_INTP_MAX] * (m * (n - m))
+            for e, cell in enumerate(reversed(cells)):
+                place[cell] = min(q**e, _INTP_MAX)
+            s = np.arange(lo, min(hi, total))
+            runs.append((pivots, (s[:, None] // np.array(place, dtype=np.intp) % q).reshape(len(s), m, n - m)))
+        lo, hi = max(lo - total, 0), hi - total
+        if hi <= 0:
+            break
+    pivots = np.array([piv for piv, _ in runs], dtype=np.intp).reshape(len(runs), m)
+    return pivots.repeat([len(e) for _, e in runs], axis=0), np.concatenate([e for _, e in runs])
 
 
 class DirectionTable:
     """The direction spaces of dimension m in A^n(F), in `direction_spaces`
-    order: each space's pivots and free entries, as `_pattern_batches` gives
+    order: each space's pivots and free entries, as `_pattern_slice` gives
     them, and its rows of `coset_matrix`.  They depend on (F, n, m) alone,
     so every sweep of that shape slices one table, whatever its batch size.
 
@@ -252,7 +237,7 @@ class DirectionTable:
 
     def build(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spaces lo .. hi - 1, afresh: (pivots, entries, coset_matrix rows)."""
-        pivots, entries = next(_pattern_batches(self.field, self.n, self.m, hi - lo, lo))
+        pivots, entries = _pattern_slice(self.field, self.n, self.m, lo, hi)
         pivots = pivots.astype(np.min_scalar_type(self.n))
         entries = entries.astype(np.min_scalar_type(self.field.q - 1))
         return pivots, entries, coset_matrix(pivots, entries, self.field)
@@ -313,10 +298,15 @@ def _sampled_batches(spaces: Iterator, n: int, cap: int):
         yield np.array(pivots, dtype=np.intp), np.stack(entries)
 
 
-def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, pair) -> dict:
-    """A failing space's RREF rows, rebuilt from its pivots and free
-    entries, with the offsets and counts of its two disagreeing cosets."""
+def _flat(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, coset: int) -> dict:
+    """The flat numbered coset in its space's `parallel_class`: its offset
+    (zero at the pivots, the coset number's base-q digits big-endian at the
+    free columns) and its RREF rows, rebuilt from the space's pivots and
+    free entries."""
     free = [j for j in range(n) if j not in pivots]
+    offset = [0] * n
+    for j in reversed(free):
+        coset, offset[j] = divmod(coset, F.q)
     rows = []
     for piv, vals in zip(pivots, entries.tolist()):
         row = [0] * n
@@ -324,13 +314,14 @@ def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, p
         for j, v in zip(free, vals):
             row[j] = v
         rows.append(row)
-    offsets = []
-    for coset, _ in pair:
-        off = [0] * n
-        for j in reversed(free):
-            coset, off[j] = divmod(coset, F.q)
-        offsets.append(off)
-    return {"rows": rows, "offsets": offsets, "counts": [count for _, count in pair]}
+    return {"offset": offset, "rows": rows}
+
+
+def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, pair) -> dict:
+    """A failing space's RREF rows, with the offsets and counts of its two
+    disagreeing cosets."""
+    flats = [_flat(F, n, pivots, entries, coset) for coset, _ in pair]
+    return {"rows": flats[0]["rows"], "offsets": [f["offset"] for f in flats], "counts": [count for _, count in pair]}
 
 
 def _sampled_direction_spaces(
@@ -700,14 +691,6 @@ def covering_trial(F: FieldSpec, n: int, rng: SplitMix64) -> LawReport:
 # -- saturated-set laws (the line/plane combinatorics) ------------------------------
 
 
-def _all_subspaces_of_dim(F: FieldSpec, t: int, m: int) -> list[AffineSubspace]:
-    out = []
-    for rows in direction_spaces(F, t, m):
-        probe = AffineSubspace(F, (0,) * t, rows)
-        out.extend(probe.parallel_class())
-    return out
-
-
 SATURATION_PARTS = ("i", "ii", "iii", "iv")
 
 
@@ -728,15 +711,17 @@ def _saturation_gates(q: int, t: int, part: str, m: int | None) -> None:
         raise InvalidArgument("part iv needs an integer m >= 2")
 
 
-# lines (planes for part i) the object-level check may walk: at the largest
-# accepted spaces, A^6(F_3) and part i on A^7(F_2), it takes a few seconds
+# flats of A^t the object-level check counts S on (lines; planes for part
+# i), counted before any work: A^6(F_3), part i on A^7(F_2) and A^2(F_251)
+# are within it
 SATURATION_FLATS = 100_000
 
 
 def saturation_check_budget(q: int, t: int, part: str, m: int | None = None) -> None:
     """The part's domain gates, then the object-level check's budget: it
-    walks every line of A^t (every plane for part i), and past
-    SATURATION_FLATS of them it raises BudgetExceeded before any work."""
+    counts S on every line of A^t (every plane for part i), q^(t - k) times
+    the Gaussian binomial [t choose k]_q of them, and past SATURATION_FLATS
+    it raises BudgetExceeded before any work."""
     _saturation_gates(q, t, part, m)
     k = 2 if part == "i" else 1
     # q >= 2, so past t = 40 there are more than 2^38 flats
@@ -745,6 +730,21 @@ def saturation_check_budget(q: int, t: int, part: str, m: int | None = None) -> 
         raise BudgetExceeded(
             f"the check would walk more than {SATURATION_FLATS} {what} of A^{t}(F_{q})"
         )
+
+
+def _flat_ids(F: FieldSpec, t: int, k: int, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The k-flats of A^t through the points X (`point_digits`, one column
+    a point), batch by batch of `direction_table(F, t, k)`: (pivots,
+    entries, ids), with ids[b, z] = b * q^(t - k) + the coset of the
+    batch's space b through point z.  So a batch numbers its flats in
+    `direction_spaces` x `parallel_class` order.  Nothing for no points,
+    or for k outside 0 .. t, which has no flats."""
+    if not (0 <= k <= t and X.shape[1]):
+        return
+    classes = F.q ** (t - k)
+    # batch working set: B*|X| flat numbers and B*q^(t-k) flats
+    for pivots, entries, matrix in direction_table(F, t, k).batches(max(1, BATCH // max(X.shape[1], classes))):
+        yield pivots, entries, coset_ids(X, pivots, entries, F, matrix) + classes * np.arange(len(entries))[:, None]
 
 
 def saturated_set_check(
@@ -760,6 +760,14 @@ def saturated_set_check(
                     of S lies in a hyperplane.
       iv  (m >= 2): every line meeting S twice has >= m+1
                     points of S                            =>  |S| >= (m^(t+1)-1)/(m-1).
+
+    Per batch of direction spaces, `_flat_ids` numbers the line (plane for
+    part i) through each point of S, and one bincount counts S on each; the
+    witness is the first flat, in `direction_spaces` x `parallel_class`
+    order, that S meets in 2 <= c < threshold points (part i: c = 3).  Part
+    iii's complement lies in a hyperplane when its coset numbers over one
+    direction space of dimension t - 1 are all equal: the first such names
+    the hyperplane.
     """
     F = S.field
     q, t = F.q, S.ambient
@@ -778,51 +786,37 @@ def saturated_set_check(
         return LawReport(law, False, True, evidence)
     evidence["general_position_points"] = span_dim + 1
 
-    if part == "i":
-        for P in _all_subspaces_of_dim(F, t, 2):
-            inter = sum(1 for pt in P.points() if pt in S)
-            if inter == 3:
+    k, low = (2, 3) if part == "i" else (1, 2)
+    threshold = {"i": 4, "ii": q, "iii": q - 1, "iv": (m or 0) + 1}[part]
+    pts = np.array(list(S.points), dtype=np.intp).reshape(len(S), t)
+    for pivots, entries, ids in _flat_ids(F, t, k, point_digits(pts, F)):
+        counts = np.bincount(ids.ravel(), minlength=len(entries) * q ** (t - k))
+        hit = np.flatnonzero((counts >= low) & (counts < threshold))
+        if len(hit):
+            b, coset = divmod(int(hit[0]), q ** (t - k))
+            flat = _flat(F, t, pivots[b].tolist(), entries[b], coset)
+            if part == "i":
                 evidence["reason"] = "a 2-plane meets S in exactly 3 points"
-                evidence["witness_plane"] = {
-                    "offset": list(P.offset),
-                    "rows": [list(r) for r in P.basis],
-                }
-                return LawReport(law, False, True, evidence)
-        conclusion = len(S) == q**t
-        return LawReport(law, True, conclusion, evidence, None if conclusion else {"size": len(S)})
-
-    lines = _all_subspaces_of_dim(F, t, 1)
-    threshold = {"ii": q, "iii": q - 1, "iv": (m or 0) + 1}[part]
-    for ln in lines:
-        inter = sum(1 for pt in ln.points() if pt in S)
-        if 2 <= inter < threshold:
-            evidence["reason"] = (
-                f"a line meets S in {inter} points, below the threshold {threshold}"
-            )
-            evidence["witness_line"] = {
-                "offset": list(ln.offset),
-                "rows": [list(r) for r in ln.basis],
-            }
+                evidence["witness_plane"] = flat
+            else:
+                evidence["reason"] = f"a line meets S in {counts[hit[0]]} points, below the threshold {threshold}"
+                evidence["witness_line"] = flat
             return LawReport(law, False, True, evidence)
 
-    if part == "ii":
+    if part in ("i", "ii"):
         conclusion = len(S) == q**t
     elif part == "iii":
-        complement = [
-            pt for pt in AffineSubspace.full_space(F, t).points() if pt not in S
-        ]
-        if not complement:
-            conclusion = True
-        else:
-            conclusion = False
-            for H in _all_subspaces_of_dim(F, t, t - 1):
-                if all(H.contains(pt) for pt in complement):
-                    conclusion = True
-                    evidence["complement_hyperplane"] = {
-                        "offset": list(H.offset),
-                        "rows": [list(r) for r in H.basis],
-                    }
-                    break
+        rest = np.ones(q**t, dtype=bool)
+        rest[pts @ q ** np.arange(t - 1, -1, -1)] = False
+        complement = _coordinates(np.flatnonzero(rest), q, t).T
+        conclusion = not len(complement)
+        for pivots, entries, ids in _flat_ids(F, t, t - 1, point_digits(complement, F)):
+            same = np.flatnonzero((ids == ids[:, :1]).all(axis=1))
+            if len(same):
+                b, coset = divmod(int(ids[same[0], 0]), q)
+                evidence["complement_hyperplane"] = _flat(F, t, pivots[b].tolist(), entries[b], coset)
+                conclusion = True
+                break
         evidence["complement_size"] = len(complement)
     else:  # iv
         need = (m**(t + 1) - 1) // (m - 1)  # type: ignore[operator]
@@ -841,23 +835,16 @@ SWEEP_CHUNK = 1 << 20
 
 
 def _subspace_masks(F: FieldSpec, t: int, k: int) -> np.ndarray:
-    """One uint32 point mask per k-flat of A^t, in `_all_subspaces_of_dim`
-    order: the q^t odometer points are bucketed by coset once per batch of
-    direction spaces, and each point's bit is or-ed into its coset's mask."""
-    if not 0 <= k <= t:
-        return np.zeros(0, dtype=np.uint32)
+    """One uint32 point mask per k-flat of A^t, in `direction_spaces` x
+    `parallel_class` order: each of the q^t odometer points has its bit or-ed
+    into the mask of the flat that `_flat_ids` numbers for it."""
     q = F.q
-    Z = np.arange(q**t)[:, None] // q ** np.arange(t - 1, -1, -1) % q
     bits = np.left_shift(np.uint32(1), np.arange(q**t, dtype=np.uint32))
-    X = point_digits(Z, F)
-    classes = q ** (t - k)
-    out = []
-    for pivots, entries, matrix in direction_table(F, t, k).batches(max(1, BATCH // q**t)):
-        ids = coset_ids(X, pivots, entries, F, matrix) + classes * np.arange(len(entries))[:, None]
-        masks = np.zeros(len(entries) * classes, dtype=np.uint32)
-        np.bitwise_or.at(masks, ids.ravel(), np.broadcast_to(bits, ids.shape).ravel())
-        out.append(masks)
-    return np.concatenate(out)
+    masks = [np.zeros(0, dtype=np.uint32)]
+    for _, entries, ids in _flat_ids(F, t, k, point_digits(_coordinates(np.arange(q**t), q, t).T, F)):
+        masks.append(np.zeros(len(entries) * q ** (t - k), dtype=np.uint32))
+        np.bitwise_or.at(masks[-1], ids.ravel(), np.broadcast_to(bits, ids.shape).ravel())
+    return np.concatenate(masks)
 
 
 def _sweep_masks(
@@ -929,6 +916,7 @@ def saturated_set_exhaustive(F: FieldSpec, t: int, part: str, m: int | None = No
         evidence["m"] = m
     witness = None
     if counterexamples:
-        first = [pt for i, pt in enumerate(product(range(q), repeat=t)) if counterexamples[0] >> i & 1]
+        bits = np.flatnonzero(counterexamples[0] >> np.arange(q**t) & 1)
+        first = list(map(tuple, _coordinates(bits, q, t).T.tolist()))
         witness = {"masks": counterexamples, "first_set": first}
     return LawReport(f"line-saturation-{part}-sweep", True, not counterexamples, evidence, witness)

@@ -1,5 +1,6 @@
 """Field construction, arithmetic, Frobenius, norms, and embeddings."""
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwlab import fields
 from cwlab.errors import DegreeTooLarge, DivisionByZero, NotADivisor, NotASubfield, NotPrime
 from cwlab.fields import (
     FieldSpec,
@@ -360,21 +362,42 @@ def test_embedding_is_injective_ring_hom():
             assert e(small.mul(a, b)) == big.mul(e(a), e(b))
 
 
+TOWERS = [
+    (2, 1, 2, 4),
+    (2, 1, 3, 6),
+    (2, 2, 4, 8),  # needs the subfield-compatibility side condition
+    (2, 2, 4, 12),
+    (2, 2, 6, 12),
+    (3, 1, 2, 4),
+    (3, 2, 4, 8),
+    (5, 1, 2, 4),
+]
+
+
 def test_embedding_tower_composition_commutes():
-    towers = [
-        (2, 1, 2, 4),
-        (2, 1, 3, 6),
-        (2, 2, 4, 8),  # needs the subfield-compatibility side condition
-        (2, 2, 4, 12),
-        (2, 2, 6, 12),
-        (3, 1, 2, 4),
-        (3, 2, 4, 8),
-        (5, 1, 2, 4),
-    ]
-    for p, a, b, c in towers:
+    for p, a, b, c in TOWERS:
         A, B, C = build_field(p, a), build_field(p, b), build_field(p, c)
         e_ab, e_bc, e_ac = embed_subfield(A, B), embed_subfield(B, C), embed_subfield(A, C)
         assert all(e_bc(e_ab(x)) == e_ac(x) for x in range(A.q)), (p, a, b, c)
+
+
+def test_embedding_memo_is_bounded(monkeypatch):
+    # the embeddings are kept for at most FIELD_MEMO pairs of fields; under
+    # a bound of 2, which drops the subfield embeddings that a compatible
+    # root is checked against while it is searched for, every tower still
+    # commutes, on the same tables
+    assert embed_subfield.cache_info().maxsize == fields.FIELD_MEMO
+    small = lru_cache(maxsize=2)(embed_subfield.__wrapped__)
+    monkeypatch.setattr(fields, "embed_subfield", small)
+    for p, a, b, c in TOWERS:
+        A, B, C = build_field(p, a), build_field(p, b), build_field(p, c)
+        e_ab, e_bc, e_ac = small(A, B), small(B, C), small(A, C)
+        assert all(e_bc(e_ab(x)) == e_ac(x) for x in range(A.q)), (p, a, b, c)
+        for e in (e_ab, e_bc, e_ac):
+            assert e.table == embed_subfield(e.small, e.big).table
+        assert small.cache_info().currsize <= 2
+    pairs = {(p, x, y) for p, a, b, c in TOWERS for x, y in ((a, b), (b, c), (a, c))}
+    assert small.cache_info().misses > len(pairs)  # some were dropped and built again
 
 
 def test_embedding_rejections():

@@ -26,7 +26,7 @@ from cwlab.laws import (
 )
 from cwlab.polynomials import PolySystem, parse_poly
 from cwlab.rng import SplitMix64
-from cwlab.subspaces import AffineSubspace, PointSet, direction_spaces, gaussian_binomial
+from cwlab.subspaces import AffineSubspace, PointSet, affine_span, direction_spaces, gaussian_binomial
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -245,12 +245,131 @@ def _flats(F, t):
     return {k: laws._subspace_masks(F, t, k) for k in (1, 2, t - 1)}
 
 
+def _flat_walk(F, t, k):
+    """Every k-flat of A^t, in direction_spaces x parallel_class order."""
+    return [P for rows in direction_spaces(F, t, k) for P in AffineSubspace(F, (0,) * t, rows).parallel_class()]
+
+
+def _reference_check(S, part, m=None):
+    """saturated_set_check point by point: every line (plane for part i)
+    of the flat walk counts its points in S, and part iii tests the
+    complement's points against every hyperplane."""
+    F = S.field
+    q, t = F.q, S.ambient
+    laws.saturation_check_budget(q, t, part, m)
+    law = f"line-saturation-{part}"
+    evidence = {"q": q, "t": t, "size": len(S)}
+    if m is not None:
+        evidence["m"] = m
+    if not S.points:
+        evidence["reason"] = "empty set has no general-position points"
+        return LawReport(law, False, True, evidence)
+    span_dim = affine_span(S).dim
+    if span_dim < t:
+        evidence["reason"] = f"general position fails: span has dim {span_dim} < {t}"
+        return LawReport(law, False, True, evidence)
+    evidence["general_position_points"] = span_dim + 1
+    threshold = {"i": 4, "ii": q, "iii": q - 1, "iv": (m or 0) + 1}[part]
+    for P in _flat_walk(F, t, 2 if part == "i" else 1):
+        inter = sum(1 for pt in P.points() if pt in S)
+        if part == "i" and inter == 3 or part != "i" and 2 <= inter < threshold:
+            flat = {"offset": list(P.offset), "rows": [list(r) for r in P.basis]}
+            if part == "i":
+                evidence["reason"] = "a 2-plane meets S in exactly 3 points"
+                evidence["witness_plane"] = flat
+            else:
+                evidence["reason"] = f"a line meets S in {inter} points, below the threshold {threshold}"
+                evidence["witness_line"] = flat
+            return LawReport(law, False, True, evidence)
+    if part in ("i", "ii"):
+        conclusion = len(S) == q**t
+    elif part == "iii":
+        complement = [pt for pt in AffineSubspace.full_space(F, t).points() if pt not in S]
+        conclusion = not complement
+        for H in _flat_walk(F, t, t - 1) if complement else ():
+            if all(H.contains(pt) for pt in complement):
+                conclusion = True
+                evidence["complement_hyperplane"] = {"offset": list(H.offset), "rows": [list(r) for r in H.basis]}
+                break
+        evidence["complement_size"] = len(complement)
+    else:
+        evidence["required_size"] = need = (m ** (t + 1) - 1) // (m - 1)
+        conclusion = len(S) >= need
+    return LawReport(law, True, conclusion, evidence, None if conclusion else {"size": len(S)})
+
+
+def _seeded_sets(F, t, rng):
+    """The full space, random subsets of four densities, the full space
+    less a hyperplane, less part of one, and less one point."""
+    points = list(AffineSubspace.full_space(F, t).points())
+    out = [points] + [[pt for pt in points if rng.below(100) < d] for d in (20, 50, 80, 95)]
+    if t >= 1:
+        hyperplanes = _flat_walk(F, t, t - 1)
+        H = set(hyperplanes[rng.below(len(hyperplanes))].points())
+        out.append([pt for pt in points if pt not in H])
+        out.append([pt for pt in points if pt not in H or rng.coin()])
+        i = rng.below(len(points))
+        out.append(points[:i] + points[i + 1 :])
+    return [PointSet(F, t, pts) for pts in out]
+
+
+def test_saturation_check_matches_the_flat_walk(monkeypatch):
+    # equal bodies on seeded sets for every part over F_2, F_3, F_4, F_5,
+    # F_8 and F_9, among them witness lines, witness planes and complement
+    # hyperplanes; with the gates lifted, part i over F_3 and part ii over
+    # F_2 have counterexamples too
+    F8, F9 = build_field(2, 3), build_field(3, 2)
+    rng = SplitMix64(27)
+    found = Counter()
+
+    def compare(F, t, part, m):
+        for S in _seeded_sets(F, t, rng) + _seeded_sets(F, t, rng):
+            rep = saturated_set_check(S, part, m)
+            assert rep.to_json() == _reference_check(S, part, m).to_json(), (F.q, t, part, m)
+            found.update(key for key in ("witness_line", "witness_plane", "complement_hyperplane") if key in rep.evidence)
+            found["counterexample"] += rep.applicable and not rep.passed
+
+    for F, dims in ((F2, range(5)), (F3, range(4)), (F4, range(4)), (F5, range(4)), (F8, range(3)), (F9, range(3))):
+        for t in dims:
+            for part, m in (("i", None), ("ii", None), ("iii", None), ("iv", 2), ("iv", 3)):
+                try:
+                    laws._saturation_gates(F.q, t, part, m)
+                except CwlabError:
+                    continue
+                compare(F, t, part, m)
+    assert found["witness_line"] > 200 and found["witness_plane"] > 10 and found["complement_hyperplane"] > 20, found
+    assert found["counterexample"] == 0
+    monkeypatch.setattr(laws, "_saturation_gates", lambda *args: None)
+    for F, t, part in ((F3, 2, "i"), (F3, 3, "i"), (F2, 2, "ii"), (F2, 3, "ii"), (F2, 3, "iii")):
+        compare(F, t, part, None)
+    assert found["counterexample"] > 0, found
+
+
+def test_saturation_check_on_a_point_and_a_line():
+    # A^0 has no lines or planes: its one point passes every part; in A^1
+    # the hyperplanes are the q points, so part iii names the one point
+    # the set leaves out
+    for F, part, m in ((F2, "i", None), (F3, "ii", None), (F4, "iii", None), (F5, "iv", 3)):
+        assert laws._subspace_masks(F, 0, 2 if part == "i" else 1).tolist() == []
+        rep = saturated_set_check(PointSet(F, 0, [()]), part, m)
+        assert rep.applicable and rep.passed and rep.to_json() == _reference_check(PointSet(F, 0, [()]), part, m).to_json()
+    rep = saturated_set_check(PointSet(F4, 1, [(0,), (1,), (3,)]), "iii")
+    assert rep.passed and rep.evidence["complement_hyperplane"] == {"offset": [2], "rows": []}
+    assert rep.evidence["complement_size"] == 1
+    rep = saturated_set_check(PointSet(F5, 1, [(0,), (1,), (3,)]), "iii")
+    assert not rep.applicable and rep.evidence["witness_line"] == {"offset": [0], "rows": [[1]]}
+    for F, part, m in ((F2, "i", None), (F3, "ii", None), (F4, "iii", None), (F5, "iii", None), (F5, "iv", 2), (F5, "iv", 4)):
+        for bits in range(1, 1 << F.q):
+            S = PointSet(F, 1, [(x,) for x in range(F.q) if bits >> x & 1])
+            assert saturated_set_check(S, part, m).to_json() == _reference_check(S, part, m).to_json(), (F.q, part, m, bits)
+
+
 def test_subspace_masks_match_flat_walk():
     for F, t, ks in ((F2, 3, range(-1, 5)), (F3, 3, (1, 2)), (F4, 2, (0, 1, 2)), (F5, 2, (1,)), (F3, 0, (0, 1))):
         for k in ks:
             want = []
             if 0 <= k <= t:
-                for P in laws._all_subspaces_of_dim(F, t, k):
+                for P in _flat_walk(F, t, k):
                     want.append(sum(1 << sum(x * F.q ** (t - 1 - j) for j, x in enumerate(pt)) for pt in P.points()))
             got = laws._subspace_masks(F, t, k)
             assert got.dtype == np.uint32 and got.tolist() == want, (F.q, t, k)
@@ -607,7 +726,7 @@ def test_pattern_batches_follow_direction_spaces(F, n):
     for m in range(n + 1):
         want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
         for cap in (7, 11, 10**9):
-            batches = list(laws._pattern_batches(F, n, m, cap))
+            batches = [(pivots, entries) for pivots, entries, _ in laws.direction_table(F, n, m).batches(cap)]
             assert [len(e) for _, e in batches] == [min(cap, len(want) - i) for i in range(0, len(want), cap)]
             got = [(tuple(piv), ent) for pivots, entries in batches for piv, ent in zip(pivots.tolist(), entries.tolist())]
             assert got == want, (F.q, n, m, cap)
@@ -616,7 +735,7 @@ def test_pattern_batches_follow_direction_spaces(F, n):
 @pytest.mark.parametrize("bound", [None, 600])
 @pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3)])
 def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
-    # the memoized table, sliced by any cap, gives _pattern_batches' batches
+    # the memoized table, sliced by any cap, gives _pattern_slice's slices
     # and direction_spaces' order, with the rows of a fresh coset_matrix.  A
     # bound of 600 bytes holds no shape's largest table whole, so slices past
     # the kept prefix are built and not kept, and growing a table drops the
@@ -632,7 +751,7 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
         for cap in (7, 11, 10**9):  # the first cap builds the table, the others slice it
             table = laws.direction_table(F, n, m)
             slices = list(table.batches(cap))
-            batches = list(laws._pattern_batches(F, n, m, cap))
+            batches = [laws._pattern_slice(F, n, m, lo, min(lo + cap, len(want))) for lo in range(0, len(want), cap)]
             assert len(slices) == len(batches)
             for (pivots, entries, matrix), (piv, ent) in zip(slices, batches):
                 assert (pivots.tolist(), entries.tolist()) == (piv.tolist(), ent.tolist())
