@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .constructions import (
     ConstructionRecipe,
     example_one,
@@ -23,7 +25,7 @@ from .constructions import (
     random_system,
     random_system_recipe,
 )
-from .counting import count_zeros, count_zeros_ext
+from .counting import _coordinates, count_zeros, count_zeros_ext
 from .errors import BudgetExceeded, CwlabError, DegreeTooLarge, FormatError, InvalidArgument
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
@@ -42,7 +44,7 @@ from .laws import (
 )
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
-from .subspaces import AffineSubspace, PointSet
+from .subspaces import PointSet
 from .suite import run_preset
 
 EXIT_OK = 0
@@ -183,7 +185,7 @@ def cmd_lemma(args) -> int:
         rep = saturated_set_exhaustive(F, args.t, args.part, args.m)
     else:
         saturation_check_budget(F.q, args.t, args.part, args.m)
-        pts = list(AffineSubspace.full_space(F, args.t).points())
+        pts = _coordinates(np.arange(F.q**args.t), F.q, args.t).T.tolist()
         rep = saturated_set_check(PointSet(F, args.t, pts), args.part, args.m)
     _emit(rep.to_json(), args.out)
     return rep.exit_code

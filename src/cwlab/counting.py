@@ -362,7 +362,8 @@ def _log_sums(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) 
 def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
     """The odometer prefixes (x_1 .. x_{n-1}) a pass visits, in order:
     every prefix, or on the cone (see `fast_count`) prefix 0 and then the
-    normalized prefixes, whose first nonzero coordinate is the element 1:
+    normalized prefixes, whose first nonzero coordinate is the element of
+    index 1 (F.one over a prime field, g^(k-1) over F_{p^k}, g = F.generator):
     with m coordinates after it, they are the range [q^m, 2*q^m)."""
     if not n:
         return []
@@ -686,10 +687,12 @@ def fast_count(system: PolySystem) -> int:
     form, so f_i(c*x) = c^(d_i) * f_i(x) and the zero set is invariant
     under the scaling action of F^* on points.  The points with a nonzero
     prefix fall into orbits of exactly q - 1 points, and each orbit meets
-    the normalized prefixes once: the one c that sends the first nonzero
-    prefix coordinate a to 1 is 1/a.  So N = (zeros with prefix 0, the
-    x_n-axis) + (q - 1) * (zeros at normalized prefixes).  For q = 2 and
-    for n = 1 the cone is the whole grid, which is walked as such.
+    the normalized prefixes once: they lead with one fixed u != 0 (see
+    `_prefix_ranges`; any fixed nonzero lead would do), and the one c that
+    sends the first nonzero prefix coordinate a to u is u/a.  So N = (zeros
+    with prefix 0, the x_n-axis) + (q - 1) * (zeros at normalized
+    prefixes).  For q = 2 and for n = 1 the cone is the whole grid, which
+    is walked as such.
     """
     return _walk(system, listed=False).count
 

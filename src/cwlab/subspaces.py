@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DependentBasis, EmptySet, FullSpace, InvalidArgument
+from .errors import DependentBasis, EmptySet, InvalidArgument
 from .fields import FieldSpec
 
 
@@ -127,10 +127,6 @@ class AffineSubspace:
                     pt = [F.add(x, F.mul(c, y)) for x, y in zip(pt, row)]
             yield tuple(pt)
 
-    def _free_columns(self) -> list[int]:
-        piv = set(self.pivots)
-        return [j for j in range(self.ambient) if j not in piv]
-
     def parallel_class(self) -> list["AffineSubspace"]:
         """All q^(n-dim) translates of the direction space, canonical order.
 
@@ -147,29 +143,6 @@ class AffineSubspace:
             member.field, member.ambient, member.offset = self.field, self.ambient, off
             member.basis, member.pivots = self.basis, self.pivots
             out.append(member)
-        return out
-
-    def superspaces(self) -> list["AffineSubspace"]:
-        """All (dim+1)-dimensional subspaces containing self.
-
-        There are (q^(n-k) - 1)/(q - 1) of them; pairwise they intersect in
-        exactly self, and together they cover the ambient space.
-        """
-        if self.dim == self.ambient:
-            raise FullSpace("the full space has no proper superspaces")
-        free = self._free_columns()
-        F = self.field
-        out = []
-        for vals in product(range(F.q), repeat=len(free)):
-            first = next((v for v in vals if v), None)
-            if first != F.one:  # projective normalization: first nonzero is 1
-                continue
-            v = [0] * self.ambient
-            for j, c in zip(free, vals):
-                v[j] = c
-            out.append(
-                AffineSubspace(F, self.offset, list(self.basis) + [tuple(v)])
-            )
         return out
 
     # -- identity ---------------------------------------------------------------

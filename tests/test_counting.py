@@ -126,6 +126,24 @@ def test_homogeneous_scalar_orbit_divisibility():
         assert cnt >= 1 and (cnt - 1) % (system.field.q - 1) == 0
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+def test_every_scalar_orbit_meets_the_cone_prefixes_once(p, k):
+    # the cone's prefixes lead with the element of index 1, not F.one over
+    # an extension field; each F^* orbit of nonzero prefixes still meets them once
+    F = build_field(p, k)
+    q, T = F.q, F.tables
+    assert F.one != 1
+    for n in (2, 3, 4):
+        ranges = counting._prefix_ranges(q, n, cone=True)
+        cone = np.zeros(q ** (n - 1), dtype=bool)
+        for r in ranges[1:]:
+            cone[r.start : r.stop] = True
+        prefixes = counting._coordinates(np.arange(1, q ** (n - 1)), q, n - 1)
+        orbits = T.mul(np.arange(1, q)[:, None, None], prefixes[None])  # [scalar, coordinate, prefix]
+        meets = cone[(orbits * q ** np.arange(n - 2, -1, -1)[:, None]).sum(axis=1)].sum(axis=0)
+        assert (meets == 1).all(), (q, n)
+
+
 def test_zero_set_matches_count_and_order():
     pts = zero_set(HYP)
     assert len(pts) == 10

@@ -26,7 +26,8 @@ from cwlab.laws import (
 )
 from cwlab.polynomials import PolySystem, parse_poly
 from cwlab.rng import SplitMix64
-from cwlab.subspaces import AffineSubspace, PointSet, affine_span, direction_spaces, gaussian_binomial
+from cwlab.subspaces import AffineSubspace, PointSet, affine_span, direction_spaces, gaussian_binomial, rref
+from test_subspaces import superspaces
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -184,6 +185,103 @@ def test_covering_bound_random_point_sets():
         Z = PointSet(F3, n, pts)
         L0 = AffineSubspace(F3, tuple(rng.below(3) for _ in range(n)))
         assert covering_bound_report(Z, L0).passed
+
+
+def _reference_covering_report(Z, L0):
+    """covering_bound_report point by point: every superspace of L is built
+    (`superspaces`) and Z counted on it with `contains`."""
+    F, n = Z.field, Z.ambient
+
+    def count(L):
+        return sum(1 for pt in Z.points if L.contains(pt))
+
+    if L0.dim == n:
+        raise FullSpace("the base subspace must be proper")
+    base = count(L0)
+    L = L0
+    growth = [L0.dim]
+    while L.dim < n:
+        nxt = next((cand for cand in superspaces(L) if count(cand) == base), None)
+        if nxt is None:
+            break
+        L = nxt
+        growth.append(L.dim)
+    k, q, total = L.dim, F.q, len(Z)
+    evidence = {"base_count": base, "k": k, "growth": growth, "total": total, "n": n, "q": q}
+    if k == n:
+        evidence["note"] = "witness grew to the full space; bound reads |Z| >= |Z|"
+        return LawReport("covering-bound", True, total >= base, evidence)
+    supers = superspaces(L)
+    cmin = min(count(Lp) for Lp in supers)
+    classes = (q ** (n - k) - 1) // (q - 1)
+    bound = base + classes * (cmin - base)
+    evidence.update({"superspaces": len(supers), "expected_superspaces": classes,
+                     "min_superspace_count": cmin, "bound": bound})
+    passed = total >= bound and len(supers) == classes and cmin >= base
+    return LawReport("covering-bound", True, passed, evidence, None if passed else {"bound": bound, "total": total})
+
+
+def test_covering_bound_matches_the_point_by_point_reference():
+    # random, sparse and dense sets, Z = L0, Z = empty, Z = A^n, and Z a
+    # subspace through L0 (so L grows, often to the full space), plus a stray
+    # point; a few points of A^3(F_4) tell the superspaces' order apart
+    rng = Random(29)
+    grown = 0
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        F = build_field(p, k)
+        q = F.q
+        for n in range(1, 5):
+            if q**n > 300:
+                break
+            grid = [tuple(pt) for pt in counting._coordinates(np.arange(q**n), q, n).T.tolist()]
+            for dim in range(n):
+                for kind in ("coin", "sparse", "dense", "L0", "empty", "full", "super"):
+                    while True:
+                        rows, _ = rref(F, [[rng.randrange(q) for _ in range(n)] for _ in range(dim)])
+                        if len(rows) == dim:
+                            break
+                    L0 = AffineSubspace(F, [rng.randrange(q) for _ in range(n)], rows)
+                    if kind in ("coin", "dense"):
+                        pts = [pt for pt in grid if rng.random() < (0.5 if kind == "coin" else 0.9)]
+                    elif kind == "sparse":
+                        pts = rng.sample(grid, min(len(grid), rng.randrange(1, 3 * q)))
+                    elif kind == "L0":
+                        pts = list(L0.points())
+                    elif kind == "empty":
+                        pts = []
+                    elif kind == "full":
+                        pts = grid
+                    else:
+                        extra = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(n - dim + 1))]
+                        S = AffineSubspace(F, L0.offset, list(L0.basis) + extra, strict=False)
+                        pts = list(S.points()) + ([rng.choice(grid)] if rng.random() < 0.5 else [])
+                    Z = PointSet(F, n, pts)
+                    got = covering_bound_report(Z, L0)
+                    assert got.to_json() == _reference_covering_report(Z, L0).to_json(), (q, n, dim, kind)
+                    grown += got.evidence["k"] == n
+    assert grown > 50
+
+
+def test_superspace_hits_follow_the_reference_order():
+    # Z = the points of one superspace: its hits are one-hot at its place
+    rng = Random(5)
+    for p, k in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
+        F = build_field(p, k)
+        q = F.q
+        for n in (1, 2, 3):
+            for dim in range(n):
+                rows, _ = rref(F, [[rng.randrange(q) for _ in range(n)] for _ in range(dim)])
+                L = AffineSubspace(F, [rng.randrange(q) for _ in range(n)], rows)
+                free = [j for j in range(n) if j not in L.pivots]
+                for i, S in enumerate(superspaces(L)):
+                    pts = np.array(list(S.points()), dtype=np.intp)
+                    on, numbers, hits = laws._superspace_hits(point_digits(pts, F), L)
+                    v = [0] * n
+                    for j, c in zip(free, counting._coordinates(numbers[[i]], q, len(free))[:, 0].tolist()):
+                        v[j] = c
+                    assert AffineSubspace(F, L.offset, list(L.basis) + [v]) == S
+                    assert on == q**L.dim and len(hits) == len(numbers) == (q ** len(free) - 1) // (q - 1)
+                    assert np.flatnonzero(hits).tolist() == [i] and hits[i] == q ** (L.dim + 1) - q**L.dim
 
 
 def test_saturation_checks():
