@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Exit codes are stable for scripting: 0 pass (or vacuous), 1 input error,
-2 law violation, 3 budget exceeded (a field past the size cap included).
-Report bodies are deterministic for a given configuration; timing goes to
-stderr.
+Exit codes are stable for scripting: 0 pass (or vacuous), 1 input error
+(a usage error included), 2 law violation, 3 budget exceeded (a field past
+the size cap included).  Report bodies are deterministic for a given
+configuration; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -53,17 +53,42 @@ EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 
 
-def _load_system(path: str):
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the law-violation code here; a
+    usage error is an input error (EXIT_INPUT).  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _read_text(path: str) -> str:
+    """An input file's text, as `Path.read_text` gives it; a FormatError at
+    line 0 when it cannot be read, or at its first byte that is not UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
     except OSError as exc:
         raise FormatError(str(exc), 0) from exc
-    return read_sys(text)
+    except UnicodeDecodeError as exc:
+        line, col = data.count(b"\n", 0, exc.start) + 1, exc.start - data.rfind(b"\n", 0, exc.start)
+        raise FormatError(f"{path} is not UTF-8 ({exc.reason})", line, col) from None
+
+
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _load_system(path: str):
+    return read_sys(_read_text(path))
 
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(payload + "\n", encoding="utf-8")
+        _write(out, payload + "\n")
     else:
         print(payload)
 
@@ -74,7 +99,7 @@ def cmd_count(args) -> int:
     if args.subspace:
         if args.ext != 1:
             raise InvalidArgument(f"--subspace counts over F_q and takes no --ext, got --ext {args.ext}")
-        L = read_sub(Path(args.subspace).read_text(encoding="utf-8"), field)
+        L = read_sub(_read_text(args.subspace), field)
         rep = count_zeros(system, L, engine=args.engine, budget=budget)
     elif args.ext != 1:
         rep = count_zeros_ext(system, args.ext, engine=args.engine, budget=budget)
@@ -94,9 +119,6 @@ def cmd_count(args) -> int:
 
 def cmd_check(args) -> int:
     _, _, system = _load_system(args.system)
-    if args.all_pairs and args.sampled is not None:
-        print("--all-pairs and --sampled exclude each other", file=sys.stderr)
-        return EXIT_INPUT
     scope = CheckScope(
         all_pairs=args.sampled is None,
         budget=args.class_budget,
@@ -150,7 +172,7 @@ def cmd_construct(args) -> int:
         built = example_two(F)
         system, recipe = built.system, built.recipe
         names = [f"x{i+1}" for i in range(system.nvars)]
-    elif args.kind == "random":
+    else:  # random
         try:
             degrees = [int(d) for d in args.degrees.split(",")]
         except ValueError:
@@ -160,13 +182,10 @@ def cmd_construct(args) -> int:
         system = random_system(F, args.n or 3, degrees, args.seed)
         recipe = random_system_recipe(F, args.n or 3, degrees, args.seed)
         names = [f"x{i+1}" for i in range(system.nvars)]
-    else:
-        print(f"unknown construction kind {args.kind!r}", file=sys.stderr)
-        return EXIT_INPUT
     out = Path(args.out or f"{args.kind.replace('-', '_')}.sys")
-    out.write_text(write_sys(F, names, system), encoding="utf-8")
+    _write(out, write_sys(F, names, system))
     sidecar = out.with_suffix(".recipe.json")
-    sidecar.write_text(recipe.to_json() + "\n", encoding="utf-8")
+    _write(sidecar, recipe.to_json() + "\n")
     print(f"wrote {out} and {sidecar}", file=sys.stderr)
     return EXIT_OK
 
@@ -252,7 +271,7 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cwlab",
         description="Exact zero counting over finite fields, with congruence "
         "and bound checkers.",
@@ -283,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="chevalley | ax | warning-hyperplanes | theorem1 (parallel-subspaces)",
     )
-    p.add_argument("--all-pairs", action="store_true",
-                   help="check every direction space (the default without --sampled)")
-    p.add_argument("--sampled", type=int, help="sample this many direction spaces")
+    scope = p.add_mutually_exclusive_group()  # a usage error together, exit 1
+    scope.add_argument("--all-pairs", action="store_true",
+                       help="check every direction space (the default without --sampled)")
+    scope.add_argument("--sampled", type=int, help="sample this many direction spaces")
     p.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p.add_argument("--dim", type=int, help="restrict to one qualifying dimension")
     p.set_defaults(func=cmd_check)

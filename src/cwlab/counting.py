@@ -27,11 +27,12 @@ Two independent engines are provided and must agree exactly:
   coefficients' values at the prefixes times x_n^e, split on its words in
   its plan; each later one is evaluated only at the points where all earlier
   ones vanish, on their logs gathered from the block's.  Both steps give the
-  surviving odometer indexes, the zero set.  A pass whose prefixes fit in
-  one block (q times their number at most CHUNK) reads them and their logs
-  from GRIDS, one table per (field, n, cone).  A homogeneous system is
-  counted on its cone instead: prefix 0 and the normalized prefixes only,
-  the zeros off the x_n-axis weighted by q - 1 (see `fast_count`);
+  surviving odometer indexes, the zero set.  A trie-step pass whose
+  prefixes fit in one block (q times their number at most CHUNK) reads them
+  and their logs from GRIDS, one table per (field, n, cone).  A homogeneous
+  system is counted on its cone instead: prefix 0 and the normalized
+  prefixes only, the zeros off the x_n-axis weighted by q - 1 (see
+  `fast_count`);
 * the naive oracle evaluates every polynomial at every point from scratch.
 
 The laws on one system (Chevalley, Ax, the homogenization identity, the
@@ -406,7 +407,7 @@ def _blocks(T: FieldTables, n: int, cone: bool) -> Iterator[tuple[np.ndarray, np
         yield pre, T.log.take(_coordinates(pre, q, n - 1))
 
 
-GRIDS = Memo(1 << 20)  # bytes of every field's grid blocks; the corpus shapes (q <= 5, n <= 6) take 48 KB
+GRIDS = Memo(1 << 20)  # bytes of every field's trie-step grid blocks; the corpus's trie-step shapes take 17 KB
 
 
 def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +457,8 @@ def _lengths(system: PolySystem) -> tuple[int, ...]:
 
 def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
     """Odometer indexes of the common zeros at the prefixes a pass visits
-    (see `_prefix_ranges`), ascending, one array per block (see `_blocks`).
+    (see `_prefix_ranges`), ascending, one array per block: the GEMM step's
+    whole pass, or each of the trie step's `_blocks`.
 
     A block is a set of prefixes (x_1 .. x_{n-1}) with every value of x_n.
     A pass takes one of two steps, by the rule of `_gemm_rule`, which reads
@@ -526,12 +528,11 @@ def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> It
     f_i, read from `FieldTables.mul_matrices` as in `geometry._tail_map`
     (over a prime field, c itself).  Row (i, b) of the product is then
     digit b of f_i at every point, and a point is a zero when all rk of
-    them are 0 mod p.  The product is exact (see GEMM_EXACT).  At the
-    default CHUNK such a pass is one block; a smaller one splits it, and
-    each block takes its own columns of M' and its own points.
+    them are 0 mod p.  The product is exact (see GEMM_EXACT).  The rule
+    caps the pass at GEMM_POINTS points, so it is one product, one block.
     """
     F = system.field
-    T, q, p, k = F.tables, F.q, F.p, F.k
+    T, p, k = F.tables, F.p, F.k
     M, rows, points = _monomials(T, system.nvars, cone, lengths)
     r, W = system.r, len(rows)
     coeffs = [0] * (r * W)
@@ -543,13 +544,9 @@ def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> It
     else:  # [i, w, a, b] -> [(i, b), (w, a)]
         C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2)
         C = C.reshape(r * k, W * k).astype(np.float32)
-    lo = 0
-    for pre, _ in _blocks(T, system.nvars, cone):
-        hi = lo + len(pre) * q
-        R = (C @ M[:, lo:hi]).astype(np.int32)
-        R %= p
-        yield points[lo:hi][R.sum(axis=0) == 0]
-        lo = hi
+    R = (C @ M).astype(np.int32)
+    R %= p
+    yield points[R.sum(axis=0) == 0]
 
 
 def _trie_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
@@ -605,7 +602,7 @@ class _Walk:
     rows: np.ndarray | None = None  # the zeros as read-only (N, n) rows, once listed (`zero_points`)
     digits: np.ndarray | None = None  # `point_digits` of the rows, read-only, once asked for (`zero_digits`)
     # congruence notes: (m, M) -> how many leading direction spaces of
-    # dimension m, in `laws.DirectionTable` order, were found to have coset
+    # dimension m, in `laws.direction_batches` order, were found to have coset
     # counts that agree mod M (see `laws._sweep_classes`)
     agreed: dict[tuple[int, int], int] = dc_field(default_factory=dict)
 
@@ -789,8 +786,8 @@ def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: Fie
     column j, by the matrix of multiplication by -e_{b,r,j} where i is pivot
     r (`FieldTables.mul_matrices`), and by zero elsewhere, each times the
     packing matrix W of `FieldTables.readout`.  It depends on the spaces
-    alone, so the congruence sweeps build it once per space and shape, in
-    `laws.DirectionTable`, kept in `laws.DIRECTIONS`.
+    alone, so the congruence sweeps read it with the spaces from
+    `laws.direction_batches`, which keeps a shape's table in `laws.DIRECTIONS`.
     """
     T = F.tables
     k = F.k
@@ -826,8 +823,8 @@ def coset_ids(
     space's RREF pivot columns, as a (B, m) array, or as one tuple that
     every space shares; entries[b] is space b's rows at the free columns, as
     `basis_entries` gives them.  matrix is their `coset_matrix`, built here
-    when the caller has none (an all-pairs sweep slices it from its
-    direction table, kept in `laws.DIRECTIONS`).
+    when the caller has none (an all-pairs sweep takes it with its spaces
+    from `laws.direction_batches`).
 
     The coset's offset is the point x minus each row r times x's entry at
     r's pivot (RREF rows vanish at the other rows' pivots, so the pivot

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, CwlabError, ExprSyntaxError, FormatError
 from .fields import FieldSpec, build_field, element_literal, parse_element_literal
-from .polynomials import MultiPoly, PolySystem, parse_poly
+from .polynomials import MultiPoly, PolySystem, check_names, parse_poly
 from .subspaces import AffineSubspace
 
 
@@ -51,22 +51,19 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
         if key == "field":
             if field is not None:
                 raise FormatError("duplicate field line", lineno)
-            p = k = None
-            modulus = None
+            attrs: dict = {}
             for item in rest.split():
                 name, _, val = item.partition("=")
-                if name == "p":
-                    p = int(val)
-                elif name == "k":
-                    k = int(val)
-                elif name == "modulus":
-                    modulus = tuple(int(c) for c in val.split(","))
-                else:
+                if name not in ("p", "k", "modulus"):
                     raise FormatError(f"unknown field attribute {name!r}", lineno)
-            if p is None or k is None:
+                try:
+                    attrs[name] = tuple(map(int, val.split(","))) if name == "modulus" else int(val)
+                except ValueError:
+                    raise FormatError(f"field attribute {name}= takes integers, got {val!r}", lineno) from None
+            if "p" not in attrs or "k" not in attrs:
                 raise FormatError("field line needs p= and k=", lineno)
             try:
-                field = build_field(p, k, modulus)
+                field = build_field(attrs["p"], attrs["k"], attrs.get("modulus"))
             except (CwlabError, ValueError) as exc:
                 raise FormatError(str(exc), lineno) from exc
         elif key == "vars":
@@ -77,6 +74,10 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
             names = rest.split()
             if not names:
                 raise FormatError("vars line declares no variables", lineno)
+            try:
+                check_names(names)
+            except CwlabError as exc:
+                raise FormatError(str(exc), lineno) from exc
         elif key == "poly":
             if field is None or names is None:
                 raise FormatError("poly before field/vars lines", lineno)
@@ -95,11 +96,8 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
             raise FormatError(f"unknown directive {key!r}", lineno)
     if field is None or names is None or not polys:
         raise FormatError("a system file needs field, vars, and poly lines", 1)
-    try:
-        system = PolySystem(polys)
-    except CwlabError as exc:
-        raise FormatError(str(exc), 1) from exc
-    return field, names, system
+    # every poly line parsed over one field and vars line, and none is zero
+    return field, names, PolySystem(polys)
 
 
 def write_sys(field: FieldSpec, names: Sequence[str], system: PolySystem) -> str:
@@ -119,6 +117,8 @@ def read_sub(text: str, field: FieldSpec) -> AffineSubspace:
         key, _, rest = body.partition(" ")
         parts = rest.split()
         if key == "ambient":
+            if len(parts) != 1 or not parts[0].isdecimal():
+                raise FormatError(f"ambient takes one integer >= 0, got {rest!r}", lineno)
             ambient = int(parts[0])
         elif key == "offset":
             if ambient is None:

@@ -63,8 +63,8 @@ DEFAULT_CLASS_BUDGET = 10_000
 # G = ceil((n - m)k / g) integers, so its product holds B*G*|Z| of them: at
 # most BATCH when g >= k, which holds wherever the read-out table fits k
 # digits, and at most k*BATCH otherwise.
-# A batch of an all-pairs sweep is a slice of its shape's `DirectionTable`,
-# so its B*G*nk rows of M' are read, not built (see DIRECTIONS).
+# A batch of an all-pairs sweep comes with its B*G*nk rows of M', read from
+# its shape's table in DIRECTIONS or built once per sweep (`direction_batches`).
 BATCH = 1 << 14
 
 
@@ -201,92 +201,65 @@ def _pattern_slice(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.n
     return pivots.repeat([len(e) for _, e in runs], axis=0), np.concatenate([e for _, e in runs])
 
 
-class DirectionTable:
-    """The direction spaces of dimension m in A^n(F), in `direction_spaces`
-    order: each space's pivots and free entries, as `_pattern_slice` gives
-    them, and its rows of `coset_matrix`.  They depend on (F, n, m) alone,
-    so every sweep of that shape slices one table, whatever its batch size.
-
-    The table holds a prefix of the enumeration and grows it on demand.  A
-    slice past the prefix grows it to the larger of the slice's end and
-    twice the prefix, so a sweep that stops early, at a witness or at its
-    budget, has built at most about twice the spaces it checked.  A growth
-    puts the table in DIRECTIONS again at its grown size; a slice past the
-    room the bound gives it, or of a table DIRECTIONS has dropped, is built
-    by the same builder and not kept.
-
-    The arrays are allocated once, with room for as many spaces as the
-    bound lets the table keep, and never touched past the prefix, so only
-    the prefix's pages are resident.  A growth writes the new spaces into
-    that room, built `grow_bytes` at a time: it copies nothing and holds one
-    such part besides the table."""
-
-    grow_bytes = 1 << 16
-
-    def __init__(self, F: FieldSpec, n: int, m: int):
-        self.key = (F.tables, n, m)
-        self.field, self.n, self.m = F, n, m
-        self.size = gaussian_binomial(F.q, n, m)
-        first = self.build(0, 1)
-        self.space_bytes = max(1, sum(a.nbytes for a in first))
-        capacity = max(1, min(self.size, DIRECTIONS.bound // self.space_bytes))
-        self.rows = [len(a) for a in first]  # per space: 1, 1 and G
-        self.arrays = [np.empty((r * capacity,) + a.shape[1:], a.dtype) for r, a in zip(self.rows, first)]
-        self.built = 0
-        self.write(first, 1)
-
-    def build(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Spaces lo .. hi - 1, afresh: (pivots, entries, coset_matrix rows)."""
-        pivots, entries = _pattern_slice(self.field, self.n, self.m, lo, hi)
-        pivots = pivots.astype(np.min_scalar_type(self.n))
-        entries = entries.astype(np.min_scalar_type(self.field.q - 1))
-        return pivots, entries, coset_matrix(pivots, entries, self.field)
-
-    def write(self, parts: tuple, end: int) -> None:
-        """Extend the prefix to end spaces with parts, spaces built .. end - 1."""
-        for r, array, part in zip(self.rows, self.arrays, parts):
-            array[r * self.built : r * end] = part
-        self.built = end
-
-    @property
-    def nbytes(self) -> int:
-        return self.built * self.space_bytes
-
-    def batches(self, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every space, as slices of cap spaces (the last may hold fewer)."""
-        for lo in range(0, self.size, cap):
-            yield self.slice(lo, min(lo + cap, self.size))
-
-    def slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Spaces lo .. hi - 1 (hi <= size): their pivots, entries and
-        coset_matrix rows, from the prefix when the memo lets it grow."""
-        if hi > self.built:
-            grow = min(self.size, max(hi, 2 * self.built), len(self.arrays[0]))
-            kept = DIRECTIONS.get(self.key) is self
-            if grow < hi or not kept or not DIRECTIONS.put(self.key, self, grow * self.space_bytes):
-                return self.build(lo, hi)
-            step = max(1, self.grow_bytes // self.space_bytes)
-            for start in range(self.built, grow, step):
-                end = min(start + step, grow)
-                self.write(self.build(start, end), end)
-        G = self.rows[2]
-        return self.arrays[0][lo:hi], self.arrays[1][lo:hi], self.arrays[2][lo * G : hi * G]
-
+# bytes of the direction spaces built at a time on a miss (`direction_batches`)
+PART_BYTES = 1 << 16
 
 # bytes that the direction tables of every field hold together: the largest
 # shapes the suite sweeps, A^5 over F_5 and F_4, take 2.9 MB and 1.6 MB
 DIRECTIONS = Memo(1 << 22)
 
 
-def direction_table(F: FieldSpec, n: int, m: int) -> DirectionTable:
-    """The table of (F, n, m) in DIRECTIONS, now the most recently used;
-    else a new one (one space built), kept if it fits."""
+def _direction_part(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direction spaces lo .. hi - 1 of `direction_spaces(F, n, m)`,
+    afresh: their pivots and entries, as `_pattern_slice` gives them, and
+    their rows of `coset_matrix`."""
+    pivots, entries = _pattern_slice(F, n, m, lo, hi)
+    pivots = pivots.astype(np.min_scalar_type(n))
+    entries = entries.astype(np.min_scalar_type(F.q - 1))
+    return pivots, entries, coset_matrix(pivots, entries, F)
+
+
+def _slices(table: Sequence[np.ndarray], cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The spaces of a (pivots, entries, matrix rows) table, cap at a time
+    (the last slice may hold fewer)."""
+    pivots, entries, matrix = table
+    size = len(pivots)
+    G = len(matrix) // size
+    for lo in range(0, size, cap):
+        hi = min(lo + cap, size)
+        yield pivots[lo:hi], entries[lo:hi], matrix[lo * G : hi * G]
+
+
+def direction_batches(F: FieldSpec, n: int, m: int, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The direction spaces of dimension m in A^n(F), in `direction_spaces`
+    order, cap at a time (the last batch may hold fewer), as
+    `_direction_part` gives them.  They depend on (F, n, m) alone, so every
+    sweep of that shape reads one table, whatever its cap.
+
+    On a DIRECTIONS hit the batches are slices of the kept table.  On a
+    miss the spaces are built as the caller reaches them, in parts of whole
+    batches of about PART_BYTES; when the whole table fits the memo's bound,
+    each part is also written into arrays allocated once, put in DIRECTIONS
+    after the last part.  So a caller that stops early has built at most
+    one part past its last batch, and keeps nothing."""
     key = (F.tables, n, m)
     table = DIRECTIONS.get(key)
-    if table is None:
-        table = DirectionTable(F, n, m)
-        DIRECTIONS.put(key, table, table.nbytes)
-    return table
+    if table is not None:
+        yield from _slices(table, cap)
+        return
+    size = gaussian_binomial(F.q, n, m)
+    first = _direction_part(F, n, m, 0, 1)  # per space: 1, 1 and G rows
+    space_bytes = max(1, sum(a.nbytes for a in first))
+    keep = size * space_bytes <= DIRECTIONS.bound
+    table = [np.empty((len(a) * size,) + a.shape[1:], a.dtype) for a in first] if keep else []
+    step = cap * max(1, PART_BYTES // (cap * space_bytes))
+    for lo in range(0, size, step):
+        part = _direction_part(F, n, m, lo, min(lo + step, size))
+        for array, a, rows in zip(table, part, first):
+            array[len(rows) * lo : len(rows) * lo + len(a)] = a
+        yield from _slices(part, cap)
+    if keep:
+        DIRECTIONS.put(key, tuple(table), size * space_bytes)
 
 
 def _sampled_batches(spaces: Iterator, n: int, cap: int):
@@ -351,7 +324,7 @@ def _sweep_classes(
     sweep stops at that space.
 
     agreed holds the zero set's congruence notes (`counting._Walk.agreed`):
-    under (m, M), how many leading spaces of dimension m, in `DirectionTable`
+    under (m, M), how many leading spaces of dimension m, in `direction_batches`
     order, have coset counts that agree mod M.  Agreement mod p^j implies
     agreement mod p^i for i <= j, so an all-pairs sweep mod M' takes as
     known the longest prefix noted under any M that M' divides, and passes
@@ -370,7 +343,7 @@ def _sweep_classes(
         cap = max(1, min(BATCH // max(1, N * (n - m)), BATCH // q ** (n - m), room))
         known = 0
         if scope.all_pairs:
-            batches = direction_table(F, n, m).batches(cap)
+            batches = direction_batches(F, n, m, cap)
             known = max((k for (dim, M), k in agreed.items() if dim == m and M % modulus == 0), default=0)
         else:
             want = scope.budget if scope.sample is None else scope.sample
@@ -752,7 +725,7 @@ def saturation_check_budget(q: int, t: int, part: str, m: int | None = None) -> 
 
 def _flat_ids(F: FieldSpec, t: int, k: int, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The k-flats of A^t through the points X (`point_digits`, one column
-    a point), batch by batch of `direction_table(F, t, k)`: (pivots,
+    a point), batch by batch of `direction_batches(F, t, k, cap)`: (pivots,
     entries, ids), with ids[b, z] = b * q^(t - k) + the coset of the
     batch's space b through point z.  So a batch numbers its flats in
     `direction_spaces` x `parallel_class` order.  Nothing for no points,
@@ -761,7 +734,7 @@ def _flat_ids(F: FieldSpec, t: int, k: int, X: np.ndarray) -> Iterator[tuple[np.
         return
     classes = F.q ** (t - k)
     # batch working set: B*|X| flat numbers and B*q^(t-k) flats
-    for pivots, entries, matrix in direction_table(F, t, k).batches(max(1, BATCH // max(X.shape[1], classes))):
+    for pivots, entries, matrix in direction_batches(F, t, k, max(1, BATCH // max(X.shape[1], classes))):
         yield pivots, entries, coset_ids(X, pivots, entries, F, matrix) + classes * np.arange(len(entries))[:, None]
 
 

@@ -16,6 +16,7 @@ from .errors import (
     BudgetExceeded,
     ExprSyntaxError,
     GeneratorInPrimeField,
+    InvalidArgument,
     UnknownVariable,
     ZeroPolynomial,
 )
@@ -575,11 +576,17 @@ def parse_poly(text: str, field: FieldSpec, names: Sequence[str]) -> MultiPoly:
     generator symbol g (extension fields only), and declared variable names.
     A '#' starts a comment.  Parse-print-parse is a fixed point.
     """
+    check_names(names)
+    return _Parser(text, field, names).parse()
+
+
+def check_names(names: Sequence[str]) -> None:
+    """InvalidArgument for a variable name given twice, or named g, the
+    field generator's symbol."""
     seen = set()
     for name in names:
         if name in seen:
-            raise ValueError(f"duplicate variable name {name!r}")
+            raise InvalidArgument(f"duplicate variable name {name!r}")
         if name == "g":
-            raise ValueError("the name 'g' is reserved for the field generator")
+            raise InvalidArgument("the name 'g' is reserved for the field generator")
         seen.add(name)
-    return _Parser(text, field, names).parse()

@@ -478,6 +478,7 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
 
     monkeypatch.setattr(counting, "_blocks", recorded)
     assert {sy.field.q for sy in EDGE_SYSTEMS} == {7, 8, 9, 16, 25, 27}
+    trie = 0
     for system in EDGE_SYSTEMS:
         F, n = system.field, system.nvars
         q = F.q
@@ -486,10 +487,15 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
         filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
         blocks.clear()
         assert walked(zero_set, system) == filtered
-        # a small chunk is not bypassed by the grid memo: the pass takes
-        # CHUNK // q prefixes at a time, so several blocks when n > 1
-        assert len(blocks) == -(-(q ** (n - 1)) // max(1, counting.CHUNK // q))
-        assert len(blocks) > 1 or n == 1 or not chunk
+        # a small chunk is not bypassed by the grid memo: a trie-step pass
+        # takes CHUNK // q prefixes at a time, so several blocks when n > 1;
+        # a GEMM-step pass is one product and reads no block
+        if counting._gemm_rule(*_pass_shape(system, False)):
+            assert blocks == []
+        else:
+            assert len(blocks) == -(-(q ** (n - 1)) // max(1, counting.CHUNK // q))
+            assert len(blocks) > 1 or n == 1 or not chunk
+            trie += 1
         assert walked(fast_count, system) == len(filtered) == oracle_count(system)
         spaces = list(direction_spaces(F, n, 1))
         for rows in (spaces[0], spaces[-1]):
@@ -497,6 +503,7 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
             assert walked(counts_over_parallel_class, system, L) == counts_over_parallel_class(
                 system, L, engine="oracle"
             )
+    assert trie > len(EDGE_SYSTEMS) // 2, trie
 
 
 def test_point_subspaces_match_oracle():
@@ -968,23 +975,32 @@ def _grid_systems():
 
 
 def test_grid_memo_counts_match_oracle_cold_and_warm():
-    # every pass here fits one block, so it reads its prefixes and their
-    # logs from the grid memo: built by the first (cold) pass, read by the
-    # second (warm) one, and the same either way
+    # every pass here fits one block.  A trie-step pass reads its prefixes
+    # and their logs from the grid memo: built by the first (cold) pass, read
+    # by the second (warm) one, and the same either way.  A GEMM-step pass
+    # reads its points with its monomial matrix and leaves the grid memo empty
     memo = counting.GRIDS
     systems = _grid_systems()
     assert {(sy.field.q, sy.nvars) for sy in systems} == {(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)}
     assert any(counting._on_cone(sy) for sy in systems)
+    trie = 0
     for system in systems:
-        key = (system.field.tables, system.nvars, counting._on_cone(system))
+        cone = counting._on_cone(system)
+        key = (system.field.tables, system.nvars, cone)
         want = oracle_count(system)
         memo.clear()
         assert walked(fast_count, system) == want
+        if counting._gemm_rule(*_pass_shape(system, cone)):
+            assert not memo.kept
+            assert len(walked(zero_points, system)) == want
+            continue
+        trie += 1
         table = memo.kept[key]
         assert not any(a.flags.writeable for a in table)
         assert walked(fast_count, system) == want
         assert memo.kept[key] is table
         assert len(walked(zero_points, system)) == want
+    assert trie > 10 and any(counting._on_cone(sy) for sy in systems if not counting._gemm_rule(*_pass_shape(sy, True)))
 
 
 def test_grid_memo_keeps_its_byte_bound(monkeypatch):
@@ -992,7 +1008,8 @@ def test_grid_memo_keeps_its_byte_bound(monkeypatch):
     # counting.GRIDS.bound, a table read from the memo becomes the most
     # recently used, and a table past the bound on its own is not kept
     memo = counting.GRIDS
-    shapes = [(F, n) for F in (F3, F4, F2) for n in (2, 3, 4, 5)]
+    # trie-step passes: each has more than GEMM_POINTS points
+    shapes = [(F, n) for F, ns in ((F3, (6, 7, 8, 9)), (F4, (5, 6, 7, 8)), (F2, (9, 10, 11, 12))) for n in ns]
 
     def count(F, n):
         names = [f"x{i + 1}" for i in range(n)]
@@ -1228,21 +1245,6 @@ def test_gemm_step_matches_trie_step_and_oracle(q, cone):
             listed = counting._coordinates(gemm, q, system.nvars).T.tolist()
             assert walked(zero_set, system) == filtered == list(map(tuple, listed))
         assert walked(fast_count, system) == want
-
-
-@pytest.mark.parametrize("chunk", [None, 20])
-def test_gemm_step_takes_each_blocks_columns(chunk, monkeypatch):
-    # with a small CHUNK a pass the rule admits spans several blocks, and each
-    # block takes its own columns of M' and its own points
-    if chunk:
-        monkeypatch.setattr(counting, "CHUNK", chunk)
-    for q in (3, 5, 9):
-        for cone in (False, True):
-            for system in _step_systems(q, cone):
-                blocks = list(counting._gemm_chunks(system, cone, counting._lengths(system)))
-                assert len(blocks) == len(list(counting._blocks(system.field.tables, system.nvars, cone)))
-                gemm, trie = np.concatenate(blocks), np.concatenate(list(counting._trie_chunks(system, cone)))
-                assert gemm.tolist() == trie.tolist()
 
 
 def test_step_rule_at_its_bounds(monkeypatch):

@@ -468,3 +468,174 @@ def test_cli_suite_lemma2_preset_csv(workdir):
     assert res.returncode == 0, res.stdout + res.stderr
     lines = res.stdout.splitlines()
     assert any(line.startswith("C8,1,") for line in lines)
+
+
+# -- malformed inputs, usage errors and the less used commands, in process ------------
+
+OK_SYS = "field p=3 k=1\nvars x1 x2\npoly x1\n"
+OK_SUB = "ambient 2\noffset 0 0\nbasis 0 1\n"
+
+
+def _case(name, sys_text=OK_SYS, sub_text=None, args=(), error="input error: line 1, col 1:"):
+    return pytest.param(sys_text, sub_text, args, error, id=name)
+
+
+MALFORMED = [
+    # every FormatError of read_sys
+    _case("empty-sys", ""),
+    _case("comments-only", "# nothing\n\n"),
+    _case("duplicate-field", "field p=3 k=1\nfield p=3 k=1\nvars x\npoly x\n", error="input error: line 2,"),
+    _case("unknown-field-attribute", "field p=3 k=1 q=3\nvars x\npoly x\n"),
+    _case("p-not-an-integer", "field p=x k=1\nvars x\npoly x\n"),
+    _case("p-empty", "field p= k=1\nvars x\npoly x\n"),
+    _case("modulus-not-integers", "field p=5 k=1 modulus=a\nvars x\npoly x\n"),
+    _case("field-without-k", "field p=3\nvars x\npoly x\n"),
+    _case("p-not-prime", "field p=4 k=1\nvars x\npoly x\n"),
+    _case("modulus-reducible", "field p=2 k=2 modulus=1,0,1\nvars x\npoly x\n"),
+    _case("vars-before-field", "vars x\nfield p=3 k=1\npoly x\n"),
+    _case("duplicate-vars", "field p=3 k=1\nvars x\nvars y\npoly x\n", error="input error: line 3,"),
+    _case("vars-empty", "field p=3 k=1\nvars\npoly x\n", error="input error: line 2,"),
+    _case("vars-repeated", "field p=3 k=1\nvars x x\npoly x\n", error="input error: line 2,"),
+    _case("vars-g", "field p=3 k=1\nvars g x\npoly x\n", error="input error: line 2,"),
+    _case("poly-before-vars", "field p=3 k=1\npoly x\n", error="input error: line 2,"),
+    _case("poly-syntax", "field p=3 k=1\nvars x\npoly x + * 2\n", error="input error: line 3, col 5:"),
+    _case("poly-unknown-variable", "field p=3 k=1\nvars x\npoly y\n", error="input error: line 3,"),
+    _case("poly-zero", "field p=3 k=1\nvars x\npoly x - x\n", error="input error: line 3,"),
+    _case("sys-unknown-directive", "field p=3 k=1\nvars x\nequation x\n", error="input error: line 3,"),
+    _case("no-poly-line", "field p=3 k=1\nvars x\n"),
+    _case("sys-not-utf8", b"field p=3 k=1\nvars x\npoly x\xff\n", error="input error: line 3, col 7:"),
+    _case("sys-missing", None, error="input error: line 0,"),
+    # every FormatError of read_sub
+    _case("ambient-empty", sub_text="ambient\noffset 0 0\n"),
+    _case("ambient-not-an-integer", sub_text="ambient z\noffset 0 0\n"),
+    _case("ambient-two-values", sub_text="ambient 2 3\noffset 0 0\n"),
+    _case("offset-before-ambient", sub_text="offset 0 0\nambient 2\n"),
+    _case("offset-length", sub_text="ambient 2\noffset 0\n", error="input error: line 2,"),
+    _case("offset-literal", sub_text="ambient 2\noffset 0 a\n", error="input error: line 2,"),
+    _case("offset-colon-literal", sub_text="ambient 2\noffset 0 1:1\n", error="input error: line 2,"),
+    _case("basis-before-ambient", sub_text="basis 1 0\nambient 2\n"),
+    _case("basis-length", sub_text="ambient 2\noffset 0 0\nbasis 1\n", error="input error: line 3,"),
+    _case("basis-literal", sub_text="ambient 2\noffset 0 0\nbasis 1 z\n", error="input error: line 3,"),
+    _case("sub-unknown-directive", sub_text="ambient 2\noffset 0 0\nshift 1 0\n", error="input error: line 3,"),
+    _case("no-offset-line", sub_text="ambient 2\n"),
+    _case("dependent-basis", sub_text="ambient 2\noffset 0 0\nbasis 1 0\nbasis 2 0\n"),
+    _case("sub-not-utf8", sub_text=b"ambient 2\noffset 0 \xff\n", error="input error: line 2, col 10:"),
+    _case("sub-missing", sub_text=None, args=("--subspace", "{dir}/missing.sub"), error="input error: line 0,"),
+    # a report that cannot be written
+    _case("out-missing-directory", args=("--out", "{dir}/missing/count.json"), error="error: cannot write"),
+]
+
+
+@pytest.mark.parametrize("sys_text, sub_text, args, error", MALFORMED)
+def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, sys_text, sub_text, args, error):
+    # a malformed .sys or .sub file, one that is not UTF-8 or cannot be
+    # read, and an --out path that cannot be written: exit 1 with the error
+    # (naming its line, 0 for a file that cannot be read) on stderr, nothing
+    # on stdout and no traceback
+    from cwlab import cli
+
+    argv = ["count", "--system", str(tmp_path / "f.sys")]
+    for name, text in (("f.sys", sys_text), ("L.sub", sub_text)):
+        if text is not None:
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    if sub_text is not None:
+        argv += ["--subspace", str(tmp_path / "L.sub")]
+    code = cli.main(argv + [a.format(dir=tmp_path) for a in args])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "", (code, out, err)
+    assert err.splitlines()[-1].startswith(error) and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["check", "--system", "f.sys"],
+        ["count", "--system", "f.sys", "--budget", "abc"],
+        ["construct", "cube", "--p", "3"],
+        ["check", "--system", "f.sys", "--law", "ax", "--format", "xml"],
+    ],
+    ids=["unknown-command", "no-command", "missing-law", "budget-abc", "unknown-kind", "unknown-format"],
+)
+def test_cli_usage_error_is_an_input_error(argv, capsys):
+    # argparse's own exit code for a usage error is 2, the law-violation
+    # code; here it is 1, an input error, and --help still exits 0
+    from cwlab import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == "" and "error:" in err, (exc.value.code, err)
+    for help_argv in (["--help"], [argv[0], "--help"] if argv and argv[0] != "bogus" else ["count", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(help_argv)
+        assert exc.value.code in (0, None) and "usage:" in capsys.readouterr().out
+
+
+def test_cli_csv_bodies(tmp_path, capsys):
+    from cwlab import cli
+
+    (tmp_path / "f.sys").write_text(OK_SYS, encoding="utf-8")
+    assert cli.main(["count", "--system", str(tmp_path / "f.sys"), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["q", "n", "region", "count", "scanned", "workers"], ["3", "2", "full", "3", "9", "1"]]
+    assert cli.main(["check", "--system", str(tmp_path / "f.sys"), "--law", "theorem1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "law,applicable,pass\nparallel-subspaces,1,1\n"
+
+
+def test_cli_audit_with_homogenization(tmp_path, capsys):
+    from cwlab import cli
+
+    (tmp_path / "f.sys").write_text("field p=5 k=1\nvars x1 x2 x3\npoly x1*x2 + x3 + 1\n", encoding="utf-8")
+    assert cli.main(["audit", "--system", str(tmp_path / "f.sys"), "--homogenization"]) == 0
+    audit, identity = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert audit["law"] == "lower-bounds" and audit["pass"] is True
+    assert identity["law"] == "homogenization-identity" and identity["pass"] is True
+    assert identity["evidence"]["count"] == 25 and identity["evidence"]["congruence_mod_q"] is True
+
+
+def test_cli_construct_norm_form_and_random(tmp_path, capsys):
+    from cwlab import cli
+
+    for argv, nvars in (
+        (["norm-form", "--p", "3", "--degree", "2"], 2),
+        (["random", "--p", "5", "--n", "4", "--degrees", "2,1", "--seed", "11"], 4),
+    ):
+        out = tmp_path / f"{argv[0]}.sys"
+        assert cli.main(["construct", *argv, "--out", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().err
+        field, names, system = read_sys(out.read_text(encoding="utf-8"))
+        assert field.p == int(argv[2]) and system.nvars == len(names) == nvars
+        recipe = json.loads(out.with_suffix(".recipe.json").read_text(encoding="utf-8"))
+        assert recipe["kind"] == argv[0].replace("-", "_")
+    assert system.degrees == (2, 1)
+
+
+def test_cli_lemma_saturation_object_level(capsys):
+    from cwlab import cli
+
+    for part, passed in (("ii", True), ("iii", True), ("iv", True)):
+        argv = ["lemma", "saturation", "--p", "5", "--t", "2", "--part", part] + (["--m", "2"] if part == "iv" else [])
+        assert cli.main(argv) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["law"] == f"line-saturation-{part}" and body["pass"] is passed and body["evidence"]["size"] == 25
+
+
+def test_cli_factor_test_needs_one_polynomial(tmp_path, capsys):
+    from cwlab import cli
+
+    (tmp_path / "two.sys").write_text("field p=3 k=1\nvars x1 x2\npoly x1\npoly x2\n", encoding="utf-8")
+    assert cli.main(["factor-test", "--system", str(tmp_path / "two.sys")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "single-polynomial" in err
+
+
+def test_cli_theorem1_with_d_above_n_is_vacuous(tmp_path, capsys):
+    from cwlab import cli
+
+    (tmp_path / "cubic.sys").write_text("field p=3 k=1\nvars x1 x2\npoly x1^3 + x2\npoly x1\n", encoding="utf-8")
+    assert cli.main(["check", "--system", str(tmp_path / "cubic.sys"), "--law", "theorem1"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["applicable"] is False and body["pass"] is True
+    assert body["evidence"] == {"reason": "no subspace dimension reaches d", "n": 2, "d": 4}

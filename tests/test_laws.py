@@ -824,31 +824,35 @@ def test_pattern_batches_follow_direction_spaces(F, n):
     for m in range(n + 1):
         want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
         for cap in (7, 11, 10**9):
-            batches = [(pivots, entries) for pivots, entries, _ in laws.direction_table(F, n, m).batches(cap)]
+            batches = [(pivots, entries) for pivots, entries, _ in laws.direction_batches(F, n, m, cap)]
             assert [len(e) for _, e in batches] == [min(cap, len(want) - i) for i in range(0, len(want), cap)]
             got = [(tuple(piv), ent) for pivots, entries in batches for piv, ent in zip(pivots.tolist(), entries.tolist())]
             assert got == want, (F.q, n, m, cap)
 
 
+def _space_bytes(F, n, m):
+    return sum(a.nbytes for a in laws._direction_part(F, n, m, 0, 1))
+
+
 @pytest.mark.parametrize("bound", [None, 600])
 @pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3)])
 def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
-    # the memoized table, sliced by any cap, gives _pattern_slice's slices
-    # and direction_spaces' order, with the rows of a fresh coset_matrix.  A
-    # bound of 600 bytes holds no shape's largest table whole, so slices past
-    # the kept prefix are built and not kept, and growing a table drops the
-    # tables of the dimensions before it.  A growth writes at most 40 bytes
-    # of spaces at a time here, so every growth fills its room in parts
-    monkeypatch.setattr(laws.DirectionTable, "grow_bytes", 40)
+    # every batch, built part by part on a miss or sliced from the kept
+    # table on a hit, at any cap, is _pattern_slice's slice in the order of
+    # direction_spaces, with the rows of a fresh coset_matrix.  A part holds
+    # at most 40 bytes of spaces here, so a miss builds several.  A bound of
+    # 600 bytes holds no shape's largest table, which is then built on every
+    # sweep and never kept, while the tables that fit stay within the bound
+    monkeypatch.setattr(laws, "PART_BYTES", 40)
     if bound:
         monkeypatch.setattr(laws.DIRECTIONS, "bound", bound)
     memo = laws.DIRECTIONS
-    unkept = evicted = 0
+    fits = {}
     for m in range(n + 1):
         want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
+        fits[m] = len(want) * _space_bytes(F, n, m) <= memo.bound
         for cap in (7, 11, 10**9):  # the first cap builds the table, the others slice it
-            table = laws.direction_table(F, n, m)
-            slices = list(table.batches(cap))
+            slices = list(laws.direction_batches(F, n, m, cap))
             batches = [laws._pattern_slice(F, n, m, lo, min(lo + cap, len(want))) for lo in range(0, len(want), cap)]
             assert len(slices) == len(batches)
             for (pivots, entries, matrix), (piv, ent) in zip(slices, batches):
@@ -856,13 +860,13 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
                 assert np.array_equal(matrix, coset_matrix(piv, ent, F)), (F.q, n, m, cap)
             got = [(tuple(piv), ent) for pivots, entries, _ in slices for piv, ent in zip(pivots.tolist(), entries.tolist())]
             assert got == want, (F.q, n, m, cap)
-            assert sum(t.nbytes for t in memo.kept.values()) <= memo.bound
-        unkept += table.built < table.size
-        evicted += any(key not in memo.kept for key in ((F.tables, n, j) for j in range(m)))
+            assert ((F.tables, n, m) in memo.kept) == fits[m]
+            assert all(sum(a.nbytes for a in table) == memo.sizes[key] for key, table in memo.kept.items())
+            assert memo.held <= memo.bound
     if bound:
-        assert unkept > 0 and evicted > 0
+        assert not all(fits.values())
     else:
-        assert unkept == evicted == 0 and len(memo.kept) == n + 1
+        assert all(fits.values()) and len(memo.kept) == n + 1
 
 
 def test_direction_memo_keeps_its_byte_bound():
@@ -873,26 +877,57 @@ def test_direction_memo_keeps_its_byte_bound():
         checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F), F, range(6), F.q, CheckScope(budget=10**9), {})
         assert checked == sum(gaussian_binomial(F.q, 5, m) for m in range(6)) and not truncated
         memo = laws.DIRECTIONS
-        assert 0 < sum(t.nbytes for t in memo.kept.values()) <= memo.bound
+        assert 0 < sum(a.nbytes for table in memo.kept.values() for a in table) <= memo.bound
 
 
-def test_sweep_that_stops_early_builds_at_most_twice_what_it_checked(monkeypatch):
-    # a cold table grows by doubling, so a sweep cut by its budget has built
-    # at most twice the spaces it checked, and one stopped at a witness at
-    # most twice the spaces of the batches it checked
-    Z = np.zeros((0, 5), dtype=np.intp)
-    for budget in (1, 37, 500, 5000):
-        laws.DIRECTIONS.clear()
-        checked, _, truncated, _ = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=budget), {})
-        assert checked == budget and truncated
-        assert budget <= laws.direction_table(F5, 5, 2).built <= 2 * budget
+def test_sweep_that_stops_early_builds_one_part_past_and_keeps_nothing(monkeypatch):
+    # on a miss the spaces are built in parts, from space 0 on, as the sweep
+    # reaches them (after the first space alone, which sizes the parts).  A
+    # sweep cut by its budget, or stopped at a witness, has built at most one
+    # part past the last space it checked, and leaves DIRECTIONS as it was;
+    # a full sweep keeps the whole table, which the next sweep reads
+    parts = []
+    build = laws._direction_part
+
+    def logged(F, n, m, lo, hi):
+        parts.append((lo, hi))
+        return build(F, n, m, lo, hi)
+
+    monkeypatch.setattr(laws, "_direction_part", logged)
+    memo, key, size = laws.DIRECTIONS, (F5.tables, 5, 2), gaussian_binomial(5, 5, 2)
+
+    def sweep(Z, budget):
+        memo.clear()
+        parts.clear()
+        got = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=budget), {})
+        assert parts[0] == (0, 1) and [lo for lo, _ in parts[1:]] == [0] + [hi for _, hi in parts[1:-1]]
+        return got, parts[1][1]
+
+    empty = np.zeros((0, 5), dtype=np.intp)
+    cuts = []
+    for budget in (1, 37, 500, 1310, 5000):  # 1310: the cut falls on the end of a part
+        (checked, _, truncated, _), step = sweep(empty, budget)
+        assert checked == budget and truncated and memo.held == 0 and not memo.kept
+        assert parts[-1][1] <= checked + step < size
+        cuts.append(parts[-1][0] == checked)
+    assert cuts == [False, False, False, True, False]
     rng = Random(7)
     Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
-    laws.DIRECTIONS.clear()
-    log = _BatchLog(monkeypatch)
-    witness = laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=10**9), {})[3]
-    assert witness is not None and len(log.sizes) == 1  # it stops in its first batch
-    assert laws.direction_table(F5, 5, 2).built <= 2 * log.sizes[0]
+    (checked, _, _, witness), step = sweep(Z, 10**9)
+    assert witness is not None and not memo.kept
+    assert parts[-1][0] < checked <= parts[-1][1] <= checked + step < size
+    (checked, _, truncated, _), step = sweep(empty, 10**9)
+    assert checked == size and not truncated and parts[-1][1] == size
+    whole = build(F5, 5, 2, 0, size)
+    assert all(np.array_equal(a, b) for a, b in zip(memo.kept[key], whole))
+    assert memo.sizes[key] == sum(a.nbytes for a in whole) == size * _space_bytes(F5, 5, 2)
+    parts.clear()
+    assert laws._sweep_classes(point_digits(Z, F5), F5, [2], 5, CheckScope(budget=10**9), {})[3] == witness
+    assert parts == []  # read from the kept table
+    # a shape past the bound is built in full on every sweep and never kept
+    monkeypatch.setattr(memo, "bound", size * _space_bytes(F5, 5, 2) - 1)
+    (checked, _, _, _), _ = sweep(empty, 10**9)
+    assert checked == size and parts[-1][1] == size and not memo.kept
 
 
 def test_batched_sweep_on_random_point_sets(monkeypatch):
