@@ -5,14 +5,8 @@ from .errors import CwlabError
 from .fields import FieldSpec, build_field, embed_subfield, relative_norm
 from .geometry import DimensionEstimate, estimate_dimension, linear_factor_test
 from .laws import (
-    CheckScope,
-    LawReport,
-    check_congruence,
-    covering_bound_report,
-    homogenization_identity,
-    lower_bound_audit,
-    saturated_set_check,
-    saturated_set_exhaustive,
+    CheckScope, LawReport, check_congruence, covering_bound_report, homogenization_identity,
+    lower_bound_audit, saturated_set_check, saturated_set_exhaustive,
 )
 from .polynomials import MultiPoly, PolySystem, parse_poly, restrict_to_subspace
 from .subspaces import AffineSubspace, PointSet, affine_span, is_linear_subspace

@@ -1,10 +1,6 @@
-"""Command-line surface.
-
-Exit codes are stable for scripting: 0 pass (or vacuous), 1 input error
-(a usage error included), 2 law violation, 3 budget exceeded (a field past
-the size cap included).  Report bodies are deterministic for a given
-configuration; timing goes to stderr.
-"""
+"""The command line.  Exit codes: 0 pass (or vacuous), 1 input or usage
+error, 2 law violation, 3 budget exceeded (a field past the size cap
+included).  Bodies are deterministic; timing goes to stderr."""
 
 from __future__ import annotations
 
@@ -18,12 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import (
-    ConstructionRecipe,
-    example_one,
-    example_two,
-    norm_form,
-    random_system,
-    random_system_recipe,
+    ConstructionRecipe, example_one, example_two, norm_form, random_system, random_system_recipe,
 )
 from .counting import _coordinates, count_zeros, count_zeros_ext
 from .errors import BudgetExceeded, CwlabError, DegreeTooLarge, FormatError, InvalidArgument
@@ -31,15 +22,8 @@ from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
 from .geometry import SCAN_CSV_HEADER, conjecture_scan, estimate_dimension, linear_factor_test
 from .laws import (
-    DEFAULT_CLASS_BUDGET,
-    CheckScope,
-    check_congruence,
-    covering_trial,
-    covering_trial_budget,
-    homogenization_identity,
-    lower_bound_audit,
-    saturated_set_check,
-    saturated_set_exhaustive,
+    DEFAULT_CLASS_BUDGET, CheckScope, check_congruence, covering_trial, covering_trial_budget,
+    homogenization_identity, lower_bound_audit, saturated_set_check, saturated_set_exhaustive,
     saturation_check_budget,
 )
 from .polynomials import PolySystem
@@ -54,8 +38,7 @@ EXIT_BUDGET = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on a usage error, the law-violation code here; a
-    usage error is an input error (EXIT_INPUT).  Subparsers share the class."""
+    """An argparse parser whose usage errors exit 1 (EXIT_INPUT), not 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -63,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    """An input file's text, as `Path.read_text` gives it; a FormatError at
-    line 0 when it cannot be read, or at its first byte that is not UTF-8."""
+    """An input file's text, newlines universal; FormatError at line 0 when
+    unreadable, or at its first byte that is not UTF-8."""
     try:
         data = Path(path).read_bytes()
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
@@ -94,6 +77,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def cmd_count(args) -> int:
+    """`count`: the zero count over the full space, a subspace or an extension."""
     field, _, system = _load_system(args.system)
     budget = args.budget
     if args.subspace:
@@ -118,6 +102,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """`check`: one congruence law."""
     _, _, system = _load_system(args.system)
     scope = CheckScope(
         all_pairs=args.sampled is None,
@@ -136,6 +121,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    """`audit`: the lower bounds, and the homogenization identity if asked."""
     _, _, system = _load_system(args.system)
     reports = [lower_bound_audit(system, budget=args.budget)]
     if args.homogenization:
@@ -145,6 +131,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    """`construct`: a named construction's .sys file and its recipe sidecar."""
     F = build_field(args.p, args.k)
     if args.kind == "norm-form":
         poly = norm_form(F, args.degree)
@@ -191,6 +178,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    """`lemma`: covering trials, or a saturation part on the full space or exhaustively."""
     F = build_field(args.p, args.k)
     if args.which == "cover":
         covering_trial_budget(F.q, args.n, args.trials)
@@ -211,6 +199,7 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_estimate_dim(args) -> int:
+    """`estimate-dim`: the dimension estimate."""
     _, _, system = _load_system(args.system)
     est = estimate_dimension(system, args.smax, budget=args.budget)
     _emit(json.dumps(est.to_dict()), args.out)
@@ -218,6 +207,7 @@ def cmd_estimate_dim(args) -> int:
 
 
 def cmd_scan_conjecture(args) -> int:
+    """`scan-conjecture`: the seeded scan as CSV; exit 2 if a row is flagged."""
     try:
         qs = tuple(int(q) for q in args.qs.split(","))
     except ValueError:
@@ -236,6 +226,7 @@ def cmd_scan_conjecture(args) -> int:
 
 
 def cmd_factor_test(args) -> int:
+    """`factor-test`: the linear-factor search on a one-polynomial system."""
     _, _, system = _load_system(args.system)
     if system.r != 1:
         print("the factor test works on single-polynomial systems", file=sys.stderr)
@@ -248,6 +239,7 @@ def cmd_factor_test(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    """`suite`: a preset battery; the body on stdout, the timed lines on stderr."""
     # each criterion's progress line carries its wall time, which varies
     # from run to run, so it goes to stderr and the body stays deterministic
     results = run_preset(args.preset, seed=args.seed, echo=lambda line: print(line, file=sys.stderr))
@@ -271,6 +263,7 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand."""
     ap = _Parser(
         prog="cwlab",
         description="Exact zero counting over finite fields, with congruence "
@@ -373,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code (module docstring), errors on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,8 +1,5 @@
-"""Generators for the bundled named systems and for seeded random corpora.
-
-Every construction records a recipe (kind + parameters + provenance) whose
-replay reproduces the identical system bit for bit.
-"""
+"""The named constructions and the seeded random corpora, each with a
+recipe (kind, parameters, provenance) that rebuilds it bit for bit."""
 
 from __future__ import annotations
 
@@ -19,6 +16,7 @@ from .fields import FIELD_SIZE_CAP, Embedding, FieldSpec, build_field, embed_sub
 from .polynomials import MultiPoly, PolySystem
 from .rng import SplitMix64, derive_seed
 
+# q^k up to which `norm_form` counts its zeros to assert the origin is the only one
 _NORM_VERIFY_CAP = 1 << 12
 # monomials a random system draws coefficients for, summed over its
 # polynomials: at the cap `cwlab construct random` takes about two seconds
@@ -27,20 +25,18 @@ RANDOM_MONOMIALS = 250_000
 
 @dataclass
 class ConstructionRecipe:
+    """What a construction was built from, as the `.recipe.json` sidecar records it."""
+
     kind: str  # norm_form | example1 | example2 | random
     parameters: dict
     provenance: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
+        """The sidecar body."""
         return json.dumps(
             {"kind": self.kind, "parameters": self.parameters, "provenance": self.provenance},
             sort_keys=False,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstructionRecipe":
-        data = json.loads(text)
-        return cls(data["kind"], data["parameters"], data.get("provenance", {}))
 
 
 def _pull_back(emb: Embedding, f: MultiPoly) -> MultiPoly:
@@ -51,10 +47,8 @@ def _pull_back(emb: Embedding, f: MultiPoly) -> MultiPoly:
 
 
 def _generic_norm(emb: Embedding, nvars: int) -> MultiPoly:
-    """The norm from emb.big down to emb.small of the generic element
-    x_1 + x_2 g + ... + x_nvars g^(nvars-1), g the big field's generator:
-    the product of its conjugates under c -> c^|emb.small|.  The norm is
-    fixed by that map, so its coefficients are pulled back to emb.small."""
+    """The norm from emb.big to emb.small of x_1 + x_2 g + ... +
+    x_nvars g^(nvars-1), g the big generator, pulled back to emb.small."""
     K, q = emb.big, emb.small.q
     conj = MultiPoly.from_terms(
         K,
@@ -69,14 +63,14 @@ def _generic_norm(emb: Embedding, nvars: int) -> MultiPoly:
 
 
 def norm_form(F: FieldSpec, k: int) -> MultiPoly:
-    """The degree-k form in k variables given by the field norm of a general
-    element of the degree-k extension, written in the power basis 1, g, ...,
-    g^(k-1).  Over F_q it vanishes only at the origin.
-    """
+    """The degree-k norm form in k variables (the norm of a general element
+    of the degree-k extension in its power basis), zero only at the origin;
+    DegreeTooLarge when that extension is past the field cap."""
     if k < 1:
         raise InvalidArgument(f"norm form degree must be >= 1, got {k}")
-    if F.q**k > FIELD_SIZE_CAP:
-        raise DegreeTooLarge(f"q^k = {F.q**k} exceeds the field cap")
+    # p >= 2: past extension degree 20 q^k is past the cap, and past 64 not formed
+    if F.k * k > 20 or F.q**k > FIELD_SIZE_CAP:
+        raise DegreeTooLarge(f"q^k = {F.q**k if F.k * k <= 64 else f'{F.q}^{k}'} exceeds the field cap")
     form = _generic_norm(embed_subfield(F, build_field(F.p, F.k * k)), k)
     if F.q**k <= _NORM_VERIFY_CAP:
         cnt = count_zeros(PolySystem([form])).count
@@ -85,8 +79,7 @@ def norm_form(F: FieldSpec, k: int) -> MultiPoly:
 
 
 def embed_in_more_variables(f: MultiPoly, n: int, at: int = 0) -> MultiPoly:
-    """View f as a polynomial in n >= f.nvars variables, occupying the
-    variable block starting at position `at`."""
+    """f in n variables, on the block of them that starts at position at."""
     if f.nvars + at > n:
         raise InvalidArgument("variable block does not fit")
     pad_l = (0,) * at
@@ -95,7 +88,7 @@ def embed_in_more_variables(f: MultiPoly, n: int, at: int = 0) -> MultiPoly:
 
 
 def _least_irreducible_quadratic_c(F: FieldSpec) -> int:
-    """Least c such that x^2 + x + c has no root in F (always exists)."""
+    """The least c for which x^2 + x + c has no root in F."""
     for c in range(F.q):
         if all(F.add(F.add(F.mul(a, a), a), c) != 0 for a in range(F.q)):
             return c
@@ -116,13 +109,9 @@ class QuadricTimesNorm:
 
 
 def example_one(F: FieldSpec, n: int = 4) -> QuadricTimesNorm:
-    """Quadric Q = x1 x2 + x3^2 + x3 x4 + c x4^2 with the binary part
-    irreducible, times a norm form in the remaining n-4 variables.
-
-    Q alone has exactly q^3 - q^2 + q zeros over F_q^4.  For n > 4 the
-    closed-form display value q^(n+1-d)(1 - 1/q + 1/q^2) no longer matches
-    the true count of the product's zero set, and the result flags that.
-    """
+    """Q = x1 x2 + x3^2 + x3 x4 + c x4^2 (q^3 - q^2 + q zeros in A^4) times
+    a norm form in the other n - 4 variables; for n > 4 the display value
+    q^(n+1-d)(1 - 1/q + 1/q^2) misses the true count, which is flagged."""
     if n < 4:
         raise InvalidArgument(f"example1 needs at least 4 variables, got {n}")
     q = F.q
@@ -185,14 +174,10 @@ class NonSplitQuartic:
 
 
 def example_two(F: FieldSpec) -> NonSplitQuartic:
-    """Build f = (Q1 + beta Q2) * (Q1 + beta^sigma Q2) over F_q, q >= 3.
-
-    N = Q1 + alpha Q2 is the norm form of the quartic extension down to the
-    quadratic one, written in an F_q-basis of the quartic extension; beta is
-    the least element of the quadratic extension outside F_q and different
-    from alpha and its conjugate.  Then f is defined over F_q, homogeneous
-    of degree 4, vanishes only at the origin, and has no linear factors.
-    """
+    """f = (Q1 + beta Q2)(Q1 + beta^sigma Q2) over F_q, q >= 3 (FieldTooSmall
+    for q = 2), with Q1 + alpha Q2 the norm from the quartic to the quadratic
+    extension and beta the least quadratic element outside F_q, alpha and its
+    conjugate: a quartic form, zero only at the origin, with no linear factor."""
     if F.q < 3:
         raise FieldTooSmall(
             "q = 2 admits no valid beta: the quadratic extension has only "
@@ -255,8 +240,7 @@ def example_two(F: FieldSpec) -> NonSplitQuartic:
 
 @lru_cache(maxsize=32)  # the corpus draws from 15 shapes (n, d)
 def _monomials_up_to(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples with total degree <= d, lexicographic order;
-    each (n, d) is spelled out once."""
+    """The exponent tuples of total degree <= d, in lexicographic order."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, pos: int) -> None:
@@ -276,9 +260,9 @@ def _monomials_up_to(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 def random_system(
     F: FieldSpec, n: int, degrees: Sequence[int], seed: int
 ) -> PolySystem:
-    """Seeded random system: uniform coefficients over all monomials of
-    degree <= d_i, redrawn until each realized total degree equals d_i.
-    BudgetExceeded, before any draw, past RANDOM_MONOMIALS monomials in all."""
+    """Uniform seeded coefficients on every monomial of degree <= d_i, redrawn
+    until each total degree is d_i; BudgetExceeded, before any draw, past
+    RANDOM_MONOMIALS monomials in all."""
     if n < 1:
         raise InvalidArgument(f"a random system needs n >= 1 variables, got {n}")
     if not degrees or any(d < 1 for d in degrees):
@@ -307,6 +291,7 @@ def random_system(
 
 
 def random_system_recipe(F: FieldSpec, n: int, degrees: Sequence[int], seed: int) -> ConstructionRecipe:
+    """The recipe of `random_system(F, n, degrees, seed)`."""
     return ConstructionRecipe(
         "random",
         {"p": F.p, "k": F.k, "n": n, "degrees": list(degrees), "seed": seed},
@@ -320,12 +305,8 @@ _CORPUS_MAX_D = 4
 
 
 def corpus_system(seed: int, index: int) -> PolySystem:
-    """System number `index` of the seeded verification corpus.
-
-    Draws q from {2,3,4,5}, one or two polynomials with degrees <= 3 and
-    total degree d <= 4, and an arity n with d < n <= 5 (so the congruence
-    hypotheses n > d hold throughout the corpus).
-    """
+    """System number index of the seeded corpus: q in {2, 3, 4, 5}, one or
+    two polynomials of degrees <= 3 and total degree d <= 4, d < n <= 5."""
     rng = SplitMix64(derive_seed(seed, index))
     q = _CORPUS_QS[rng.below(len(_CORPUS_QS))]
     while True:
@@ -340,17 +321,3 @@ def corpus_system(seed: int, index: int) -> PolySystem:
     F = build_field(p, k)
     return random_system(F, n, degrees, derive_seed(seed, index, 1))
 
-
-def build_from_recipe(recipe: ConstructionRecipe):
-    """Replay a recipe; the rebuilt object is bit-identical to the original."""
-    params = recipe.parameters
-    F = build_field(params["p"], params["k"])
-    if recipe.kind == "norm_form":
-        return norm_form(F, params["degree"])
-    if recipe.kind == "example1":
-        return example_one(F, params["n"])
-    if recipe.kind == "example2":
-        return example_two(F)
-    if recipe.kind == "random":
-        return random_system(F, params["n"], params["degrees"], params["seed"])
-    raise InvalidArgument(f"unknown recipe kind {recipe.kind!r}")

@@ -1,52 +1,9 @@
-"""Exact zero counting over full spaces, subspaces, and extension fields.
+"""Exact zero counting over full spaces, subspaces and extension fields.
 
-Two independent engines are provided and must agree exactly:
-
-* the fast engine evaluates the system on the point grid in odometer order,
-  a block of prefixes (x_1 .. x_{n-1}) at a time with every value of x_n, by
-  one of two steps, which a rule picks per pass from its points, k and the
-  number |W| of the words of its system's term lengths (`_gemm_rule`).  A
-  pass of at most GEMM_POINTS points whose product does at most GEMM_ENTRIES
-  multiply-adds a polynomial takes the GEMM step (`_gemm_chunks`): every
-  polynomial at every point is one exact float32 product of the
-  coefficients' F_p-matrices of multiplication and a memo-kept matrix of the
-  digits of the monomials' values (`_monomials`), read mod p.  Every other
-  pass takes the trie step (`_trie_chunks`), in the log domain of the
-  field's log/exp bundle (`FieldSpec.tables`), on the logs of the
-  coordinates.  A monomial is its word, the numbers of its variables with
-  repeats, and a polynomial's words are compiled into a trie (`_plan`): a
-  dense polynomial's plan is its shape's, of every word of its lengths,
-  where its exponent vectors name their rows (`_compiled`); a sparse one's
-  words are spelled by `_word`, its plan kept by a memo of the last
-  PLAN_MEMO.  Each level of the trie, the distinct prefixes of one length,
-  is one gather-add over the (variables x points) array of logs, and every
-  term's log sum plus its coefficient's log is one (terms x points) stack,
-  which `FieldTables.total` reduces once (`_evaluate`, `evaluate_columns`).
-  A polynomial so costs O(deg f) array operations.  The polynomial with the
-  fewest terms goes first, as the sum over the powers of x_n of its
-  coefficients' values at the prefixes times x_n^e, split on its words in
-  its plan; each later one is evaluated only at the points where all earlier
-  ones vanish, on their logs gathered from the block's.  Both steps give the
-  surviving odometer indexes, the zero set.  A trie-step pass whose
-  prefixes fit in one block (q times their number at most CHUNK) reads them
-  and their logs from GRIDS, one table per (field, n, cone).  A homogeneous
-  system is counted on its cone instead: prefix 0 and the normalized
-  prefixes only, the zeros off the x_n-axis weighted by q - 1 (see
-  `fast_count`);
-* the naive oracle evaluates every polynomial at every point from scratch.
-
-The laws on one system (Chevalley, Ax, the homogenization identity, the
-lower bounds, the parallel class) all read one zero set.  So the fast
-engine remembers the full-space walks of the last WALK_MEMO systems in
-WALKS (see `_walk`): a count, and once a walk has listed them the zeros'
-odometer indexes, their rows of coordinates and, once asked for, their
-`point_digits`, within MEMO_ZEROS integers an entry.  An entry also holds
-its congruence notes: how far the coset sweeps found the counts over each
-dimension's direction spaces to agree, under each modulus, so that a later
-sweep under a divisor of that modulus (Warning's hyperplanes mod p after
-the parallel subspaces mod q) does not check those spaces again.  Budgets
-are checked before the memo is read, and no report depends on whether a
-walk was remembered.
+Two engines must agree exactly: the fast kernel, which walks the point grid
+in odometer order and keeps the zeros' odometer indexes (its GEMM and trie
+steps, the cone walk and the walk memo are README's design notes), and the
+oracle, which evaluates every polynomial at every point.
 """
 
 from __future__ import annotations
@@ -68,6 +25,8 @@ from .memo import Memo
 from .polynomials import MultiPoly, PolySystem, restrict_to_subspace
 from .subspaces import AffineSubspace
 
+# points a count may scan: the oracle's cap, the fast engine's cap, and the
+# default point budget (`CWLAB_BUDGET` overrides it); every one is below 2^30
 ORACLE_CAP = 10**6
 FAST_CAP = 10**9
 DEFAULT_BUDGET = 1 << 22
@@ -76,6 +35,8 @@ CHUNK = 1 << 16
 
 
 def default_budget() -> int:
+    """The point budget: `CWLAB_BUDGET` if set, else DEFAULT_BUDGET; an
+    input error for a value that is not an integer >= 0."""
     env = os.environ.get("CWLAB_BUDGET")
     if env:
         try:
@@ -90,6 +51,9 @@ def default_budget() -> int:
 
 @dataclass
 class CountReport:
+    """One count: the field size, the system's shape, the region, the count,
+    the points scanned and the points evaluated (see README)."""
+
     q: int
     n: int
     r: int
@@ -103,7 +67,7 @@ class CountReport:
     elapsed: float = dc_field(default=0.0, repr=False)
 
     def to_json(self) -> str:
-        """Stable body shape; field order is fixed for golden tests."""
+        """The report body, keys in a fixed order."""
         return json.dumps(
             {
                 "q": self.q,
@@ -130,30 +94,10 @@ def _coordinates(idx: np.ndarray, q: int, n: int) -> np.ndarray:
     return cols
 
 
-def evaluate_columns(f: MultiPoly, cols: Sequence[np.ndarray] | np.ndarray, T: FieldTables) -> np.ndarray:
-    """Values of f at the points whose coordinate columns are the rows of
-    cols, an (n, N) array or n arrays of N entries, n >= 1.
-
-    Products are taken in the log domain of T's log/exp bundle (see
-    `FieldTables`), on the columns' logs.  A monomial is spelled as the
-    numbers of its variables in order, with repeats (x1^2*x3 is 0, 0, 2;
-    see `_word`), and f's words are compiled once into a trie (`_plan`):
-    a node of word length l is its parent's log sum plus one variable's
-    logs, and every node of one length is one gather-add over the 2-D
-    (variables x points) array of logs, so f costs O(deg f) array steps
-    whatever its number of terms.  A length that holds `T.depth` logs is
-    folded back to logs by one lookup before the next length is added.
-    Every term's log sum plus its coefficient's log is gathered into one
-    (terms x points) stack, which `T.total` reduces once (`_evaluate`).
-    """
-    return _evaluate(*_compiled(f, T), T.log.take(np.asarray(cols)), T)[0]
-
-
 @lru_cache(maxsize=1 << 12)
 def _word(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """The word of a monomial with exponent vector exps: each variable's
-    number once per unit of its exponent (x1^2*x3 is 0, 0, 2).  Words are
-    remembered, so each exponent vector is spelled once."""
+    """The word of exponent vector exps: each variable's number once per
+    unit of its exponent (x1^2*x3 is 0, 0, 2)."""
     return tuple(i for i, e in enumerate(exps) for _ in range(e))
 
 
@@ -161,29 +105,20 @@ Spelled = list[tuple[tuple[int, ...], int]]
 
 
 def _spelled(f: MultiPoly) -> Spelled:
-    """f's terms as (word, coefficient) pairs in sorted word order (see
-    `_word`), the constant's empty word first; the zero polynomial as the
-    constant 0."""
+    """f's terms as sorted (word, coefficient) pairs; the zero polynomial as
+    the constant 0."""
     return sorted((_word(exps), c) for exps, c in f.terms.items()) or [((), 0)]
 
 
 class Plan(NamedTuple):
-    """The words of a polynomial's terms, or all of a shape's (`_shape`), compiled into a trie (see `_plan`).
-
-    The node buffer's row 0 is the empty word, whose log sum is 0 (the log
-    of 1), and the nodes of word length l follow in rows [start, stop).
-    levels[l - 1] = (start, stop, parents, variables, fold): node r is the
-    log sum of its parent, row parents[r - start] (none at length 1), plus
-    the logs of the variable numbered variables[r - start], and fold is the
-    rows of length l - 1 that are folded first, when they hold
-    `FieldTables.depth` logs (else None).  rows holds each term's node, the
-    terms grouped by the power of the split variable in powers (one group,
-    power 0, when no variable is split off), sizes[g] terms in group g
-    (None for one group), order[i] is the position in the spelled terms of
-    the plan's term i (None when the two orders agree, and in a shape's
-    plan, whose rows the exponent vectors name directly), and empty tells
-    whether a term's node is row 0, which is then filled.
-    """
+    """Words compiled into a trie.  Node row 0 is the empty word (log sum
+    0); levels[l - 1] = (start, stop, parents, variables, fold) makes rows
+    [start, stop) of length l, each its parent's row (none at length 1)
+    plus one variable's logs, after folding the rows in fold (`FieldTables.
+    depth` logs, else None).  rows holds each term's node, grouped by the
+    split variable's powers (sizes[g] terms in group g, None for one group);
+    order maps plan terms to spelled terms (None when equal); empty tells
+    whether a term's node is row 0."""
 
     levels: tuple[tuple[int, int, np.ndarray | None, np.ndarray, slice | None], ...]
     nodes: int
@@ -194,24 +129,16 @@ class Plan(NamedTuple):
     empty: bool
 
 
-# plans the memo keeps (see `_plan`), each a few index arrays
+# plans `_plan` keeps, each a few index arrays
 PLAN_MEMO = 1 << 8
 
 
 @lru_cache(maxsize=PLAN_MEMO)
 def _plan(words: tuple[tuple[int, ...], ...], last: int | None) -> Plan:
-    """The trie plan of a polynomial with these sorted words (see `Plan`).
-
-    With last given, the variable numbered last is split off: a word's
-    trailing run of last (last is the largest number, so the run is all of
-    its factors) is its power e, the rest of the word is its node, and the
-    groups are the coefficients g_e of f = sum_e g_e * x^e, x the split
-    variable.  The nodes are the distinct prefixes of the words, found by
-    one walk over them in sorted order: a word keeps the nodes of the
-    prefix it shares with the one before.  Plans depend on the words only,
-    not on the field or the coefficients, so the memo keeps the last
-    PLAN_MEMO of them, keyed by (words, last).
-    """
+    """The `Plan` of these sorted words.  With last given, a word's trailing
+    run of last (the largest number) is its power e and the groups are the
+    g_e of f = sum_e g_e * x_last^e.  The nodes are the words' distinct
+    prefixes, from one walk in sorted order."""
     rests, powers = words, [0] * len(words)
     if last is not None:
         rests = []
@@ -272,8 +199,8 @@ def _plan(words: tuple[tuple[int, ...], ...], last: int | None) -> Plan:
 
 @lru_cache(maxsize=1 << 6)
 def _shape(n: int, lengths: tuple[int, ...], last: int | None) -> tuple[Plan, dict[tuple[int, ...], int]]:
-    """The plan of every word of these lengths in n variables (built past
-    `_plan`'s memo), and each exponent vector's row in its term order."""
+    """The plan of every word of these lengths in n variables, and each
+    exponent vector's row in its term order."""
     words = sorted(w for l in lengths for w in combinations_with_replacement(range(n), l))
     plan = _plan.__wrapped__(tuple(words), last)
     order = plan.order or range(len(words))
@@ -281,18 +208,10 @@ def _shape(n: int, lengths: tuple[int, ...], last: int | None) -> tuple[Plan, di
 
 
 def _compiled(f: MultiPoly, T: FieldTables, last: int | None = None) -> tuple[Plan, np.ndarray]:
-    """The plan of f (see `_plan`), and its terms' coefficients' logs in the
-    plan's order: the shifts of `_evaluate`.
-
-    A polynomial whose terms are at least half of the words of their
-    lengths in its n variables is compiled from its exponents: its shape
-    (n, lengths, last) names the plan of all of those words (`_shape`), the
-    others with coefficient 0, whose log Z makes exp read their products as
-    0, and each exponent vector its row there, so no word is spelled.  The
-    many small, dense polynomials of one shape (and their leading forms and
-    homogenizations) so share one plan.  A sparse one is spelled
-    (`_spelled`), its plan read from the plan memo.
-    """
+    """f's plan and its coefficients' logs in plan order (the shifts of
+    `_evaluate`): its shape's plan (`_shape`, absent words at log Z) when
+    its terms are at least half of the words of their lengths, else the
+    plan of its spelled words."""
     terms = f.terms
     lengths = tuple(sorted(set(map(sum, terms))))
     if terms and sum(comb(f.nvars + l - 1, l) for l in lengths) <= 2 * len(terms):
@@ -314,23 +233,16 @@ EVAL_BYTES = 1 << 18
 
 
 def _evaluate(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
-    """The values of each group of a compiled polynomial (see `_compiled`)
-    at the points whose coordinates' logs are the columns of logs, an
-    (n, points) array in `T.log`'s dtype: a (groups, points) array.
-
-    The nodes of each word length are one gather-add, and the terms' log
-    sums plus their shifts one (terms x points) stack, which `T.total`
-    reduces once.  The points are taken in slices of at most EVAL_BYTES
-    // (8 * (nodes + terms)), so the node buffer and the stack of a slice,
-    and numpy's intp copies of them, stay within EVAL_BYTES each.
-    """
+    """Each group of a compiled polynomial at the points whose coordinate
+    logs are the columns of logs (n, points): a (groups, points) array,
+    in slices of at most EVAL_BYTES // (8 * (nodes + terms)) points."""
     step = max(1, EVAL_BYTES // (8 * (plan.nodes + len(plan.rows))))
     return _sliced(lambda s: _evaluate_slice(plan, shifts, logs[:, s], T), logs.shape[1], step)
 
 
 def _sliced(part, width: int, step: int) -> np.ndarray:
-    """part(s) for the slices s of [0, width), step wide, joined along the
-    last axis: part(slice(None)) when one slice holds them all."""
+    """part(s) for the slices s of [0, width), step wide, joined on the
+    last axis."""
     if width <= step:
         return part(slice(None))
     return np.concatenate([part(slice(lo, lo + step)) for lo in range(0, width, step)], axis=-1)
@@ -342,8 +254,7 @@ def _evaluate_slice(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTa
 
 
 def _log_sums(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
-    """Each term's log sum plus its shift at the points whose coordinates'
-    logs are the columns of logs: the (terms x points) stack of `_evaluate`,
+    """The (terms x points) stack of each term's log sum plus its shift,
     which exp reads as the terms' values."""
     buf = np.empty((plan.nodes, logs.shape[1]), dtype=logs.dtype)
     if plan.empty:
@@ -361,11 +272,9 @@ def _log_sums(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) 
 
 
 def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
-    """The odometer prefixes (x_1 .. x_{n-1}) a pass visits, in order:
-    every prefix, or on the cone (see `fast_count`) prefix 0 and then the
-    normalized prefixes, whose first nonzero coordinate is the element of
-    index 1 (F.one over a prime field, g^(k-1) over F_{p^k}, g = F.generator):
-    with m coordinates after it, they are the range [q^m, 2*q^m)."""
+    """The prefixes (x_1 .. x_{n-1}) a pass visits, in order: all, or on the
+    cone prefix 0 and the normalized prefixes, led by the element of index
+    1: [q^m, 2*q^m) for m = 0 .. n - 2."""
     if not n:
         return []
     if not cone:
@@ -374,8 +283,7 @@ def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
 
 
 def _prefix_blocks(ranges: list[range], step: int) -> Iterator[np.ndarray]:
-    """The prefixes of ranges in order, step at a time: small ranges share
-    a block."""
+    """The prefixes of ranges in order, step at a time."""
     parts: list[np.ndarray] = []
     size = 0
     for r in ranges:
@@ -393,10 +301,8 @@ def _prefix_blocks(ranges: list[range], step: int) -> Iterator[np.ndarray]:
 
 
 def _blocks(T: FieldTables, n: int, cone: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A pass's blocks of prefixes (see `_prefix_ranges`), CHUNK // q at a
-    time, each with the logs of its prefixes' n - 1 coordinates as the rows
-    of an (n - 1, len) array.  A pass whose prefixes all fit in one block
-    reads that block from the grid memo (see `_grid`)."""
+    """A pass's prefixes, CHUNK // q at a time, each block with its
+    coordinates' logs (n - 1, len); a one-block pass reads `_grid`."""
     q = T.q
     ranges = _prefix_ranges(q, n, cone)
     step = max(1, CHUNK // q)
@@ -411,8 +317,7 @@ GRIDS = Memo(1 << 20)  # bytes of every field's trie-step grid blocks; the corpu
 
 
 def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
-    """The one block of the pass of shape (T's field, n, cone): its prefixes
-    and their coordinates' logs, read-only, kept in GRIDS."""
+    """The one block of the pass (T's field, n, cone), read-only, in GRIDS."""
     grid = GRIDS.get((T, n, cone))
     if grid is None:
         pre = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
@@ -425,16 +330,13 @@ def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.n
 
 # the step rule (`_gemm_rule`): a pass of at most GEMM_POINTS points whose
 # product does at most GEMM_ENTRIES multiply-adds a polynomial, k^2 |W| points,
-# takes the GEMM step; its M' then holds k|W| points entries, at most 256 KiB
-# in float32.  The rule admits every corpus pass (q <= 5, n <= 6, degree <= 3,
-# so |W| <= 84) of at most GEMM_POINTS points
+# takes the GEMM step (its M' at most 256 KiB in float32); every corpus pass
+# of at most GEMM_POINTS points qualifies
 GEMM_POINTS = 1 << 8
 GEMM_ENTRIES = 1 << 16
-# an entry of the GEMM step's product sums k|W| products of F_p-digits, each
-# at most (p - 1)^2, non-negative integers, so every partial sum, in any
-# blocking or thread split, is below k|W| p^2 <= k^2 |W| points * p, which
-# the rule keeps within GEMM_ENTRIES * GEMM_POINTS = 2^24 (p <= q <= points):
-# float32 holds each one exactly.  `_monomials` asserts the bound
+# a GEMM-step partial sum is below k|W| p^2 <= GEMM_ENTRIES * GEMM_POINTS =
+# 2^24 (p <= q <= points), which float32 holds exactly; `_monomials` asserts
+# k|W|(p - 1)^2 < GEMM_EXACT
 GEMM_EXACT = 1 << 24
 
 # bytes of the GEMM step's M' matrices and their points (see `_monomials`),
@@ -443,32 +345,20 @@ MONOMIALS = Memo(1 << 20)
 
 
 def _gemm_rule(points: int, words: int, k: int) -> bool:
-    """Whether a pass of this many points over F_{p^k}, of a system whose
-    term lengths have this many words in its variables, takes the GEMM
-    step (see GEMM_POINTS)."""
+    """Whether a pass of this many points over F_{p^k}, of this many words,
+    takes the GEMM step (see GEMM_POINTS)."""
     return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES
 
 
 def _lengths(system: PolySystem) -> tuple[int, ...]:
-    """The lengths of the words of the system's terms (their total
-    degrees), ascending, once each."""
+    """The total degrees of the system's terms, ascending, once each."""
     return tuple(sorted({sum(exps) for f in system.polys for exps in f.terms}))
 
 
 def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
-    """Odometer indexes of the common zeros at the prefixes a pass visits
-    (see `_prefix_ranges`), ascending, one array per block: the GEMM step's
-    whole pass, or each of the trie step's `_blocks`.
-
-    A block is a set of prefixes (x_1 .. x_{n-1}) with every value of x_n.
-    A pass takes one of two steps, by the rule of `_gemm_rule`, which reads
-    only its points (q times its prefixes), the number |W| of the words of
-    its system's term lengths (`_lengths`) and k: the GEMM step
-    (`_gemm_chunks`) for a pass of at most GEMM_POINTS points whose product
-    does at most GEMM_ENTRIES multiply-adds a polynomial, k^2 |W| points,
-    and the trie step (`_trie_chunks`) for every other.  Both visit the
-    same points in the same order and give the same zeros.
-    """
+    """The common zeros' odometer indexes at the prefixes a pass visits,
+    ascending, one array per block, by the step `_gemm_rule` picks; both
+    steps give the same zeros in the same order."""
     F = system.field
     q, n = F.q, system.nvars
     if not n:
@@ -485,19 +375,10 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
 
 
 def _monomials(T: FieldTables, n: int, cone: bool, lengths: tuple[int, ...]) -> tuple[np.ndarray, dict, np.ndarray]:
-    """(M', rows, points) for the GEMM step on the passes of shape (T's
-    field, n, cone) of the systems whose term lengths are lengths, kept in
-    MONOMIALS.
-
-    W is every word of those lengths in n variables, in the order of their
-    shape's plan (`_shape`), rows names each exponent vector's word, and
-    points holds the pass's points as odometer indexes, in order.  M' is a
-    read-only float32 (k|W|, points) array: entry ((w, a), x) is the
-    F_p-digit a of w(x), w's value at the pass's point x.  The values of
-    every word at every point are one trie evaluation of the shape's plan,
-    with every coefficient 1, on the logs of the pass's points.  GEMM_EXACT
-    is asserted here.
-    """
+    """(M', rows, points) of the GEMM step for (T's field, n, cone,
+    lengths), read-only, in MONOMIALS: M'[(w, a), x] is the F_p-digit a of
+    word w at the pass's point x (float32), rows each exponent vector's
+    word, points the pass's odometer indexes.  Asserts GEMM_EXACT."""
     key = (T, n, cone, lengths)
     hit = MONOMIALS.get(key)
     if hit is None:
@@ -518,19 +399,9 @@ def _monomials(T: FieldTables, n: int, cone: bool, lengths: tuple[int, ...]) -> 
 
 
 def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """`_zero_chunks` by the GEMM step, lengths being `_lengths(system)`.
-
-    Every polynomial is evaluated at every point of the pass by one product
-    C M' read mod p, M' the digits of the words' values (see `_monomials`).
-    C is an (rk, k|W|) float32 array, zero for each word a polynomial
-    lacks: c * w(x) is the sum over a of digit a of w(x) times c * g^a, so
-    entry ((i, b), (w, a)) is digit b of c * g^a, c the coefficient of w in
-    f_i, read from `FieldTables.mul_matrices` as in `geometry._tail_map`
-    (over a prime field, c itself).  Row (i, b) of the product is then
-    digit b of f_i at every point, and a point is a zero when all rk of
-    them are 0 mod p.  The product is exact (see GEMM_EXACT).  The rule
-    caps the pass at GEMM_POINTS points, so it is one product, one block.
-    """
+    """`_zero_chunks` by the GEMM step: one product C M' read mod p, with
+    C[(i, b), (w, a)] the digit b of c * g^a, c the coefficient of w in
+    f_i; a zero reads 0 in all rk rows."""
     F = system.field
     T, p, k = F.tables, F.p, F.k
     M, rows, points = _monomials(T, system.nvars, cone, lengths)
@@ -550,17 +421,9 @@ def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> It
 
 
 def _trie_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
-    """`_zero_chunks` by the trie step, for a system in n >= 1 variables.
-
-    The polynomial with the fewest terms goes first, as the sum of
-    g_e * x_n^e over the powers e of x_n, split off in its plan (see
-    `_plan`): one `_evaluate` gives every g_e at every prefix, on the
-    block's logs, and the sum is one stack of the logs of g_e plus the logs
-    of x_n^e at every value of x_n, reduced once, in slices of at most
-    EVAL_BYTES // (8 * groups * q) prefixes.  Each later polynomial is
-    evaluated at the (prefix, x_n) pairs where all earlier ones vanish, on
-    their logs gathered from the block's.
-    """
+    """`_zero_chunks` by the trie step, n >= 1: the sparsest polynomial as
+    sum_e g_e x_n^e over each block, in slices of at most EVAL_BYTES //
+    (8 * groups * q) prefixes, each later one at the survivors only."""
     F = system.field
     q, n = F.q, system.nvars
     T = F.tables
@@ -587,10 +450,8 @@ def _trie_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
 
 # full-space walks WALKS keeps (see `_walk`), which bind before its bytes
 WALK_MEMO = 4
-# integers one entry's zeros take (8 MB of them): the indexes, and the rows
-# once a listing walk asked for them.  Past the bound an entry drops the rows,
-# and then the indexes, keeping the count only, so a count keeps the
-# kernel's bounded memory
+# integers (8 MB) of indexes, rows and digits one entry keeps: past it the
+# entry drops the rows and digits, then the indexes, keeping the count
 MEMO_ZEROS = 1 << 20
 
 
@@ -601,9 +462,8 @@ class _Walk:
     idx: np.ndarray | None  # the zeros' odometer indexes, ascending, once a walk listed them
     rows: np.ndarray | None = None  # the zeros as read-only (N, n) rows, once listed (`zero_points`)
     digits: np.ndarray | None = None  # `point_digits` of the rows, read-only, once asked for (`zero_digits`)
-    # congruence notes: (m, M) -> how many leading direction spaces of
-    # dimension m, in `laws.direction_batches` order, were found to have coset
-    # counts that agree mod M (see `laws._sweep_classes`)
+    # congruence notes: (m, M) -> the leading direction spaces of dimension m
+    # whose coset counts agree mod M (`laws._sweep_classes`)
     agreed: dict[tuple[int, int], int] = dc_field(default_factory=dict)
 
 
@@ -611,17 +471,9 @@ WALKS = Memo(8 * MEMO_ZEROS * WALK_MEMO, WALK_MEMO)  # id(system) -> its walk
 
 
 def _walk(system: PolySystem, listed: bool, digits: bool = False) -> _Walk:
-    """The system's full-space walk, from WALKS when it holds one (with
-    the zeros listed as rows, if listed, and their digits, if digits);
-    otherwise one kernel pass, remembered.  WALKS puts it only on a miss or
-    when it grows.
-
-    Each entry holds the system itself, so its key id(system) cannot be
-    reused while the entry lives.  An entry keeps the zeros' indexes when a
-    pass over the whole grid listed them, and their rows and digits once a
-    listing asked for them, while they take at most MEMO_ZEROS integers
-    (see `_bounded`); otherwise (a cone pass or a larger zero set) only the
-    count, until a listing walk is asked for."""
+    """The system's full-space walk, with the zeros' rows if listed and
+    their digits if digits: from WALKS, or one kernel pass, put on a miss
+    or a growth as `_bounded` trims it."""
     w = WALKS.get(id(system))
     if w is not None and (not listed or w.rows is not None) and (not digits or w.digits is not None):
         return w
@@ -639,9 +491,7 @@ def _walk(system: PolySystem, listed: bool, digits: bool = False) -> _Walk:
 
 
 def _bounded(w: _Walk) -> _Walk:
-    """w as WALKS keeps it: without the rows and digits when they and the
-    indexes take more than MEMO_ZEROS integers, and without the indexes too
-    when they alone do.  A trimmed copy shares w's congruence notes."""
+    """w within MEMO_ZEROS integers, sharing w's congruence notes."""
     if w.rows is not None and w.idx.size + w.rows.size + (0 if w.digits is None else w.digits.size) > MEMO_ZEROS:
         w = replace(w, rows=None, digits=None)
     if w.idx is not None and w.idx.size > MEMO_ZEROS:
@@ -650,9 +500,9 @@ def _bounded(w: _Walk) -> _Walk:
 
 
 def _kernel_walk(system: PolySystem, listed: bool) -> _Walk:
-    """One kernel pass: over the cone when the system is `_on_cone` and the
-    zeros need not be listed, with the count only; else over the grid, with
-    the zeros' indexes, which an unlisted walk drops past MEMO_ZEROS."""
+    """One kernel pass: the cone's count when `_on_cone` and not listed,
+    else the grid's, with the indexes (an unlisted walk drops them past
+    MEMO_ZEROS)."""
     q = system.field.q
     cone = _on_cone(system) and not listed
     count = 0
@@ -671,66 +521,45 @@ def _kernel_walk(system: PolySystem, listed: bool) -> _Walk:
 
 
 def _on_cone(system: PolySystem) -> bool:
-    """Whether `fast_count` walks the cone: a homogeneous system whose cone
-    is smaller than the grid (q > 2 and n > 1)."""
+    """Whether `fast_count` walks the cone: a homogeneous system, q > 2, n > 1."""
     return system.field.q > 2 and system.nvars > 1 and system.is_homogeneous
 
 
 def fast_count(system: PolySystem) -> int:
-    """N(system) from one kernel pass, or from the memo (see `_walk`).
-
-    A homogeneous system is counted on the cone: prefix 0 and the
-    normalized prefixes only, about 1/(q-1) of the grid.  Each f_i is a
-    form, so f_i(c*x) = c^(d_i) * f_i(x) and the zero set is invariant
-    under the scaling action of F^* on points.  The points with a nonzero
-    prefix fall into orbits of exactly q - 1 points, and each orbit meets
-    the normalized prefixes once: they lead with one fixed u != 0 (see
-    `_prefix_ranges`; any fixed nonzero lead would do), and the one c that
-    sends the first nonzero prefix coordinate a to u is u/a.  So N = (zeros
-    with prefix 0, the x_n-axis) + (q - 1) * (zeros at normalized
-    prefixes).  For q = 2 and for n = 1 the cone is the whole grid, which
-    is walked as such.
-    """
+    """N(system) from one kernel pass or the walk memo; on the cone,
+    N = (zeros on the x_n-axis) + (q - 1) * (zeros at normalized prefixes)."""
     return _walk(system, listed=False).count
 
 
 def kernel_points(system: PolySystem) -> int:
-    """The points at which `fast_count`'s pass evaluates the system's first
-    polynomial: every visited prefix with every value of x_n.  The GEMM
-    step evaluates every polynomial at all of them and the trie step the
-    later polynomials at the survivors only, but both visit these points,
-    so the number is the same whichever step the rule picks.  It does not
-    depend on the memo."""
+    """The points `fast_count`'s pass evaluates the first polynomial at:
+    q times its prefixes, whichever step and whether or not memoized."""
     q = system.field.q
     ranges = _prefix_ranges(q, system.nvars, _on_cone(system))
     return q * sum(map(len, ranges))
 
 
 def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:
-    """The common zeros over the full space as rows of coordinates, in
-    odometer order (which is sorted order); BudgetExceeded past budget
-    points (default_budget()), whether or not the memo holds the walk.  The
-    array is read-only: the walk memo may hand it to later callers."""
-    _region_size_check(system.field.q**system.nvars, budget, "fast")
+    """The common zeros as read-only rows, in odometer (sorted) order;
+    BudgetExceeded past budget points, memoized or not."""
+    _region_size_check(system.field.q, system.nvars, budget, "fast")
     return _walk(system, listed=True).rows
 
 
 def zero_digits(system: PolySystem, budget: int | None = None) -> np.ndarray:
-    """`point_digits` of `zero_points`, under the same budget, read-only: the
-    walk memo keeps them beside the rows, for the coset sweeps."""
+    """`point_digits` of `zero_points`, read-only, kept by the walk memo."""
     return zero_digits_with_notes(system, budget)[0]
 
 
 def zero_digits_with_notes(system: PolySystem, budget: int | None = None) -> tuple[np.ndarray, dict]:
-    """`zero_digits` and the congruence notes of the same walk (`_Walk.agreed`),
-    which the coset sweeps read and extend: they go when WALKS drops the walk."""
-    _region_size_check(system.field.q**system.nvars, budget, "fast")
+    """`zero_digits` and the walk's congruence notes (`_Walk.agreed`)."""
+    _region_size_check(system.field.q, system.nvars, budget, "fast")
     w = _walk(system, listed=True, digits=True)
     return w.digits, w.agreed
 
 
 def oracle_count(system: PolySystem) -> int:
-    """Reference engine: evaluate every polynomial at every point."""
+    """Reference engine: every polynomial at every point; BudgetExceeded past ORACLE_CAP points."""
     F = system.field
     n = system.nvars
     if F.q**n > ORACLE_CAP:
@@ -744,13 +573,12 @@ def oracle_count(system: PolySystem) -> int:
 
 
 def zero_set(system: PolySystem, budget: int | None = None) -> list[tuple[int, ...]]:
-    """All common zeros over the full space, in odometer point order."""
+    """The common zeros as tuples, in odometer order."""
     return list(map(tuple, zero_points(system, budget).tolist()))
 
 
 def basis_entries(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Pivot columns of RREF rows, and the rows' entries at the other
-    (free) columns as an (m, n - m) array."""
+    """RREF rows' pivot columns, and their free-column entries (m, n - m)."""
     pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
     free = [j for j in range(n) if j not in pivots]
     entries = np.array([[row[j] for j in free] for row in rows], dtype=np.intp)
@@ -758,37 +586,24 @@ def basis_entries(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...
 
 
 def point_digits(Z: np.ndarray, F: FieldSpec) -> np.ndarray:
-    """The F_p-coordinates of the points (rows of Z) that `coset_ids` reads,
-    as a C-contiguous (nk, |Z|) float64 array: column z holds point z's n
-    coordinates over a prime field, else their k base-p digits each.  A
-    sweep splits its points once and passes the digits to every batch."""
+    """The points' (rows of Z) nk F_p-coordinates, k base-p digits each,
+    as the columns of a C-contiguous float64 array, for `coset_ids`."""
     X = Z if F.k == 1 else F.tables.digits(Z)
     return np.ascontiguousarray(X.reshape(len(Z), Z.shape[1] * F.k).T, dtype=np.float64)
 
 
 def _packing(F: FieldSpec, m: int, f: int) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """`FieldTables.readout` for the (n - m)k = fk offset digits of a space
-    of dimension m: each is an integer below the radix
-    b = (p - 1)(1 + mk(p - 1)) + 1 before the reduction mod p."""
+    """`FieldTables.readout` for the fk offset digits of a space of
+    dimension m, each below b = (p - 1)(1 + mk(p - 1)) + 1 before mod p."""
     p, k = F.p, F.k
     return F.tables.readout((p - 1) * (1 + m * k * (p - 1)) + 1, f * k)
 
 
 def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: FieldSpec) -> np.ndarray:
-    """The stacked matrix M' of `coset_ids` for a batch of B direction
-    spaces of dimension m in A^n: a (B*G, nk) float64 array of
-    non-negative integers, G rows per space, with G = ceil((n - m)k / g)
-    the packed groups of its offset digits (no rows when m = n).  pivots
-    and entries are as in `coset_ids`.
-
-    Row (b, group) holds, for each of x's nk F_p-coordinates, the weight it
-    adds to that group: by the k x k identity where x's column i is free
-    column j, by the matrix of multiplication by -e_{b,r,j} where i is pivot
-    r (`FieldTables.mul_matrices`), and by zero elsewhere, each times the
-    packing matrix W of `FieldTables.readout`.  It depends on the spaces
-    alone, so the congruence sweeps read it with the spaces from
-    `laws.direction_batches`, which keeps a shape's table in `laws.DIRECTIONS`.
-    """
+    """The matrix M' of `coset_ids` for B direction spaces of dimension m:
+    (B*G, nk) non-negative integers in float64, G = ceil((n - m)k / g) rows
+    a space (none when m = n): the identity at free columns and the matrix
+    of x -> -e_{b,r,j} x at pivot r, times `FieldTables.readout`'s W."""
     T = F.tables
     k = F.k
     B, m, f = entries.shape
@@ -817,37 +632,12 @@ def coset_ids(
     F: FieldSpec,
     matrix: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Coset numbers of the points Z, given as X = point_digits(Z, F), for a
-    batch of B direction spaces of dimension m: a (B, |Z|) integer array,
-    each row in `AffineSubspace.parallel_class` order.  pivots holds each
-    space's RREF pivot columns, as a (B, m) array, or as one tuple that
-    every space shares; entries[b] is space b's rows at the free columns, as
-    `basis_entries` gives them.  matrix is their `coset_matrix`, built here
-    when the caller has none (an all-pairs sweep takes it with its spaces
-    from `laws.direction_batches`).
-
-    The coset's offset is the point x minus each row r times x's entry at
-    r's pivot (RREF rows vanish at the other rows' pivots, so the pivot
-    entries never change); its free coordinates, read big-endian, number the
-    coset.  F_q is a k-dimensional F_p-space, and the offset's (n - m)k free
-    F_p-coordinates, x_j - sum_r x_{piv_r} * e_{b,r,j}, are F_p-linear in
-    x's nk coordinates.  Before the reduction mod p each of these digits is
-    an integer below the radix b = (p - 1)(1 + mk(p - 1)) + 1, so g
-    consecutive digits pack into one integer without carries,
-    b^g <= `FieldTables.readout_cap`, and a space's digits pack into
-    G = ceil((n - m)k / g) integers.  So the whole batch is one matrix
-    product of M' (see `coset_matrix`), B*G x nk, with the digits, nk x |Z|.
-    It runs as a float64 BLAS product and is exact: every entry of both
-    factors is a non-negative integer, so every product and partial sum, in
-    any blocking, thread split or FMA order, is an integer no larger than
-    the packed value, which is below b^g (below b past the cap), and so
-    below `FieldTables.exact_cap` = 2^53.  The product is cast back to intp
-    at once.  One `take` from the read-out table reduces every packed
-    integer's digits mod p and reads them big-endian, and the groups read as
-    base-p^g digits.  Where b itself is past the cap, each group is one
-    digit, reduced mod p instead.  The product holds B*G*|Z| integers, and
-    M' holds B*G*nk.  A prime field (k = 1) needs no digit split.
-    """
+    """The coset numbers of the points Z, X = point_digits(Z, F), under B
+    direction spaces of dimension m: a (B, |Z|) array, each row in
+    `parallel_class` order.  pivots is (B, m) or one shared tuple, entries
+    as `basis_entries` gives them, matrix their `coset_matrix` (built if
+    None).  One exact float64 product M' X (its packed values below
+    `FieldTables.exact_cap`) and one read-out `take` (README)."""
     p = F.p
     B, m, f = entries.shape
     if f == 0:
@@ -870,20 +660,21 @@ def coset_ids(
 # -- public counting API --------------------------------------------------------
 
 
-def _region_size_check(size: int, budget: int | None, engine: str) -> None:
-    """BudgetExceeded past the engine's cap or the point budget (a budget of
-    0 admits no region); a negative budget is an input error."""
+def _region_size_check(q: int, e: int, budget: int | None, engine: str) -> None:
+    """BudgetExceeded when a region of q^e points passes the engine's cap or
+    the point budget (a budget of 0 admits none); InvalidArgument for a
+    negative budget.  Every limit is below 2^30 and q >= 2, so q^e is not
+    formed past e = 64."""
     if budget is not None and budget < 0:
         raise InvalidArgument(f"the point budget must be >= 0, got {budget}")
     cap = ORACLE_CAP if engine == "oracle" else FAST_CAP
     limit = min(cap, budget if budget is not None else default_budget())
-    if size > limit:
-        raise BudgetExceeded(f"region size {size} exceeds budget {limit}")
+    if e > 64 or q**e > limit:
+        raise BudgetExceeded(f"region size {q**e if e <= 64 else f'{q}^{e}'} exceeds budget {limit}")
 
 
 def _region_check(system: PolySystem, L: AffineSubspace) -> None:
-    """AmbientMismatch unless L lies in the system's space: the same
-    ambient dimension and the same field."""
+    """AmbientMismatch unless L has the system's ambient dimension and field."""
     if L.ambient != system.nvars:
         raise AmbientMismatch(f"subspace ambient {L.ambient} != system arity {system.nvars}")
     if L.field != system.field:
@@ -891,6 +682,7 @@ def _region_check(system: PolySystem, L: AffineSubspace) -> None:
 
 
 def subspace_region_label(L: AffineSubspace) -> str:
+    """The `region` of a subspace count's report."""
     off = ",".join(str(x) for x in L.offset)
     rows = "|".join(",".join(str(x) for x in r) for r in L.basis)
     return f"subspace dim={L.dim} offset={off} basis={rows}"
@@ -903,22 +695,19 @@ def count_zeros(
     engine: str = "fast",
     budget: int | None = None,
 ) -> CountReport:
-    """Exact N(f; region) with region = full space (None) or a subspace.
-
-    Subspaces are counted by restricting the system to the subspace and
-    counting its zeros over A^dim; this agrees with direct point filtering.
-    """
+    """Exact N(f; region), region the full space (None) or a subspace,
+    which is counted on the system restricted to it."""
     F = system.field
     t0 = time.perf_counter()
     if region is None:
+        _region_size_check(F.q, system.nvars, budget, engine)
         size = F.q**system.nvars
-        _region_size_check(size, budget, engine)
         counted: PolySystem | None = system
         label = "full"
     else:
         _region_check(system, region)
+        _region_size_check(F.q, region.dim, budget, engine)
         size = region.size
-        _region_size_check(size, budget, engine)
         try:
             counted = restrict_to_subspace(system, region)
         except ZeroPolynomial:  # every polynomial vanishes on the region
@@ -946,7 +735,7 @@ def count_zeros(
 
 
 def lift_system(system: PolySystem, s: int) -> PolySystem:
-    """The same equations over the degree-s extension of the coefficient field."""
+    """The same equations over the degree-s extension of the field."""
     F = system.field
     big = build_field(F.p, F.k * s)
     emb = embed_subfield(F, big)
@@ -960,12 +749,11 @@ def count_zeros_ext(
     engine: str = "fast",
     budget: int | None = None,
 ) -> CountReport:
-    """Exact count of zeros with coordinates in F_{q^s}; s=1 is count_zeros."""
+    """The exact count of zeros with coordinates in F_{q^s}, s >= 1."""
     if s < 1:
         raise InvalidArgument(f"extension degree must be >= 1, got {s}")
     F = system.field
-    size = (F.q**s) ** system.nvars
-    _region_size_check(size, budget, engine)
+    _region_size_check(F.q, s * system.nvars, budget, engine)
     rep = count_zeros(lift_system(system, s), engine=engine, budget=budget)
     # the lift keeps n, r and the degrees, and the count scans the same points
     return replace(rep, q=F.q, region=f"ext s={s}")
@@ -978,14 +766,12 @@ def counts_over_parallel_class(
     engine: str = "fast",
     budget: int | None = None,
 ) -> list[tuple[AffineSubspace, int]]:
-    """One exact count per member of L's parallel class (counts sum to the
-    full-space total).  The fast engine buckets the zero set by coset, on
-    the digits the walk memo keeps (`zero_digits`); the oracle counts each
-    member on its own."""
+    """One exact count per member of L's parallel class, in its order: the
+    zero set bucketed by coset, or the oracle on each member."""
     F, n = system.field, system.nvars
     _region_check(system, L)
     budget = default_budget() if budget is None else budget
-    _region_size_check(F.q**n, budget, engine)
+    _region_size_check(F.q, n, budget, engine)
     members = L.parallel_class()
     if engine == "oracle":
         counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]

@@ -10,23 +10,23 @@ class InvalidArgument(CwlabError, ValueError):
 
 
 class NotPrime(CwlabError):
-    pass
+    """A field characteristic that is not prime."""
 
 
 class DegreeTooLarge(CwlabError):
-    pass
+    """A field past the size cap (a budget error)."""
 
 
 class DivisionByZero(CwlabError):
-    pass
+    """Zero inverted, or raised to a negative power."""
 
 
 class NotADivisor(CwlabError):
-    pass
+    """A subfield degree that does not divide the extension degree."""
 
 
 class NotASubfield(CwlabError):
-    pass
+    """An embedding between fields that do not nest."""
 
 
 class ExprSyntaxError(CwlabError):
@@ -38,55 +38,55 @@ class ExprSyntaxError(CwlabError):
 
 
 class UnknownVariable(CwlabError):
-    pass
+    """An expression names an undeclared variable."""
 
 
 class GeneratorInPrimeField(CwlabError):
-    pass
+    """The generator symbol g over a prime field."""
 
 
 class ArityMismatch(CwlabError):
-    pass
+    """Polynomials, points or subspaces in different numbers of variables."""
 
 
 class ZeroPolynomial(CwlabError):
-    pass
+    """The zero polynomial where a nonzero one is needed."""
 
 
 class AmbientMismatch(CwlabError):
-    pass
+    """A subspace outside the system's space."""
 
 
 class DependentBasis(CwlabError):
-    pass
+    """Subspace rows that are linearly dependent."""
 
 
 class BudgetExceeded(CwlabError):
-    pass
+    """Work past a stated cap or budget."""
 
 
 class FullSpace(CwlabError):
-    pass
+    """The full space where a proper subspace is needed."""
 
 
 class EmptySet(CwlabError):
-    pass
+    """An empty point set where points are needed."""
 
 
 class WrongFieldSize(CwlabError):
-    pass
+    """A field outside a law's domain."""
 
 
 class FieldTooSmall(CwlabError):
-    pass
+    """A field too small for a construction."""
 
 
 class NotHomogeneous(CwlabError):
-    pass
+    """A polynomial that is not a nonzero form."""
 
 
 class InsufficientExtensions(CwlabError):
-    pass
+    """Too few extension counts for an estimate."""
 
 
 class FormatError(CwlabError):

@@ -1,19 +1,10 @@
 """Finite fields F_{p^k} with exact, table-backed arithmetic.
 
-An element is an integer index in [0, q).  The index encodes the coordinate
-vector (c0, ..., c_{k-1}) with respect to the power basis 1, g, ..., g^{k-1}
-big-endian (c0 is the most significant digit), so index order coincides with
-lexicographic order on coordinate sequences.  Every "canonically least"
-tie-break in the package means least index in this encoding.
-
-Prime fields use direct modular arithmetic.  An extension field keeps one
-representation of its log/exp tables, the bundle of `FieldSpec.tables`, built
-on first use from the powers of a primitive element.  Vectorized arithmetic
-on numpy arrays of element indexes reads it, and so does scalar arithmetic:
-multiplication, inversion and powers through log and exp, addition by XOR
-for p = 2 and through the Zech table for odd p.  Reduced polynomial
-arithmetic (`mul_poly`) is the independent reference, and it builds the
-tables.
+An element is an index in [0, q) that spells its coordinates over the power
+basis 1, g, ..., g^(k-1) big-endian, so index order is lexicographic order,
+and "canonically least" means least index.  Scalar arithmetic over a prime
+field is mod p; array arithmetic, and an extension field's scalar arithmetic,
+read one log/exp bundle (`FieldTables`, README), checked against `mul_poly`.
 """
 
 from __future__ import annotations
@@ -24,21 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegreeTooLarge,
-    DivisionByZero,
-    InvalidArgument,
-    NotADivisor,
-    NotASubfield,
-    NotPrime,
-)
+from .errors import DegreeTooLarge, DivisionByZero, InvalidArgument, NotADivisor, NotASubfield, NotPrime
 from .memo import Memo
 
+# the largest field; p >= 2, so a degree k > 20 is past it
 FIELD_SIZE_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16  # largest q whose scalar tables are Python lists
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division up to sqrt(n)."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -59,7 +45,7 @@ def _poly_eval_fp(coeffs: Sequence[int], x: int, p: int) -> int:
 
 
 def _poly_mod_fp(num: list[int], den: Sequence[int], p: int) -> list[int]:
-    """Remainder of num by monic den, coefficients ascending, over F_p."""
+    """The remainder of num by monic den over F_p, coefficients ascending."""
     rem = list(num)
     dd = len(den) - 1
     while len(rem) - 1 >= dd and any(rem):
@@ -77,7 +63,7 @@ def _poly_mod_fp(num: list[int], den: Sequence[int], p: int) -> list[int]:
 
 
 def _is_irreducible_fp(coeffs: Sequence[int], p: int) -> bool:
-    """Exhaustive root/factor search for a monic polynomial over F_p."""
+    """Whether a monic polynomial over F_p is irreducible, by exhaustive search."""
     deg = len(coeffs) - 1
     if deg == 1:
         return True
@@ -96,7 +82,7 @@ def _is_irreducible_fp(coeffs: Sequence[int], p: int) -> bool:
 
 
 def _factor_int(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n <= 2^20)."""
+    """The distinct prime factors of n <= 2^20, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -118,10 +104,8 @@ def _group_starts(sizes: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=1 << 8)
 def _zech_rounds(sizes: tuple[int, ...]) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The rounds of `FieldTables._zech_tree` over groups of consecutive
-    rows of the given sizes: in each, the rows (left, right) whose sums go
-    to the left rows, and the first row of each group, which ends with its
-    group's sum."""
+    """The (left, right) rows of each round of `FieldTables._zech_tree` over
+    groups of these sizes, and each group's first row, which ends with its sum."""
     starts = _group_starts(sizes)
     m, rounds = list(sizes), []
     while max(m) > 1:
@@ -136,7 +120,8 @@ def _zech_rounds(sizes: tuple[int, ...]) -> tuple[list[tuple[np.ndarray, np.ndar
 
 
 class FieldSpec:
-    """A concrete model of F_{p^k}.  Immutable after construction."""
+    """F_{p^k} on one monic irreducible modulus, immutable; `build_field`
+    gives the canonical one."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -185,6 +170,7 @@ class FieldSpec:
         return tuple(out)
 
     def from_coords(self, coords: Sequence[int]) -> int:
+        """The element with these k coordinates, each read mod p."""
         if len(coords) != self.k:
             raise ValueError(f"need {self.k} coordinates, got {len(coords)}")
         return self._encode([c % self.p for c in coords])
@@ -203,6 +189,7 @@ class FieldSpec:
         return self._tables
 
     def add(self, a: int, b: int) -> int:
+        """a + b."""
         if self.k == 1:
             return (a + b) % self.p
         if self.p == 2:
@@ -217,6 +204,7 @@ class FieldSpec:
         return exp[s] if s < Z else 0
 
     def sub(self, a: int, b: int) -> int:
+        """a - b."""
         if self.k == 1:
             return (a - b) % self.p
         if self.p == 2:
@@ -224,6 +212,7 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
+        """-a."""
         if self.k == 1:
             return (-a) % self.p
         if self.p == 2:
@@ -233,6 +222,7 @@ class FieldSpec:
         return exp[s] if s < Z else 0
 
     def mul(self, a: int, b: int) -> int:
+        """a * b."""
         if self.k == 1:
             return (a * b) % self.p
         if not a or not b:
@@ -241,7 +231,7 @@ class FieldSpec:
         return exp[log[a] + log[b]]
 
     def mul_poly(self, a: int, b: int) -> int:
-        """Reference multiplication: convolve coordinates, reduce by modulus."""
+        """a * b by reduced polynomial arithmetic: the reference."""
         if self.k == 1:
             return (a * b) % self.p
         p, k = self.p, self.k
@@ -262,6 +252,7 @@ class FieldSpec:
         return self._encode(out)
 
     def inv(self, a: int) -> int:
+        """1 / a; DivisionByZero for 0."""
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
@@ -270,6 +261,7 @@ class FieldSpec:
         return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
+        """a^e, e any integer; DivisionByZero for 0 to a negative power."""
         if a == 0:
             if e > 0:
                 return 0
@@ -281,24 +273,13 @@ class FieldSpec:
         log, exp, _, _ = self._scalar or self._scalars()
         return exp[log[a] * e % (self.q - 1)]
 
-    def frobenius(self, a: int, i: int = 1) -> int:
-        """The i-th Frobenius iterate a^(p^i), 0 <= i < k."""
-        if not 0 <= i < self.k:
-            raise ValueError(f"frobenius iterate must be in [0, {self.k}), got {i}")
-        if i == 0:
-            return a
-        return self.pow(a, self.p**i)
-
     # -- internals --------------------------------------------------------
 
     def _scalars(self) -> tuple:
-        """(log, exp, zech, Z) for an extension field's scalar arithmetic,
-        in the bundle's encoding (log[0] = Z).  exp holds its first 2q - 3
-        entries, every sum of two nonzero logs.  zech[d] = log(1 + gamma^d)
-        (Z where gamma^d = -1) is the Zech table's band from Z on, d < q - 1;
-        gamma^d has period q - 1, so d in [2 - q, -1] reads it from its end.
-        zech is empty for p = 2, which adds by XOR.  Lists up to q = 2^16,
-        whose reads are faster; memoryviews past it, which copy nothing."""
+        """(log, exp, zech, Z) for scalar arithmetic in the bundle's encoding:
+        exp's first 2q - 3 entries and zech[d] = log(1 + gamma^d), d in
+        [2 - q, q - 2] (empty for p = 2), as lists up to q = 2^16 and as
+        memoryviews past it."""
         T = self.tables
         log, exp, _ = T._log_bundle()
         q, Z = self.q, int(log[0])
@@ -308,8 +289,7 @@ class FieldSpec:
         return self._scalar
 
     def _generator_powers(self) -> np.ndarray:
-        """exp[i] = gamma^i for 0 <= i < q - 1, gamma the least primitive
-        element: an int64 array that lists every nonzero element once."""
+        """gamma^0 .. gamma^(q-2) as int64, gamma the least primitive element."""
         q = self.q
         factors = _factor_int(q - 1)
         gamma = None
@@ -318,10 +298,7 @@ class FieldSpec:
                 gamma = cand
                 break
         assert gamma is not None, "multiplicative group always has a generator"
-        # Multiplication by gamma^L is F_p-linear on coordinate rows, so the
-        # rows of gamma^0 .. gamma^(L-1) times its matrix are the next L
-        # powers: each doubling is one matmul, and the matrix is squared.
-        # An entry of a product is at most k*(p-1)^2, which sets the dtype.
+        # each doubling is one matmul (README); an entry is at most k*(p-1)^2
         p, k = self.p, self.k
         dtype = np.min_scalar_type(k * (p - 1) ** 2)
         place = p ** np.arange(k - 1, -1, -1)  # index of the basis element g^c
@@ -360,56 +337,21 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, k={self.k}, modulus=[{mod}])"
 
 
-# bytes of (tables, powers) -> `FieldTables.power_logs`, as build_field keeps
-# up to FIELD_MEMO fields: a table is a few KB over the suite's and benchmark's
-# fields, 4 MiB a power at q = 2^20, where a rebuild costs about what a
-# 1-variable count does
+# bytes of (tables, powers) -> `FieldTables.power_logs` over up to FIELD_MEMO
+# fields: a few KB over the suite's fields, 4 MiB a power at q = 2^20
 POWER_LOGS = Memo(1 << 24)
 
 
 class FieldTables:
-    """Vectorized arithmetic of one field on numpy arrays of element indexes.
+    """One field's arithmetic on numpy arrays of element indexes, through
+    one log/exp bundle built on first use (README's design notes).  With
+    D = depth and the sentinel Z = (D + 1)(q - 2) + 1: log[a] = i for
+    a = gamma^i, log[0] = Z; exp[s] = gamma^s below Z, exp[Z] = 0; fold =
+    log[exp]; exp and fold read with mode="clip", every s > Z as Z.  A sum
+    of at most D logs plus a coefficient's is below Z exactly when no
+    factor is zero."""
 
-    Every field has one log/exp bundle, built once, on first use, from the
-    powers of the least primitive element gamma (`FieldSpec._generator_powers`),
-    and its scalar arithmetic reads it too (`FieldSpec._scalars`).  With
-    D = `depth` and the sentinel Z = (D + 1)(q - 2) + 1:
-
-    * `log`, q entries: log[a] is the i in [0, q - 2] with a = gamma^i, and
-      log[0] = Z;
-    * `exp`, Z + 1 entries: exp[s] = gamma^(s mod (q - 1)) for s < Z, and
-      exp[Z] = 0;
-    * `fold`, Z + 1 entries: fold = log[exp], so fold[s] = s mod (q - 1) for
-      s < Z, and fold[Z] = Z.
-
-    `exp` and `fold` are read with `take(..., mode="clip")`, which reads
-    every s > Z as Z.  A log sum here adds the logs of at most D factors and
-    of at most one further factor, a term's coefficient.  If every factor is
-    nonzero, the sum is at most (D + 1)(q - 2) < Z and exp reads the
-    product; if one is zero, the sum is at least Z and exp reads 0.  So a
-    product of at most D factors, times a coefficient, is one add per factor
-    and one gather, and `fold` turns a sum of at most D logs back into a
-    log, so a longer product folds its prefix once per D - 1 further
-    factors.  The largest sum is (D + 1)Z < (D + 1)^2 * q, every factor and
-    the coefficient zero, in `log`'s dtype: int16 up to q = 2049, int32
-    past it.  The bundle holds q + 2(Z + 1) < 2(D + 2)q entries whatever
-    the degree.
-
-    D = 3 is measured, not derived: D = 1 cannot hold a folded prefix and
-    the next factor's log, and neither D = 2 nor D = 4 runs the benchmarks
-    faster by more than the spread of their runs.
-
-    Every field, whatever q, multiplies through the bundle, adds by XOR
-    (p = 2) or through the Zech table of 2Z + 1 entries (see `_zech`), and
-    negates as the identity (p = 2) or by multiplying by
-    -1 = gamma^((q - 1)/2).  So the arithmetic holds at most
-    2(D + 2)q + 2Z + 1 entries, and no table has q^2 of them.  `total`
-    reduces a whole stack of products at once.  `mul_matrices`, the
-    F_p-matrices of multiplication, and the `readout` tables of the coset
-    numbers are built on first use.
-    """
-
-    depth = 3  # D: logs a sum holds before it is folded (see the class docstring)
+    depth = 3  # D: logs a sum holds before it is folded (measured, README)
 
     def __init__(self, F: FieldSpec):
         self.field = F
@@ -435,14 +377,17 @@ class FieldTables:
 
     @property
     def log(self) -> np.ndarray:
+        """log[a], Z at 0 (q entries)."""
         return self._log_bundle()[0]
 
     @property
     def exp(self) -> np.ndarray:
+        """exp[s], 0 at Z (Z + 1 entries)."""
         return self._log_bundle()[1]
 
     @property
     def fold(self) -> np.ndarray:
+        """log[exp[s]] (Z + 1 entries)."""
         return self._log_bundle()[2]
 
     def add(self, x, y) -> np.ndarray:
@@ -458,24 +403,17 @@ class FieldTables:
         return exp.take(log.take(x) + log.take(y), mode="clip")
 
     def neg(self, x) -> np.ndarray:
+        """Elementwise -x."""
         if self.field.p == 2:
             return np.array(x)
         log, exp, _ = self._log_bundle()
         return exp.take(log.take(x) + (self.q - 1) // 2, mode="clip")  # -1 = gamma^((q-1)/2)
 
     def total(self, stack: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
-        """The sums of the products gamma^s over groups of rows of stack, as
-        a (groups, points) array.  stack holds one row of log sums s per
-        product, each bounded as in the class docstring; its rows fall into
-        consecutive groups of sizes[0], sizes[1], ... rows (one group of
-        every row by default).
-
-        The stack is reduced once.  For p = 2 exp reads every product and
-        the rows of a group are XORed together; over a prime field they are
-        summed as int64 and reduced mod p once.  Over an odd-p extension
-        field the sum stays in the log domain: fold reads every product's
-        log, each group is summed as a pairwise tree of Zech additions (see
-        `_zech_tree`), and exp reads the sums once."""
+        """The sums of gamma^s over consecutive groups of sizes rows of the
+        log-sum stack (one group by default), as a (groups, points) array:
+        XOR for p = 2, int64 mod p over a prime field, a Zech tree
+        (`_zech_tree`) over an odd-p extension field."""
         log, exp, fold = self._log_bundle()
         p, k = self.field.p, self.field.k
         if p > 2 and k > 1:
@@ -493,11 +431,8 @@ class FieldTables:
         return acc
 
     def _zech_tree(self, a: np.ndarray, sizes: Sequence[int] | None) -> np.ndarray:
-        """The sums of the groups of rows of a (logs, each at most Z, in
-        groups as in `total`), as the logs of one row per group.  Each round
-        adds the first half of every group's rows to its last half by the
-        Zech table, in place, and the middle row of an odd group waits for
-        the next round, so a group of m rows takes ceil(log2 m) rounds."""
+        """The logs of the sums of the groups of rows of a (logs <= Z), by
+        pairwise Zech additions in place: ceil(log2 m) rounds for m rows."""
         fold = self.fold
         if sizes is None or len(sizes) == 1:
             m = len(a)
@@ -512,9 +447,8 @@ class FieldTables:
         return a[starts]
 
     def power_logs(self, powers: tuple[int, ...]) -> np.ndarray:
-        """The logs of x^e at every element x, for each e in powers, as a
-        read-only (len(powers), q) array: e * log x mod q - 1, Z at x = 0
-        for e > 0, and 0 for e = 0 (x^0 = 1, at x = 0 too); in POWER_LOGS."""
+        """log(x^e) at every x for each e in powers, read-only (len(powers),
+        q), in POWER_LOGS: Z at x = 0 for e > 0, and 0 for e = 0."""
         table = POWER_LOGS.get((self, powers))
         if table is None:
             log = self.log
@@ -526,23 +460,16 @@ class FieldTables:
         return table
 
     def digits(self, x) -> np.ndarray:
-        """The F_p-coordinates of an index array x as a trailing axis of k
-        base-p digits, big-endian (the index's own digit order)."""
+        """x's k base-p digits, big-endian, as a trailing axis."""
         return np.asarray(x)[..., None] // self._place % self.field.p
 
     def _zech_add(self, a, b) -> np.ndarray:
-        """A log sum that exp reads as x + y, from a = log x and b = log y."""
+        """A log sum that exp reads as x + y, a = log x, b = log y."""
         return a + self._zech().take(b - a + self._log_bundle()[0][0])
 
     def _zech(self) -> np.ndarray:
-        """The field's one Zech table, for `add`, 2Z + 1 entries: with
-        a = log x and b = log y, log(x + y) = a + zech[b - a + Z], read by
-        exp.  For x, y nonzero, x + y = x * (1 + y/x), so the entry at
-        d = b - a is log(1 + gamma^d) (Z where y = -x); for x = 0 (a = Z)
-        the entry is d itself, so the sum is b; for y = 0 (b = Z) it is 0,
-        so the sum is a; and for x = y = 0 it is log 2, so the sum is past
-        Z.  The three ranges of d, [-Z, q - 2 - Z], [2 - q, q - 2] and
-        [Z + 2 - q, Z], are disjoint because Z > 2q - 4."""
+        """The Zech table, 2Z + 1 entries: log(x + y) = a + zech[b - a + Z]
+        for a = log x, b = log y, x or y zero included (README)."""
         if self._zech_table is None:
             log, exp, _ = self._log_bundle()
             q, Z = self.q, int(log[0])
@@ -558,12 +485,7 @@ class FieldTables:
 
     @property
     def mul_matrices(self) -> np.ndarray:
-        """A (q, k, k) array: entry c is the F_p-matrix of x -> c*x on
-        coordinate rows, so digits(x) @ mul_matrices[c] % p == digits(c*x).
-        Row a holds the digits of c*g^a.
-
-        c*g^a is F_p-linear in c as well, so the whole table is the digits
-        of every c times the k matrices of the basis elements, mod p."""
+        """(q, k, k): digits(x) @ mul_matrices[c] % p == digits(c*x)."""
         if self._mul_matrices is None:
             F, place = self.field, self._place
             basis = self.digits(self.mul(place[:, None], place[None, :]))  # [j, a]: g^j * g^a
@@ -572,29 +494,17 @@ class FieldTables:
         return self._mul_matrices
 
     readout_cap = 1 << 12  # entries of one read-out table
-    # a packed group is an integer below b^g <= readout_cap, or below b
-    # itself past the cap, and `coset_ids` computes it as a float64 product
-    # of non-negative integers, whose partial sums never pass it: exact
-    # while b <= 2^53.  The caps keep b below 2^46, as p < 2^20
-    # (FIELD_SIZE_CAP) and mk < nk <= 29 (p^(nk) <= counting.FAST_CAP); the
-    # largest b they admit is 998 970 843 < 2^30 (p = 31607, n = 2, m = 1).
+    # a packed group is below b^g <= readout_cap, or below b past it, and is a
+    # float64 product of non-negative integers: exact while b <= 2^53, which
+    # `readout` asserts (the field and point caps keep b below 2^30)
     exact_cap = 1 << 53
 
     def readout(self, radix: int, digits: int) -> tuple[int, np.ndarray, np.ndarray | None]:
-        """(g, W, table): how `counting.coset_ids` packs a row of `digits`
-        integers below radix b, each standing for a base-p digit, and reads
-        the row back as one base-p number.  g digits pack into one integer,
-        as many as the row has up to b^g <= readout_cap.  W, a float64
-        digits x G array with G = ceil(digits / g), sends digit s to group
-        (s + pad) // g with weight b^(g - 1 - (s + pad) % g),
-        pad = G*g - digits: the first group is the short one.  table[v], for
-        v < b^g, reduces v's base-b digits mod p and reads them as a
-        big-endian base-p number, in the narrowest dtype.  Past the cap
-        (b > readout_cap), g = 1 and table is None.  One table serves each
-        radix, as the table of fewer digits is a prefix of it; W is kept per
-        radix and row length.  b <= exact_cap is asserted as W is built.
-        Both stay small: they are keyed by (radix, row length), so there are
-        a few dozen (m, f) shapes, each with at most readout_cap entries."""
+        """(g, W, table) packing a row of digits integers below radix b, g to
+        an integer (b^g <= readout_cap): W (digits, G) weights digit s by
+        b^(g - 1 - (s + pad) % g) in group (s + pad) // g, the first group
+        short; table[v] reads v's base-b digits mod p as one base-p number
+        (None, g = 1, past the cap).  Asserts b <= exact_cap."""
         if (radix, digits) not in self._packings:
             assert radix <= self.exact_cap, f"radix {radix} is past the exact float64 range"
             p, g = self.field.p, 0
@@ -617,30 +527,23 @@ class FieldTables:
         return self._packings[radix, digits]
 
 
-# keys build_field keeps, each spelling of a modulus its own key, and
-# (small, big) pairs embed_subfield keeps; past the bound the least recently
-# used key goes, and a later call with it builds a new object, equal to the
-# old one
+# keys build_field keeps (each spelling of a modulus its own) and pairs
+# embed_subfield keeps; a dropped key is rebuilt as an equal object
 FIELD_MEMO = 1 << 7
 
 
 @lru_cache(maxsize=FIELD_MEMO)
 def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
-    """Construct F_{p^k} on the canonically least monic irreducible modulus.
-
-    Moduli are compared as coefficient tuples (c0, ..., ck) ascending by
-    degree, lexicographically.  An explicit modulus (ascending coefficients,
-    monic, irreducible) may be supplied instead.  It is normalized before a
-    field is built: its coefficients are reduced mod p, and the canonical
-    modulus gives the field of the None key, so two spellings of one field
-    give one object, with one `FieldTables` and one set of memo entries.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
+    """F_{p^k} on the least monic irreducible modulus (coefficients ascending,
+    compared lexicographically), or on the given one, reduced mod p: one
+    object per field.  InvalidArgument for k < 1, then DegreeTooLarge past
+    FIELD_SIZE_CAP, then NotPrime, so no cap waits on the primality test."""
     if k < 1:
         raise InvalidArgument(f"extension degree must be >= 1, got {k}")
-    if p**k > FIELD_SIZE_CAP:
+    if p >= 2 and (k > 20 or p**k > FIELD_SIZE_CAP):
         raise DegreeTooLarge(f"p^k = {p}^{k} exceeds the cap {FIELD_SIZE_CAP}")
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
     if modulus is not None:
         given, modulus = modulus, tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
         if len(modulus) != k + 1 or modulus[-1] != 1:
@@ -662,8 +565,8 @@ def build_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> Field
 
 
 def field_of_order(q: int) -> FieldSpec:
-    """The canonical field with q elements: InvalidArgument unless q is a
-    prime power, DegreeTooLarge past the field size cap."""
+    """The canonical field of q elements: DegreeTooLarge past the cap, then
+    InvalidArgument unless q is a prime power."""
     if q > FIELD_SIZE_CAP:
         raise DegreeTooLarge(f"q = {q} exceeds the cap {FIELD_SIZE_CAP}")
     primes = _factor_int(q) if q > 1 else []
@@ -676,11 +579,8 @@ def field_of_order(q: int) -> FieldSpec:
 
 
 def relative_norm(K: FieldSpec, base_degree: int, a: int) -> int:
-    """Norm of a from K = F_{p^m} down to F_{p^base_degree} (an element of K).
-
-    The product of the Frobenius-coset conjugates a^(qb^j); multiplicative,
-    zero only at zero, and fixed by the base-field Frobenius.
-    """
+    """The norm of a from K down to its subfield of degree base_degree, the
+    product of the conjugates a^(qb^j), as an element of K."""
     if base_degree < 1 or K.k % base_degree != 0:
         raise NotADivisor(f"{base_degree} does not divide extension degree {K.k}")
     qb = K.p**base_degree
@@ -693,7 +593,7 @@ def relative_norm(K: FieldSpec, base_degree: int, a: int) -> int:
 
 
 class Embedding:
-    """An injective ring homomorphism table F_small -> F_big."""
+    """A field embedding F_small -> F_big, as a table."""
 
     __slots__ = ("small", "big", "table", "_pullback")
 
@@ -707,6 +607,7 @@ class Embedding:
         return self.table[a]
 
     def in_image(self, b: int) -> bool:
+        """Whether b is the image of an element of F_small."""
         return b in self._pullback
 
     def pull(self, b: int) -> int:
@@ -733,15 +634,9 @@ def _embedding_for_root(small: FieldSpec, big: FieldSpec, img: int) -> tuple[int
 
 @lru_cache(maxsize=FIELD_MEMO)
 def embed_subfield(small: FieldSpec, big: FieldSpec) -> Embedding:
-    """Canonical embedding of the small field into the big one.
-
-    The small generator maps to the least root (by element index) of the
-    small modulus inside the big field, among the roots whose induced map
-    extends the canonical embedding of every proper subfield of the small
-    field.  That side condition is what makes composition along towers
-    commute; a compatible root always exists (the constraints are
-    congruences on the Frobenius orbit with consistent intersections).
-    """
+    """The canonical embedding: the small generator goes to the least root
+    of the small modulus whose map extends every proper subfield's
+    canonical embedding, so towers commute; NotASubfield if there is none."""
     if small.p != big.p:
         raise NotASubfield(f"characteristics differ: {small.p} vs {big.p}")
     if big.k % small.k != 0:
@@ -773,13 +668,14 @@ def embed_subfield(small: FieldSpec, big: FieldSpec) -> Embedding:
 
 
 def element_literal(F: FieldSpec, a: int) -> str:
-    """Canonical text form: plain integer for prime fields, else c0:c1:...:c(k-1)."""
+    """The text form: an integer over a prime field, else c0:c1:...:c(k-1)."""
     if F.k == 1:
         return str(a)
     return ":".join(str(c) for c in F.coords(a))
 
 
 def parse_element_literal(F: FieldSpec, text: str) -> int:
+    """The element an `element_literal` spells; ValueError if malformed."""
     parts = text.split(":")
     if len(parts) == 1:
         return F.from_int(int(parts[0]))

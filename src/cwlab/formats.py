@@ -1,22 +1,5 @@
-"""The .sys and .sub text formats.
-
-.sys (a field plus a polynomial system), line oriented, '#' comments,
-UTF-8, LF or CRLF accepted, LF emitted:
-
-    field p=<int> k=<int> [modulus=c0,c1,...,ck]
-    vars <ident> <ident> ...
-    poly <expression>         # one or more
-
-When modulus is omitted the canonical (lexicographically least) modulus is
-implied.  Element literals are plain integers for k=1 and c0:c1:...:c(k-1)
-otherwise.
-
-.sub (an affine subspace; the field comes from the accompanying .sys):
-
-    ambient <n>
-    offset e1 e2 ... en
-    basis e1 e2 ... en        # dim(L) lines
-"""
+"""The .sys and .sub text formats (README): line oriented, '#' comments,
+LF or CRLF read, LF written."""
 
 from __future__ import annotations
 
@@ -29,6 +12,7 @@ from .subspaces import AffineSubspace
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, body) of each line with a body left after its comment."""
     out = []
     for i, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -39,6 +23,8 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 
 def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
+    """(field, names, system) of a .sys text; FormatError naming the line,
+    except BudgetExceeded for an expression past the parser's caps."""
     lines = _logical_lines(text)
     if not lines:
         raise FormatError("empty system file", 1)
@@ -101,6 +87,7 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
 
 
 def write_sys(field: FieldSpec, names: Sequence[str], system: PolySystem) -> str:
+    """The .sys text, the modulus written out; `read_sys` reads it back as is."""
     mod = ",".join(str(c) for c in field.modulus)
     lines = [f"field p={field.p} k={field.k} modulus={mod}", "vars " + " ".join(names)]
     for f in system.polys:
@@ -109,6 +96,7 @@ def write_sys(field: FieldSpec, names: Sequence[str], system: PolySystem) -> str
 
 
 def read_sub(text: str, field: FieldSpec) -> AffineSubspace:
+    """The subspace of a .sub text over field; FormatError naming the line."""
     lines = _logical_lines(text)
     ambient = None
     offset = None
@@ -149,6 +137,7 @@ def read_sub(text: str, field: FieldSpec) -> AffineSubspace:
 
 
 def write_sub(L: AffineSubspace) -> str:
+    """The .sub text of L."""
     F = L.field
     lines = [f"ambient {L.ambient}"]
     lines.append("offset " + " ".join(element_literal(F, x) for x in L.offset))

@@ -1,16 +1,8 @@
-"""Growth-rate dimension estimation and linear-factor testing.
+"""Dimension estimates from extension counts, and the exact linear-factor test.
 
-The dimension of the zero set (as a variety) is estimated from exact counts
-over extension fields: a D-dimensional set with k top-dimensional pieces has
-about k * q^(sD) points over the degree-s extension.  The estimator is a
-heuristic by design and reports residuals instead of a verdict; its choice
-of D is made by integer comparisons of the counts.
-
-The linear-factor test is deterministic and exact: a factor's tail, read as a
-polynomial, takes a root of f at each probe line through its pivot, so one
-evaluation on the probe lines and an interpolation leave a few candidates,
-which exact division on integer-keyed monomials confirms or refutes.  A
-random-point screen of every form is kept as the reference.
+A D-dimensional zero set with k top-dimensional pieces has about k q^(sD)
+points over F_{q^s}; the estimator picks D by integer comparisons of counts
+and reports residuals, not a verdict.  The factor search is README's.
 """
 
 from __future__ import annotations
@@ -39,6 +31,9 @@ TAIL_MEMO = 1 << 6  # entries of the probe and tail-map memos; a map < 64 KiB at
 
 @dataclass
 class DimensionEstimate:
+    """The counts N_s, the estimated dimension and multiplicity (None for
+    an empty zero set), the residuals and the anchor pair of s."""
+
     counts: list[tuple[int, int]]  # (s, N_s)
     d_hat: int | None  # None encodes the empty (-inf) sentinel
     k_hat: int | None
@@ -46,6 +41,7 @@ class DimensionEstimate:
     anchor_pair: tuple[int, int] | None  # the (s_low, s_high) pair used
 
     def to_dict(self) -> dict:
+        """The report body."""
         return {
             "counts": self.counts,
             "d_hat": self.d_hat,
@@ -73,13 +69,9 @@ def _nearest_exponent(num: int, den: int, base: int) -> int:
 def estimate_dimension(
     system: PolySystem, s_max: int, *, budget: int | None = None
 ) -> DimensionEstimate:
-    """Estimate (dimension, multiplicity) from counts over F_{q^s}, s <= s_max.
-
-    The dimension comes from the growth ratio of the two largest usable
-    counts; when the adjacent ratio lands outside [0, n] (counts can
-    oscillate with s, e.g. for forms that only split over even-degree
-    extensions) the estimator widens the gap until the ratio is sane.
-    """
+    """(dimension, multiplicity) from the counts over F_{q^s}, s = 1 ..
+    s_max >= 2: the growth of the two largest usable counts, the gap widened
+    while the estimate falls outside [0, n]."""
     if s_max < 2:
         raise InsufficientExtensions("need counts over at least two extensions")
     F = system.field
@@ -119,6 +111,8 @@ def estimate_dimension(
 
 @dataclass
 class ScanRow:
+    """One system of the conjecture scan; flagged when d_hat < n - d."""
+
     q: int
     n: int
     degrees: tuple[int, ...]
@@ -130,6 +124,7 @@ class ScanRow:
     flagged: bool
 
     def to_csv(self) -> str:
+        """The row under SCAN_CSV_HEADER."""
         degs = "+".join(str(d) for d in self.degrees)
         cs = ";".join(str(c) for c in self.counts)
         dh = "" if self.d_hat is None else str(self.d_hat)
@@ -150,12 +145,8 @@ def conjecture_scan(
     *,
     budget: int | None = None,
 ) -> tuple[list[ScanRow], list[ScanRow]]:
-    """Survey seeded random systems for estimates with d_hat < n - d.
-
-    Returns (rows, flagged_rows).  A flag marks a candidate for human
-    inspection; the estimator is heuristic, so a flag is never an automated
-    refutation of the dimension conjecture.
-    """
+    """(rows, flagged rows) of dimension estimates on seeded random systems;
+    a flag (d_hat < n - d) is a candidate to inspect, never a refutation."""
     from .constructions import random_system
 
     budget = budget if budget is not None else default_budget()
@@ -201,6 +192,9 @@ def conjecture_scan(
 
 @dataclass
 class LinearFactorVerdict:
+    """The factor search's report: found, the least dividing form, the
+    forms covered, the screen's error bound and the candidates divided."""
+
     found: bool
     witness: tuple[int, ...] | None  # normalized form coefficients over F_{q^s}
     forms_checked: int
@@ -212,6 +206,7 @@ class LinearFactorVerdict:
     candidates: int  # forms that reached exact division
 
     def to_dict(self) -> dict:
+        """The report body, without the elapsed time."""
         body = {key: value for key, value in vars(self).items() if key != "elapsed"}
         return body | {"witness": list(self.witness) if self.witness else None, "error_bound": str(self.error_bound)}
 
@@ -229,13 +224,9 @@ def _lift_poly(f: MultiPoly, s: int) -> tuple[MultiPoly, FieldSpec]:
 
 
 def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -> bool:
-    """Exact test of (x_j + sum_{i>j} c_i x_i) | f via substitution remainder.
-
-    With L = -sum_{i != j} c_i x_i and f = sum_e g_e x_j^e (no g_e involving
-    x_j), the remainder is r = sum_e g_e L^e, by Horner's rule r := r*L + g_e
-    from the top e down.  A monomial of degree at most d = deg f is keyed by
-    its exponents as the digits of a base-(d+1) integer, so a product of
-    monomials is a sum of keys and r is one key -> coefficient dict."""
+    """Whether x_j + sum_{i>j} c_i x_i divides f: the remainder of
+    x_j := -sum c_i x_i by Horner's rule in x_j, monomials keyed as
+    base-(deg f + 1) integers."""
     base = int(fK.total_degree) + 1
     j = next(i for i, c in enumerate(coeffs) if c)
     add, mul = K.add, K.mul
@@ -259,8 +250,7 @@ def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -
 
 
 def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
-    """All nonzero linear forms up to scalar: leading coefficient one at the
-    first nonzero position.  Python-level reference enumeration."""
+    """The nonzero linear forms up to scalar, led by one (the reference order)."""
     for j in range(n):
         for tail in product(range(K.q), repeat=n - 1 - j):
             yield (0,) * j + (K.one,) + tail
@@ -268,10 +258,10 @@ def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=TAIL_MEMO)
 def _probe_lines(K: FieldSpec, n: int, j: int, s: int = 0, scaled: bool = False) -> np.ndarray:
-    """Family (s, scaled) of pivot j's probe lines -t e_j + u(w), as read-only rows
-    u(w), P = n - 1 - j: at place e of the columns j + 1 .. n - 1, 0 .. j - 1, u is 0
-    below s and a_(e-s) w^(e-s) from s on, a = 1 or a_e = gamma^(e(e-1)/2) if scaled,
-    for w the first min(Q, P - s + PROBE_SLACK) elements (w = 0 alone at one place)."""
+    """Family (s, scaled) of pivot j's probe lines -t e_j + u(w), read-only rows
+    u(w): at place e of columns j + 1 .. n - 1, 0 .. j - 1, u is 0 below s and
+    a_(e-s) w^(e-s) from s on (a_e = 1, or gamma^(e(e-1)/2) if scaled), for the
+    first min(Q, n - 1 - j - s + PROBE_SLACK) elements w."""
     T, e = K.tables, np.arange(n - 1 - s)[:, None]
     log = T.log[: min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + PROBE_SLACK)].astype(np.intp)
     logs = e * log % (K.q - 1)  # the logs of w^e, for those w alone
@@ -284,8 +274,7 @@ def _probe_lines(K: FieldSpec, n: int, j: int, s: int = 0, scaled: bool = False)
 
 
 def _line_masks(fK: MultiPoly, lines: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
-    """For each (j, U) of lines, masks[l, t] tells whether fK(-t e_j + U[l]) = 0, from one
-    evaluation; that point is on x_j + sum c_i x_i = 0 where t = sum_i c_i U[l, i]."""
+    """masks[l, t] = (fK(-t e_j + U[l]) == 0) for each (j, U) of lines, one evaluation."""
     T, Q, n = fK.field.tables, fK.field.q, fK.nvars
     sizes = [len(U) for _, U in lines]
     logs = np.repeat(T.log.take(np.concatenate([U for _, U in lines]).T), Q, axis=1).reshape(n, -1, Q)
@@ -296,12 +285,10 @@ def _line_masks(fK: MultiPoly, lines: list[tuple[int, np.ndarray]]) -> list[np.n
 
 @lru_cache(maxsize=TAIL_MEMO)
 def _tail_map(K: FieldSpec, P: int, rows: tuple, interpolate: bool) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(basis, tests, M), read-only, for probe weights rows on P free columns: B is
-    the first independent rows (the RREF pivots of the transpose) completed by axis
-    rows, or I without interpolate, and S the other rows.  M maps the base-p digits
-    of r to those of [B^-1; S B^-1] r, block (b, a) the matrix of x -> A[a, b] x for
-    these entries alone (`FieldTables.mul_matrices` holds q of them); a float64
-    product is exact as in `counting.coset_ids`, each partial sum <= Pk(p - 1)^2."""
+    """(basis, tests, M), read-only: B the first independent probe rows
+    (completed by axis rows; I without interpolate), S the rest, and M the
+    F_p-matrix from r's digits to those of [B^-1; S B^-1] r, exact in float64
+    (each partial sum <= Pk(p - 1)^2)."""
     eye = [[K.one if a == b else 0 for b in range(P)] for a in range(P)]
     basis = rref(K, zip(*rows))[1] if interpolate else ()
     B = [rows[i] for i in basis]
@@ -316,22 +303,11 @@ def _tail_map(K: FieldSpec, P: int, rows: tuple, interpolate: bool) -> tuple[tup
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
-    """A superset of the linear factors of f, in `normalized_forms` order, once each.
-
-    x_j + sum_{i>j} c_i x_i meets pivot j's probe line -t e_j + u(w) at
-    t = sum_k c_{j+1+k} w^k, so that polynomial takes a root of f on each probe
-    line: Reed-Solomon list recovery (von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 5; Guruswami and Sudan 1999).  One `_line_masks` call takes at
-    most sum_j min(Q, n - 1 - j + PROBE_SLACK) * Q points (none for j = n - 1).  A
-    proper probe (f not 0 on its line) has at most d = deg f roots; P = n - 1 - j
-    of them make B, Vandermonde, and the tails B^-1 (R_1 x .. x R_P), at most
-    d^P, which the others test.  With fewer (x2*x4 - x3^2 vanishes on the moment
-    curve; Q < P has too few), a second call adds the scaled family and the
-    families s = 1 .. P - 1, free of c_{j+1} .. c_{j+s}: their first independent
-    proper probes make B, the columns left run over K, at most d^r Q^(P - r)
-    tails at rank r, or past CHUNK all of K^P in order, CHUNK at a time, which
-    the form budget bounds.
-    """
+    """A superset of f's linear factors, in `normalized_forms` order, once
+    each: Reed-Solomon list recovery on the probe lines (README; von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5; Guruswami and Sudan
+    1999), at most d^r Q^(P - r) tails at rank r, or past CHUNK every tail
+    in order, CHUNK at a time."""
     K, n, Q, p = fK.field, fK.nvars, fK.field.q, fK.field.p
     lines = [(j, _probe_lines(K, n, j)) for j in range(n - 1)]
     found = [[(U, M)] for (_, U), M in zip(lines, _line_masks(fK, lines) if lines else [])]
@@ -361,8 +337,8 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
 
 
 def _screened_forms(fK: MultiPoly, trials: int, seed: int, s: int) -> Iterator[tuple[int, ...]]:
-    """Reference search: the normalized forms that vanish at `trials` seeded
-    random points of their hyperplane, in `normalized_forms` order."""
+    """The reference: the normalized forms that vanish at trials seeded
+    points of their hyperplane, in order."""
     K, n = fK.field, fK.nvars
     for rank, coeffs in enumerate(normalized_forms(K, n)):
         j = next(i for i, c in enumerate(coeffs) if c)
@@ -388,25 +364,17 @@ def linear_factor_test(
     form_budget: int = FORM_BUDGET,
     force_python: bool = False,
 ) -> LinearFactorVerdict:
-    """Search for linear factors of a homogeneous form over F_{q^s}.
-
-    Deterministic and exact: every linear factor is among the few forms of
-    `_algebraic_candidates`, interpolated from one evaluation on the probe
-    lines of every pivot, and each is confirmed or refuted by exact division
-    (`_exact_linear_division`) in `normalized_forms` order; the first that
-    divides is the witness.  The form budget is checked before the lift builds
-    F_{q^s}, where the lift would not refuse s < 1 or q^s past the field cap.
-    `forms_checked` is the size of the form space covered.  `error_bound`
-    is the per-form bound (deg f / q^s)^trials of a screen at `trials`
-    random points of each form's hyperplane, a valid upper bound on this
-    search's error of 0; force_python=True uses that screen (the reference).
-    """
+    """The least linear factor over F_{q^s} of a nonzero form, exactly: the
+    candidates (the screen if force_python) divided in order.  BudgetExceeded
+    past form_budget forms, checked before F_{q^s} is built; error_bound is
+    the screen's (deg f / q^s)^trials, the search's error being 0."""
     if not f.is_homogeneous or f.is_zero:
         raise NotHomogeneous("the linear factor test needs a nonzero homogeneous form")
     if trials < 0:
         raise InvalidArgument(f"trials must be at least 0, not {trials}")
     t0 = time.perf_counter()
-    n, d, Q = f.nvars, int(f.total_degree), f.field.q**s if s >= 1 else 0
+    # Q = 0 where the lift refuses: s < 1, or past the field cap (F_{q^s} needs ks <= 20)
+    n, d, Q = f.nvars, int(f.total_degree), f.field.q**s if 1 <= s and f.field.k * s <= 20 else 0
     total_forms = (Q**n - 1) // (Q - 1) if 0 < Q <= FIELD_SIZE_CAP else None
     if total_forms is not None and total_forms > form_budget:
         raise BudgetExceeded(f"{total_forms} forms exceed the budget {form_budget}")

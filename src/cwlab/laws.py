@@ -1,46 +1,26 @@
-"""Checkers for the divisibility, congruence, and lower-bound laws.
-
-Every checker returns a LawReport.  A report is "vacuous" when the law's
-hypotheses do not apply to the input; vacuous reports pass but carry a
-reason string so callers can distinguish "held" from "did not apply".
-All comparisons are exact integer or rational arithmetic; no floats (the
-coset numbers' float64 product is an exact integer product, see
-`counting.coset_ids`).
-"""
+"""Checkers for the congruence, lower-bound, covering and saturation laws:
+each returns a LawReport, vacuous (passing, with a reason) where the law's
+hypotheses fail, every verdict exact."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .counting import (
-    _coordinates,
-    basis_entries,
-    coset_ids,
-    coset_matrix,
-    count_zeros,
-    default_budget,
-    point_digits,
-    zero_digits_with_notes,
-    zero_points,
+    _coordinates, basis_entries, coset_ids, coset_matrix, count_zeros, default_budget, point_digits,
+    zero_digits_with_notes, zero_points,
 )
 from .errors import BudgetExceeded, FullSpace, InvalidArgument, WrongFieldSize
 from .fields import FieldSpec
 from .memo import Memo
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
-from .subspaces import (
-    AffineSubspace,
-    PointSet,
-    affine_span,
-    gaussian_binomial,
-    rref,
-    subspace_dim,
-)
+from .subspaces import AffineSubspace, PointSet, affine_span, gaussian_binomial, rref, subspace_dim
 
 LAW_ALIASES = {
     "chevalley": "chevalley",
@@ -54,22 +34,17 @@ LAW_ALIASES = {
 }
 
 DEFAULT_CLASS_BUDGET = 10_000
-# a batch of B direction spaces of dimension m, over the |Z| zero points,
-# holds at most this many point coordinates, B*|Z|*(n - m), and this many
-# coset counters, B*q^(n - m) (a quarter of the counting kernel's chunk).
-# Larger batches gain no speed: BATCH = 2^16 ran `coset-classes` no faster,
-# with a longer tail and more peak memory.
-# `coset_ids` packs a space's (n - m)k base-p digits into
-# G = ceil((n - m)k / g) integers, so its product holds B*G*|Z| of them: at
-# most BATCH when g >= k, which holds wherever the read-out table fits k
-# digits, and at most k*BATCH otherwise.
-# A batch of an all-pairs sweep comes with its B*G*nk rows of M', read from
-# its shape's table in DIRECTIONS or built once per sweep (`direction_batches`).
+# a batch of B direction spaces of dimension m holds at most BATCH point
+# coordinates, B*|Z|*(n - m), and BATCH coset counters, B*q^(n - m); 2^16 ran
+# `coset-classes` no faster, with a longer tail and more peak memory
 BATCH = 1 << 14
 
 
 @dataclass
 class LawReport:
+    """One law's verdict: applicable, passed, its evidence and, on a
+    failure, a witness; exit code 0 on a pass, 2 on a violation."""
+
     law: str
     applicable: bool
     passed: bool
@@ -77,6 +52,7 @@ class LawReport:
     witness: object = None
 
     def to_json(self) -> str:
+        """The report body, keys in a fixed order."""
         return json.dumps(
             {
                 "law": self.law,
@@ -90,15 +66,15 @@ class LawReport:
 
     @property
     def exit_code(self) -> int:
+        """0 on a pass, 2 on a violation."""
         return 0 if self.passed else 2
 
 
 @dataclass
 class CheckScope:
-    """all_pairs iterates every canonical direction space (budgeted);
-    sampled draws seeded random direction spaces instead.  dim restricts
-    attention to a single qualifying dimension.  `check_congruence` rejects
-    a budget below 0 and a sample below 1 with InvalidArgument."""
+    """all_pairs checks every direction space, in enumeration order, up to
+    budget of them; otherwise sample (budget if None) seeded random ones.
+    dim restricts the check to one qualifying dimension."""
 
     all_pairs: bool = True
     budget: int = DEFAULT_CLASS_BUDGET
@@ -107,16 +83,22 @@ class CheckScope:
     dim: int | None = None
 
 
+def _requires_n_above_d(law: str, n: int, d: int) -> LawReport | None:
+    """The vacuous report of a law whose hypothesis is n > d, when n <= d;
+    None when the law applies."""
+    if n > d:
+        return None
+    return LawReport(law, False, True, {"reason": "requires n > d", "n": n, "d": d})
+
+
 # -- congruences ---------------------------------------------------------------
 
 
 def _disagreeing_cosets(ids: np.ndarray, classes: int, modulus: int):
-    """For the coset numbers of one direction space: None when every coset
-    count has the same residue, else two disagreeing cosets as
-    ((coset, count), (coset, count)).  When every coset is met, the first
-    one that disagrees with coset 0 is paired with coset 0; otherwise the
-    first met coset with a nonzero residue is paired with the first empty
-    coset (count 0, residue 0)."""
+    """None when every coset count of one space agrees mod modulus, else
+    ((coset, count), (coset, count)): the first coset that disagrees with
+    coset 0, and coset 0, when every coset is met; else the first met coset
+    with a nonzero residue, and the first empty coset."""
     uniq, counts = np.unique(ids, return_counts=True)
     residues = counts % modulus
     full = len(uniq) == classes
@@ -138,20 +120,11 @@ def _coset_residue_check(
     modulus: int,
     matrix: np.ndarray | None = None,
 ):
-    """Check a batch of direction spaces of one dimension m at once (pivots
-    as a (B, m) array, entries as `basis_entries` gives them, one (m, n - m)
-    block per space, and matrix their `coset_matrix` if the caller has it)
-    on the zero points as `point_digits` gives them, one column a point.
-    Returns None when, for every space, the zero points' counts over its
-    cosets agree mod modulus; else (b, pair) for the first space b that
-    fails, with pair as `_disagreeing_cosets` gives it.
-
-    Every coset of the batch is counted by one bincount over
-    space * q^(n-m) + coset.  A coset that no point meets counts 0, whose
-    residue is 0, so a space passes exactly when its row of residues is
-    constant.  Past BATCH classes per space (then a batch holds one space)
-    only the met cosets are counted, space by space.
-    """
+    """None when, for every direction space of the batch (as `coset_ids`
+    takes it), the counts of the points X over its cosets agree mod
+    modulus; else (b, pair) for the first space b that fails, pair as
+    `_disagreeing_cosets` gives it.  One bincount counts every coset; past
+    BATCH cosets a space (a batch of one) counts its met cosets alone."""
     if X.shape[1] == 0:
         return None
     classes = F.q ** entries.shape[2]
@@ -173,15 +146,11 @@ _INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def _pattern_slice(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The direction spaces lo .. hi - 1 (lo < hi <= the Gaussian binomial)
-    of `direction_spaces(F, n, m)`, in its order, as (pivots, entries), with
-    pivots a (hi - lo, m) array: the slice runs on across pivot patterns.
-
-    The spaces of one pivot pattern are numbered in odometer order over its
-    free cells, the last cell fastest, so entry (i, k) of space s is one
-    base-q digit of s: s // q^e % q at the cell e places from the end, and
-    s // _INTP_MAX % q = 0 off the cells (a place past every number gives
-    digit 0, which also keeps the places in intp)."""
+    """The direction spaces lo .. hi - 1 (hi <= the Gaussian binomial) of
+    `direction_spaces(F, n, m)` as (pivots, entries), pivots (hi - lo, m).
+    Entry (i, k) of space s in its pivot pattern is the base-q digit
+    s // q^e % q of the free cell e places from the end, 0 off the cells
+    (place _INTP_MAX, past every number)."""
     q = F.q
     runs: list[tuple[tuple[int, ...], np.ndarray]] = []
     for pivots in combinations(range(n), m):
@@ -210,8 +179,7 @@ DIRECTIONS = Memo(1 << 22)
 
 
 def _direction_part(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The direction spaces lo .. hi - 1 of `direction_spaces(F, n, m)`,
-    afresh: their pivots and entries, as `_pattern_slice` gives them, and
+    """The direction spaces lo .. hi - 1, built afresh: pivots, entries and
     their rows of `coset_matrix`."""
     pivots, entries = _pattern_slice(F, n, m, lo, hi)
     pivots = pivots.astype(np.min_scalar_type(n))
@@ -220,8 +188,7 @@ def _direction_part(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.
 
 
 def _slices(table: Sequence[np.ndarray], cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The spaces of a (pivots, entries, matrix rows) table, cap at a time
-    (the last slice may hold fewer)."""
+    """A (pivots, entries, matrix rows) table, cap spaces at a time."""
     pivots, entries, matrix = table
     size = len(pivots)
     G = len(matrix) // size
@@ -232,16 +199,10 @@ def _slices(table: Sequence[np.ndarray], cap: int) -> Iterator[tuple[np.ndarray,
 
 def direction_batches(F: FieldSpec, n: int, m: int, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The direction spaces of dimension m in A^n(F), in `direction_spaces`
-    order, cap at a time (the last batch may hold fewer), as
-    `_direction_part` gives them.  They depend on (F, n, m) alone, so every
-    sweep of that shape reads one table, whatever its cap.
-
-    On a DIRECTIONS hit the batches are slices of the kept table.  On a
-    miss the spaces are built as the caller reaches them, in parts of whole
-    batches of about PART_BYTES; when the whole table fits the memo's bound,
-    each part is also written into arrays allocated once, put in DIRECTIONS
-    after the last part.  So a caller that stops early has built at most
-    one part past its last batch, and keeps nothing."""
+    order, cap at a time, as `_direction_part` gives them: slices of the
+    DIRECTIONS table on a hit; on a miss built in parts of whole batches of
+    about PART_BYTES as the caller reaches them, the table kept once the
+    last part is built, if it fits the memo's bound."""
     key = (F.tables, n, m)
     table = DIRECTIONS.get(key)
     if table is not None:
@@ -263,8 +224,7 @@ def direction_batches(F: FieldSpec, n: int, m: int, cap: int) -> Iterator[tuple[
 
 
 def _sampled_batches(spaces: Iterator, n: int, cap: int):
-    """Group RREF bases into (pivots, entries) batches of cap consecutive
-    spaces (the last may hold fewer)."""
+    """RREF bases as (pivots, entries) batches of cap spaces."""
     spaces = iter(spaces)
     while chunk := [basis_entries(rows, n) for rows in islice(spaces, cap)]:
         pivots, entries = zip(*chunk)
@@ -272,10 +232,8 @@ def _sampled_batches(spaces: Iterator, n: int, cap: int):
 
 
 def _flat(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, coset: int) -> dict:
-    """The flat numbered coset in its space's `parallel_class`: its offset
-    (zero at the pivots, the coset number's base-q digits big-endian at the
-    free columns) and its RREF rows, rebuilt from the space's pivots and
-    free entries."""
+    """The coset numbered coset of a direction space, as its
+    `parallel_class` member: offset and RREF rows."""
     free = [j for j in range(n) if j not in pivots]
     offset = [0] * n
     for j in reversed(free):
@@ -291,8 +249,7 @@ def _flat(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, cose
 
 
 def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, pair) -> dict:
-    """A failing space's RREF rows, with the offsets and counts of its two
-    disagreeing cosets."""
+    """A failing space's rows, and its two disagreeing cosets' offsets and counts."""
     flats = [_flat(F, n, pivots, entries, coset) for coset, _ in pair]
     return {"rows": flats[0]["rows"], "offsets": [f["offset"] for f in flats], "counts": [count for _, count in pair]}
 
@@ -300,6 +257,7 @@ def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, p
 def _sampled_direction_spaces(
     F: FieldSpec, n: int, m: int, count: int, seed: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Up to count distinct seeded random direction spaces, within 50 * count draws."""
     rng = SplitMix64(derive_seed(seed, n, m))
     seen = set()
     attempts = 0
@@ -313,32 +271,33 @@ def _sampled_direction_spaces(
         yield canon
 
 
+def _planned(q: int, n: int, m: int, scope: CheckScope) -> int:
+    """The direction spaces of dimension m a sweep under scope checks if
+    its budget allows: all, or the sample (budget if None) if fewer."""
+    size = gaussian_binomial(q, n, m)
+    return size if scope.all_pairs else min(size, scope.budget if scope.sample is None else scope.sample)
+
+
 def _sweep_classes(
     X: np.ndarray, F: FieldSpec, dims: Sequence[int], modulus: int, scope: CheckScope, agreed: dict
 ):
     """Check the direction spaces of each dimension in dims on the zero
-    points' `point_digits` X, in enumeration order, until scope.budget
-    spaces are checked (the one space of dimension n has one coset, so it
-    holds with no coset product).  Returns (classes_checked, per_dim,
-    truncated, witness); witness is None unless a space fails, and then the
-    sweep stops at that space.
+    points' `point_digits` X until scope.budget of them are checked.
+    Returns (classes_checked, per_dim, truncated, witness): truncated when
+    the budget leaves a space unchecked, which is counted, not drawn, so a
+    cut sweep builds no batch past it; witness None unless a space fails,
+    where the sweep stops.
 
-    agreed holds the zero set's congruence notes (`counting._Walk.agreed`):
-    under (m, M), how many leading spaces of dimension m, in `direction_batches`
-    order, have coset counts that agree mod M.  Agreement mod p^j implies
-    agreement mod p^i for i <= j, so an all-pairs sweep mod M' takes as
-    known the longest prefix noted under any M that M' divides, and passes
-    a batch that lies wholly inside it unchecked.  After each batch that it
-    checks, it notes its passed prefix under (m, M'): up to the failing
-    space, or through the batch.  A batch with a failing space is never passed
-    unchecked, so the counts, the cut and the witness are those of a fresh
-    sweep.  A sampled sweep draws its spaces in another order and neither
-    reads nor writes notes."""
+    agreed is the walk's congruence notes (`counting._Walk.agreed`).  An
+    all-pairs sweep mod M' passes unchecked a batch inside the longest
+    prefix noted under a multiple of M', and notes its own passed prefix;
+    a sampled sweep neither reads nor writes notes."""
     q, n, N = F.q, X.shape[0] // F.k, X.shape[1]
+    if not scope.budget:
+        return 0, {}, sum(_planned(q, n, m, scope) for m in dims) > 0, None
     checked = 0
     per_dim: dict[int, int] = {}
-    for m in dims:
-        # batch working set: B*|Z|*(n-m) coordinates and B*q^(n-m) counts
+    for i, m in enumerate(dims):
         room = scope.budget - checked
         cap = max(1, min(BATCH // max(1, N * (n - m)), BATCH // q ** (n - m), room))
         known = 0
@@ -346,15 +305,11 @@ def _sweep_classes(
             batches = direction_batches(F, n, m, cap)
             known = max((k for (dim, M), k in agreed.items() if dim == m and M % modulus == 0), default=0)
         else:
-            want = scope.budget if scope.sample is None else scope.sample
-            spaces = _sampled_direction_spaces(F, n, m, min(want, gaussian_binomial(q, n, m)), scope.seed)
+            spaces = _sampled_direction_spaces(F, n, m, _planned(q, n, m, scope), scope.seed)
             batches = ((pivots, entries, None) for pivots, entries in _sampled_batches(spaces, n, cap))
         for pivots, entries, matrix in batches:
             room = scope.budget - checked
-            if room <= 0:
-                return checked, per_dim, True, None
-            cut = len(entries) > room
-            if cut:  # coset_ids builds the matrix of the spaces kept
+            if len(entries) > room:  # coset_ids builds the matrix of the spaces kept
                 pivots, entries, matrix = pivots[:room], entries[:room], None
             lo = per_dim.get(m, 0)
             hit = None
@@ -369,8 +324,9 @@ def _sweep_classes(
                 b, pair = hit
                 witness = _witness(F, n, pivots[b].tolist(), entries[b], pair)
                 return checked, per_dim, False, {**witness, "dim": m}
-            if cut:
-                return checked, per_dim, True, None
+            if checked == scope.budget:
+                left = sum(_planned(q, n, m2, scope) for m2 in dims[i:]) - per_dim[m]
+                return checked, per_dim, left > 0, None
     return checked, per_dim, False, None
 
 
@@ -381,14 +337,12 @@ def check_congruence(
     *,
     budget: int | None = None,
 ) -> LawReport:
-    """Check one of the congruence laws.
-
-    chevalley: p | N(full) when n > d.     ax: q | N(full) when n > d.
-    warning-hyperplanes: counts over parallel hyperplanes agree mod p
-    (n > d: a hyperplane has dimension n - 1, which must reach d).
-    parallel-subspaces (alias theorem1): counts over any two
-    parallel subspaces of dimension >= d agree mod q.
-    """
+    """Check one congruence law (README's table): chevalley p | N and ax
+    q | N when n > d; warning-hyperplanes, counts over parallel hyperplanes
+    agree mod p when n > d; parallel-subspaces (theorem1), counts over
+    parallel subspaces of each dimension >= d agree mod q.  InvalidArgument
+    for an unknown law, a budget below 0, a sample below 1, or a sample
+    with all_pairs."""
     if law not in LAW_ALIASES:
         raise InvalidArgument(f"unknown law {law!r}; choose from {sorted(LAW_ALIASES)}")
     law = LAW_ALIASES[law]
@@ -397,63 +351,37 @@ def check_congruence(
         raise InvalidArgument(f"the class budget must be >= 0, got {scope.budget}")
     if scope.sample is not None and scope.sample < 1:
         raise InvalidArgument(f"a sampled check draws at least 1 direction space, got {scope.sample}")
+    if scope.sample is not None and scope.all_pairs:
+        raise InvalidArgument(f"a sample of {scope.sample} direction spaces needs all_pairs=False")
     F = system.field
     n, d, q, p = system.nvars, system.total_degree, F.q, F.p
+    if law != "parallel-subspaces" and (vacuous := _requires_n_above_d(law, n, d)):
+        return vacuous
 
     if law in ("chevalley", "ax"):
-        if not n > d:
-            return LawReport(
-                law, False, True, {"reason": "requires n > d", "n": n, "d": d}
-            )
         N = count_zeros(system, budget=budget).count
         mod = p if law == "chevalley" else q
         res = N % mod
-        return LawReport(
-            law,
-            True,
-            res == 0,
-            {"count": N, "modulus": mod, "residue": res},
-            None if res == 0 else {"count": N, "modulus": mod},
-        )
+        witness = None if res == 0 else {"count": N, "modulus": mod}
+        return LawReport(law, True, res == 0, {"count": N, "modulus": mod, "residue": res}, witness)
 
     if law == "warning-hyperplanes":
-        if not n > d:
-            return LawReport(
-                law, False, True, {"reason": "requires n > d", "n": n, "d": d}
-            )
         dims = [n - 1]
         modulus = p
     else:  # parallel-subspaces
         if d > n:
-            return LawReport(
-                law,
-                False,
-                True,
-                {"reason": "no subspace dimension reaches d", "n": n, "d": d},
-            )
+            return LawReport(law, False, True, {"reason": "no subspace dimension reaches d", "n": n, "d": d})
         dims = list(range(max(d, 0), n + 1))
         modulus = q
     if scope.dim is not None:
         if scope.dim not in dims:
-            return LawReport(
-                law,
-                False,
-                True,
-                {
-                    "reason": f"dimension {scope.dim} is outside the qualifying range",
-                    "qualifying_dims": dims,
-                },
-            )
+            reason = f"dimension {scope.dim} is outside the qualifying range"
+            return LawReport(law, False, True, {"reason": reason, "qualifying_dims": dims})
         dims = [scope.dim]
 
     X, agreed = zero_digits_with_notes(system, budget)
     checked, per_dim, truncated, witness = _sweep_classes(X, F, dims, modulus, scope, agreed)
-    evidence = {
-        "modulus": modulus,
-        "classes_checked": checked,
-        "per_dim": per_dim,
-        "zero_count": int(X.shape[1]),
-    }
+    evidence = {"modulus": modulus, "classes_checked": checked, "per_dim": per_dim, "zero_count": int(X.shape[1])}
     if witness is not None:
         return LawReport(law, True, False, evidence, witness)
     evidence["truncated"] = truncated
@@ -462,8 +390,8 @@ def check_congruence(
 
 
 def homogenization_identity(system: PolySystem, *, budget: int | None = None) -> LawReport:
-    """Exact identity N(f+) = (q-1) N(f) + N(f-), plus N(f) = N(f-) mod q
-    whenever n >= d."""
+    """The exact identity N(f+) = (q-1) N(f) + N(f-), and N(f) = N(f-) mod q
+    when n >= d."""
     F = system.field
     q, n, d = F.q, system.nvars, system.total_degree
     budget = default_budget() if budget is None else budget
@@ -489,18 +417,14 @@ def homogenization_identity(system: PolySystem, *, budget: int | None = None) ->
 
 
 def lower_bound_audit(system: PolySystem, *, budget: int | None = None) -> LawReport:
-    """Audit the floor bound N >= q^(n-d) for nonempty zero sets, and the
-    three sharper bounds that hold when the zero set is not an affine
-    subspace: N > q^(n-d); N >= 2 q^(n-d) for q >= 4; and, for homogeneous
-    systems, N >= q^(n+1-d)/(n+2-d) (compared as cross-multiplied integers).
-    """
+    """When n > d and Z is nonempty: N >= q^(n-d); and when Z is not an
+    affine subspace, N > q^(n-d), N >= 2 q^(n-d) for q >= 4 and, for a
+    homogeneous system, N (n+2-d) >= q^(n+1-d)."""
     F = system.field
     q, n, d = F.q, system.nvars, system.total_degree
     parts: dict[str, dict] = {}
-    if d >= n:
-        return LawReport(
-            "lower-bounds", False, True, {"reason": "requires n > d", "n": n, "d": d}
-        )
+    if vacuous := _requires_n_above_d("lower-bounds", n, d):
+        return vacuous
     Z = zero_points(system, budget)
     N = len(Z)
     floor = q ** (n - d)
@@ -519,24 +443,13 @@ def lower_bound_audit(system: PolySystem, *, budget: int | None = None) -> LawRe
     else:
         parts["strict"] = {"applicable": True, "pass": N > floor, "lhs": N, "rhs": floor}
         if q >= 4:
-            parts["double"] = {
-                "applicable": True,
-                "pass": N >= 2 * floor,
-                "lhs": N,
-                "rhs": 2 * floor,
-            }
+            parts["double"] = {"applicable": True, "pass": N >= 2 * floor, "lhs": N, "rhs": 2 * floor}
         else:
             parts["double"] = {"applicable": False, "pass": True}
         if system.is_homogeneous:
-            # N >= q^(n+1-d) / (n+2-d), exactly: N * (n+2-d) >= q^(n+1-d)
             lhs = N * (n + 2 - d)
             rhs = q ** (n + 1 - d)
-            parts["homogeneous_ratio"] = {
-                "applicable": True,
-                "pass": lhs >= rhs,
-                "lhs": f"{N}*{n + 2 - d}",
-                "rhs": rhs,
-            }
+            parts["homogeneous_ratio"] = {"applicable": True, "pass": lhs >= rhs, "lhs": f"{N}*{n + 2 - d}", "rhs": rhs}
         else:
             parts["homogeneous_ratio"] = {"applicable": False, "pass": True}
     evidence["parts"] = parts
@@ -549,14 +462,9 @@ def lower_bound_audit(system: PolySystem, *, budget: int | None = None) -> LawRe
 
 
 def _superspace_hits(X: np.ndarray, L: AffineSubspace) -> tuple[int, np.ndarray, np.ndarray]:
-    """|Z cap L|, and the numbers of the proper subspace L's superspaces in
-    ascending order with the points of Z on each off L.  X = point_digits(Z, F).
-
-    A point z off L lies on one superspace, L + span(v): v is z's coset of
-    L's direction space (`coset_ids`) minus L's own at the free columns,
-    scaled to lead with F.one.  Read big-endian, v numbers the superspace;
-    those whose v leads at place e from the end are [one*q^e, (one+1)*q^e),
-    so the ascending numbers, e = 0 .. f - 1, are the odometer order of v."""
+    """|Z cap L| for X = point_digits(Z, F), and the numbers of the proper
+    subspace L's superspaces L + span(v), ascending (the odometer order of
+    v, scaled to lead with F.one), with the points of Z on each off L."""
     F = L.field
     q, T = F.q, F.tables
     pivots, entries = basis_entries(L.basis, L.ambient)
@@ -572,16 +480,13 @@ def _superspace_hits(X: np.ndarray, L: AffineSubspace) -> tuple[int, np.ndarray,
 
 
 def covering_bound_report(Z: PointSet, L0: AffineSubspace) -> LawReport:
-    """Grow L0 to a maximal subspace L with the same Z-count, pick the
-    (dim+1)-superspace L' with minimal count, and verify
+    """Grow L0 to a maximal subspace L of dimension k with the same Z-count
+    (into the first superspace, in number order, with no point of Z off L),
+    take the superspace L' with the least count, and verify
 
-        |Z| >= |Z cap L| + (q^(n-k) - 1)/(q - 1) * (|Z cap L'| - |Z cap L|).
+        |Z| >= |Z cap L| + (q^(n-k) - 1)/(q - 1) * (|Z cap L'| - |Z cap L|),
 
-    The inequality is pure counting over the disjoint superspace cover, so
-    it holds for arbitrary point sets Z, not only zero sets.  Each step
-    counts Z on every superspace at once (`_superspace_hits`) and grows L
-    into the first, in number order, with no point of Z off L.
-    """
+    which holds for every point set Z.  FullSpace for L0 = A^n."""
     F = Z.field
     q, n = F.q, Z.ambient
     if L0.dim == n:
@@ -600,28 +505,15 @@ def covering_bound_report(Z: PointSet, L0: AffineSubspace) -> LawReport:
         numbers, hits = _superspace_hits(X, L)[1:]
     k = L.dim
     total = len(Z)
-    evidence = {
-        "base_count": base,
-        "k": k,
-        "growth": growth,
-        "total": total,
-        "n": n,
-        "q": q,
-    }
+    evidence = {"base_count": base, "k": k, "growth": growth, "total": total, "n": n, "q": q}
     if k == n:
-        # Z met every superspace equally all the way up; bound degenerates
         evidence["note"] = "witness grew to the full space; bound reads |Z| >= |Z|"
         return LawReport("covering-bound", True, total >= base, evidence)
     cmin = base + int(hits.min())
     classes = (q ** (n - k) - 1) // (q - 1)
     bound = base + classes * (cmin - base)
     evidence.update(
-        {
-            "superspaces": len(hits),
-            "expected_superspaces": classes,
-            "min_superspace_count": cmin,
-            "bound": bound,
-        }
+        {"superspaces": len(hits), "expected_superspaces": classes, "min_superspace_count": cmin, "bound": bound}
     )
     passed = total >= bound and len(hits) == classes and cmin >= base
     witness = None
@@ -630,21 +522,19 @@ def covering_bound_report(Z: PointSet, L0: AffineSubspace) -> LawReport:
     return LawReport("covering-bound", True, passed, evidence, witness)
 
 
-# membership tests (a point of Z against a flat) one covering trial may run,
-# counted as `covering_trial_budget` counts them: A^9(F_2), A^6(F_3),
-# A^5(F_4) and A^4(F_5) are the largest spaces within it
+# membership tests (a point of Z against a flat) one covering trial may run:
+# its at most q^n points against L0, every superspace of each dimension on the
+# way up, and the last superspaces once more; A^9(F_2), A^6(F_3), A^5(F_4)
+# and A^4(F_5) are the largest spaces within it
 COVER_TESTS = 1_000_000
 # membership tests of a run of trials, all counted alike
 COVER_RUN_TESTS = 10 * COVER_TESTS
 
 
 def covering_trial_budget(q: int, n: int, trials: int = 1) -> None:
-    """The covering trials' domain gate and budget: FullSpace for n < 1, and
-    BudgetExceeded when one trial could run more than COVER_TESTS membership
-    tests, or the trials together more than COVER_RUN_TESTS.  The tests are
-    flats times points: a trial's at most q^n points against L0, against
-    every superspace of each dimension on the way up, and against the last
-    superspaces once more."""
+    """FullSpace for n < 1; BudgetExceeded when one trial could run more
+    than COVER_TESTS membership tests, or the trials more than
+    COVER_RUN_TESTS."""
     if n < 1:
         raise FullSpace(f"A^{n} has no proper base subspace for the covering bound")
     # q >= 2, so past n = 40 there are more than 2^40 points
@@ -662,11 +552,10 @@ def covering_trial_budget(q: int, n: int, trials: int = 1) -> None:
 
 
 def covering_trial(F: FieldSpec, n: int, rng: SplitMix64) -> LawReport:
-    """One seeded trial of the covering bound in A^n(F_q), after
-    `covering_trial_budget`.  Draws, in this order: Z (each point of A^n, in
-    odometer order, kept on a coin flip), the dimension of L0 (below n),
-    L0's rows (redrawn until independent) and its offset; then reports
-    `covering_bound_report(Z, L0)`."""
+    """One seeded trial, after `covering_trial_budget`: draws Z (a coin per
+    point of A^n, in odometer order), the dimension of L0 (below n), its
+    rows (redrawn until independent) and its offset, in this order, and
+    reports `covering_bound_report(Z, L0)`."""
     q = F.q
     covering_trial_budget(q, n)
     pts = _coordinates(np.arange(q**n), q, n).T[[rng.coin() for _ in range(q**n)]]
@@ -679,15 +568,15 @@ def covering_trial(F: FieldSpec, n: int, rng: SplitMix64) -> LawReport:
     return covering_bound_report(PointSet(F, n, pts.tolist()), L0)
 
 
-# -- saturated-set laws (the line/plane combinatorics) ------------------------------
+# -- saturated-set laws (Lemma 2) ----------------------------------------------------
 
 
 SATURATION_PARTS = ("i", "ii", "iii", "iv")
 
 
 def _saturation_gates(q: int, t: int, part: str, m: int | None) -> None:
-    """The domain of each part, shared by both checkers: a typed error
-    before any work for an input outside it."""
+    """Each part's domain, for both checkers: part i needs q = 2, ii q >= 3,
+    iii q >= 4, iv an integer m >= 2; a typed error before any work."""
     if part not in SATURATION_PARTS:
         raise InvalidArgument(f"unknown part {part!r}")
     if t < 0:
@@ -702,19 +591,31 @@ def _saturation_gates(q: int, t: int, part: str, m: int | None) -> None:
         raise InvalidArgument("part iv needs an integer m >= 2")
 
 
-# flats of A^t the object-level check counts S on (lines; planes for part
-# i), counted before any work: A^6(F_3), part i on A^7(F_2) and A^2(F_251)
-# are within it
+def _saturation_rule(q: int, part: str, m: int | None) -> tuple[int, int, int, Callable[[int], int] | None]:
+    """Lemma 2's part as (k, low, high, size).  Hypothesis: S holds t + 1
+    points in general position and meets no k-flat in low <= c < high
+    points.  Conclusion: |S| >= size(t), or, where size is None (part iii),
+    the complement of S lies in a hyperplane."""
+    if part == "i":
+        return 2, 3, 4, lambda t: q**t
+    if part == "ii":
+        return 1, 2, q, lambda t: q**t
+    if part == "iii":
+        return 1, 2, q - 1, None
+    return 1, 2, m + 1, lambda t: (m ** (t + 1) - 1) // (m - 1)  # type: ignore[operator]
+
+
+# flats of A^t the object-level check counts S on, q^(t - k) times the
+# Gaussian binomial [t choose k]_q, k as `_saturation_rule` gives it:
+# A^6(F_3), part i on A^7(F_2) and A^2(F_251) are within it
 SATURATION_FLATS = 100_000
 
 
 def saturation_check_budget(q: int, t: int, part: str, m: int | None = None) -> None:
-    """The part's domain gates, then the object-level check's budget: it
-    counts S on every line of A^t (every plane for part i), q^(t - k) times
-    the Gaussian binomial [t choose k]_q of them, and past SATURATION_FLATS
-    it raises BudgetExceeded before any work."""
+    """The part's gates, then BudgetExceeded, before any work, when the
+    object-level check would count S on more than SATURATION_FLATS flats."""
     _saturation_gates(q, t, part, m)
-    k = 2 if part == "i" else 1
+    k = _saturation_rule(q, part, m)[0]
     # q >= 2, so past t = 40 there are more than 2^38 flats
     if t > 40 or q ** max(t - k, 0) * gaussian_binomial(q, t, k) > SATURATION_FLATS:
         what = "planes" if k == 2 else "lines"
@@ -724,12 +625,11 @@ def saturation_check_budget(q: int, t: int, part: str, m: int | None = None) -> 
 
 
 def _flat_ids(F: FieldSpec, t: int, k: int, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The k-flats of A^t through the points X (`point_digits`, one column
-    a point), batch by batch of `direction_batches(F, t, k, cap)`: (pivots,
-    entries, ids), with ids[b, z] = b * q^(t - k) + the coset of the
-    batch's space b through point z.  So a batch numbers its flats in
-    `direction_spaces` x `parallel_class` order.  Nothing for no points,
-    or for k outside 0 .. t, which has no flats."""
+    """The k-flats of A^t through the points X (`point_digits`), batch by
+    batch of `direction_batches`: (pivots, entries, ids), ids[b, z] =
+    b * q^(t - k) + the coset of space b through point z, so in
+    `direction_spaces` x `parallel_class` order.  Nothing for no points or
+    k outside 0 .. t."""
     if not (0 <= k <= t and X.shape[1]):
         return
     classes = F.q ** (t - k)
@@ -741,28 +641,15 @@ def _flat_ids(F: FieldSpec, t: int, k: int, X: np.ndarray) -> Iterator[tuple[np.
 def saturated_set_check(
     S: PointSet, part: str, m: int | None = None
 ) -> LawReport:
-    """Check one of the four line-saturation laws for S in A^t(F_q).
-
-    Common hypothesis: S contains t+1 points in general position.  Then:
-      i   (q = 2): no 2-plane meets S in exactly 3 points  =>  S = A^t.
-      ii  (q >= 3): every line meeting S twice lies in S   =>  S = A^t.
-      iii (q >= 4): every line meeting S twice has >= q-1
-                    points of S                            =>  complement
-                    of S lies in a hyperplane.
-      iv  (m >= 2): every line meeting S twice has >= m+1
-                    points of S                            =>  |S| >= (m^(t+1)-1)/(m-1).
-
-    Per batch of direction spaces, `_flat_ids` numbers the line (plane for
-    part i) through each point of S, and one bincount counts S on each; the
-    witness is the first flat, in `direction_spaces` x `parallel_class`
-    order, that S meets in 2 <= c < threshold points (part i: c = 3).  Part
-    iii's complement lies in a hyperplane when its coset numbers over one
-    direction space of dimension t - 1 are all equal: the first such names
-    the hyperplane.
-    """
+    """Check Lemma 2's part (`_saturation_rule`) on S in A^t(F_q), after
+    `saturation_check_budget`: vacuous, with the first flat in
+    `direction_spaces` x `parallel_class` order that breaks the
+    hypothesis, or the conclusion's verdict (part iii names the first
+    hyperplane holding the complement)."""
     F = S.field
     q, t = F.q, S.ambient
     saturation_check_budget(q, t, part, m)
+    k, low, high, size = _saturation_rule(q, part, m)
     law = f"line-saturation-{part}"
     evidence: dict = {"q": q, "t": t, "size": len(S)}
     if m is not None:
@@ -777,12 +664,10 @@ def saturated_set_check(
         return LawReport(law, False, True, evidence)
     evidence["general_position_points"] = span_dim + 1
 
-    k, low = (2, 3) if part == "i" else (1, 2)
-    threshold = {"i": 4, "ii": q, "iii": q - 1, "iv": (m or 0) + 1}[part]
     pts = np.array(list(S.points), dtype=np.intp).reshape(len(S), t)
     for pivots, entries, ids in _flat_ids(F, t, k, point_digits(pts, F)):
         counts = np.bincount(ids.ravel(), minlength=len(entries) * q ** (t - k))
-        hit = np.flatnonzero((counts >= low) & (counts < threshold))
+        hit = np.flatnonzero((counts >= low) & (counts < high))
         if len(hit):
             b, coset = divmod(int(hit[0]), q ** (t - k))
             flat = _flat(F, t, pivots[b].tolist(), entries[b], coset)
@@ -790,13 +675,11 @@ def saturated_set_check(
                 evidence["reason"] = "a 2-plane meets S in exactly 3 points"
                 evidence["witness_plane"] = flat
             else:
-                evidence["reason"] = f"a line meets S in {counts[hit[0]]} points, below the threshold {threshold}"
+                evidence["reason"] = f"a line meets S in {counts[hit[0]]} points, below the threshold {high}"
                 evidence["witness_line"] = flat
             return LawReport(law, False, True, evidence)
 
-    if part in ("i", "ii"):
-        conclusion = len(S) == q**t
-    elif part == "iii":
+    if size is None:  # part iii
         rest = np.ones(q**t, dtype=bool)
         rest[pts @ q ** np.arange(t - 1, -1, -1)] = False
         complement = _coordinates(np.flatnonzero(rest), q, t).T
@@ -809,10 +692,10 @@ def saturated_set_check(
                 conclusion = True
                 break
         evidence["complement_size"] = len(complement)
-    else:  # iv
-        need = (m**(t + 1) - 1) // (m - 1)  # type: ignore[operator]
-        evidence["required_size"] = need
-        conclusion = len(S) >= need
+    else:
+        if part == "iv":
+            evidence["required_size"] = size(t)
+        conclusion = len(S) >= size(t)
     return LawReport(law, True, conclusion, evidence, None if conclusion else {"size": len(S)})
 
 
@@ -826,9 +709,7 @@ SWEEP_CHUNK = 1 << 20
 
 
 def _subspace_masks(F: FieldSpec, t: int, k: int) -> np.ndarray:
-    """One uint32 point mask per k-flat of A^t, in `direction_spaces` x
-    `parallel_class` order: each of the q^t odometer points has its bit or-ed
-    into the mask of the flat that `_flat_ids` numbers for it."""
+    """One uint32 point mask per k-flat of A^t, in `_flat_ids` order."""
     q = F.q
     bits = np.left_shift(np.uint32(1), np.arange(q**t, dtype=np.uint32))
     masks = [np.zeros(0, dtype=np.uint32)]
@@ -841,43 +722,31 @@ def _subspace_masks(F: FieldSpec, t: int, k: int) -> np.ndarray:
 def _sweep_masks(
     M: np.ndarray, F: FieldSpec, t: int, part: str, m: int | None, flats: dict[int, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The subset masks of M (uint32) that meet the part's hypothesis, and
-    the counterexamples among them, both in the order of M.  flats[k] holds
-    the k-flat masks for k = 1, 2 and t - 1.  Applies no part gate.
-
-    M is pruned line by line (for part i, plane by plane); the survivors
-    with t + 1 points in general position (inside no hyperplane) meet the
-    hypothesis, and those that miss the part's conclusion are the
-    counterexamples."""
+    """The subset masks of M (uint32) that meet the part's hypothesis
+    (`_saturation_rule`), and the counterexamples among them, both in the
+    order of M; flats[k] holds the k-flat masks for k = 1, 2 and t - 1.
+    Applies no part gate."""
     q = F.q
-    if part == "i":
-        for P in flats[2]:
-            M = M[np.bitwise_count(M & P) != 3]
-    else:
-        threshold = q if part == "ii" else q - 1 if part == "iii" else m + 1  # type: ignore[operator]
-        for L in flats[1]:
-            c = np.bitwise_count(M & L)
-            M = M[(c < 2) | (c >= threshold)]
+    k, low, high, size = _saturation_rule(q, part, m)
+    for P in flats[k]:
+        c = np.bitwise_count(M & P)
+        M = M[(c < low) | (c >= high)]
     M = M[np.bitwise_count(M) > t]
-    for H in flats[t - 1]:
+    for H in flats[t - 1]:  # general position: inside no hyperplane
         M = M[(M & ~H) != 0]
-    size = np.bitwise_count(M)
-    if part in ("i", "ii"):
-        holds = size == q**t
-    elif part == "iii":  # the complement lies in a hyperplane (or is empty)
+    if size is None:  # part iii: the complement lies in a hyperplane (or is empty)
         comp = ~M & np.uint32((1 << q**t) - 1)
         holds = comp == 0
         for H in flats[t - 1]:
             holds |= (comp & ~H) == 0
     else:
-        holds = size >= (m**(t + 1) - 1) // (m - 1)  # type: ignore[operator]
+        holds = np.bitwise_count(M) >= size(t)
     return M, M[~holds]
 
 
 def saturated_set_exhaustive(F: FieldSpec, t: int, part: str, m: int | None = None) -> LawReport:
-    """Sweep all 2^(q^t) subsets of A^t(F_q) (q^t <= SWEEP_POINTS) for
-    counterexamples to a saturation law, in mask order; the sweep stops at
-    the fifth counterexample."""
+    """Sweep the 2^(q^t) subsets of A^t(F_q), q^t <= SWEEP_POINTS, in mask
+    order for counterexamples to Lemma 2's part, stopping at the fifth."""
     q = F.q
     _saturation_gates(q, t, part, m)
     if q ** min(t, SWEEP_POINTS) > SWEEP_POINTS:  # q >= 2, so t is capped too

@@ -1,7 +1,5 @@
-"""One bounded memo for the caches of arrays (`counting.GRIDS`, `MONOMIALS`
-and `WALKS`, `laws.DIRECTIONS`, `fields.POWER_LOGS`), each bound stated at
-its instance.  `MEMOS` holds them all, to empty them at once.  No report
-depends on a hit, and no report body reads the counters."""
+"""One bounded memo for the caches of arrays, each bound stated at its
+instance; `MEMOS` holds them all.  No report depends on a hit."""
 
 from __future__ import annotations
 
@@ -12,13 +10,9 @@ MEMOS: WeakSet[Memo] = WeakSet()
 
 
 class Memo:
-    """Values by key, least recently used first, within `bound` bytes and,
-    if `entries` is given, at most that many values.  A hit is one pop and
-    reinsert (`get`); `put` runs on a miss or when a kept value grows, and
-    `held` keeps the running total of the sizes it was told.  Since the
-    last `clear`, `hits` and `misses` count the reads that found a value
-    and those that did not, and `evictions` the values that `put` dropped
-    to make room for another."""
+    """Values by key, least recently used first, within bound bytes (held,
+    the sizes told) and at most entries values; hits, misses and evictions
+    count since the last clear."""
 
     def __init__(self, nbytes: int, entries: int | None = None):
         self.bound, self.entries = nbytes, entries
@@ -38,9 +32,9 @@ class Memo:
         return value
 
     def put(self, key: Hashable, value, nbytes: int) -> bool:
-        """Keep value (nbytes bytes) under key, most recently used, after
-        dropping the least recently used others until it fits; True if kept.
-        A value past the bound alone is not, and key's old value goes too."""
+        """Keep value (nbytes) under key, dropping the least recently used
+        until it fits; True if kept (not past the bound alone; key's old
+        value goes either way)."""
         kept, sizes, held, bound, entries = self.kept, self.sizes, self.held, self.bound, self.entries
         if key in sizes:
             del kept[key]
@@ -59,6 +53,7 @@ class Memo:
         return True
 
     def clear(self) -> None:
+        """Drop every value and zero the counters."""
         self.kept.clear()
         self.sizes.clear()
         self.held = self.hits = self.misses = self.evictions = 0

@@ -1,10 +1,4 @@
-"""Sparse multivariate polynomials over a FieldSpec.
-
-Terms map exponent tuples to nonzero coefficient indexes.  Values are
-immutable after construction; arithmetic returns fresh objects.  The zero
-polynomial has total degree -inf (a real float sentinel, so comparisons
-with integer degrees behave).
-"""
+"""Sparse multivariate polynomials over a FieldSpec, and their parser."""
 
 from __future__ import annotations
 
@@ -12,12 +6,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
 from .errors import (
-    ArityMismatch,
-    BudgetExceeded,
-    ExprSyntaxError,
-    GeneratorInPrimeField,
-    InvalidArgument,
-    UnknownVariable,
+    ArityMismatch, BudgetExceeded, ExprSyntaxError, GeneratorInPrimeField, InvalidArgument, UnknownVariable,
     ZeroPolynomial,
 )
 from .fields import FieldSpec, element_literal
@@ -29,6 +18,10 @@ NEG_INF = float("-inf")
 
 
 class MultiPoly:
+    """A polynomial: terms maps exponent tuples to nonzero coefficients.
+    Immutable; arithmetic returns new objects.  The zero polynomial has
+    total degree -inf, a float that compares with integer degrees."""
+
     __slots__ = ("field", "nvars", "terms", "_degrees")
 
     def __init__(self, field: FieldSpec, nvars: int, terms: dict[tuple[int, ...], int]):
@@ -41,16 +34,19 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, field: FieldSpec, nvars: int) -> "MultiPoly":
+        """The zero polynomial."""
         return cls(field, nvars, {})
 
     @classmethod
     def constant(cls, field: FieldSpec, nvars: int, c: int) -> "MultiPoly":
+        """The constant c."""
         if c == 0:
             return cls.zero(field, nvars)
         return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, field: FieldSpec, nvars: int, i: int) -> "MultiPoly":
+        """The variable numbered i."""
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(field, nvars, {exps: field.one})
 
@@ -58,6 +54,8 @@ class MultiPoly:
     def from_terms(
         cls, field: FieldSpec, nvars: int, items: Iterable[tuple[tuple[int, ...], int]]
     ) -> "MultiPoly":
+        """The sum of the (exponents, coefficient) terms; ArityMismatch for
+        an exponent vector of the wrong length."""
         terms: dict[tuple[int, ...], int] = {}
         for exps, c in items:
             if len(exps) != nvars:
@@ -73,24 +71,24 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
+        """Whether there is no term."""
         return not self.terms
 
     @property
     def total_degree(self) -> int | float:
+        """The largest total degree of a term; -inf for zero."""
         code = self._degree_scan()
         return code >> 1 if code >= 0 else NEG_INF
 
     @property
     def is_homogeneous(self) -> bool:
+        """Whether every term has one total degree (zero included)."""
         code = self._degree_scan()
         return code < 0 or bool(code & 1)
 
     def _degree_scan(self) -> int:
-        """The total degree d and whether the polynomial is homogeneous, from
-        one scan of the terms on first read (they never change), kept as one
-        int, 2d + 1 if homogeneous else 2d, and -1 for the zero polynomial:
-        below degree 128 a cached small int, so the kept value takes no
-        memory of its own."""
+        """2d + 1 if homogeneous else 2d, d the total degree, -1 for zero:
+        one scan of the terms, kept."""
         if self._degrees is None:
             degs = {sum(e) for e in self.terms}
             self._degrees = 2 * max(degs) + (len(degs) == 1) if degs else -1
@@ -101,24 +99,6 @@ class MultiPoly:
         return MultiPoly(
             self.field, self.nvars, {x: c for x, c in self.terms.items() if sum(x) == e}
         )
-
-    def leading_form(self) -> "MultiPoly":
-        """Homogeneous part of top total degree (undefined for zero)."""
-        if not self.terms:
-            raise ZeroPolynomial("the zero polynomial has no leading form")
-        return self.homogeneous_component(int(self.total_degree))
-
-    def homogenize(self) -> "MultiPoly":
-        """Degree-e form in one extra variable, inserted at position 0.
-
-        Setting the new variable to 1 recovers the polynomial; setting it to
-        0 recovers the leading form in the remaining variables.
-        """
-        if not self.terms:
-            raise ZeroPolynomial("cannot homogenize the zero polynomial")
-        d = int(self.total_degree)
-        terms = {(d - sum(e),) + e: c for e, c in self.terms.items()}
-        return MultiPoly(self.field, self.nvars + 1, terms)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -154,6 +134,7 @@ class MultiPoly:
         return MultiPoly(F, self.nvars, terms)
 
     def scale(self, c: int) -> "MultiPoly":
+        """c times the polynomial."""
         F = self.field
         if c == 0:
             return MultiPoly.zero(F, self.nvars)
@@ -183,6 +164,7 @@ class MultiPoly:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
+        """The value at point, by scalar arithmetic (the reference)."""
         if len(point) != self.nvars:
             raise ArityMismatch(f"expected {self.nvars} coordinates, got {len(point)}")
         F = self.field
@@ -223,7 +205,7 @@ class MultiPoly:
     # -- text -----------------------------------------------------------------
 
     def to_text(self, names: Sequence[str]) -> str:
-        """Canonical rendering: terms in lexicographic exponent order."""
+        """The canonical text: terms in lexicographic exponent order."""
         if not self.terms:
             return "0"
         F = self.field
@@ -263,12 +245,8 @@ class MultiPoly:
 
 
 class PolySystem:
-    """A tuple of polynomials over one field and variable count.
-
-    Carries the per-polynomial total degrees and their sum.  Zero
-    polynomials are rejected: they carry no degree data and make the
-    degree bookkeeping meaningless.
-    """
+    """Nonzero polynomials over one field and variable count, with their
+    total degrees and the sum d of them."""
 
     __slots__ = ("polys", "degrees", "total_degree", "field", "nvars", "_homogeneous")
 
@@ -291,6 +269,7 @@ class PolySystem:
 
     @property
     def r(self) -> int:
+        """The number of polynomials."""
         return len(self.polys)
 
     @property
@@ -301,17 +280,16 @@ class PolySystem:
         return self._homogeneous
 
     def leading_system(self) -> "PolySystem":
-        """The leading forms, each one pass over its polynomial's terms."""
+        """The leading forms."""
         return self._forms([f.homogeneous_component(d) for f, d in zip(self.polys, self.degrees)])
 
     def homogenized_system(self) -> "PolySystem":
-        """The homogenizations, each one pass over its polynomial's terms."""
+        """The homogenizations."""
         homogenized = [{(d - sum(e),) + e: c for e, c in f.terms.items()} for f, d in zip(self.polys, self.degrees)]
         return self._forms([MultiPoly(self.field, self.nvars + 1, terms) for terms in homogenized])
 
     def _forms(self, polys: list[MultiPoly]) -> "PolySystem":
-        """A system of forms derived term by term from self's polynomials:
-        nonzero, of self's degrees, homogeneous, so nothing is rescanned."""
+        """A system of forms of self's degrees, unscanned."""
         out = object.__new__(PolySystem)
         out.polys, out.field, out.nvars = tuple(polys), self.field, polys[0].nvars
         out.degrees, out.total_degree, out._homogeneous = self.degrees, self.total_degree, True
@@ -330,14 +308,8 @@ class PolySystem:
 
 
 def restrict_to_subspace(system: PolySystem, L: "AffineSubspace") -> PolySystem:
-    """Restrict a system to an affine subspace via x = offset + sum t_j b_j.
-
-    The result lives in dim(L) parameter variables; degrees never increase.
-    A polynomial that vanishes identically on L restricts to the vacuous
-    equation and is dropped; when every polynomial vanishes on L there is
-    no system left to return and ZeroPolynomial is raised (`count_zeros`
-    catches it: every point of L is a zero).
-    """
+    """The system on L, x = offset + sum t_j b_j, in dim(L) variables, with
+    the polynomials that vanish on L dropped; ZeroPolynomial if all do."""
     from .subspaces import AffineSubspace  # deferred to avoid a cycle
 
     if not isinstance(L, AffineSubspace):
@@ -359,7 +331,7 @@ def restrict_polys(
     rows: Sequence[Sequence[int]],
     field: FieldSpec,
 ) -> list[MultiPoly]:
-    """Raw restriction; zero restrictions come back as zero MultiPoly values."""
+    """The restrictions, zero ones included."""
     m = len(rows)
     subs = []
     for i in range(len(offset)):
@@ -377,12 +349,11 @@ def restrict_polys(
 # -- expression parser ----------------------------------------------------------
 
 _OPS = set("+-*^()")
-# parentheses and unary minus nest at most this deep (each level takes a
-# few Python frames, so the cap keeps far below the interpreter's limit)
+# parentheses and unary minus nest at most this deep, far below the
+# interpreter's recursion limit
 MAX_NESTING = 100
-# a power or a product is expanded only if the result has at most this
-# degree (the field size cap: x^(q-1) stays writable) and at most this many
-# terms, both bounded before anything is multiplied
+# a power or a product is expanded only to at most this degree (x^(q-1)
+# stays writable) and this many terms, bounded before anything is multiplied
 MAX_POWER_DEGREE = 1 << 20
 MAX_POWER_TERMS = 500
 
@@ -546,10 +517,8 @@ class _Parser:
 
 
 def _power_exponent(base: MultiPoly, digits: str, pos: int) -> int:
-    """The exponent e of base^e, refused before anything is expanded when
-    the power's degree or its number of terms (bounded by the monomials of
-    that degree in the variables, and by the multisets of e of base's
-    terms) would pass the caps."""
+    """The exponent e of base^e; BudgetExceeded, before any expansion, when
+    the degree or the bound on the terms would pass the caps."""
     digits = digits.lstrip("0") or "0"
     if len(digits) > len(str(MAX_POWER_DEGREE)):  # also too long for int()
         raise BudgetExceeded(f"exponent at position {pos} is past the cap {MAX_POWER_DEGREE}")
@@ -562,6 +531,7 @@ def _power_exponent(base: MultiPoly, digits: str, pos: int) -> int:
 
 
 def _check_expansion(what: str, pos: int, degree: int, terms: int) -> None:
+    """BudgetExceeded past MAX_POWER_DEGREE or MAX_POWER_TERMS."""
     if degree > MAX_POWER_DEGREE or terms > MAX_POWER_TERMS:
         raise BudgetExceeded(
             f"{what} at position {pos} would have degree {degree} and up to {terms} "
@@ -570,19 +540,15 @@ def _check_expansion(what: str, pos: int, degree: int, terms: int) -> None:
 
 
 def parse_poly(text: str, field: FieldSpec, names: Sequence[str]) -> MultiPoly:
-    """Parse an expression over +, -, *, ^ and parentheses.
-
-    Atoms are integer literals (reduced mod p), colon element literals, the
-    generator symbol g (extension fields only), and declared variable names.
-    A '#' starts a comment.  Parse-print-parse is a fixed point.
-    """
+    """Parse an expression over + - * ^ and parentheses: integer literals
+    (mod p), colon element literals and g (extension fields only), and the
+    variables named; '#' starts a comment."""
     check_names(names)
     return _Parser(text, field, names).parse()
 
 
 def check_names(names: Sequence[str]) -> None:
-    """InvalidArgument for a variable name given twice, or named g, the
-    field generator's symbol."""
+    """InvalidArgument for a name given twice, or g."""
     seen = set()
     for name in names:
         if name in seen:

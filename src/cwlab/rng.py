@@ -1,8 +1,4 @@
-"""Deterministic pseudo-randomness (SplitMix64).
-
-Every randomized corpus, sample, and probe in the package draws from this
-generator so that results are bit-identical across platforms and runs.
-"""
+"""SplitMix64, the one source of randomness: bit-identical on every platform."""
 
 from __future__ import annotations
 
@@ -29,6 +25,7 @@ class SplitMix64:
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
+        """The next 64-bit output."""
         self._state = (self._state + _GAMMA) & MASK64
         return mix64(self._state)
 
@@ -42,10 +39,8 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def coin(self) -> bool:
+        """A fair coin (the output's low bit)."""
         return bool(self.next_u64() & 1)
 
 

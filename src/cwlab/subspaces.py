@@ -1,10 +1,8 @@
-"""Affine subspaces of A^n(F_q) and explicit point sets.
+"""Affine subspaces of A^n(F_q) in canonical form, and explicit point sets.
 
-Canonical form: the basis is the reduced row echelon form of the direction
-space (leading ones, pivot columns cleared, rows ordered by pivot), and the
-offset is the coset representative with zero entries in all pivot
-coordinates.  Two descriptions of the same point set always have the same
-canonical form, and parallelism is equality of canonical bases.
+Canonical form: the basis is the RREF of the direction space, and the
+offset is zero at every pivot column, so two descriptions of one point set
+have one form, and parallel subspaces share their basis.
 """
 
 from __future__ import annotations
@@ -14,15 +12,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DependentBasis, EmptySet, InvalidArgument
+from .errors import DependentBasis, EmptySet
 from .fields import FieldSpec
 
 
 def rref(field: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over the field; returns (rows, pivot columns).
-
-    Zero rows are dropped, so the output rank equals the number of rows.
-    """
+    """The reduced row echelon form, zero rows dropped, and its pivot columns."""
     work = [list(r) for r in rows]
     if not work:
         return (), ()
@@ -54,7 +49,8 @@ def rref(field: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[i
 
 
 class AffineSubspace:
-    """offset + row space, stored in canonical form."""
+    """offset + the row space of rows, in canonical form; DependentBasis for
+    dependent rows when strict."""
 
     __slots__ = ("field", "ambient", "offset", "basis", "pivots")
 
@@ -85,40 +81,18 @@ class AffineSubspace:
 
     @property
     def dim(self) -> int:
+        """The dimension."""
         return len(self.basis)
 
     @property
     def size(self) -> int:
+        """The number of points, q^dim."""
         return self.field.q**self.dim
-
-    @classmethod
-    def full_space(cls, field: FieldSpec, n: int) -> "AffineSubspace":
-        if n < 0:
-            raise InvalidArgument(f"dimension must be >= 0, got {n}")
-        rows = [[field.one if j == i else 0 for j in range(n)] for i in range(n)]
-        return cls(field, [0] * n, rows)
 
     # -- geometry -----------------------------------------------------------
 
-    def reduce_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative of v modulo the direction space."""
-        F = self.field
-        out = list(v)
-        for row, piv in zip(self.basis, self.pivots):
-            c = out[piv]
-            if c:
-                out = [F.sub(x, F.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
-
-    def contains(self, point: Sequence[int]) -> bool:
-        F = self.field
-        diff = [F.sub(x, o) for x, o in zip(point, self.offset)]
-        return not any(self.reduce_vector(diff))
-
     def points(self) -> Iterator[tuple[int, ...]]:
-        """All q^dim points, streamed in odometer order over basis
-        coefficients (last coefficient fastest, coefficients in canonical
-        element order)."""
+        """The q^dim points, in odometer order over the basis coefficients."""
         F = self.field
         for coeffs in product(range(F.q), repeat=self.dim):
             pt = list(self.offset)
@@ -128,14 +102,8 @@ class AffineSubspace:
             yield tuple(pt)
 
     def parallel_class(self) -> list["AffineSubspace"]:
-        """All q^(n-dim) translates of the direction space, canonical order.
-
-        Pairwise disjoint, they cover the ambient space, and include self.
-        Each member is built in canonical form: self's basis and pivots,
-        and an offset that is zero at the pivots, its free coordinates
-        running odometer style: the offsets are one product over the
-        columns, of 0 at a pivot and of every element at a free column.
-        """
+        """The q^(n-dim) translates, in canonical form, their offsets in
+        odometer order over the free columns."""
         pivots, elements = set(self.pivots), range(self.field.q)
         out = []
         for off in product(*[(0,) if j in pivots else elements for j in range(self.ambient)]):
@@ -148,6 +116,7 @@ class AffineSubspace:
     # -- identity ---------------------------------------------------------------
 
     def key(self) -> tuple:
+        """(ambient, offset, basis), which identifies the subspace over its field."""
         return (self.ambient, self.offset, self.basis)
 
     def __eq__(self, other) -> bool:
@@ -166,7 +135,7 @@ class AffineSubspace:
 
 
 class PointSet:
-    """An explicit subset of A^t(F_q)."""
+    """An explicit subset of A^t(F_q); ValueError for a point outside it."""
 
     __slots__ = ("field", "ambient", "points")
 
@@ -186,6 +155,7 @@ class PointSet:
         return tuple(p) in self.points
 
     def sorted_points(self) -> list[tuple[int, ...]]:
+        """The points in sorted (odometer) order."""
         return sorted(self.points)
 
     def __repr__(self) -> str:
@@ -193,24 +163,11 @@ class PointSet:
 
 
 def _greedy_span(F: FieldSpec, pts: np.ndarray, cap: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Independent rows of the direction space of the points' affine span,
-    at most cap of them (n by default), and the indexes of the points that
-    give them, the first point's included: so the rows' number is the
-    span's dimension, and the chosen points are in general position.
-
-    pts is an (N, n) array of element indexes, its rows in canonical point
-    order (the odometer order of `zero_points` is that order).  Each point
-    outside the span of the points chosen so far is chosen and widens the
-    span by one dimension; the pass ends once cap rows are found or no
-    point is left outside.
-
-    Whole arrays, not points, are reduced.  D holds the differences from
-    the first point, reduced by the rows found so far; the first nonzero
-    row of D is the next chosen point, since the points before it lie in
-    the span.  It is scaled to a leading one at its pivot and cleared from
-    the later rows of D.  Each row found is zero at the earlier pivots, so
-    the earlier reductions stay in place: n + 1 array steps at most.
-    """
+    """Up to cap (n by default) independent rows of the direction space of
+    the span of pts, an (N, n) array in sorted order, and the indexes of
+    the points that give them, the first included: in general position.
+    One greedy pass, at most n + 1 array steps (README); EmptySet for no
+    points."""
     if not len(pts):
         raise EmptySet("the empty set has no affine span")
     T = F.tables
@@ -237,22 +194,16 @@ def _sorted_array(ps: PointSet) -> np.ndarray:
 
 
 def affine_span(ps: PointSet) -> AffineSubspace:
-    """Least affine subspace containing the points."""
+    """The least affine subspace containing the points."""
     pts = _sorted_array(ps)
     rows = _greedy_span(ps.field, pts)[0]
     return AffineSubspace(ps.field, pts[0].tolist(), rows)
 
 
 def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
-    """The dimension of the affine subspace whose point set is pts, or None
-    when pts is empty or is not such a set.
-
-    pts is as for `_greedy_span`, without repeated rows.  The points fill an
-    affine subspace exactly when they fill their span: N == q^dim(span).
-    So an N that is no power of q is no subspace, and the span is taken
-    only for N = q^m, where the verdict is dim(span) == m: the number of
-    rows `_greedy_span` finds, read up to m + 1.
-    """
+    """The dimension of the affine subspace whose point set is pts (as for
+    `_greedy_span`, distinct), or None when there is none: N = q^m and the
+    span has dimension m."""
     N, m = len(pts), 0
     while F.q**m < N:
         m += 1
@@ -262,18 +213,14 @@ def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
 
 
 def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:
-    """Whether the set equals the point set of some affine subspace;
-    returns (verdict, dim or None), as decided by `subspace_dim`."""
+    """(whether the set is an affine subspace, its dimension or None)."""
     dim = subspace_dim(ps.field, _sorted_array(ps))
     return (dim is not None, dim)
 
 
 def direction_spaces(field: FieldSpec, n: int, m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All canonical RREF bases of m-dimensional direction spaces in F_q^n.
-
-    Deterministic order: pivot columns lexicographic, then free entries
-    odometer style.  The count is the Gaussian binomial [n choose m]_q.
-    """
+    """The RREF bases of the [n choose m]_q direction spaces of dimension m,
+    pivot columns in lexicographic order, then free entries in odometer order."""
     if m == 0:
         yield ()
         return
@@ -296,7 +243,7 @@ def direction_spaces(field: FieldSpec, n: int, m: int) -> Iterator[tuple[tuple[i
 
 
 def gaussian_binomial(q: int, n: int, m: int) -> int:
-    """Number of m-dimensional subspaces of F_q^n."""
+    """The number of m-dimensional subspaces of F_q^n."""
     if m < 0 or m > n:
         return 0
     num = den = 1

@@ -1,10 +1,6 @@
-"""The acceptance battery: one function per criterion, shared by the CLI
-`suite` subcommand and the pytest acceptance module.
-
-Each criterion returns a CriterionResult with an exact pass verdict; a
-criterion that does not apply anywhere never silently passes, it reports
-what it actually checked in `details`.
-"""
+"""The acceptance battery, one function per criterion, for `cwlab suite`
+and the acceptance tests: an exact verdict, and in `details` what was
+checked."""
 
 from __future__ import annotations
 
@@ -13,23 +9,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .constructions import (
-    corpus_system,
-    example_one,
-    example_two,
-    norm_form,
-    embed_in_more_variables,
-)
+from .constructions import corpus_system, example_one, example_two, norm_form, embed_in_more_variables
 from .counting import count_zeros, fast_count, oracle_count
 from .errors import FieldTooSmall
 from .fields import build_field
 from .geometry import conjecture_scan, estimate_dimension, linear_factor_test
 from .laws import (
-    CheckScope,
-    check_congruence,
-    covering_trial,
-    homogenization_identity,
-    lower_bound_audit,
+    CheckScope, check_congruence, covering_trial, homogenization_identity, lower_bound_audit,
     saturated_set_exhaustive,
 )
 from .polynomials import MultiPoly, PolySystem
@@ -38,6 +24,8 @@ from .rng import SplitMix64, derive_seed
 
 @dataclass
 class CriterionResult:
+    """One criterion's id, title, verdict, details and wall time."""
+
     cid: str
     title: str
     passed: bool
@@ -45,6 +33,7 @@ class CriterionResult:
     elapsed: float = 0.0
 
     def line(self) -> str:
+        """The progress line, with the wall time."""
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.cid}: {self.title} ({self.elapsed:.1f}s)"
 
@@ -394,6 +383,7 @@ ACCEPTANCE: list[tuple[str, Callable[..., CriterionResult]]] = [
 
 
 def run_preset(preset: str, seed: int = CORPUS_SEED, echo=print) -> list[CriterionResult]:
+    """Run a preset's criteria in order, echoing each line; ValueError for an unknown preset."""
     if preset == "acceptance":
         picks = ACCEPTANCE
     elif preset == "lemma2-exhaustive":

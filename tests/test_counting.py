@@ -25,6 +25,7 @@ from cwlab.errors import AmbientMismatch, BudgetExceeded, InvalidArgument
 from cwlab.fields import FieldTables, build_field
 from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
 from cwlab.subspaces import AffineSubspace
+from references import full_space, homogenize, leading_form
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -89,7 +90,7 @@ def test_parallel_class_counts():
     counts = [c for _, c in pairs]
     assert counts == [3, 3, 3, 1]
     assert sum(counts) == count_zeros(HYP).count
-    full = AffineSubspace.full_space(F2, 4)
+    full = full_space(F2, 4)
     assert [c for _, c in counts_over_parallel_class(HYP, full)] == [10]
     line = AffineSubspace(F3, (0, 0), [(0, 1)])
     sysx1 = PolySystem([parse_poly("x1", F3, ["x1", "x2"])])
@@ -694,7 +695,7 @@ def test_walk_memo_budget_and_cone_count():
 
     for system in _memo_systems():
         q, n = system.field.q, system.nvars
-        L = AffineSubspace.full_space(system.field, n)
+        L = full_space(system.field, n)
         N = fast_count(system)
         assert len(zero_points(system)) == N == fast_count(system)
         assert id(system) in counting.WALKS.kept
@@ -789,6 +790,12 @@ def _dense(F, n, degree, rng):
     return MultiPoly.from_terms(F, n, terms)
 
 
+def evaluate_columns(f, cols, T):
+    """f's values at the points whose coordinate columns are the rows of
+    cols, by the kernel's trie evaluation, with no variable split off."""
+    return counting._evaluate(*counting._compiled(f, T), T.log.take(np.asarray(cols)), T)[0]
+
+
 @pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 11), (3, 7), (7, 4)])
 def test_evaluate_columns_matches_pointwise_evaluate(p, k):
     # every point of F^n (n = 3 for the small fields, 1 for those past
@@ -816,7 +823,7 @@ def test_evaluate_columns_matches_pointwise_evaluate(p, k):
     ]
     for cols, f in cases:
         points = list(zip(*(col.tolist() for col in cols)))
-        assert counting.evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
+        assert evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
 
 
 @pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
@@ -858,7 +865,7 @@ def test_kernel_counts_over_a_prime_past_2_16(p):
     extra = np.count_nonzero((3 * r7 + 1) % p == 0)
     assert walked(fast_count, PolySystem([g])) == len(roots) + extra
     cols = [np.arange(0, p, 97, dtype=np.int64)]
-    assert counting.evaluate_columns(g, cols, F.tables).tolist() == [g.evaluate((int(v),)) for v in cols[0]]
+    assert evaluate_columns(g, cols, F.tables).tolist() == [g.evaluate((int(v),)) for v in cols[0]]
     if p < 1 << 17:
         assert walked(fast_count, PolySystem([g])) == sum(g.evaluate((v,)) == 0 for v in range(p))
 
@@ -926,13 +933,13 @@ def test_compile_from_exponents_matches_pointwise_evaluate(p, k):
     full = _dense(F, n, 3, rng) + MultiPoly.from_terms(F, n, [((3,) + (0,) * (n - 1), F.one)])
     polys = [
         full,
-        full.leading_form(),
+        leading_form(full),
         MultiPoly.constant(F, n, c),
         MultiPoly.from_terms(F, n, [((2,) + (0,) * (n - 1), c), ((1,) * n, F.one)]),
         MultiPoly.from_terms(F, n, [((q + 3,) + (0,) * (n - 1), F.one), ((0,) * n, c)]),
     ]
     if n > 1:  # the homogenization; every word of degree <= 2 in x_1 .. x_{n-1}, and one of them
-        polys.append(full.homogenize())
+        polys.append(homogenize(full))
         polys.append(
             MultiPoly.from_terms(
                 F, n, [(e + (0,), F.one) for e in product(range(3), repeat=n - 1) if sum(e) <= 2]
@@ -949,7 +956,7 @@ def test_compile_from_exponents_matches_pointwise_evaluate(p, k):
         paths.add(dense)
         cols = counting._coordinates(np.arange(q**m), q, m)
         points = list(zip(*cols.tolist()))
-        assert counting.evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
+        assert evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
         ref = _last_variable_coefficients(f)
         plan, shifts = counting._compiled(f, T, m - 1)
         prefixes = counting._coordinates(np.arange(q ** (m - 1)), q, m - 1)

@@ -409,6 +409,40 @@ def test_cli_construct_adversarial_inputs_exit_cleanly(workdir):
     assert not (workdir / "bad.sys").exists()
 
 
+def test_cli_caps_are_checked_before_the_work_they_bound(tmp_path, capsys):
+    # a field past the cap, from a huge p or k, and a count or factor search
+    # over an extension past it end at once: exponents are compared, not
+    # powers formed, and the field cap comes before the primality test (so a
+    # composite p past it exits 3, where it exited 1 as not prime)
+    from cwlab import cli
+
+    (tmp_path / "two.sys").write_text("field p=3 k=1\nvars x1 x2\npoly x1^2 + x2^2 + 1\n")
+    (tmp_path / "form.sys").write_text("field p=3 k=1\nvars x1 x2\npoly x1^2 + x2^2\n")
+    (tmp_path / "big.sys").write_text("field p=2305843009213693951 k=1\nvars x\npoly x\n")
+    cases = [
+        ("lemma cover --p 3 --k 100000000", 3, "p^k = 3^100000000 exceeds the cap"),
+        ("lemma cover --p 2305843009213693951", 3, "p^k = 2305843009213693951^1 exceeds the cap"),
+        ("lemma cover --p 2097152", 3, "p^k = 2097152^1 exceeds the cap"),
+        ("lemma saturation --p 1000000000000000003", 3, "exceeds the cap"),
+        ("construct random --p 2305843009213693951 --out {dir}/x.sys", 3, "exceeds the cap"),
+        ("construct norm-form --p 3 --degree 100000000 --out {dir}/x.sys", 3, "q^k = 3^100000000"),
+        ("count --system {dir}/two.sys --ext 100000000", 3, "region size 3^200000000 exceeds"),
+        ("count --system {dir}/two.sys --ext 32", 3, "region size 3433683820292512484657849089281 exceeds"),  # 3^64
+        ("count --system {dir}/two.sys --ext 33", 3, "region size 3^66 exceeds"),  # past 2^64 and the budget
+        ("factor-test --system {dir}/form.sys --ext 100000000", 3, "p^k = 3^100000000 exceeds the cap"),
+        ("count --system {dir}/big.sys", 1, "p^k = 2305843009213693951^1 exceeds the cap"),
+        ("lemma cover --p 2305843009213693951 --k 0", 1, "extension degree must be >= 1"),
+    ]
+    for args, exit_code, words in cases:
+        t0 = time.perf_counter()
+        code = cli.main(args.format(dir=tmp_path).split())
+        out, err = capsys.readouterr()
+        assert (code, out) == (exit_code, ""), (args, err)
+        assert words in err and "Traceback" not in err, (args, err)
+        assert time.perf_counter() - t0 < 1, args
+    assert not (tmp_path / "x.sys").exists()
+
+
 def test_cli_scan_conjecture(workdir):
     res = _run(
         "scan-conjecture", "--preset", "small", "--per-cell", "1",

@@ -25,6 +25,7 @@ from cwlab.geometry import (
     normalized_forms,
 )
 from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
+from references import leading_form
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -160,7 +161,7 @@ def _planted_products():
             )
             if lin.is_zero:
                 continue
-            quad = random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
+            quad = leading_form(random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0])
             yield trial, lin * quad
 
 
@@ -190,7 +191,7 @@ def test_exact_linear_division_matches_substitution():
             lin = MultiPoly.from_terms(
                 K, n, [(tuple(int(t == i) for t in range(n)), c) for i, c in enumerate(planted)]
             )
-            form = random_system(K, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
+            form = leading_form(random_system(K, n, (2,), rng.randrange(1 << 30)).polys[0])
             others = [
                 (0,) * i + (K.one,) + tuple(rng.randrange(K.q) for _ in range(n - 1 - i))
                 for i in (rng.randrange(n) for _ in range(4))
@@ -417,7 +418,7 @@ def test_candidates_cover_every_dividing_form():
                 a, b = linear(0), linear(trial % n)
                 if a.is_zero or b.is_zero:
                     continue
-                g = random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0].leading_form()
+                g = leading_form(random_system(F, n, (2,), rng.randrange(1 << 30)).polys[0])
                 forms = [a * g, a * a * b, a * b * b * b, x[-1] * g, (x[0] ** F.q * x[-1] - x[0] * x[-1] ** F.q) * b]
                 if n == 4:
                     forms += [x[1] * x[3] - x[2] * x[2], (x[1] * x[3] - x[2] * x[2]) * b]

@@ -28,6 +28,7 @@ from cwlab.polynomials import PolySystem, parse_poly
 from cwlab.rng import SplitMix64
 from cwlab.subspaces import AffineSubspace, PointSet, affine_span, direction_spaces, gaussian_binomial, rref
 from test_subspaces import superspaces
+from references import contains, full_space
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -70,6 +71,7 @@ def test_unknown_law_is_an_input_error():
         (CheckScope(budget=-5), "class budget"),
         (CheckScope(all_pairs=False, sample=-3), "at least 1"),
         (CheckScope(all_pairs=False, sample=0), "at least 1"),
+        (CheckScope(sample=5), "all_pairs=False"),  # was swept as all_pairs, the sample ignored
     ],
 )
 def test_malformed_scope_is_an_input_error_before_the_walk(scope, words):
@@ -166,7 +168,7 @@ def test_covering_bound_examples():
     rep2 = covering_bound_report(PointSet(F3, 2, []), AffineSubspace(F3, (1, 1)))
     assert rep2.passed  # all counts zero
 
-    Zfull = PointSet(F2, 2, AffineSubspace.full_space(F2, 2).points())
+    Zfull = PointSet(F2, 2, full_space(F2, 2).points())
     rep3 = covering_bound_report(Zfull, AffineSubspace(F2, (0, 0)))
     assert rep3.passed
     assert rep3.evidence["k"] == 0 and rep3.evidence["bound"] == 4
@@ -174,14 +176,14 @@ def test_covering_bound_examples():
 
 def test_covering_bound_rejects_full_base():
     with pytest.raises(FullSpace):
-        covering_bound_report(PointSet(F2, 2, []), AffineSubspace.full_space(F2, 2))
+        covering_bound_report(PointSet(F2, 2, []), full_space(F2, 2))
 
 
 def test_covering_bound_random_point_sets():
     rng = SplitMix64(7)
     for _ in range(50):
         n = 1 + rng.below(3)
-        pts = [pt for pt in AffineSubspace.full_space(F3, n).points() if rng.coin()]
+        pts = [pt for pt in full_space(F3, n).points() if rng.coin()]
         Z = PointSet(F3, n, pts)
         L0 = AffineSubspace(F3, tuple(rng.below(3) for _ in range(n)))
         assert covering_bound_report(Z, L0).passed
@@ -193,7 +195,7 @@ def _reference_covering_report(Z, L0):
     F, n = Z.field, Z.ambient
 
     def count(L):
-        return sum(1 for pt in Z.points if L.contains(pt))
+        return sum(1 for pt in Z.points if contains(L, pt))
 
     if L0.dim == n:
         raise FullSpace("the base subspace must be proper")
@@ -285,7 +287,7 @@ def test_superspace_hits_follow_the_reference_order():
 
 
 def test_saturation_checks():
-    full = PointSet(F3, 2, AffineSubspace.full_space(F3, 2).points())
+    full = PointSet(F3, 2, full_space(F3, 2).points())
     rep = saturated_set_check(full, "ii")
     assert rep.applicable and rep.passed
 
@@ -302,7 +304,7 @@ def test_saturation_checks():
 
 
 def test_saturation_part_gates():
-    S = PointSet(F3, 2, AffineSubspace.full_space(F3, 2).points())
+    S = PointSet(F3, 2, full_space(F3, 2).points())
     with pytest.raises(WrongFieldSize):
         saturated_set_check(S, "i")
     with pytest.raises(WrongFieldSize):
@@ -335,7 +337,7 @@ def test_saturation_exhaustive_small():
 
 
 def _set_of_mask(F, t, mask):
-    points = list(AffineSubspace.full_space(F, t).points())  # odometer order
+    points = list(full_space(F, t).points())  # odometer order
     return PointSet(F, t, [pt for i, pt in enumerate(points) if mask >> i & 1])
 
 
@@ -382,10 +384,10 @@ def _reference_check(S, part, m=None):
     if part in ("i", "ii"):
         conclusion = len(S) == q**t
     elif part == "iii":
-        complement = [pt for pt in AffineSubspace.full_space(F, t).points() if pt not in S]
+        complement = [pt for pt in full_space(F, t).points() if pt not in S]
         conclusion = not complement
         for H in _flat_walk(F, t, t - 1) if complement else ():
-            if all(H.contains(pt) for pt in complement):
+            if all(contains(H, pt) for pt in complement):
                 conclusion = True
                 evidence["complement_hyperplane"] = {"offset": list(H.offset), "rows": [list(r) for r in H.basis]}
                 break
@@ -399,7 +401,7 @@ def _reference_check(S, part, m=None):
 def _seeded_sets(F, t, rng):
     """The full space, random subsets of four densities, the full space
     less a hyperplane, less part of one, and less one point."""
-    points = list(AffineSubspace.full_space(F, t).points())
+    points = list(full_space(F, t).points())
     out = [points] + [[pt for pt in points if rng.below(100) < d] for d in (20, 50, 80, 95)]
     if t >= 1:
         hyperplanes = _flat_walk(F, t, t - 1)
@@ -568,7 +570,7 @@ def test_origin_subspace_orbit_divisibility():
         F, n = system.field, system.nvars
         Z = set(zero_set(system))
         L = AffineSubspace(F, (0,) * n, [tuple(F.one if j == 0 else 0 for j in range(n))])
-        cnt = sum(1 for pt in Z if L.contains(pt))
+        cnt = sum(1 for pt in Z if contains(L, pt))
         assert (cnt - 1) % (F.q - 1) == 0
 
 
@@ -883,9 +885,10 @@ def test_direction_memo_keeps_its_byte_bound():
 def test_sweep_that_stops_early_builds_one_part_past_and_keeps_nothing(monkeypatch):
     # on a miss the spaces are built in parts, from space 0 on, as the sweep
     # reaches them (after the first space alone, which sizes the parts).  A
-    # sweep cut by its budget, or stopped at a witness, has built at most one
-    # part past the last space it checked, and leaves DIRECTIONS as it was;
-    # a full sweep keeps the whole table, which the next sweep reads
+    # sweep cut by its budget, or stopped at a witness, has built no part
+    # past the last space it checked (the last part may run past it), and
+    # leaves DIRECTIONS as it was; a full sweep keeps the whole table, which
+    # the next sweep reads
     parts = []
     build = laws._direction_part
 
@@ -904,13 +907,10 @@ def test_sweep_that_stops_early_builds_one_part_past_and_keeps_nothing(monkeypat
         return got, parts[1][1]
 
     empty = np.zeros((0, 5), dtype=np.intp)
-    cuts = []
     for budget in (1, 37, 500, 1310, 5000):  # 1310: the cut falls on the end of a part
         (checked, _, truncated, _), step = sweep(empty, budget)
         assert checked == budget and truncated and memo.held == 0 and not memo.kept
-        assert parts[-1][1] <= checked + step < size
-        cuts.append(parts[-1][0] == checked)
-    assert cuts == [False, False, False, True, False]
+        assert parts[-1][0] < checked <= parts[-1][1] <= checked + step < size
     rng = Random(7)
     Z = np.array(sorted({tuple(rng.randrange(5) for _ in range(5)) for _ in range(40)}), dtype=np.intp)
     (checked, _, _, witness), step = sweep(Z, 10**9)
@@ -928,6 +928,31 @@ def test_sweep_that_stops_early_builds_one_part_past_and_keeps_nothing(monkeypat
     monkeypatch.setattr(memo, "bound", size * _space_bytes(F5, 5, 2) - 1)
     (checked, _, _, _), _ = sweep(empty, 10**9)
     assert checked == size and parts[-1][1] == size and not memo.kept
+
+
+def test_budget_cut_at_a_part_or_dimension_end_builds_nothing_past_it(monkeypatch):
+    # the budget is checked before the next batch is drawn: a cold sweep cut
+    # at the end of a part (space 1310 of A^5(F_5), m = 2) or of a dimension
+    # builds no further part, and is truncated only while a space is left
+    calls = []
+    build = laws._direction_part
+
+    def logged(F, n, m, lo, hi):
+        calls.append((m, lo, hi))
+        return build(F, n, m, lo, hi)
+
+    monkeypatch.setattr(laws, "_direction_part", logged)
+    X, size = point_digits(np.zeros((0, 5), dtype=np.intp), F5), gaussian_binomial(5, 5, 2)
+    cases = [
+        ([2], 1310, (1310, {2: 1310}, True, None)),
+        ([2, 3], size, (size, {2: size}, True, None)),
+        ([2], size, (size, {2: size}, False, None)),
+    ]
+    for dims, budget, want in cases:
+        laws.DIRECTIONS.clear()
+        calls.clear()
+        assert laws._sweep_classes(X, F5, dims, 5, CheckScope(budget=budget), {}) == want
+        assert {m for m, _, _ in calls} == {2} and calls[-1][2] == budget  # the last part ends at the cut
 
 
 def test_batched_sweep_on_random_point_sets(monkeypatch):

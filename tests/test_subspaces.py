@@ -22,6 +22,7 @@ from cwlab.subspaces import (
     rref,
     subspace_dim,
 )
+from references import contains, full_space
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -72,7 +73,7 @@ def test_canonicalize_idempotent_and_membership():
     assert L == AffineSubspace(L.field, L.offset, L.basis)
     pts = set(L.points())
     for pt in product(range(3), repeat=3):
-        assert (pt in pts) == L.contains(pt)
+        assert (pt in pts) == contains(L, pt)
 
 
 def test_dependent_basis_rejected():
@@ -84,7 +85,7 @@ def test_point_enumeration():
     assert list(AffineSubspace(F3, (1, 2)).points()) == [(1, 2)]
     line = AffineSubspace(F3, (0, 0), [(1, 1)])
     assert len(list(line.points())) == 3
-    assert len(set(AffineSubspace.full_space(F2, 3).points())) == 8
+    assert len(set(full_space(F2, 3).points())) == 8
 
 
 def test_superspace_counts_match_formula():
@@ -118,7 +119,7 @@ def test_superspaces_cover_and_intersect_in_base():
 
 def test_superspaces_of_full_space_rejected():
     with pytest.raises(FullSpace):
-        superspaces(AffineSubspace.full_space(F2, 2))
+        superspaces(full_space(F2, 2))
 
 
 def test_parallel_class_partitions():
@@ -127,7 +128,7 @@ def test_parallel_class_partitions():
     assert len(cls) == 3 and line in cls
     hyper = AffineSubspace(F2, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])
     assert len(hyper.parallel_class()) == 2
-    full = AffineSubspace.full_space(F3, 2)
+    full = full_space(F3, 2)
     assert full.parallel_class() == [full]
     all_pts: list = []
     for member in cls:
@@ -178,7 +179,7 @@ def _greedy_span_by_membership(ps):
     for p in rest:
         if span.dim == ps.ambient:
             break
-        if not span.contains(p):
+        if not contains(span, p):
             chosen.append(p)
             diff = tuple(F.sub(x, o) for x, o in zip(p, base))
             span = AffineSubspace(F, base, list(span.basis) + [diff])
@@ -221,7 +222,7 @@ def test_greedy_span_matches_rref_of_all_differences():
             line = AffineSubspace(F, [rng.randrange(F.q) for _ in range(t)], [[rng.randrange(1, F.q)] * t])
             assert affine_span(PointSet(F, t, line.points())) == line
     full = PointSet(F4, 3, product(range(4), repeat=3))
-    assert affine_span(full) == AffineSubspace.full_space(F4, 3)
+    assert affine_span(full) == full_space(F4, 3)
     assert max_general_position(full) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
@@ -230,7 +231,7 @@ def test_max_general_position():
     assert max_general_position(one) == [(2, 1)]
     line_pts = PointSet(F3, 2, AffineSubspace(F3, (0, 0), [(1, 1)]).points())
     assert len(max_general_position(line_pts)) == 2
-    full = PointSet(F2, 2, AffineSubspace.full_space(F2, 2).points())
+    full = PointSet(F2, 2, full_space(F2, 2).points())
     witness = max_general_position(full)
     assert len(witness) == 3 == affine_span(full).dim + 1
 
