@@ -328,31 +328,53 @@ def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.n
     return grid
 
 
-# the step rule (`_gemm_rule`): a pass of at most GEMM_POINTS points whose
-# product does at most GEMM_ENTRIES multiply-adds a polynomial, k^2 |W| points,
-# takes the GEMM step (its M' at most 256 KiB in float32); every corpus pass
-# of at most GEMM_POINTS points qualifies
+# the step rule (`_gemm_rule`), by the field's regime: a pass of at most
+# GEMM_POINTS points whose product does at most GEMM_ENTRIES multiply-adds a
+# polynomial, k^2 |W| points, takes the GEMM step; over an odd-p extension
+# field (the Zech regime, where `FieldTables.total` sums by a Zech tree and the
+# trie step is slowest) the bounds are ZECH_POINTS and ZECH_ENTRIES.  Its M'
+# holds 4 k|W| points bytes: at most 256 KiB, or 384 KiB in the Zech regime
 GEMM_POINTS = 1 << 8
 GEMM_ENTRIES = 1 << 16
-# a GEMM-step partial sum is below k|W| p^2 <= GEMM_ENTRIES * GEMM_POINTS =
-# 2^24 (p <= q <= points), which float32 holds exactly; `_monomials` asserts
-# k|W|(p - 1)^2 < GEMM_EXACT
+ZECH_POINTS = 1 << 12
+ZECH_ENTRIES = 3 << 16
+# a GEMM-step partial sum is at most k|W|(p - 1)^2 < k|W| p^2, below 2^24,
+# which float32 holds exactly: k|W| p^2 <= GEMM_ENTRIES * p <= 2^24 (p <= q <=
+# points <= GEMM_POINTS), and in the Zech regime k|W| p^2 <= k|W| points <=
+# ZECH_ENTRIES / 2 (p^2 <= q <= points, k >= 2); `_monomials` asserts it
 GEMM_EXACT = 1 << 24
 
 # bytes of the GEMM step's M' matrices and their points (see `_monomials`),
-# at most 258 KiB an entry
-MONOMIALS = Memo(1 << 20)
+# at most 416 KiB an entry; the `extension-fields` benchmark keeps 1.1 MB,
+# `corpus-sweep` 631,536 bytes
+MONOMIALS = Memo(1 << 21)
 
 
-def _gemm_rule(points: int, words: int, k: int) -> bool:
+def _gemm_bounds(p: int, k: int) -> tuple[int, int]:
+    """(points, multiply-adds) bounds of the step rule over F_{p^k}, by its
+    regime (see GEMM_POINTS)."""
+    return (ZECH_POINTS, ZECH_ENTRIES) if p > 2 and k > 1 else (GEMM_POINTS, GEMM_ENTRIES)
+
+
+def _gemm_rule(points: int, words: int, p: int, k: int) -> bool:
     """Whether a pass of this many points over F_{p^k}, of this many words,
-    takes the GEMM step (see GEMM_POINTS)."""
-    return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES
+    takes the GEMM step."""
+    most, entries = _gemm_bounds(p, k)
+    return points <= most and k * k * words * points <= entries
 
 
-def _lengths(system: PolySystem) -> tuple[int, ...]:
-    """The total degrees of the system's terms, ascending, once each."""
-    return tuple(sorted({sum(exps) for f in system.polys for exps in f.terms}))
+def _lengths(polys: Sequence[MultiPoly]) -> tuple[int, ...]:
+    """The total degrees of the polynomials' terms, ascending, once each."""
+    return tuple(sorted({sum(exps) for f in polys for exps in f.terms}))
+
+
+def _gemm_lengths(F: FieldSpec, n: int, points: int, polys: Sequence[MultiPoly]) -> tuple[int, ...] | None:
+    """The term lengths of polys when a pass of this many points takes the
+    GEMM step, else None: the points bound is read before |W| is counted."""
+    if points > _gemm_bounds(F.p, F.k)[0]:
+        return None
+    lengths = _lengths(polys)
+    return lengths if _gemm_rule(points, sum(comb(n + l - 1, l) for l in lengths), F.p, F.k) else None
 
 
 def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
@@ -365,21 +387,22 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
         # the one point; a system's polynomials are nonzero constants here
         yield np.zeros(0, dtype=np.intp)
         return
-    points = q * sum(map(len, _prefix_ranges(q, n, cone)))
-    if points <= GEMM_POINTS:  # the rule's first bound, before |W| is counted
-        lengths = _lengths(system)
-        if _gemm_rule(points, sum(comb(n + l - 1, l) for l in lengths), F.k):
-            yield from _gemm_chunks(system, cone, lengths)
-            return
-    yield from _trie_chunks(system, cone)
+    lengths = _gemm_lengths(F, n, q * sum(map(len, _prefix_ranges(q, n, cone))), system.polys)
+    if lengths is None:
+        yield from _trie_chunks(system, cone)
+    else:
+        yield from _gemm_chunks(system, cone, lengths)
 
 
-def _monomials(T: FieldTables, n: int, cone: bool, lengths: tuple[int, ...]) -> tuple[np.ndarray, dict, np.ndarray]:
-    """(M', rows, points) of the GEMM step for (T's field, n, cone,
-    lengths), read-only, in MONOMIALS: M'[(w, a), x] is the F_p-digit a of
-    word w at the pass's point x (float32), rows each exponent vector's
-    word, points the pass's odometer indexes.  Asserts GEMM_EXACT."""
-    key = (T, n, cone, lengths)
+def _monomials(T: FieldTables, n: int, where: bool | tuple, lengths: tuple[int, ...]) -> tuple[np.ndarray, dict, np.ndarray | None]:
+    """(M', rows, points) of the GEMM step for (T's field, n, where,
+    lengths), read-only, in MONOMIALS: where names the point set, a pass's
+    grid (False) or cone (True), or a tuple of probe-line families (K, n, j,
+    s, scaled) (`geometry._line_logs`); M'[(w, a), x] is the F_p-digit a of
+    word w at the set's point x (float32), rows each exponent vector's word,
+    points a pass's odometer indexes (None for probe lines).  Asserts
+    GEMM_EXACT."""
+    key = (T, n, where, lengths)
     hit = MONOMIALS.get(key)
     if hit is None:
         F = T.field
@@ -387,27 +410,32 @@ def _monomials(T: FieldTables, n: int, cone: bool, lengths: tuple[int, ...]) -> 
         plan, rows = _shape(n, lengths, None)
         W = len(rows)
         assert k * W * (F.p - 1) ** 2 < GEMM_EXACT, f"{k} * {W} * ({F.p} - 1)^2 is past the exact float32 range"
-        pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, cone)])
-        points = (pre[:, None] * q + np.arange(q)).ravel()
-        logs = T.log.take(_coordinates(points, q, n))
+        if isinstance(where, tuple):
+            from .geometry import _line_logs  # geometry imports this module
+
+            points, logs = None, _line_logs(where)
+        else:
+            pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, where)])
+            points = (pre[:, None] * q + np.arange(q)).ravel()
+            points.flags.writeable = False
+            logs = T.log.take(_coordinates(points, q, n))
         values = T.exp.take(_log_sums(plan, np.zeros(W, logs.dtype), logs, T), mode="clip")
         M = T.digits(values).transpose(0, 2, 1).reshape(W * k, -1).astype(np.float32)
-        M.flags.writeable = points.flags.writeable = False
+        M.flags.writeable = False
         hit = M, rows, points
-        MONOMIALS.put(key, hit, M.nbytes + points.nbytes)  # rows is `_shape`'s own dict
+        MONOMIALS.put(key, hit, M.nbytes + (0 if points is None else points.nbytes))  # rows is `_shape`'s own dict
     return hit
 
 
-def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """`_zero_chunks` by the GEMM step: one product C M' read mod p, with
-    C[(i, b), (w, a)] the digit b of c * g^a, c the coefficient of w in
-    f_i; a zero reads 0 in all rk rows."""
-    F = system.field
-    T, p, k = F.tables, F.p, F.k
-    M, rows, points = _monomials(T, system.nvars, cone, lengths)
-    r, W = system.r, len(rows)
+def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: np.ndarray, rows: dict) -> np.ndarray:
+    """Whether every polynomial of polys vanishes at each point of M'
+    (`_monomials`): one product C M' read mod p, with C[(i, b), (w, a)] the
+    digit b of c * g^a, c the coefficient of w in f_i; a zero reads 0 in all
+    rk rows."""
+    p, k = T.field.p, T.field.k
+    r, W = len(polys), len(rows)
     coeffs = [0] * (r * W)
-    for i, f in enumerate(system.polys):
+    for i, f in enumerate(polys):
         for exps, c in f.terms.items():
             coeffs[i * W + rows[exps]] = c
     if k == 1:
@@ -417,7 +445,14 @@ def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> It
         C = C.reshape(r * k, W * k).astype(np.float32)
     R = (C @ M).astype(np.int32)
     R %= p
-    yield points[R.sum(axis=0) == 0]
+    return R.sum(axis=0) == 0
+
+
+def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """`_zero_chunks` by the GEMM step: one `_gemm_zeros` product."""
+    T = system.field.tables
+    M, rows, points = _monomials(T, system.nvars, cone, lengths)
+    yield points[_gemm_zeros(system.polys, T, M, rows)]
 
 
 def _trie_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BudgetExceeded, CwlabError, ExprSyntaxError, FormatError
+from .errors import BudgetExceeded, CwlabError, DegreeTooLarge, ExprSyntaxError, FormatError
 from .fields import FieldSpec, build_field, element_literal, parse_element_literal
 from .polynomials import MultiPoly, PolySystem, check_names, parse_poly
 from .subspaces import AffineSubspace
@@ -24,7 +24,8 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
     """(field, names, system) of a .sys text; FormatError naming the line,
-    except BudgetExceeded for an expression past the parser's caps."""
+    except DegreeTooLarge for a field past the cap and BudgetExceeded for an
+    expression past the parser's caps."""
     lines = _logical_lines(text)
     if not lines:
         raise FormatError("empty system file", 1)
@@ -42,6 +43,8 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
                 name, _, val = item.partition("=")
                 if name not in ("p", "k", "modulus"):
                     raise FormatError(f"unknown field attribute {name!r}", lineno)
+                if name in attrs:
+                    raise FormatError(f"duplicate field attribute {name}=", lineno)
                 try:
                     attrs[name] = tuple(map(int, val.split(","))) if name == "modulus" else int(val)
                 except ValueError:
@@ -50,6 +53,8 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
                 raise FormatError("field line needs p= and k=", lineno)
             try:
                 field = build_field(attrs["p"], attrs["k"], attrs.get("modulus"))
+            except DegreeTooLarge:
+                raise
             except (CwlabError, ValueError) as exc:
                 raise FormatError(str(exc), lineno) from exc
         elif key == "vars":
@@ -105,12 +110,16 @@ def read_sub(text: str, field: FieldSpec) -> AffineSubspace:
         key, _, rest = body.partition(" ")
         parts = rest.split()
         if key == "ambient":
+            if ambient is not None:
+                raise FormatError("duplicate ambient line", lineno)
             if len(parts) != 1 or not parts[0].isdecimal():
                 raise FormatError(f"ambient takes one integer >= 0, got {rest!r}", lineno)
             ambient = int(parts[0])
         elif key == "offset":
             if ambient is None:
                 raise FormatError("offset before ambient", lineno)
+            if offset is not None:
+                raise FormatError("duplicate offset line", lineno)
             if len(parts) != ambient:
                 raise FormatError(f"offset needs {ambient} entries", lineno)
             try:

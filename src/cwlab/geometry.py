@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import CHUNK, _compiled, _evaluate, count_zeros_ext, default_budget
+from .counting import CHUNK, _compiled, _evaluate, _gemm_lengths, _gemm_zeros, _monomials, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FIELD_SIZE_CAP, FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
@@ -273,13 +273,30 @@ def _probe_lines(K: FieldSpec, n: int, j: int, s: int = 0, scaled: bool = False)
     return U
 
 
-def _line_masks(fK: MultiPoly, lines: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
-    """masks[l, t] = (fK(-t e_j + U[l]) == 0) for each (j, U) of lines, one evaluation."""
-    T, Q, n = fK.field.tables, fK.field.q, fK.nvars
-    sizes = [len(U) for _, U in lines]
-    logs = np.repeat(T.log.take(np.concatenate([U for _, U in lines]).T), Q, axis=1).reshape(n, -1, Q)
-    logs[np.repeat([j for j, _ in lines], sizes), np.arange(sum(sizes))] = T.log.take(T.neg(np.arange(Q)))
-    masks = _evaluate(*_compiled(fK, T), logs.reshape(n, -1), T)[0] == 0
+def _line_logs(families: tuple) -> np.ndarray:
+    """The coordinate logs (n, points) of the probe lines of families, each a
+    `_probe_lines` argument tuple (K, n, j, s, scaled): line by line, the
+    points -t e_j + U[l] for t = 0 .. Q - 1."""
+    K, n = families[0][:2]
+    T, Q = K.tables, K.q
+    Us = [_probe_lines(*family) for family in families]
+    sizes = [len(U) for U in Us]
+    logs = np.repeat(T.log.take(np.concatenate(Us).T), Q, axis=1).reshape(n, -1, Q)
+    logs[np.repeat([j for _, _, j, *_ in families], sizes), np.arange(sum(sizes))] = T.log.take(T.neg(np.arange(Q)))
+    return logs.reshape(n, -1)
+
+
+def _line_masks(fK: MultiPoly, families: tuple) -> list[np.ndarray]:
+    """masks[l, t] = (fK(-t e_j + U[l]) == 0) for each family's lines U
+    (`_line_logs`), by the step the counting kernel's rule picks."""
+    K, n, Q = fK.field, fK.nvars, fK.field.q
+    T = K.tables
+    sizes = [len(_probe_lines(*family)) for family in families]
+    lengths = _gemm_lengths(K, n, Q * sum(sizes), [fK])
+    if lengths is None:
+        masks = _evaluate(*_compiled(fK, T), _line_logs(families), T)[0] == 0
+    else:
+        masks = _gemm_zeros([fK], T, *_monomials(T, n, families, lengths)[:2])
     return np.split(masks.reshape(-1, Q), np.cumsum(sizes)[:-1])
 
 
@@ -309,12 +326,12 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     1999), at most d^r Q^(P - r) tails at rank r, or past CHUNK every tail
     in order, CHUNK at a time."""
     K, n, Q, p = fK.field, fK.nvars, fK.field.q, fK.field.p
-    lines = [(j, _probe_lines(K, n, j)) for j in range(n - 1)]
-    found = [[(U, M)] for (_, U), M in zip(lines, _line_masks(fK, lines) if lines else [])]
+    first = tuple((K, n, j, 0, False) for j in range(n - 1))
+    found = [[(_probe_lines(*family), M)] for family, M in zip(first, _line_masks(fK, first) if first else [])]
     short = [j for j, [(_, M)] in enumerate(found) if (~M.all(axis=1)).sum() < n - 1 - j]
-    again = [(j, _probe_lines(K, n, j, s, not s)) for j in short for s in range(n - 1 - j)]
-    for (j, U), M in zip(again, _line_masks(fK, again) if again else []):
-        found[j].append((U, M))
+    again = tuple((K, n, j, s, not s) for j in short for s in range(n - 1 - j))
+    for family, M in zip(again, _line_masks(fK, again) if again else []):
+        found[family[2]].append((_probe_lines(*family), M))
     for j, families in enumerate(found):
         U, M = (np.concatenate(parts) for parts in zip(*families))
         P, counts = n - 1 - j, M.sum(axis=1)

@@ -437,17 +437,17 @@ class _Parser:
         return poly
 
     def _expr(self) -> MultiPoly:
-        acc = self._term()
-        while True:
-            kind, _, _ = self.lex.peek()
-            if kind == "+":
-                self.lex.take()
-                acc = acc + self._term()
-            elif kind == "-":
-                self.lex.take()
-                acc = acc - self._term()
-            else:
-                return acc
+        F = self.field  # every term is added into one dict, so a sum reads in linear time
+        acc = dict(self._term().terms)
+        while (kind := self.lex.peek()[0]) in ("+", "-"):
+            self.lex.take()
+            for e, c in self._term().terms.items():
+                c = F.add(acc.get(e, 0), c if kind == "+" else F.neg(c))
+                if c:
+                    acc[e] = c
+                else:
+                    acc.pop(e, None)
+        return MultiPoly(F, self.nvars, acc)
 
     def _term(self) -> MultiPoly:
         acc = self._factor()

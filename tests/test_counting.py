@@ -479,32 +479,39 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
 
     monkeypatch.setattr(counting, "_blocks", recorded)
     assert {sy.field.q for sy in EDGE_SYSTEMS} == {7, 8, 9, 16, 25, 27}
-    trie = 0
-    for system in EDGE_SYSTEMS:
-        F, n = system.field, system.nvars
-        q = F.q
-        if chunk == 110 and n > 1:
-            assert q ** (n - 1) % (chunk // q)
-        filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
-        blocks.clear()
-        assert walked(zero_set, system) == filtered
-        # a small chunk is not bypassed by the grid memo: a trie-step pass
-        # takes CHUNK // q prefixes at a time, so several blocks when n > 1;
-        # a GEMM-step pass is one product and reads no block
-        if counting._gemm_rule(*_pass_shape(system, False)):
-            assert blocks == []
-        else:
-            assert len(blocks) == -(-(q ** (n - 1)) // max(1, counting.CHUNK // q))
-            assert len(blocks) > 1 or n == 1 or not chunk
-            trie += 1
-        assert walked(fast_count, system) == len(filtered) == oracle_count(system)
-        spaces = list(direction_spaces(F, n, 1))
-        for rows in (spaces[0], spaces[-1]):
-            L = AffineSubspace(F, (0,) * n, rows)
-            assert walked(counts_over_parallel_class, system, L) == counts_over_parallel_class(
-                system, L, engine="oracle"
-            )
-    assert trie > len(EDGE_SYSTEMS) // 2, trie
+    # each system by the step the rule picks, then with both of the rule's
+    # point bounds at 0, so that every pass takes the trie step
+    steps = {"rule": [], "trie": []}
+    for forced in ("rule", "trie"):
+        if forced == "trie":
+            monkeypatch.setattr(counting, "GEMM_POINTS", 0)
+            monkeypatch.setattr(counting, "ZECH_POINTS", 0)
+        for system in EDGE_SYSTEMS:
+            F, n = system.field, system.nvars
+            q = F.q
+            if chunk == 110 and n > 1:
+                assert q ** (n - 1) % (chunk // q)
+            filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
+            blocks.clear()
+            assert walked(zero_set, system) == filtered
+            # a small chunk is not bypassed by the grid memo: a trie-step pass
+            # takes CHUNK // q prefixes at a time, so several blocks when n > 1;
+            # a GEMM-step pass is one product and reads no block
+            gemm = counting._gemm_rule(*_pass_shape(system, False))
+            steps[forced].append(gemm)
+            if gemm:
+                assert blocks == []
+            else:
+                assert len(blocks) == -(-(q ** (n - 1)) // max(1, counting.CHUNK // q))
+                assert len(blocks) > 1 or n == 1 or not chunk
+            assert walked(fast_count, system) == len(filtered) == oracle_count(system)
+            spaces = list(direction_spaces(F, n, 1))
+            for rows in (spaces[0], spaces[-1]):
+                L = AffineSubspace(F, (0,) * n, rows)
+                assert walked(counts_over_parallel_class, system, L) == counts_over_parallel_class(
+                    system, L, engine="oracle"
+                )
+    assert 0 < steps["rule"].count(False) < len(EDGE_SYSTEMS) and not any(steps["trie"])
 
 
 def test_point_subspaces_match_oracle():
@@ -1221,17 +1228,17 @@ def _form(f):
 def _steps(system, cone):
     """One pass by each step, called directly past the rule: the zero
     indexes of the GEMM step and of the trie step."""
-    gemm = list(counting._gemm_chunks(system, cone, counting._lengths(system)))
+    gemm = list(counting._gemm_chunks(system, cone, counting._lengths(system.polys)))
     trie = list(counting._trie_chunks(system, cone))
     return np.concatenate(gemm), np.concatenate(trie)
 
 
 def _pass_shape(system, cone):
-    """(points, |W|, k) of a pass, as the step rule reads them."""
+    """(points, |W|, p, k) of a pass, as the step rule reads them."""
     F, n = system.field, system.nvars
     points = F.q * sum(map(len, counting._prefix_ranges(F.q, n, cone)))
-    words = sum(math.comb(n + l - 1, l) for l in counting._lengths(system))
-    return points, words, F.k
+    words = sum(math.comb(n + l - 1, l) for l in counting._lengths(system.polys))
+    return points, words, F.p, F.k
 
 
 @pytest.mark.parametrize("q", sorted(STEP_SHAPES))
@@ -1255,10 +1262,15 @@ def test_gemm_step_matches_trie_step_and_oracle(q, cone):
 
 
 def test_step_rule_at_its_bounds(monkeypatch):
-    # F_256 in one variable is a pass of GEMM_POINTS points, and with four
-    # words (k^2 |W| points = GEMM_ENTRIES) it takes the GEMM step; F_257 in
-    # one variable is one point past the bound, and takes the trie step, as
-    # does a pass of GEMM_POINTS points with one word past GEMM_ENTRIES
+    # over a prime field or F_{2^k}: F_256 in one variable is a pass of
+    # GEMM_POINTS points, and with four words (k^2 |W| points = GEMM_ENTRIES)
+    # it takes the GEMM step; F_257 in one variable is one point past the
+    # bound, and takes the trie step, as does a pass of GEMM_POINTS points
+    # with one word past GEMM_ENTRIES.  Over an odd-p extension field (the
+    # Zech regime): F_{61^2} in one variable, 3721 points, takes the GEMM step
+    # and F_{17^3}, 4913 points past ZECH_POINTS, the trie step; the grid of
+    # F_9^3 takes it with 67 words (k^2 |W| points = 195,372) and not with 68
+    # (198,288, past ZECH_ENTRIES = 196,608)
     calls = []
     real = counting._gemm_chunks
 
@@ -1267,45 +1279,110 @@ def test_step_rule_at_its_bounds(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(counting, "_gemm_chunks", spy)
-    assert counting._gemm_rule(counting.GEMM_POINTS, 1, 1) and not counting._gemm_rule(counting.GEMM_POINTS + 1, 1, 1)
+    assert counting._gemm_rule(counting.GEMM_POINTS, 1, 2, 1) and not counting._gemm_rule(counting.GEMM_POINTS + 1, 1, 2, 1)
+    assert counting._gemm_rule(counting.ZECH_POINTS, 1, 3, 2) and not counting._gemm_rule(counting.ZECH_POINTS + 1, 1, 3, 2)
     F256, F257 = build_field(2, 8), build_field(257, 1)
     at = PolySystem([MultiPoly(F256, 1, {(0,): F256.one, (1,): 3, (2,): 5, (257,): 7})])
     past = PolySystem([MultiPoly(F257, 1, {(0,): 1, (1,): 3, (2,): 5, (257,): 7})])
-    assert _pass_shape(at, False) == (256, 4, 8) and 8 * 8 * 4 * 256 == counting.GEMM_ENTRIES
+    assert _pass_shape(at, False) == (256, 4, 2, 8) and 8 * 8 * 4 * 256 == counting.GEMM_ENTRIES
     assert _pass_shape(past, False)[0] == counting.GEMM_POINTS + 1
     F2_8 = PolySystem([MultiPoly(F2, 8, {(1,) * 4 + (0,) * 4: 1, (0,) * 8: 1})])  # words of lengths 0 and 4: 1 + 330
-    assert _pass_shape(F2_8, False) == (256, 331, 1) and 331 * 256 > counting.GEMM_ENTRIES
-    for system, gemm in ((at, True), (past, False), (F2_8, False)):
+    assert _pass_shape(F2_8, False) == (256, 331, 2, 1) and 331 * 256 > counting.GEMM_ENTRIES
+    F61_2, F17_3, F9 = build_field(61, 2), build_field(17, 3), build_field(3, 2)
+    zech_at = PolySystem([MultiPoly(F61_2, 1, {(e,): 1 + 97 * e for e in range(13)})])
+    zech_past = PolySystem([MultiPoly(F17_3, 1, {(2,): 1})])
+    assert _pass_shape(zech_at, False) == (3721, 13, 61, 2) and _pass_shape(zech_past, False) == (4913, 1, 17, 3)
+    names = ["x1", "x2", "x3"]
+    grid_at = PolySystem([parse_poly("x1^6 + g*x2^5 + x2*x3^3 + x2", F9, names), parse_poly("x1^2*x2^4 - x3", F9, names)])
+    grid_past = PolySystem([grid_at.polys[0], parse_poly("x1^2*x2^4 - x3 + 1", F9, names)])
+    assert _pass_shape(grid_at, False) == (729, 28 + 21 + 15 + 3, 3, 2) and 4 * 67 * 729 <= counting.ZECH_ENTRIES
+    assert _pass_shape(grid_past, False) == (729, 68, 3, 2) and 4 * 68 * 729 > counting.ZECH_ENTRIES
+    cases = ((at, True), (past, False), (F2_8, False), (zech_at, True), (zech_past, False), (grid_at, True), (grid_past, False))
+    for system, gemm in cases:
         calls.clear()
         assert walked(fast_count, system) == oracle_count(system)
         assert calls == ([system] if gemm else [])
+        if gemm:
+            by_gemm, by_trie = _steps(system, False)
+            assert by_gemm.tolist() == by_trie.tolist()
+
+
+def test_small_field_passes_keep_their_step(monkeypatch):
+    # over F_2, F_3, F_4 and F_5 a pass takes the step it took before the
+    # Zech regime had its own bounds: the GEMM step exactly when it has at
+    # most 256 points and k^2 |W| points <= 2^16.  Checked by the rule for
+    # every grid and cone of n <= 7 and every set of term lengths within
+    # 0 .. 5, and by the step each count takes on the first 100 corpus
+    # systems and their leading and homogenized systems
+    def before(points, words, p, k):
+        return points <= 256 and k * k * words * points <= 1 << 16
+
+    fields = [build_field(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1))]
+    for F in fields:
+        for n in range(1, 8):
+            for cone in (False, True):
+                points = F.q * sum(map(len, counting._prefix_ranges(F.q, n, cone)))
+                for r in range(1, 7):
+                    for lengths in combinations(range(6), r):
+                        words = sum(math.comb(n + l - 1, l) for l in lengths)
+                        assert counting._gemm_rule(points, words, F.p, F.k) == before(points, words, F.p, F.k)
+    calls = []
+    real = counting._gemm_chunks
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_gemm_chunks", spy)
+    steps = set()
+    for i in range(100):
+        system = corpus_system(0, i)
+        assert system.field in fields
+        for sy in (system, system.leading_system(), system.homogenized_system()):
+            calls.clear()
+            walked(fast_count, sy)
+            steps.add(bool(calls))
+            assert bool(calls) == before(*_pass_shape(sy, counting._on_cone(sy))), sy
+    assert steps == {False, True}
 
 
 def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
     # the rule bounds k|W|(p - 1)^2, the largest partial sum of the product,
-    # below GEMM_EXACT = 2^24 for every field it can meet (q <= points <=
-    # GEMM_POINTS); the largest it admits is F_251 in one variable with 261
-    # words, every length from 0 to 260, which the GEMM step counts exactly
+    # below GEMM_EXACT = 2^24 for every field it can meet in either regime
+    # (q <= points); the largest it admits over a prime field or F_{2^k} is
+    # F_251 in one variable with 261 words, every length from 0 to 260, and
+    # in the Zech regime F_{59^2} in one variable with 14 words, every length
+    # from 0 to 13; the GEMM step counts both exactly
     from cwlab.fields import is_prime
 
-    worst = (0, None)
-    for q in range(2, counting.GEMM_POINTS + 1):
+    worst = {}
+    for q in range(2, counting.ZECH_POINTS + 1):
         p = next(d for d in range(2, q + 1) if q % d == 0)
         k = round(math.log(q, p))
         if not is_prime(p) or p**k != q:
             continue
-        for points in range(q, counting.GEMM_POINTS + 1, q):
-            words = counting.GEMM_ENTRIES // (k * k * points)
-            assert counting._gemm_rule(points, words, k) and not counting._gemm_rule(points, words + 1, k)
-            assert k * words * (p - 1) ** 2 < counting.GEMM_EXACT
-            worst = max(worst, (k * words * (p - 1) ** 2, (p, k, words)))
-    assert worst == (261 * 250**2, (251, 1, 261))
+        zech = p > 2 and k > 1
+        most, entries = (counting.ZECH_POINTS, counting.ZECH_ENTRIES) if zech else (counting.GEMM_POINTS, counting.GEMM_ENTRIES)
+        for points in range(q, most + 1, q):
+            words = entries // (k * k * points)
+            assert not counting._gemm_rule(points, words + 1, p, k)
+            if words:
+                assert counting._gemm_rule(points, words, p, k)
+                assert k * words * (p - 1) ** 2 < counting.GEMM_EXACT
+                worst[zech] = max(worst.get(zech, (0, None)), (k * words * (p - 1) ** 2, (p, k, words)))
+    assert worst == {False: (261 * 250**2, (251, 1, 261)), True: (2 * 14 * 58**2, (59, 2, 14))}
     F = build_field(251, 1)
     f = MultiPoly(F, 1, {(e,): 250 - e % 7 for e in range(261)})
-    system = PolySystem([f])
-    assert counting._gemm_rule(*_pass_shape(system, False))
-    gemm, trie = _steps(system, False)
-    assert gemm.tolist() == trie.tolist() == [x for x in range(251) if f.evaluate((x,)) == 0]
+    K = build_field(59, 2)
+    x = MultiPoly.variable(K, 1, 0)
+    g = math.prod((x - MultiPoly.constant(K, 1, 41 * a + 5) for a in range(13)), start=MultiPoly.constant(K, 1, K.one))
+    assert len(g.terms) == 14
+    for h in (f, g):
+        system = PolySystem([h])
+        assert counting._gemm_rule(*_pass_shape(system, False))
+        gemm, trie = _steps(system, False)
+        assert gemm.tolist() == trie.tolist() == [x for x in range(h.field.q) if h.evaluate((x,)) == 0]
+    assert len(gemm) == 13
     # the matrix's builder asserts the bound itself: at p = 251, 268 words
     # keep k|W|(p - 1)^2 below 2^24 and 269 do not
     assert counting._monomials(F.tables, 1, False, tuple(range(268)))[0].shape == (268, 251)

@@ -413,12 +413,14 @@ def test_cli_caps_are_checked_before_the_work_they_bound(tmp_path, capsys):
     # a field past the cap, from a huge p or k, and a count or factor search
     # over an extension past it end at once: exponents are compared, not
     # powers formed, and the field cap comes before the primality test (so a
-    # composite p past it exits 3, where it exited 1 as not prime)
+    # composite p past it exits 3, where it exited 1 as not prime); a field
+    # past the cap exits 3 from a .sys file's field line as from flags
     from cwlab import cli
 
     (tmp_path / "two.sys").write_text("field p=3 k=1\nvars x1 x2\npoly x1^2 + x2^2 + 1\n")
     (tmp_path / "form.sys").write_text("field p=3 k=1\nvars x1 x2\npoly x1^2 + x2^2\n")
     (tmp_path / "big.sys").write_text("field p=2305843009213693951 k=1\nvars x\npoly x\n")
+    (tmp_path / "k21.sys").write_text("field p=2 k=21\nvars x\npoly x\n")
     cases = [
         ("lemma cover --p 3 --k 100000000", 3, "p^k = 3^100000000 exceeds the cap"),
         ("lemma cover --p 2305843009213693951", 3, "p^k = 2305843009213693951^1 exceeds the cap"),
@@ -430,7 +432,8 @@ def test_cli_caps_are_checked_before_the_work_they_bound(tmp_path, capsys):
         ("count --system {dir}/two.sys --ext 32", 3, "region size 3433683820292512484657849089281 exceeds"),  # 3^64
         ("count --system {dir}/two.sys --ext 33", 3, "region size 3^66 exceeds"),  # past 2^64 and the budget
         ("factor-test --system {dir}/form.sys --ext 100000000", 3, "p^k = 3^100000000 exceeds the cap"),
-        ("count --system {dir}/big.sys", 1, "p^k = 2305843009213693951^1 exceeds the cap"),
+        ("count --system {dir}/big.sys", 3, "budget exceeded: p^k = 2305843009213693951^1 exceeds the cap"),
+        ("count --system {dir}/k21.sys", 3, "budget exceeded: p^k = 2^21 exceeds the cap"),
         ("lemma cover --p 2305843009213693951 --k 0", 1, "extension degree must be >= 1"),
     ]
     for args, exit_code, words in cases:
@@ -520,6 +523,7 @@ MALFORMED = [
     _case("comments-only", "# nothing\n\n"),
     _case("duplicate-field", "field p=3 k=1\nfield p=3 k=1\nvars x\npoly x\n", error="input error: line 2,"),
     _case("unknown-field-attribute", "field p=3 k=1 q=3\nvars x\npoly x\n"),
+    _case("duplicate-field-attribute", "field p=3 k=1 p=5\nvars x\npoly x\n"),
     _case("p-not-an-integer", "field p=x k=1\nvars x\npoly x\n"),
     _case("p-empty", "field p= k=1\nvars x\npoly x\n"),
     _case("modulus-not-integers", "field p=5 k=1 modulus=a\nvars x\npoly x\n"),
@@ -544,6 +548,8 @@ MALFORMED = [
     _case("ambient-not-an-integer", sub_text="ambient z\noffset 0 0\n"),
     _case("ambient-two-values", sub_text="ambient 2 3\noffset 0 0\n"),
     _case("offset-before-ambient", sub_text="offset 0 0\nambient 2\n"),
+    _case("duplicate-ambient", sub_text="ambient 2\noffset 0 0\nambient 3\n", error="input error: line 3,"),
+    _case("duplicate-offset", sub_text="ambient 2\noffset 0 0\noffset 1 1\n", error="input error: line 3,"),
     _case("offset-length", sub_text="ambient 2\noffset 0\n", error="input error: line 2,"),
     _case("offset-literal", sub_text="ambient 2\noffset 0 a\n", error="input error: line 2,"),
     _case("offset-colon-literal", sub_text="ambient 2\noffset 0 1:1\n", error="input error: line 2,"),

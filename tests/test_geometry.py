@@ -347,12 +347,12 @@ def test_line_masks_match_pointwise_evaluation():
     # axis line of column j + 1 + s
     for fK in _line_forms():
         K, n = fK.field, fK.nvars
-        families = [(j, s, scaled) for j in range(n - 1) for s in range(n - 1 - j) for scaled in (False, True)]
-        lines = [(j, _probe_lines(K, n, j, s, scaled)) for j, s, scaled in families]
+        families = tuple((K, n, j, s, scaled) for j in range(n - 1) for s in range(n - 1 - j) for scaled in (False, True))
+        lines = [(family[2], _probe_lines(*family)) for family in families]
         assert not any(U.flags.writeable for _, U in lines)
-        assert [U.tolist() for _, U in lines] == [_probe_reference(K, n, *family) for family in families]
-        assert [U[0].tolist() for _, U in lines] == [[K.one * (i == j + 1 + s) for i in range(n)] for j, s, _ in families]
-        masks = _line_masks(fK, lines)
+        assert [U.tolist() for _, U in lines] == [_probe_reference(*family) for family in families]
+        assert [U[0].tolist() for _, U in lines] == [[K.one * (i == j + 1 + s) for i in range(n)] for _, _, j, s, _ in families]
+        masks = _line_masks(fK, families)
         assert [M.shape for M in masks] == [(len(U), K.q) for _, U in lines]
         for (j, U), M in zip(lines, masks):
             for u, row in zip(U.tolist(), M.tolist()):
@@ -362,25 +362,82 @@ def test_line_masks_match_pointwise_evaluation():
                     assert row[t] == (fK.evaluate(pt) == 0)
 
 
+def _zech_forms(K, n):
+    """Two seeded forms in n variables over K: a planted product, a quadric
+    times a linear form, and a cubic."""
+    lin = MultiPoly.from_terms(K, n, [(tuple(int(t == i) for t in range(n)), 1 + 5 * i % (K.q - 1)) for i in range(n)])
+    quad = leading_form(random_system(K, n, (2,), 31 * K.q + n).polys[0])
+    return [quad * lin, leading_form(random_system(K, n, (3,), 37 * K.q + n).polys[0])]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4), (5, 4)], ids=["9", "25", "27", "81", "625"])
+def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
+    # over the odd-p extension fields F_9, F_25, F_27, F_81 and F_625: the
+    # probe-line masks of both families, (s = 0, unscaled) and the (s,
+    # scaled) ones a short pivot adds, in three variables, by the GEMM
+    # step's product on their M' and by the trie step's kernel, called
+    # directly past the rule, and f point by point along each line; then
+    # the cone pass of each form, and the grid pass of the two as a system,
+    # in two and three variables, by both steps and point by point, where
+    # the pass has at most ZECH_POINTS points
+    K = build_field(p, k)
+    T, Q, n = K.tables, K.q, 3
+    families = tuple((K, n, j, s, scaled) for j in range(n - 1) for s in range(n - 1 - j) for scaled in (False, True))
+    lines = [(family[2], _probe_lines(*family)) for family in families]
+    for f in _zech_forms(K, n):
+        lengths = counting._lengths([f])
+        assert lengths == (int(f.total_degree),)
+        gemm = counting._gemm_zeros([f], T, *counting._monomials(T, n, families, lengths)[:2])
+        trie = counting._evaluate(*counting._compiled(f, T), geometry._line_logs(families), T)[0] == 0
+        assert gemm.tolist() == trie.tolist() and gemm.any()
+        masks = np.split(gemm.reshape(-1, Q), np.cumsum([len(U) for _, U in lines])[:-1])
+        assert [m.tolist() for m in masks] == [m.tolist() for m in _line_masks(f, families)]
+        for (j, U), M in zip(lines, masks):
+            for u, row in zip(U.tolist(), M.tolist()):
+                pts = [u[:j] + [K.neg(t)] + u[j + 1 :] for t in range(Q)]
+                assert row == [f.evaluate(pt) == 0 for pt in pts]
+    passes = 0
+    for n in (2, 3):
+        forms = _zech_forms(K, n)
+        for system, cone in [(PolySystem([f]), True) for f in forms] + [(PolySystem(forms), False)]:
+            if Q * sum(map(len, counting._prefix_ranges(Q, n, cone))) > counting.ZECH_POINTS:
+                continue
+            passes += 1
+            lengths = counting._lengths(system.polys)
+            points = counting._monomials(T, n, cone, lengths)[2]
+            gemm = np.concatenate(list(counting._gemm_chunks(system, cone, lengths)))
+            trie = np.concatenate(list(counting._trie_chunks(system, cone)))
+            assert gemm.tolist() == trie.tolist()
+            coords = counting._coordinates(points, Q, n).T.tolist()
+            assert gemm.tolist() == [x for x, pt in zip(points.tolist(), coords) if all(g.evaluate(pt) == 0 for g in system.polys)]
+    assert passes >= 2
+
+
 def test_candidates_take_one_evaluation(monkeypatch):
     # one run evaluates the first probe family of every pivot in a single
-    # kernel call, and these forms need no second one; the last pivot's form
-    # comes with no evaluation
+    # call of whichever step serves it, the GEMM step's product or the trie
+    # step's kernel, and these forms need no second one; the last pivot's
+    # form comes with no evaluation
     calls, pivots, lined = [], [], []
-    evaluate, line_masks = geometry._evaluate, geometry._line_masks
+    evaluate, gemm_zeros, line_masks = geometry._evaluate, geometry._gemm_zeros, geometry._line_masks
 
     def counted(plan, shifts, logs, T):
         calls.append(logs.shape[1])
         return evaluate(plan, shifts, logs, T)
 
-    def recorded(fK, lines):
-        pivots.append({j for j, _ in lines})
+    def multiplied(polys, T, M, rows):
+        calls.append(M.shape[1])
+        return gemm_zeros(polys, T, M, rows)
+
+    def recorded(fK, families):
+        pivots.append({j for _, _, j, *_ in families})
         calls.clear()
-        masks = line_masks(fK, lines)
+        masks = line_masks(fK, families)
         lined.append(list(calls))
         return masks
 
     monkeypatch.setattr(geometry, "_evaluate", counted)
+    monkeypatch.setattr(geometry, "_gemm_zeros", multiplied)
     monkeypatch.setattr(geometry, "_line_masks", recorded)
     for fK in _line_forms():
         K, n = fK.field, fK.nvars
@@ -524,8 +581,9 @@ def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
     # a planted product of the benchmark over F_3, Example 2's quartic times
     # a linear form with every coefficient nonzero: 42 of the 56 words of
     # degree 5 in 4 variables, so compiled as all 56, in a trie of 5
-    # levels; every evaluation, of the probe lines and of the count, is one
-    # reduction of one stack
+    # levels; every trie-step evaluation, of the probe lines and of the
+    # count, is one reduction of one stack (the GEMM step's bound is set to
+    # 0 so that every pass and probe over F_3 takes the trie step)
     F = F3
     x = [MultiPoly.variable(F, 4, i) for i in range(4)]
     f = example_two(F).poly * (x[0] + x[1].scale(2) + x[2] + x[3].scale(2))
@@ -549,6 +607,7 @@ def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(counting, "GEMM_POINTS", 0)
     monkeypatch.setattr(FieldTables, "total", counted_total)
     monkeypatch.setattr(geometry, "_evaluate", counted(geometry._evaluate))
     monkeypatch.setattr(counting, "_evaluate", counted(counting._evaluate))

@@ -1,5 +1,6 @@
 """Parsing, evaluation, homogenization, and restriction."""
 
+import random
 import time
 
 import pytest
@@ -95,6 +96,48 @@ def test_parse_subtraction_parentheses_unary():
     f = parse_poly("-(x1 - 2)^2 + x1^2", F3, ["x1"])
     # -(x1-2)^2 + x1^2 = -(x1^2 - 4x1 + 4) + x1^2 = 4x1 - 4 = x1 + 2 mod 3
     assert f == parse_poly("x1 + 2", F3, ["x1"])
+
+
+def _long_sum(F, names, size, seed):
+    """(text, reference) of a sum of size seeded signed terms c*x^a*y^b*z^c,
+    with repeats and cancellations: the text and its terms summed by
+    `MultiPoly.from_terms`."""
+    rng = random.Random(seed)
+    parts, items = [], []
+    for i in range(size):
+        exps = [0] * len(names)
+        for v in rng.sample(range(len(names)), rng.randrange(1, 4)):
+            exps[v] = rng.randrange(1, 40)
+        sign, c = rng.choice("+-"), rng.randrange(1, F.p)
+        parts.append(f"{sign} {c}*" + "*".join(f"{names[v]}^{e}" for v, e in enumerate(exps) if e))
+        items.append((tuple(exps), c if sign == "+" else F.neg(c)))
+    return " ".join(parts), MultiPoly.from_terms(F, len(names), items)
+
+
+def test_parse_adds_each_term_once(monkeypatch):
+    # a sum is read in time linear in its terms: the terms of every
+    # polynomial the parser makes, summed, grow by the same amount per term
+    # for 4,000 and 16,000 terms (folding acc = acc + term made them grow
+    # with the number of terms so far), and the sum is the terms' sum
+    F = build_field(7, 1)
+    names = [f"x{i + 1}" for i in range(6)]
+    made = []
+    init = MultiPoly.__init__
+
+    def counted(self, field, nvars, terms):
+        made.append(len(terms))
+        init(self, field, nvars, terms)
+
+    work = {}
+    for size in (4000, 16000):
+        text, want = _long_sum(F, names, size, size)
+        monkeypatch.setattr(MultiPoly, "__init__", counted)
+        made.clear()
+        got = parse_poly(text, F, names)
+        monkeypatch.setattr(MultiPoly, "__init__", init)
+        assert got.terms == want.terms and len(got.terms) > size // 2
+        work[size] = sum(made) - len(got.terms)
+    assert work[16000] <= 4 * work[4000] * 1.05, work
 
 
 def test_evaluate_examples():
