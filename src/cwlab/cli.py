@@ -17,7 +17,7 @@ from .constructions import (
     ConstructionRecipe, example_one, example_two, norm_form, random_system, random_system_recipe,
 )
 from .counting import _coordinates, count_zeros, count_zeros_ext
-from .errors import BudgetExceeded, CwlabError, DegreeTooLarge, FormatError, InvalidArgument
+from .errors import BudgetExceeded, CwlabError, FormatError, InvalidArgument
 from .fields import build_field
 from .formats import read_sub, read_sys, write_sys
 from .geometry import SCAN_CSV_HEADER, conjecture_scan, estimate_dimension, linear_factor_test
@@ -29,7 +29,7 @@ from .laws import (
 from .polynomials import PolySystem
 from .rng import SplitMix64, derive_seed
 from .subspaces import PointSet
-from .suite import run_preset
+from .suite import PRESETS, run_preset
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,7 +93,7 @@ def cmd_count(args) -> int:
     if args.format == "csv":
         body = (
             "q,n,region,count,scanned,workers\n"
-            f'{rep.q},{rep.n},"{rep.region}",{rep.count},{rep.scanned},{rep.workers}'
+            f'{rep.q},{rep.n},"{rep.region}",{rep.count},{rep.scanned},1'
         )
     else:
         body = rep.to_json()
@@ -212,13 +212,7 @@ def cmd_scan_conjecture(args) -> int:
         qs = tuple(int(q) for q in args.qs.split(","))
     except ValueError:
         raise InvalidArgument(f"--qs must be a comma list of integers, got {args.qs!r}") from None
-    if args.preset == "small":
-        rows, flagged = conjecture_scan(
-            qs=qs, seed=args.seed, budget=args.budget, per_cell=args.per_cell
-        )
-    else:
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return EXIT_INPUT
+    rows, flagged = conjecture_scan(qs=qs, seed=args.seed, budget=args.budget, per_cell=args.per_cell)
     lines = [SCAN_CSV_HEADER] + [r.to_csv() for r in rows]
     _emit("\n".join(lines), args.out)
     print(f"{len(rows)} systems scanned, {len(flagged)} flagged", file=sys.stderr)
@@ -340,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate_dim)
 
     p = sub.add_parser("scan-conjecture", help="survey dimension estimates on a seeded corpus")
-    p.add_argument("--preset", default="small")
+    p.add_argument("--preset", default="small", choices=("small",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.add_argument("--per-cell", type=int, default=2)
@@ -355,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factor_test)
 
     p = sub.add_parser("suite", help="run a verification battery")
-    p.add_argument("--preset", default="acceptance",
-                   choices=("acceptance", "lemma2-exhaustive", "examples"))
+    p.add_argument("--preset", default="acceptance", choices=tuple(PRESETS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
@@ -373,7 +366,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceeded, DegreeTooLarge) as exc:  # both are size limits
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CwlabError as exc:

@@ -4,9 +4,10 @@ recipe (kind, parameters, provenance) that rebuilds it bit for bit."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
 
@@ -33,10 +34,7 @@ class ConstructionRecipe:
 
     def to_json(self) -> str:
         """The sidecar body."""
-        return json.dumps(
-            {"kind": self.kind, "parameters": self.parameters, "provenance": self.provenance},
-            sort_keys=False,
-        )
+        return json.dumps(asdict(self))
 
 
 def _pull_back(emb: Embedding, f: MultiPoly) -> MultiPoly:
@@ -241,20 +239,8 @@ def example_two(F: FieldSpec) -> NonSplitQuartic:
 @lru_cache(maxsize=32)  # the corpus draws from 15 shapes (n, d)
 def _monomials_up_to(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The exponent tuples of total degree <= d, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int) -> None:
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, pos + 1)
-            prefix.pop()
-
-    rec([], d, 0)
-    out.sort()
-    return tuple(out)
+    words = (w for l in range(d + 1) for w in combinations_with_replacement(range(n), l))
+    return tuple(sorted(tuple(map(w.count, range(n))) for w in words))
 
 
 def random_system(

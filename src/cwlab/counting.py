@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class CountReport:
     region: str
     count: int
     scanned: int
-    workers: int = 1  # kept in the body for its stable shape; counting is serial
     points_evaluated: int = 0  # where the first polynomial was evaluated
     elapsed: float = dc_field(default=0.0, repr=False)
 
@@ -75,7 +74,7 @@ class CountReport:
                 "region": self.region,
                 "count": self.count,
                 "scanned": self.scanned,
-                "workers": self.workers,
+                "workers": 1,  # kept for the body's stable shape; counting is serial
                 "points_evaluated": self.points_evaluated,
             }
         )
@@ -394,31 +393,34 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
         yield from _gemm_chunks(system, cone, lengths)
 
 
-def _monomials(T: FieldTables, n: int, where: bool | tuple, lengths: tuple[int, ...]) -> tuple[np.ndarray, dict, np.ndarray | None]:
+def _pass_points(T: FieldTables, n: int, cone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(points, logs) of a pass over the grid or the cone: its odometer
+    indexes, read-only, and their coordinate logs (n, points)."""
+    q = T.field.q
+    pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, cone)])
+    points = (pre[:, None] * q + np.arange(q)).ravel()
+    points.flags.writeable = False
+    return points, T.log.take(_coordinates(points, q, n))
+
+
+def _monomials(
+    T: FieldTables, n: int, where: bool | tuple, lengths: tuple[int, ...], point_set: Callable[[], tuple]
+) -> tuple[np.ndarray, dict, np.ndarray | None]:
     """(M', rows, points) of the GEMM step for (T's field, n, where,
-    lengths), read-only, in MONOMIALS: where names the point set, a pass's
-    grid (False) or cone (True), or a tuple of probe-line families (K, n, j,
-    s, scaled) (`geometry._line_logs`); M'[(w, a), x] is the F_p-digit a of
-    word w at the set's point x (float32), rows each exponent vector's word,
-    points a pass's odometer indexes (None for probe lines).  Asserts
-    GEMM_EXACT."""
+    lengths), read-only, in MONOMIALS: where names the point set, and
+    point_set, called on a miss alone, gives its (points, logs) (points
+    None where no caller reads them, logs (n, points)); M'[(w, a), x] is
+    the F_p-digit a of word w at the set's point x (float32), rows each
+    exponent vector's word.  Asserts GEMM_EXACT."""
     key = (T, n, where, lengths)
     hit = MONOMIALS.get(key)
     if hit is None:
         F = T.field
-        q, k = F.q, F.k
+        k = F.k
         plan, rows = _shape(n, lengths, None)
         W = len(rows)
         assert k * W * (F.p - 1) ** 2 < GEMM_EXACT, f"{k} * {W} * ({F.p} - 1)^2 is past the exact float32 range"
-        if isinstance(where, tuple):
-            from .geometry import _line_logs  # geometry imports this module
-
-            points, logs = None, _line_logs(where)
-        else:
-            pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, where)])
-            points = (pre[:, None] * q + np.arange(q)).ravel()
-            points.flags.writeable = False
-            logs = T.log.take(_coordinates(points, q, n))
+        points, logs = point_set()
         values = T.exp.take(_log_sums(plan, np.zeros(W, logs.dtype), logs, T), mode="clip")
         M = T.digits(values).transpose(0, 2, 1).reshape(W * k, -1).astype(np.float32)
         M.flags.writeable = False
@@ -451,7 +453,7 @@ def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: np.ndarray, rows:
 def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> Iterator[np.ndarray]:
     """`_zero_chunks` by the GEMM step: one `_gemm_zeros` product."""
     T = system.field.tables
-    M, rows, points = _monomials(T, system.nvars, cone, lengths)
+    M, rows, points = _monomials(T, system.nvars, cone, lengths, lambda: _pass_points(T, system.nvars, cone))
     yield points[_gemm_zeros(system.polys, T, M, rows)]
 
 

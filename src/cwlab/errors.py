@@ -13,8 +13,12 @@ class NotPrime(CwlabError):
     """A field characteristic that is not prime."""
 
 
-class DegreeTooLarge(CwlabError):
-    """A field past the size cap (a budget error)."""
+class BudgetExceeded(CwlabError):
+    """Work past a stated cap or budget."""
+
+
+class DegreeTooLarge(BudgetExceeded):
+    """A field past the size cap."""
 
 
 class DivisionByZero(CwlabError):
@@ -59,10 +63,6 @@ class AmbientMismatch(CwlabError):
 
 class DependentBasis(CwlabError):
     """Subspace rows that are linearly dependent."""
-
-
-class BudgetExceeded(CwlabError):
-    """Work past a stated cap or budget."""
 
 
 class FullSpace(CwlabError):

@@ -643,8 +643,10 @@ def embed_subfield(small: FieldSpec, big: FieldSpec) -> Embedding:
         raise NotASubfield(f"degree {small.k} does not divide {big.k}")
     if small == big:
         return Embedding(small, big, tuple(range(small.q)))
+    # every root is in the subfield: 0 and the powers of gamma^((Q - 1) / (q - 1))
+    subfield = np.append(big.tables.exp[: big.q - 1 : (big.q - 1) // (small.q - 1)], 0)
     roots = []
-    for b in range(big.q):
+    for b in sorted(subfield.tolist()):
         acc = big.zero
         for c in reversed(small.modulus):
             acc = big.add(big.mul(acc, b), big.from_int(c))

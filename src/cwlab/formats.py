@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BudgetExceeded, CwlabError, DegreeTooLarge, ExprSyntaxError, FormatError
+from .errors import BudgetExceeded, CwlabError, ExprSyntaxError, FormatError
 from .fields import FieldSpec, build_field, element_literal, parse_element_literal
 from .polynomials import MultiPoly, PolySystem, check_names, parse_poly
 from .subspaces import AffineSubspace
@@ -24,7 +24,7 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
     """(field, names, system) of a .sys text; FormatError naming the line,
-    except DegreeTooLarge for a field past the cap and BudgetExceeded for an
+    except BudgetExceeded for a field past the cap (DegreeTooLarge) or an
     expression past the parser's caps."""
     lines = _logical_lines(text)
     if not lines:
@@ -53,7 +53,7 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
                 raise FormatError("field line needs p= and k=", lineno)
             try:
                 field = build_field(attrs["p"], attrs["k"], attrs.get("modulus"))
-            except DegreeTooLarge:
+            except BudgetExceeded:
                 raise
             except (CwlabError, ValueError) as exc:
                 raise FormatError(str(exc), lineno) from exc

@@ -7,8 +7,7 @@ and reports residuals, not a verdict.  The factor search is README's.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -42,13 +41,7 @@ class DimensionEstimate:
 
     def to_dict(self) -> dict:
         """The report body."""
-        return {
-            "counts": self.counts,
-            "d_hat": self.d_hat,
-            "k_hat": self.k_hat,
-            "residuals": self.residuals,
-            "anchor_pair": self.anchor_pair,
-        }
+        return asdict(self)
 
 
 def _nearest_exponent(num: int, den: int, base: int) -> int:
@@ -201,14 +194,12 @@ class LinearFactorVerdict:
     trials: int
     error_bound: Fraction  # upper bound on the per-form error, (d/Q)^T capped at 1
     field_size: int
-    elapsed: float
     method: str  # "algebraic" (the default) or "screen" (the reference)
     candidates: int  # forms that reached exact division
 
     def to_dict(self) -> dict:
-        """The report body, without the elapsed time."""
-        body = {key: value for key, value in vars(self).items() if key != "elapsed"}
-        return body | {"witness": list(self.witness) if self.witness else None, "error_bound": str(self.error_bound)}
+        """The report body."""
+        return asdict(self) | {"witness": list(self.witness) if self.witness else None, "error_bound": str(self.error_bound)}
 
 
 def _scalar_coord(seed: int, s: int, trial: int, var: int, rank: int, Q: int) -> int:
@@ -296,7 +287,7 @@ def _line_masks(fK: MultiPoly, families: tuple) -> list[np.ndarray]:
     if lengths is None:
         masks = _evaluate(*_compiled(fK, T), _line_logs(families), T)[0] == 0
     else:
-        masks = _gemm_zeros([fK], T, *_monomials(T, n, families, lengths)[:2])
+        masks = _gemm_zeros([fK], T, *_monomials(T, n, families, lengths, lambda: (None, _line_logs(families)))[:2])
     return np.split(masks.reshape(-1, Q), np.cumsum(sizes)[:-1])
 
 
@@ -389,7 +380,6 @@ def linear_factor_test(
         raise NotHomogeneous("the linear factor test needs a nonzero homogeneous form")
     if trials < 0:
         raise InvalidArgument(f"trials must be at least 0, not {trials}")
-    t0 = time.perf_counter()
     # Q = 0 where the lift refuses: s < 1, or past the field cap (F_{q^s} needs ks <= 20)
     n, d, Q = f.nvars, int(f.total_degree), f.field.q**s if 1 <= s and f.field.k * s <= 20 else 0
     total_forms = (Q**n - 1) // (Q - 1) if 0 < Q <= FIELD_SIZE_CAP else None
@@ -413,7 +403,6 @@ def linear_factor_test(
         trials=trials,
         error_bound=min(Fraction(1), Fraction(d, Q) ** trials),
         field_size=Q,
-        elapsed=time.perf_counter() - t0,
         method=method,
         candidates=candidates,
     )

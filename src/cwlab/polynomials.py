@@ -15,6 +15,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .subspaces import AffineSubspace
 
 NEG_INF = float("-inf")
+# pairs of terms a substitution (a restriction to a subspace) multiplies in
+# all, its powers' products included, counted before each product
+MAX_RESTRICT_PRODUCTS = 2_000_000
 
 
 class MultiPoly:
@@ -141,16 +144,7 @@ class MultiPoly:
         return MultiPoly(F, self.nvars, {e: F.mul(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "MultiPoly":
-        if e < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        acc = MultiPoly.constant(self.field, self.nvars, self.field.one)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
+        return _power(self, e, MultiPoly.__mul__)
 
     def map_coefficients(self, func: Callable[[int], int], field: FieldSpec) -> "MultiPoly":
         """Apply func to every coefficient (e.g. an embedding or Frobenius)."""
@@ -180,27 +174,33 @@ class MultiPoly:
         return acc
 
     def substituted(self, subs: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Compose: substitute subs[i] for variable i (all over one field)."""
+        """Compose: substitute subs[i] for variable i (all over one field);
+        BudgetExceeded before a product, powers' included, would take the
+        pairs of terms multiplied past MAX_RESTRICT_PRODUCTS."""
         if len(subs) != self.nvars:
             raise ArityMismatch(f"expected {self.nvars} substitutions")
         F = self.field
         m = subs[0].nvars if subs else 0
-        out = MultiPoly.zero(F, m)
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
+        pairs = 0
+        powers: dict[tuple[int, int], MultiPoly] = {}
 
-        def powed(i: int, e: int) -> MultiPoly:
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = subs[i] ** e
-            return pow_cache[key]
+        def times(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+            nonlocal pairs
+            pairs += len(a.terms) * len(b.terms)
+            if pairs > MAX_RESTRICT_PRODUCTS:
+                raise BudgetExceeded(f"the substitution multiplies more than {MAX_RESTRICT_PRODUCTS} pairs of terms")
+            return a * b
 
-        for exps, c in self.terms.items():
+        def expanded(exps: tuple[int, ...], c: int) -> Iterable[tuple[tuple[int, ...], int]]:
             term = MultiPoly.constant(F, m, c)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * powed(i, e)
-            out = out + term
-        return out
+                    if (i, e) not in powers:
+                        powers[i, e] = _power(subs[i], e, times)
+                    term = times(term, powers[i, e])
+            return term.terms.items()
+
+        return MultiPoly.from_terms(F, m, (t for exps, c in self.terms.items() for t in expanded(exps, c)))
 
     # -- text -----------------------------------------------------------------
 
@@ -242,6 +242,19 @@ class MultiPoly:
     def __repr__(self) -> str:
         names = [f"x{i+1}" for i in range(self.nvars)]
         return f"MultiPoly({self.to_text(names)} over F_{self.field.q})"
+
+
+def _power(base: MultiPoly, e: int, times: Callable[[MultiPoly, MultiPoly], MultiPoly]) -> MultiPoly:
+    """base^e by binary powering, every product through times."""
+    if e < 0:
+        raise ValueError("negative polynomial powers are not defined")
+    acc = MultiPoly.constant(base.field, base.nvars, base.field.one)
+    while e:
+        if e & 1:
+            acc = times(acc, base)
+        base = times(base, base) if e > 1 else base
+        e >>= 1
+    return acc
 
 
 class PolySystem:

@@ -367,38 +367,23 @@ def criterion_11(seed: int = CORPUS_SEED) -> CriterionResult:
     )
 
 
-ACCEPTANCE: list[tuple[str, Callable[..., CriterionResult]]] = [
-    ("C1", criterion_1),
-    ("C2", criterion_2),
-    ("C3", criterion_3),
-    ("C4", criterion_4),
-    ("C5", criterion_5),
-    ("C6", lambda seed=CORPUS_SEED: criterion_6()),
-    ("C7", criterion_7),
-    ("C8", criterion_8),
-    ("C9", criterion_9),
-    ("C10", criterion_10),
-    ("C11", criterion_11),
-]
+# each preset's criteria, in order
+PRESETS: dict[str, tuple[Callable[[int], CriterionResult], ...]] = {
+    "acceptance": (
+        criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, lambda seed: criterion_6(),
+        criterion_7, criterion_8, criterion_9, criterion_10, criterion_11,
+    ),
+    "lemma2-exhaustive": (criterion_8,),
+    # counts for every q; the heavy factor search only over F_81 here
+    "examples": (lambda seed: criterion_6(), lambda seed: criterion_7(seed, qs=(3,))),
+}
 
 
 def run_preset(preset: str, seed: int = CORPUS_SEED, echo=print) -> list[CriterionResult]:
-    """Run a preset's criteria in order, echoing each line; ValueError for an unknown preset."""
-    if preset == "acceptance":
-        picks = ACCEPTANCE
-    elif preset == "lemma2-exhaustive":
-        picks = [("C8", criterion_8)]
-    elif preset == "examples":
-        # counts for every q; the heavy factor search only over F_81 here
-        picks = [
-            ("C6", lambda seed=seed: criterion_6()),
-            ("C7", lambda seed=seed: criterion_7(seed, qs=(3,))),
-        ]
-    else:
-        raise ValueError(f"unknown preset {preset!r}")
+    """Run a preset's criteria in order, echoing each line; KeyError for an unknown preset."""
     results = []
-    for _, fn in picks:
-        res = fn(seed)
+    for criterion in PRESETS[preset]:
+        res = criterion(seed)
         results.append(res)
         echo(res.line())
     return results

@@ -1,7 +1,8 @@
 """Small references that only the tests use: the full space, a subspace's
 membership test, a polynomial's leading form and homogenization (which
 `PolySystem.leading_system` and `homogenized_system` build for the package),
-and the Frobenius map."""
+the Frobenius map, a substitution summed term by term, the monomials by
+recursion and a subfield embedding's roots by a scan of the whole field."""
 
 from cwlab.errors import ZeroPolynomial
 from cwlab.polynomials import MultiPoly
@@ -44,3 +45,53 @@ def homogenize(f):
 def frobenius(F, a, i=1):
     """a^(p^i), the i-th Frobenius iterate."""
     return F.pow(a, F.p**i)
+
+
+def folded_substitution(f, subs):
+    """f with subs[i] for variable i, summed by out = out + term (each sum
+    copies the sum so far): the reference for `MultiPoly.substituted`."""
+    F, m = f.field, subs[0].nvars
+    out = MultiPoly.zero(F, m)
+    for exps, c in f.terms.items():
+        term = MultiPoly.constant(F, m, c)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * subs[i] ** e
+        out = out + term
+    return out
+
+
+def monomials_by_recursion(n, d):
+    """The exponent tuples in n variables of total degree <= d, sorted."""
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e)
+
+    rec([], d)
+    return sorted(out)
+
+
+def embedding_by_full_scan(small, big):
+    """The table of the canonical embedding of small into big, its roots
+    found by Horner's rule at every element of big, least root first, each
+    checked against the embeddings of small's proper subfields."""
+    from cwlab.fields import _embedding_for_root, build_field, embed_subfield
+
+    roots = []
+    for b in range(big.q):
+        acc = big.zero
+        for c in reversed(small.modulus):
+            acc = big.add(big.mul(acc, b), big.from_int(c))
+        if acc == big.zero:
+            roots.append(b)
+    for img in roots:
+        table = _embedding_for_root(small, big, img)
+        subfields = [build_field(small.p, j) for j in range(2, small.k) if small.k % j == 0]
+        if all(table[embed_subfield(S, small)(S.generator)] == embed_subfield(S, big)(S.generator) for S in subfields):
+            return table
+    raise AssertionError("no compatible root")

@@ -7,6 +7,7 @@ import pytest
 
 from cwlab.constructions import (
     ConstructionRecipe,
+    _monomials_up_to,
     corpus_system,
     embed_in_more_variables,
     example_one,
@@ -18,6 +19,7 @@ from cwlab.counting import count_zeros
 from cwlab.errors import FieldTooSmall, InvalidArgument
 from cwlab.fields import build_field, embed_subfield
 from cwlab.polynomials import PolySystem, parse_poly
+from references import monomials_by_recursion
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -118,6 +120,15 @@ def test_random_system_determinism_and_degrees():
     assert a != c  # different seeds give different draws (overwhelmingly)
     d = random_system(F2, 4, (1,), 0)
     assert d.degrees == (1,)
+
+
+def test_monomial_listing_matches_the_recursion():
+    # the monomials a random system draws coefficients for, listed from the
+    # multisets of variables, in the recursion's sorted order: the order the
+    # seeded draws follow, so the corpus is unchanged
+    for n in range(1, 7):
+        for d in range(5):
+            assert list(_monomials_up_to(n, d)) == monomials_by_recursion(n, d), (n, d)
 
 
 def test_corpus_constraints():

@@ -1385,6 +1385,7 @@ def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
     assert len(gemm) == 13
     # the matrix's builder asserts the bound itself: at p = 251, 268 words
     # keep k|W|(p - 1)^2 below 2^24 and 269 do not
-    assert counting._monomials(F.tables, 1, False, tuple(range(268)))[0].shape == (268, 251)
+    grid = lambda: counting._pass_points(F.tables, 1, False)
+    assert counting._monomials(F.tables, 1, False, tuple(range(268)), grid)[0].shape == (268, 251)
     with pytest.raises(AssertionError):
-        counting._monomials(F.tables, 1, False, tuple(range(269)))
+        counting._monomials(F.tables, 1, False, tuple(range(269)), grid)

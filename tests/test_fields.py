@@ -15,10 +15,11 @@ from cwlab.fields import (
     build_field,
     element_literal,
     embed_subfield,
+    is_prime,
     parse_element_literal,
     relative_norm,
 )
-from references import frobenius
+from references import embedding_by_full_scan, frobenius
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -380,6 +381,19 @@ def test_embedding_tower_composition_commutes():
         A, B, C = build_field(p, a), build_field(p, b), build_field(p, c)
         e_ab, e_bc, e_ac = embed_subfield(A, B), embed_subfield(B, C), embed_subfield(A, C)
         assert all(e_bc(e_ab(x)) == e_ac(x) for x in range(A.q)), (p, a, b, c)
+
+
+def test_embedding_roots_from_the_subfield_match_the_full_scan():
+    # the roots of the small modulus are read from the subfield's q elements
+    # alone; the tables equal those of the scan of all Q elements of the big
+    # field, on every pair of fields up to Q = 2^12 and on the towers F_4 <
+    # F_16 < F_256 and F_9 < F_729
+    pairs = [(p, k, K) for p in range(2, 65) if is_prime(p) for K in range(2, 13) if p**K <= 1 << 12
+             for k in range(1, K) if K % k == 0]
+    assert len(pairs) == 57 and {(2, 2, 4), (2, 4, 8), (2, 2, 8), (3, 2, 6)} <= set(pairs)
+    for p, k, K in pairs:
+        small, big = build_field(p, k), build_field(p, K)
+        assert embed_subfield(small, big).table == embedding_by_full_scan(small, big), (p, k, K)
 
 
 def test_embedding_memo_is_bounded(monkeypatch):

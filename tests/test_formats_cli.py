@@ -446,6 +446,26 @@ def test_cli_caps_are_checked_before_the_work_they_bound(tmp_path, capsys):
     assert not (tmp_path / "x.sys").exists()
 
 
+def test_cli_restriction_past_its_cap_exits_3(tmp_path, capsys):
+    # x6^40 + x2 on a 5-dimensional subspace: over F_19 (19^5 points, within
+    # the point budget) the restriction stops before the product that passes
+    # its cap, where it ran for minutes; over F_1009 the region's size stops
+    # the count first.  Both are budget errors, as a field past the cap is
+    from cwlab import cli
+    from cwlab.errors import BudgetExceeded, DegreeTooLarge
+
+    assert issubclass(DegreeTooLarge, BudgetExceeded)
+    (tmp_path / "five.sub").write_text("ambient 6\noffset 0 0 0 0 0 0\n" + "".join(
+        "basis " + " ".join(str(int(i == j)) for j in range(5)) + " 1\n" for i in range(5)))
+    for p, words in ((19, "pairs of terms"), (1009, "region size")):
+        (tmp_path / "x40.sys").write_text(f"field p={p} k=1\nvars x1 x2 x3 x4 x5 x6\npoly x6^40 + x2\n")
+        t0 = time.perf_counter()
+        code = cli.main(["count", "--system", str(tmp_path / "x40.sys"), "--subspace", str(tmp_path / "five.sub")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "") and err.startswith("budget exceeded:") and words in err, (p, err)
+        assert time.perf_counter() - t0 < 5, p
+
+
 def test_cli_scan_conjecture(workdir):
     res = _run(
         "scan-conjecture", "--preset", "small", "--per-cell", "1",
@@ -595,8 +615,11 @@ def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, sys_text, sub_t
         ["count", "--system", "f.sys", "--budget", "abc"],
         ["construct", "cube", "--p", "3"],
         ["check", "--system", "f.sys", "--law", "ax", "--format", "xml"],
+        ["suite", "--preset", "nope"],
+        ["scan-conjecture", "--preset", "nope"],
     ],
-    ids=["unknown-command", "no-command", "missing-law", "budget-abc", "unknown-kind", "unknown-format"],
+    ids=["unknown-command", "no-command", "missing-law", "budget-abc", "unknown-kind", "unknown-format",
+         "unknown-suite-preset", "unknown-scan-preset"],
 )
 def test_cli_usage_error_is_an_input_error(argv, capsys):
     # argparse's own exit code for a usage error is 2, the law-violation

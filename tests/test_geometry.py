@@ -387,7 +387,8 @@ def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
     for f in _zech_forms(K, n):
         lengths = counting._lengths([f])
         assert lengths == (int(f.total_degree),)
-        gemm = counting._gemm_zeros([f], T, *counting._monomials(T, n, families, lengths)[:2])
+        lines_at = lambda: (None, geometry._line_logs(families))
+        gemm = counting._gemm_zeros([f], T, *counting._monomials(T, n, families, lengths, lines_at)[:2])
         trie = counting._evaluate(*counting._compiled(f, T), geometry._line_logs(families), T)[0] == 0
         assert gemm.tolist() == trie.tolist() and gemm.any()
         masks = np.split(gemm.reshape(-1, Q), np.cumsum([len(U) for _, U in lines])[:-1])
@@ -404,7 +405,7 @@ def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
                 continue
             passes += 1
             lengths = counting._lengths(system.polys)
-            points = counting._monomials(T, n, cone, lengths)[2]
+            points = counting._monomials(T, n, cone, lengths, lambda: counting._pass_points(T, n, cone))[2]
             gemm = np.concatenate(list(counting._gemm_chunks(system, cone, lengths)))
             trie = np.concatenate(list(counting._trie_chunks(system, cone)))
             assert gemm.tolist() == trie.tolist()

@@ -117,6 +117,24 @@ def test_monomial_matrices_are_a_registered_memo():
     assert list(memo.kept) == [(F.tables, 2, False, (0, 1, 2))]
 
 
+def test_monomial_hit_builds_no_point_set():
+    # the point set is built on a miss alone: a hit on the same key reads
+    # the kept matrices and never calls for the points or their logs
+    T, calls = build_field(3, 1).tables, []
+
+    def grid():
+        calls.append(1)
+        return counting._pass_points(T, 2, False)
+
+    def refused():
+        raise AssertionError("a hit built the point set")
+
+    counting.MONOMIALS.clear()
+    first = counting._monomials(T, 2, False, (0, 1, 2), grid)
+    assert counting._monomials(T, 2, False, (0, 1, 2), refused) is first
+    assert len(calls) == 1
+
+
 def test_every_cache_memo_is_registered():
     assert {id(m) for m in (counting.GRIDS, counting.WALKS, laws.DIRECTIONS, fields.POWER_LOGS)} <= {id(m) for m in MEMOS}
     assert counting.WALKS.entries == counting.WALK_MEMO

@@ -15,19 +15,22 @@ from cwlab.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
+from cwlab import polynomials
 from cwlab.fields import build_field
 from cwlab.polynomials import (
     MAX_NESTING,
     MAX_POWER_DEGREE,
     MAX_POWER_TERMS,
+    MAX_RESTRICT_PRODUCTS,
     MultiPoly,
     NEG_INF,
     PolySystem,
     parse_poly,
+    restrict_polys,
     restrict_to_subspace,
 )
 from cwlab.subspaces import AffineSubspace
-from references import full_space, homogenize, leading_form
+from references import folded_substitution, full_space, homogenize, leading_form
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -262,6 +265,83 @@ def test_parallel_restrictions_share_top_degree_component():
     (g2,) = restrict_polys(sys.polys, L2.offset, L2.basis, F3)
     d = int(f.total_degree)
     assert g1.homogeneous_component(d) == g2.homogeneous_component(d)
+
+
+def _seeded_poly(F, size, seed):
+    """A polynomial in six variables, of size seeded terms (repeats summed),
+    every exponent below 12."""
+    rng = random.Random(seed)
+    return MultiPoly.from_terms(F, 6, [(tuple(rng.randrange(12) for _ in range(6)), rng.randrange(1, F.q)) for _ in range(size)])
+
+
+def _seeded_subspace(F, m, seed):
+    """An m-dimensional subspace of A^6(F), its offset and rows seeded."""
+    rng = random.Random(seed)
+    rows = [[F.one if c == j else 0 for c in range(m)] + [rng.randrange(F.q) for _ in range(6 - m)] for j in range(m)]
+    return AffineSubspace(F, [rng.randrange(F.q) for _ in range(6)], rows)
+
+
+def test_restriction_sums_like_the_fold():
+    # the restriction sums its expanded terms in one dict (`from_terms`):
+    # the same polynomial, its terms in the same order, as the reference
+    # that folds out = out + term, on seeded polynomials over F_7 and F_4
+    for F, m, seed in ((build_field(7, 1), 5, 1), (build_field(7, 1), 2, 2), (F4, 3, 3), (F4, 5, 4)):
+        f, L = _seeded_poly(F, 150, seed), _seeded_subspace(F, m, seed)
+        unit = [tuple(int(t == j) for t in range(m)) for j in range(m)]
+        subs = [MultiPoly.from_terms(F, m, [((0,) * m, o)] + [(e, row[i]) for e, row in zip(unit, L.basis)]) for i, o in enumerate(L.offset)]
+        want = folded_substitution(f, subs)
+        (got,) = restrict_polys([f], L.offset, L.basis, F)
+        assert list(got.terms.items()) == list(want.terms.items()) and len(got.terms) > 150, (F, m)
+
+
+def test_restriction_adds_each_term_once(monkeypatch):
+    # a restriction reads in time linear in its terms: the terms of every
+    # polynomial it makes, summed, grow by the same amount per term for
+    # 1,000 and 4,000 terms (folding out = out + term copied the sum so far
+    # at every term), and the result is the same as the fold's
+    F = build_field(7, 1)
+    L = _seeded_subspace(F, 5, 0)
+    made = []
+    init = MultiPoly.__init__
+
+    def counted(self, field, nvars, terms):
+        made.append(len(terms))
+        init(self, field, nvars, terms)
+
+    work = {}
+    for size in (1000, 4000):
+        f = _seeded_poly(F, size, size)
+        monkeypatch.setattr(MultiPoly, "__init__", counted)
+        made.clear()
+        (got,) = restrict_polys([f], L.offset, L.basis, F)
+        monkeypatch.setattr(MultiPoly, "__init__", init)
+        work[size] = sum(made) - len(got.terms)
+    assert work[4000] <= 4 * work[1000] * 1.1, work
+
+
+def test_restriction_stops_at_its_product_cap(monkeypatch):
+    # x6^40 + x2 on a 5-dimensional subspace of A^6(F_1009), where x6 = t1 +
+    # ... + t5, would have 135,752 terms: its powers reach the product
+    # s^32 = s^16 s^16, 4,845^2 pairs of terms, past MAX_RESTRICT_PRODUCTS,
+    # and stop before it is made
+    F = build_field(1009, 1)
+    names = [f"x{i + 1}" for i in range(6)]
+    L = AffineSubspace(F, [0] * 6, [[int(i == j) for j in range(5)] + [1] for i in range(5)])
+    system = PolySystem([parse_poly("x6^40 + x2", F, names)])
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="pairs of terms"):
+        restrict_to_subspace(system, L)
+    assert time.perf_counter() - t0 < 5
+    assert 4845**2 > MAX_RESTRICT_PRODUCTS
+    # x6^16 + x2 takes s^2, s^4, s^8, s^16 (25, 225, 4,900 and 245,025
+    # pairs), 1 * s^16 and c * s^16 (4,845 each), 1 * t2 and c * t2 (1
+    # each): every product is counted, before it is made
+    system = PolySystem([parse_poly("x6^16 + x2", F, names)])
+    monkeypatch.setattr(polynomials, "MAX_RESTRICT_PRODUCTS", 259_867)
+    assert len(restrict_to_subspace(system, L).polys[0].terms) == 4846
+    monkeypatch.setattr(polynomials, "MAX_RESTRICT_PRODUCTS", 259_866)
+    with pytest.raises(BudgetExceeded):
+        restrict_to_subspace(system, L)
 
 
 def test_print_parse_round_trip():
