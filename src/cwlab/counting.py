@@ -772,9 +772,12 @@ def count_zeros(
 
 
 def lift_system(system: PolySystem, s: int) -> PolySystem:
-    """The same equations over the degree-s extension of the field."""
+    """The same equations over the degree-s extension of the field (the
+    system itself where that is its own field)."""
     F = system.field
     big = build_field(F.p, F.k * s)
+    if big is F:
+        return system
     emb = embed_subfield(F, big)
     return PolySystem([f.map_coefficients(emb, big) for f in system.polys])
 

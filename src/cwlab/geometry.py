@@ -211,7 +211,7 @@ def _scalar_coord(seed: int, s: int, trial: int, var: int, rank: int, Q: int) ->
 
 def _lift_poly(f: MultiPoly, s: int) -> tuple[MultiPoly, FieldSpec]:
     K = build_field(f.field.p, f.field.k * s)
-    return f.map_coefficients(embed_subfield(f.field, K), K), K
+    return (f if K is f.field else f.map_coefficients(embed_subfield(f.field, K), K)), K
 
 
 def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -> bool:

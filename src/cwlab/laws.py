@@ -558,7 +558,7 @@ def covering_trial(F: FieldSpec, n: int, rng: SplitMix64) -> LawReport:
     reports `covering_bound_report(Z, L0)`."""
     q = F.q
     covering_trial_budget(q, n)
-    pts = _coordinates(np.arange(q**n), q, n).T[[rng.coin() for _ in range(q**n)]]
+    pts = _coordinates(np.arange(q**n), q, n).T[rng.draw(q**n) & 1 == 1]  # a coin per point: its output's low bit
     dim = rng.below(n)
     while True:
         rows, _ = rref(F, [[rng.below(q) for _ in range(n)] for _ in range(dim)])

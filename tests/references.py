@@ -2,10 +2,15 @@
 membership test, a polynomial's leading form and homogenization (which
 `PolySystem.leading_system` and `homogenized_system` build for the package),
 the Frobenius map, a substitution summed term by term, the monomials by
-recursion and a subfield embedding's roots by a scan of the whole field."""
+recursion, a subfield embedding's roots by a scan of the whole field, and
+the seeded draws one scalar output at a time: a random system's
+coefficients and a corpus system."""
 
+from cwlab.constructions import _CORPUS_MAX_D, _CORPUS_MAX_DI, _CORPUS_MAX_N, _monomials_up_to
 from cwlab.errors import ZeroPolynomial
-from cwlab.polynomials import MultiPoly
+from cwlab.fields import build_field
+from cwlab.polynomials import MultiPoly, PolySystem
+from cwlab.rng import SplitMix64, derive_seed
 from cwlab.subspaces import AffineSubspace
 
 
@@ -95,3 +100,43 @@ def embedding_by_full_scan(small, big):
         if all(table[embed_subfield(S, small)(S.generator)] == embed_subfield(S, big)(S.generator) for S in subfields):
             return table
     raise AssertionError("no compatible root")
+
+
+def random_system_by_coefficient(F, n, degrees, seed):
+    """`random_system` drawn one `below` per coefficient, each polynomial
+    built by `from_terms` and drawn again until its total degree is d_i."""
+    rng = SplitMix64(derive_seed(seed, F.p, F.k, n, *degrees))
+    polys = []
+    for d in degrees:
+        monos = _monomials_up_to(n, d)
+        while True:
+            items = []
+            for e in monos:
+                c = rng.below(F.q)
+                if c:
+                    items.append((e, c))
+            f = MultiPoly.from_terms(F, n, items)
+            if f.total_degree == d:
+                polys.append(f)
+                break
+    return PolySystem(polys)
+
+
+def corpus_system_by_index(seed, index):
+    """`corpus_system` drawn for one index alone, one `below` at a time."""
+    rng = SplitMix64(derive_seed(seed, index))
+    q = (2, 3, 4, 5)[rng.below(4)]
+    while True:
+        r = 1 + rng.below(2)
+        degrees = tuple(1 + rng.below(_CORPUS_MAX_DI) for _ in range(r))
+        if sum(degrees) <= _CORPUS_MAX_D:
+            break
+    d = sum(degrees)
+    n = d + 1 + rng.below(_CORPUS_MAX_N - d)
+    F = build_field(2, 2) if q == 4 else build_field(q, 1)
+    return random_system_by_coefficient(F, n, degrees, derive_seed(seed, index, 1))
+
+
+def system_key(system):
+    """A system as its field, arity and each polynomial's terms in insertion order."""
+    return (system.field.p, system.field.k, system.field.modulus, system.nvars, [list(f.terms.items()) for f in system.polys])

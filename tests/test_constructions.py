@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import cwlab.constructions as constructions
 from cwlab.constructions import (
+    CORPUS_BLOCK,
+    CORPUS_BLOCKS,
     ConstructionRecipe,
     _monomials_up_to,
     corpus_system,
@@ -19,7 +22,8 @@ from cwlab.counting import count_zeros
 from cwlab.errors import FieldTooSmall, InvalidArgument
 from cwlab.fields import build_field, embed_subfield
 from cwlab.polynomials import PolySystem, parse_poly
-from references import monomials_by_recursion
+from cwlab.rng import SplitMix64
+from references import corpus_system_by_index, monomials_by_recursion, random_system_by_coefficient, system_key
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -138,6 +142,60 @@ def test_corpus_constraints():
         assert system.nvars <= 5
         assert all(1 <= d <= 3 for d in system.degrees)
         assert system.nvars > system.total_degree
+
+
+class _CountingStream(SplitMix64):
+    """A stream that counts the draws made past a corpus system's window."""
+
+    __slots__ = ()
+    draws = 0
+
+    def draw(self, count, n=None):
+        _CountingStream.draws += 1
+        return super().draw(count, n)
+
+
+def test_corpus_draws_match_the_scalar_reference(monkeypatch):
+    # field, arity and every polynomial's terms in insertion order; some of
+    # these systems redraw past the window their block drew for them
+    monkeypatch.setattr(constructions, "SplitMix64", _CountingStream)
+    monkeypatch.setattr(_CountingStream, "draws", 0)
+    for seed in (0, 1, 21, 2**64 + 5):
+        for i in range(3000):
+            assert system_key(corpus_system(seed, i)) == system_key(corpus_system_by_index(seed, i)), (seed, i)
+    assert _CountingStream.draws > 0
+
+
+def test_random_systems_match_the_scalar_reference():
+    # n = 1 and d = 1 over F_2 redraws half the time
+    shapes = [(1, (1,)), (1, (1, 1, 2)), (2, (1, 2)), (3, (3,)), (4, (2, 1)), (6, (2,))]
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (2, 11), (5, 4)):
+        F = build_field(p, k)
+        for n, degrees in shapes:
+            for seed in range(4):
+                got, want = random_system(F, n, degrees, seed), random_system_by_coefficient(F, n, degrees, seed)
+                assert system_key(got) == system_key(want), (F.q, n, degrees, seed)
+
+
+def test_corpus_calls_build_fresh_objects():
+    a, b = corpus_system(3, 17), corpus_system(3, 17)
+    assert system_key(a) == system_key(b)
+    assert a is not b and not any(f is g or f.terms is g.terms for f, g in zip(a.polys, b.polys))
+
+
+def test_corpus_random_access_matches_the_reference():
+    # cold calls, each drawing its own block, far from index 0 and below it
+    for seed, index in ((0, 10**6 + 5), (7, CORPUS_BLOCK - 1), (7, CORPUS_BLOCK), (2, -1), (2, -CORPUS_BLOCK - 3)):
+        CORPUS_BLOCKS.clear()
+        assert system_key(corpus_system(seed, index)) == system_key(corpus_system_by_index(seed, index))
+        assert CORPUS_BLOCKS.misses == 1 and len(CORPUS_BLOCKS.kept) == 1
+
+
+def test_corpus_blocks_stay_within_their_bound():
+    for block in range(80):  # 80 blocks of 256 indexes hold about 1.5 MB
+        corpus_system(9, block * CORPUS_BLOCK)
+        assert CORPUS_BLOCKS.held <= CORPUS_BLOCKS.bound
+    assert CORPUS_BLOCKS.evictions > 0
 
 
 def recipe_from_json(text):

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from itertools import combinations, product
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -82,6 +83,19 @@ def test_extension_counts():
     assert count_zeros_ext(n2, 1).count == 1
     assert count_zeros_ext(n2, 2).count == 7
     assert count_zeros_ext(n2, 1).count == count_zeros(n2).count
+
+
+def test_lift_to_the_field_itself_is_the_system():
+    # no coefficient copied through the identity embedding, and the same
+    # count; a field on another modulus still lifts to the canonical one
+    system = corpus_system(3, 4)
+    assert lift_system(system, 1) is system
+    assert count_zeros_ext(system, 1).to_json() == replace(count_zeros(system), region="ext s=1").to_json()
+    H = build_field(3, 2, (2, 2, 1))
+    other = PolySystem([parse_poly("x1^2 + x2", H, ["x1", "x2"])])
+    lifted = lift_system(other, 1)
+    assert lifted is not other and lifted.field is build_field(3, 2) and lifted.field != H
+    assert count_zeros_ext(other, 1).count == count_zeros(other).count
 
 
 def test_parallel_class_counts():

@@ -140,6 +140,16 @@ def test_linear_factor_rejects_negative_trials():
     assert linear_factor_test(f, 1, trials=0).error_bound == 1
 
 
+def test_lift_to_the_field_itself_is_the_form():
+    f = norm_form(F3, 2)
+    lifted, K = _lift_poly(f, 1)
+    assert lifted is f and K is F3
+    H = build_field(3, 2, (2, 2, 1))  # F_9 on another modulus lifts to the canonical one
+    g = parse_poly("x1^2 + x2^2", H, ["x1", "x2"])
+    lifted, K = _lift_poly(g, 1)
+    assert K is build_field(3, 2) and lifted.field is K and lifted is not g
+
+
 def _agree(f, s, **kw):
     """The algebraic search and the reference screen give the same verdict."""
     a = linear_factor_test(f, s, **kw)

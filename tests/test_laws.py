@@ -19,6 +19,7 @@ from cwlab.laws import (
     LawReport,
     check_congruence,
     covering_bound_report,
+    covering_trial,
     homogenization_identity,
     lower_bound_audit,
     saturated_set_check,
@@ -183,10 +184,34 @@ def test_covering_bound_random_point_sets():
     rng = SplitMix64(7)
     for _ in range(50):
         n = 1 + rng.below(3)
-        pts = [pt for pt in full_space(F3, n).points() if rng.coin()]
+        pts = [pt for pt in full_space(F3, n).points() if rng.next_u64() & 1]
         Z = PointSet(F3, n, pts)
         L0 = AffineSubspace(F3, tuple(rng.below(3) for _ in range(n)))
         assert covering_bound_report(Z, L0).passed
+
+
+def _trial_by_coins(F, n, rng):
+    """A covering trial drawn one output at a time: a coin (the output's low
+    bit) per point of A^n in odometer order, then L0's dimension, rows and
+    offset, as `covering_trial` draws them."""
+    pts = [pt for pt in full_space(F, n).points() if rng.next_u64() & 1]
+    dim = rng.below(n)
+    while True:
+        rows, _ = rref(F, [[rng.below(F.q) for _ in range(n)] for _ in range(dim)])
+        if len(rows) == dim:
+            break
+    return covering_bound_report(PointSet(F, n, pts), AffineSubspace(F, [rng.below(F.q) for _ in range(n)], rows))
+
+
+def test_covering_trials_match_the_scalar_coins():
+    # trial after trial from one stream, Z's coins drawn in one pass or one
+    # output at a time
+    for (p, k), n, trials in (((2, 1), 5, 6), ((3, 1), 3, 6), ((2, 2), 3, 4), ((5, 1), 2, 8)):
+        F = build_field(p, k)
+        vec, scalar = SplitMix64(p + n), SplitMix64(p + n)
+        for _ in range(trials):
+            assert covering_trial(F, n, vec).to_json() == _trial_by_coins(F, n, scalar).to_json()
+        assert vec.next_u64() == scalar.next_u64()
 
 
 def _reference_covering_report(Z, L0):
@@ -407,7 +432,7 @@ def _seeded_sets(F, t, rng):
         hyperplanes = _flat_walk(F, t, t - 1)
         H = set(hyperplanes[rng.below(len(hyperplanes))].points())
         out.append([pt for pt in points if pt not in H])
-        out.append([pt for pt in points if pt not in H or rng.coin()])
+        out.append([pt for pt in points if pt not in H or rng.next_u64() & 1])
         i = rng.below(len(points))
         out.append(points[:i] + points[i + 1 :])
     return [PointSet(F, t, pts) for pts in out]
