@@ -115,6 +115,7 @@ def example_one(F: FieldSpec, n: int = 4) -> QuadricTimesNorm:
     q^(n+1-d)(1 - 1/q + 1/q^2) misses the true count, which is flagged."""
     if n < 4:
         raise InvalidArgument(f"example1 needs at least 4 variables, got {n}")
+    tail = norm_form(F, n - 4) if n > 4 else None  # its cap before the n-variable terms
     q = F.q
     c = _least_irreducible_quadratic_c(F)
     one = F.one
@@ -130,8 +131,7 @@ def example_one(F: FieldSpec, n: int = 4) -> QuadricTimesNorm:
     )
     quadric = embed_in_more_variables(quadric4, n, at=0)
     provenance: dict = {"c": c, "modulus": list(F.modulus)}
-    if n > 4:
-        tail = norm_form(F, n - 4)
+    if tail is not None:
         poly = quadric * embed_in_more_variables(tail, n, at=4)
         provenance["norm_degree"] = n - 4
     else:

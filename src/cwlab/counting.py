@@ -327,39 +327,30 @@ def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.n
     return grid
 
 
-# the step rule (`_gemm_rule`), by the field's regime: a pass of at most
-# GEMM_POINTS points whose product does at most GEMM_ENTRIES multiply-adds a
-# polynomial, k^2 |W| points, takes the GEMM step; over an odd-p extension
-# field (the Zech regime, where `FieldTables.total` sums by a Zech tree and the
-# trie step is slowest) the bounds are ZECH_POINTS and ZECH_ENTRIES.  Its M'
-# holds 4 k|W| points bytes: at most 256 KiB, or 384 KiB in the Zech regime
-GEMM_POINTS = 1 << 8
-GEMM_ENTRIES = 1 << 16
-ZECH_POINTS = 1 << 12
-ZECH_ENTRIES = 3 << 16
-# a GEMM-step partial sum is at most k|W|(p - 1)^2 < k|W| p^2, below 2^24,
-# which float32 holds exactly: k|W| p^2 <= GEMM_ENTRIES * p <= 2^24 (p <= q <=
-# points <= GEMM_POINTS), and in the Zech regime k|W| p^2 <= k|W| points <=
-# ZECH_ENTRIES / 2 (p^2 <= q <= points, k >= 2); `_monomials` asserts it
+# the step rule (`_gemm_rule`), one for every field: a pass within the three
+# bounds below takes the GEMM step, any other the trie step.  Points: every
+# `corpus-sweep` pass has at most 3,910 (the cone of F_5^6)
+GEMM_POINTS = 1 << 12
+# multiply-adds a polynomial, k^2 |W| points: M' holds k|W| points digits, at
+# most GEMM_ENTRIES / k bytes for p <= 256 (two bytes a digit past it), and
+# its float32 copy at the product four bytes a digit
+GEMM_ENTRIES = 1 << 19
+# a partial sum of the product is at most k|W|(p - 1)^2, which float32 holds
+# exactly below 2^24 in any blocking or thread split.  It binds over prime
+# fields alone: for k >= 2, k|W|(p - 1)^2 < k|W| points <= GEMM_ENTRIES / k,
+# and for p = 2, k|W| <= GEMM_ENTRIES; `_monomials` asserts it
 GEMM_EXACT = 1 << 24
 
-# bytes of the GEMM step's M' matrices and their points (see `_monomials`),
-# at most 416 KiB an entry; the `extension-fields` benchmark keeps 1.1 MB,
-# `corpus-sweep` 631,536 bytes
+# bytes of the GEMM step's M' blocks and pass points (see `_monomials`); a
+# block holds at most 2^20 bytes (2-byte digits, p > 256); `corpus-sweep`
+# keeps 1.14 MB, `coset-classes` and `extension-fields` 0.40 MB
 MONOMIALS = Memo(1 << 21)
-
-
-def _gemm_bounds(p: int, k: int) -> tuple[int, int]:
-    """(points, multiply-adds) bounds of the step rule over F_{p^k}, by its
-    regime (see GEMM_POINTS)."""
-    return (ZECH_POINTS, ZECH_ENTRIES) if p > 2 and k > 1 else (GEMM_POINTS, GEMM_ENTRIES)
 
 
 def _gemm_rule(points: int, words: int, p: int, k: int) -> bool:
     """Whether a pass of this many points over F_{p^k}, of this many words,
     takes the GEMM step."""
-    most, entries = _gemm_bounds(p, k)
-    return points <= most and k * k * words * points <= entries
+    return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES and k * words * (p - 1) ** 2 < GEMM_EXACT
 
 
 def _lengths(polys: Sequence[MultiPoly]) -> tuple[int, ...]:
@@ -370,10 +361,24 @@ def _lengths(polys: Sequence[MultiPoly]) -> tuple[int, ...]:
 def _gemm_lengths(F: FieldSpec, n: int, points: int, polys: Sequence[MultiPoly]) -> tuple[int, ...] | None:
     """The term lengths of polys when a pass of this many points takes the
     GEMM step, else None: the points bound is read before |W| is counted."""
-    if points > _gemm_bounds(F.p, F.k)[0]:
+    if points > GEMM_POINTS:
         return None
     lengths = _lengths(polys)
     return lengths if _gemm_rule(points, sum(comb(n + l - 1, l) for l in lengths), F.p, F.k) else None
+
+
+def _as_function(f: MultiPoly) -> MultiPoly:
+    """f if of total degree <= n(q - 1), else each exponent e >= q lowered to
+    (e - 1) % (q - 1) + 1, which x^e equals on F_q, like terms summed (a sum
+    that cancels is the constant term 0): no word past n(q - 1) letters."""
+    q = f.field.q
+    if f.total_degree <= f.nvars * (q - 1):
+        return f
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, c in f.terms.items():
+        key = tuple(e if e < q else (e - 1) % (q - 1) + 1 for e in exps)
+        terms[key] = f.field.add(terms.get(key, 0), c)
+    return MultiPoly(f.field, f.nvars, {e: c for e, c in terms.items() if c} or {(0,) * f.nvars: 0})
 
 
 def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
@@ -386,54 +391,67 @@ def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
         # the one point; a system's polynomials are nonzero constants here
         yield np.zeros(0, dtype=np.intp)
         return
-    lengths = _gemm_lengths(F, n, q * sum(map(len, _prefix_ranges(q, n, cone))), system.polys)
+    polys = [_as_function(f) for f in system.polys]
+    lengths = _gemm_lengths(F, n, q * sum(map(len, _prefix_ranges(q, n, cone))), polys)
     if lengths is None:
-        yield from _trie_chunks(system, cone)
+        yield from _trie_chunks(F.tables, n, polys, cone)
     else:
-        yield from _gemm_chunks(system, cone, lengths)
+        yield from _gemm_chunks(F.tables, n, polys, cone, lengths)
 
 
-def _pass_points(T: FieldTables, n: int, cone: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(points, logs) of a pass over the grid or the cone: its odometer
-    indexes, read-only, and their coordinate logs (n, points)."""
-    q = T.field.q
-    pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, cone)])
-    points = (pre[:, None] * q + np.arange(q)).ravel()
-    points.flags.writeable = False
-    return points, T.log.take(_coordinates(points, q, n))
+def _pass_points(T: FieldTables, n: int, cone: bool) -> np.ndarray:
+    """The odometer indexes of a pass over the grid or the cone, read-only,
+    in MONOMIALS under (T, n, cone)."""
+    points = MONOMIALS.get((T, n, cone))
+    if points is None:
+        q = T.q
+        pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, cone)])
+        points = (pre[:, None] * q + np.arange(q)).ravel()
+        points.flags.writeable = False
+        MONOMIALS.put((T, n, cone), points, points.nbytes)
+    return points
+
+
+@lru_cache(maxsize=1 << 6)
+def _word_rows(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Each exponent vector's row in the blocks of these lengths joined in
+    order, a block's rows in `_shape` order."""
+    return {exps: i for i, exps in enumerate(e for l in lengths for e in _shape(n, (l,), None)[1])}
 
 
 def _monomials(
-    T: FieldTables, n: int, where: bool | tuple, lengths: tuple[int, ...], point_set: Callable[[], tuple]
-) -> tuple[np.ndarray, dict, np.ndarray | None]:
-    """(M', rows, points) of the GEMM step for (T's field, n, where,
-    lengths), read-only, in MONOMIALS: where names the point set, and
-    point_set, called on a miss alone, gives its (points, logs) (points
-    None where no caller reads them, logs (n, points)); M'[(w, a), x] is
-    the F_p-digit a of word w at the set's point x (float32), rows each
-    exponent vector's word.  Asserts GEMM_EXACT."""
-    key = (T, n, where, lengths)
-    hit = MONOMIALS.get(key)
-    if hit is None:
-        F = T.field
-        k = F.k
-        plan, rows = _shape(n, lengths, None)
-        W = len(rows)
-        assert k * W * (F.p - 1) ** 2 < GEMM_EXACT, f"{k} * {W} * ({F.p} - 1)^2 is past the exact float32 range"
-        points, logs = point_set()
-        values = T.exp.take(_log_sums(plan, np.zeros(W, logs.dtype), logs, T), mode="clip")
-        M = T.digits(values).transpose(0, 2, 1).reshape(W * k, -1).astype(np.float32)
-        M.flags.writeable = False
-        hit = M, rows, points
-        MONOMIALS.put(key, hit, M.nbytes + (0 if points is None else points.nbytes))  # rows is `_shape`'s own dict
-    return hit
+    T: FieldTables, n: int, where: bool | tuple, lengths: tuple[int, ...], point_logs: Callable[[], np.ndarray]
+) -> tuple[list[np.ndarray], dict]:
+    """(M', rows) of the GEMM step for (T's field, n, where, lengths): where
+    names the point set, and point_logs, called on a miss alone, gives its
+    coordinate logs (n, points).  M' is one read-only block per length, in
+    MONOMIALS under (T, n, where, length), built EVAL_BYTES at a time:
+    M'[(w, a), x] is the F_p-digit a of word w at the set's point x, in the
+    narrowest unsigned type; rows is `_word_rows`.  Asserts GEMM_EXACT."""
+    F = T.field
+    rows = _word_rows(n, lengths)
+    assert F.k * len(rows) * (F.p - 1) ** 2 < GEMM_EXACT, f"{F.k} * {len(rows)} * ({F.p} - 1)^2 is past the exact float32 range"
+    blocks, logs = [], None
+    for l in lengths:
+        block = MONOMIALS.get((T, n, where, l))
+        if block is None:
+            logs = point_logs() if logs is None else logs
+            plan, digit = _shape(n, (l,), None)[0], np.min_scalar_type(F.p - 1)
+            W = len(plan.rows)
+            values = lambda s: T.exp.take(_log_sums(plan, np.zeros(W, logs.dtype), logs[:, s], T), mode="clip")
+            block = _sliced(lambda s: T.digits(values(s)).transpose(0, 2, 1).reshape(W * F.k, -1).astype(digit),
+                            logs.shape[1], max(1, EVAL_BYTES // (8 * (plan.nodes + W))))
+            block.flags.writeable = False
+            MONOMIALS.put((T, n, where, l), block, block.nbytes)
+        blocks.append(block)
+    return blocks, rows
 
 
-def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: np.ndarray, rows: dict) -> np.ndarray:
+def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: list[np.ndarray], rows: dict) -> np.ndarray:
     """Whether every polynomial of polys vanishes at each point of M'
-    (`_monomials`): one product C M' read mod p, with C[(i, b), (w, a)] the
-    digit b of c * g^a, c the coefficient of w in f_i; a zero reads 0 in all
-    rk rows."""
+    (`_monomials`): one product C M' read mod p, M' its blocks joined in
+    float32, with C[(i, b), (w, a)] the digit b of c * g^a, c the
+    coefficient of w in f_i; a zero reads 0 in all rk rows."""
     p, k = T.field.p, T.field.k
     r, W = len(polys), len(rows)
     coeffs = [0] * (r * W)
@@ -445,26 +463,26 @@ def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: np.ndarray, rows:
     else:  # [i, w, a, b] -> [(i, b), (w, a)]
         C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2)
         C = C.reshape(r * k, W * k).astype(np.float32)
-    R = (C @ M).astype(np.int32)
+    R = (C @ np.concatenate(M, dtype=np.float32)).astype(np.int32)
     R %= p
     return R.sum(axis=0) == 0
 
 
-def _gemm_chunks(system: PolySystem, cone: bool, lengths: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """`_zero_chunks` by the GEMM step: one `_gemm_zeros` product."""
-    T = system.field.tables
-    M, rows, points = _monomials(T, system.nvars, cone, lengths, lambda: _pass_points(T, system.nvars, cone))
-    yield points[_gemm_zeros(system.polys, T, M, rows)]
+def _gemm_chunks(T: FieldTables, n: int, polys: Sequence[MultiPoly], cone: bool, lengths: tuple) -> Iterator[np.ndarray]:
+    """`_zero_chunks` of polys (`_as_function`) by the GEMM step: one
+    `_gemm_zeros` product."""
+    points = _pass_points(T, n, cone)
+    M, rows = _monomials(T, n, cone, lengths, lambda: T.log.take(_coordinates(points, T.q, n)))
+    yield points[_gemm_zeros(polys, T, M, rows)]
 
 
-def _trie_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
-    """`_zero_chunks` by the trie step, n >= 1: the sparsest polynomial as
-    sum_e g_e x_n^e over each block, in slices of at most EVAL_BYTES //
-    (8 * groups * q) prefixes, each later one at the survivors only."""
-    F = system.field
-    q, n = F.q, system.nvars
-    T = F.tables
-    first, *rest = sorted(system.polys, key=lambda f: len(f.terms))
+def _trie_chunks(T: FieldTables, n: int, polys: Sequence[MultiPoly], cone: bool) -> Iterator[np.ndarray]:
+    """`_zero_chunks` of polys (`_as_function`) by the trie step, n >= 1:
+    the sparsest polynomial as sum_e g_e x_n^e over each block, in slices of
+    at most EVAL_BYTES // (8 * groups * q) prefixes, each later one at the
+    survivors only."""
+    q = T.q
+    first, *rest = sorted(polys, key=lambda f: len(f.terms))
     log = T.log
     plan, shifts = _compiled(first, T, n - 1)
     powers = T.power_logs(plan.powers)[:, None]

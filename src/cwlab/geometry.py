@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import CHUNK, _compiled, _evaluate, _gemm_lengths, _gemm_zeros, _monomials, count_zeros_ext, default_budget
+from .counting import CHUNK, _as_function, _compiled, _evaluate, _gemm_lengths, _gemm_zeros, _monomials, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FIELD_SIZE_CAP, FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
@@ -24,6 +24,9 @@ from .rng import MASK64, derive_seed, mix64
 from .subspaces import rref
 
 FORM_BUDGET = 1 << 28
+# trials: error_bound (d/Q)^trials has about trials * log10(Q) digits, at most
+# 1,542 at Q = 2^20, within the 4,300 digits Python writes an integer in
+MAX_TRIALS = 1 << 8
 PROBE_SLACK = 4  # probes past the P a pivot's interpolation needs (4 measured fastest)
 TAIL_MEMO = 1 << 6  # entries of the probe and tail-map memos; a map < 64 KiB at FORM_BUDGET
 
@@ -281,13 +284,13 @@ def _line_masks(fK: MultiPoly, families: tuple) -> list[np.ndarray]:
     """masks[l, t] = (fK(-t e_j + U[l]) == 0) for each family's lines U
     (`_line_logs`), by the step the counting kernel's rule picks."""
     K, n, Q = fK.field, fK.nvars, fK.field.q
-    T = K.tables
+    T, fK = K.tables, _as_function(fK)
     sizes = [len(_probe_lines(*family)) for family in families]
     lengths = _gemm_lengths(K, n, Q * sum(sizes), [fK])
     if lengths is None:
         masks = _evaluate(*_compiled(fK, T), _line_logs(families), T)[0] == 0
     else:
-        masks = _gemm_zeros([fK], T, *_monomials(T, n, families, lengths, lambda: (None, _line_logs(families)))[:2])
+        masks = _gemm_zeros([fK], T, *_monomials(T, n, families, lengths, lambda: _line_logs(families)))
     return np.split(masks.reshape(-1, Q), np.cumsum(sizes)[:-1])
 
 
@@ -380,6 +383,8 @@ def linear_factor_test(
         raise NotHomogeneous("the linear factor test needs a nonzero homogeneous form")
     if trials < 0:
         raise InvalidArgument(f"trials must be at least 0, not {trials}")
+    if trials > MAX_TRIALS:
+        raise BudgetExceeded(f"{trials} trials exceed the cap {MAX_TRIALS}")
     # Q = 0 where the lift refuses: s < 1, or past the field cap (F_{q^s} needs ks <= 20)
     n, d, Q = f.nvars, int(f.total_degree), f.field.q**s if 1 <= s and f.field.k * s <= 20 else 0
     total_forms = (Q**n - 1) // (Q - 1) if 0 < Q <= FIELD_SIZE_CAP else None

@@ -201,15 +201,21 @@ def affine_span(ps: PointSet) -> AffineSubspace:
 
 
 def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
-    """The dimension of the affine subspace whose point set is pts (as for
-    `_greedy_span`, distinct), or None when there is none: N = q^m and the
-    span has dimension m."""
-    N, m = len(pts), 0
-    while F.q**m < N:
+    """The dimension of the affine subspace whose point set is pts (distinct,
+    sorted), or None when there is none: N = q^m and pts lists a + sum_i c_i
+    b_i in odometer order of c, a = pts[0] and b_i = pts[q^(m-i)] - a over
+    the element of label 1, which sits at b_i's pivot (README)."""
+    N, m, q = len(pts), 0, F.q
+    while q**m < N:
         m += 1
-    if F.q**m != N:
+    if q**m != N:
         return None
-    return m if len(_greedy_span(F, pts, m + 1)[0]) == m else None
+    T = F.tables
+    B = T.mul(T.mul(np.arange(q), F.inv(1))[:, None, None], T.add(pts[[q**j for j in range(m)]], T.neg(pts[0])))
+    S = pts[:1]
+    for j in range(m):  # b_m first: the last coefficient runs fastest
+        S = T.add(B[:, j, None], S).reshape(-1, pts.shape[1])
+    return m if (S == pts).all() else None
 
 
 def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:

@@ -5,7 +5,7 @@ import pytest
 from cwlab import counting, geometry
 from cwlab.memo import MEMOS
 
-CACHES = (counting._plan, counting._shape, geometry._probe_lines, geometry._tail_map)
+CACHES = (counting._plan, counting._shape, counting._word_rows, geometry._probe_lines, geometry._tail_map)
 
 
 def _empty():

@@ -140,3 +140,16 @@ def corpus_system_by_index(seed, index):
 def system_key(system):
     """A system as its field, arity and each polynomial's terms in insertion order."""
     return (system.field.p, system.field.k, system.field.modulus, system.nvars, [list(f.terms.items()) for f in system.polys])
+
+
+def subspace_dim_by_greedy_span(F, pts):
+    """`subspaces.subspace_dim` by the greedy span: N = q^m and the span of
+    pts has dimension m (at most m + 1 rows are looked for)."""
+    from cwlab.subspaces import _greedy_span
+
+    N, m = len(pts), 0
+    while F.q**m < N:
+        m += 1
+    if F.q**m != N:
+        return None
+    return m if len(_greedy_span(F, pts, m + 1)[0]) == m else None

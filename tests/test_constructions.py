@@ -19,7 +19,7 @@ from cwlab.constructions import (
     random_system,
 )
 from cwlab.counting import count_zeros
-from cwlab.errors import FieldTooSmall, InvalidArgument
+from cwlab.errors import DegreeTooLarge, FieldTooSmall, InvalidArgument
 from cwlab.fields import build_field, embed_subfield
 from cwlab.polynomials import PolySystem, parse_poly
 from cwlab.rng import SplitMix64
@@ -85,6 +85,14 @@ def test_example_one_product_discrepancy_flag():
     assert cnt == 34 == built.inclusion_exclusion_count
     assert built.display_count == 6
     assert built.display_mismatch  # the closed-form display only matches n = 4
+
+
+def test_example_one_checks_the_norm_cap_first():
+    # the norm form's field cap is read before any term in n variables is
+    # built: n = 2^32 + 1 (found by the input fuzzer) is refused at once
+    # as a field past the cap, and no MemoryError escapes
+    with pytest.raises(DegreeTooLarge):
+        example_one(build_field(7, 1), 2**32 + 1)
 
 
 def test_example_one_binary_part_irreducible():

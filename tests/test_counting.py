@@ -493,13 +493,12 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
 
     monkeypatch.setattr(counting, "_blocks", recorded)
     assert {sy.field.q for sy in EDGE_SYSTEMS} == {7, 8, 9, 16, 25, 27}
-    # each system by the step the rule picks, then with both of the rule's
-    # point bounds at 0, so that every pass takes the trie step
+    # each system by the step the rule picks, then with the rule's points
+    # bound at 0, so that every pass takes the trie step
     steps = {"rule": [], "trie": []}
     for forced in ("rule", "trie"):
         if forced == "trie":
             monkeypatch.setattr(counting, "GEMM_POINTS", 0)
-            monkeypatch.setattr(counting, "ZECH_POINTS", 0)
         for system in EDGE_SYSTEMS:
             F, n = system.field, system.nvars
             q = F.q
@@ -525,7 +524,8 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
                 assert walked(counts_over_parallel_class, system, L) == counts_over_parallel_class(
                     system, L, engine="oracle"
                 )
-    assert 0 < steps["rule"].count(False) < len(EDGE_SYSTEMS) and not any(steps["trie"])
+    # every edge pass has at most 729 points, within the rule's bounds
+    assert all(steps["rule"]) and not any(steps["trie"])
 
 
 def test_point_subspaces_match_oracle():
@@ -1002,33 +1002,39 @@ def _grid_systems():
     return out
 
 
-def test_grid_memo_counts_match_oracle_cold_and_warm():
-    # every pass here fits one block.  A trie-step pass reads its prefixes
-    # and their logs from the grid memo: built by the first (cold) pass, read
-    # by the second (warm) one, and the same either way.  A GEMM-step pass
-    # reads its points with its monomial matrix and leaves the grid memo empty
+def test_grid_memo_counts_match_oracle_cold_and_warm(monkeypatch):
+    # every pass here fits one block.  Each system by the step the rule
+    # picks, then with the rule's points bound at 0 (the trie step).  A
+    # trie-step pass reads its prefixes and their logs from the grid memo:
+    # built by the first (cold) pass, read by the second (warm) one, and the
+    # same either way.  A GEMM-step pass reads its points with its monomial
+    # matrix and leaves the grid memo empty
     memo = counting.GRIDS
     systems = _grid_systems()
     assert {(sy.field.q, sy.nvars) for sy in systems} == {(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)}
     assert any(counting._on_cone(sy) for sy in systems)
-    trie = 0
-    for system in systems:
-        cone = counting._on_cone(system)
-        key = (system.field.tables, system.nvars, cone)
-        want = oracle_count(system)
-        memo.clear()
-        assert walked(fast_count, system) == want
-        if counting._gemm_rule(*_pass_shape(system, cone)):
-            assert not memo.kept
+    trie = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(counting, "GEMM_POINTS", 0)
+        for system in systems:
+            cone = counting._on_cone(system)
+            key = (system.field.tables, system.nvars, cone)
+            want = oracle_count(system)
+            memo.clear()
+            assert walked(fast_count, system) == want
+            if counting._gemm_rule(*_pass_shape(system, cone)):
+                assert not memo.kept
+                assert len(walked(zero_points, system)) == want
+                continue
+            trie.append((forced, cone))
+            table = memo.kept[key]
+            assert not any(a.flags.writeable for a in table)
+            assert walked(fast_count, system) == want
+            assert memo.kept[key] is table
             assert len(walked(zero_points, system)) == want
-            continue
-        trie += 1
-        table = memo.kept[key]
-        assert not any(a.flags.writeable for a in table)
-        assert walked(fast_count, system) == want
-        assert memo.kept[key] is table
-        assert len(walked(zero_points, system)) == want
-    assert trie > 10 and any(counting._on_cone(sy) for sy in systems if not counting._gemm_rule(*_pass_shape(sy, True)))
+    # by the rule only the grid of F_5^6 (15,625 points) takes the trie step
+    assert trie.count((False, False)) == 1 and trie.count((True, True)) > 10 and len(trie) == len(systems) + 1
 
 
 def test_grid_memo_keeps_its_byte_bound(monkeypatch):
@@ -1036,7 +1042,7 @@ def test_grid_memo_keeps_its_byte_bound(monkeypatch):
     # counting.GRIDS.bound, a table read from the memo becomes the most
     # recently used, and a table past the bound on its own is not kept
     memo = counting.GRIDS
-    # trie-step passes: each has more than GEMM_POINTS points
+    monkeypatch.setattr(counting, "GEMM_POINTS", 0)  # every pass takes the trie step
     shapes = [(F, n) for F, ns in ((F3, (6, 7, 8, 9)), (F4, (5, 6, 7, 8)), (F2, (9, 10, 11, 12))) for n in ns]
 
     def count(F, n):
@@ -1181,6 +1187,40 @@ def test_kernel_memory_is_bounded():
     assert peak <= 4 * 10**6
 
 
+def test_exponents_past_q_are_lowered_before_the_kernel():
+    # x^e equals x^((e - 1) % (q - 1) + 1) on F_q, so the kernel counts a
+    # polynomial of total degree past n(q - 1) on its lowered form, of words
+    # of at most n(q - 1) letters (a word of length 10^6 once took seconds
+    # and hundreds of MB to plan, found by the input fuzzer); a sum that
+    # cancels on F_q (x^5 - x over F_3) vanishes everywhere.  By both steps,
+    # against the oracle
+    F5, F9 = build_field(5, 1), build_field(3, 2)
+    names = ["x1", "x2", "x3", "x4"]
+    cases = [
+        PolySystem([parse_poly("x1^2 + x2^2 - x3*x4", F5, names), parse_poly("x2^1048573 + 1", F5, names)]),
+        PolySystem([parse_poly("x3^1000001 + x1*x2 + 1", F3, names[:3])]),
+        PolySystem([parse_poly("x1^9 - x1 + x2^17*x3", F9, names[:3]), parse_poly("x3^10000 - x2", F9, names[:3])]),
+        PolySystem([parse_poly("x1^5 - x1", F3, names[:1])]),
+        PolySystem([parse_poly("x1^5 - x1", F3, names[:2]), parse_poly("x2^7 + x1 + 2", F3, names[:2])]),
+    ]
+    lowered = counting._as_function(cases[0].polys[1])
+    assert lowered.terms == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
+    assert counting._as_function(cases[0].polys[0]) is cases[0].polys[0]
+    within = parse_poly("x1^3 - x1", F3, names[:2])  # total degree 3 <= n(q - 1) = 4: kept as it is
+    assert counting._as_function(within) is within
+    assert counting._as_function(cases[3].polys[0]).terms == {(0,): 0}
+    assert counting._as_function(cases[4].polys[1]).terms == {(0, 1): 1, (1, 0): 1, (0, 0): 2}
+    for system in cases:
+        want = oracle_count(system)
+        assert walked(fast_count, system) == want
+        T, n = system.field.tables, system.nvars
+        polys = [counting._as_function(f) for f in system.polys]
+        gemm = np.concatenate(list(counting._gemm_chunks(T, n, polys, False, counting._lengths(polys))))
+        trie = np.concatenate(list(counting._trie_chunks(T, n, polys, False)))
+        assert gemm.tolist() == trie.tolist() and len(gemm) == want
+    assert oracle_count(cases[3]) == 3
+
+
 def test_plan_memo_is_bounded():
     # the memo keeps the last PLAN_MEMO plans, and the autouse fixture
     # empties it around every test
@@ -1242,8 +1282,9 @@ def _form(f):
 def _steps(system, cone):
     """One pass by each step, called directly past the rule: the zero
     indexes of the GEMM step and of the trie step."""
-    gemm = list(counting._gemm_chunks(system, cone, counting._lengths(system.polys)))
-    trie = list(counting._trie_chunks(system, cone))
+    T, n, polys = system.field.tables, system.nvars, system.polys
+    gemm = list(counting._gemm_chunks(T, n, polys, cone, counting._lengths(polys)))
+    trie = list(counting._trie_chunks(T, n, polys, cone))
     return np.concatenate(gemm), np.concatenate(trie)
 
 
@@ -1275,131 +1316,136 @@ def test_gemm_step_matches_trie_step_and_oracle(q, cone):
         assert walked(fast_count, system) == want
 
 
+def _one_variable(F, exponents):
+    """sum_e (1 + 7e) x^e over F in one variable, a word for each e."""
+    return PolySystem([MultiPoly(F, 1, {(e,): (1 + 7 * e) % F.p or 1 for e in exponents})])
+
+
+def _spied_steps(monkeypatch):
+    """The polynomials each later pass hands the GEMM step, as a list."""
+    calls, real = [], counting._gemm_chunks
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_gemm_chunks", spy)
+    return calls
+
+
 def test_step_rule_at_its_bounds(monkeypatch):
-    # over a prime field or F_{2^k}: F_256 in one variable is a pass of
-    # GEMM_POINTS points, and with four words (k^2 |W| points = GEMM_ENTRIES)
-    # it takes the GEMM step; F_257 in one variable is one point past the
-    # bound, and takes the trie step, as does a pass of GEMM_POINTS points
-    # with one word past GEMM_ENTRIES.  Over an odd-p extension field (the
-    # Zech regime): F_{61^2} in one variable, 3721 points, takes the GEMM step
-    # and F_{17^3}, 4913 points past ZECH_POINTS, the trie step; the grid of
-    # F_9^3 takes it with 67 words (k^2 |W| points = 195,372) and not with 68
-    # (198,288, past ZECH_ENTRIES = 196,608)
-    calls = []
-    real = counting._gemm_chunks
-
-    def spy(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(counting, "_gemm_chunks", spy)
-    assert counting._gemm_rule(counting.GEMM_POINTS, 1, 2, 1) and not counting._gemm_rule(counting.GEMM_POINTS + 1, 1, 2, 1)
-    assert counting._gemm_rule(counting.ZECH_POINTS, 1, 3, 2) and not counting._gemm_rule(counting.ZECH_POINTS + 1, 1, 3, 2)
-    F256, F257 = build_field(2, 8), build_field(257, 1)
-    at = PolySystem([MultiPoly(F256, 1, {(0,): F256.one, (1,): 3, (2,): 5, (257,): 7})])
-    past = PolySystem([MultiPoly(F257, 1, {(0,): 1, (1,): 3, (2,): 5, (257,): 7})])
-    assert _pass_shape(at, False) == (256, 4, 2, 8) and 8 * 8 * 4 * 256 == counting.GEMM_ENTRIES
-    assert _pass_shape(past, False)[0] == counting.GEMM_POINTS + 1
-    F2_8 = PolySystem([MultiPoly(F2, 8, {(1,) * 4 + (0,) * 4: 1, (0,) * 8: 1})])  # words of lengths 0 and 4: 1 + 330
-    assert _pass_shape(F2_8, False) == (256, 331, 2, 1) and 331 * 256 > counting.GEMM_ENTRIES
-    F61_2, F17_3, F9 = build_field(61, 2), build_field(17, 3), build_field(3, 2)
-    zech_at = PolySystem([MultiPoly(F61_2, 1, {(e,): 1 + 97 * e for e in range(13)})])
-    zech_past = PolySystem([MultiPoly(F17_3, 1, {(2,): 1})])
-    assert _pass_shape(zech_at, False) == (3721, 13, 61, 2) and _pass_shape(zech_past, False) == (4913, 1, 17, 3)
-    names = ["x1", "x2", "x3"]
-    grid_at = PolySystem([parse_poly("x1^6 + g*x2^5 + x2*x3^3 + x2", F9, names), parse_poly("x1^2*x2^4 - x3", F9, names)])
-    grid_past = PolySystem([grid_at.polys[0], parse_poly("x1^2*x2^4 - x3 + 1", F9, names)])
-    assert _pass_shape(grid_at, False) == (729, 28 + 21 + 15 + 3, 3, 2) and 4 * 67 * 729 <= counting.ZECH_ENTRIES
-    assert _pass_shape(grid_past, False) == (729, 68, 3, 2) and 4 * 68 * 729 > counting.ZECH_ENTRIES
-    cases = ((at, True), (past, False), (F2_8, False), (zech_at, True), (zech_past, False), (grid_at, True), (grid_past, False))
-    for system, gemm in cases:
+    # passes on both sides of each bound of the one rule, over a prime
+    # field, an F_{2^k} and an odd-p extension field, counted by the step
+    # the rule picks against the oracle, and within the rule by both steps.
+    # The exactness bound binds over prime fields alone: for k >= 2,
+    # k|W|(p - 1)^2 < k|W| points <= GEMM_ENTRIES / k, and for p = 2,
+    # k|W| <= GEMM_ENTRIES
+    calls = _spied_steps(monkeypatch)
+    rule, most, entries = counting._gemm_rule, counting.GEMM_POINTS, counting.GEMM_ENTRIES
+    assert rule(most, 1, 2, 1) and not rule(most + 1, 1, 2, 1)
+    names, F1024, F61_2 = [f"x{i + 1}" for i in range(7)], build_field(2, 10), build_field(61, 2)
+    cases = {
+        # points: F_4093 in one variable (4093 points, one word) and F_4099
+        # (4099); F_4^6 (4096 points) and the cone of F_4^7 (5464); F_{61^2}
+        # in one variable (3721 points) and F_{17^3} (4913)
+        "points, prime": (_one_variable(build_field(4093, 1), [2]), (4093, 1, 4093, 1), True),
+        "points past, prime": (_one_variable(build_field(4099, 1), [2]), (4099, 1, 4099, 1), False),
+        "points, F_4": (PolySystem([parse_poly("x1^2 + g*x6", F4, names[:6])]), (4096, 27, 2, 2), True),
+        "points past, F_4": (PolySystem([parse_poly(" + ".join(names), F4, names)]), (5464, 7, 2, 2), False),
+        "points, F_61^2": (_one_variable(F61_2, range(13)), (3721, 13, 61, 2), True),
+        "points past, F_17^3": (_one_variable(build_field(17, 3), [2]), (4913, 1, 17, 3), False),
+        # entries, k^2 |W| points: the grid of F_3^7 (2187 points) with
+        # lengths 0, 2 and 4 (239 words) and with 1 too (246); F_1024 in one
+        # variable with 5 words and with 6; F_{61^2} with 35 words and 36
+        "entries, prime": (PolySystem([parse_poly("x1^2*x2^2 + x3^2 + 1", F3, names)]), (2187, 239, 3, 1), True),
+        "entries past, prime": (PolySystem([parse_poly("x1^2*x2^2 + x3^2 + x4 + 1", F3, names)]), (2187, 246, 3, 1), False),
+        "entries, F_1024": (_one_variable(F1024, range(5)), (1024, 5, 2, 10), True),
+        "entries past, F_1024": (_one_variable(F1024, range(6)), (1024, 6, 2, 10), False),
+        "entries, F_61^2": (_one_variable(F61_2, range(35)), (3721, 35, 61, 2), True),
+        "entries past, F_61^2": (_one_variable(F61_2, range(36)), (3721, 36, 61, 2), False),
+        # exactness, k|W|(p - 1)^2: F_257 in one variable with 255 words
+        # (16,711,680) and with 256 (2^24)
+        "exact, prime": (_one_variable(build_field(257, 1), range(255)), (257, 255, 257, 1), True),
+        "exact past, prime": (_one_variable(build_field(257, 1), range(256)), (257, 256, 257, 1), False),
+    }
+    for name, (system, shape, gemm) in cases.items():
+        points, words, p, k = shape
+        assert _pass_shape(system, counting._on_cone(system)) == shape, name
+        assert rule(*shape) == gemm == (points <= most and k * k * words * points <= entries and k * words * (p - 1) ** 2 < counting.GEMM_EXACT), name
         calls.clear()
-        assert walked(fast_count, system) == oracle_count(system)
-        assert calls == ([system] if gemm else [])
+        assert walked(fast_count, system) == oracle_count(system), name
+        assert len(calls) == gemm, name
         if gemm:
-            by_gemm, by_trie = _steps(system, False)
-            assert by_gemm.tolist() == by_trie.tolist()
+            by_gemm, by_trie = _steps(system, counting._on_cone(system))
+            assert by_gemm.tolist() == by_trie.tolist(), name
+    assert 4 * 35 * 3721 <= entries < 4 * 36 * 3721 and 100 * 5 * 1024 <= entries < 100 * 6 * 1024
+    assert 239 * 2187 <= entries < 246 * 2187 and 255 * 256**2 < counting.GEMM_EXACT <= 256 * 256**2
 
 
-def test_small_field_passes_keep_their_step(monkeypatch):
-    # over F_2, F_3, F_4 and F_5 a pass takes the step it took before the
-    # Zech regime had its own bounds: the GEMM step exactly when it has at
-    # most 256 points and k^2 |W| points <= 2^16.  Checked by the rule for
-    # every grid and cone of n <= 7 and every set of term lengths within
-    # 0 .. 5, and by the step each count takes on the first 100 corpus
-    # systems and their leading and homogenized systems
-    def before(points, words, p, k):
-        return points <= 256 and k * k * words * points <= 1 << 16
-
-    fields = [build_field(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1))]
-    for F in fields:
-        for n in range(1, 8):
-            for cone in (False, True):
-                points = F.q * sum(map(len, counting._prefix_ranges(F.q, n, cone)))
-                for r in range(1, 7):
-                    for lengths in combinations(range(6), r):
-                        words = sum(math.comb(n + l - 1, l) for l in lengths)
-                        assert counting._gemm_rule(points, words, F.p, F.k) == before(points, words, F.p, F.k)
-    calls = []
-    real = counting._gemm_chunks
-
-    def spy(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(counting, "_gemm_chunks", spy)
-    steps = set()
-    for i in range(100):
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_corpus_pass_shapes_by_both_steps_match_oracle(q, monkeypatch):
+    # every (q, n, grid or cone, term lengths) pass shape that `corpus-sweep`
+    # reaches: the grids of the corpus systems, and the passes of fast_count
+    # on them and on their leading and homogenized systems (n <= 6), found
+    # among the first 3,000 corpus systems at seed 0, which draw every
+    # corpus shape.  Each is within the rule, and one system of each is
+    # counted by the GEMM step and the trie step, called directly past the
+    # rule, to the same ascending zeros, and by the oracle to the same count
+    calls = _spied_steps(monkeypatch)
+    shapes = {}
+    for i in range(3000):
         system = corpus_system(0, i)
-        assert system.field in fields
-        for sy in (system, system.leading_system(), system.homogenized_system()):
-            calls.clear()
-            walked(fast_count, sy)
-            steps.add(bool(calls))
-            assert bool(calls) == before(*_pass_shape(sy, counting._on_cone(sy))), sy
-    assert steps == {False, True}
+        if system.field.q != q:
+            continue
+        passes = [(system, False)] + [(sy, counting._on_cone(sy)) for sy in (system, system.leading_system(), system.homogenized_system())]
+        for sy, cone in passes:
+            shapes.setdefault((sy.nvars, cone, counting._lengths(sy.polys)), (sy, cone))
+    assert {n for n, _, _ in shapes} == set(range(2, 7)) and len(shapes) > 20
+    for (n, cone, lengths), (system, _) in sorted(shapes.items()):
+        assert counting._gemm_rule(*_pass_shape(system, cone)), (n, cone, lengths)
+        gemm, trie = _steps(system, cone)
+        assert gemm.tolist() == trie.tolist() and (np.diff(gemm) > 0).all()
+        want = oracle_count(system)
+        axis = int(np.count_nonzero(gemm < q)) if cone else len(gemm)
+        assert axis + (q - 1) * (len(gemm) - axis) == want
+        calls.clear()
+        assert (walked(fast_count, system) if cone else len(walked(zero_points, system))) == want
+        assert len(calls) == 1
 
 
 def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
-    # the rule bounds k|W|(p - 1)^2, the largest partial sum of the product,
-    # below GEMM_EXACT = 2^24 for every field it can meet in either regime
-    # (q <= points); the largest it admits over a prime field or F_{2^k} is
-    # F_251 in one variable with 261 words, every length from 0 to 260, and
-    # in the Zech regime F_{59^2} in one variable with 14 words, every length
-    # from 0 to 13; the GEMM step counts both exactly
+    # the rule keeps k|W|(p - 1)^2, the largest partial sum of the product,
+    # below GEMM_EXACT = 2^24 for every field it can meet (q <= points); the
+    # largest it admits is 12,945 * 36^2 at F_37 in one variable with
+    # 12,945 words, and over an extension field 2 * 35 * 60^2 at F_{61^2} in one
+    # variable with 35 words.  The GEMM step counts exactly F_257 with 255
+    # words, the largest there with exponents below q, and F_{61^2} with 35
     from cwlab.fields import is_prime
 
     worst = {}
-    for q in range(2, counting.ZECH_POINTS + 1):
+    for q in range(2, counting.GEMM_POINTS + 1):
         p = next(d for d in range(2, q + 1) if q % d == 0)
         k = round(math.log(q, p))
         if not is_prime(p) or p**k != q:
             continue
-        zech = p > 2 and k > 1
-        most, entries = (counting.ZECH_POINTS, counting.ZECH_ENTRIES) if zech else (counting.GEMM_POINTS, counting.GEMM_ENTRIES)
-        for points in range(q, most + 1, q):
-            words = entries // (k * k * points)
+        for points in range(q, counting.GEMM_POINTS + 1, q):
+            words = min(counting.GEMM_ENTRIES // (k * k * points), -(-counting.GEMM_EXACT // (k * (p - 1) ** 2)) - 1)
             assert not counting._gemm_rule(points, words + 1, p, k)
             if words:
                 assert counting._gemm_rule(points, words, p, k)
                 assert k * words * (p - 1) ** 2 < counting.GEMM_EXACT
-                worst[zech] = max(worst.get(zech, (0, None)), (k * words * (p - 1) ** 2, (p, k, words)))
-    assert worst == {False: (261 * 250**2, (251, 1, 261)), True: (2 * 14 * 58**2, (59, 2, 14))}
-    F = build_field(251, 1)
-    f = MultiPoly(F, 1, {(e,): 250 - e % 7 for e in range(261)})
-    K = build_field(59, 2)
-    x = MultiPoly.variable(K, 1, 0)
-    g = math.prod((x - MultiPoly.constant(K, 1, 41 * a + 5) for a in range(13)), start=MultiPoly.constant(K, 1, K.one))
-    assert len(g.terms) == 14
-    for h in (f, g):
-        system = PolySystem([h])
+                worst[k > 1] = max(worst.get(k > 1, (0, None)), (k * words * (p - 1) ** 2, (p, k, words)))
+    assert worst == {False: (12945 * 36**2, (37, 1, 12945)), True: (2 * 35 * 60**2, (61, 2, 35))}
+    for system in (_one_variable(build_field(257, 1), range(255)), _one_variable(build_field(61, 2), range(35))):
+        F, (f,) = system.field, system.polys
         assert counting._gemm_rule(*_pass_shape(system, False))
         gemm, trie = _steps(system, False)
-        assert gemm.tolist() == trie.tolist() == [x for x in range(h.field.q) if h.evaluate((x,)) == 0]
-    assert len(gemm) == 13
+        assert gemm.tolist() == trie.tolist() == [x for x in range(F.q) if f.evaluate((x,)) == 0]
     # the matrix's builder asserts the bound itself: at p = 251, 268 words
     # keep k|W|(p - 1)^2 below 2^24 and 269 do not
-    grid = lambda: counting._pass_points(F.tables, 1, False)
-    assert counting._monomials(F.tables, 1, False, tuple(range(268)), grid)[0].shape == (268, 251)
+    F = build_field(251, 1)
+    logs = lambda: F.tables.log.take(np.arange(251)[None])
+    blocks, rows = counting._monomials(F.tables, 1, False, tuple(range(268)), logs)
+    assert len(rows) == len(blocks) == 268 and {b.shape for b in blocks} == {(1, 251)}
     with pytest.raises(AssertionError):
-        counting._monomials(F.tables, 1, False, tuple(range(269)), grid)
+        counting._monomials(F.tables, 1, False, tuple(range(269)), logs)

@@ -140,6 +140,19 @@ def test_linear_factor_rejects_negative_trials():
     assert linear_factor_test(f, 1, trials=0).error_bound == 1
 
 
+def test_linear_factor_trials_are_capped():
+    # the error bound of MAX_TRIALS trials over the largest field prints as
+    # JSON; one trial past the cap (10,000 trials, found by the input
+    # fuzzer, made a bound too long to print) is a budget error, raised
+    # before the lift
+    f = parse_poly("x1^2 + x2^2 - x3*x4", build_field(5, 1), ["x1", "x2", "x3", "x4"])
+    verdict = linear_factor_test(parse_poly("x1*x2", build_field(2, 10), ["x1", "x2"]), 2, trials=geometry.MAX_TRIALS)
+    assert verdict.found and len(verdict.to_dict()["error_bound"]) < 4300
+    for trials in (geometry.MAX_TRIALS + 1, 10_000, 10**18):
+        with pytest.raises(BudgetExceeded):
+            linear_factor_test(f, 1, trials=trials)
+
+
 def test_lift_to_the_field_itself_is_the_form():
     f = norm_form(F3, 2)
     lifted, K = _lift_poly(f, 1)
@@ -389,7 +402,7 @@ def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
     # directly past the rule, and f point by point along each line; then
     # the cone pass of each form, and the grid pass of the two as a system,
     # in two and three variables, by both steps and point by point, where
-    # the pass has at most ZECH_POINTS points
+    # the pass has at most GEMM_POINTS points
     K = build_field(p, k)
     T, Q, n = K.tables, K.q, 3
     families = tuple((K, n, j, s, scaled) for j in range(n - 1) for s in range(n - 1 - j) for scaled in (False, True))
@@ -397,8 +410,8 @@ def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
     for f in _zech_forms(K, n):
         lengths = counting._lengths([f])
         assert lengths == (int(f.total_degree),)
-        lines_at = lambda: (None, geometry._line_logs(families))
-        gemm = counting._gemm_zeros([f], T, *counting._monomials(T, n, families, lengths, lines_at)[:2])
+        lines_at = lambda: geometry._line_logs(families)
+        gemm = counting._gemm_zeros([f], T, *counting._monomials(T, n, families, lengths, lines_at))
         trie = counting._evaluate(*counting._compiled(f, T), geometry._line_logs(families), T)[0] == 0
         assert gemm.tolist() == trie.tolist() and gemm.any()
         masks = np.split(gemm.reshape(-1, Q), np.cumsum([len(U) for _, U in lines])[:-1])
@@ -411,13 +424,13 @@ def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
     for n in (2, 3):
         forms = _zech_forms(K, n)
         for system, cone in [(PolySystem([f]), True) for f in forms] + [(PolySystem(forms), False)]:
-            if Q * sum(map(len, counting._prefix_ranges(Q, n, cone))) > counting.ZECH_POINTS:
+            if Q * sum(map(len, counting._prefix_ranges(Q, n, cone))) > counting.GEMM_POINTS:
                 continue
             passes += 1
             lengths = counting._lengths(system.polys)
-            points = counting._monomials(T, n, cone, lengths, lambda: counting._pass_points(T, n, cone))[2]
-            gemm = np.concatenate(list(counting._gemm_chunks(system, cone, lengths)))
-            trie = np.concatenate(list(counting._trie_chunks(system, cone)))
+            points = counting._pass_points(T, n, cone)
+            gemm = np.concatenate(list(counting._gemm_chunks(T, n, system.polys, cone, lengths)))
+            trie = np.concatenate(list(counting._trie_chunks(T, n, system.polys, cone)))
             assert gemm.tolist() == trie.tolist()
             coords = counting._coordinates(points, Q, n).T.tolist()
             assert gemm.tolist() == [x for x, pt in zip(points.tolist(), coords) if all(g.evaluate(pt) == 0 for g in system.polys)]
@@ -437,7 +450,7 @@ def test_candidates_take_one_evaluation(monkeypatch):
         return evaluate(plan, shifts, logs, T)
 
     def multiplied(polys, T, M, rows):
-        calls.append(M.shape[1])
+        calls.append(M[0].shape[1])
         return gemm_zeros(polys, T, M, rows)
 
     def recorded(fK, families):

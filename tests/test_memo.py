@@ -1,9 +1,11 @@
 """The bounded memo against an OrderedDict model, and the caches kept in it."""
 
+import math
 import tracemalloc
 from collections import OrderedDict
 from random import Random
 
+import numpy as np
 import pytest
 
 from cwlab import counting, fields, laws
@@ -105,33 +107,58 @@ def test_memo_counters_on_a_small_run():
 
 
 def test_monomial_matrices_are_a_registered_memo():
-    # the GEMM step's matrices: one miss builds a shape's matrix, and a
-    # second system of the same shape and term lengths reads it
+    # the GEMM step's matrices: the first pass of a shape misses its points
+    # and its block of each term length, and a second system of the same
+    # shape and term lengths reads them all
     memo = counting.MONOMIALS
     assert id(memo) in {id(m) for m in MEMOS}
     F = build_field(3, 1)
     for text in ("x1^2 + x2 + 1", "2*x1*x2 + x1 + 2"):
         counting.WALKS.clear()
         fast_count(PolySystem([parse_poly(text, F, ["x1", "x2"])]))
-    assert (memo.hits, memo.misses, memo.evictions) == (1, 1, 0)
-    assert list(memo.kept) == [(F.tables, 2, False, (0, 1, 2))]
+    assert (memo.hits, memo.misses, memo.evictions) == (4, 4, 0)
+    assert list(memo.kept) == [(F.tables, 2, False)] + [(F.tables, 2, False, l) for l in (0, 1, 2)]
+
+
+def test_passes_share_the_blocks_of_their_common_lengths():
+    # two passes whose term lengths share a length share its block: one
+    # miss, then a hit.  Every block holds F_p digits, each below p, in the
+    # narrowest unsigned type, (k * words, points) in shape
+    memo = counting.MONOMIALS
+    for F, n, dtype in ((build_field(3, 2), 3, np.uint8), (build_field(257, 1), 1, np.uint16)):
+        memo.clear()
+        names = ["x1", "x2", "x3"][:n]
+        for text in ("x1^2 + x1 + 1", f"x1*{names[-1]}^2 + x1^2"):
+            counting.WALKS.clear()
+            fast_count(PolySystem([parse_poly(text, F, names)]))
+        # points and lengths 0, 1, 2 built; then the points and length 2 read, 3 built
+        assert (memo.misses, memo.hits) == (5, 2)
+        T, top = F.tables, 0
+        assert sorted(key[3:] for key in memo.kept) == [(), (0,), (1,), (2,), (3,)]
+        for l in range(4):
+            block = memo.kept[(T, n, False, l)]
+            assert block.dtype == dtype and not block.flags.writeable
+            assert block.shape == (F.k * math.comb(n + l - 1, l), F.q**n)
+            top = max(top, int(block.max()))
+        assert top == F.p - 1
 
 
 def test_monomial_hit_builds_no_point_set():
-    # the point set is built on a miss alone: a hit on the same key reads
-    # the kept matrices and never calls for the points or their logs
+    # the point set's logs are built on a miss alone: a hit on the same key
+    # reads the kept blocks and never calls for them
     T, calls = build_field(3, 1).tables, []
 
     def grid():
         calls.append(1)
-        return counting._pass_points(T, 2, False)
+        return T.log.take(counting._coordinates(counting._pass_points(T, 2, False), 3, 2))
 
     def refused():
         raise AssertionError("a hit built the point set")
 
     counting.MONOMIALS.clear()
-    first = counting._monomials(T, 2, False, (0, 1, 2), grid)
-    assert counting._monomials(T, 2, False, (0, 1, 2), refused) is first
+    first, rows = counting._monomials(T, 2, False, (0, 1, 2), grid)
+    again, same = counting._monomials(T, 2, False, (0, 1, 2), refused)
+    assert all(a is b for a, b in zip(first, again, strict=True)) and same is rows
     assert len(calls) == 1
 
 

@@ -281,6 +281,25 @@ def test_subspace_dim_matches_span_only_rule(data):
     assert subspace_dim(F, Z) == (dim if len(Z) == q**dim else None)
 
 
+def test_subspace_dim_matches_greedy_span_on_corpus_zero_sets():
+    # verdict and dimension against the greedy-span reference on the zero
+    # sets of 3,000 corpus systems at each of four seeds, where the lower
+    # bounds read it
+    from cwlab.constructions import corpus_system
+    from cwlab.counting import zero_points
+    from references import subspace_dim_by_greedy_span
+
+    verdicts = {True: 0, False: 0}
+    for seed in (0, 1, 7, 2**40 + 7):
+        for i in range(3000):
+            system = corpus_system(seed, i)
+            Z = zero_points(system)
+            dim = subspace_dim(system.field, Z)
+            assert dim == subspace_dim_by_greedy_span(system.field, Z), (seed, i)
+            verdicts[dim is not None] += 1
+    assert min(verdicts.values()) > 1000
+
+
 def test_linear_subspace_roundtrip_sweep():
     for F in (F2, F3, F4):
         for n in (1, 2, 3):
