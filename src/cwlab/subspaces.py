@@ -162,10 +162,10 @@ class PointSet:
         return f"PointSet(|S|={len(self.points)}, ambient={self.ambient}, q={self.field.q})"
 
 
-def _greedy_span(F: FieldSpec, pts: np.ndarray, cap: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Up to cap (n by default) independent rows of the direction space of
-    the span of pts, an (N, n) array in sorted order, and the indexes of
-    the points that give them, the first included: in general position.
+def _greedy_span(F: FieldSpec, pts: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """A basis of the direction space of the span of pts, an (N, n) array
+    in sorted order, and the indexes of the points that give it, the first
+    included: in general position.
     One greedy pass, at most n + 1 array steps (README); EmptySet for no
     points."""
     if not len(pts):
@@ -174,7 +174,7 @@ def _greedy_span(F: FieldSpec, pts: np.ndarray, cap: int | None = None) -> tuple
     D = T.add(pts[1:], T.neg(pts[0]))
     chosen = [0]
     rows: list[list[int]] = []
-    while len(rows) < (pts.shape[1] if cap is None else cap):
+    while len(rows) < pts.shape[1]:
         hit = np.flatnonzero(D.any(axis=1))
         if not len(hit):
             break

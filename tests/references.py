@@ -144,7 +144,7 @@ def system_key(system):
 
 def subspace_dim_by_greedy_span(F, pts):
     """`subspaces.subspace_dim` by the greedy span: N = q^m and the span of
-    pts has dimension m (at most m + 1 rows are looked for)."""
+    pts has dimension m."""
     from cwlab.subspaces import _greedy_span
 
     N, m = len(pts), 0
@@ -152,4 +152,4 @@ def subspace_dim_by_greedy_span(F, pts):
         m += 1
     if F.q**m != N:
         return None
-    return m if len(_greedy_span(F, pts, m + 1)[0]) == m else None
+    return m if len(_greedy_span(F, pts)[0]) == m else None
