@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbientMismatch, BudgetExceeded, CwlabError, InvalidArgument, ZeroPolynomial
-from .fields import FieldSpec, FieldTables, build_field, embed_subfield
+from .fields import FLOAT32_EXACT, FieldSpec, FieldTables, build_field, embed_subfield
 from .memo import Memo
 from .polynomials import MultiPoly, PolySystem, restrict_to_subspace
 from .subspaces import AffineSubspace
@@ -335,11 +335,7 @@ GEMM_POINTS = 1 << 12
 # most GEMM_ENTRIES / k bytes for p <= 256 (two bytes a digit past it), and
 # its float32 copy at the product four bytes a digit
 GEMM_ENTRIES = 1 << 19
-# a partial sum of the product is at most k|W|(p - 1)^2, which float32 holds
-# exactly below 2^24 in any blocking or thread split.  It binds over prime
-# fields alone: for k >= 2, k|W|(p - 1)^2 < k|W| points <= GEMM_ENTRIES / k,
-# and for p = 2, k|W| <= GEMM_ENTRIES; `_monomials` asserts it
-GEMM_EXACT = 1 << 24
+# exactness: k|W|(p - 1)^2 < FLOAT32_EXACT, implied by the bounds above unless q is an odd prime
 
 # bytes of the GEMM step's M' blocks and pass points (see `_monomials`); a
 # block holds at most 2^20 bytes (2-byte digits, p > 256); `corpus-sweep`
@@ -350,7 +346,7 @@ MONOMIALS = Memo(1 << 21)
 def _gemm_rule(points: int, words: int, p: int, k: int) -> bool:
     """Whether a pass of this many points over F_{p^k}, of this many words,
     takes the GEMM step."""
-    return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES and k * words * (p - 1) ** 2 < GEMM_EXACT
+    return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES and k * words * (p - 1) ** 2 < FLOAT32_EXACT
 
 
 def _lengths(polys: Sequence[MultiPoly]) -> tuple[int, ...]:
@@ -427,10 +423,9 @@ def _monomials(
     coordinate logs (n, points).  M' is one read-only block per length, in
     MONOMIALS under (T, n, where, length), built EVAL_BYTES at a time:
     M'[(w, a), x] is the F_p-digit a of word w at the set's point x, in the
-    narrowest unsigned type; rows is `_word_rows`.  Asserts GEMM_EXACT."""
+    narrowest unsigned type; rows is `_word_rows`."""
     F = T.field
     rows = _word_rows(n, lengths)
-    assert F.k * len(rows) * (F.p - 1) ** 2 < GEMM_EXACT, f"{F.k} * {len(rows)} * ({F.p} - 1)^2 is past the exact float32 range"
     blocks, logs = [], None
     for l in lengths:
         block = MONOMIALS.get((T, n, where, l))
@@ -449,9 +444,9 @@ def _monomials(
 
 def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: list[np.ndarray], rows: dict) -> np.ndarray:
     """Whether every polynomial of polys vanishes at each point of M'
-    (`_monomials`): one product C M' read mod p, M' its blocks joined in
-    float32, with C[(i, b), (w, a)] the digit b of c * g^a, c the
-    coefficient of w in f_i; a zero reads 0 in all rk rows."""
+    (`_monomials`): one `FieldTables.product` C M' of F_p digits, with
+    C[(i, b), (w, a)] the digit b of c * g^a, c the coefficient of w in
+    f_i; a zero reads 0 in all rk rows."""
     p, k = T.field.p, T.field.k
     r, W = len(polys), len(rows)
     coeffs = [0] * (r * W)
@@ -459,13 +454,10 @@ def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: list[np.ndarray],
         for exps, c in f.terms.items():
             coeffs[i * W + rows[exps]] = c
     if k == 1:
-        C = np.array(coeffs, dtype=np.float32).reshape(r, W)
+        C = np.array(coeffs, dtype=np.min_scalar_type(p - 1)).reshape(r, W)
     else:  # [i, w, a, b] -> [(i, b), (w, a)]
-        C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2)
-        C = C.reshape(r * k, W * k).astype(np.float32)
-    R = (C @ np.concatenate(M, dtype=np.float32)).astype(np.int32)
-    R %= p
-    return R.sum(axis=0) == 0
+        C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2).reshape(r * k, W * k)
+    return T.product(C, M, k * W * (p - 1) ** 2).sum(axis=0) == 0
 
 
 def _gemm_chunks(T: FieldTables, n: int, polys: Sequence[MultiPoly], cone: bool, lengths: tuple) -> Iterator[np.ndarray]:
@@ -647,7 +639,7 @@ def point_digits(Z: np.ndarray, F: FieldSpec) -> np.ndarray:
     return np.ascontiguousarray(X.reshape(len(Z), Z.shape[1] * F.k).T, dtype=np.float64)
 
 
-def _packing(F: FieldSpec, m: int, f: int) -> tuple[int, np.ndarray, np.ndarray | None]:
+def _packing(F: FieldSpec, m: int, f: int) -> tuple[int, np.ndarray, np.ndarray | None, int]:
     """`FieldTables.readout` for the fk offset digits of a space of
     dimension m, each below b = (p - 1)(1 + mk(p - 1)) + 1 before mod p."""
     p, k = F.p, F.k
@@ -665,7 +657,7 @@ def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: Fie
     n = m + f
     if f == 0:
         return np.zeros((0, n * k))
-    _, W, _ = _packing(F, m, f)
+    _, W, _, _ = _packing(F, m, f)
     G = W.shape[1]
     rows = np.arange(B)[:, None]
     pivots = np.asarray(pivots, dtype=np.intp)
@@ -676,7 +668,7 @@ def coset_matrix(pivots: Sequence[int] | np.ndarray, entries: np.ndarray, F: Fie
     if m:
         # [b, r, j, a, c] -> [b, r, a, (j, c)]
         mm = T.mul_matrices[T.neg(entries)].transpose(0, 1, 3, 2, 4)
-        M[rows, :, pivots] = (mm.reshape(B, m, k, f * k) @ W).transpose(0, 1, 3, 2)
+        M[rows, :, pivots] = (mm.reshape(B, m, k, f * k) @ W).transpose(0, 1, 3, 2)  # int64: BLAS does not speed tiny batches
     return M.reshape(B * G, n * k)
 
 
@@ -691,24 +683,21 @@ def coset_ids(
     direction spaces of dimension m: a (B, |Z|) array, each row in
     `parallel_class` order.  pivots is (B, m) or one shared tuple, entries
     as `basis_entries` gives them, matrix their `coset_matrix` (built if
-    None).  One exact float64 product M' X (its packed values below
-    `FieldTables.exact_cap`) and one read-out `take` (README)."""
-    p = F.p
+    None).  One exact float64 `FieldTables.product` M' X, reduced mod p
+    past the read-out cap, and one read-out `take` (README)."""
     B, m, f = entries.shape
     if f == 0:
         return np.zeros((B, X.shape[1]), dtype=np.intp)
     if matrix is None:
         matrix = coset_matrix(pivots, entries, F)
-    g, W, table = _packing(F, m, f)
+    g, W, table, bound = _packing(F, m, f)
     G = W.shape[1]
-    R = (matrix @ X).astype(np.intp).reshape(B, G, X.shape[1])
+    R = F.tables.product(matrix, [X], bound, reduce=table is None).reshape(B, G, X.shape[1])
     R = R.transpose(1, 0, 2)  # [group, b, point]
-    if table is None:
-        R -= R // p * p  # R %= p, by a scalar division, which numpy does faster
     digits = R if table is None else table.take(R)
     ids = digits[0]
     for d in digits[1:]:
-        ids = ids * np.int64(p**g) + d
+        ids = ids * np.int64(F.p**g) + d
     return ids
 
 

@@ -21,6 +21,8 @@ from .memo import Memo
 # the largest field; p >= 2, so a degree k > 20 is past it
 FIELD_SIZE_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16  # largest q whose scalar tables are Python lists
+FLOAT32_EXACT = 1 << 24  # `FieldTables.product`'s exact ranges: float32 holds every
+FLOAT64_EXACT = 1 << 53  # integer up to 2^24, and float64 every one up to 2^53
 
 
 def is_prime(n: int) -> bool:
@@ -359,7 +361,7 @@ class FieldTables:
         self._place = F.p ** np.arange(F.k - 1, -1, -1)  # index of the basis element g^a
         self._mul_matrices: np.ndarray | None = None
         self._readouts: dict[int, np.ndarray] = {}
-        self._packings: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray | None]] = {}
+        self._packings: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray | None, int]] = {}
         self._bundle: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._zech_table: np.ndarray | None = None
 
@@ -493,20 +495,29 @@ class FieldTables:
             self._mul_matrices = table.reshape(self.q, F.k, F.k).astype(np.min_scalar_type(F.p - 1))
         return self._mul_matrices
 
-    readout_cap = 1 << 12  # entries of one read-out table
-    # a packed group is below b^g <= readout_cap, or below b past it, and is a
-    # float64 product of non-negative integers: exact while b <= 2^53, which
-    # `readout` asserts (the field and point caps keep b below 2^30)
-    exact_cap = 1 << 53
+    def product(self, A: np.ndarray, B: list[np.ndarray], bound: int, reduce: bool = True) -> np.ndarray:
+        """A @ B of non-negative integers, B as its row blocks, exactly for partial sums
+        at most bound < FLOAT64_EXACT (README's exact products); reduced mod p if reduce."""
+        narrow = bound < FLOAT32_EXACT and np.result_type(A, *B, np.float32) == np.float32
+        assert narrow or bound < FLOAT64_EXACT, f"partial sums up to {bound} are past the exact float64 range"
+        real = np.float32 if narrow else np.float64
+        joined = np.concatenate(B, dtype=real) if len(B) > 1 else B[0].astype(real, copy=False)
+        R = (A.astype(real, copy=False) @ joined).astype(np.int32 if narrow else np.intp)
+        if reduce:
+            R -= R // self.field.p * self.field.p  # R %= p, by the scalar division numpy does faster
+        return R
 
-    def readout(self, radix: int, digits: int) -> tuple[int, np.ndarray, np.ndarray | None]:
-        """(g, W, table) packing a row of digits integers below radix b, g to
-        an integer (b^g <= readout_cap): W (digits, G) weights digit s by
-        b^(g - 1 - (s + pad) % g) in group (s + pad) // g, the first group
-        short; table[v] reads v's base-b digits mod p as one base-p number
-        (None, g = 1, past the cap).  Asserts b <= exact_cap."""
+    readout_cap = 1 << 12  # entries of one read-out table
+
+    def readout(self, radix: int, digits: int) -> tuple[int, np.ndarray, np.ndarray | None, int]:
+        """(g, W, table, bound) packing a row of digits integers below radix
+        b, g to an integer (b^g <= readout_cap): W (digits, G) weights digit
+        s by b^(g - 1 - (s + pad) % g) in group (s + pad) // g, the first
+        group short; table[v] reads v's base-b digits mod p as one base-p
+        number (None, g = 1, past the cap); a packed value is at most bound =
+        b^g - 1.  Asserts b <= FLOAT64_EXACT."""
         if (radix, digits) not in self._packings:
-            assert radix <= self.exact_cap, f"radix {radix} is past the exact float64 range"
+            assert radix <= FLOAT64_EXACT, f"radix {radix} is past the exact float64 range"
             p, g = self.field.p, 0
             while g < digits and radix ** (g + 1) <= self.readout_cap:
                 g += 1
@@ -521,9 +532,9 @@ class FieldTables:
             g = max(g, 1)
             G = -(-digits // g)
             s = np.arange(digits) + G * g - digits
-            W = np.zeros((digits, G))
+            W = np.zeros((digits, G), dtype=np.int64)
             W[np.arange(digits), s // g] = radix ** (g - 1 - s % g)
-            self._packings[radix, digits] = (g, W, table)
+            self._packings[radix, digits] = (g, W, table, radix**g - 1)
         return self._packings[radix, digits]
 
 

@@ -298,8 +298,8 @@ def _line_masks(fK: MultiPoly, families: tuple) -> list[np.ndarray]:
 def _tail_map(K: FieldSpec, P: int, rows: tuple, interpolate: bool) -> tuple[tuple, np.ndarray, np.ndarray]:
     """(basis, tests, M), read-only: B the first independent probe rows
     (completed by axis rows; I without interpolate), S the rest, and M the
-    F_p-matrix from r's digits to those of [B^-1; S B^-1] r, exact in float64
-    (each partial sum <= Pk(p - 1)^2)."""
+    F_p-matrix from r's digits to those of [B^-1; S B^-1] r (each partial
+    sum of a product by it at most Pk(p - 1)^2)."""
     eye = [[K.one if a == b else 0 for b in range(P)] for a in range(P)]
     basis = rref(K, zip(*rows))[1] if interpolate else ()
     B = [rows[i] for i in basis]
@@ -308,7 +308,7 @@ def _tail_map(K: FieldSpec, P: int, rows: tuple, interpolate: bool) -> tuple[tup
     tests = np.array([i for i in range(len(rows)) if i not in basis], dtype=np.intp)
     A = inv + [[reduce(K.add, (K.mul(s, row[b]) for s, row in zip(rows[i], inv)), 0) for b in range(P)] for i in tests]
     blocks = K.tables.digits(K.tables.mul(np.array(A)[:, :, None], K.p ** np.arange(K.k - 1, -1, -1)))
-    M = blocks.transpose(1, 2, 0, 3).reshape(P * K.k, len(A) * K.k).astype(np.float64)
+    M = blocks.transpose(1, 2, 0, 3).reshape(P * K.k, len(A) * K.k)
     M.flags.writeable = tests.flags.writeable = False
     return basis, tests, M
 
@@ -339,8 +339,8 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
             for lo in range(0, total, CHUNK):
                 at = np.unravel_index(np.arange(lo, min(total, lo + CHUNK)), [len(r) for r in roots])
                 R = np.stack([r[i] for r, i in zip(roots, at)], axis=1)
-                V = (K.tables.digits(R).reshape(len(R), -1) @ A).astype(np.intp)
-                V = (V - V // p * p).reshape(len(R), -1, K.k) @ p ** np.arange(K.k - 1, -1, -1)
+                V = K.tables.product(K.tables.digits(R).reshape(len(R), -1), [A], P * K.k * (p - 1) ** 2)
+                V = V.reshape(len(R), -1, K.k) @ p ** np.arange(K.k - 1, -1, -1)
                 tails = V[M[np.arange(len(M)), V[:, P:]].all(axis=1), :P]
                 for tail in (tails[np.lexsort(tails.T[::-1])] if basis else tails).tolist():
                     yield (0,) * j + (K.one,) + tuple(tail)

@@ -398,12 +398,12 @@ class _Lexer:
                 self.tokens.append(("-", "-", i))
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # ASCII alone: int() rejects some other isdigit() characters
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 if j < n and text[j] == ":":
-                    while j < n and (text[j].isdigit() or text[j] == ":"):
+                    while j < n and ("0" <= text[j] <= "9" or text[j] == ":"):
                         j += 1
                     self.tokens.append(("elem", text[i:j], i))
                 else:

@@ -23,7 +23,7 @@ from cwlab.counting import (
 )
 from cwlab.constructions import corpus_system, norm_form, random_system
 from cwlab.errors import AmbientMismatch, BudgetExceeded, InvalidArgument
-from cwlab.fields import FieldTables, build_field
+from cwlab.fields import FLOAT32_EXACT, FLOAT64_EXACT, build_field
 from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
 from cwlab.subspaces import AffineSubspace
 from references import full_space, homogenize, leading_form
@@ -298,7 +298,7 @@ def _int64_coset_ids(Z, pivots, entries, F):
     n = m + f
     if f == 0:
         return np.zeros((0, n * k), dtype=np.int64), np.zeros((B, len(Z)), dtype=np.int64)
-    g, W, table = _packing(F, m, f)
+    g, W, table, _ = _packing(F, m, f)
     W = W.astype(np.int64)
     G = W.shape[1]
     rows = np.arange(B)[:, None]
@@ -369,7 +369,8 @@ def test_float64_product_bound_holds_at_the_caps():
     # the largest radix b = (p - 1)(1 + mk(p - 1)) + 1 that the caps admit:
     # p^k <= FIELD_SIZE_CAP, q^n <= FAST_CAP and m = n - 1 (a space with no
     # free digit reads no product).  It is below 2^46, and readout accepts
-    # it; there coset_ids still equals the int64 product at its extreme.
+    # it; there coset_ids still equals the int64 product at its extreme,
+    # and the product's bound is b - 1.
     from cwlab.counting import FAST_CAP, basis_entries, coset_ids, point_digits
     from cwlab.fields import FIELD_SIZE_CAP
 
@@ -391,17 +392,17 @@ def test_float64_product_bound_holds_at_the_caps():
             k += 1
     b, p, k, n = best
     assert (b, p, k, n) == (998_970_843, 31607, 1, 2)
-    assert b < 1 << 46 and b <= FieldTables.exact_cap == 1 << 53
+    assert b < 1 << 46 and b <= FLOAT64_EXACT == 1 << 53
     F = build_field(p, k)
-    g, W, table = counting._packing(F, n - 1, 1)
-    assert (g, W.shape, table) == (1, (k, k), None)
+    g, W, table, bound = counting._packing(F, n - 1, 1)
+    assert (g, W.shape, table, bound) == (1, (k, k), None, b - 1)
     Z = np.array([[v, v] for v in (0, p - 1, 1, p - 2)])
     for rows in ([[1, 1]], [[1, p - 1]], [[0, 1]], [[1, 0]]):
         pivots, entries = basis_entries(rows, n)
         ids = coset_ids(point_digits(Z, F), pivots, entries[None], F)
         assert np.array_equal(ids, _int64_coset_ids(Z, pivots, entries[None], F)[1]), rows
     with pytest.raises(AssertionError):
-        F.tables.readout(FieldTables.exact_cap + 1, 1)
+        F.tables.readout(FLOAT64_EXACT + 1, 1)
 
 
 def test_subspace_from_another_space_is_rejected():
@@ -1371,7 +1372,7 @@ def test_step_rule_at_its_bounds(monkeypatch):
     for name, (system, shape, gemm) in cases.items():
         points, words, p, k = shape
         assert _pass_shape(system, counting._on_cone(system)) == shape, name
-        assert rule(*shape) == gemm == (points <= most and k * k * words * points <= entries and k * words * (p - 1) ** 2 < counting.GEMM_EXACT), name
+        assert rule(*shape) == gemm == (points <= most and k * k * words * points <= entries and k * words * (p - 1) ** 2 < FLOAT32_EXACT), name
         calls.clear()
         assert walked(fast_count, system) == oracle_count(system), name
         assert len(calls) == gemm, name
@@ -1379,7 +1380,7 @@ def test_step_rule_at_its_bounds(monkeypatch):
             by_gemm, by_trie = _steps(system, counting._on_cone(system))
             assert by_gemm.tolist() == by_trie.tolist(), name
     assert 4 * 35 * 3721 <= entries < 4 * 36 * 3721 and 100 * 5 * 1024 <= entries < 100 * 6 * 1024
-    assert 239 * 2187 <= entries < 246 * 2187 and 255 * 256**2 < counting.GEMM_EXACT <= 256 * 256**2
+    assert 239 * 2187 <= entries < 246 * 2187 and 255 * 256**2 < FLOAT32_EXACT <= 256 * 256**2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1415,7 +1416,7 @@ def test_corpus_pass_shapes_by_both_steps_match_oracle(q, monkeypatch):
 
 def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
     # the rule keeps k|W|(p - 1)^2, the largest partial sum of the product,
-    # below GEMM_EXACT = 2^24 for every field it can meet (q <= points); the
+    # below FLOAT32_EXACT = 2^24 for every field it can meet (q <= points); the
     # largest it admits is 12,945 * 36^2 at F_37 in one variable with
     # 12,945 words, and over an extension field 2 * 35 * 60^2 at F_{61^2} in one
     # variable with 35 words.  The GEMM step counts exactly F_257 with 255
@@ -1429,11 +1430,11 @@ def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
         if not is_prime(p) or p**k != q:
             continue
         for points in range(q, counting.GEMM_POINTS + 1, q):
-            words = min(counting.GEMM_ENTRIES // (k * k * points), -(-counting.GEMM_EXACT // (k * (p - 1) ** 2)) - 1)
+            words = min(counting.GEMM_ENTRIES // (k * k * points), -(-FLOAT32_EXACT // (k * (p - 1) ** 2)) - 1)
             assert not counting._gemm_rule(points, words + 1, p, k)
             if words:
                 assert counting._gemm_rule(points, words, p, k)
-                assert k * words * (p - 1) ** 2 < counting.GEMM_EXACT
+                assert k * words * (p - 1) ** 2 < FLOAT32_EXACT
                 worst[k > 1] = max(worst.get(k > 1, (0, None)), (k * words * (p - 1) ** 2, (p, k, words)))
     assert worst == {False: (12945 * 36**2, (37, 1, 12945)), True: (2 * 35 * 60**2, (61, 2, 35))}
     for system in (_one_variable(build_field(257, 1), range(255)), _one_variable(build_field(61, 2), range(35))):
@@ -1441,11 +1442,17 @@ def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
         assert counting._gemm_rule(*_pass_shape(system, False))
         gemm, trie = _steps(system, False)
         assert gemm.tolist() == trie.tolist() == [x for x in range(F.q) if f.evaluate((x,)) == 0]
-    # the matrix's builder asserts the bound itself: at p = 251, 268 words
-    # keep k|W|(p - 1)^2 below 2^24 and 269 do not
+    # the product takes float32 within the bound and float64 past it, exact
+    # either way: at p = 251, 268 words keep k|W|(p - 1)^2 below 2^24 and
+    # 269 do not; every coefficient but the constant is p - 1, so the
+    # partial sums come near it, and the constant makes 1 a zero
     F = build_field(251, 1)
     logs = lambda: F.tables.log.take(np.arange(251)[None])
-    blocks, rows = counting._monomials(F.tables, 1, False, tuple(range(268)), logs)
-    assert len(rows) == len(blocks) == 268 and {b.shape for b in blocks} == {(1, 251)}
-    with pytest.raises(AssertionError):
-        counting._monomials(F.tables, 1, False, tuple(range(269)), logs)
+    for words, dtype in ((268, np.int32), (269, np.intp)):
+        blocks, rows = counting._monomials(F.tables, 1, False, tuple(range(words)), logs)
+        assert len(rows) == len(blocks) == words and {b.shape for b in blocks} == {(1, 251)}
+        C = np.full((1, words), 250, dtype=np.uint8)
+        assert F.tables.product(C, blocks, words * 250**2).dtype == dtype
+        f = MultiPoly(F, 1, {(l,): 250 if l else (words - 1) % 251 for l in range(words)})
+        zeros = counting._gemm_zeros([f], F.tables, blocks, rows)
+        assert np.flatnonzero(zeros).tolist() == [x for x in range(251) if f.evaluate((x,)) == 0], words

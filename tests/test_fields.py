@@ -431,3 +431,52 @@ def test_element_literals_round_trip():
 def test_canonical_element_order_is_coordinate_lex():
     seen = [F9.coords(a) for a in range(F9.q)]
     assert seen == sorted(seen)
+
+
+def _extreme_operands(target: int, a_max: int, b_max: int, dtype, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random non-negative (5, m + 1) and (m + 1, 7) operands of dtype whose
+    every partial sum is at most target, which the first row times the
+    first column reaches: m columns of entries up to a_max times b_max, and
+    one of entries up to 1 times the rest."""
+    m = target // (a_max * b_max)
+    rest = target - m * a_max * b_max
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, [a_max] * m + [1], size=(5, m + 1), endpoint=True).astype(dtype)
+    B = rng.integers(0, [[b_max]] * m + [[rest]], size=(m + 1, 7), endpoint=True).astype(dtype)
+    A[0], B[:, 0] = [a_max] * m + [1], [b_max] * m + [rest]
+    return A, B
+
+
+@pytest.mark.parametrize(
+    "bound,a_max,b_max,dtype,real",
+    [
+        (fields.FLOAT32_EXACT - 1, 255, 255, np.uint16, np.int32),  # 258 * 255^2 + 765
+        (fields.FLOAT32_EXACT, 255, 255, np.uint16, np.intp),  # where the type switches
+        (fields.FLOAT32_EXACT + 1, 255, 255, np.uint16, np.intp),  # float32 would round this sum
+        (fields.FLOAT32_EXACT - 1, 255, 255, np.float64, np.intp),  # float64 operands stay float64
+        (fields.FLOAT64_EXACT - 1, 1 << 26, 1 << 26, np.int64, np.intp),  # 2^52 + (2^52 - 1)
+    ],
+)
+def test_exact_product_matches_integer_reference_at_its_bounds(bound, a_max, b_max, dtype, real):
+    # FieldTables.product against Python integers, with operands whose
+    # partial sums reach the bound it is given: B whole and as row blocks,
+    # read out and reduced mod p over a prime field and an extension field
+    A, B = _extreme_operands(bound, a_max, b_max, dtype, bound % 1000)
+    want = A.astype(object) @ B.astype(object)
+    assert want[0, 0] == bound and want.max() == bound
+    for F in (build_field(251, 1), F9):
+        for operand in ([B], [B[:3], B[3:]]):
+            got = F.tables.product(A, operand, bound, reduce=False)
+            assert got.dtype == real and got.tolist() == want.tolist()
+            got = F.tables.product(A, operand, bound)
+            assert got.dtype == real and got.tolist() == (want % F.p).tolist()
+
+
+def test_exact_product_asserts_past_the_float64_range():
+    # a bound at or past 2^53 has no exact type, so the product refuses it
+    T = F4.tables
+    A = np.ones((2, 2), dtype=np.uint8)
+    assert T.product(A, [A], fields.FLOAT64_EXACT - 1).tolist() == [[0, 0], [0, 0]]
+    for bound in (fields.FLOAT64_EXACT, fields.FLOAT64_EXACT + 1):
+        with pytest.raises(AssertionError):
+            T.product(A, [A], bound)

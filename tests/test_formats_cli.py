@@ -260,14 +260,20 @@ def test_cli_budget_exit_code(workdir):
 
 def test_cli_adversarial_expressions_exit_cleanly(workdir):
     # deep nesting is an input error (1); a power or a product too big to
-    # expand is a budget error (3), even with a small point budget
+    # expand is a budget error (3), even with a small point budget; a digit
+    # that is not ASCII (a superscript two, an Arabic-Indic three) is a
+    # syntax error (1)
     product = "*".join(["(a+b+c+d+e+f)^5"] * 5)
-    for p, names, expr, code in (
-        (3, "x y", "(" * 5000 + "x" + ")" * 5000, 1),
-        (3, "x y", "(x+y)^100000", 3),
-        (65521, "a b c d e f", product, 3),
+    for p, k, names, expr, code in (
+        (3, 1, "x y", "(" * 5000 + "x" + ")" * 5000, 1),
+        (3, 1, "x y", "(x+y)^100000", 3),
+        (65521, 1, "a b c d e f", product, 3),
+        (3, 1, "x y", "x^\u00b2 + y", 1),
+        (3, 1, "x y", "\u00b2*x + y", 1),
+        (3, 2, "x y", "1:\u00b2*x + y", 1),
+        (3, 1, "x y", "\u0663*x", 1),
     ):
-        (workdir / "adv.sys").write_text(f"field p={p} k=1\nvars {names}\npoly {expr}\n", encoding="utf-8")
+        (workdir / "adv.sys").write_text(f"field p={p} k={k}\nvars {names}\npoly {expr}\n", encoding="utf-8")
         t0 = time.perf_counter()
         res = _run("count", "--system", "adv.sys", "--budget", "10", cwd=workdir)
         assert res.returncode == code, res.stderr

@@ -119,7 +119,7 @@ def _mutate_sys(d: _Draw, text: str) -> str:
             line = lines[i]
             if line:
                 j = d.below(len(line))
-                lines[i] = line[:j] + d.pick(list("+-*^()=,. 0123456789xg\t#é")) + line[j + 1 :]
+                lines[i] = line[:j] + d.pick(list("+-*^()=,. 0123456789²٣xg\t#é")) + line[j + 1 :]
         else:
             lines[i] = lines[i][: d.below(len(lines[i]) + 1)]
     return "\n".join(lines) + "\n" * d.below(2)

@@ -638,3 +638,40 @@ def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
     assert linear_factor_test(f, 1).found
     assert counting.fast_count(PolySystem([f])) == counting.oracle_count(PolySystem([f]))
     assert per_call and set(per_call) == {1}
+
+
+def test_tail_map_product_at_the_largest_shape_the_budgets_admit():
+    # the tail map's product has partial sums of at most P k (p - 1)^2, P =
+    # n - 1 at pivot 0, over K = F_{p^k} <= FIELD_SIZE_CAP with at most
+    # FORM_BUDGET forms (Q^n - 1) / (Q - 1).  The largest is a binary form
+    # over F_1048573: past float32's range, well inside float64's.  There
+    # the probe row -1 makes the map's entry p - 1, so the largest digit's
+    # tail reaches the bound; and the search finds the least factor of
+    # (x1 - x2)(x1 - 3 x2), whose roots on the probe line are p - 1 and p - 3
+    from cwlab.fields import FIELD_SIZE_CAP, FLOAT32_EXACT, FLOAT64_EXACT
+
+    sieve = np.ones(FIELD_SIZE_CAP + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(FIELD_SIZE_CAP) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    best = (0,)
+    for p in np.flatnonzero(sieve).tolist():
+        k = 1
+        while p**k <= FIELD_SIZE_CAP:
+            Q, n = p**k, 2
+            while (Q ** (n + 1) - 1) // (Q - 1) <= geometry.FORM_BUDGET:
+                n += 1
+            if (Q**n - 1) // (Q - 1) <= geometry.FORM_BUDGET:
+                best = max(best, ((n - 1) * k * (p - 1) ** 2, p, k, n))
+            k += 1
+    bound, p, k, n = best
+    assert (bound, p, k, n) == (1048572**2, 1048573, 1, 2)
+    assert FLOAT32_EXACT <= bound < FLOAT64_EXACT
+    K = build_field(p, k)
+    basis, tests, A = geometry._tail_map(K, n - 1, ((p - 1,),), True)
+    assert basis == (0,) and not len(tests) and A.tolist() == [[p - 1]]
+    assert K.tables.product(np.array([[p - 1]]), [A], bound).tolist() == [[K.mul(p - 1, p - 1)]] == [[1]]
+    f = parse_poly("(x1 - x2)*(x1 - 3*x2)", K, ["x1", "x2"])
+    verdict = linear_factor_test(f, 1)
+    assert verdict.found and verdict.witness == (K.one, p - 3) and verdict.method == "algebraic"
