@@ -93,7 +93,6 @@ def _coordinates(idx: np.ndarray, q: int, n: int) -> np.ndarray:
     return cols
 
 
-@lru_cache(maxsize=1 << 12)
 def _word(exps: tuple[int, ...]) -> tuple[int, ...]:
     """The word of exponent vector exps: each variable's number once per
     unit of its exponent (x1^2*x3 is 0, 0, 2)."""
@@ -128,11 +127,6 @@ class Plan(NamedTuple):
     empty: bool
 
 
-# plans `_plan` keeps, each a few index arrays
-PLAN_MEMO = 1 << 8
-
-
-@lru_cache(maxsize=PLAN_MEMO)
 def _plan(words: tuple[tuple[int, ...], ...], last: int | None) -> Plan:
     """The `Plan` of these sorted words.  With last given, a word's trailing
     run of last (the largest number) is its power e and the groups are the
@@ -201,7 +195,7 @@ def _shape(n: int, lengths: tuple[int, ...], last: int | None) -> tuple[Plan, di
     """The plan of every word of these lengths in n variables, and each
     exponent vector's row in its term order."""
     words = sorted(w for l in lengths for w in combinations_with_replacement(range(n), l))
-    plan = _plan.__wrapped__(tuple(words), last)
+    plan = _plan(tuple(words), last)
     order = plan.order or range(len(words))
     return plan._replace(order=None), {tuple(map(words[j].count, range(n))): i for i, j in enumerate(order)}
 
@@ -301,30 +295,9 @@ def _prefix_blocks(ranges: list[range], step: int) -> Iterator[np.ndarray]:
 
 def _blocks(T: FieldTables, n: int, cone: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A pass's prefixes, CHUNK // q at a time, each block with its
-    coordinates' logs (n - 1, len); a one-block pass reads `_grid`."""
-    q = T.q
-    ranges = _prefix_ranges(q, n, cone)
-    step = max(1, CHUNK // q)
-    if sum(map(len, ranges)) <= step:
-        yield _grid(T, n, cone, ranges)
-        return
-    for pre in _prefix_blocks(ranges, step):
-        yield pre, T.log.take(_coordinates(pre, q, n - 1))
-
-
-GRIDS = Memo(1 << 20)  # bytes of every field's trie-step grid blocks; the corpus's trie-step shapes take 17 KB
-
-
-def _grid(T: FieldTables, n: int, cone: bool, ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
-    """The one block of the pass (T's field, n, cone), read-only, in GRIDS."""
-    grid = GRIDS.get((T, n, cone))
-    if grid is None:
-        pre = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
-        grid = pre, T.log.take(_coordinates(pre, T.q, n - 1))
-        for a in grid:
-            a.flags.writeable = False
-        GRIDS.put((T, n, cone), grid, pre.nbytes + grid[1].nbytes)
-    return grid
+    coordinates' logs (n - 1, len)."""
+    for pre in _prefix_blocks(_prefix_ranges(T.q, n, cone), max(1, CHUNK // T.q)):
+        yield pre, T.log.take(_coordinates(pre, T.q, n - 1))
 
 
 # the step rule (`_gemm_rule`), one for every field: a pass within the three
@@ -823,8 +796,7 @@ def counts_over_parallel_class(
     if engine == "oracle":
         counts = [count_zeros(system, m, engine="oracle", budget=budget).count for m in members]
     else:
-        free = [j for j in range(n) if j not in L.pivots]
-        entries = np.array(L.basis, dtype=np.intp).reshape(1, L.dim, n)[:, :, free]
-        ids = coset_ids(zero_digits(system, budget), L.pivots, entries, F)[0]
+        pivots, entries = basis_entries(L.basis, n)
+        ids = coset_ids(zero_digits(system, budget), pivots, entries[None], F)[0]
         counts = np.bincount(ids, minlength=len(members)).tolist()
     return list(zip(members, counts))

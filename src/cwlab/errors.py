@@ -25,10 +25,6 @@ class DivisionByZero(CwlabError):
     """Zero inverted, or raised to a negative power."""
 
 
-class NotADivisor(CwlabError):
-    """A subfield degree that does not divide the extension degree."""
-
-
 class NotASubfield(CwlabError):
     """An embedding between fields that do not nest."""
 

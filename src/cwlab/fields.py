@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeTooLarge, DivisionByZero, InvalidArgument, NotADivisor, NotASubfield, NotPrime
-from .memo import Memo
+from .errors import DegreeTooLarge, DivisionByZero, InvalidArgument, NotASubfield, NotPrime
 
 # the largest field; p >= 2, so a degree k > 20 is past it
 FIELD_SIZE_CAP = 1 << 20
@@ -339,11 +338,6 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, k={self.k}, modulus=[{mod}])"
 
 
-# bytes of (tables, powers) -> `FieldTables.power_logs` over up to FIELD_MEMO
-# fields: a few KB over the suite's fields, 4 MiB a power at q = 2^20
-POWER_LOGS = Memo(1 << 24)
-
-
 class FieldTables:
     """One field's arithmetic on numpy arrays of element indexes, through
     one log/exp bundle built on first use (README's design notes).  With
@@ -449,16 +443,12 @@ class FieldTables:
         return a[starts]
 
     def power_logs(self, powers: tuple[int, ...]) -> np.ndarray:
-        """log(x^e) at every x for each e in powers, read-only (len(powers),
-        q), in POWER_LOGS: Z at x = 0 for e > 0, and 0 for e = 0."""
-        table = POWER_LOGS.get((self, powers))
-        if table is None:
-            log = self.log
-            e = np.array(powers)[:, None]
-            table = (e * log % (self.q - 1)).astype(log.dtype)
-            table[:, 0] = np.where(e[:, 0] > 0, log[0], 0)
-            table.flags.writeable = False
-            POWER_LOGS.put((self, powers), table, table.nbytes)
+        """log(x^e) at every x for each e in powers, (len(powers), q): Z at
+        x = 0 for e > 0, and 0 for e = 0."""
+        log = self.log
+        e = np.array(powers)[:, None]
+        table = (e * log % (self.q - 1)).astype(log.dtype)
+        table[:, 0] = np.where(e[:, 0] > 0, log[0], 0)
         return table
 
     def digits(self, x) -> np.ndarray:
@@ -589,20 +579,6 @@ def field_of_order(q: int) -> FieldSpec:
     return build_field(p, k)
 
 
-def relative_norm(K: FieldSpec, base_degree: int, a: int) -> int:
-    """The norm of a from K down to its subfield of degree base_degree, the
-    product of the conjugates a^(qb^j), as an element of K."""
-    if base_degree < 1 or K.k % base_degree != 0:
-        raise NotADivisor(f"{base_degree} does not divide extension degree {K.k}")
-    qb = K.p**base_degree
-    acc = K.one
-    term = a
-    for _ in range(K.k // base_degree):
-        acc = K.mul(acc, term)
-        term = K.pow(term, qb)
-    return acc
-
-
 class Embedding:
     """A field embedding F_small -> F_big, as a table."""
 
@@ -687,13 +663,21 @@ def element_literal(F: FieldSpec, a: int) -> str:
     return ":".join(str(c) for c in F.coords(a))
 
 
+def read_int(text: str) -> int:
+    """The integer an ASCII numeral -?[0-9]+ spells; ValueError for any other
+    text, which int() would also read: other scripts' digits, 1_1, +1."""
+    if not text.isascii() or not text.removeprefix("-").isdigit():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_element_literal(F: FieldSpec, text: str) -> int:
     """The element an `element_literal` spells; ValueError if malformed."""
     parts = text.split(":")
     if len(parts) == 1:
-        return F.from_int(int(parts[0]))
+        return F.from_int(read_int(parts[0]))
     if F.k == 1:
         raise ValueError("colon literals are not allowed in a prime field")
     if len(parts) != F.k:
         raise ValueError(f"element literal needs {F.k} coordinates, got {len(parts)}")
-    return F.from_coords([int(c) for c in parts])
+    return F.from_coords([read_int(c) for c in parts])

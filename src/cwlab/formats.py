@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BudgetExceeded, CwlabError, ExprSyntaxError, FormatError
-from .fields import FieldSpec, build_field, element_literal, parse_element_literal
+from .fields import FieldSpec, build_field, element_literal, parse_element_literal, read_int
 from .polynomials import MultiPoly, PolySystem, check_names, parse_poly
 from .subspaces import AffineSubspace
 
@@ -46,7 +46,7 @@ def read_sys(text: str) -> tuple[FieldSpec, list[str], PolySystem]:
                 if name in attrs:
                     raise FormatError(f"duplicate field attribute {name}=", lineno)
                 try:
-                    attrs[name] = tuple(map(int, val.split(","))) if name == "modulus" else int(val)
+                    attrs[name] = tuple(map(read_int, val.split(","))) if name == "modulus" else read_int(val)
                 except ValueError:
                     raise FormatError(f"field attribute {name}= takes integers, got {val!r}", lineno) from None
             if "p" not in attrs or "k" not in attrs:
@@ -112,9 +112,12 @@ def read_sub(text: str, field: FieldSpec) -> AffineSubspace:
         if key == "ambient":
             if ambient is not None:
                 raise FormatError("duplicate ambient line", lineno)
-            if len(parts) != 1 or not parts[0].isdecimal():
+            try:
+                ambient = read_int(parts[0]) if len(parts) == 1 else -1
+            except ValueError:
+                ambient = -1
+            if ambient < 0:
                 raise FormatError(f"ambient takes one integer >= 0, got {rest!r}", lineno)
-            ambient = int(parts[0])
         elif key == "offset":
             if ambient is None:
                 raise FormatError("offset before ambient", lineno)

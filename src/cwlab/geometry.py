@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -20,7 +19,7 @@ from .counting import CHUNK, _as_function, _compiled, _evaluate, _gemm_lengths, 
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FIELD_SIZE_CAP, FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
-from .rng import MASK64, derive_seed, mix64
+from .rng import derive_seed
 from .subspaces import rref
 
 FORM_BUDGET = 1 << 28
@@ -189,7 +188,7 @@ def conjecture_scan(
 @dataclass
 class LinearFactorVerdict:
     """The factor search's report: found, the least dividing form, the
-    forms covered, the screen's error bound and the candidates divided."""
+    forms covered, a screen's error bound and the candidates divided."""
 
     found: bool
     witness: tuple[int, ...] | None  # normalized form coefficients over F_{q^s}
@@ -197,19 +196,11 @@ class LinearFactorVerdict:
     trials: int
     error_bound: Fraction  # upper bound on the per-form error, (d/Q)^T capped at 1
     field_size: int
-    method: str  # "algebraic" (the default) or "screen" (the reference)
     candidates: int  # forms that reached exact division
 
     def to_dict(self) -> dict:
         """The report body."""
         return asdict(self) | {"witness": list(self.witness) if self.witness else None, "error_bound": str(self.error_bound)}
-
-
-def _scalar_coord(seed: int, s: int, trial: int, var: int, rank: int, Q: int) -> int:
-    gamma = 0x9E3779B97F4A7C15
-    base = derive_seed(seed, s, trial, var)
-    z = mix64((base + gamma * rank + gamma) & MASK64)
-    return z % Q
 
 
 def _lift_poly(f: MultiPoly, s: int) -> tuple[MultiPoly, FieldSpec]:
@@ -241,13 +232,6 @@ def _exact_linear_division(fK: MultiPoly, K: FieldSpec, coeffs: Sequence[int]) -
         for key, c in g.get(e, ()):
             rem[key] = add(rem.get(key, 0), c)
     return not any(rem.values())
-
-
-def normalized_forms(K: FieldSpec, n: int) -> Iterator[tuple[int, ...]]:
-    """The nonzero linear forms up to scalar, led by one (the reference order)."""
-    for j in range(n):
-        for tail in product(range(K.q), repeat=n - 1 - j):
-            yield (0,) * j + (K.one,) + tail
 
 
 @lru_cache(maxsize=TAIL_MEMO)
@@ -314,11 +298,11 @@ def _tail_map(K: FieldSpec, P: int, rows: tuple, interpolate: bool) -> tuple[tup
 
 
 def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
-    """A superset of f's linear factors, in `normalized_forms` order, once
-    each: Reed-Solomon list recovery on the probe lines (README; von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 5; Guruswami and Sudan
-    1999), at most d^r Q^(P - r) tails at rank r, or past CHUNK every tail
-    in order, CHUNK at a time."""
+    """A superset of f's linear factors, once each, in the order of the forms
+    led by one (pivot ascending, then tail): Reed-Solomon list recovery on
+    the probe lines (README; von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 5; Guruswami and Sudan 1999), at most d^r Q^(P - r) tails
+    at rank r, or past CHUNK every tail in order, CHUNK at a time."""
     K, n, Q, p = fK.field, fK.nvars, fK.field.q, fK.field.p
     first = tuple((K, n, j, 0, False) for j in range(n - 1))
     found = [[(_probe_lines(*family), M)] for family, M in zip(first, _line_masks(fK, first) if first else [])]
@@ -347,25 +331,6 @@ def _algebraic_candidates(fK: MultiPoly) -> Iterator[tuple[int, ...]]:
     yield (0,) * (n - 1) + (K.one,)
 
 
-def _screened_forms(fK: MultiPoly, trials: int, seed: int, s: int) -> Iterator[tuple[int, ...]]:
-    """The reference: the normalized forms that vanish at trials seeded
-    points of their hyperplane, in order."""
-    K, n = fK.field, fK.nvars
-    for rank, coeffs in enumerate(normalized_forms(K, n)):
-        j = next(i for i, c in enumerate(coeffs) if c)
-        for t in range(trials):
-            pt, acc = [0] * n, 0
-            for i in range(n):
-                if i != j:
-                    pt[i] = _scalar_coord(seed, s, t, i, rank, K.q)
-                    acc = K.add(acc, K.mul(coeffs[i], pt[i]))
-            pt[j] = K.neg(acc)
-            if fK.evaluate(pt) != 0:
-                break
-        else:
-            yield coeffs
-
-
 def linear_factor_test(
     f: MultiPoly,
     s: int,
@@ -373,12 +338,12 @@ def linear_factor_test(
     seed: int = 0,
     *,
     form_budget: int = FORM_BUDGET,
-    force_python: bool = False,
 ) -> LinearFactorVerdict:
     """The least linear factor over F_{q^s} of a nonzero form, exactly: the
-    candidates (the screen if force_python) divided in order.  BudgetExceeded
-    past form_budget forms, checked before F_{q^s} is built; error_bound is
-    the screen's (deg f / q^s)^trials, the search's error being 0."""
+    candidates divided in order.  BudgetExceeded past form_budget forms,
+    checked before F_{q^s} is built; error_bound is the (deg f / q^s)^trials
+    of a screen at trials random points, the search's error being 0, and
+    seed decides nothing."""
     if not f.is_homogeneous or f.is_zero:
         raise NotHomogeneous("the linear factor test needs a nonzero homogeneous form")
     if trials < 0:
@@ -391,12 +356,8 @@ def linear_factor_test(
     if total_forms is not None and total_forms > form_budget:
         raise BudgetExceeded(f"{total_forms} forms exceed the budget {form_budget}")
     fK, K = _lift_poly(f, s)
-    if force_python:
-        method, forms = "screen", _screened_forms(fK, trials, seed, s)
-    else:
-        method, forms = "algebraic", _algebraic_candidates(fK)
     witness, candidates = None, 0
-    for coeffs in forms:
+    for coeffs in _algebraic_candidates(fK):
         candidates += 1
         if _exact_linear_division(fK, K, coeffs):
             witness = coeffs
@@ -408,6 +369,5 @@ def linear_factor_test(
         trials=trials,
         error_bound=min(Fraction(1), Fraction(d, Q) ** trials),
         field_size=Q,
-        method=method,
         candidates=candidates,
     )

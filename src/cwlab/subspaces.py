@@ -218,12 +218,6 @@ def subspace_dim(F: FieldSpec, pts: np.ndarray) -> int | None:
     return m if (S == pts).all() else None
 
 
-def is_linear_subspace(ps: PointSet) -> tuple[bool, int | None]:
-    """(whether the set is an affine subspace, its dimension or None)."""
-    dim = subspace_dim(ps.field, _sorted_array(ps))
-    return (dim is not None, dim)
-
-
 def direction_spaces(field: FieldSpec, n: int, m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The RREF bases of the [n choose m]_q direction spaces of dimension m,
     pivot columns in lexicographic order, then free entries in odometer order."""

@@ -24,7 +24,8 @@ from .rng import SplitMix64, derive_seed
 
 @dataclass
 class CriterionResult:
-    """One criterion's id, title, verdict, details and wall time."""
+    """One criterion's id, title, verdict, details and wall time (set by
+    `run_preset`)."""
 
     cid: str
     title: str
@@ -45,7 +46,6 @@ SMALL_CORPUS = 200
 
 def criterion_1(seed: int = CORPUS_SEED) -> CriterionResult:
     """q | N(full) on every corpus system (they all have n > d)."""
-    t0 = time.perf_counter()
     failures = []
     for i in range(FULL_CORPUS):
         system = corpus_system(seed, i)
@@ -57,7 +57,6 @@ def criterion_1(seed: int = CORPUS_SEED) -> CriterionResult:
         f"ax congruence on {FULL_CORPUS} seeded systems",
         not failures,
         {"checked": FULL_CORPUS, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
@@ -66,7 +65,6 @@ EVERY_CLASS = 1 << 62
 
 
 def _congruence_criterion(cid: str, law: str, title: str, seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     failures = []
     classes = truncated = 0
     for i in range(SMALL_CORPUS):
@@ -81,7 +79,6 @@ def _congruence_criterion(cid: str, law: str, title: str, seed: int) -> Criterio
         f"{title}, {SMALL_CORPUS} systems, {classes} classes, {truncated} truncated",
         not failures,
         {"classes_checked": classes, "truncated_systems": truncated, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
@@ -97,7 +94,6 @@ def criterion_3(seed: int = CORPUS_SEED) -> CriterionResult:
 
 def criterion_4(seed: int = CORPUS_SEED) -> CriterionResult:
     """N(f+) = (q-1) N(f) + N(f-) exactly on the full corpus."""
-    t0 = time.perf_counter()
     failures = []
     for i in range(FULL_CORPUS):
         system = corpus_system(seed, i)
@@ -109,13 +105,11 @@ def criterion_4(seed: int = CORPUS_SEED) -> CriterionResult:
         f"homogenization count identity on {FULL_CORPUS} systems",
         not failures,
         {"checked": FULL_CORPUS, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_5(seed: int = CORPUS_SEED) -> CriterionResult:
     """Lower-bound audits on the corpus, plus exact norm-form equality."""
-    t0 = time.perf_counter()
     failures = []
     audited = 0
     for i in range(SMALL_CORPUS):
@@ -144,13 +138,11 @@ def criterion_5(seed: int = CORPUS_SEED) -> CriterionResult:
         f"+ {len(equality_cases)} norm equality cases",
         not failures,
         {"audited": audited, "equality_cases": equality_cases, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_6() -> CriterionResult:
     """Quadric-times-norm construction counts, and the n > 4 display flag."""
-    t0 = time.perf_counter()
     failures = []
     counts = {}
     for q, p, k0 in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1)):
@@ -170,7 +162,6 @@ def criterion_6() -> CriterionResult:
         "quadric count q^3-q^2+q for q in {2,3,4,5,7}; n=6 count 34 with display flag",
         not failures,
         {"quadric_counts": counts, "n6_count": cnt6, "display_flagged": ex6.display_mismatch},
-        time.perf_counter() - t0,
     )
 
 
@@ -179,7 +170,6 @@ _C7_FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
 def criterion_7(seed: int = CORPUS_SEED, qs: Sequence[int] = (3, 4, 5)) -> CriterionResult:
     """Non-split quartic: single zero, no linear factors, q=2 refusal."""
-    t0 = time.perf_counter()
     failures = []
     details = {}
     for q, (p, k0) in ((q, _C7_FIELDS[q]) for q in qs):
@@ -212,13 +202,11 @@ def criterion_7(seed: int = CORPUS_SEED, qs: Sequence[int] = (3, 4, 5)) -> Crite
         "non-split quartic: one zero over A^4, no linear factor over F_{q^4}, q=2 refused",
         not failures,
         details,
-        time.perf_counter() - t0,
     )
 
 
 def criterion_8(seed: int = CORPUS_SEED) -> CriterionResult:
     """Saturation sweeps over every subset of A^t(F_q), up to q^t = 27."""
-    t0 = time.perf_counter()
     failures = []
     runs = []
 
@@ -254,13 +242,11 @@ def criterion_8(seed: int = CORPUS_SEED) -> CriterionResult:
         f"saturation sweeps, {len(runs)} configurations, zero counterexamples",
         not failures,
         {"runs": runs, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_9(seed: int = CORPUS_SEED) -> CriterionResult:
     """The covering growth bound holds for arbitrary seeded point sets."""
-    t0 = time.perf_counter()
     failures = []
     rng = SplitMix64(derive_seed(seed, 9))
     for trial in range(500):
@@ -275,13 +261,11 @@ def criterion_9(seed: int = CORPUS_SEED) -> CriterionResult:
         "covering bound exact on 500 seeded point sets",
         not failures,
         {"trials": 500, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_10(seed: int = CORPUS_SEED) -> CriterionResult:
     """Fast engine == naive oracle."""
-    t0 = time.perf_counter()
     failures = []
     for i in range(SMALL_CORPUS):
         system = corpus_system(seed, i)
@@ -294,7 +278,6 @@ def criterion_10(seed: int = CORPUS_SEED) -> CriterionResult:
         f"fast engine equals the oracle on {SMALL_CORPUS} systems",
         not failures,
         {"checked": SMALL_CORPUS, "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
@@ -327,7 +310,6 @@ def _distinct_linear_forms(F, n: int, t: int, rng: SplitMix64) -> list[MultiPoly
 
 def criterion_11(seed: int = CORPUS_SEED) -> CriterionResult:
     """Estimator exactness on split products, and a clean conjecture scan."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
     for q in (2, 3):
@@ -363,7 +345,6 @@ def criterion_11(seed: int = CORPUS_SEED) -> CriterionResult:
         f"{len(rows)} systems has zero flags",
         not failures,
         {"split_cases": cases, "scan_rows": len(rows), "failures": failures},
-        time.perf_counter() - t0,
     )
 
 
@@ -380,10 +361,13 @@ PRESETS: dict[str, tuple[Callable[[int], CriterionResult], ...]] = {
 
 
 def run_preset(preset: str, seed: int = CORPUS_SEED, echo=print) -> list[CriterionResult]:
-    """Run a preset's criteria in order, echoing each line; KeyError for an unknown preset."""
+    """Run a preset's criteria in order, timing and echoing each; KeyError
+    for an unknown preset."""
     results = []
     for criterion in PRESETS[preset]:
+        t0 = time.perf_counter()
         res = criterion(seed)
+        res.elapsed = time.perf_counter() - t0
         results.append(res)
         echo(res.line())
     return results

@@ -1,16 +1,20 @@
 """Small references that only the tests use: the full space, a subspace's
 membership test, a polynomial's leading form and homogenization (which
 `PolySystem.leading_system` and `homogenized_system` build for the package),
-the Frobenius map, a substitution summed term by term, the monomials by
-recursion, a subfield embedding's roots by a scan of the whole field, and
-the seeded draws one scalar output at a time: a random system's
-coefficients and a corpus system."""
+the Frobenius map, the relative norm, a substitution summed term by term,
+the monomials by recursion, a subfield embedding's roots by a scan of the
+whole field, the seeded draws one scalar output at a time (a random
+system's coefficients and a corpus system), the affine-subspace test of a
+point set, and the linear-factor search as a seeded random-point screen of
+every normalized form."""
+
+from itertools import product
 
 from cwlab.constructions import _CORPUS_MAX_D, _CORPUS_MAX_DI, _CORPUS_MAX_N, _monomials_up_to
-from cwlab.errors import ZeroPolynomial
+from cwlab.errors import CwlabError, ZeroPolynomial
 from cwlab.fields import build_field
 from cwlab.polynomials import MultiPoly, PolySystem
-from cwlab.rng import SplitMix64, derive_seed
+from cwlab.rng import MASK64, SplitMix64, derive_seed, mix64
 from cwlab.subspaces import AffineSubspace
 
 
@@ -50,6 +54,24 @@ def homogenize(f):
 def frobenius(F, a, i=1):
     """a^(p^i), the i-th Frobenius iterate."""
     return F.pow(a, F.p**i)
+
+
+class NotADivisor(CwlabError):
+    """A subfield degree that does not divide the extension degree."""
+
+
+def relative_norm(K, base_degree, a):
+    """The norm of a from K down to its subfield of degree base_degree, the
+    product of the conjugates a^(qb^j), as an element of K."""
+    if base_degree < 1 or K.k % base_degree != 0:
+        raise NotADivisor(f"{base_degree} does not divide extension degree {K.k}")
+    qb = K.p**base_degree
+    acc = K.one
+    term = a
+    for _ in range(K.k // base_degree):
+        acc = K.mul(acc, term)
+        term = K.pow(term, qb)
+    return acc
 
 
 def folded_substitution(f, subs):
@@ -153,3 +175,54 @@ def subspace_dim_by_greedy_span(F, pts):
     if F.q**m != N:
         return None
     return m if len(_greedy_span(F, pts)[0]) == m else None
+
+
+def is_linear_subspace(ps):
+    """(whether the point set is an affine subspace, its dimension or None)."""
+    from cwlab.subspaces import _sorted_array, subspace_dim
+
+    dim = subspace_dim(ps.field, _sorted_array(ps))
+    return (dim is not None, dim)
+
+
+def normalized_forms(K, n):
+    """The nonzero linear forms up to scalar, led by one: pivot ascending,
+    then the tail in odometer order."""
+    for j in range(n):
+        for tail in product(range(K.q), repeat=n - 1 - j):
+            yield (0,) * j + (K.one,) + tail
+
+
+def _scalar_coord(seed, s, trial, var, rank, Q):
+    gamma = 0x9E3779B97F4A7C15
+    base = derive_seed(seed, s, trial, var)
+    z = mix64((base + gamma * rank + gamma) & MASK64)
+    return z % Q
+
+
+def screened_forms(fK, trials, seed, s):
+    """The normalized forms that vanish at trials seeded points of their
+    hyperplane, in order."""
+    K, n = fK.field, fK.nvars
+    for rank, coeffs in enumerate(normalized_forms(K, n)):
+        j = next(i for i, c in enumerate(coeffs) if c)
+        for t in range(trials):
+            pt, acc = [0] * n, 0
+            for i in range(n):
+                if i != j:
+                    pt[i] = _scalar_coord(seed, s, t, i, rank, K.q)
+                    acc = K.add(acc, K.mul(coeffs[i], pt[i]))
+            pt[j] = K.neg(acc)
+            if fK.evaluate(pt) != 0:
+                break
+        else:
+            yield coeffs
+
+
+def screened_factor(f, s, trials=6, seed=0):
+    """The least linear factor of the form f over F_{q^s} by the screen:
+    the first screened form that divides f exactly, or None."""
+    from cwlab.geometry import _exact_linear_division, _lift_poly
+
+    fK, K = _lift_poly(f, s)
+    return next((c for c in screened_forms(fK, trials, seed, s) if _exact_linear_division(fK, K, c)), None)

@@ -8,6 +8,7 @@ byte once written as JSON.
 """
 
 import json
+import time
 from pathlib import Path
 
 from cwlab.suite import (
@@ -28,13 +29,21 @@ SEED = 0
 GOLDEN = json.loads((Path(__file__).parent / "acceptance_details_golden.json").read_text())
 
 
+def _timed(criterion, *args):
+    """The criterion's result, its wall time set as `run_preset` sets it."""
+    t0 = time.perf_counter()
+    res = criterion(*args)
+    res.elapsed = time.perf_counter() - t0
+    return res
+
+
 def _pinned(res):
     """Whether the criterion's details, written as JSON, are its golden text."""
     return json.dumps(res.details, default=str) == json.dumps(GOLDEN[res.cid])
 
 
 def test_c1_ax_congruence_corpus():
-    res = criterion_1(SEED)
+    res = _timed(criterion_1, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -43,7 +52,7 @@ def test_c1_ax_congruence_corpus():
 
 
 def test_c2_parallel_subspace_congruence():
-    res = criterion_2(SEED)
+    res = _timed(criterion_2, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -51,7 +60,7 @@ def test_c2_parallel_subspace_congruence():
 
 
 def test_c3_hyperplane_congruence():
-    res = criterion_3(SEED)
+    res = _timed(criterion_3, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -59,7 +68,7 @@ def test_c3_hyperplane_congruence():
 
 
 def test_c4_homogenization_identity():
-    res = criterion_4(SEED)
+    res = _timed(criterion_4, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -67,7 +76,7 @@ def test_c4_homogenization_identity():
 
 
 def test_c5_lower_bounds_and_norm_equality():
-    res = criterion_5(SEED)
+    res = _timed(criterion_5, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -75,7 +84,7 @@ def test_c5_lower_bounds_and_norm_equality():
 
 
 def test_c6_quadric_times_norm():
-    res = criterion_6()
+    res = _timed(criterion_6)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -84,7 +93,7 @@ def test_c6_quadric_times_norm():
 
 
 def test_c7_nonsplit_quartic():
-    res = criterion_7(SEED)
+    res = _timed(criterion_7, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -95,7 +104,7 @@ def test_c7_nonsplit_quartic():
 
 
 def test_c8_saturation_sweeps():
-    res = criterion_8(SEED)
+    res = _timed(criterion_8, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -111,7 +120,7 @@ def test_c8_saturation_sweeps():
 
 
 def test_c9_covering_bound_random_sets():
-    res = criterion_9(SEED)
+    res = _timed(criterion_9, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
@@ -119,14 +128,14 @@ def test_c9_covering_bound_random_sets():
 
 
 def test_c10_oracle_equivalence_and_workers():
-    res = criterion_10(SEED)
+    res = _timed(criterion_10, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details
 
 
 def test_c11_dimension_estimator_and_scan():
-    res = criterion_11(SEED)
+    res = _timed(criterion_11, SEED)
     print(res.line())
     assert res.passed, res.details
     assert _pinned(res), res.details

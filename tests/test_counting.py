@@ -508,8 +508,8 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
             filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
             blocks.clear()
             assert walked(zero_set, system) == filtered
-            # a small chunk is not bypassed by the grid memo: a trie-step pass
-            # takes CHUNK // q prefixes at a time, so several blocks when n > 1;
+            # a small chunk splits a trie-step pass: it takes CHUNK // q
+            # prefixes at a time, so several blocks when n > 1;
             # a GEMM-step pass is one product and reads no block
             gemm = counting._gemm_rule(*_pass_shape(system, False))
             steps[forced].append(gemm)
@@ -892,7 +892,7 @@ def test_kernel_counts_over_a_prime_past_2_16(p):
         assert walked(fast_count, PolySystem([g])) == sum(g.evaluate((v,)) == 0 for v in range(p))
 
 
-# -- the split on words and the grid memo ------------------------------------------------
+# -- the split on words and one-block passes ---------------------------------------------
 
 
 def _last_variable_coefficients(f):
@@ -1003,14 +1003,10 @@ def _grid_systems():
     return out
 
 
-def test_grid_memo_counts_match_oracle_cold_and_warm(monkeypatch):
+def test_one_block_trie_passes_match_oracle(monkeypatch):
     # every pass here fits one block.  Each system by the step the rule
-    # picks, then with the rule's points bound at 0 (the trie step).  A
-    # trie-step pass reads its prefixes and their logs from the grid memo:
-    # built by the first (cold) pass, read by the second (warm) one, and the
-    # same either way.  A GEMM-step pass reads its points with its monomial
-    # matrix and leaves the grid memo empty
-    memo = counting.GRIDS
+    # picks, then with the rule's points bound at 0 (the trie step): its
+    # count and its zero set's length are the oracle's count
     systems = _grid_systems()
     assert {(sy.field.q, sy.nvars) for sy in systems} == {(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)}
     assert any(counting._on_cone(sy) for sy in systems)
@@ -1020,59 +1016,14 @@ def test_grid_memo_counts_match_oracle_cold_and_warm(monkeypatch):
             monkeypatch.setattr(counting, "GEMM_POINTS", 0)
         for system in systems:
             cone = counting._on_cone(system)
-            key = (system.field.tables, system.nvars, cone)
+            assert len(list(counting._blocks(system.field.tables, system.nvars, cone))) == 1
             want = oracle_count(system)
-            memo.clear()
             assert walked(fast_count, system) == want
-            if counting._gemm_rule(*_pass_shape(system, cone)):
-                assert not memo.kept
-                assert len(walked(zero_points, system)) == want
-                continue
-            trie.append((forced, cone))
-            table = memo.kept[key]
-            assert not any(a.flags.writeable for a in table)
-            assert walked(fast_count, system) == want
-            assert memo.kept[key] is table
             assert len(walked(zero_points, system)) == want
+            if not counting._gemm_rule(*_pass_shape(system, cone)):
+                trie.append((forced, cone))
     # by the rule only the grid of F_5^6 (15,625 points) takes the trie step
     assert trie.count((False, False)) == 1 and trie.count((True, True)) > 10 and len(trie) == len(systems) + 1
-
-
-def test_grid_memo_keeps_its_byte_bound(monkeypatch):
-    # a new table drops the least recently used ones until the memo fits in
-    # counting.GRIDS.bound, a table read from the memo becomes the most
-    # recently used, and a table past the bound on its own is not kept
-    memo = counting.GRIDS
-    monkeypatch.setattr(counting, "GEMM_POINTS", 0)  # every pass takes the trie step
-    shapes = [(F, n) for F, ns in ((F3, (6, 7, 8, 9)), (F4, (5, 6, 7, 8)), (F2, (9, 10, 11, 12))) for n in ns]
-
-    def count(F, n):
-        names = [f"x{i + 1}" for i in range(n)]
-        system = PolySystem([parse_poly(f"x1^2 + x{n} + 1", F, names)])
-        assert walked(fast_count, system) == F.q ** (n - 1)
-        return (F.tables, n, False)
-
-    sizes = {}
-    for F, n in shapes:
-        key = count(F, n)
-        sizes[key] = memo.sizes[key]
-    keys = list(sizes)
-    bound = sum(sizes[k] for k in keys[-3:])
-    monkeypatch.setattr(memo, "bound", bound)
-    memo.clear()
-    for F, n in shapes:
-        count(F, n)
-        assert sum(memo.sizes.values()) <= bound
-    kept = list(memo.kept)
-    assert kept == keys[-len(kept):] and len(kept) >= 3
-    count(*shapes[-len(kept)])  # the oldest kept table, now the newest
-    count(*shapes[0])  # a cold one, which drops the least recently used
-    assert kept[0] in memo.kept and kept[1] not in memo.kept and keys[0] in memo.kept
-    assert list(memo.kept)[-2:] == [kept[0], keys[0]]
-    monkeypatch.setattr(memo, "bound", min(sizes.values()) - 1)
-    memo.clear()
-    count(*shapes[0])
-    assert not memo.kept
 
 
 # -- the trie evaluator -------------------------------------------------------------------
@@ -1220,16 +1171,6 @@ def test_exponents_past_q_are_lowered_before_the_kernel():
         trie = np.concatenate(list(counting._trie_chunks(T, n, polys, False)))
         assert gemm.tolist() == trie.tolist() and len(gemm) == want
     assert oracle_count(cases[3]) == 3
-
-
-def test_plan_memo_is_bounded():
-    # the memo keeps the last PLAN_MEMO plans, and the autouse fixture
-    # empties it around every test
-    assert counting._plan.cache_info().currsize == 0
-    assert counting._plan.cache_info().maxsize == counting.PLAN_MEMO
-    for i in range(counting.PLAN_MEMO + 10):
-        counting._plan(((), (i,)), None)
-    assert counting._plan.cache_info().currsize == counting.PLAN_MEMO
 
 
 # -- the two steps of a pass: the GEMM step against the trie step ----------------

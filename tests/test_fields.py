@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwlab import fields
-from cwlab.errors import DegreeTooLarge, DivisionByZero, NotADivisor, NotASubfield, NotPrime
+from cwlab.errors import DegreeTooLarge, DivisionByZero, NotASubfield, NotPrime
 from cwlab.fields import (
     FieldSpec,
     build_field,
@@ -17,9 +17,8 @@ from cwlab.fields import (
     embed_subfield,
     is_prime,
     parse_element_literal,
-    relative_norm,
 )
-from references import embedding_by_full_scan, frobenius
+from references import NotADivisor, embedding_by_full_scan, frobenius, relative_norm
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)

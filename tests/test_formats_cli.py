@@ -553,6 +553,10 @@ MALFORMED = [
     _case("p-not-an-integer", "field p=x k=1\nvars x\npoly x\n"),
     _case("p-empty", "field p= k=1\nvars x\npoly x\n"),
     _case("modulus-not-integers", "field p=5 k=1 modulus=a\nvars x\npoly x\n"),
+    # integers are ASCII numerals -?[0-9]+: no other script's digits, no "_"
+    _case("p-arabic-indic-digit", "field p=\u0663 k=1\nvars x\npoly x\n"),
+    _case("modulus-arabic-indic-digits", "field p=3 k=2 modulus=\u0662,\u0662,1\nvars x\npoly x\n"),
+    _case("p-underscore", "field p=1_1 k=1\nvars x\npoly x\n"),
     _case("field-without-k", "field p=3\nvars x\npoly x\n"),
     _case("p-not-prime", "field p=4 k=1\nvars x\npoly x\n"),
     _case("modulus-reducible", "field p=2 k=2 modulus=1,0,1\nvars x\npoly x\n"),
@@ -573,15 +577,18 @@ MALFORMED = [
     _case("ambient-empty", sub_text="ambient\noffset 0 0\n"),
     _case("ambient-not-an-integer", sub_text="ambient z\noffset 0 0\n"),
     _case("ambient-two-values", sub_text="ambient 2 3\noffset 0 0\n"),
+    _case("ambient-arabic-indic-digit", sub_text="ambient \u0662\noffset 0 0\n"),
     _case("offset-before-ambient", sub_text="offset 0 0\nambient 2\n"),
     _case("duplicate-ambient", sub_text="ambient 2\noffset 0 0\nambient 3\n", error="input error: line 3,"),
     _case("duplicate-offset", sub_text="ambient 2\noffset 0 0\noffset 1 1\n", error="input error: line 3,"),
     _case("offset-length", sub_text="ambient 2\noffset 0\n", error="input error: line 2,"),
     _case("offset-literal", sub_text="ambient 2\noffset 0 a\n", error="input error: line 2,"),
     _case("offset-colon-literal", sub_text="ambient 2\noffset 0 1:1\n", error="input error: line 2,"),
+    _case("offset-arabic-indic-digit", sub_text="ambient 2\noffset \u0663 1\n", error="input error: line 2,"),
     _case("basis-before-ambient", sub_text="basis 1 0\nambient 2\n"),
     _case("basis-length", sub_text="ambient 2\noffset 0 0\nbasis 1\n", error="input error: line 3,"),
     _case("basis-literal", sub_text="ambient 2\noffset 0 0\nbasis 1 z\n", error="input error: line 3,"),
+    _case("basis-arabic-indic-digit", sub_text="ambient 2\noffset 0 1\nbasis 1 \u0662\n", error="input error: line 3,"),
     _case("sub-unknown-directive", sub_text="ambient 2\noffset 0 0\nshift 1 0\n", error="input error: line 3,"),
     _case("no-offset-line", sub_text="ambient 2\n"),
     _case("dependent-basis", sub_text="ambient 2\noffset 0 0\nbasis 1 0\nbasis 2 0\n"),

@@ -22,10 +22,9 @@ from cwlab.geometry import (
     conjecture_scan,
     estimate_dimension,
     linear_factor_test,
-    normalized_forms,
 )
 from cwlab.polynomials import MultiPoly, PolySystem, parse_poly
-from references import leading_form
+from references import leading_form, normalized_forms, screened_factor
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -163,13 +162,11 @@ def test_lift_to_the_field_itself_is_the_form():
     assert K is build_field(3, 2) and lifted.field is K and lifted is not g
 
 
-def _agree(f, s, **kw):
+def _agree(f, s, trials=6, seed=0):
     """The algebraic search and the reference screen give the same verdict."""
-    a = linear_factor_test(f, s, **kw)
-    b = linear_factor_test(f, s, force_python=True, **kw)
-    assert (a.method, b.method) == ("algebraic", "screen")
-    assert (a.found, a.witness, a.forms_checked) == (b.found, b.witness, b.forms_checked)
-    assert a.error_bound == b.error_bound and a.candidates <= a.forms_checked
+    a = linear_factor_test(f, s, trials=trials, seed=seed)
+    assert a.witness == screened_factor(f, s, trials, seed) and a.found == (a.witness is not None)
+    assert a.candidates <= a.forms_checked
     return a
 
 
@@ -347,11 +344,9 @@ def _probe_lines_from_power_logs(K, n, j, s, scaled):
     return U.tolist()
 
 
-def test_probe_lines_read_only_their_columns_of_powers():
+def test_probe_lines_read_only_their_columns_of_powers(monkeypatch):
     # the rows, from the logs of the first elements w alone, are those of the
-    # whole power-log table; over F_2^16 they put no table in POWER_LOGS
-    from cwlab import fields
-
+    # whole power-log table; over F_2^16 they build no such table
     for K in (build_field(2, 2), build_field(3, 2), build_field(5, 2), build_field(2, 8)):
         for n in range(1, 8):
             for j, s, scaled in itertools.product(range(n - 1), range(n - 1), (False, True)):
@@ -359,9 +354,12 @@ def test_probe_lines_read_only_their_columns_of_powers():
                     got = _probe_lines.__wrapped__(K, n, j, s, scaled).tolist()
                     assert got == _probe_lines_from_power_logs(K, n, j, s, scaled), (K.q, n, j, s, scaled)
     K = build_field(2, 16)
-    held = fields.POWER_LOGS.held
+
+    def refused(self, powers):
+        raise AssertionError("a whole power-log table was built")
+
+    monkeypatch.setattr(FieldTables, "power_logs", refused)
     assert _probe_lines.__wrapped__(K, 6, 0).shape == (5 + geometry.PROBE_SLACK, 6)
-    assert fields.POWER_LOGS.held == held
 
 
 def test_line_masks_match_pointwise_evaluation():
@@ -553,12 +551,27 @@ def test_factor_budget_is_checked_before_the_lift(monkeypatch):
     assert linear_factor_test(f, 2, form_budget=85).forms_checked == 85 and built[-1] == (2, 2)
 
 
-def test_factor_verdict_body_adds_method_and_candidates():
+def test_factor_verdict_body_adds_candidates():
     body = linear_factor_test(norm_form(F2, 2), 2).to_dict()
-    assert list(body) == [
-        "found", "witness", "forms_checked", "trials", "error_bound", "field_size", "method", "candidates"
-    ]
-    assert body["method"] == "algebraic" and body["candidates"] >= 1
+    assert list(body) == ["found", "witness", "forms_checked", "trials", "error_bound", "field_size", "candidates"]
+    assert body["candidates"] >= 1
+
+
+def test_trials_and_seed_decide_no_verdict():
+    # the search is exact: trials feeds only the reported error bound and
+    # seed nothing, so every (trials, seed) pair gives one verdict
+    g = parse_poly("x1*(x1 + x2 + x3)*(x2 + 2*x3)", F3, ["x1", "x2", "x3"])
+    for f in (norm_form(F3, 2), g, example_two(F3).poly):
+        d = int(f.total_degree)
+        for s in (1, 2):
+            bodies = []
+            for trials, seed in ((0, 0), (1, 7), (6, 0), (6, 2**40 + 3), (geometry.MAX_TRIALS, 5)):
+                body = linear_factor_test(f, s, trials, seed).to_dict()
+                assert body.pop("trials") == trials
+                assert body.pop("error_bound") == str(min(1, Fraction(d, F3.q**s) ** trials))
+                bodies.append(body)
+            assert all(body == bodies[0] for body in bodies), (f, s)
+    assert bodies[0]["candidates"] >= 1
 
 
 def test_example_two_has_no_linear_factor_over_quartic_extension():
@@ -674,4 +687,4 @@ def test_tail_map_product_at_the_largest_shape_the_budgets_admit():
     assert K.tables.product(np.array([[p - 1]]), [A], bound).tolist() == [[K.mul(p - 1, p - 1)]] == [[1]]
     f = parse_poly("(x1 - x2)*(x1 - 3*x2)", K, ["x1", "x2"])
     verdict = linear_factor_test(f, 1)
-    assert verdict.found and verdict.witness == (K.one, p - 3) and verdict.method == "algebraic"
+    assert verdict.found and verdict.witness == (K.one, p - 3)

@@ -1,14 +1,13 @@
 """The bounded memo against an OrderedDict model, and the caches kept in it."""
 
 import math
-import tracemalloc
 from collections import OrderedDict
 from random import Random
 
 import numpy as np
 import pytest
 
-from cwlab import counting, fields, laws
+from cwlab import constructions, counting, laws
 from cwlab.counting import fast_count
 from cwlab.fields import build_field
 from cwlab.memo import MEMOS, Memo
@@ -163,29 +162,6 @@ def test_monomial_hit_builds_no_point_set():
 
 
 def test_every_cache_memo_is_registered():
-    assert {id(m) for m in (counting.GRIDS, counting.WALKS, laws.DIRECTIONS, fields.POWER_LOGS)} <= {id(m) for m in MEMOS}
+    memos = (counting.MONOMIALS, counting.WALKS, laws.DIRECTIONS, constructions.CORPUS_BLOCKS)
+    assert {id(m) for m in memos} <= {id(m) for m in MEMOS}
     assert counting.WALKS.entries == counting.WALK_MEMO
-
-
-def test_power_logs_keep_their_byte_bound():
-    # one-variable counts over F_2^16 with 32 sets of x-powers: each set's
-    # table of logs takes 768 KiB, 24 MiB together, more than the bound; the
-    # tables past it are dropped, least recently used first, and not held
-    F = build_field(2, 16)
-    memo = fields.POWER_LOGS
-    fast_count(PolySystem([parse_poly("x1^2 + x1 + 1", F, ["x1"])]))  # the field's own tables, built once
-    memo.clear()
-    counting.WALKS.clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for a in range(2, 34):
-            system = PolySystem([parse_poly(f"x1^{a + 1} + x1^{a} + 1", F, ["x1"])])
-            assert fast_count(system) >= 0
-            assert memo.held == sum(memo.sizes.values()) <= memo.bound
-        counting.WALKS.clear()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(memo.kept) < 32 and memo.held > memo.bound // 2
-    assert held <= memo.bound + (1 << 20)

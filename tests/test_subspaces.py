@@ -18,11 +18,10 @@ from cwlab.subspaces import (
     affine_span,
     direction_spaces,
     gaussian_binomial,
-    is_linear_subspace,
     rref,
     subspace_dim,
 )
-from references import contains, full_space
+from references import contains, full_space, is_linear_subspace
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
