@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     scope = p.add_mutually_exclusive_group()  # a usage error together, exit 1
     scope.add_argument("--all-pairs", action="store_true",
                        help="check every direction space (the default without --sampled)")
-    scope.add_argument("--sampled", type=int, help="sample this many direction spaces")
+    scope.add_argument("--sampled", type=int, help="direction spaces to sample per dimension")
     p.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p.add_argument("--dim", type=int, help="restrict to one qualifying dimension")
     p.set_defaults(func=cmd_check)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -118,12 +117,12 @@ def _coset_residue_check(
     entries: np.ndarray,
     F: FieldSpec,
     modulus: int,
-    matrix: np.ndarray | None = None,
+    matrix: np.ndarray,
 ):
     """None when, for every direction space of the batch (as `coset_ids`
-    takes it), the counts of the points X over its cosets agree mod
-    modulus; else (b, pair) for the first space b that fails, pair as
-    `_disagreeing_cosets` gives it.  One bincount counts every coset; past
+    takes it, matrix included), the counts of the points X over its cosets
+    agree mod modulus; else (b, pair) for the first space b that fails, pair
+    as `_disagreeing_cosets` gives it.  One bincount counts every coset; past
     BATCH cosets a space (a batch of one) counts its met cosets alone."""
     if X.shape[1] == 0:
         return None
@@ -142,32 +141,39 @@ def _coset_residue_check(
     return b, _disagreeing_cosets(ids[b], classes, modulus)
 
 
-_INTP_MAX = int(np.iinfo(np.intp).max)
-
-
-def _pattern_slice(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The direction spaces lo .. hi - 1 (hi <= the Gaussian binomial) of
-    `direction_spaces(F, n, m)` as (pivots, entries), pivots (hi - lo, m).
-    Entry (i, k) of space s in its pivot pattern is the base-q digit
-    s // q^e % q of the free cell e places from the end, 0 off the cells
-    (place _INTP_MAX, past every number)."""
+def _pattern_slice(F: FieldSpec, n: int, m: int, runs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The direction spaces lo .. hi - 1 of `direction_spaces(F, n, m)`, for
+    each (lo, hi) of runs, as (pivots, entries), pivots (B, m).  Column j,
+    with r pivots left, is the next pivot of the first scale * q^(n-j-r) *
+    [n-j-1 choose r-1]_q spaces left; scale, from 1, gains q^(n-j-r) at each
+    pivot and ends as the pattern's size.  What is left of s, s', numbers the
+    space in its pattern: entry (i, k) is s' // q^e % q at the free cell e
+    places from the end, 0 off the cells (place scale), exact past 2^63."""
     q = F.q
-    runs: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for pivots in combinations(range(n), m):
-        free = [j for j in range(n) if j not in pivots]
-        cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
-        total = q ** len(cells)
-        if lo < total:
-            place = [_INTP_MAX] * (m * (n - m))
+    patterns, blocks = [], []
+    for lo, hi in runs:
+        while lo < hi:
+            pivots, s, scale = [], lo, 1
+            for j in range(n):
+                r = m - len(pivots)
+                first = r and scale * q ** (n - j - r) * gaussian_binomial(q, n - j - 1, r - 1)
+                if s < first:
+                    pivots.append(j)
+                    scale *= q ** (n - j - r)
+                else:
+                    s -= first
+            take = min(hi - lo, scale - s)
+            dtype = object if scale > np.iinfo(np.intp).max else np.intp
+            free = [j for j in range(n) if j not in pivots]
+            cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
+            place = [scale] * (m * (n - m))
             for e, cell in enumerate(reversed(cells)):
-                place[cell] = min(q**e, _INTP_MAX)
-            s = np.arange(lo, min(hi, total))
-            runs.append((pivots, (s[:, None] // np.array(place, dtype=np.intp) % q).reshape(len(s), m, n - m)))
-        lo, hi = max(lo - total, 0), hi - total
-        if hi <= 0:
-            break
-    pivots = np.array([piv for piv, _ in runs], dtype=np.intp).reshape(len(runs), m)
-    return pivots.repeat([len(e) for _, e in runs], axis=0), np.concatenate([e for _, e in runs])
+                place[cell] = q**e
+            blocks.append(np.arange(s, s + take, dtype=dtype)[:, None] // np.array(place, dtype=dtype) % q)
+            patterns.append(np.full((take, m), pivots, dtype=np.intp))
+            lo += take
+    pivots = np.concatenate(patterns)
+    return pivots, np.concatenate(blocks).astype(np.intp).reshape(len(pivots), m, n - m)
 
 
 # bytes of the direction spaces built at a time on a miss (`direction_batches`)
@@ -178,10 +184,10 @@ PART_BYTES = 1 << 16
 DIRECTIONS = Memo(1 << 22)
 
 
-def _direction_part(F: FieldSpec, n: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The direction spaces lo .. hi - 1, built afresh: pivots, entries and
-    their rows of `coset_matrix`."""
-    pivots, entries = _pattern_slice(F, n, m, lo, hi)
+def _direction_part(F: FieldSpec, n: int, m: int, runs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direction spaces of runs, as `_pattern_slice` numbers them, built
+    afresh: pivots, entries and their rows of `coset_matrix`."""
+    pivots, entries = _pattern_slice(F, n, m, runs)
     pivots = pivots.astype(np.min_scalar_type(n))
     entries = entries.astype(np.min_scalar_type(F.q - 1))
     return pivots, entries, coset_matrix(pivots, entries, F)
@@ -209,26 +215,18 @@ def direction_batches(F: FieldSpec, n: int, m: int, cap: int) -> Iterator[tuple[
         yield from _slices(table, cap)
         return
     size = gaussian_binomial(F.q, n, m)
-    first = _direction_part(F, n, m, 0, 1)  # per space: 1, 1 and G rows
+    first = _direction_part(F, n, m, [(0, 1)])  # per space: 1, 1 and G rows
     space_bytes = max(1, sum(a.nbytes for a in first))
     keep = size * space_bytes <= DIRECTIONS.bound
     table = [np.empty((len(a) * size,) + a.shape[1:], a.dtype) for a in first] if keep else []
     step = cap * max(1, PART_BYTES // (cap * space_bytes))
     for lo in range(0, size, step):
-        part = _direction_part(F, n, m, lo, min(lo + step, size))
+        part = _direction_part(F, n, m, [(lo, min(lo + step, size))])
         for array, a, rows in zip(table, part, first):
             array[len(rows) * lo : len(rows) * lo + len(a)] = a
         yield from _slices(part, cap)
     if keep:
         DIRECTIONS.put(key, tuple(table), size * space_bytes)
-
-
-def _sampled_batches(spaces: Iterator, n: int, cap: int):
-    """RREF bases as (pivots, entries) batches of cap spaces."""
-    spaces = iter(spaces)
-    while chunk := [basis_entries(rows, n) for rows in islice(spaces, cap)]:
-        pivots, entries = zip(*chunk)
-        yield np.array(pivots, dtype=np.intp), np.stack(entries)
 
 
 def _flat(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, coset: int) -> dict:
@@ -254,21 +252,18 @@ def _witness(F: FieldSpec, n: int, pivots: Sequence[int], entries: np.ndarray, p
     return {"rows": flats[0]["rows"], "offsets": [f["offset"] for f in flats], "counts": [count for _, count in pair]}
 
 
-def _sampled_direction_spaces(
-    F: FieldSpec, n: int, m: int, count: int, seed: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Up to count distinct seeded random direction spaces, within 50 * count draws."""
-    rng = SplitMix64(derive_seed(seed, n, m))
-    seen = set()
-    attempts = 0
-    while len(seen) < count and attempts < 50 * count:
-        attempts += 1
-        rows = [[rng.below(F.q) for _ in range(n)] for _ in range(m)]
-        canon, _ = rref(F, rows)
-        if len(canon) != m or canon in seen:
-            continue
-        seen.add(canon)
-        yield canon
+def _drawn(rng: SplitMix64, N: int, k: int, cap: int) -> Iterator[list[int]]:
+    """k distinct numbers below N in draw order, cap at a time, by Floyd's
+    algorithm (Bentley and Floyd, "A sample of brilliance", CACM 30(9),
+    1987): for j = N - k .. N - 1, t = rng.below(j + 1), or j once t is drawn."""
+    drawn: set[int] = set()
+    for lo in range(N - k, N, cap):
+        batch = []
+        for j in range(lo, min(lo + cap, N)):
+            t = rng.below(j + 1)
+            batch.append(j if t in drawn else t)
+            drawn.add(batch[-1])
+        yield batch
 
 
 def _planned(q: int, n: int, m: int, scope: CheckScope) -> int:
@@ -305,12 +300,13 @@ def _sweep_classes(
             batches = direction_batches(F, n, m, cap)
             known = max((k for (dim, M), k in agreed.items() if dim == m and M % modulus == 0), default=0)
         else:
-            spaces = _sampled_direction_spaces(F, n, m, _planned(q, n, m, scope), scope.seed)
-            batches = ((pivots, entries, None) for pivots, entries in _sampled_batches(spaces, n, cap))
+            rng = SplitMix64(derive_seed(scope.seed, n, m))
+            drawn = _drawn(rng, gaussian_binomial(q, n, m), min(_planned(q, n, m, scope), room), cap)
+            batches = (_direction_part(F, n, m, [(s, s + 1) for s in batch]) for batch in drawn)
         for pivots, entries, matrix in batches:
             room = scope.budget - checked
-            if len(entries) > room:  # coset_ids builds the matrix of the spaces kept
-                pivots, entries, matrix = pivots[:room], entries[:room], None
+            if len(entries) > room:
+                pivots, entries, matrix = pivots[:room], entries[:room], matrix[: room * (len(matrix) // len(entries))]
             lo = per_dim.get(m, 0)
             hit = None
             if m < n and lo + len(entries) > known:

@@ -53,12 +53,14 @@ class SplitMix64:
         return mix64(self._state)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), rejection-sampled (no modulo bias)."""
+        """Uniform integer in [0, n), rejection-sampled (no modulo bias) from
+        the fewest outputs w with 2^(64w) >= n, the first most significant."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
+        words = max(1, ((n - 1).bit_length() + 63) // 64)
+        limit = (1 << 64 * words) - ((1 << 64 * words) % n)
         while True:
-            r = self.next_u64()
+            r = sum(self.next_u64() << 64 * i for i in range(words - 1, -1, -1))
             if r < limit:
                 return r % n
 

@@ -2,7 +2,7 @@
 
 import json
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import numpy as np
@@ -26,7 +26,7 @@ from cwlab.laws import (
     saturated_set_exhaustive,
 )
 from cwlab.polynomials import PolySystem, parse_poly
-from cwlab.rng import SplitMix64
+from cwlab.rng import SplitMix64, derive_seed
 from cwlab.subspaces import AffineSubspace, PointSet, affine_span, direction_spaces, gaussian_binomial, rref
 from test_subspaces import superspaces
 from references import contains, full_space
@@ -615,11 +615,12 @@ def _reference_sweep(points, F, n, dims, modulus, scope):
     checked = 0
     per_dim = {}
     for m in dims:
-        if scope.all_pairs:
-            spaces = direction_spaces(F, n, m)
-        else:
-            want = min(scope.sample or scope.budget, gaussian_binomial(F.q, n, m))
-            spaces = laws._sampled_direction_spaces(F, n, m, want, scope.seed)
+        spaces = list(direction_spaces(F, n, m))
+        if not scope.all_pairs:  # the drawn numbers in draw order; the spaces past the budget are not drawn
+            want = min(scope.sample or scope.budget, len(spaces))
+            k = min(want, scope.budget - checked)
+            drawn = laws._drawn(SplitMix64(derive_seed(scope.seed, n, m)), len(spaces), k, 1)
+            spaces = [spaces[s] for batch in drawn for s in batch] + [None] * (want - k)
         for rows in spaces:
             if checked >= scope.budget:
                 return checked, per_dim, True, None
@@ -656,11 +657,20 @@ def _reference_report(system, law, scope):
     return evidence, witness
 
 
+# a sampled sweep cut by its budget.  A sample of every space draws them in
+# enumeration order, so only a cut sample draws planes of A^3(F_3) out of order
+SAMPLED_CUT = CheckScope(all_pairs=False, sample=40, seed=25, budget=7)
+
+
+def _pivots(rows) -> tuple[int, ...]:
+    return tuple(next(i for i, x in enumerate(row) if x) for row in rows)
+
+
 def _differential_systems():
     """Small corpus systems over F_2 to F_5, corpus systems lifted to F_8
     and F_9, one system over F_7, the violating x1*x2 + 1 over F_2, and a
-    violating cubic over F_3 whose first failing plane in the sampled order
-    (seed 4) is the third one drawn, with other pivots than the first."""
+    violating cubic over F_3 whose first failing plane in SAMPLED_CUT's draw
+    order is not the first one drawn, and has other pivots than it."""
     from cwlab.constructions import random_system
     from cwlab.counting import lift_system
 
@@ -673,15 +683,16 @@ def _differential_systems():
         out += [lift_system(sy, s) for sy in corpus if sy.field.q == base_q and sy.nvars == 2][:2]
     out.append(random_system(build_field(7, 1), 3, (2,), 5))
     out.append(PolySystem([parse_poly("x1*x2 + 1", F2, ["x1", "x2"])]))
-    out.append(random_system(F3, 3, (3,), 13))
+    cubic = random_system(F3, 3, (3,), 0)
+    planes = list(direction_spaces(F3, 3, 2))
+    first = next(laws._drawn(SplitMix64(derive_seed(SAMPLED_CUT.seed, 3, 2)), len(planes), SAMPLED_CUT.budget, 1))[0]
+    checked, _, _, witness = _reference_sweep(zero_set(cubic), F3, 3, [2], 3, SAMPLED_CUT)
+    assert checked > 1 and _pivots(witness["rows"]) != _pivots(planes[first])
+    out.append(cubic)
     return out
 
 
 DIFFERENTIAL_SYSTEMS = _differential_systems()
-
-
-def _pivots(rows) -> tuple[int, ...]:
-    return tuple(next(i for i, x in enumerate(row) if x) for row in rows)
 
 
 class _BatchLog:
@@ -740,7 +751,7 @@ def test_batched_sweep_matches_per_space_reference(batch, monkeypatch):
             sizes = list(log.sizes)
             scopes = [CheckScope(budget=b) for b in (10**9, 0, total - 1, total)]
             scopes += [CheckScope(all_pairs=False, sample=40, seed=s) for s in (3, 4)]
-            scopes.append(CheckScope(all_pairs=False, sample=40, seed=3, budget=7))
+            scopes.append(SAMPLED_CUT)
             # a budget that ends one space into the first batch of two or more
             k = next((k for k, size in enumerate(sizes) if size >= 2), None)
             if k is not None:
@@ -843,13 +854,52 @@ def test_mod_2_sweep_checks_from_the_space_where_mod_4_failed(monkeypatch):
     assert log.sizes == [1] * 6 and agreed == {(2, 4): b, (2, 2): planes}
 
 
-@pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3)])
+@pytest.mark.parametrize("N, k, cap", [(1, 1, 4), (13, 7, 3), (13, 13, 5), (1000, 999, 64), (2**123 + 5, 50, 16)])
+def test_drawn_numbers_are_k_distinct_numbers_below_n(N, k, cap):
+    # Floyd's algorithm: one `below` a number, k distinct numbers below N in
+    # batches of cap, and each number once when k = N
+    rng, ref = SplitMix64(derive_seed(N, k)), SplitMix64(derive_seed(N, k))
+    batches = list(laws._drawn(rng, N, k, cap))
+    drawn = [s for batch in batches for s in batch]
+    assert [len(batch) for batch in batches] == [min(cap, k - lo) for lo in range(0, k, cap)]
+    assert len(set(drawn)) == k and 0 <= min(drawn) and max(drawn) < N
+    assert k < N or sorted(drawn) == list(range(N))
+    for j in range(N - k, N):
+        ref.below(j + 1)
+    assert rng._state == ref._state
+
+
+def test_drawn_spaces_past_two_to_the_63_decode_exactly():
+    # [16 choose 8]_2 has 66 bits: each drawn number decodes to RREF rows,
+    # and back to itself by a scan of the pivot patterns in lexicographic order
+    n, m = 16, 8
+    N = gaussian_binomial(2, n, m)
+    starts, total = {}, 0
+    for piv in combinations(range(n), m):
+        starts[piv] = total
+        total += 2 ** sum(n - m - p + i for i, p in enumerate(piv))
+    assert total == N and N.bit_length() == 66
+    drawn = next(laws._drawn(SplitMix64(3), N, 200, 200))
+    assert max(drawn) > 2**63
+    pivots, entries = laws._pattern_slice(F2, n, m, [(s, s + 1) for s in drawn])
+    for s, piv, ent in zip(drawn, pivots.tolist(), entries.tolist()):
+        free = [j for j in range(n) if j not in piv]
+        rows = tuple(tuple(1 if j == p else ent[i][free.index(j)] if j in free else 0 for j in range(n)) for i, p in enumerate(piv))
+        assert rref(F2, rows)[0] == rows
+        digits = "".join(str(ent[i][k]) for i in range(m) for k, j in enumerate(free) if j > piv[i])
+        assert starts[tuple(piv)] + int(digits or "0", 2) == s
+
+
+@pytest.mark.parametrize("F, n", [(F2, 4), (F3, 4), (F4, 3), (F5, 3), (F2, 5), (F3, 2), (build_field(2, 3), 2), (build_field(3, 2), 2)])
 def test_pattern_batches_follow_direction_spaces(F, n):
     # batches of cap spaces run on across pivot patterns, in the order of
     # direction_spaces, for caps that divide no pattern's size (the sizes
-    # are powers of q: 7 and 11 are prime to q, and 10^9 exceeds them all)
+    # are powers of q: 7 and 11 are prime to q, and 10^9 exceeds them all);
+    # and every number decoded alone, last first, is its space there
     for m in range(n + 1):
         want = [(tuple(piv), ent.tolist()) for piv, ent in (basis_entries(rows, n) for rows in direction_spaces(F, n, m))]
+        alone = laws._pattern_slice(F, n, m, [(s, s + 1) for s in reversed(range(len(want)))])
+        assert list(zip(map(tuple, alone[0].tolist()), alone[1].tolist())) == want[::-1], (F.q, n, m)
         for cap in (7, 11, 10**9):
             batches = [(pivots, entries) for pivots, entries, _ in laws.direction_batches(F, n, m, cap)]
             assert [len(e) for _, e in batches] == [min(cap, len(want) - i) for i in range(0, len(want), cap)]
@@ -858,7 +908,7 @@ def test_pattern_batches_follow_direction_spaces(F, n):
 
 
 def _space_bytes(F, n, m):
-    return sum(a.nbytes for a in laws._direction_part(F, n, m, 0, 1))
+    return sum(a.nbytes for a in laws._direction_part(F, n, m, [(0, 1)]))
 
 
 @pytest.mark.parametrize("bound", [None, 600])
@@ -880,7 +930,7 @@ def test_direction_table_slices_match_pattern_batches(F, n, bound, monkeypatch):
         fits[m] = len(want) * _space_bytes(F, n, m) <= memo.bound
         for cap in (7, 11, 10**9):  # the first cap builds the table, the others slice it
             slices = list(laws.direction_batches(F, n, m, cap))
-            batches = [laws._pattern_slice(F, n, m, lo, min(lo + cap, len(want))) for lo in range(0, len(want), cap)]
+            batches = [laws._pattern_slice(F, n, m, [(lo, min(lo + cap, len(want)))]) for lo in range(0, len(want), cap)]
             assert len(slices) == len(batches)
             for (pivots, entries, matrix), (piv, ent) in zip(slices, batches):
                 assert (pivots.tolist(), entries.tolist()) == (piv.tolist(), ent.tolist())
@@ -917,9 +967,9 @@ def test_sweep_that_stops_early_builds_one_part_past_and_keeps_nothing(monkeypat
     parts = []
     build = laws._direction_part
 
-    def logged(F, n, m, lo, hi):
-        parts.append((lo, hi))
-        return build(F, n, m, lo, hi)
+    def logged(F, n, m, runs):
+        parts.extend(runs)
+        return build(F, n, m, runs)
 
     monkeypatch.setattr(laws, "_direction_part", logged)
     memo, key, size = laws.DIRECTIONS, (F5.tables, 5, 2), gaussian_binomial(5, 5, 2)
@@ -943,7 +993,7 @@ def test_sweep_that_stops_early_builds_one_part_past_and_keeps_nothing(monkeypat
     assert parts[-1][0] < checked <= parts[-1][1] <= checked + step < size
     (checked, _, truncated, _), step = sweep(empty, 10**9)
     assert checked == size and not truncated and parts[-1][1] == size
-    whole = build(F5, 5, 2, 0, size)
+    whole = build(F5, 5, 2, [(0, size)])
     assert all(np.array_equal(a, b) for a, b in zip(memo.kept[key], whole))
     assert memo.sizes[key] == sum(a.nbytes for a in whole) == size * _space_bytes(F5, 5, 2)
     parts.clear()
@@ -962,9 +1012,9 @@ def test_budget_cut_at_a_part_or_dimension_end_builds_nothing_past_it(monkeypatc
     calls = []
     build = laws._direction_part
 
-    def logged(F, n, m, lo, hi):
-        calls.append((m, lo, hi))
-        return build(F, n, m, lo, hi)
+    def logged(F, n, m, runs):
+        calls.extend((m, lo, hi) for lo, hi in runs)
+        return build(F, n, m, runs)
 
     monkeypatch.setattr(laws, "_direction_part", logged)
     X, size = point_digits(np.zeros((0, 5), dtype=np.intp), F5), gaussian_binomial(5, 5, 2)

@@ -79,6 +79,22 @@ def test_below_skips_the_output_past_its_limit(n):
     assert SplitMix64(seed).below(4) == MASK64 % 4
 
 
+@pytest.mark.parametrize("n", [2**64 + 1, 2**122 + 12345, 2**127 + 1])
+def test_below_past_two_to_the_64_reads_two_outputs(n):
+    # the first output is the high word; a value at or past
+    # 2^128 - (2^128 mod n) is redrawn, as is a first output of 2^64 - 1
+    # for every n here but 2^64 + 1
+    seed = stream_whose_next_output_is(MASK64)
+    outs = [mix64((seed + t * _GAMMA) & MASK64) for t in range(1, 13)]
+    pairs = [hi << 64 | lo for hi, lo in zip(outs[::2], outs[1::2])]
+    limit = 2**128 - 2**128 % n
+    kept = next(i for i, r in enumerate(pairs) if r < limit)
+    assert (kept > 0) == (n > 2**64 + 1)
+    rng = SplitMix64(seed)
+    assert rng.below(n) == pairs[kept] % n
+    assert rng.next_u64() == mix64((seed + (2 * kept + 3) * _GAMMA) & MASK64)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_vectorized_draw_skips_the_output_past_its_limit(n):
     seed = stream_whose_next_output_is(MASK64)
