@@ -5,8 +5,9 @@ the Frobenius map, the relative norm, a substitution summed term by term,
 the monomials by recursion, a subfield embedding's roots by a scan of the
 whole field, the seeded draws one scalar output at a time (a random
 system's coefficients and a corpus system), the affine-subspace test of a
-point set, and the linear-factor search as a seeded random-point screen of
-every normalized form."""
+point set, the linear-factor search as a seeded random-point screen of
+every normalized form, and block-separable systems with their exact counts
+from the blocks' value histograms."""
 
 from itertools import product
 
@@ -226,3 +227,69 @@ def screened_factor(f, s, trials=6, seed=0):
 
     fK, K = _lift_poly(f, s)
     return next((c for c in screened_forms(fK, trials, seed, s) if _exact_linear_division(fK, K, c)), None)
+
+
+def separable_system(F, sizes, degrees, seed, homogeneous=False):
+    """A seeded block-separable system in sum(sizes) variables, g_i =
+    sum_j h_ij(x_{B_j}) + c_i: the blocks B_j are consecutive runs of the
+    given sizes (2 to 4 variables each), and each h_ij has three terms of
+    degree at most d_i >= 2 in B_j's variables, the first x_a x_b times
+    d_i - 2 more of them (a != b), so every block holds a term of degree at
+    least 2 that no power rule lowers to a linear one.  If homogeneous,
+    every term has degree d_i and every c_i is 0."""
+    assert all(2 <= size <= 4 for size in sizes) and all(d >= 2 for d in degrees)
+    rng = SplitMix64(derive_seed(seed, F.p, F.k, *sizes, *degrees, homogeneous))
+    n, polys = sum(sizes), []
+    for d in degrees:
+        items = [((0,) * n, 0 if homogeneous else rng.below(F.q))]
+        start = 0
+        for size in sizes:
+            block = list(range(start, start + size))
+            start += size
+            while True:
+                terms = []
+                for t in range(3):
+                    exps = [0] * n
+                    if t == 0:
+                        a = rng.below(size)
+                        b = (a + 1 + rng.below(size - 1)) % size
+                        exps[block[a]] += 1
+                        exps[block[b]] += 1
+                    for _ in range(d - 2 if t == 0 else d if homogeneous else 1 + rng.below(d)):
+                        exps[block[rng.below(size)]] += 1
+                    terms.append((tuple(exps), 1 + rng.below(F.q - 1)))
+                h = MultiPoly.from_terms(F, n, terms)
+                if any(sum(1 for e in exps if e) >= 2 for exps in h.terms):
+                    break
+            items += list(h.terms.items())
+        polys.append(MultiPoly.from_terms(F, n, items))
+    return PolySystem(polys)
+
+
+def separable_count(system, sizes):
+    """The common zero count of a block-separable system (`separable_system`):
+    the value at 0 of the convolution, over (F_q^r, +), of the point mass at
+    the constants (c_1 .. c_r) and each block's joint value histogram, the
+    number of points of F_q^|B_j| at which (h_1j, ..., h_rj) takes each value.
+    Integers and scalar field arithmetic only, q^|B_j| evaluations a block."""
+    F, n = system.field, system.nvars
+    hist = {tuple(f.terms.get((0,) * n, 0) for f in system.polys): 1}
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        start += size
+        parts = [MultiPoly(F, n, {e: c for e, c in f.terms.items() if any(e[v] for v in block)} or {(0,) * n: 0}) for f in system.polys]
+        assert all(all(not e[v] or v in block for v in range(n)) for h in parts for e in h.terms)
+        values = {}
+        for x in product(range(F.q), repeat=size):
+            pt = [0] * n
+            pt[block.start : block.stop] = x
+            key = tuple(h.evaluate(pt) for h in parts)
+            values[key] = values.get(key, 0) + 1
+        convolved = {}
+        for u, a in hist.items():
+            for v, b in values.items():
+                w = tuple(F.add(x, y) for x, y in zip(u, v))
+                convolved[w] = convolved.get(w, 0) + a * b
+        hist = convolved
+    return hist.get((0,) * system.r, 0)
