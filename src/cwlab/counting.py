@@ -1,9 +1,9 @@
 """Exact zero counting over full spaces, subspaces and extension fields.
 
 Two engines must agree exactly: the fast kernel, which walks the point grid
-in odometer order and keeps the zeros' odometer indexes (its GEMM and trie
-steps, the cone walk and the walk memo are README's design notes), and the
-oracle, which evaluates every polynomial at every point.
+in odometer order and keeps the zeros' odometer indexes (its one product
+step, the step rule, the cone walk and the walk memo are README's design
+notes), and the oracle, which evaluates every polynomial at every point.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import time
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb
-from typing import Callable, Iterator, NamedTuple, Sequence
+from math import comb, prod
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import AmbientMismatch, BudgetExceeded, CwlabError, InvalidArgument, ZeroPolynomial
-from .fields import FLOAT32_EXACT, FieldSpec, FieldTables, build_field, embed_subfield
+from .fields import FLOAT32_EXACT, FLOAT64_EXACT, FieldSpec, FieldTables, build_field, embed_subfield
 from .memo import Memo
 from .polynomials import MultiPoly, PolySystem, restrict_to_subspace
 from .subspaces import AffineSubspace
@@ -30,8 +30,6 @@ from .subspaces import AffineSubspace
 ORACLE_CAP = 10**6
 FAST_CAP = 10**9
 DEFAULT_BUDGET = 1 << 22
-# points per kernel step: bounds the kernel's working memory at a few MB
-CHUNK = 1 << 16
 
 
 def default_budget() -> int:
@@ -93,233 +91,119 @@ def _coordinates(idx: np.ndarray, q: int, n: int) -> np.ndarray:
     return cols
 
 
-def _word(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """The word of exponent vector exps: each variable's number once per
-    unit of its exponent (x1^2*x3 is 0, 0, 2)."""
-    return tuple(i for i, e in enumerate(exps) for _ in range(e))
-
-
-Spelled = list[tuple[tuple[int, ...], int]]
-
-
-def _spelled(f: MultiPoly) -> Spelled:
-    """f's terms as sorted (word, coefficient) pairs; the zero polynomial as
-    the constant 0."""
-    return sorted((_word(exps), c) for exps, c in f.terms.items()) or [((), 0)]
-
-
-class Plan(NamedTuple):
-    """Words compiled into a trie.  Node row 0 is the empty word (log sum
-    0); levels[l - 1] = (start, stop, parents, variables, fold) makes rows
-    [start, stop) of length l, each its parent's row (none at length 1)
-    plus one variable's logs, after folding the rows in fold (`FieldTables.
-    depth` logs, else None).  rows holds each term's node, grouped by the
-    split variable's powers (sizes[g] terms in group g, None for one group);
-    order maps plan terms to spelled terms (None when equal); empty tells
-    whether a term's node is row 0."""
-
-    levels: tuple[tuple[int, int, np.ndarray | None, np.ndarray, slice | None], ...]
-    nodes: int
-    rows: np.ndarray
-    sizes: tuple[int, ...] | None
-    powers: tuple[int, ...]
-    order: list[int] | None
-    empty: bool
-
-
-def _plan(words: tuple[tuple[int, ...], ...], last: int | None) -> Plan:
-    """The `Plan` of these sorted words.  With last given, a word's trailing
-    run of last (the largest number) is its power e and the groups are the
-    g_e of f = sum_e g_e * x_last^e.  The nodes are the words' distinct
-    prefixes, from one walk in sorted order."""
-    rests, powers = words, [0] * len(words)
-    if last is not None:
-        rests = []
-        for i, w in enumerate(words):
-            cut = len(w)
-            while cut and w[cut - 1] == last:
-                cut -= 1
-            rests.append(w[:cut])
-            powers[i] = len(w) - cut
-    parents: list[list[int]] = []  # [l - 1]: each node of length l's parent, numbered within length l - 1
-    variables: list[list[int]] = []
-    node = [0] * len(words)  # each term's node, numbered within its length
-    path: list[int] = []  # the nodes of the current word's prefixes
-    prev: tuple[int, ...] = ()
-    for i in range(len(words)) if last is None else sorted(range(len(words)), key=rests.__getitem__):
-        w = rests[i]
-        keep = 0
-        for a, b in zip(w, prev):
-            if a != b:
-                break
-            keep += 1
-        del path[keep:]
-        for l in range(keep, len(w)):
-            if l == len(variables):
-                parents.append([])
-                variables.append([])
-            parents[l].append(path[-1] if l else 0)
-            path.append(len(variables[l]))
-            variables[l].append(w[l])
-        node[i] = path[-1] if w else 0
-        prev = w
-    starts = [1]
-    for v in variables:
-        starts.append(starts[-1] + len(v))
-    levels, held = [], 0
-    for l, v in enumerate(variables):
-        fold = None
-        if held == FieldTables.depth:
-            fold, held = slice(starts[l - 1], starts[l]), 1
-        up = np.array(parents[l]) + starts[l - 1] if l else None
-        levels.append((starts[l], starts[l + 1], up, np.array(v), fold))
-        held += 1
-    rows = [starts[len(w) - 1] + k if w else 0 for w, k in zip(rests, node)]
-    if last is None or len(set(powers)) == 1:
-        return Plan(tuple(levels), starts[-1], np.array(rows), None, (powers[0],), None, 0 in rows)
-    order = sorted(range(len(words)), key=powers.__getitem__)
-    split = sorted(set(powers))
-    return Plan(
-        levels=tuple(levels),
-        nodes=starts[-1],
-        rows=np.array([rows[i] for i in order]),
-        sizes=tuple(map(powers.count, split)),
-        powers=tuple(split),
-        order=order,
-        empty=0 in rows,
-    )
-
-
-@lru_cache(maxsize=1 << 6)
-def _shape(n: int, lengths: tuple[int, ...], last: int | None) -> tuple[Plan, dict[tuple[int, ...], int]]:
-    """The plan of every word of these lengths in n variables, and each
-    exponent vector's row in its term order."""
-    words = sorted(w for l in lengths for w in combinations_with_replacement(range(n), l))
-    plan = _plan(tuple(words), last)
-    order = plan.order or range(len(words))
-    return plan._replace(order=None), {tuple(map(words[j].count, range(n))): i for i, j in enumerate(order)}
-
-
-def _compiled(f: MultiPoly, T: FieldTables, last: int | None = None) -> tuple[Plan, np.ndarray]:
-    """f's plan and its coefficients' logs in plan order (the shifts of
-    `_evaluate`): its shape's plan (`_shape`, absent words at log Z) when
-    its terms are at least half of the words of their lengths, else the
-    plan of its spelled words."""
-    terms = f.terms
-    lengths = tuple(sorted(set(map(sum, terms))))
-    if terms and sum(comb(f.nvars + l - 1, l) for l in lengths) <= 2 * len(terms):
-        plan, rows = _shape(f.nvars, lengths, last)
-        coeffs = [0] * len(plan.rows)
-        for exps, c in terms.items():
-            coeffs[rows[exps]] = c
-        return plan, T.log.take(coeffs)
-    words, coeffs = zip(*_spelled(f))
-    plan = _plan(words, last)
-    if plan.order is not None:
-        coeffs = [coeffs[i] for i in plan.order]
-    return plan, T.log.take(coeffs)
-
-
-# bytes that one slice of `_evaluate` takes for its node and stack rows,
-# counted at 8 bytes an entry, as numpy's gathers hold their indexes (256 KiB)
-EVAL_BYTES = 1 << 18
-
-
-def _evaluate(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
-    """Each group of a compiled polynomial at the points whose coordinate
-    logs are the columns of logs (n, points): a (groups, points) array,
-    in slices of at most EVAL_BYTES // (8 * (nodes + terms)) points."""
-    step = max(1, EVAL_BYTES // (8 * (plan.nodes + len(plan.rows))))
-    return _sliced(lambda s: _evaluate_slice(plan, shifts, logs[:, s], T), logs.shape[1], step)
-
-
-def _sliced(part, width: int, step: int) -> np.ndarray:
-    """part(s) for the slices s of [0, width), step wide, joined on the
-    last axis."""
-    if width <= step:
-        return part(slice(None))
-    return np.concatenate([part(slice(lo, lo + step)) for lo in range(0, width, step)], axis=-1)
-
-
-def _evaluate_slice(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
-    """`_evaluate` on one slice of points."""
-    return T.total(_log_sums(plan, shifts, logs, T), plan.sizes)
-
-
-def _log_sums(plan: Plan, shifts: np.ndarray, logs: np.ndarray, T: FieldTables) -> np.ndarray:
-    """The (terms x points) stack of each term's log sum plus its shift,
-    which exp reads as the terms' values."""
-    buf = np.empty((plan.nodes, logs.shape[1]), dtype=logs.dtype)
-    if plan.empty:
-        buf[0] = 0
-    for start, stop, parents, variables, fold in plan.levels:
-        if fold is not None:
-            buf[fold] = T.fold.take(buf[fold], mode="clip")
-        if parents is None:
-            logs.take(variables, axis=0, out=buf[start:stop])
-        else:
-            np.add(buf.take(parents, axis=0), logs.take(variables, axis=0), out=buf[start:stop])
-    stack = buf.take(plan.rows, axis=0)
-    stack += shifts[:, None]
-    return stack
-
-
-def _prefix_ranges(q: int, n: int, cone: bool) -> list[range]:
-    """The prefixes (x_1 .. x_{n-1}) a pass visits, in order: all, or on the
-    cone prefix 0 and the normalized prefixes, led by the element of index
-    1: [q^m, 2*q^m) for m = 0 .. n - 2."""
-    if not n:
-        return []
+def _prefixes(q: int, m: int, cone: bool) -> np.ndarray:
+    """The odometer indexes of the points over m variables that a pass
+    visits, an s = 0 pass's prefixes or a split pass's suffixes, ascending:
+    all q^m, or on the cone 0 and the normalized points, led by the
+    element of index 1: [q^i, 2*q^i) for i < m."""
     if not cone:
-        return [range(q ** (n - 1))]
-    return [range(1)] + [range(q**m, 2 * q**m) for m in range(n - 1)]
+        return np.arange(q**m)
+    return np.concatenate([np.zeros(1, dtype=np.intp)] + [np.arange(q**i, 2 * q**i) for i in range(m)])
 
 
-def _prefix_blocks(ranges: list[range], step: int) -> Iterator[np.ndarray]:
-    """The prefixes of ranges in order, step at a time."""
-    parts: list[np.ndarray] = []
-    size = 0
-    for r in ranges:
-        lo = r.start
-        while lo < r.stop:
-            hi = min(r.stop, lo + step - size)
-            parts.append(np.arange(lo, hi))
-            size += hi - lo
-            lo = hi
-            if size == step:
-                yield np.concatenate(parts)
-                parts, size = [], 0
-    if parts:
-        yield np.concatenate(parts)
+def _prefix_count(q: int, m: int, cone: bool) -> int:
+    """len(_prefixes(q, m, cone))."""
+    return 1 + (q**m - 1) // (q - 1) if cone else q**m
 
 
-def _blocks(T: FieldTables, n: int, cone: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A pass's prefixes, CHUNK // q at a time, each block with its
-    coordinates' logs (n - 1, len)."""
-    for pre in _prefix_blocks(_prefix_ranges(T.q, n, cone), max(1, CHUNK // T.q)):
-        yield pre, T.log.take(_coordinates(pre, T.q, n - 1))
+def _sizes(q: int, n: int, s: int, cone: bool) -> tuple[int, int]:
+    """(P, Y) of a grid or cone pass of split s in n variables: the s = 0
+    pass's points (`_pass_points`) and 1, else q^(n - s) prefixes and the
+    suffixes `_prefixes(q, s, cone)`."""
+    return (q * _prefix_count(q, n - 1, cone), 1) if not s else (q ** (n - s), _prefix_count(q, s, cone))
 
 
-# the step rule (`_gemm_rule`), one for every field: a pass within the three
-# bounds below takes the GEMM step, any other the trie step.  Points: every
-# `corpus-sweep` pass has at most 3,910 (the cone of F_5^6)
+def _monomial_logs(T: FieldTables, E: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """log x^e for each row e of E (m, v) at the points whose coordinate
+    logs are the columns of logs (v, points), Z where x^e is 0: two
+    `FieldTables.product`s, E mod (q - 1) times the nonzero coordinates'
+    logs, and E > 0 times the zero coordinates, which marks a zero factor."""
+    q, Z = T.q, int(T.log[0])
+    zero = logs == Z
+    R = T.product((E % (q - 1)).astype(np.min_scalar_type(q - 2)), [np.where(zero, 0, logs)], E.shape[1] * (q - 2) ** 2, reduce=False)
+    R -= R // (q - 1) * (q - 1)  # R %= q - 1, by the scalar division numpy does faster
+    R[T.product(E > 0, [zero], E.shape[1], reduce=False) > 0] = Z
+    return R.astype(T.log.dtype)
+
+
+def _digits(T: FieldTables, X: np.ndarray) -> np.ndarray:
+    """The F_p digits of the elements X (m, points) as (m k, points) rows
+    (row (i, a) the digit a of row i), in the narrowest unsigned type: row 0
+    of x's multiplication matrix, the digits of x * 1, read in one gather."""
+    if T.field.k == 1:
+        return X.astype(np.min_scalar_type(T.field.p - 1))
+    return T.mul_matrices[:, 0].take(X, axis=0).transpose(0, 2, 1).reshape(-1, X.shape[1])
+
+
+def _expanded(T: FieldTables, X: np.ndarray) -> np.ndarray:
+    """X's multiplication matrices as two trailing axes: [..., a, b] the
+    digit b of x * g^a (`FieldTables.mul_matrices`), x itself for k = 1."""
+    if T.field.k == 1:
+        return X.astype(np.min_scalar_type(T.field.p - 1))[..., None, None]
+    return T.mul_matrices[X]
+
+
+def _zero_mask(V: np.ndarray) -> np.ndarray:
+    """Where every polynomial vanishes, (b, w), in a `_step` block (rows, b, w)."""
+    return V[0] == 0 if len(V) == 1 else ~V.any(axis=0)
+
+
+# the step rule (`_rule`): s = 0, one product on the cached M', for a pass
+# of at most GEMM_POINTS points (every `corpus-sweep` pass has at most
+# 3,910, the cone of F_5^6) and GEMM_ENTRIES multiply-adds a polynomial,
+# k^2 |W| points (M' holds k|W| points digits, a byte each for p <= 256)
 GEMM_POINTS = 1 << 12
-# multiply-adds a polynomial, k^2 |W| points: M' holds k|W| points digits, at
-# most GEMM_ENTRIES / k bytes for p <= 256 (two bytes a digit past it), and
-# its float32 copy at the product four bytes a digit
 GEMM_ENTRIES = 1 << 19
-# exactness: k|W|(p - 1)^2 < FLOAT32_EXACT, implied by the bounds above unless q is an odd prime
+# bytes of a block's product (a block holds BLOCK_BYTES // (4 r k Y)
+# prefixes, at least one) and of the operands held for a pass (`_held`)
+BLOCK_BYTES = 1 << 19
+HELD_BYTES = 1 << 23
+# a log-domain term's cost in digit multiply-adds: the digit product costs
+# k^2 a term, so fields with k^2 > LOG_COST (k >= 5) sum in the log domain;
+# over an odd-p extension field a term costs twice, its Zech addition being
+# two gathers
+LOG_COST = 20
+# a digit pass's fixed cost in multiply-adds: its two float products and
+# their casts, and the slower clock the work after them runs at (README)
+DIGIT_SETUP = 1 << 19
 
-# bytes of the GEMM step's M' blocks and pass points (see `_monomials`); a
-# block holds at most 2^20 bytes (2-byte digits, p > 256); `corpus-sweep`
-# keeps 1.14 MB, `coset-classes` and `extension-fields` 0.40 MB
+# bytes of the s = 0 step's M' blocks and pass points (see `_monomials`) and
+# of a split pass's one-block operands and point logs (`_kept`); an M' block
+# holds at most 2^20 bytes (2-byte digits, p > 256); `corpus-sweep` keeps
+# 1.14 MB, `coset-classes` 0.40 MB and `extension-fields` 0.58 MB
 MONOMIALS = Memo(1 << 21)
 
 
-def _gemm_rule(points: int, words: int, p: int, k: int) -> bool:
-    """Whether a pass of this many points over F_{p^k}, of this many words,
-    takes the GEMM step."""
-    return points <= GEMM_POINTS and k * k * words * points <= GEMM_ENTRIES and k * words * (p - 1) ** 2 < FLOAT32_EXACT
+def _rule(p: int, k: int, shapes: Iterable[tuple[int, tuple[int, int, int, int, int]]]) -> tuple[int, bool]:
+    """(s, log) of a pass over F_{p^k} from its splits' operand shapes, each
+    (s, (r, |α|, |β|, P, Y)): r polynomials, |α| prefix and |β| grid
+    monomials, P prefixes and Y suffixes.  s = 0 (|α| = |W|, Y = 1)
+    when within the GEMM bounds, read first and alone; else the split s >= 1
+    and sum of least cost unit * r|α|Y(P + |β|), unit k^2 for the digit
+    product (when its partial sums max(|α|, |β|)k(p - 1)^2 stay below
+    FLOAT64_EXACT), plus DIGIT_SETUP, and LOG_COST (twice that for odd p and
+    k > 1) for the log-domain sum, among those whose held operand fits
+    HELD_BYTES, or of least held operand if none does."""
+    best, log_unit = None, LOG_COST * (2 if p > 2 and k > 1 else 1)
+    for s, (r, a, b, P, Y) in shapes:
+        if not s:
+            if P <= GEMM_POINTS and k * k * a * P <= GEMM_ENTRIES and k * a * (p - 1) ** 2 < FLOAT32_EXACT:
+                return 0, False
+            continue
+        for log in (False, True):
+            if not log and max(a, b) * k * (p - 1) ** 2 >= FLOAT64_EXACT:
+                continue
+            held = Y * _held(k, r, a, b, log)
+            cost = (log_unit if log else k * k) * r * a * Y * (P + b) + (0 if log else DIGIT_SETUP)
+            key = (held > HELD_BYTES, held if held > HELD_BYTES else cost)
+            if best is None or key < best[0]:
+                best = key, s, log
+    return best[1:]
+
+
+def _held(k: int, r: int, a: int, b: int, log: bool) -> int:
+    """Bytes a suffix takes in a step's held operands (B, K B), at 8 bytes an entry."""
+    return 8 * (b * (r * a + 1) if log else k * (r * a + b))
 
 
 def _lengths(polys: Sequence[MultiPoly]) -> tuple[int, ...]:
@@ -327,19 +211,37 @@ def _lengths(polys: Sequence[MultiPoly]) -> tuple[int, ...]:
     return tuple(sorted({sum(exps) for f in polys for exps in f.terms}))
 
 
-def _gemm_lengths(F: FieldSpec, n: int, points: int, polys: Sequence[MultiPoly]) -> tuple[int, ...] | None:
-    """The term lengths of polys when a pass of this many points takes the
-    GEMM step, else None: the points bound is read before |W| is counted."""
-    if points > GEMM_POINTS:
-        return None
-    lengths = _lengths(polys)
-    return lengths if _gemm_rule(points, sum(comb(n + l - 1, l) for l in lengths), F.p, F.k) else None
+def _operands(q: int, n: int, cone: bool, polys: Sequence[MultiPoly], lengths: tuple) -> Iterator[tuple[int, tuple]]:
+    """The operand shapes `_rule` reads for a grid or cone pass in n >= 1
+    variables, the last s the grid: s = 0 only within the points bound (so
+    a pass past it pays nothing for |W|), then s = 1 .. n (`_split_sizes`)."""
+    points = _sizes(q, n, 0, cone)[0]
+    if points <= GEMM_POINTS:
+        yield 0, (len(polys), sum(comb(n + l - 1, l) for l in lengths), 1, points, 1)
+    yield from _split_sizes(q, n, cone, tuple(map(_support, polys)))
+
+
+def _support(f: MultiPoly) -> tuple[tuple[int, ...], ...]:
+    """f's exponent vectors, in term order; every word of its term lengths
+    (`_monomial_rows`) when f has at least half of them, so that the dense
+    polynomials of one shape share one support, and its kept operands."""
+    lengths = {sum(e) for e in f.terms}
+    if f.terms and sum(comb(f.nvars + l - 1, l) for l in lengths) <= 2 * len(f.terms):
+        return tuple(_monomial_rows(f.nvars, tuple(sorted(lengths))))
+    return tuple(f.terms) or ((0,) * f.nvars,)
+
+
+@lru_cache(maxsize=1 << 8)
+def _split_sizes(q: int, n: int, cone: bool, supports: tuple) -> tuple[tuple[int, tuple], ...]:
+    """The operand shapes of the splits s = 1 .. n of a pass of polynomials
+    with these supports (`_split_terms`)."""
+    return tuple((s, (len(supports), *map(len, _split_terms(supports, n - s, s)[:2]), *_sizes(q, n, s, cone))) for s in range(1, n + 1))
 
 
 def _as_function(f: MultiPoly) -> MultiPoly:
     """f if of total degree <= n(q - 1), else each exponent e >= q lowered to
     (e - 1) % (q - 1) + 1, which x^e equals on F_q, like terms summed (a sum
-    that cancels is the constant term 0): no word past n(q - 1) letters."""
+    that cancels is the constant term 0): no monomial past degree n(q - 1)."""
     q = f.field.q
     if f.total_degree <= f.nvars * (q - 1):
         return f
@@ -350,122 +252,199 @@ def _as_function(f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.field, f.nvars, {e: c for e, c in terms.items() if c} or {(0,) * f.nvars: 0})
 
 
-def _zero_chunks(system: PolySystem, cone: bool) -> Iterator[np.ndarray]:
-    """The common zeros' odometer indexes at the prefixes a pass visits,
-    ascending, one array per block, by the step `_gemm_rule` picks; both
-    steps give the same zeros in the same order."""
-    F = system.field
-    q, n = F.q, system.nvars
-    if not n:
-        # the one point; a system's polynomials are nonzero constants here
-        yield np.zeros(0, dtype=np.intp)
+@lru_cache(maxsize=1 << 8)
+def _split_terms(supports: tuple, j: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of polynomials with these supports (each one's exponent
+    vectors, in term order) split at the grid variables j .. j + s - 1: the
+    distinct prefix exponents Ea (|α|, n - s) and grid exponents Eb (|β|,
+    s), in order of first use, and each term's flat place in K (r, |α|, |β|),
+    read-only."""
+    rows, betas, places = {}, {}, []
+    for i, support in enumerate(supports):
+        for e in support:
+            places.append((i, rows.setdefault(e[:j] + e[j + s :], len(rows)), betas.setdefault(e[j : j + s], len(betas))))
+    n = len(supports[0][0])
+    split = [np.array(list(d), dtype=np.intp).reshape(len(d), m) for d, m in ((rows, n - s), (betas, s))]
+    split.append(np.array([(i * len(rows) + a) * len(betas) + b for i, a, b in places], dtype=np.intp))
+    for a in split:  # shared by every caller of the cache
+        a.flags.writeable = False
+    return tuple(split)
+
+
+def _step(
+    T: FieldTables,
+    polys: Sequence[MultiPoly],
+    grid: tuple[int, ...],
+    suffix_logs: np.ndarray | None,
+    prefix_logs: np.ndarray | None,
+    log: bool = False,
+    words: tuple[list[np.ndarray], dict] | None = None,
+    where: Hashable = None,
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """The one product step: the values of polys (`_as_function`) at the
+    points x + y, x a prefix (the columns of prefix_logs, the coordinate
+    logs of the variables outside grid) and y a suffix (the columns of
+    suffix_logs, the logs of the grid variables), as V = A^T (K B) of
+    f = sum K[α, β] a^α b^β: A and B hold the prefix and grid monomials of
+    the polynomials' supports (`_support`), or at s = 0 (no grid) A is
+    words = (M', rows) of `_monomials` and K B = K.  Digit products by `FieldTables.product`
+    (partial sums at most max(|α|, |β|)k(p - 1)^2), or log-domain sums by
+    `FieldTables.total` (log).  Yields (xs, ys, V) for each block of
+    prefixes xs and range of suffixes ys, prefix-major, V (rows, b, w) the
+    r k digit rows or r value rows (README's design notes); where names the
+    prefix set, to keep a one-block A or B in MONOMIALS (`_kept`)."""
+    F = T.field
+    p, k = F.p, F.k
+    r, n = len(polys), polys[0].nvars
+    if words is not None:  # s = 0: one product C M', C the coefficients' multiplication matrices
+        (M, rows), W = words, len(words[1])
+        coeffs = [0] * (r * W)
+        for i, f in enumerate(polys):
+            for exps, c in f.terms.items():
+                coeffs[i * W + rows[exps]] = c
+        if k == 1:
+            C = np.array(coeffs, dtype=np.min_scalar_type(p - 1)).reshape(r, W)
+        else:  # [i, w, a, b] -> [(i, b), (w, a)]
+            C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2).reshape(r * k, W * k)
+        V = T.product(C, M, W * k * (p - 1) ** 2)
+        yield slice(0, V.shape[1]), slice(0, 1), V[:, :, None]
         return
-    polys = [_as_function(f) for f in system.polys]
-    lengths = _gemm_lengths(F, n, q * sum(map(len, _prefix_ranges(q, n, cone))), polys)
-    if lengths is None:
-        yield from _trie_chunks(F.tables, n, polys, cone)
+    j, s = (grid[0], len(grid)) if grid else (n, 0)  # the grid variables are j .. j + s - 1
+    supports = tuple(map(_support, polys))
+    Ea, Eb, places = _split_terms(supports, j, s)
+    na, nb, P = len(Ea), len(Eb), prefix_logs.shape[1]
+    K = np.zeros(r * na * nb, dtype=np.intp)
+    K[places] = [f.terms.get(e, 0) for f, support in zip(polys, supports) for e in support]
+    K = K.reshape(r, na, nb)
+    Y = suffix_logs.shape[1]
+    w = max(1, min(Y, HELD_BYTES // _held(k, r, na, nb, log)))
+    ranges = [slice(lo, lo + w) for lo in range(0, Y, w)]
+    width = 1 if len(ranges) > 1 else max(1, BLOCK_BYTES // (w * (8 * na if log else 4 * r * k)))
+    chunk = width * max(1, BLOCK_BYTES // (8 * na * k * width))  # prefixes whose A is built at once
+    left = P < r * Y  # digits: expand the smaller side into multiplication matrices, A's, else K B's
+
+    if log:
+        Kl = T.log.take(K)[:, :, :, None]  # [i, α, β, y]
+
+        def right(ys: slice) -> list:
+            Bl = operand("B", lambda: _monomial_logs(T, Eb, suffix_logs[:, ys]))
+            return [T.log.take(T.total((Ki + Bl[None]).transpose(1, 0, 2).reshape(nb, -1)).reshape(na, -1)) for Ki in Kl]
+
+        def block(held: list, Al: np.ndarray) -> np.ndarray:
+            V = [T.total((Al[:, :, None] + KB[:, None, :]).reshape(na, -1)).reshape(1, Al.shape[1], -1) for KB in held]
+            return V[0] if r == 1 else np.concatenate(V)
+
     else:
-        yield from _gemm_chunks(F.tables, n, polys, cone, lengths)
+        C = _expanded(T, K).transpose(0, 1, 4, 2, 3).reshape(r * na * k, nb * k)
+
+        def right(ys: slice) -> np.ndarray:  # cast once, not at every block
+            B = operand("B", lambda: _digits(T, T.exp.take(_monomial_logs(T, Eb, suffix_logs[:, ys]), mode="clip")))
+            KB = T.product(C, [B], nb * k * (p - 1) ** 2).reshape(r, na, k, -1)  # digits [i, α, c, y]
+            if left:
+                return KB.transpose(1, 2, 0, 3).reshape(na * k, -1).astype(np.float32)  # [(α, c), (i, y)]
+            values = (KB * (p ** np.arange(k - 1, -1, -1))[:, None]).sum(axis=2)
+            return _expanded(T, values).transpose(0, 4, 2, 1, 3).reshape(-1, na * k).astype(np.float32)  # [(i, b, y), (α, a)]
+
+        def block(held: np.ndarray, A: np.ndarray) -> np.ndarray:
+            if left:
+                V = T.product(A.reshape(-1, na * k), [held], na * k * (p - 1) ** 2)
+                return V.reshape(k, A.shape[1], r, -1).transpose(0, 2, 1, 3).reshape(k * r, A.shape[1], -1)
+            V = T.product(held, [A], na * k * (p - 1) ** 2)
+            return V.reshape(r * k, -1, V.shape[1]).transpose(0, 2, 1)
+
+    def prefix(xs: slice) -> np.ndarray:  # logs [α, x]; or [b, x, α, c] if left, else digits [(α, a), x]
+        A = _monomial_logs(T, Ea, prefix_logs[:, xs])
+        return A if log else _expanded(T, T.exp.take(A, mode="clip")).transpose(3, 1, 0, 2) if left else _digits(T, T.exp.take(A, mode="clip"))
+
+    def operand(side: str, make: Callable[[], np.ndarray]) -> np.ndarray:  # A or B, kept when one block holds it
+        if where is None or (len(ranges) if side == "B" else -(-P // chunk)) > 1:
+            return make()
+        return _kept((T, n, where, grid, side, log, left, supports), make)
+
+    held = right(ranges[0]) if len(ranges) == 1 else None
+    for lo in range(0, P, chunk):
+        A = operand("A", lambda: prefix(slice(lo, lo + chunk)))
+        for at in range(lo, min(P, lo + chunk), width):
+            for ys in ranges:
+                yield slice(at, at + width), ys, block(held if held is not None else right(ys), A[:, at - lo : at - lo + width])
+
+
+def _pass(system: PolySystem, cone: bool) -> tuple[list[MultiPoly], tuple[int, ...], int, bool]:
+    """The polynomials as functions (`_as_function`), their term lengths,
+    and the (s, log) that `_rule` picks for the system's grid or cone pass,
+    n >= 1."""
+    polys = [_as_function(f) for f in system.polys]
+    F, lengths = system.field, _lengths(polys)
+    return (polys, lengths, *_rule(F.p, F.k, _operands(F.q, system.nvars, cone, polys, lengths)))
+
+
+def _zero_chunks(T: FieldTables, n: int, polys: Sequence[MultiPoly], lengths: tuple, cone: bool, s: int, log: bool) -> Iterator[np.ndarray]:
+    """The common zeros' odometer indexes on a pass of split s (`_pass`),
+    one array per block, ascending on the grid: at s = 0 among
+    `_pass_points`, else among every prefix over the first n - s variables
+    times the suffixes `_prefixes(q, s, cone)` over the last s."""
+    q = T.q
+    if not s:
+        points = _pass_points(T, n, cone)
+        words = _monomials(T, n, cone, lengths, lambda: T.log.take(_coordinates(points, q, n)))
+        ((_, _, V),) = _step(T, polys, (), None, None, words=words)
+        yield points[_zero_mask(V)[:, 0]]
+    else:
+        suffixes, grid = _prefixes(q, s, cone), tuple(range(n - s, n))
+        for xs, ys, V in _step(T, polys, grid, _prefix_logs(T, s, cone), _prefix_logs(T, n - s, False), log, where=cone):
+            row, col = np.divmod(np.flatnonzero(_zero_mask(V)), V.shape[2])
+            yield (xs.start + row) * q**s + suffixes[ys][col]
+
+
+def _kept(key: Hashable, make: Callable[[], np.ndarray]) -> np.ndarray:
+    """make(), read-only, from MONOMIALS under key, put there on a miss."""
+    value = MONOMIALS.get(key)
+    if value is None:
+        value = make()
+        value.flags.writeable = False
+        MONOMIALS.put(key, value, value.nbytes)
+    return value
+
+
+def _prefix_logs(T: FieldTables, m: int, cone: bool) -> np.ndarray:
+    """The coordinate logs of `_prefixes` (`_kept`)."""
+    return _kept((T, m, cone, "logs"), lambda: T.log.take(_coordinates(_prefixes(T.q, m, cone), T.q, m)))
 
 
 def _pass_points(T: FieldTables, n: int, cone: bool) -> np.ndarray:
-    """The odometer indexes of a pass over the grid or the cone, read-only,
-    in MONOMIALS under (T, n, cone)."""
-    points = MONOMIALS.get((T, n, cone))
-    if points is None:
-        q = T.q
-        pre = np.concatenate([np.arange(r.start, r.stop) for r in _prefix_ranges(q, n, cone)])
-        points = (pre[:, None] * q + np.arange(q)).ravel()
-        points.flags.writeable = False
-        MONOMIALS.put((T, n, cone), points, points.nbytes)
-    return points
+    """The odometer indexes of an s = 0 pass over the grid or the cone (`_kept`)."""
+    return _kept((T, n, cone), lambda: (_prefixes(T.q, n - 1, cone)[:, None] * T.q + np.arange(T.q)).ravel())
 
 
 @lru_cache(maxsize=1 << 6)
-def _word_rows(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Each exponent vector's row in the blocks of these lengths joined in
-    order, a block's rows in `_shape` order."""
-    return {exps: i for i, exps in enumerate(e for l in lengths for e in _shape(n, (l,), None)[1])}
+def _monomial_rows(n: int, lengths: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Each exponent vector's row in M' for these lengths: the words of each
+    length in n variables in sorted order (x1^2*x3 is the word 0, 0, 2),
+    the lengths in order."""
+    words = (w for l in lengths for w in combinations_with_replacement(range(n), l))
+    return {tuple(map(w.count, range(n))): i for i, w in enumerate(words)}
 
 
 def _monomials(
     T: FieldTables, n: int, where: bool | tuple, lengths: tuple[int, ...], point_logs: Callable[[], np.ndarray]
 ) -> tuple[list[np.ndarray], dict]:
-    """(M', rows) of the GEMM step for (T's field, n, where, lengths): where
-    names the point set, and point_logs, called on a miss alone, gives its
-    coordinate logs (n, points).  M' is one read-only block per length, in
-    MONOMIALS under (T, n, where, length), built EVAL_BYTES at a time:
-    M'[(w, a), x] is the F_p-digit a of word w at the set's point x, in the
-    narrowest unsigned type; rows is `_word_rows`."""
-    F = T.field
-    rows = _word_rows(n, lengths)
+    """(M', rows), the A of an s = 0 step for (T's field, n, where, lengths):
+    one read-only block per length in MONOMIALS under (T, n, where, length),
+    M'[(w, a), x] the digit a of word w at point x of the set where names,
+    whose coordinate logs point_logs gives on a miss; rows is `_monomial_rows`."""
     blocks, logs = [], None
     for l in lengths:
         block = MONOMIALS.get((T, n, where, l))
         if block is None:
             logs = point_logs() if logs is None else logs
-            plan, digit = _shape(n, (l,), None)[0], np.min_scalar_type(F.p - 1)
-            W = len(plan.rows)
-            values = lambda s: T.exp.take(_log_sums(plan, np.zeros(W, logs.dtype), logs[:, s], T), mode="clip")
-            block = _sliced(lambda s: T.digits(values(s)).transpose(0, 2, 1).reshape(W * F.k, -1).astype(digit),
-                            logs.shape[1], max(1, EVAL_BYTES // (8 * (plan.nodes + W))))
+            E = np.array(list(_monomial_rows(n, (l,))), dtype=np.intp).reshape(-1, n)
+            width = max(1, BLOCK_BYTES // (8 * len(E)))
+            cuts = [slice(lo, lo + width) for lo in range(0, logs.shape[1], width)]
+            block = np.concatenate([_digits(T, T.exp.take(_monomial_logs(T, E, logs[:, c]), mode="clip")) for c in cuts], axis=1)
             block.flags.writeable = False
             MONOMIALS.put((T, n, where, l), block, block.nbytes)
         blocks.append(block)
-    return blocks, rows
-
-
-def _gemm_zeros(polys: Sequence[MultiPoly], T: FieldTables, M: list[np.ndarray], rows: dict) -> np.ndarray:
-    """Whether every polynomial of polys vanishes at each point of M'
-    (`_monomials`): one `FieldTables.product` C M' of F_p digits, with
-    C[(i, b), (w, a)] the digit b of c * g^a, c the coefficient of w in
-    f_i; a zero reads 0 in all rk rows."""
-    p, k = T.field.p, T.field.k
-    r, W = len(polys), len(rows)
-    coeffs = [0] * (r * W)
-    for i, f in enumerate(polys):
-        for exps, c in f.terms.items():
-            coeffs[i * W + rows[exps]] = c
-    if k == 1:
-        C = np.array(coeffs, dtype=np.min_scalar_type(p - 1)).reshape(r, W)
-    else:  # [i, w, a, b] -> [(i, b), (w, a)]
-        C = T.mul_matrices[coeffs].reshape(r, W, k, k).transpose(0, 3, 1, 2).reshape(r * k, W * k)
-    return T.product(C, M, k * W * (p - 1) ** 2).sum(axis=0) == 0
-
-
-def _gemm_chunks(T: FieldTables, n: int, polys: Sequence[MultiPoly], cone: bool, lengths: tuple) -> Iterator[np.ndarray]:
-    """`_zero_chunks` of polys (`_as_function`) by the GEMM step: one
-    `_gemm_zeros` product."""
-    points = _pass_points(T, n, cone)
-    M, rows = _monomials(T, n, cone, lengths, lambda: T.log.take(_coordinates(points, T.q, n)))
-    yield points[_gemm_zeros(polys, T, M, rows)]
-
-
-def _trie_chunks(T: FieldTables, n: int, polys: Sequence[MultiPoly], cone: bool) -> Iterator[np.ndarray]:
-    """`_zero_chunks` of polys (`_as_function`) by the trie step, n >= 1:
-    the sparsest polynomial as sum_e g_e x_n^e over each block, in slices of
-    at most EVAL_BYTES // (8 * groups * q) prefixes, each later one at the
-    survivors only."""
-    q = T.q
-    first, *rest = sorted(polys, key=lambda f: len(f.terms))
-    log = T.log
-    plan, shifts = _compiled(first, T, n - 1)
-    powers = T.power_logs(plan.powers)[:, None]
-    G = len(powers)
-    step = max(1, EVAL_BYTES // (8 * G * q))
-    rest = [_compiled(f, T) for f in rest]
-    for pre, plogs in _blocks(T, n, cone):
-        coeffs = log.take(_evaluate(plan, shifts, plogs, T))[:, :, None]
-        acc = _sliced(lambda s: T.total((coeffs[:, s] + powers).reshape(G, -1))[0], len(pre), step)
-        row, col = np.divmod(np.flatnonzero(acc == 0), q)
-        for compiled in rest:
-            if not len(row):
-                break
-            logs = np.concatenate((plogs[:, row], log.take(col)[None]))
-            keep = np.flatnonzero(_evaluate(*compiled, logs, T)[0] == 0)
-            if len(keep) < len(row):
-                row, col = row[keep], col[keep]
-        yield pre[row] * q + col
+    return blocks, _monomial_rows(n, lengths)
 
 
 # full-space walks WALKS keeps (see `_walk`), which bind before its bytes
@@ -482,6 +461,7 @@ class _Walk:
     idx: np.ndarray | None  # the zeros' odometer indexes, ascending, once a walk listed them
     rows: np.ndarray | None = None  # the zeros as read-only (N, n) rows, once listed (`zero_points`)
     digits: np.ndarray | None = None  # `point_digits` of the rows, read-only, once asked for (`zero_digits`)
+    points: int = 0  # a cone walk's points (`kernel_points`), 0 on the grid
     # congruence notes: (m, M) -> the leading direction spaces of dimension m
     # whose coset counts agree mod M (`laws._sweep_classes`)
     agreed: dict[tuple[int, int], int] = dc_field(default_factory=dict)
@@ -523,21 +503,25 @@ def _kernel_walk(system: PolySystem, listed: bool) -> _Walk:
     """One kernel pass: the cone's count when `_on_cone` and not listed,
     else the grid's, with the indexes (an unlisted walk drops them past
     MEMO_ZEROS)."""
-    q = system.field.q
+    q, n = system.field.q, system.nvars
     cone = _on_cone(system) and not listed
+    if not n:
+        # the one point; a system's polynomials are nonzero constants here
+        return _Walk(system, 0, np.zeros(0, dtype=np.intp))
+    polys, lengths, s, log = _pass(system, cone)
     count = 0
     chunks: list[np.ndarray] | None = None if cone else []
-    for idx in _zero_chunks(system, cone):
+    for idx in _zero_chunks(system.field.tables, n, polys, lengths, cone, s, log):
         if cone:
-            axis = int(np.count_nonzero(idx < q))  # prefix 0
-            count += axis + (q - 1) * (len(idx) - axis)
+            at_zero = int(np.count_nonzero(idx % q**s == 0 if s else idx < q))  # weight 1: suffix 0, or prefix 0 at s = 0
+            count += at_zero + (q - 1) * (len(idx) - at_zero)
             continue
         count += len(idx)
         if chunks is not None:
             chunks.append(idx)
             if count > MEMO_ZEROS and not listed:
                 chunks = None
-    return _Walk(system, count, None if chunks is None else np.concatenate(chunks))
+    return _Walk(system, count, None if chunks is None else np.concatenate(chunks), points=prod(_sizes(q, n, s, True)) if cone else 0)
 
 
 def _on_cone(system: PolySystem) -> bool:
@@ -547,16 +531,21 @@ def _on_cone(system: PolySystem) -> bool:
 
 def fast_count(system: PolySystem) -> int:
     """N(system) from one kernel pass or the walk memo; on the cone,
-    N = (zeros on the x_n-axis) + (q - 1) * (zeros at normalized prefixes)."""
+    N = (zeros with weight 1) + (q - 1) * (the other zeros it saw), README."""
     return _walk(system, listed=False).count
 
 
 def kernel_points(system: PolySystem) -> int:
-    """The points `fast_count`'s pass evaluates the first polynomial at:
-    q times its prefixes, whichever step and whether or not memoized."""
-    q = system.field.q
-    ranges = _prefix_ranges(q, system.nvars, _on_cone(system))
-    return q * sum(map(len, ranges))
+    """The points `fast_count`'s pass evaluates the first polynomial at,
+    whether or not memoized: q^n on the grid, and on the cone P * Y
+    (`_sizes`) for the split s of `_pass`."""
+    q, n = system.field.q, system.nvars
+    if not _on_cone(system):
+        return q**n if n else 0
+    w = WALKS.kept.get(id(system))  # read without touching the memo's order or counts
+    if w is not None and w.points:
+        return w.points
+    return prod(_sizes(q, n, _pass(system, True)[2], True))
 
 
 def zero_points(system: PolySystem, budget: int | None = None) -> np.ndarray:

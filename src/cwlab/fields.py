@@ -97,29 +97,6 @@ def _factor_int(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=1 << 8)
-def _group_starts(sizes: tuple[int, ...]) -> np.ndarray:
-    """The first row of each group of consecutive rows of the given sizes."""
-    return np.cumsum((0,) + sizes[:-1])
-
-
-@lru_cache(maxsize=1 << 8)
-def _zech_rounds(sizes: tuple[int, ...]) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The (left, right) rows of each round of `FieldTables._zech_tree` over
-    groups of these sizes, and each group's first row, which ends with its sum."""
-    starts = _group_starts(sizes)
-    m, rounds = list(sizes), []
-    while max(m) > 1:
-        left, right = [], []
-        for i, s in enumerate(starts.tolist()):
-            h = m[i] // 2
-            left += range(s, s + h)
-            right += range(s + m[i] - h, s + m[i])
-            m[i] -= h
-        rounds.append((np.array(left), np.array(right)))
-    return rounds, starts
-
-
 class FieldSpec:
     """F_{p^k} on one monic irreducible modulus, immutable; `build_field`
     gives the canonical one."""
@@ -347,7 +324,7 @@ class FieldTables:
     of at most D logs plus a coefficient's is below Z exactly when no
     factor is zero."""
 
-    depth = 3  # D: logs a sum holds before it is folded (measured, README)
+    depth = 3  # D: logs a sum may hold besides a coefficient's; the counting step's hold one (README)
 
     def __init__(self, F: FieldSpec):
         self.field = F
@@ -405,51 +382,28 @@ class FieldTables:
         log, exp, _ = self._log_bundle()
         return exp.take(log.take(x) + (self.q - 1) // 2, mode="clip")  # -1 = gamma^((q-1)/2)
 
-    def total(self, stack: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
-        """The sums of gamma^s over consecutive groups of sizes rows of the
-        log-sum stack (one group by default), as a (groups, points) array:
-        XOR for p = 2, int64 mod p over a prime field, a Zech tree
-        (`_zech_tree`) over an odd-p extension field."""
+    def total(self, stack: np.ndarray) -> np.ndarray:
+        """The sum of gamma^s over the rows of the log-sum stack, as a
+        (1, points) array: XOR for p = 2, int64 mod p over a prime field, a
+        Zech tree (`_zech_tree`) over an odd-p extension field."""
         log, exp, fold = self._log_bundle()
         p, k = self.field.p, self.field.k
         if p > 2 and k > 1:
-            return exp.take(self._zech_tree(fold.take(stack, mode="clip"), sizes))
-        products = exp.take(stack, mode="clip")
-        add = np.bitwise_xor if p == 2 else np.add
-        dtype = None if p == 2 else np.int64
-        if sizes is None or len(sizes) == 1:
-            acc = add.reduce(products, axis=0, dtype=dtype, keepdims=True)
-        else:
-            acc = add.reduceat(products, _group_starts(tuple(sizes)), axis=0, dtype=dtype)
-        if p == 2:
-            return acc
-        acc -= acc // p * p  # acc %= p, by the scalar division numpy does faster
+            return exp.take(self._zech_tree(fold.take(stack, mode="clip")))
+        acc = (np.bitwise_xor if p == 2 else np.add).reduce(exp.take(stack, mode="clip"), axis=0, dtype=None if p == 2 else np.int64, keepdims=True)
+        if p > 2:
+            acc -= acc // p * p  # acc %= p, by the scalar division numpy does faster
         return acc
 
-    def _zech_tree(self, a: np.ndarray, sizes: Sequence[int] | None) -> np.ndarray:
-        """The logs of the sums of the groups of rows of a (logs <= Z), by
-        pairwise Zech additions in place: ceil(log2 m) rounds for m rows."""
-        fold = self.fold
-        if sizes is None or len(sizes) == 1:
-            m = len(a)
-            while m > 1:
-                h = m // 2
-                a[:h] = fold.take(self._zech_add(a[:h], a[m - h : m]), mode="clip")
-                m -= h
-            return a[:1]
-        rounds, starts = _zech_rounds(tuple(sizes))
-        for left, right in rounds:
-            a[left] = fold.take(self._zech_add(a[left], a[right]), mode="clip")
-        return a[starts]
-
-    def power_logs(self, powers: tuple[int, ...]) -> np.ndarray:
-        """log(x^e) at every x for each e in powers, (len(powers), q): Z at
-        x = 0 for e > 0, and 0 for e = 0."""
-        log = self.log
-        e = np.array(powers)[:, None]
-        table = (e * log % (self.q - 1)).astype(log.dtype)
-        table[:, 0] = np.where(e[:, 0] > 0, log[0], 0)
-        return table
+    def _zech_tree(self, a: np.ndarray) -> np.ndarray:
+        """The log of the sum of the rows of a (logs <= Z), by pairwise Zech
+        additions in place: ceil(log2 m) rounds for m rows."""
+        fold, m = self.fold, len(a)
+        while m > 1:
+            h = m // 2
+            a[:h] = fold.take(self._zech_add(a[:h], a[m - h : m]), mode="clip")
+            m -= h
+        return a[:1]
 
     def digits(self, x) -> np.ndarray:
         """x's k base-p digits, big-endian, as a trailing axis."""
@@ -493,7 +447,9 @@ class FieldTables:
         real = np.float32 if narrow else np.float64
         joined = np.concatenate(B, dtype=real) if len(B) > 1 else B[0].astype(real, copy=False)
         R = (A.astype(real, copy=False) @ joined).astype(np.int32 if narrow else np.intp)
-        if reduce:
+        if reduce and self.field.p == 2:
+            R &= 1  # R %= 2, by a mask, several times faster than a division
+        elif reduce:
             R -= R // self.field.p * self.field.p  # R %= p, by the scalar division numpy does faster
         return R
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import prod
+from math import comb, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import CHUNK, _as_function, _compiled, _evaluate, _gemm_lengths, _gemm_zeros, _monomials, count_zeros_ext, default_budget
+from .counting import _as_function, _lengths, _monomials, _rule, _step, _support, _zero_mask, count_zeros_ext, default_budget
 from .errors import BudgetExceeded, InsufficientExtensions, InvalidArgument, NotHomogeneous
 from .fields import FIELD_SIZE_CAP, FieldSpec, build_field, embed_subfield, field_of_order
 from .polynomials import MultiPoly, PolySystem
@@ -28,6 +28,7 @@ FORM_BUDGET = 1 << 28
 MAX_TRIALS = 1 << 8
 PROBE_SLACK = 4  # probes past the P a pivot's interpolation needs (4 measured fastest)
 TAIL_MEMO = 1 << 6  # entries of the probe and tail-map memos; a map < 64 KiB at FORM_BUDGET
+CHUNK = 1 << 16  # tails the interpolation divides at a time
 
 
 @dataclass
@@ -265,17 +266,31 @@ def _line_logs(families: tuple) -> np.ndarray:
 
 
 def _line_masks(fK: MultiPoly, families: tuple) -> list[np.ndarray]:
-    """masks[l, t] = (fK(-t e_j + U[l]) == 0) for each family's lines U
-    (`_line_logs`), by the step the counting kernel's rule picks."""
+    """masks[l, t] = (fK(-t e_j + U[l]) == 0) for each family's lines U, by
+    the counting step (`counting._step`) at the split its rule picks: s = 0
+    on the M' of `_line_logs`, else s = 1 with x_j = -t the grid, a pivot a step."""
     K, n, Q = fK.field, fK.nvars, fK.field.q
     T, fK = K.tables, _as_function(fK)
-    sizes = [len(_probe_lines(*family)) for family in families]
-    lengths = _gemm_lengths(K, n, Q * sum(sizes), [fK])
-    if lengths is None:
-        masks = _evaluate(*_compiled(fK, T), _line_logs(families), T)[0] == 0
+    sizes, lengths = [len(_probe_lines(*family)) for family in families], _lengths([fK])
+
+    def shapes():  # s = 1 read only past s = 0
+        yield 0, (1, sum(comb(n + l - 1, l) for l in lengths), 1, Q * sum(sizes), 1)
+        cut = [(e[:j] + e[j + 1 :], e[j]) for j in {family[2] for family in families} for e in _support(fK)]
+        yield 1, (1, len({a for a, _ in cut}), len({b for _, b in cut}), sum(sizes), Q)
+
+    s, log = _rule(K.p, K.k, shapes())
+    if not s:
+        words = _monomials(T, n, families, lengths, lambda: _line_logs(families))
+        ((_, _, V),) = _step(T, [fK], (), None, None, words=words)
+        masks = _zero_mask(V).reshape(-1, Q)
     else:
-        masks = _gemm_zeros([fK], T, *_monomials(T, n, families, lengths, lambda: _line_logs(families)))
-    return np.split(masks.reshape(-1, Q), np.cumsum(sizes)[:-1])
+        U, pivots = np.concatenate([_probe_lines(*family) for family in families]), np.repeat([f[2] for f in families], sizes)
+        masks = np.empty((len(U), Q), dtype=bool)
+        for j in sorted(set(pivots.tolist())):
+            rows = np.flatnonzero(pivots == j)
+            for xs, ys, V in _step(T, [fK], (j,), T.log.take(T.neg(np.arange(Q)))[None], T.log.take(np.delete(U[rows], j, axis=1).T), log, where=families):
+                masks[rows[xs], ys] = _zero_mask(V)
+    return np.split(masks, np.cumsum(sizes)[:-1])
 
 
 @lru_cache(maxsize=TAIL_MEMO)

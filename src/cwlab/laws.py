@@ -150,16 +150,19 @@ def _pattern_slice(F: FieldSpec, n: int, m: int, runs: Sequence[tuple[int, int]]
     space in its pattern: entry (i, k) is s' // q^e % q at the free cell e
     places from the end, 0 off the cells (place scale), exact past 2^63."""
     q = F.q
+    power, binomial = [q**e for e in range(max(n, m * (n - m)) + 1)], [[1] + [0] * (m - 1)]
+    for _ in range(n - 1):  # binomial[N][t] = [N choose t]_q = [N - 1, t - 1] + q^t [N - 1, t], once a call
+        binomial.append([1] + [binomial[-1][t - 1] + power[t] * binomial[-1][t] for t in range(1, m)])
     patterns, blocks = [], []
     for lo, hi in runs:
         while lo < hi:
             pivots, s, scale = [], lo, 1
             for j in range(n):
                 r = m - len(pivots)
-                first = r and scale * q ** (n - j - r) * gaussian_binomial(q, n - j - 1, r - 1)
+                first = r and scale * power[n - j - r] * binomial[n - j - 1][r - 1]
                 if s < first:
                     pivots.append(j)
-                    scale *= q ** (n - j - r)
+                    scale *= power[n - j - r]
                 else:
                     s -= first
             take = min(hi - lo, scale - s)
@@ -168,7 +171,7 @@ def _pattern_slice(F: FieldSpec, n: int, m: int, runs: Sequence[tuple[int, int]]
             cells = [i * (n - m) + k for i in range(m) for k, j in enumerate(free) if j > pivots[i]]
             place = [scale] * (m * (n - m))
             for e, cell in enumerate(reversed(cells)):
-                place[cell] = q**e
+                place[cell] = power[e]
             blocks.append(np.arange(s, s + take, dtype=dtype)[:, None] // np.array(place, dtype=dtype) % q)
             patterns.append(np.full((take, m), pivots, dtype=np.intp))
             lo += take

@@ -57,10 +57,10 @@ class SplitMix64:
         the fewest outputs w with 2^(64w) >= n, the first most significant."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        words = max(1, ((n - 1).bit_length() + 63) // 64)
+        words = ((n - 1).bit_length() + 63) // 64 if n > 1 << 64 else 1
         limit = (1 << 64 * words) - ((1 << 64 * words) % n)
         while True:
-            r = sum(self.next_u64() << 64 * i for i in range(words - 1, -1, -1))
+            r = self.next_u64() if words == 1 else sum(self.next_u64() << 64 * i for i in range(words - 1, -1, -1))
             if r < limit:
                 return r % n
 

@@ -5,7 +5,7 @@ import pytest
 from cwlab import counting, geometry
 from cwlab.memo import MEMOS
 
-CACHES = (counting._shape, counting._word_rows, geometry._probe_lines, geometry._tail_map)
+CACHES = (counting._monomial_rows, counting._split_sizes, counting._split_terms, geometry._probe_lines, geometry._tail_map)
 
 
 def _empty():
@@ -17,10 +17,10 @@ def _empty():
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start and end every test with every `Memo` (monomial blocks, walks,
-    direction tables, corpus blocks) and the shape, word-row, probe-line and
-    tail-map caches empty, so no test reads a walk, a table, a plan or a map
-    that an earlier test left behind."""
+    """Start and end every test with every `Memo` (monomial blocks and
+    operands, walks, direction tables, corpus blocks) and the monomial-row,
+    split, probe-line and tail-map caches empty, so no test reads a walk, a
+    table, a numbering, a split or a map that an earlier test left behind."""
     _empty()
     yield
     _empty()

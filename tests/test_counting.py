@@ -149,10 +149,8 @@ def test_every_scalar_orbit_meets_the_cone_prefixes_once(p, k):
     q, T = F.q, F.tables
     assert F.one != 1
     for n in (2, 3, 4):
-        ranges = counting._prefix_ranges(q, n, cone=True)
         cone = np.zeros(q ** (n - 1), dtype=bool)
-        for r in ranges[1:]:
-            cone[r.start : r.stop] = True
+        cone[counting._prefixes(q, n - 1, cone=True)[1:]] = True
         prefixes = counting._coordinates(np.arange(1, q ** (n - 1)), q, n - 1)
         orbits = T.mul(np.arange(1, q)[:, None, None], prefixes[None])  # [scalar, coordinate, prefix]
         meets = cone[(orbits * q ** np.arange(n - 2, -1, -1)[:, None]).sum(axis=1)].sum(axis=0)
@@ -203,10 +201,10 @@ KERNEL_SYSTEMS = _kernel_systems()
 
 @pytest.mark.parametrize("chunk", [None, 97])
 def test_kernel_matches_oracle_and_point_filter(chunk, monkeypatch):
-    # a small chunk makes every system span many chunks, and chunk edges
-    # fall inside runs of zeros
+    # a small block bound makes every split pass one prefix a block, so
+    # block edges fall inside runs of zeros
     if chunk:
-        monkeypatch.setattr(counting, "CHUNK", chunk)
+        monkeypatch.setattr(counting, "BLOCK_BYTES", chunk)
     assert {sy.field.q for sy in KERNEL_SYSTEMS} == {7, 8, 9, 16, 25, 27}
     for system in KERNEL_SYSTEMS:
         q, n = system.field.q, system.nvars
@@ -479,45 +477,44 @@ EDGE_SYSTEMS = _edge_systems()
 
 @pytest.mark.parametrize("chunk", [None, 5, 110])
 def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
-    # 5 is below every q here, so a chunk is one prefix; with 110 the
-    # prefixes per chunk never divide the q^(n-1) prefixes of an n > 1 system
+    # a chunk bounds a step's blocks and held operands in bytes: at 5 a
+    # split pass runs one prefix and one suffix a block, at 110 a few
+    # suffixes that never divide q^s
     from cwlab.subspaces import direction_spaces
 
     if chunk:
-        monkeypatch.setattr(counting, "CHUNK", chunk)
-    blocks, real_blocks = [], counting._blocks
+        monkeypatch.setattr(counting, "BLOCK_BYTES", chunk)
+        monkeypatch.setattr(counting, "HELD_BYTES", chunk)
+    blocks, real_step = [], counting._step
 
-    def recorded(*args):
-        for block in real_blocks(*args):
-            blocks.append(block)
-            yield block
+    def recorded(*args, **kwargs):
+        for xs, ys, V in real_step(*args, **kwargs):
+            blocks.append(V.shape[1] * V.shape[2])
+            yield xs, ys, V
 
-    monkeypatch.setattr(counting, "_blocks", recorded)
+    monkeypatch.setattr(counting, "_step", recorded)
     assert {sy.field.q for sy in EDGE_SYSTEMS} == {7, 8, 9, 16, 25, 27}
-    # each system by the step the rule picks, then with the rule's points
-    # bound at 0, so that every pass takes the trie step
-    steps = {"rule": [], "trie": []}
-    for forced in ("rule", "trie"):
-        if forced == "trie":
+    # each system by the split the rule picks, then with the rule's points
+    # bound at 0, so that every pass takes a split s >= 1
+    splits = {"rule": [], "split": []}
+    for forced in ("rule", "split"):
+        if forced == "split":
             monkeypatch.setattr(counting, "GEMM_POINTS", 0)
         for system in EDGE_SYSTEMS:
             F, n = system.field, system.nvars
             q = F.q
-            if chunk == 110 and n > 1:
-                assert q ** (n - 1) % (chunk // q)
             filtered = [pt for pt in product(range(q), repeat=n) if vanishes(system, pt)]
             blocks.clear()
             assert walked(zero_set, system) == filtered
-            # a small chunk splits a trie-step pass: it takes CHUNK // q
-            # prefixes at a time, so several blocks when n > 1;
-            # a GEMM-step pass is one product and reads no block
-            gemm = counting._gemm_rule(*_pass_shape(system, False))
-            steps[forced].append(gemm)
-            if gemm:
-                assert blocks == []
-            else:
-                assert len(blocks) == -(-(q ** (n - 1)) // max(1, counting.CHUNK // q))
-                assert len(blocks) > 1 or n == 1 or not chunk
+            # an s = 0 pass is one product, one block; a split pass's blocks
+            # cover its q^n points, one prefix and one suffix each at chunk 5
+            s = counting._pass(system, False)[2]
+            splits[forced].append(s)
+            assert sum(blocks) == q**n
+            if not s:
+                assert len(blocks) == 1
+            elif chunk == 5:
+                assert len(blocks) == q**n
             assert walked(fast_count, system) == len(filtered) == oracle_count(system)
             spaces = list(direction_spaces(F, n, 1))
             for rows in (spaces[0], spaces[-1]):
@@ -525,8 +522,8 @@ def test_kernel_edge_cases_match_oracle(chunk, monkeypatch):
                 assert walked(counts_over_parallel_class, system, L) == counts_over_parallel_class(
                     system, L, engine="oracle"
                 )
-    # every edge pass has at most 729 points, within the rule's bounds
-    assert all(steps["rule"]) and not any(steps["trie"])
+    # every edge pass has at most 729 points, within the GEMM bounds
+    assert not any(splits["rule"]) and all(splits["split"])
 
 
 def test_point_subspaces_match_oracle():
@@ -584,10 +581,12 @@ CONE_SYSTEMS = _cone_systems()
 
 @pytest.mark.parametrize("chunk", [None, 20])
 def test_cone_count_matches_oracle(chunk, monkeypatch):
-    # with CHUNK = 20 a block holds 2 to 10 prefixes, so blocks straddle the
-    # normalized prefix ranges [q^m, 2 q^m) and the gaps between them
+    # with a block bound of 20 bytes and the rule's points bound at 0, every
+    # pass is a split pass of one prefix a block, so blocks straddle the
+    # normalized prefix ranges [q^i, 2 q^i) and the gaps between them
     if chunk:
-        monkeypatch.setattr(counting, "CHUNK", chunk)
+        monkeypatch.setattr(counting, "BLOCK_BYTES", chunk)
+        monkeypatch.setattr(counting, "GEMM_POINTS", 0)
     assert {sy.field.q for sy, _ in CONE_SYSTEMS} == {2, 3, 4, 5, 8, 9}
     assert {sy.nvars for sy, _ in CONE_SYSTEMS} == {1, 2, 3, 4}
     for system, plane in CONE_SYSTEMS:
@@ -597,6 +596,26 @@ def test_cone_count_matches_oracle(chunk, monkeypatch):
         if plane is None:
             assert fast.count == walked(fast_count, system) == oracle_count(system)
             assert fast.count == len(walked(zero_set, system))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (3, 2)])
+def test_cone_weights_hold_at_every_split(p, k, monkeypatch):
+    # a homogeneous zero set is a union of lines through 0, so the cone's
+    # weights, 1 at suffix 0 and q - 1 at a normalized suffix, hold whichever
+    # last s variables form the grid: every split s = 1 .. n, by either sum
+    # (forced past the rule), gives the oracle's count, and kernel_points
+    # the split's q^(n-s) (1 + (q^s - 1) / (q - 1)) points
+    F = build_field(p, k)
+    q = F.q
+    systems = [sy for sy, plane in CONE_SYSTEMS if plane is None and sy.field is F and sy.nvars > 1]
+    assert len(systems) > 10
+    for system in systems:
+        n, want = system.nvars, oracle_count(system)
+        for s in range(1, n + 1):
+            for log in (False, True):
+                monkeypatch.setattr(counting, "_rule", lambda p, k, shapes: (s, log))
+                assert walked(fast_count, system) == want, (system, s, log)
+                assert counting.kernel_points(system) == q ** (n - s) * (1 + (q**s - 1) // (q - 1))
 
 
 def test_cone_count_closed_forms():
@@ -812,18 +831,41 @@ def _dense(F, n, degree, rng):
     return MultiPoly.from_terms(F, n, terms)
 
 
-def evaluate_columns(f, cols, T):
+def _values(V, F, log):
+    """The values of one polynomial in a block of `counting._step` (rows,
+    b, w): its k digit rows joined, or its one row of values."""
+    if log or F.k == 1:
+        return V[0]
+    return np.tensordot(F.p ** np.arange(F.k - 1, -1, -1), V, axes=1)
+
+
+def evaluate_columns(f, cols, T, log=False):
     """f's values at the points whose coordinate columns are the rows of
-    cols, by the kernel's trie evaluation, with no variable split off."""
-    return counting._evaluate(*counting._compiled(f, T), T.log.take(np.asarray(cols)), T)[0]
+    cols, by the kernel's step with no grid variable: A holds f's monomials
+    at the points, and K B = K."""
+    logs = T.log.take(np.asarray(cols))
+    blocks = counting._step(T, [f], (), np.zeros((0, 1), dtype=T.log.dtype), logs, log)
+    return np.concatenate([_values(V, T.field, log)[:, 0] for _, _, V in blocks])
+
+
+def split_values(f, T, s, log=False):
+    """f's values at every point of F^n in odometer order, by the kernel's
+    step with the last s variables as the grid."""
+    q, n = T.q, f.nvars
+    prefix = T.log.take(counting._coordinates(np.arange(q ** (n - s)), q, n - s))
+    suffix = T.log.take(counting._coordinates(np.arange(q**s), q, s))
+    out = np.empty((q ** (n - s), q**s), dtype=np.int64)
+    for xs, ys, V in counting._step(T, [f], tuple(range(n - s, n)), suffix, prefix, log):
+        out[xs, ys] = _values(V, T.field, log)
+    return out.ravel()
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 11), (3, 7), (7, 4)])
 def test_evaluate_columns_matches_pointwise_evaluate(p, k):
     # every point of F^n (n = 3 for the small fields, 1 for those past
     # 2^10), then a sample of F^4 with many zero coordinates; constant-only
-    # polynomials, coefficient one, and words past the fold depth and past
-    # q (x^(q+3)) exercise the sentinel and the fold
+    # polynomials, coefficient one, and exponents past q (x^(q+3)) exercise
+    # the sentinel and the exponents' reduction mod q - 1
     F = build_field(p, k)
     q, T = F.q, F.tables
     rng = np.random.default_rng(q)
@@ -845,7 +887,9 @@ def test_evaluate_columns_matches_pointwise_evaluate(p, k):
     ]
     for cols, f in cases:
         points = list(zip(*(col.tolist() for col in cols)))
-        assert evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
+        want = [f.evaluate(pt) for pt in points]
+        for log in (False, True):  # the digit product and the log-domain sum
+            assert evaluate_columns(f, cols, T, log).tolist() == want, (f, log)
 
 
 @pytest.mark.parametrize("p, k", [(2, 11), (3, 7), (7, 4)])
@@ -892,61 +936,17 @@ def test_kernel_counts_over_a_prime_past_2_16(p):
         assert walked(fast_count, PolySystem([g])) == sum(g.evaluate((v,)) == 0 for v in range(p))
 
 
-# -- the split on words and one-block passes ---------------------------------------------
-
-
-def _last_variable_coefficients(f):
-    """g_0, ..., g_D with f = sum_e g_e * x_n^e and no g_e involving x_n;
-    None where a power of x_n has no terms: the reference for the kernel's
-    split on words."""
-    split = {}
-    for exps, c in f.terms.items():
-        split.setdefault(exps[-1], []).append((exps[:-1] + (0,), c))
-    return [
-        MultiPoly.from_terms(f.field, f.nvars, split[e]) if e in split else None
-        for e in range(max(split) + 1)
-    ]
-
-
-def test_split_on_words_matches_split_on_exponents():
-    # the trailing run of x_n in a word is its power of x_n: the split plan
-    # has a group for each power of x_n with terms (and, compiled dense, for
-    # the others too, whose g_e is 0), and each group evaluates to its g_e
-    # at every prefix, for dense polynomials, powers of x_n past the fold
-    # depth and past q, constants, and corpus systems with their
-    # homogenizations
-    rng = np.random.default_rng(5)
-    polys = []
-    for F in (F2, F3, F4, build_field(5, 1)):
-        for n in (1, 2, 3, 4):
-            polys.append(_dense(F, n, 6, rng))
-            polys.append(MultiPoly.constant(F, n, F.one))
-            polys.append(MultiPoly.from_terms(F, n, [((0,) * (n - 1) + (F.q + 3,), F.one), ((1,) * n, F.one)]))
-    for i in range(30):
-        system = corpus_system(9, i)
-        polys += [*system.polys, *system.homogenized_system().polys]
-    for f in polys:
-        assert not f.is_zero
-        F, n = f.field, f.nvars
-        T = F.tables
-        ref = _last_variable_coefficients(f)
-        plan, shifts = counting._compiled(f, T, n - 1)
-        assert {e for e, g in enumerate(ref) if g is not None} <= set(plan.powers), f
-        prefixes = counting._coordinates(np.arange(F.q ** (n - 1)), F.q, n - 1)
-        got = counting._evaluate(plan, shifts, T.log.take(prefixes), T).tolist()
-        points = [(*pt, 0) for pt in zip(*prefixes.tolist())] if n > 1 else [(0,)]
-        g = [ref[e] if e < len(ref) and ref[e] is not None else MultiPoly.zero(F, n) for e in plan.powers]
-        assert got == [[g_e.evaluate(pt) for pt in points] for g_e in g], f
+# -- every split of the step and one-block passes ----------------------------------------
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 11)])
 def test_compile_from_exponents_matches_pointwise_evaluate(p, k):
-    # a polynomial with at least half of the words of its lengths in its n
-    # variables is compiled from its exponents, on its shape's plan; the
-    # others are spelled.  Both read f at every point of F^n (evaluate_columns,
-    # unsplit) and each g_e of f = sum_e g_e * x_n^e at every prefix (split):
-    # dense and sparse polynomials, constants alone, polynomials in fewer
-    # than n variables (dense and sparse), leading forms and homogenizations
+    # the step reads K, A and B from the exponent vectors, split at the last
+    # s variables: for every s from 0 (A alone) to n (B alone) and both
+    # sums, f at every point of F^n is f point by point, for dense and
+    # sparse polynomials, constants alone, polynomials in fewer than n
+    # variables (dense and sparse), leading forms, homogenizations, and
+    # exponents past q
     F = build_field(p, k)
     T, q = F.tables, F.q
     rng = np.random.default_rng(q + k)
@@ -960,7 +960,7 @@ def test_compile_from_exponents_matches_pointwise_evaluate(p, k):
         MultiPoly.from_terms(F, n, [((2,) + (0,) * (n - 1), c), ((1,) * n, F.one)]),
         MultiPoly.from_terms(F, n, [((q + 3,) + (0,) * (n - 1), F.one), ((0,) * n, c)]),
     ]
-    if n > 1:  # the homogenization; every word of degree <= 2 in x_1 .. x_{n-1}, and one of them
+    if n > 1:  # the homogenization; every monomial of degree <= 2 in x_1 .. x_{n-1}, and one of them
         polys.append(homogenize(full))
         polys.append(
             MultiPoly.from_terms(
@@ -968,25 +968,13 @@ def test_compile_from_exponents_matches_pointwise_evaluate(p, k):
             )
         )
         polys.append(MultiPoly.from_terms(F, n, [((1,) + (0,) * (n - 1), c)]))
-    paths = set()
     for f in polys:
         m = f.nvars
-        lengths = tuple(sorted(set(map(sum, f.terms))))
-        plan, _ = counting._compiled(f, T)
-        dense = sum(math.comb(m + l - 1, l) for l in lengths) <= 2 * len(f.terms)
-        assert (plan is counting._shape(m, lengths, None)[0]) == dense, f
-        paths.add(dense)
         cols = counting._coordinates(np.arange(q**m), q, m)
-        points = list(zip(*cols.tolist()))
-        assert evaluate_columns(f, cols, T).tolist() == [f.evaluate(pt) for pt in points], f
-        ref = _last_variable_coefficients(f)
-        plan, shifts = counting._compiled(f, T, m - 1)
-        prefixes = counting._coordinates(np.arange(q ** (m - 1)), q, m - 1)
-        got = counting._evaluate(plan, shifts, T.log.take(prefixes), T).tolist()
-        at = [(*pt, 0) for pt in zip(*prefixes.tolist())] if m > 1 else [(0,)]
-        g = [ref[e] if e < len(ref) and ref[e] is not None else MultiPoly.zero(F, m) for e in plan.powers]
-        assert got == [[g_e.evaluate(pt) for pt in at] for g_e in g], f
-    assert paths == ({True, False} if n > 1 else {True})  # in one variable, every length has one word
+        want = [f.evaluate(pt) for pt in zip(*cols.tolist())]
+        for s in range(m + 1):
+            for log in (False, True):
+                assert split_values(f, T, s, log).tolist() == want, (f, s, log)
 
 
 def _grid_systems():
@@ -1004,38 +992,46 @@ def _grid_systems():
 
 
 def test_one_block_trie_passes_match_oracle(monkeypatch):
-    # every pass here fits one block.  Each system by the step the rule
-    # picks, then with the rule's points bound at 0 (the trie step): its
+    # every pass here fits one block.  Each system by the split the rule
+    # picks, then with the rule's points bound at 0 (a split s >= 1): its
     # count and its zero set's length are the oracle's count
     systems = _grid_systems()
     assert {(sy.field.q, sy.nvars) for sy in systems} == {(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)}
     assert any(counting._on_cone(sy) for sy in systems)
-    trie = []
+    blocks, real_step = [], counting._step
+
+    def recorded(*args, **kwargs):
+        out = list(real_step(*args, **kwargs))
+        blocks.append(len(out))
+        return iter(out)
+
+    monkeypatch.setattr(counting, "_step", recorded)
+    split = []
     for forced in (False, True):
         if forced:
             monkeypatch.setattr(counting, "GEMM_POINTS", 0)
         for system in systems:
             cone = counting._on_cone(system)
-            assert len(list(counting._blocks(system.field.tables, system.nvars, cone))) == 1
             want = oracle_count(system)
+            blocks.clear()
             assert walked(fast_count, system) == want
             assert len(walked(zero_points, system)) == want
-            if not counting._gemm_rule(*_pass_shape(system, cone)):
-                trie.append((forced, cone))
-    # by the rule only the grid of F_5^6 (15,625 points) takes the trie step
-    assert trie.count((False, False)) == 1 and trie.count((True, True)) > 10 and len(trie) == len(systems) + 1
+            assert blocks == [1, 1]
+            if counting._pass(system, cone)[2]:
+                split.append((forced, cone))
+    # by the rule only the grid of F_5^6 (15,625 points) takes a split
+    assert split.count((False, False)) == 1 and split.count((True, True)) > 10 and len(split) == len(systems) + 1
 
 
-# -- the trie evaluator -------------------------------------------------------------------
+# -- the log-domain sum ------------------------------------------------------------------
 
 
-def _trie_cases(F):
-    """Polynomials that reach every part of a plan: words of 2D + 1 = 7 and
-    more factors (two folds), terms at interior trie nodes (x1, x1*x2 and
-    x1*x2*x3 with their extensions), 1, 2, 3 and 5 terms (the Zech tree's
-    shapes), a constant alone, one variable, and half of the words of
-    length 1 and 2 in x1, x2 (compiled as all five, two with coefficient
-    0)."""
+def _log_cases(F):
+    """Polynomials of long monomials (x1^9, x1^4*x2^3, x1^2*x2^2*x3^3),
+    terms that share their prefix or grid monomials (x1, x1*x2, x1*x2*x3
+    with their extensions), 1, 2, 3 and 5 terms (the Zech tree's shapes),
+    a constant alone, one variable, and half of the monomials of degree 1
+    and 2 in x1, x2."""
     c, one = F.generator or F.from_int(F.p - 1) or F.one, F.one
     deep = [((4, 3, 0), c), ((9, 0, 0), one), ((2, 2, 3), one), ((0, 0, 7), c)]
     interior = [((1, 0, 0), c), ((1, 1, 0), one), ((1, 1, 1), c), ((2, 1, 1), one), ((1, 1, 2), one)]
@@ -1052,58 +1048,31 @@ def _trie_cases(F):
 
 @pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 3), (3, 2), (3, 3), (2, 17), (3, 11)])
 def test_trie_evaluator_matches_pointwise_evaluate(p, k):
-    # every kind of field: p = 2 (XOR), an odd prime (a sum mod p), odd-p
-    # extensions (the Zech tree), and q past 2^16; at points with many zero
-    # coordinates, unsplit and split on the last variable (groups of terms)
+    # the log-domain sum over every kind of field: p = 2 (XOR), an odd prime
+    # (a sum mod p), odd-p extensions (the Zech tree), and q past 2^16; at
+    # points with many zero coordinates, with no grid variable and with the
+    # last variable as the grid (K B summed over the grid monomials, then V
+    # over the prefix ones) at the sampled values of the last coordinate
     F = build_field(p, k)
     T, q = F.tables, F.q
     rng = np.random.default_rng(q)
-    D = T.depth
-    for f in _trie_cases(F):
+    for f in _log_cases(F):
         n = f.nvars
         cols = np.where(rng.random((n, 300)) < 0.3, 0, rng.integers(0, q, (n, 300)))
-        points = list(zip(*cols.tolist()))
-        plan, shifts = counting._compiled(f, T)
-        got = counting._evaluate(plan, shifts, T.log.take(cols), T)
-        assert got.tolist() == [[f.evaluate(pt) for pt in points]], f
-        # at least half of the words of their lengths in its n variables:
-        # compiled from its exponents, as all of them
-        depth = max(map(sum, f.terms))
-        dense = sum(math.comb(n + l - 1, l) for l in set(map(sum, f.terms)))
-        assert len(plan.rows) == (dense if dense <= 2 * len(f.terms) else len(f.terms))
-        assert len(plan.levels) == depth
-        assert sum(fold is not None for *_, fold in plan.levels) == max(0, (depth - 2) // (D - 1))
-        # split on the last variable: each group is its coefficient g_e
-        plan, shifts = counting._compiled(f, T, n - 1)
-        got = counting._evaluate(plan, shifts, T.log.take(cols[:-1]), T).tolist()
-        for e, row in zip(plan.powers, got):
-            g = MultiPoly.from_terms(F, n, [(x[:-1] + (0,), c) for x, c in f.terms.items() if x[-1] == e])
-            assert row == [g.evaluate(pt) for pt in points], (f, e)
-
-
-def test_trie_shares_prefixes():
-    # x1, x1*x2 and x1*x2*x3 are interior nodes of the trie of the
-    # polynomial that extends them: one node per distinct prefix, level by
-    # level, each the log sum of its parent's row and one variable, and
-    # each term's row is its word's node
-    F = build_field(3, 2)
-    f = _trie_cases(F)[1]  # the words 0; 0,1; 0,1,2; 0,0,1,2; 0,1,2,2
-    plan, _ = counting._compiled(f, F.tables)
-    levels = [(start, stop, None if up is None else up.tolist(), var.tolist()) for start, stop, up, var, _ in plan.levels]
-    assert levels == [
-        (1, 2, None, [0]),  # x1
-        (2, 4, [1, 1], [0, 1]),  # x1^2, x1*x2
-        (4, 6, [2, 3], [1, 2]),  # x1^2*x2, x1*x2*x3
-        (6, 8, [4, 5], [2, 2]),  # x1^2*x2*x3, x1*x2*x3^2
-    ]
-    assert plan.nodes == 8 and plan.rows.tolist() == [1, 6, 3, 5, 7]  # in sorted word order
+        want = [f.evaluate(pt) for pt in zip(*cols.tolist())]
+        assert evaluate_columns(f, cols, T, log=True).tolist() == want, f
+        last, at = np.unique(cols[-1], return_inverse=True)
+        got = np.empty((300, len(last)), dtype=np.int64)
+        for xs, ys, V in counting._step(T, [f], (n - 1,), T.log.take(last)[None], T.log.take(cols[:-1]), True):
+            got[xs, ys] = V[0]
+        assert got[np.arange(300), at].tolist() == want, f
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (3, 2), (5, 2), (3, 11)])
 def test_total_reduces_groups_of_rows(p, k):
-    # one reduction of a stack of log sums in groups of 1, 2, 3 and 5 rows
-    # (the Zech tree's shapes, odd groups included), with zero factors
-    # among them, against the scalar sums
+    # the reduction of stacks of log sums of 1, 2, 3 and 5 rows (the Zech
+    # tree's shapes, odd ones included), with zero factors among them,
+    # against the scalar sums
     F = build_field(p, k)
     T, q = F.tables, F.q
     rng = np.random.default_rng(q)
@@ -1117,7 +1086,6 @@ def test_total_reduces_groups_of_rows(p, k):
             acc = [F.add(x, F.mul(F.mul(u, v), w)) for x, u, v, w in zip(acc, a[r].tolist(), b[r].tolist(), c[r].tolist())]
         want.append(acc)
         row += size
-    assert T.total(stack.copy(), sizes).tolist() == want
     for size, start in zip(sizes, (0, 1, 3, 6)):
         assert T.total(stack[start : start + size].copy()).tolist() == [want[sizes.index(size)]]
 
@@ -1165,15 +1133,12 @@ def test_exponents_past_q_are_lowered_before_the_kernel():
     for system in cases:
         want = oracle_count(system)
         assert walked(fast_count, system) == want
-        T, n = system.field.tables, system.nvars
-        polys = [counting._as_function(f) for f in system.polys]
-        gemm = np.concatenate(list(counting._gemm_chunks(T, n, polys, False, counting._lengths(polys))))
-        trie = np.concatenate(list(counting._trie_chunks(T, n, polys, False)))
-        assert gemm.tolist() == trie.tolist() and len(gemm) == want
+        steps = _steps(system, False)
+        assert len({tuple(idx.tolist()) for idx in steps.values()}) == 1 and len(steps[0, False]) == want
     assert oracle_count(cases[3]) == 3
 
 
-# -- the two steps of a pass: the GEMM step against the trie step ----------------
+# -- the splits of a pass: s = 0 against every s >= 1 --------------------------------
 
 # q -> (n of a grid pass, n of a cone pass), each pass within GEMM_POINTS
 STEP_SHAPES = {2: (5, 5), 3: (4, 5), 4: (3, 3), 5: (3, 4), 7: (2, 3), 8: (2, 3), 9: (2, 3)}
@@ -1222,40 +1187,70 @@ def _form(f):
 
 
 def _steps(system, cone):
-    """One pass by each step, called directly past the rule: the zero
-    indexes of the GEMM step and of the trie step."""
-    T, n, polys = system.field.tables, system.nvars, system.polys
-    gemm = list(counting._gemm_chunks(T, n, polys, cone, counting._lengths(polys)))
-    trie = list(counting._trie_chunks(T, n, polys, cone))
-    return np.concatenate(gemm), np.concatenate(trie)
+    """The zero indexes of one pass at every split, called directly past
+    the rule: s = 0 (one product on M') and each s >= 1 by both sums."""
+    T, n = system.field.tables, system.nvars
+    polys = [counting._as_function(f) for f in system.polys]
+    lengths = counting._lengths(polys)
+    return {
+        (s, log): np.concatenate(list(counting._zero_chunks(T, n, polys, lengths, cone, s, log)))
+        for s in range(n + 1)
+        for log in ((False,) if s == 0 else (False, True))
+    }
+
+
+def _weighted(idx, q, s, cone):
+    """The count a pass of split s gives from its zeros: on the cone 1 at
+    suffix 0 (indexes divisible by q^s; at s = 0 prefix 0, indexes below q)
+    and q - 1 elsewhere."""
+    if not cone:
+        return len(idx)
+    axis = int(np.count_nonzero(idx % q**s == 0 if s else idx < q))
+    return axis + (q - 1) * (len(idx) - axis)
 
 
 def _pass_shape(system, cone):
-    """(points, |W|, p, k) of a pass, as the step rule reads them."""
+    """(points, |W|, p, k) of a pass, as the rule's s = 0 bounds read them."""
     F, n = system.field, system.nvars
-    points = F.q * sum(map(len, counting._prefix_ranges(F.q, n, cone)))
+    points = F.q * counting._prefix_count(F.q, n - 1, cone)
     words = sum(math.comb(n + l - 1, l) for l in counting._lengths(system.polys))
     return points, words, F.p, F.k
+
+
+def _takes_gemm(points, words, p, k):
+    """Whether the rule takes s = 0 for a pass of one polynomial of this shape."""
+    return counting._rule(p, k, [(0, (1, words, 1, points, 1)), (1, (1, 1, 1, 1, 1))])[0] == 0
+
+
+def _check_splits(system, cone):
+    """Every split of the system's pass against s = 0 and the oracle: on the
+    grid the same ascending zeros, on the cone (whose suffixes at s are over
+    s variables) the same weighted count.  Returns the s = 0 zeros."""
+    q, want = system.field.q, oracle_count(system)
+    steps = _steps(system, cone)
+    gemm = steps[0, False]
+    assert (np.diff(gemm) > 0).all()
+    for (s, log), idx in steps.items():
+        assert _weighted(idx, q, s, cone) == want, (system, s, log)
+        if not cone:
+            assert idx.tolist() == gemm.tolist(), (system, s, log)
+    return gemm
 
 
 @pytest.mark.parametrize("q", sorted(STEP_SHAPES))
 @pytest.mark.parametrize("cone", [False, True])
 def test_gemm_step_matches_trie_step_and_oracle(q, cone):
+    # each pass within the GEMM bounds at s = 0, the step the rule picks,
+    # and at every split s >= 1 by both sums
     for system in _step_systems(q, cone):
-        assert counting._gemm_rule(*_pass_shape(system, cone)), system
-        gemm, trie = _steps(system, cone)
-        assert gemm.tolist() == trie.tolist()
-        assert (np.diff(gemm) > 0).all()
-        want = oracle_count(system)
-        if cone:
-            axis = int(np.count_nonzero(gemm < q))
-            assert axis + (q - 1) * (len(gemm) - axis) == want
-        else:
+        assert counting._pass(system, cone)[2:] == (0, False), system
+        gemm = _check_splits(system, cone)
+        if not cone:
             # a listed walk: the same ascending indexes as the points that vanish
             filtered = [pt for pt in product(range(q), repeat=system.nvars) if vanishes(system, pt)]
             listed = counting._coordinates(gemm, q, system.nvars).T.tolist()
             assert walked(zero_set, system) == filtered == list(map(tuple, listed))
-        assert walked(fast_count, system) == want
+        assert walked(fast_count, system) == oracle_count(system)
 
 
 def _one_variable(F, exponents):
@@ -1264,27 +1259,27 @@ def _one_variable(F, exponents):
 
 
 def _spied_steps(monkeypatch):
-    """The polynomials each later pass hands the GEMM step, as a list."""
-    calls, real = [], counting._gemm_chunks
+    """The split s of each pass the kernel walks, as a list."""
+    calls, real = [], counting._zero_chunks
 
-    def spy(*args):
-        calls.append(args[2])
-        return real(*args)
+    def spy(T, n, polys, lengths, cone, s, log):
+        calls.append(s)
+        return real(T, n, polys, lengths, cone, s, log)
 
-    monkeypatch.setattr(counting, "_gemm_chunks", spy)
+    monkeypatch.setattr(counting, "_zero_chunks", spy)
     return calls
 
 
 def test_step_rule_at_its_bounds(monkeypatch):
-    # passes on both sides of each bound of the one rule, over a prime
-    # field, an F_{2^k} and an odd-p extension field, counted by the step
-    # the rule picks against the oracle, and within the rule by both steps.
-    # The exactness bound binds over prime fields alone: for k >= 2,
+    # passes on both sides of each GEMM bound of the rule, over a prime
+    # field, an F_{2^k} and an odd-p extension field, counted by the split
+    # the rule picks against the oracle, and within the bounds at every
+    # split.  The exactness bound binds over prime fields alone: for k >= 2,
     # k|W|(p - 1)^2 < k|W| points <= GEMM_ENTRIES / k, and for p = 2,
     # k|W| <= GEMM_ENTRIES
     calls = _spied_steps(monkeypatch)
-    rule, most, entries = counting._gemm_rule, counting.GEMM_POINTS, counting.GEMM_ENTRIES
-    assert rule(most, 1, 2, 1) and not rule(most + 1, 1, 2, 1)
+    most, entries = counting.GEMM_POINTS, counting.GEMM_ENTRIES
+    assert _takes_gemm(most, 1, 2, 1) and not _takes_gemm(most + 1, 1, 2, 1)
     names, F1024, F61_2 = [f"x{i + 1}" for i in range(7)], build_field(2, 10), build_field(61, 2)
     cases = {
         # points: F_4093 in one variable (4093 points, one word) and F_4099
@@ -1312,14 +1307,14 @@ def test_step_rule_at_its_bounds(monkeypatch):
     }
     for name, (system, shape, gemm) in cases.items():
         points, words, p, k = shape
-        assert _pass_shape(system, counting._on_cone(system)) == shape, name
-        assert rule(*shape) == gemm == (points <= most and k * k * words * points <= entries and k * words * (p - 1) ** 2 < FLOAT32_EXACT), name
+        cone = counting._on_cone(system)
+        assert _pass_shape(system, cone) == shape, name
+        assert _takes_gemm(*shape) == gemm == (points <= most and k * k * words * points <= entries and k * words * (p - 1) ** 2 < FLOAT32_EXACT), name
         calls.clear()
         assert walked(fast_count, system) == oracle_count(system), name
-        assert len(calls) == gemm, name
+        assert len(calls) == 1 and (calls[0] == 0) == gemm, name
         if gemm:
-            by_gemm, by_trie = _steps(system, counting._on_cone(system))
-            assert by_gemm.tolist() == by_trie.tolist(), name
+            _check_splits(system, cone)
     assert 4 * 35 * 3721 <= entries < 4 * 36 * 3721 and 100 * 5 * 1024 <= entries < 100 * 6 * 1024
     assert 239 * 2187 <= entries < 246 * 2187 and 255 * 256**2 < FLOAT32_EXACT <= 256 * 256**2
 
@@ -1330,9 +1325,9 @@ def test_corpus_pass_shapes_by_both_steps_match_oracle(q, monkeypatch):
     # reaches: the grids of the corpus systems, and the passes of fast_count
     # on them and on their leading and homogenized systems (n <= 6), found
     # among the first 3,000 corpus systems at seed 0, which draw every
-    # corpus shape.  Each is within the rule, and one system of each is
-    # counted by the GEMM step and the trie step, called directly past the
-    # rule, to the same ascending zeros, and by the oracle to the same count
+    # corpus shape.  Each takes s = 0 by the rule, and one system of each is
+    # counted at every split, called directly past the rule, to the same
+    # zeros, and by the oracle to the same count
     calls = _spied_steps(monkeypatch)
     shapes = {}
     for i in range(3000):
@@ -1344,24 +1339,23 @@ def test_corpus_pass_shapes_by_both_steps_match_oracle(q, monkeypatch):
             shapes.setdefault((sy.nvars, cone, counting._lengths(sy.polys)), (sy, cone))
     assert {n for n, _, _ in shapes} == set(range(2, 7)) and len(shapes) > 20
     for (n, cone, lengths), (system, _) in sorted(shapes.items()):
-        assert counting._gemm_rule(*_pass_shape(system, cone)), (n, cone, lengths)
-        gemm, trie = _steps(system, cone)
-        assert gemm.tolist() == trie.tolist() and (np.diff(gemm) > 0).all()
-        want = oracle_count(system)
-        axis = int(np.count_nonzero(gemm < q)) if cone else len(gemm)
-        assert axis + (q - 1) * (len(gemm) - axis) == want
+        assert counting._pass(system, cone)[2] == 0, (n, cone, lengths)
+        _check_splits(system, cone)
         calls.clear()
+        want = oracle_count(system)
         assert (walked(fast_count, system) if cone else len(walked(zero_points, system))) == want
-        assert len(calls) == 1
+        assert calls == [0]
 
 
-def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
-    # the rule keeps k|W|(p - 1)^2, the largest partial sum of the product,
-    # below FLOAT32_EXACT = 2^24 for every field it can meet (q <= points); the
-    # largest it admits is 12,945 * 36^2 at F_37 in one variable with
-    # 12,945 words, and over an extension field 2 * 35 * 60^2 at F_{61^2} in one
-    # variable with 35 words.  The GEMM step counts exactly F_257 with 255
-    # words, the largest there with exponents below q, and F_{61^2} with 35
+def test_product_atkb_exact_at_the_largest_shape_the_rule_admits():
+    # the product A^T (K B) has partial sums of at most |α|k(p - 1)^2.  At
+    # s = 0 (|α| = |W|, K B = K) the rule keeps them below FLOAT32_EXACT =
+    # 2^24 for every field it can meet (q <= points); the largest it admits
+    # is 12,945 * 36^2 at F_37 in one variable with 12,945 words, and over an
+    # extension field 2 * 35 * 60^2 at F_{61^2} in one variable with 35
+    # words.  At s >= 1 it keeps them below FLOAT64_EXACT = 2^53: the largest
+    # is 8,192 prefix monomials over F_1048573, the largest prime field, with
+    # 8,192 * 1048572^2 = 2^53 - 2^36 + 2^17 (8,193 take the log-domain sum)
     from cwlab.fields import is_prime
 
     worst = {}
@@ -1372,21 +1366,20 @@ def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
             continue
         for points in range(q, counting.GEMM_POINTS + 1, q):
             words = min(counting.GEMM_ENTRIES // (k * k * points), -(-FLOAT32_EXACT // (k * (p - 1) ** 2)) - 1)
-            assert not counting._gemm_rule(points, words + 1, p, k)
+            assert not _takes_gemm(points, words + 1, p, k)
             if words:
-                assert counting._gemm_rule(points, words, p, k)
+                assert _takes_gemm(points, words, p, k)
                 assert k * words * (p - 1) ** 2 < FLOAT32_EXACT
                 worst[k > 1] = max(worst.get(k > 1, (0, None)), (k * words * (p - 1) ** 2, (p, k, words)))
     assert worst == {False: (12945 * 36**2, (37, 1, 12945)), True: (2 * 35 * 60**2, (61, 2, 35))}
     for system in (_one_variable(build_field(257, 1), range(255)), _one_variable(build_field(61, 2), range(35))):
         F, (f,) = system.field, system.polys
-        assert counting._gemm_rule(*_pass_shape(system, False))
-        gemm, trie = _steps(system, False)
-        assert gemm.tolist() == trie.tolist() == [x for x in range(F.q) if f.evaluate((x,)) == 0]
-    # the product takes float32 within the bound and float64 past it, exact
-    # either way: at p = 251, 268 words keep k|W|(p - 1)^2 below 2^24 and
-    # 269 do not; every coefficient but the constant is p - 1, so the
-    # partial sums come near it, and the constant makes 1 a zero
+        assert counting._pass(system, False)[2] == 0
+        assert _check_splits(system, False).tolist() == [x for x in range(F.q) if f.evaluate((x,)) == 0]
+    # at s = 0 the product takes float32 within the bound and float64 past
+    # it, exact either way: at p = 251, 268 words keep k|W|(p - 1)^2 below
+    # 2^24 and 269 do not; every coefficient but the constant is p - 1, so
+    # the partial sums come near it, and the constant makes 1 a zero
     F = build_field(251, 1)
     logs = lambda: F.tables.log.take(np.arange(251)[None])
     for words, dtype in ((268, np.int32), (269, np.intp)):
@@ -1395,5 +1388,38 @@ def test_gemm_exactness_at_the_largest_shape_the_rule_admits():
         C = np.full((1, words), 250, dtype=np.uint8)
         assert F.tables.product(C, blocks, words * 250**2).dtype == dtype
         f = MultiPoly(F, 1, {(l,): 250 if l else (words - 1) % 251 for l in range(words)})
-        zeros = counting._gemm_zeros([f], F.tables, blocks, rows)
+        ((_, _, V),) = counting._step(F.tables, [f], (), np.zeros((0, 1), dtype=np.int16), None, words=(blocks, rows))
+        zeros = counting._zero_mask(V)[:, 0]
         assert np.flatnonzero(zeros).tolist() == [x for x in range(251) if f.evaluate((x,)) == 0], words
+    # at s >= 1: f = sum_{e < 8192} (p - 1) x1^e x2 over F_1048573, x2 the
+    # grid: K B = (p - 1) x2 is p - 1 at x2 = 1, and x1 = p - 1 makes half
+    # of the products (p - 1)^2, so the partial sums pass 2^52
+    p = 1048573
+    assert 8192 * (p - 1) ** 2 < FLOAT64_EXACT <= 8193 * (p - 1) ** 2
+    for a in (8192, 8193):
+        assert counting._rule(p, 1, [(1, (1, a, 1, 4, 2))]) == (1, a > 8192)
+    F = build_field(p, 1)
+    T = F.tables
+    f = MultiPoly(F, 2, {(e, 1): p - 1 for e in range(8192)})
+    xs, ys = [0, 1, 2, p - 1], [1, p - 1]
+    blocks = list(counting._step(T, [f], (1,), T.log.take(np.array([ys])), T.log.take(np.array([xs]))))
+    got = np.concatenate([V[0] for _, _, V in blocks])
+    assert got.tolist() == [[f.evaluate((x, y)) for y in ys] for x in xs]
+
+
+def test_product_kb_exact_at_the_largest_shape_the_rule_admits():
+    # the digit product K B has partial sums of at most |β|k(p - 1)^2; the
+    # rule admits it while they stay below FLOAT64_EXACT = 2^53, so the
+    # largest is |β| = 8,192 grid monomials over F_1048573 (8,193 take the
+    # log-domain sum).  f = sum_{e < 8192} (p - 1) x2^e, x2 the grid, at
+    # x1 = 0 and x2 in {0, 1, 2, p - 1}: at x2 = p - 1 half of the products
+    # are (p - 1)^2, so the partial sums pass 2^52
+    p = 1048573
+    for b in (8192, 8193):
+        assert counting._rule(p, 1, [(1, (1, 1, b, 1, 4))]) == (1, b > 8192)
+    F = build_field(p, 1)
+    T = F.tables
+    f = MultiPoly(F, 2, {(0, e): p - 1 for e in range(8192)})
+    ys = [0, 1, 2, p - 1]
+    ((_, _, V),) = counting._step(T, [f], (1,), T.log.take(np.array([ys])), T.log.take(np.zeros((1, 1), dtype=np.intp)))
+    assert V[0, 0].tolist() == [f.evaluate((0, y)) for y in ys]

@@ -11,7 +11,7 @@ import pytest
 from cwlab import counting, geometry
 from cwlab.constructions import example_two, norm_form, random_system
 from cwlab.errors import BudgetExceeded, DegreeTooLarge, InsufficientExtensions, InvalidArgument, NotHomogeneous
-from cwlab.fields import FieldTables, build_field
+from cwlab.fields import build_field
 from cwlab.geometry import (
     _algebraic_candidates,
     _exact_linear_division,
@@ -335,31 +335,28 @@ def _probe_reference(K, n, j, s, scaled):
 
 def _probe_lines_from_power_logs(K, n, j, s, scaled):
     """`_probe_lines`' rows as read from the whole power-log table of the
-    field, (n - 1 - s) x q, cut to the probes' columns."""
+    field, log(x^e) at every x, (n - 1 - s) x q (Z at x = 0 for e > 0, 0
+    for e = 0), cut to the probes' columns."""
     T, e = K.tables, np.arange(n - 1 - s)
-    logs = T.power_logs(tuple(e.tolist()))[:, : min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + geometry.PROBE_SLACK)]
+    table = (e[:, None] * T.log % (K.q - 1)).astype(T.log.dtype)
+    table[:, 0] = np.where(e > 0, T.log[0], 0)
+    logs = table[:, : min(K.q if n - 1 - s > 1 else 1, n - 1 - j - s + geometry.PROBE_SLACK)]
     logs = logs + scaled * (e * (e - 1) // 2 % (K.q - 1))[:, None]
     U = np.zeros((logs.shape[1], n), dtype=np.intp)
     U[:, [*range(j + 1 + s, n), *range(j)]] = T.exp.take(logs, mode="clip").T
     return U.tolist()
 
 
-def test_probe_lines_read_only_their_columns_of_powers(monkeypatch):
+def test_probe_lines_read_only_their_columns_of_powers():
     # the rows, from the logs of the first elements w alone, are those of the
-    # whole power-log table; over F_2^16 they build no such table
+    # whole power-log table; over F_2^16 there are 5 + PROBE_SLACK of them
     for K in (build_field(2, 2), build_field(3, 2), build_field(5, 2), build_field(2, 8)):
         for n in range(1, 8):
             for j, s, scaled in itertools.product(range(n - 1), range(n - 1), (False, True)):
                 if j + s < n - 1:
                     got = _probe_lines.__wrapped__(K, n, j, s, scaled).tolist()
                     assert got == _probe_lines_from_power_logs(K, n, j, s, scaled), (K.q, n, j, s, scaled)
-    K = build_field(2, 16)
-
-    def refused(self, powers):
-        raise AssertionError("a whole power-log table was built")
-
-    monkeypatch.setattr(FieldTables, "power_logs", refused)
-    assert _probe_lines.__wrapped__(K, 6, 0).shape == (5 + geometry.PROBE_SLACK, 6)
+    assert _probe_lines.__wrapped__(build_field(2, 16), 6, 0).shape == (5 + geometry.PROBE_SLACK, 6)
 
 
 def test_line_masks_match_pointwise_evaluation():
@@ -392,64 +389,56 @@ def _zech_forms(K, n):
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4), (5, 4)], ids=["9", "25", "27", "81", "625"])
-def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k):
+def test_gemm_step_matches_trie_step_and_pointwise_over_zech_fields(p, k, monkeypatch):
     # over the odd-p extension fields F_9, F_25, F_27, F_81 and F_625: the
     # probe-line masks of both families, (s = 0, unscaled) and the (s,
-    # scaled) ones a short pivot adds, in three variables, by the GEMM
-    # step's product on their M' and by the trie step's kernel, called
-    # directly past the rule, and f point by point along each line; then
-    # the cone pass of each form, and the grid pass of the two as a system,
-    # in two and three variables, by both steps and point by point, where
-    # the pass has at most GEMM_POINTS points
+    # scaled) ones a short pivot adds, in three variables, by the step at
+    # s = 0 on their M' and at s = 1 (x_j the grid) by both sums, forced
+    # past the rule, and f point by point along each line; then the cone
+    # pass of each form, and the grid pass of the two as a system, in two
+    # and three variables, at every split and point by point
+    from test_counting import _check_splits
+
     K = build_field(p, k)
-    T, Q, n = K.tables, K.q, 3
+    Q, n = K.q, 3
     families = tuple((K, n, j, s, scaled) for j in range(n - 1) for s in range(n - 1 - j) for scaled in (False, True))
     lines = [(family[2], _probe_lines(*family)) for family in families]
     for f in _zech_forms(K, n):
-        lengths = counting._lengths([f])
-        assert lengths == (int(f.total_degree),)
-        lines_at = lambda: geometry._line_logs(families)
-        gemm = counting._gemm_zeros([f], T, *counting._monomials(T, n, families, lengths, lines_at))
-        trie = counting._evaluate(*counting._compiled(f, T), geometry._line_logs(families), T)[0] == 0
-        assert gemm.tolist() == trie.tolist() and gemm.any()
-        masks = np.split(gemm.reshape(-1, Q), np.cumsum([len(U) for _, U in lines])[:-1])
-        assert [m.tolist() for m in masks] == [m.tolist() for m in _line_masks(f, families)]
-        for (j, U), M in zip(lines, masks):
-            for u, row in zip(U.tolist(), M.tolist()):
+        by_split = []
+        for split in ((0, False), (1, False), (1, True)):
+            monkeypatch.setattr(geometry, "_rule", lambda p, k, shapes, split=split: split)
+            by_split.append([M.tolist() for M in _line_masks(f, families)])
+        assert by_split[0] == by_split[1] == by_split[2] and any(map(np.any, by_split[0]))
+        for (j, U), M in zip(lines, by_split[0]):
+            for u, row in zip(U.tolist(), M):
                 pts = [u[:j] + [K.neg(t)] + u[j + 1 :] for t in range(Q)]
                 assert row == [f.evaluate(pt) == 0 for pt in pts]
     passes = 0
     for n in (2, 3):
         forms = _zech_forms(K, n)
         for system, cone in [(PolySystem([f]), True) for f in forms] + [(PolySystem(forms), False)]:
-            if Q * sum(map(len, counting._prefix_ranges(Q, n, cone))) > counting.GEMM_POINTS:
+            if Q * counting._prefix_count(Q, n - 1, cone) > counting.GEMM_POINTS:
                 continue
             passes += 1
-            lengths = counting._lengths(system.polys)
-            points = counting._pass_points(T, n, cone)
-            gemm = np.concatenate(list(counting._gemm_chunks(T, n, system.polys, cone, lengths)))
-            trie = np.concatenate(list(counting._trie_chunks(T, n, system.polys, cone)))
-            assert gemm.tolist() == trie.tolist()
+            zeros = _check_splits(system, cone)
+            points = counting._pass_points(K.tables, n, cone)
             coords = counting._coordinates(points, Q, n).T.tolist()
-            assert gemm.tolist() == [x for x, pt in zip(points.tolist(), coords) if all(g.evaluate(pt) == 0 for g in system.polys)]
+            assert zeros.tolist() == [x for x, pt in zip(points.tolist(), coords) if all(g.evaluate(pt) == 0 for g in system.polys)]
     assert passes >= 2
 
 
 def test_candidates_take_one_evaluation(monkeypatch):
     # one run evaluates the first probe family of every pivot in a single
-    # call of whichever step serves it, the GEMM step's product or the trie
-    # step's kernel, and these forms need no second one; the last pivot's
-    # form comes with no evaluation
+    # step at s = 0 (these forms' lines are within the GEMM bounds), and
+    # these forms need no second one; the last pivot's form comes with no
+    # evaluation
     calls, pivots, lined = [], [], []
-    evaluate, gemm_zeros, line_masks = geometry._evaluate, geometry._gemm_zeros, geometry._line_masks
+    step, line_masks = geometry._step, geometry._line_masks
 
-    def counted(plan, shifts, logs, T):
-        calls.append(logs.shape[1])
-        return evaluate(plan, shifts, logs, T)
-
-    def multiplied(polys, T, M, rows):
-        calls.append(M[0].shape[1])
-        return gemm_zeros(polys, T, M, rows)
+    def counted(*args, **kwargs):
+        blocks = list(step(*args, **kwargs))
+        calls.append(sum(V.shape[1] * V.shape[2] for _, _, V in blocks))
+        return iter(blocks)
 
     def recorded(fK, families):
         pivots.append({j for _, _, j, *_ in families})
@@ -458,8 +447,7 @@ def test_candidates_take_one_evaluation(monkeypatch):
         lined.append(list(calls))
         return masks
 
-    monkeypatch.setattr(geometry, "_evaluate", counted)
-    monkeypatch.setattr(geometry, "_gemm_zeros", multiplied)
+    monkeypatch.setattr(geometry, "_step", counted)
     monkeypatch.setattr(geometry, "_line_masks", recorded)
     for fK in _line_forms():
         K, n = fK.field, fK.nvars
@@ -520,7 +508,7 @@ def test_candidates_past_chunk_run_in_order():
     n = 18
     x = [MultiPoly.variable(F2, n, i) for i in range(n)]
     f = x[0] * x[1] * (x[0] + x[1])
-    assert 2 ** (n - 1) > counting.CHUNK
+    assert 2 ** (n - 1) > geometry.CHUNK
     assert list(itertools.islice(_algebraic_candidates(f), 6)) == list(itertools.islice(normalized_forms(F2, n), 6))
     verdict = linear_factor_test(f, 1)
     assert verdict.witness == (1,) + (0,) * (n - 1) and verdict.candidates == 1
@@ -612,45 +600,6 @@ def test_conjecture_scan_smoke():
     # in two variables over F_9 has 9 zeros
     rows, _ = conjecture_scan(qs=(9,), ns=(2,), profiles=((1,),), per_cell=1)
     assert rows[0].q == 9 and rows[0].counts[0] == 9
-
-
-def test_planted_quintic_plan_and_one_reduction_per_evaluation(monkeypatch):
-    # a planted product of the benchmark over F_3, Example 2's quartic times
-    # a linear form with every coefficient nonzero: 42 of the 56 words of
-    # degree 5 in 4 variables, so compiled as all 56, in a trie of 5
-    # levels; every trie-step evaluation, of the probe lines and of the
-    # count, is one reduction of one stack (the GEMM step's bound is set to
-    # 0 so that every pass and probe over F_3 takes the trie step)
-    F = F3
-    x = [MultiPoly.variable(F, 4, i) for i in range(4)]
-    f = example_two(F).poly * (x[0] + x[1].scale(2) + x[2] + x[3].scale(2))
-    assert len(f.terms) == 42 and f.total_degree == 5
-    plan, _ = counting._compiled(f, F.tables)
-    assert [stop - start for start, stop, *_ in plan.levels] == [4, 10, 20, 35, 56]
-    assert len(plan.rows) == 56 and plan.sizes is None
-    totals, per_call = [], []
-    total = FieldTables.total
-
-    def counted_total(T, stack, sizes=None):
-        totals.append(len(stack))
-        return total(T, stack, sizes)
-
-    def counted(evaluate):
-        def wrapper(*args):
-            before = len(totals)
-            out = evaluate(*args)
-            per_call.append(len(totals) - before)
-            return out
-
-        return wrapper
-
-    monkeypatch.setattr(counting, "GEMM_POINTS", 0)
-    monkeypatch.setattr(FieldTables, "total", counted_total)
-    monkeypatch.setattr(geometry, "_evaluate", counted(geometry._evaluate))
-    monkeypatch.setattr(counting, "_evaluate", counted(counting._evaluate))
-    assert linear_factor_test(f, 1).found
-    assert counting.fast_count(PolySystem([f])) == counting.oracle_count(PolySystem([f]))
-    assert per_call and set(per_call) == {1}
 
 
 def test_tail_map_product_at_the_largest_shape_the_budgets_admit():

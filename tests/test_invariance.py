@@ -27,7 +27,7 @@ import pytest
 
 from cwlab import counting
 from cwlab.constructions import norm_form
-from cwlab.counting import CHUNK, count_zeros, coset_ids, kernel_points, zero_digits, zero_points
+from cwlab.counting import count_zeros, coset_ids, kernel_points, zero_digits, zero_points
 from cwlab.fields import FieldSpec, build_field
 from cwlab.geometry import linear_factor_test
 from cwlab.laws import check_congruence, direction_batches
@@ -36,17 +36,18 @@ from cwlab.rng import SplitMix64, derive_seed
 from cwlab.subspaces import rref
 
 # (p, k, n, degrees, pass): the pass that the sparse system and its images
-# take.  "gemm": one 4,096-point GEMM-step pass; "trie": one trie-step
-# block past GEMM_POINTS; "blocks": a trie-step pass of two blocks past CHUNK
+# take.  "gemm": one 4,096-point pass at s = 0; "split": a one-block pass
+# of the split step past GEMM_POINTS; "blocks": a split pass under a block
+# bound of 16 KiB (`counting.BLOCK_BYTES`), so of two blocks or more
 COUNT_SHAPES = [
     (2, 1, 12, (2, 2), "gemm"),
     (2, 2, 6, (2,), "gemm"),
-    (3, 2, 4, (2,), "trie"),
+    (3, 2, 4, (2,), "split"),
     (2, 1, 17, (2,), "blocks"),
     (5, 1, 7, (2,), "blocks"),
 ]
 # the shapes CI runs at larger sizes: a dense cubic image in 20 variables
-# over F_2 (16 blocks) and in 12 over F_3 (9 blocks)
+# over F_2 and in 12 over F_3
 LARGE_SHAPES = [(2, 1, 20, (3,), "blocks"), (3, 1, 12, (3,), "blocks")]
 
 
@@ -111,26 +112,52 @@ def _images(system: PolySystem, seed: int, shift: bool = True):
         yield PolySystem([f.map_coefficients(frobenius, F) for f in system.polys]), np.vectorize(frobenius, otypes=[np.intp])
 
 
+def _blocks(system: PolySystem) -> tuple[int, int]:
+    """The split s of the system's pass and the number of blocks its step
+    yields, from one walk with an empty walk memo."""
+    real, seen = counting._step, []
+
+    def recorded(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            seen.append(block)
+            yield block
+
+    counting._step = recorded
+    try:
+        counting.WALKS.clear()
+        count_zeros(system)
+    finally:
+        counting._step = real
+    return counting._pass(system, counting._on_cone(system))[2], len(seen)
+
+
 def count_invariance(p: int, k: int, n: int, degrees, step: str, seed: int) -> None:
     """The count and the zero set of a sparse seeded system against those of
     its images, on the pass that step names."""
+    bound = counting.BLOCK_BYTES
+    counting.BLOCK_BYTES = 1 << 14 if step == "blocks" else bound
+    try:
+        _count_invariance(p, k, n, degrees, step, seed)
+    finally:
+        counting.BLOCK_BYTES = bound
+
+
+def _count_invariance(p: int, k: int, n: int, degrees, step: str, seed: int) -> None:
     F = build_field(p, k)
     system = _sparse_system(F, n, degrees, seed)
     Z = zero_points(system)
     for image, forward in _images(system, seed):
-        points = kernel_points(image)
-        polys = [counting._as_function(f) for f in image.polys]
-        gemm = counting._gemm_lengths(F, n, points, polys) is not None
-        assert (points, gemm) == (4096, True) if step == "gemm" else not gemm, (F.q, n, step)
-        assert (points > CHUNK) == (step == "blocks")  # a pass past CHUNK points has two blocks or more
+        s, blocks = _blocks(image)
+        assert (s == 0, blocks > 1) == (step == "gemm", step == "blocks"), (F.q, n, step, s, blocks)
+        assert kernel_points(image) == 4096 or step != "gemm"
         assert count_zeros(image).count == count_zeros(system).count == len(Z), (F.q, n, seed)
         assert sorted(forward(zero_points(image)).tolist()) == Z.tolist(), (F.q, n, seed)
 
 
 @pytest.mark.parametrize("p,k,n,degrees,step", COUNT_SHAPES, ids=[f"{p}^{k}-n{n}-{step}" for p, k, n, _, step in COUNT_SHAPES])
 def test_counts_and_zero_sets_are_invariant(p, k, n, degrees, step):
-    # GEMM-step and trie-step passes, one and two blocks, over F_2, F_4,
-    # F_5 and F_9: the images are dense, the systems sparse
+    # passes at s = 0 and split passes of one block and of several, over
+    # F_2, F_4, F_5 and F_9: the images are dense, the systems sparse
     count_invariance(p, k, n, degrees, step, seed=3)
 
 
