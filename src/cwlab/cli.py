@@ -225,9 +225,7 @@ def cmd_factor_test(args) -> int:
     if system.r != 1:
         print("the factor test works on single-polynomial systems", file=sys.stderr)
         return EXIT_INPUT
-    verdict = linear_factor_test(
-        system.polys[0], args.ext, trials=args.trials, seed=args.seed
-    )
+    verdict = linear_factor_test(system.polys[0], args.ext, trials=args.trials)
     _emit(json.dumps(verdict.to_dict()), args.out)
     return EXIT_OK
 
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--system", required=True, help="path to a .sys file")
         p.add_argument("--budget", type=int,
                        help="point budget (env CWLAB_BUDGET overrides the default)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the report to a file instead of stdout")
         if formats:
             p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -284,15 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a congruence law")
     common(p, formats=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled direction spaces")
     p.add_argument(
         "--law",
         required=True,
         help="chevalley | ax | warning-hyperplanes | theorem1 (parallel-subspaces)",
     )
-    scope = p.add_mutually_exclusive_group()  # a usage error together, exit 1
-    scope.add_argument("--all-pairs", action="store_true",
-                       help="check every direction space (the default without --sampled)")
-    scope.add_argument("--sampled", type=int, help="direction spaces to sample per dimension")
+    p.add_argument("--sampled", type=int,
+                   help="direction spaces to sample per dimension (default: every one)")
     p.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p.add_argument("--dim", type=int, help="restrict to one qualifying dimension")
     p.set_defaults(func=cmd_check)
@@ -334,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate_dim)
 
     p = sub.add_parser("scan-conjecture", help="survey dimension estimates on a seeded corpus")
-    p.add_argument("--preset", default="small", choices=("small",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.add_argument("--per-cell", type=int, default=2)

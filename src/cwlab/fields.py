@@ -276,18 +276,23 @@ class FieldSpec:
                 gamma = cand
                 break
         assert gamma is not None, "multiplicative group always has a generator"
-        # each doubling is one matmul (README); an entry is at most k*(p-1)^2
+        # each doubling is one matmul (README), into the rows it fills; an
+        # entry is at most k*(p-1)^2
         p, k = self.p, self.k
         dtype = np.min_scalar_type(k * (p - 1) ** 2)
         place = p ** np.arange(k - 1, -1, -1)  # index of the basis element g^c
         mat = np.array([self.coords(self.mul_poly(int(b), gamma)) for b in place], dtype=dtype)
-        rows = np.array([self.coords(self.one)], dtype=dtype)
-        while len(rows) < q - 1:
-            rows = np.concatenate([rows, rows @ mat % p])[: q - 1]
-            mat = mat @ mat % p
-        exp = np.zeros(len(rows), dtype=np.int64)
-        for digit in rows.T:  # big-endian read-out, one column at a time
-            exp = exp * p + digit.astype(np.int64)  # int64 + uint64 would give float64
+        rows = np.empty((q - 1, k), dtype=dtype)
+        rows[0], m = self.coords(self.one), 1
+        while m < q - 1:  # rows m .. 2m - 1 are rows 0 .. m - 1 times gamma^m
+            t = min(m, q - 1 - m)
+            np.matmul(rows[:t], mat, out=rows[m : m + t])
+            rows[m : m + t] %= p
+            m, mat = m + t, mat @ mat % p
+        exp = np.zeros(q - 1, dtype=np.int64)
+        for digit in rows.T:  # big-endian read-out, one column at a time, in place
+            exp *= p
+            np.add(exp, digit, out=exp, casting="unsafe")  # digit < p; int64 + uint64 would be float64
         return exp
 
     def _pow_poly(self, a: int, e: int) -> int:
@@ -318,13 +323,11 @@ class FieldSpec:
 class FieldTables:
     """One field's arithmetic on numpy arrays of element indexes, through
     one log/exp bundle built on first use (README's design notes).  With
-    D = depth and the sentinel Z = (D + 1)(q - 2) + 1: log[a] = i for
-    a = gamma^i, log[0] = Z; exp[s] = gamma^s below Z, exp[Z] = 0; fold =
-    log[exp]; exp and fold read with mode="clip", every s > Z as Z.  A sum
-    of at most D logs plus a coefficient's is below Z exactly when no
-    factor is zero."""
-
-    depth = 3  # D: logs a sum may hold besides a coefficient's; the counting step's hold one (README)
+    the sentinel Z = 2(q - 2) + 1: log[a] = i for a = gamma^i, log[0] = Z;
+    exp[s] = gamma^s below Z, exp[Z] = 0; fold = log[exp]; exp and fold
+    read with mode="clip", every s > Z as Z.  A sum of two logs, a
+    coefficient's and a monomial's, is below Z exactly when neither factor
+    is zero, and every sum of two numbers up to Z fits log's dtype."""
 
     def __init__(self, F: FieldSpec):
         self.field = F
@@ -338,13 +341,13 @@ class FieldTables:
 
     def _log_bundle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._bundle is None:
-            F, q, D = self.field, self.q, self.depth
-            Z = (D + 1) * (q - 2) + 1
-            powers = F._generator_powers()
-            log = np.full(q, Z, dtype=np.int16 if (D + 1) * Z < 1 << 15 else np.int32)
+            q = self.q
+            Z = 2 * (q - 2) + 1
+            powers = self.field._generator_powers()
+            log = np.full(q, Z, dtype=np.int16 if 2 * Z < 1 << 15 else np.int32)
             log[powers] = np.arange(q - 1)
             exp = np.zeros(Z + 1, dtype=np.min_scalar_type(q - 1))
-            exp[:Z] = np.resize(powers, Z)
+            exp[: q - 1], exp[q - 1 : Z] = powers, powers[: Z - q + 1]  # gamma^s = gamma^(s - (q - 1))
             self._bundle = log, exp, log[exp]
         return self._bundle
 

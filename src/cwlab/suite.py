@@ -123,8 +123,6 @@ def criterion_5(seed: int = CORPUS_SEED) -> CriterionResult:
     for q, p, k0 in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)):
         F = build_field(p, k0)
         for deg in (1, 2, 3):
-            if q**deg > 125:
-                continue
             n = deg + 1
             f = embed_in_more_variables(norm_form(F, deg), n)
             cnt = count_zeros(PolySystem([f])).count

@@ -36,8 +36,8 @@ LAWS = ("chevalley", "ax", "warning-hyperplanes", "theorem1")
 
 # (p, k, n, degrees, seed, extras) of each field's seeded system, and which
 # commands it runs besides count, audit and the laws: "oracle" (the
-# per-point count), "ext" (count over F_{q^2}), "dim" (estimate-dim up to
-# that degree), "factor" (factor-test at --ext 1 and 2, one polynomial),
+# per-point count), "ext" (count over F_{q^2}), "dim" (estimate-dim with
+# --smax 2), "factor" (factor-test at --ext 1 and 2 on a binary form),
 # "budgets" (each law at three class budgets and one sampled scope)
 FIELDS = (
     (2, 1, 6, "3,2", 1, {"oracle", "ext", "dim", "budgets"}),
@@ -81,7 +81,7 @@ FILES = {
     "form-F2187": "field p=3 k=7\nvars x y\npoly x^2 + g*y^2\n",
 }
 
-# groups Tier-1 runs: small fields, every command kind and every sum, about 1.5 s
+# groups Tier-1 runs: small fields, every command kind and every sum, about 2 s
 TIER1_GROUPS = ("F2", "F9", "F25", "large-F2187-n2", "sparse", "lemma", "construct", "exit3")
 
 

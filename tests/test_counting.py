@@ -1046,13 +1046,18 @@ def _log_cases(F):
     return polys
 
 
-@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 3), (3, 2), (3, 3), (2, 17), (3, 11)])
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (5, 1), (2, 3), (3, 2), (3, 3), (2, 13), (3, 8), (8209, 1), (2, 17), (3, 11)]
+)
 def test_trie_evaluator_matches_pointwise_evaluate(p, k):
     # the log-domain sum over every kind of field: p = 2 (XOR), an odd prime
-    # (a sum mod p), odd-p extensions (the Zech tree), and q past 2^16; at
-    # points with many zero coordinates, with no grid variable and with the
-    # last variable as the grid (K B summed over the grid monomials, then V
-    # over the prefix ones) at the sampled values of the last coordinate
+    # (a sum mod p), odd-p extensions (the Zech tree), the last fields whose
+    # log sums are int16 (F_2^13, F_3^8: a zero coefficient's log plus a
+    # zero value's is 2Z = 32,762 and 26,238) and the first past them
+    # (F_8209, int32), and q past 2^16; at points with many zero
+    # coordinates, with no grid variable and with the last variable as the
+    # grid (K B summed over the grid monomials, then V over the prefix
+    # ones) at the sampled values of the last coordinate
     F = build_field(p, k)
     T, q = F.tables, F.q
     rng = np.random.default_rng(q)
@@ -1071,19 +1076,21 @@ def test_trie_evaluator_matches_pointwise_evaluate(p, k):
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (3, 2), (5, 2), (3, 11)])
 def test_total_reduces_groups_of_rows(p, k):
     # the reduction of stacks of log sums of 1, 2, 3 and 5 rows (the Zech
-    # tree's shapes, odd ones included), with zero factors among them,
-    # against the scalar sums
+    # tree's shapes, odd ones included), each a coefficient's log plus a
+    # monomial value's, as the counting step sums them, with zero
+    # coefficients and zero values among them, against the scalar sums
     F = build_field(p, k)
     T, q = F.tables, F.q
     rng = np.random.default_rng(q)
     sizes = (1, 2, 3, 5)
-    a, b, c = np.where(rng.random((3, 11, 200)) < 0.2, 0, rng.integers(0, q, (3, 11, 200)))
-    stack = T.log[a] + T.log[b] + T.log[c]  # the log sums of 11 products a*b*c
+    c = np.where(rng.random(11) < 0.2, 0, rng.integers(0, q, 11))
+    m = np.where(rng.random((11, 200)) < 0.2, 0, rng.integers(0, q, (11, 200)))
+    stack = T.log[c][:, None] + T.log[m]  # the log sums of 11 terms c*m
     want, row = [], 0
     for size in sizes:
         acc = [0] * 200
         for r in range(row, row + size):
-            acc = [F.add(x, F.mul(F.mul(u, v), w)) for x, u, v, w in zip(acc, a[r].tolist(), b[r].tolist(), c[r].tolist())]
+            acc = [F.add(x, F.mul(int(c[r]), v)) for x, v in zip(acc, m[r].tolist())]
         want.append(acc)
         row += size
     for size, start in zip(sizes, (0, 1, 3, 6)):

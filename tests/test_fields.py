@@ -124,7 +124,7 @@ def test_log_tables_match_the_mul_poly_walk():
         gamma = exp[1]
         assert exp[0] == F.one and sorted(exp) == list(range(1, q))
         assert [log[a] for a in exp] == list(range(q - 1))
-        assert log[0] == (T.depth + 1) * (q - 2) + 1
+        assert log[0] == 2 * (q - 2) + 1
         for i in range(0, q - 1, stride):
             nxt = F.mul_poly(exp[i], gamma)
             assert exp[(i + 1) % (q - 1)] == nxt
@@ -178,8 +178,9 @@ def _entries(obj, skip=()):
 def test_tables_are_linear_in_q(p, k):
     # after add, sub, neg, mul, inv, pow and total, scalar and vectorized,
     # and with the Zech table built for p = 2 too: the arrays of the
-    # arithmetic (the log/exp bundle, the Zech table) hold at most
-    # 2(D + 2)q + 2Z + 1 entries in all, the field's scalar lists (log, the
+    # arithmetic hold 9q - 9 entries besides the k basis places, the log/exp
+    # bundle 5q - 4 (log q, exp and fold Z + 1 each, Z = 2(q - 2) + 1) and
+    # the Zech table 2Z + 1, the field's scalar lists (log, the
     # first 2q - 3 entries of exp, the Zech band of q - 1) at most 4q, and
     # nothing holds q^2 of them.  mul_matrices, q k x k matrices for the
     # coset map, is not part of the arithmetic.
@@ -189,8 +190,7 @@ def test_tables_are_linear_in_q(p, k):
     T.add(x, x[::-1]), T.mul(x, x), T.neg(x), T.total(np.stack([T.log[x], T.log[x] + 1, T.log[x] * 0]))
     F.add(1, q - 1), F.sub(1, q - 1), F.neg(q - 1), F.mul(q - 1, q - 1), F.inv(q - 1), F.pow(q - 1, 5)
     T._zech()
-    bound = 2 * (T.depth + 2) * q + 2 * int(T.log[0]) + 1
-    assert sum(_entries(T, skip=("_mul_matrices",))) <= bound
+    assert sum(_entries(T, skip=("_mul_matrices",))) == 9 * q - 9 + k
     assert sum(_entries(F)) <= 4 * q + k
 
 
@@ -221,14 +221,15 @@ def test_large_field_ops_match_scalar_reference(p, k):
         assert F.sub(u, v) == F.from_coords([s - t for s, t in zip(cu, cv)])
         assert F.neg(u) == F.from_coords([-s for s in cu])
     assert F.add(0, 0) == F.sub(0, 0) == F.neg(0) == 0
-    # a sum of products (log sums, shifted by a coefficient's log), with a
-    # constant (the log sum 0 shifted by its log), against the scalar sum
-    terms = np.random.default_rng(q).integers(0, q, (9, 2, 300))
-    c = F.generator
+    # a sum of terms (a monomial value's log shifted by a coefficient's, as
+    # the counting step sums them), with a constant (the log sum 0 shifted
+    # by its log), against the scalar sum
+    values = np.random.default_rng(q).integers(0, q, (9, 300))
+    cs = [F.generator, 0, q - 1, F.one, F.neg(F.one), 1234 % q, F.generator, 5 % q, 0]
     ref = [0] * 300
-    for row, col in terms.tolist():
-        ref = [F.add(r, F.mul(c, F.mul(u, v))) for r, u, v in zip(ref, row, col)]
-    stack = np.concatenate([T.log[terms].sum(axis=1) + T.log[c], np.zeros((1, 300), dtype=T.log.dtype)])
+    for c, row in zip(cs, values.tolist()):
+        ref = [F.add(r, F.mul(c, u)) for r, u in zip(ref, row)]
+    stack = np.concatenate([T.log[cs][:, None] + T.log[values], np.zeros((1, 300), dtype=T.log.dtype)])
     got = T.total(stack)
     assert got.tolist() == [[F.add(r, F.one) for r in ref]]
 
@@ -282,14 +283,16 @@ def test_generator_powers_run_once_per_field(monkeypatch):
 
 def test_log_bundle_tables():
     # exp reads gamma^(s mod (q-1)) below the sentinel Z = log[0] and 0 from Z
-    # on; fold = log[exp]; the log sums fit the dtype ((D + 1)Z)
+    # on; fold = log[exp]; a sum of two logs up to Z fits the dtype, int16
+    # through q = 8192 (F_2^13, F_3^8) and int32 past it (F_8209)
     for F in (F2, F3, F4, F9, build_field(5, 1), build_field(3, 7), build_field(2, 12), build_field(1031, 1),
-              build_field(65537, 1)):
+              build_field(65537, 1), build_field(2, 13), build_field(3, 8), build_field(8209, 1)):
         T, q = F.tables, F.q
-        log, exp, fold, D = T.log, T.exp, T.fold, T.depth
+        log, exp, fold = T.log, T.exp, T.fold
         Z = int(log[0])
-        assert Z == (D + 1) * (q - 2) + 1 and len(exp) == len(fold) == Z + 1
-        assert (D + 1) * Z <= np.iinfo(log.dtype).max
+        assert Z == 2 * (q - 2) + 1 and len(exp) == len(fold) == Z + 1
+        assert 2 * Z <= np.iinfo(log.dtype).max
+        assert log.dtype == (np.int16 if q <= 8192 else np.int32)
         assert sorted(log[1:].tolist()) == list(range(q - 1))
         assert exp[Z] == 0 and fold[Z] == Z
         s = np.arange(Z)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cwlab.errors import FormatError
+from cwlab.errors import ArityMismatch, DivisionByZero, FormatError
 from cwlab.fields import build_field
 from cwlab.formats import read_sub, read_sys, write_sub, write_sys
 from cwlab.polynomials import PolySystem, parse_poly
@@ -170,21 +171,11 @@ def test_cli_check_malformed_scope_is_an_input_error(workdir, args):
 
 def test_cli_check_dim_restriction(workdir):
     res = _run(
-        "check", "--system", "hyp.sys", "--law", "theorem1", "--all-pairs",
-        "--dim", "2", cwd=workdir,
+        "check", "--system", "hyp.sys", "--law", "theorem1", "--dim", "2", cwd=workdir,
     )
     assert res.returncode == 0
     body = json.loads(res.stdout)
     assert body["pass"] is True and body["evidence"]["per_dim"] == {"2": 35}
-
-
-def test_cli_check_all_pairs_conflicts_with_sampled(workdir):
-    res = _run(
-        "check", "--system", "hyp.sys", "--law", "theorem1", "--all-pairs",
-        "--sampled", "3", cwd=workdir,
-    )
-    assert res.returncode == 1 and res.stdout == ""
-    assert "--sampled" in res.stderr
 
 
 def test_cli_check_violation_exit_code(workdir, monkeypatch, capsys):
@@ -474,7 +465,7 @@ def test_cli_restriction_past_its_cap_exits_3(tmp_path, capsys):
 
 def test_cli_scan_conjecture(workdir):
     res = _run(
-        "scan-conjecture", "--preset", "small", "--per-cell", "1",
+        "scan-conjecture", "--per-cell", "1",
         "--budget", "10000", "--out", "scan.csv", cwd=workdir,
     )
     assert res.returncode == 0
@@ -649,6 +640,37 @@ def test_cli_usage_error_is_an_input_error(argv, capsys):
         assert exc.value.code in (0, None) and "usage:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--system", "f.sys", "--seed", "1"],
+        ["audit", "--system", "f.sys", "--seed", "1"],
+        ["estimate-dim", "--system", "f.sys", "--seed", "1"],
+        ["factor-test", "--system", "f.sys", "--seed", "1"],
+        ["check", "--system", "f.sys", "--law", "theorem1", "--all-pairs"],
+        ["check", "--system", "f.sys", "--law", "theorem1", "--all-pairs", "--sampled", "3"],
+        ["scan-conjecture", "--preset", "small"],
+    ],
+    ids=["count-seed", "audit-seed", "estimate-dim-seed", "factor-test-seed", "check-all-pairs",
+         "check-all-pairs-sampled", "scan-conjecture-preset"],
+)
+def test_cli_removed_options_are_usage_errors(argv, capsys):
+    # options that no code read: --seed of count, audit, estimate-dim and
+    # factor-test, check --all-pairs (the default without --sampled) and
+    # scan-conjecture --preset (one allowed value); each is a usage error,
+    # exit 1 before any file is read, and its command's --help lacks it
+    from cwlab import cli
+
+    option = next(a for a in argv if a in ("--seed", "--all-pairs", "--preset"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == "" and f"unrecognized arguments: {option}" in err, err
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--help"])
+    assert option not in capsys.readouterr().out
+
+
 def test_cli_csv_bodies(tmp_path, capsys):
     from cwlab import cli
 
@@ -715,3 +737,82 @@ def test_cli_theorem1_with_d_above_n_is_vacuous(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["applicable"] is False and body["pass"] is True
     assert body["evidence"] == {"reason": "no subspace dimension reaches d", "n": 2, "d": 4}
+
+
+def test_unicode_minus_reads_as_minus(tmp_path, capsys):
+    # the lexer reads U+2212 as "-", in a polynomial and through the CLI
+    from cwlab import cli
+
+    assert parse_poly("x1 − 2*x2", F3, ["x1", "x2"]) == parse_poly("x1 - 2*x2", F3, ["x1", "x2"])
+    bodies = []
+    for minus in ("−", "-"):
+        (tmp_path / "f.sys").write_text(f"field p=3 k=1\nvars x y\npoly x^2 {minus} y\n", encoding="utf-8")
+        assert cli.main(["count", "--system", str(tmp_path / "f.sys")]) == 0
+        bodies.append(capsys.readouterr().out)
+    assert bodies[0] == bodies[1] and json.loads(bodies[0])["count"] == 3
+
+
+def test_cli_construct_example1_past_four_variables_records_the_true_count(tmp_path, capsys):
+    # for n > 4 the closed-form display value misses the true count: a note
+    # on stderr, and both numbers in the recipe, the true one the count of
+    # the written system
+    from cwlab import cli
+
+    out = tmp_path / "example1.sys"
+    assert cli.main(["construct", "example1", "--p", "3", "--n", "6", "--out", str(out)]) == 0
+    assert "differs from the true count" in capsys.readouterr().err
+    provenance = json.loads(out.with_suffix(".recipe.json").read_text(encoding="utf-8"))["provenance"]
+    assert provenance["display_count"] != provenance["true_count"]
+    assert cli.main(["count", "--system", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == provenance["true_count"]
+
+
+def _typed_error_cases():
+    """(id, call, error type, message part, CLI input or None): each input
+    path that checks an element's coordinates, an exponent of zero or an
+    arity, and the .sys and .sub texts by which `count` reaches it."""
+    from cwlab.fields import parse_element_literal
+    from cwlab.polynomials import MultiPoly, restrict_to_subspace
+    from cwlab.subspaces import PointSet
+
+    F9 = build_field(3, 2)
+    x = MultiPoly.from_terms(F3, 2, [((1, 0), 1)])
+    z = MultiPoly.from_terms(F3, 3, [((0, 0, 1), 1)])
+    plane = AffineSubspace(F3, [0, 0, 0], [[1, 0, 0]])
+    return [
+        ("from-coords", lambda: F9.from_coords([1, 2, 0]), ValueError, "need 2 coordinates", None),
+        ("element-literal", lambda: parse_element_literal(F9, "1:2:0"), ValueError, "needs 2 coordinates",
+         ("field p=3 k=2\nvars x y\npoly 1:2:0*x + y\n", None)),
+        ("pow-zero-negative", lambda: F3.pow(0, -1), DivisionByZero, "negative power of zero", None),
+        ("from-terms", lambda: MultiPoly.from_terms(F3, 2, [((1, 0, 0), 1)]), ArityMismatch, "wrong length", None),
+        ("substituted", lambda: x.substituted([x]), ArityMismatch, "expected 2 substitutions", None),
+        ("empty-system", lambda: PolySystem([]), ValueError, "at least one polynomial", None),
+        ("system-arity", lambda: PolySystem([x, z]), ArityMismatch, "share field and arity", None),
+        ("restrict-ambient", lambda: restrict_to_subspace(PolySystem([x]), plane), ArityMismatch,
+         "subspace ambient 3 != system arity 2", ("field p=3 k=1\nvars x y\npoly x - 1\n", "ambient 3\noffset 0 0 0\nbasis 1 0 0\n")),
+        ("restrict-not-a-subspace", lambda: restrict_to_subspace(PolySystem([x]), [0, 0]), TypeError, "AffineSubspace", None),
+        ("offset-length", lambda: AffineSubspace(F3, [0, 0, 0], [[1, 0]]), ValueError, "lengths disagree", None),
+        ("point-out-of-range", lambda: PointSet(F3, 2, [(0, 3)]), ValueError, "invalid point (0, 3)", None),
+        ("point-arity", lambda: PointSet(F3, 2, [(0, 1, 2)]), ValueError, "invalid point (0, 1, 2)", None),
+    ]
+
+
+@pytest.mark.parametrize("call, error, message, files", [pytest.param(*case[1:], id=case[0]) for case in _typed_error_cases()])
+def test_typed_errors_of_the_input_paths(tmp_path, capsys, call, error, message, files):
+    # the call raises its typed error; where `count` reaches the same check
+    # from a file, it exits 1 with nothing on stdout and the check's message
+    # on stderr
+    from cwlab import cli
+
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+    if files is not None:
+        sys_text, sub_text = files
+        (tmp_path / "f.sys").write_text(sys_text, encoding="utf-8")
+        argv = ["count", "--system", str(tmp_path / "f.sys")]
+        if sub_text is not None:
+            (tmp_path / "L.sub").write_text(sub_text, encoding="utf-8")
+            argv += ["--subspace", str(tmp_path / "L.sub")]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "") and message in err and "Traceback" not in err, (code, out, err)
